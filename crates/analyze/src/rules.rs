@@ -61,7 +61,7 @@ pub const LOCK_ORDER: &[(&str, u32, &str)] = &[
     (
         "lock_current",
         2,
-        "EpochDb.current — the epoch snapshot slot",
+        "ShardedEpochDb.current — the epoch snapshot slot",
     ),
     (
         "lock_entries",

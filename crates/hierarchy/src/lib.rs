@@ -118,7 +118,7 @@ pub struct UpArc {
 /// of the graph it was priced against.
 ///
 /// Cloning is cheap (the topology and pricing are shared behind `Arc`),
-/// which is what lets `EpochDb` snapshots carry the hierarchy the same
+/// which is what lets epoch snapshots carry the hierarchy the same
 /// way they carry landmark tables.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {

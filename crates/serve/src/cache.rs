@@ -1,28 +1,57 @@
 //! The invalidation-aware route cache.
 //!
-//! Keyed by `(from, to, epoch)`: a lookup only hits when the cached entry
-//! was computed at — or proven unaffected up to — the querying epoch, so
-//! a cache hit is *bit-identical* to rerunning the algorithm against the
-//! same snapshot.
+//! Keyed by `(from, to)` and validated against the querying snapshot's
+//! [`crate::shard::EpochVector`]: a lookup only hits when the cached
+//! entry was computed at — or proven unaffected up to — that snapshot,
+//! so a cache hit is *bit-identical* to rerunning the algorithm against
+//! it. A one-shard service and an eight-shard one run the same rule;
+//! with one shard every update touches "the" shard and the rule is the
+//! classic global-epoch sweep.
+//!
+//! ## Validation (stamps)
+//!
+//! * [`RouteCache::insert_stamped`] stores, alongside the answer, one
+//!   `(shard, version)` stamp per shard the path crosses, taken from the
+//!   vector of the snapshot it was computed against.
+//! * [`RouteCache::lookup_vec`] hits iff every stamp still matches the
+//!   querying snapshot's vector and the entry is not from a later
+//!   install than the snapshot. A cost increase bumps only the shards of
+//!   the edge's endpoints, so an entry whose path never enters them
+//!   keeps hitting across that install *without ever being rewritten*;
+//!   a decrease bumps every shard, so nothing validated before it hits
+//!   until the sweep below has looked at it.
 //!
 //! ## Invalidation rule
 //!
-//! A traffic update changes directed edge `(u, v)` to `new_cost` and
-//! installs epoch `n + 1`. Each cached entry is then either **dropped**
-//! or **promoted** to the new epoch:
+//! A traffic update changes directed edge `(u, v)` from `old_cost` to
+//! `new_cost`, bumps `shards` and installs the next vector.
+//! [`RouteCache::apply_shard_update`] then examines every entry whose
+//! stamp set intersects `shards` (all of them after a decrease; after an
+//! increase the others cannot use the edge) and either **drops** or
+//! **promotes** it:
 //!
 //! * dropped if its path uses the hop `(u, v)` — the answer's cost is
 //!   definitely stale; or
-//! * dropped if `new_cost < path.cost` — with non-negative edge costs any
-//!   route through `(u, v)` costs at least `new_cost`, so only then could
-//!   the update have created a better route than the cached one; or
+//! * dropped if the cost went *down* and `new_cost < path.cost` — with
+//!   non-negative edge costs any route through `(u, v)` costs at least
+//!   `new_cost`, so only then could the update have created a better
+//!   route than the cached one (a pure increase can only raise route
+//!   costs, so an off-path entry stays optimal whatever the new cost);
+//!   or
 //! * promoted otherwise: the update provably cannot change this answer,
-//!   and the entry is re-keyed to epoch `n + 1` without recomputation.
+//!   and its touched stamps move to the new versions without
+//!   recomputation.
 //!
-//! Entries whose epoch is *older* than the epoch the sweep expects (a
-//! racing insert that landed after the sweep for its epoch already ran)
-//! are dropped as stale — promotion is only sound for entries that have
-//! seen every update so far.
+//! Each install bumps a touched shard by exactly one, so an examined
+//! entry's touched stamps say where it stands: already at the new
+//! versions (computed against the new costs — left alone), one behind
+//! (the case above), or further behind — the sweep for an earlier
+//! install has not seen it yet (concurrent updaters sweep outside the
+//! install lock, in any order), and it is dropped as stale: promotion is
+//! only sound for entries that have seen every update so far. For the
+//! same reason an insert stamped below a version a sweep has already
+//! installed (a worker finishing late against an old snapshot) is
+//! refused.
 //!
 //! Unreachable results are not cached: cost updates cannot change
 //! reachability, but a `None` path has no edges for the rule to inspect,
@@ -39,7 +68,7 @@
 //! Entries an update sweep invalidates are not discarded: they retire
 //! into a separate, equally bounded *stale* map, keyed `(from, to)` and
 //! still carrying the epoch they were computed at. The live cache never
-//! serves them — [`RouteCache::lookup`] is exact-epoch only — but when
+//! serves them — [`RouteCache::lookup_vec`] is exact — but when
 //! the degrade ladder has nothing better (storage breaker open, every
 //! rung failed), [`RouteCache::lookup_stale`] can serve one as an
 //! explicitly tagged `STALE k` answer: a road that existed `k` epochs
@@ -47,37 +76,6 @@
 //! tier is invisible to [`RouteCache::len`] / [`RouteCache::is_empty`]
 //! and to the hit/miss counters; it has its own `stale_hits` /
 //! `retirements` statistics.
-//!
-//! ## Sharded validation (stamps)
-//!
-//! The epoch-keyed rule above treats every update as global: the sweep
-//! rewrites (or drops) *every* entry, and — because
-//! [`RouteCache::apply_update`] cannot see whether the cost went up or
-//! down — it must drop any entry a cheaper new cost *could* beat, which
-//! on long-route networks is nearly all of them. The sharded entry
-//! points fix both:
-//!
-//! * [`RouteCache::insert_stamped`] stores, alongside the answer, one
-//!   `(shard, version)` stamp per shard the path crosses (from the
-//!   [`crate::shard::EpochVector`] of the snapshot it was computed
-//!   against).
-//! * [`RouteCache::lookup_vec`] hits iff every stamp still matches the
-//!   querying snapshot's vector: updates in shards the path never enters
-//!   provably cannot have touched it, so the entry keeps hitting across
-//!   those installs *without ever being rewritten*.
-//! * [`RouteCache::apply_shard_update`] receives the old cost, so it can
-//!   apply the monotonicity argument: a pure cost **increase** can only
-//!   raise route costs, so an entry whose path avoids the edge remains
-//!   optimal — only entries whose stamp set intersects the touched
-//!   shards are even examined (the path cannot use the edge otherwise),
-//!   and only those actually on the edge drop. A cost **decrease** keeps
-//!   the conservative global rule (drop if on-path or the new cost
-//!   undercuts the cached total) — there is no sound shard-local bound
-//!   for "a better route may now exist elsewhere".
-//!
-//! The two families share the map, capacity, LRU clock, stale tier, and
-//! statistics, but a service instance uses one or the other: exact-epoch
-//! lookups never see stamped entries and vice versa.
 
 use crate::shard::EpochVector;
 use crate::sync::{self, Mutex, MutexGuard};
@@ -125,8 +123,7 @@ pub struct CacheStats {
 #[derive(Debug)]
 struct Entry {
     route: CachedRoute,
-    /// `(shard, version)` per shard the path crosses, sorted by shard —
-    /// empty for entries inserted through the epoch-keyed API.
+    /// `(shard, version)` per shard the path crosses, sorted by shard.
     stamps: Vec<(u32, u64)>,
     last_used: u64,
 }
@@ -139,9 +136,6 @@ struct Inner {
     /// as the live map; never counted by `len` / `is_empty`.
     stale: HashMap<(u32, u32), CachedRoute>,
     tick: u64,
-    /// Highest epoch an update sweep has installed; inserts below it are
-    /// stale and refused.
-    latest_epoch: u64,
     /// Highest per-shard version an [`RouteCache::apply_shard_update`]
     /// sweep has installed, indexed by shard; stamped inserts below any
     /// of them are stale and refused.
@@ -175,7 +169,6 @@ impl RouteCache {
                 map: HashMap::new(),
                 stale: HashMap::new(),
                 tick: 0,
-                latest_epoch: 0,
                 latest_versions: Vec::new(),
                 stats: CacheStats::default(),
             }),
@@ -225,82 +218,15 @@ impl RouteCache {
         self.lock_entries().stats
     }
 
-    /// Looks up `(from, to)` at `epoch`. An entry at a different epoch is
-    /// a miss (it has not been proven valid for this snapshot).
-    pub fn lookup(&self, from: NodeId, to: NodeId, epoch: u64) -> Option<CachedRoute> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let mut inner = self.lock_entries();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&(from.0, to.0)) {
-            Some(entry) if entry.stamps.is_empty() && entry.route.epoch == epoch => {
-                entry.last_used = tick;
-                let route = entry.route.clone();
-                inner.stats.hits += 1;
-                drop(inner);
-                self.bump("cache_hits_total", 1);
-                Some(route)
-            }
-            _ => {
-                inner.stats.misses += 1;
-                drop(inner);
-                self.bump("cache_misses_total", 1);
-                None
-            }
-        }
-    }
-
-    /// Inserts a computed route, evicting the LRU entry when full. The
-    /// insert is refused (silently) when the cache is disabled, when the
-    /// route's epoch predates the latest update sweep (a racing worker
-    /// finishing against an old snapshot), or when a newer entry for the
-    /// same key is already present.
-    pub fn insert(&self, from: NodeId, to: NodeId, route: CachedRoute) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.lock_entries();
-        if route.epoch < inner.latest_epoch {
-            return;
-        }
-        if let Some(existing) = inner.map.get(&(from.0, to.0)) {
-            if existing.route.epoch > route.epoch {
-                return;
-            }
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&(from.0, to.0)) {
-            // Deterministic LRU eviction: oldest tick, then smallest key.
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(key, entry)| (entry.last_used, **key))
-                .map(|(key, _)| *key);
-            if let Some(victim) = victim {
-                inner.map.remove(&victim);
-                inner.stats.evictions += 1;
-            }
-        }
-        inner.map.insert(
-            (from.0, to.0),
-            Entry {
-                route,
-                stamps: Vec::new(),
-                last_used: tick,
-            },
-        );
-        inner.stats.insertions += 1;
-    }
-
-    /// Looks up `(from, to)` against a sharded snapshot's epoch vector:
-    /// a hit requires every shard the cached path crosses to still be at
-    /// the version the entry was last validated at. The returned route
-    /// keeps the install it was computed (or last promoted) at — older
-    /// than the current install when the intervening updates provably
-    /// missed the path's shards.
+    /// Looks up `(from, to)` against a snapshot's epoch vector: a hit
+    /// requires every shard the cached path crosses to still be at the
+    /// version the entry was last validated at, and the entry not to
+    /// come from a later install than the snapshot (a worker still
+    /// pinned to an older snapshot must not be served a route computed
+    /// after an increase it cannot see). The returned route keeps the
+    /// install it was computed (or last promoted) at — older than the
+    /// snapshot's when the intervening updates provably missed the
+    /// path's shards.
     pub fn lookup_vec(
         &self,
         from: NodeId,
@@ -315,7 +241,7 @@ impl RouteCache {
         let tick = inner.tick;
         match inner.map.get_mut(&(from.0, to.0)) {
             Some(entry)
-                if !entry.stamps.is_empty()
+                if entry.route.epoch <= epochs.install()
                     && entry
                         .stamps
                         .iter()
@@ -368,6 +294,7 @@ impl RouteCache {
         inner.tick += 1;
         let tick = inner.tick;
         if inner.map.len() >= self.capacity && !inner.map.contains_key(&(from.0, to.0)) {
+            // Deterministic LRU eviction: oldest tick, then smallest key.
             let victim = inner
                 .map
                 .iter()
@@ -389,17 +316,18 @@ impl RouteCache {
         inner.stats.insertions += 1;
     }
 
-    /// Sweeps the cache for a sharded traffic update: directed edge
-    /// `(u, v)` went from `old_cost` to `new_cost`, bumping `shards` and
+    /// Sweeps the cache for a traffic update: directed edge `(u, v)`
+    /// went from `old_cost` to `new_cost`, bumping `shards` and
     /// installing the post-update vector `epochs`. Returns
     /// `(invalidated, promoted)`.
     ///
-    /// A pure cost **increase** examines only entries whose stamp set
-    /// intersects the touched shards (the path cannot use the edge
-    /// otherwise): on-path entries drop, the rest re-stamp to the new
-    /// versions; entries in untouched shards are not visited at all. A
-    /// **decrease** examines every entry with the conservative global
-    /// rule (drop if on-path or `new_cost` undercuts the cached total).
+    /// Only entries whose stamp set intersects `shards` are examined —
+    /// after an increase the others cannot use the edge and are not
+    /// visited at all; a decrease bumps every shard, so every entry is.
+    /// An examined entry drops if it is on the edge, if a decrease
+    /// undercuts its total, or if it is stale (more than one version
+    /// behind on a touched shard); otherwise its touched stamps move to
+    /// the new versions.
     pub fn apply_shard_update(
         &self,
         u: NodeId,
@@ -412,7 +340,7 @@ impl RouteCache {
         if self.capacity == 0 {
             return (0, 0);
         }
-        let increase = new_cost >= old_cost;
+        let decrease = new_cost < old_cost;
         let install = epochs.install();
         let mut inner = self.lock_entries();
         let mut invalidated = 0u64;
@@ -420,31 +348,34 @@ impl RouteCache {
         let swept = std::mem::take(&mut inner.map);
         let mut retired: Vec<((u32, u32), CachedRoute)> = Vec::new();
         for (key, mut entry) in swept {
-            let intersects = entry
+            // How far the entry's touched stamps trail this install.
+            let behind = entry
                 .stamps
                 .iter()
-                .any(|&(shard, _)| shards.contains(&shard));
-            if increase && !intersects {
-                // The path never enters a touched shard: the update
-                // provably missed it. Neither dropped nor rewritten.
+                .filter(|(shard, _)| shards.contains(shard))
+                .map(|&(shard, version)| epochs.version(shard).saturating_sub(version))
+                .max();
+            // The path never enters a touched shard, or the entry was
+            // computed against the new costs: the update cannot have
+            // changed it. Neither dropped nor rewritten.
+            let Some(behind @ 1..) = behind else {
                 inner.map.insert(key, entry);
                 continue;
-            }
+            };
+            let stale = behind > 1;
             let on_path = entry.route.path.hops().any(|(a, b)| a == u && b == v);
-            let could_beat = !increase && new_cost < entry.route.path.cost;
-            if on_path || could_beat {
+            let could_beat = decrease && new_cost < entry.route.path.cost;
+            if stale || on_path || could_beat {
                 invalidated += 1;
                 retired.push((key, entry.route));
             } else {
-                if intersects {
-                    for stamp in entry.stamps.iter_mut() {
-                        if shards.contains(&stamp.0) {
-                            stamp.1 = epochs.version(stamp.0);
-                        }
+                for stamp in entry.stamps.iter_mut() {
+                    if shards.contains(&stamp.0) {
+                        stamp.1 = epochs.version(stamp.0);
                     }
-                    entry.route.epoch = install;
-                    promoted += 1;
                 }
+                entry.route.epoch = entry.route.epoch.max(install);
+                promoted += 1;
                 inner.map.insert(key, entry);
             }
         }
@@ -463,47 +394,6 @@ impl RouteCache {
                 }
             }
         }
-        inner.stats.invalidations += invalidated;
-        inner.stats.promotions += promoted;
-        drop(inner);
-        self.bump("cache_invalidations_total", invalidated);
-        (invalidated, promoted)
-    }
-
-    /// Sweeps the cache for a traffic update that changed directed edge
-    /// `(u, v)` to `new_cost` and installed `new_epoch`. Returns
-    /// `(invalidated, promoted)` entry counts.
-    pub fn apply_update(&self, u: NodeId, v: NodeId, new_cost: f64, new_epoch: u64) -> (u64, u64) {
-        if self.capacity == 0 {
-            return (0, 0);
-        }
-        let mut inner = self.lock_entries();
-        let swept_from = new_epoch.saturating_sub(1);
-        let mut invalidated = 0u64;
-        let mut promoted = 0u64;
-        let swept = std::mem::take(&mut inner.map);
-        let mut retired: Vec<((u32, u32), CachedRoute)> = Vec::new();
-        for (key, mut entry) in swept {
-            if entry.route.epoch >= new_epoch {
-                inner.map.insert(key, entry); // computed against the new costs
-                continue;
-            }
-            let stale = entry.route.epoch < swept_from;
-            let on_path = entry.route.path.hops().any(|(a, b)| a == u && b == v);
-            let could_beat = new_cost < entry.route.path.cost;
-            if stale || on_path || could_beat {
-                invalidated += 1;
-                retired.push((key, entry.route));
-            } else {
-                entry.route.epoch = new_epoch;
-                promoted += 1;
-                inner.map.insert(key, entry);
-            }
-        }
-        for (key, route) in retired {
-            self.retire(&mut inner, key, route);
-        }
-        inner.latest_epoch = inner.latest_epoch.max(new_epoch);
         inner.stats.invalidations += invalidated;
         inner.stats.promotions += promoted;
         drop(inner);
@@ -581,99 +471,102 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hit_then_epoch_mismatch_is_a_miss() {
-        let cache = RouteCache::new(8);
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        assert!(cache.lookup(NodeId(0), NodeId(3), 0).is_some());
-        assert!(cache.lookup(NodeId(0), NodeId(3), 1).is_none());
-        assert!(cache.lookup(NodeId(3), NodeId(0), 0).is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
+    fn vector(install: u64, versions: &[u64]) -> EpochVector {
+        EpochVector::with_versions(install, versions.to_vec())
     }
 
-    #[test]
-    fn update_on_path_invalidates_and_off_path_promotes() {
-        let cache = RouteCache::new(8);
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        cache.insert(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 0));
-        // Edge (0,1) is on the first path; the new cost (9.0) is not
-        // cheaper than the second path (7.0), so the second survives.
-        let (invalidated, promoted) = cache.apply_update(NodeId(0), NodeId(1), 9.0, 1);
-        assert_eq!((invalidated, promoted), (1, 1));
-        assert!(cache.lookup(NodeId(0), NodeId(3), 1).is_none());
-        assert_eq!(
-            cache.lookup(NodeId(4), NodeId(5), 1).unwrap().path.cost,
-            7.0
-        );
+    /// The one-shard vector after `install` updates: every install
+    /// bumps "the" shard.
+    fn single(install: u64) -> EpochVector {
+        vector(install, &[install])
     }
 
-    #[test]
-    fn cheaper_than_cached_cost_invalidates_off_path_entries() {
-        let cache = RouteCache::new(8);
-        cache.insert(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 0));
-        // Edge (8,9) is not on the path, but at cost 1.0 a route through
-        // it could now beat the cached 7.0 — drop.
-        let (invalidated, promoted) = cache.apply_update(NodeId(8), NodeId(9), 1.0, 1);
-        assert_eq!((invalidated, promoted), (1, 0));
-        assert!(cache.is_empty());
+    /// Inserts `route` as a one-shard service would: one stamp, at the
+    /// route's own install.
+    fn insert(cache: &RouteCache, from: u32, to: u32, route: CachedRoute) {
+        let stamps = vec![(0, route.epoch)];
+        cache.insert_stamped(NodeId(from), NodeId(to), route, stamps);
+    }
+
+    /// A one-shard update `old -> new` on `(u, v)` installing `install`.
+    fn update(cache: &RouteCache, u: u32, v: u32, old: f64, new: f64, install: u64) -> (u64, u64) {
+        cache.apply_shard_update(NodeId(u), NodeId(v), old, new, &[0], &single(install))
     }
 
     #[test]
     fn direction_matters_for_the_on_path_test() {
         let cache = RouteCache::new(8);
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        // (1,0) is the reverse hop — not on the directed path; cost 50 is
-        // above the cached total, so the entry survives.
-        let (invalidated, promoted) = cache.apply_update(NodeId(1), NodeId(0), 50.0, 1);
-        assert_eq!((invalidated, promoted), (0, 1));
-        assert!(cache.lookup(NodeId(0), NodeId(3), 1).is_some());
+        insert(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        // (1,0) is the reverse hop — not on the directed path — so even
+        // a decrease survives when it does not undercut the total.
+        assert_eq!(update(&cache, 1, 0, 60.0, 50.0, 1), (0, 1));
+        let hit = cache.lookup_vec(NodeId(0), NodeId(3), &single(1)).unwrap();
+        assert_eq!(hit.epoch, 1, "promotion advances the install");
     }
 
     #[test]
     fn lru_eviction_is_deterministic() {
         let cache = RouteCache::new(2);
-        cache.insert(NodeId(0), NodeId(1), route(&[0, 1], 1.0, 0));
-        cache.insert(NodeId(0), NodeId(2), route(&[0, 2], 1.0, 0));
+        insert(&cache, 0, 1, route(&[0, 1], 1.0, 0));
+        insert(&cache, 0, 2, route(&[0, 2], 1.0, 0));
         // Touch (0,1) so (0,2) is the LRU victim.
-        assert!(cache.lookup(NodeId(0), NodeId(1), 0).is_some());
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 3], 1.0, 0));
+        assert!(cache.lookup_vec(NodeId(0), NodeId(1), &single(0)).is_some());
+        insert(&cache, 0, 3, route(&[0, 3], 1.0, 0));
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(NodeId(0), NodeId(2), 0).is_none());
-        assert!(cache.lookup(NodeId(0), NodeId(1), 0).is_some());
-        assert!(cache.lookup(NodeId(0), NodeId(3), 0).is_some());
+        assert!(cache.lookup_vec(NodeId(0), NodeId(2), &single(0)).is_none());
+        assert!(cache.lookup_vec(NodeId(0), NodeId(1), &single(0)).is_some());
+        assert!(cache.lookup_vec(NodeId(0), NodeId(3), &single(0)).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
-    fn stale_inserts_and_stale_entries_are_refused() {
+    fn stale_inserts_are_refused() {
         let cache = RouteCache::new(8);
-        cache.apply_update(NodeId(0), NodeId(1), 1.0, 3);
-        // A worker that computed against epoch 1 finishes late: refused.
-        cache.insert(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 1));
+        // A sweep installs shard 0 at version 2.
+        let v = vector(1, &[2]);
+        cache.apply_shard_update(NodeId(0), NodeId(1), 1.0, 9.0, &[0], &v);
+        // A worker that computed against shard 0 @ version 1 finishes
+        // late: refused.
+        cache.insert_stamped(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 0), vec![(0, 1)]);
         assert!(cache.is_empty());
-        // An entry at the swept-from epoch is fine.
-        cache.insert(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 3));
+        // At the swept version it is accepted.
+        cache.insert_stamped(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 1), vec![(0, 2)]);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_sweep_drops_entries_an_earlier_sweep_has_not_seen() {
+        let cache = RouteCache::new(8);
+        insert(&cache, 4, 5, route(&[4, 5], 7.0, 0));
+        insert(&cache, 6, 7, route(&[6, 7], 7.0, 2));
+        // Two updaters installed 1 and 2; the sweep for 2 runs first.
+        // The install-0 entry has not been checked against update 1, so
+        // it may not be promoted past it; the install-2 entry was
+        // computed against both and is left alone by either sweep.
+        assert_eq!(update(&cache, 0, 1, 1.0, 9.0, 2), (1, 0));
+        assert_eq!(update(&cache, 2, 3, 1.0, 9.0, 1), (0, 0));
+        assert!(cache.lookup_vec(NodeId(4), NodeId(5), &single(2)).is_none());
+        assert!(cache.lookup_vec(NodeId(6), NodeId(7), &single(2)).is_some());
     }
 
     #[test]
     fn zero_capacity_disables_everything() {
         let cache = RouteCache::new(0);
-        cache.insert(NodeId(0), NodeId(1), route(&[0, 1], 1.0, 0));
-        assert!(cache.lookup(NodeId(0), NodeId(1), 0).is_none());
-        assert_eq!(cache.apply_update(NodeId(0), NodeId(1), 2.0, 1), (0, 0));
+        insert(&cache, 0, 1, route(&[0, 1], 1.0, 0));
+        assert!(cache.lookup_vec(NodeId(0), NodeId(1), &single(0)).is_none());
+        assert_eq!(update(&cache, 0, 1, 1.0, 2.0, 1), (0, 0));
+        assert!(cache.lookup_stale(NodeId(0), NodeId(1), 1, 8).is_none());
         assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]
     fn invalidated_entries_retire_into_the_stale_tier() {
         let cache = RouteCache::new(8);
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        let (invalidated, _) = cache.apply_update(NodeId(0), NodeId(1), 9.0, 1);
+        insert(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        let (invalidated, _) = update(&cache, 0, 1, 1.0, 9.0, 1);
         assert_eq!(invalidated, 1);
         assert!(cache.is_empty(), "the stale tier is not the live cache");
-        assert!(cache.lookup(NodeId(0), NodeId(3), 1).is_none());
+        assert!(cache.lookup_vec(NodeId(0), NodeId(3), &single(1)).is_none());
         let (stale, age) = cache
             .lookup_stale(NodeId(0), NodeId(3), 1, 8)
             .expect("the retired route is servable");
@@ -687,8 +580,8 @@ mod tests {
     #[test]
     fn stale_lookups_respect_the_age_bound() {
         let cache = RouteCache::new(8);
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        cache.apply_update(NodeId(0), NodeId(1), 9.0, 1);
+        insert(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        update(&cache, 0, 1, 1.0, 9.0, 1);
         assert!(cache.lookup_stale(NodeId(0), NodeId(3), 10, 8).is_none());
         assert!(cache.lookup_stale(NodeId(0), NodeId(3), 8, 8).is_some());
         assert!(cache.lookup_stale(NodeId(9), NodeId(9), 1, 8).is_none());
@@ -698,34 +591,22 @@ mod tests {
     fn stale_tier_keeps_the_newest_retiree_per_key_and_is_bounded() {
         let cache = RouteCache::new(2);
         // Retire (0,3) at epoch 0, then a fresher (0,3) at epoch 1.
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        cache.apply_update(NodeId(0), NodeId(1), 9.0, 1);
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 2, 3], 3.0, 1));
-        cache.apply_update(NodeId(0), NodeId(2), 9.0, 2);
+        insert(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        update(&cache, 0, 1, 1.0, 9.0, 1);
+        insert(&cache, 0, 3, route(&[0, 2, 3], 3.0, 1));
+        update(&cache, 0, 2, 1.0, 9.0, 2);
         let (stale, age) = cache.lookup_stale(NodeId(0), NodeId(3), 2, 8).unwrap();
         assert_eq!((stale.epoch, age), (1, 1), "newest retiree wins");
         // Fill the tier past capacity: the oldest epoch is evicted.
-        cache.insert(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 2));
-        cache.insert(NodeId(6), NodeId(7), route(&[6, 7], 8.0, 2));
-        cache.apply_update(NodeId(0), NodeId(1), 0.5, 3); // undercuts both
+        insert(&cache, 4, 5, route(&[4, 5], 7.0, 2));
+        insert(&cache, 6, 7, route(&[6, 7], 8.0, 2));
+        update(&cache, 0, 1, 9.0, 0.5, 3); // undercuts both
         assert!(
             cache.lookup_stale(NodeId(0), NodeId(3), 3, 8).is_none(),
             "the epoch-1 retiree was the eviction victim"
         );
         assert!(cache.lookup_stale(NodeId(4), NodeId(5), 3, 8).is_some());
         assert!(cache.lookup_stale(NodeId(6), NodeId(7), 3, 8).is_some());
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_stale_tier_too() {
-        let cache = RouteCache::new(0);
-        cache.insert(NodeId(0), NodeId(1), route(&[0, 1], 1.0, 0));
-        cache.apply_update(NodeId(0), NodeId(1), 2.0, 1);
-        assert!(cache.lookup_stale(NodeId(0), NodeId(1), 1, 8).is_none());
-    }
-
-    fn vector(install: u64, versions: &[u64]) -> EpochVector {
-        EpochVector::with_versions(install, versions.to_vec())
     }
 
     #[test]
@@ -751,54 +632,34 @@ mod tests {
     #[test]
     fn increase_in_an_intersecting_shard_restamps_off_path_entries() {
         let cache = RouteCache::new(8);
-        cache.insert_stamped(
-            NodeId(0),
-            NodeId(3),
-            route(&[0, 1, 3], 2.0, 0),
-            vec![(0, 0)],
-        );
-        cache.insert_stamped(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 0), vec![(0, 0)]);
+        insert(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        insert(&cache, 4, 5, route(&[4, 5], 7.0, 0));
         // (0,1) jams from 1.0 to 40.0 in shard 0. The first path uses the
         // hop — dropped. The second is off-path: under a pure increase it
-        // stays optimal even though 40.0 > its 7.0 total (the legacy rule
-        // would have dropped it as `could_beat` if this were a decrease).
-        let v1 = vector(1, &[1]);
-        let (invalidated, promoted) =
-            cache.apply_shard_update(NodeId(0), NodeId(1), 1.0, 40.0, &[0], &v1);
-        assert_eq!((invalidated, promoted), (1, 1));
-        assert!(cache.lookup_vec(NodeId(0), NodeId(3), &v1).is_none());
-        let hit = cache.lookup_vec(NodeId(4), NodeId(5), &v1).unwrap();
+        // stays optimal whatever the new cost.
+        assert_eq!(update(&cache, 0, 1, 1.0, 40.0, 1), (1, 1));
+        assert!(cache.lookup_vec(NodeId(0), NodeId(3), &single(1)).is_none());
+        let hit = cache.lookup_vec(NodeId(4), NodeId(5), &single(1)).unwrap();
         assert_eq!(hit.epoch, 1, "promotion advances the install");
+        // A cheap jam is still a jam: 2.5 is below the cached 7.0 total,
+        // but the cost went up, so nothing can have got better.
+        assert_eq!(update(&cache, 8, 9, 1.0, 2.5, 2), (0, 1));
     }
 
     #[test]
-    fn decrease_sweeps_every_shard_conservatively() {
+    fn a_decrease_drops_whatever_it_undercuts() {
         let cache = RouteCache::new(8);
         cache.insert_stamped(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 0), vec![(1, 0)]);
         // A decrease in shard 0 to 1.0 could create a better route
-        // anywhere — the shard-1 entry must drop (could_beat).
-        let v1 = vector(1, &[1, 0]);
+        // anywhere, so the store bumps every shard and the shard-1 entry
+        // must drop (could_beat).
+        let v1 = vector(1, &[1, 1]);
         let (invalidated, promoted) =
-            cache.apply_shard_update(NodeId(0), NodeId(1), 5.0, 1.0, &[0], &v1);
+            cache.apply_shard_update(NodeId(0), NodeId(1), 5.0, 1.0, &[0, 1], &v1);
         assert_eq!((invalidated, promoted), (1, 0));
         assert!(cache.lookup_vec(NodeId(4), NodeId(5), &v1).is_none());
         // …and it retired into the stale tier like any invalidation.
         assert!(cache.lookup_stale(NodeId(4), NodeId(5), 1, 8).is_some());
-    }
-
-    #[test]
-    fn stale_stamped_inserts_are_refused() {
-        let cache = RouteCache::new(8);
-        // A sweep installs shard 0 at version 2.
-        let v = vector(1, &[2]);
-        cache.apply_shard_update(NodeId(0), NodeId(1), 1.0, 9.0, &[0], &v);
-        // A worker that computed against shard 0 @ version 1 finishes
-        // late: refused.
-        cache.insert_stamped(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 0), vec![(0, 1)]);
-        assert!(cache.is_empty());
-        // At the swept version it is accepted.
-        cache.insert_stamped(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 1), vec![(0, 2)]);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -819,18 +680,42 @@ mod tests {
                 .is_none(),
             "shard 1 moved under the path"
         );
-        // Epoch-keyed lookups never see stamped entries.
-        assert!(cache.lookup(NodeId(0), NodeId(3), 0).is_none());
+        assert!(cache
+            .lookup_vec(NodeId(3), NodeId(0), &vector(0, &[0, 0]))
+            .is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 2));
+    }
+
+    #[test]
+    fn a_snapshot_is_not_served_a_route_from_a_later_install() {
+        let cache = RouteCache::new(8);
+        // Computed at install 1, after an increase in shard 1 pushed the
+        // route into shard 0 only. A worker still pinned to install 0
+        // sees shard 0 unchanged, but at its costs the route may not be
+        // the best one.
+        cache.insert_stamped(
+            NodeId(0),
+            NodeId(3),
+            route(&[0, 1, 3], 2.0, 1),
+            vec![(0, 0)],
+        );
+        assert!(cache
+            .lookup_vec(NodeId(0), NodeId(3), &vector(0, &[0, 0]))
+            .is_none());
+        assert!(cache
+            .lookup_vec(NodeId(0), NodeId(3), &vector(1, &[0, 1]))
+            .is_some());
     }
 
     #[test]
     fn metrics_mirror_the_counters() {
         let registry = atis_obs::MetricsRegistry::shared();
         let cache = RouteCache::new(8).with_metrics(registry.clone());
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        cache.lookup(NodeId(0), NodeId(3), 0);
-        cache.lookup(NodeId(9), NodeId(9), 0);
-        cache.apply_update(NodeId(0), NodeId(1), 9.0, 1);
+        insert(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        cache.lookup_vec(NodeId(0), NodeId(3), &single(0));
+        cache.lookup_vec(NodeId(9), NodeId(9), &single(0));
+        update(&cache, 0, 1, 1.0, 9.0, 1);
         assert_eq!(registry.counter("cache_hits_total"), 1);
         assert_eq!(registry.counter("cache_misses_total"), 1);
         assert_eq!(registry.counter("cache_invalidations_total"), 1);

@@ -1,42 +1,20 @@
-//! Epoch snapshots: concurrent reads, serialized copy-on-write updates.
+//! What one traffic update does to an epoch's artifacts.
 //!
 //! The paper's serving scenario has many in-vehicle clients reading one
-//! central map while live traffic updates trickle in. The seed route
-//! server funnelled both through a single `Mutex<Database>`, so one slow
-//! A\* run blocked the fleet *and* an `UPDATE` could land between two
-//! storage reads of a running query, mixing pre- and post-update edge
-//! costs in a single answer.
+//! central map while live traffic updates trickle in. The store that
+//! versions the map ([`crate::shard::ShardedEpochDb`]) installs every
+//! update copy-on-write: readers pin an immutable snapshot, a writer
+//! clones the current database, applies the cost change to the clone and
+//! publishes it as the next install — so every answer has a well-defined
+//! epoch and never mixes pre- and post-update edge costs.
 //!
-//! [`EpochDb`] fixes both with the classic snapshot scheme:
-//!
-//! * The current database lives behind an `Arc`. Readers grab
-//!   `(epoch, Arc<Database>)` in one cheap lock acquisition and then run
-//!   entirely against that immutable snapshot — queries at the same epoch
-//!   run in parallel, and no later write can reach them.
-//! * A writer clones the current snapshot, applies the cost update to the
-//!   clone, and installs it as epoch `n + 1`. Writers are serialized by
-//!   the same lock; readers never wait on a running query, only on the
-//!   (small) clone-and-swap window.
-//!
-//! Every answer therefore has a well-defined epoch, which is what makes
-//! the route cache's `(from, to, epoch)` key and the stress tests'
-//! "bit-identical to the single-threaded oracle at the same epoch"
-//! criterion meaningful.
+//! This module holds the part of an install that does not depend on how
+//! installs are versioned: keeping the landmark (ALT) tables and the
+//! contraction hierarchy current for the new costs
+//! (`maintain_artifacts`), and the record an install reports back
+//! ([`EpochUpdate`]).
 
-use crate::sync::{self, Arc, Mutex, MutexGuard};
-use atis_algorithms::{AlgorithmError, Database};
-use atis_graph::{Graph, NodeId};
-use atis_storage::StorageProfile;
-
-/// An immutable view of the database at one epoch. Cloning is cheap
-/// (`Arc` bump); the underlying [`Database`] is shared, never mutated.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    /// The epoch this snapshot belongs to (0 = the initial load).
-    pub epoch: u64,
-    /// The database frozen at that epoch.
-    pub db: Arc<Database>,
-}
+use atis_algorithms::Database;
 
 /// How an update maintained the snapshot's landmark (ALT) tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,10 +81,8 @@ pub struct EpochUpdate {
 /// rebuild/re-contract (a failure leaves the stale artifact in place,
 /// marked not-current, so the degrade ladder serves a lower rung).
 ///
-/// Shared by [`EpochDb`] (one global epoch) and
-/// [`crate::shard::ShardedEpochDb`] (per-shard epoch vector): the
-/// artifact contract is identical in both schemes — artifacts are
-/// whole-graph, only the *versioning* of installs differs.
+/// Artifacts are whole-graph, so this is independent of how many shards
+/// [`crate::shard::ShardedEpochDb`] versions the install by.
 pub(crate) fn maintain_artifacts(
     mut next: Database,
     old_cost: f64,
@@ -160,175 +136,23 @@ pub(crate) fn maintain_artifacts(
     (next, landmarks, hierarchy)
 }
 
-/// A database versioned by epochs: lock-briefly reads, copy-on-write
-/// updates.
-#[derive(Debug)]
-pub struct EpochDb {
-    current: Mutex<Snapshot>,
-}
-
-impl EpochDb {
-    /// Wraps a freshly loaded database as epoch 0.
-    pub fn new(db: Database) -> Self {
-        EpochDb {
-            current: Mutex::new(Snapshot {
-                epoch: 0,
-                db: Arc::new(db),
-            }),
-        }
-    }
-
-    /// Opens `graph` as epoch 0 under an explicit [`StorageProfile`] —
-    /// the serving-layer entry point for segmented stores. The epoch
-    /// clone-and-swap machinery is layout-agnostic: every copy-on-write
-    /// update inherits the profile, so a server opened segmented stays
-    /// segmented across its whole epoch history.
-    ///
-    /// # Errors
-    /// Fails if the graph exceeds the tuple encodings or the profile is
-    /// degenerate (zero segment blocks / zero pool capacity).
-    pub fn open_with_profile(
-        graph: &Graph,
-        profile: StorageProfile,
-    ) -> Result<Self, AlgorithmError> {
-        Ok(EpochDb::new(Database::open_with_profile(graph, profile)?))
-    }
-
-    /// Opens `graph` as epoch 0 under the scaled profile for its node
-    /// count ([`StorageProfile::for_nodes`]): region-aligned heap
-    /// segments plus the matching capacity-preset buffer pool with
-    /// region-aware eviction. This is how a metro-scale route server
-    /// should open its stores — see `SCALING.md`.
-    ///
-    /// # Errors
-    /// Fails if the graph exceeds the tuple encodings.
-    pub fn open_scaled(graph: &Graph) -> Result<Self, AlgorithmError> {
-        Self::open_with_profile(graph, StorageProfile::for_nodes(graph.node_count()))
-    }
-
-    /// Designated acquirer for the epoch slot (rank 2 in the declared
-    /// lock order — see `sync.rs` and `atis-analyze rules`).
-    fn lock_current(&self) -> MutexGuard<'_, Snapshot> {
-        sync::lock(&self.current)
-    }
-
-    /// The current `(epoch, database)` pair. Queries must use the returned
-    /// snapshot for *all* their reads — re-fetching mid-query is exactly
-    /// the torn-answer bug epochs exist to prevent.
-    pub fn snapshot(&self) -> Snapshot {
-        self.lock_current().clone()
-    }
-
-    /// The current epoch number.
-    pub fn epoch(&self) -> u64 {
-        self.lock_current().epoch
-    }
-
-    /// Applies a traffic update copy-on-write: clones the current
-    /// database, updates edge `(u, v)` on the clone, and installs the
-    /// clone as the next epoch. Running queries keep their old snapshots;
-    /// queries admitted after this call see the new costs.
-    ///
-    /// When the database carries landmark (ALT) tables they are part of
-    /// the epoch artifact: a cost *increase* (congestion, the common
-    /// case) keeps the old tables admissible, so they are cheaply
-    /// re-stamped for the new fingerprint; a cost *decrease* rebuilds
-    /// them before the epoch installs, so A\* version 4 never sees a
-    /// snapshot whose tables could overestimate.
-    ///
-    /// A contraction hierarchy follows the same contract with cheaper
-    /// repairs: a cost increase re-prices the metric-independent overlay
-    /// via a customization pass, and a decrease re-contracts from
-    /// scratch — either way A\* version 5 never unpacks a stale-priced
-    /// shortcut.
-    ///
-    /// # Errors
-    /// Fails for unknown endpoints or invalid costs; the current epoch is
-    /// left untouched.
-    pub fn update_edge_cost(
-        &self,
-        u: NodeId,
-        v: NodeId,
-        cost: f64,
-    ) -> Result<EpochUpdate, AlgorithmError> {
-        let mut current = self.lock_current();
-        if !current.db.graph().contains(u) {
-            return Err(AlgorithmError::UnknownSource(u));
-        }
-        if !current.db.graph().contains(v) {
-            return Err(AlgorithmError::UnknownDestination(v));
-        }
-        let old_cost = current.db.graph().edge_cost(u, v).unwrap_or(f64::INFINITY);
-        let mut next: Database = (*current.db).clone();
-        let updated = next.update_edge_cost(u, v, cost)?;
-        let mut landmarks = LandmarkRefresh::None;
-        let mut hierarchy = HierarchyRefresh::None;
-        if updated > 0 {
-            (next, landmarks, hierarchy) = maintain_artifacts(next, old_cost, cost);
-        }
-        let epoch = current.epoch + 1;
-        *current = Snapshot {
-            epoch,
-            db: Arc::new(next),
-        };
-        Ok(EpochUpdate {
-            epoch,
-            updated,
-            old_cost,
-            new_cost: cost,
-            landmarks,
-            hierarchy,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{ShardMap, ShardedEpochDb};
     use atis_algorithms::Algorithm;
     use atis_graph::graph::graph_from_arcs;
+    use atis_graph::NodeId;
 
-    fn two_route_graph() -> EpochDb {
+    fn store(db: Database) -> ShardedEpochDb {
+        let nodes = db.graph().node_count();
+        ShardedEpochDb::new(db, ShardMap::single(nodes))
+    }
+
+    fn two_route_graph() -> ShardedEpochDb {
         // 0 -> 1 -> 3 (cost 2) versus 0 -> 2 -> 3 (cost 4).
         let g = graph_from_arcs(4, &[(0, 1, 1.0), (1, 3, 1.0), (0, 2, 2.0), (2, 3, 2.0)]).unwrap();
-        EpochDb::new(Database::open(&g).unwrap())
-    }
-
-    #[test]
-    fn snapshots_are_immutable_across_updates() {
-        let epochs = two_route_graph();
-        let before = epochs.snapshot();
-        assert_eq!(before.epoch, 0);
-
-        let upd = epochs.update_edge_cost(NodeId(0), NodeId(1), 50.0).unwrap();
-        assert_eq!(upd.epoch, 1);
-        assert_eq!(upd.updated, 1);
-        assert_eq!(upd.old_cost, 1.0);
-
-        // The old snapshot still answers with the pre-update costs …
-        let old = before
-            .db
-            .run(Algorithm::Dijkstra, NodeId(0), NodeId(3))
-            .unwrap();
-        assert_eq!(old.path.as_ref().unwrap().cost, 2.0);
-        // … while the new epoch routes around the jam.
-        let new = epochs.snapshot();
-        assert_eq!(new.epoch, 1);
-        let fresh = new
-            .db
-            .run(Algorithm::Dijkstra, NodeId(0), NodeId(3))
-            .unwrap();
-        assert_eq!(fresh.path.as_ref().unwrap().cost, 4.0);
-    }
-
-    #[test]
-    fn failed_updates_do_not_advance_the_epoch() {
-        let epochs = two_route_graph();
-        assert!(epochs
-            .update_edge_cost(NodeId(0), NodeId(1), f64::NAN)
-            .is_err());
-        assert!(epochs.update_edge_cost(NodeId(99), NodeId(1), 1.0).is_err());
-        assert_eq!(epochs.epoch(), 0);
+        store(Database::open(&g).unwrap())
     }
 
     #[test]
@@ -339,13 +163,13 @@ mod tests {
 
         let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 8).unwrap();
         let tables = LandmarkTables::build(grid.graph(), PreprocessConfig::grid_default()).unwrap();
-        let epochs = EpochDb::new(Database::open(grid.graph()).unwrap().with_landmarks(tables));
+        let epochs = store(Database::open(grid.graph()).unwrap().with_landmarks(tables));
         let (s, d) = grid.query_pair(QueryKind::Diagonal);
         let (a, b) = (grid.node_at(2, 2), grid.node_at(2, 3));
 
         // Congestion: patched, degraded, and v4 still answers optimally
         // at the new epoch.
-        let up = epochs.update_edge_cost(a, b, 9.0).unwrap();
+        let up = epochs.update_edge_cost(a, b, 9.0).unwrap().update;
         assert_eq!(up.landmarks, LandmarkRefresh::Patched);
         let snap = epochs.snapshot();
         let lm = snap.db.landmarks().unwrap();
@@ -359,7 +183,7 @@ mod tests {
 
         // The jam clears: a cost decrease forces a rebuild, clearing the
         // degraded flag.
-        let down = epochs.update_edge_cost(a, b, 1.0).unwrap();
+        let down = epochs.update_edge_cost(a, b, 1.0).unwrap().update;
         assert_eq!(down.landmarks, LandmarkRefresh::Rebuilt);
         let snap = epochs.snapshot();
         let lm = snap.db.landmarks().unwrap();
@@ -378,7 +202,7 @@ mod tests {
 
         let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 8).unwrap();
         let overlay = Hierarchy::build(grid.graph(), HierarchyConfig::paper()).unwrap();
-        let epochs = EpochDb::new(
+        let epochs = store(
             Database::open(grid.graph())
                 .unwrap()
                 .with_hierarchy(overlay),
@@ -388,7 +212,7 @@ mod tests {
 
         // Congestion: a customization pass re-prices the overlay — v5
         // answers exactly at the new epoch, never from stale shortcuts.
-        let up = epochs.update_edge_cost(a, b, 9.0).unwrap();
+        let up = epochs.update_edge_cost(a, b, 9.0).unwrap().update;
         assert_eq!(up.hierarchy, HierarchyRefresh::Customized);
         let snap = epochs.snapshot();
         let h = snap.db.hierarchy().unwrap();
@@ -402,7 +226,7 @@ mod tests {
 
         // The jam clears: a decrease re-contracts, restoring witness
         // dormancy (the degraded flag drops).
-        let down = epochs.update_edge_cost(a, b, 1.0).unwrap();
+        let down = epochs.update_edge_cost(a, b, 1.0).unwrap().update;
         assert_eq!(down.hierarchy, HierarchyRefresh::Recontracted);
         let snap = epochs.snapshot();
         let h = snap.db.hierarchy().unwrap();
@@ -416,20 +240,26 @@ mod tests {
     }
 
     #[test]
-    fn updates_without_a_hierarchy_report_no_hierarchy_refresh() {
+    fn updates_without_artifacts_report_no_refresh() {
         let epochs = two_route_graph();
-        let up = epochs.update_edge_cost(NodeId(0), NodeId(1), 3.0).unwrap();
+        let up = epochs
+            .update_edge_cost(NodeId(0), NodeId(1), 3.0)
+            .unwrap()
+            .update;
         assert_eq!(up.hierarchy, HierarchyRefresh::None);
+        assert_eq!(up.landmarks, LandmarkRefresh::None);
     }
 
     #[test]
     fn scaled_stores_answer_like_paper_stores_across_epochs() {
         use atis_graph::{Metro, MetroQuery, MetroSpec};
+        use atis_storage::StorageProfile;
 
         let metro = Metro::new(MetroSpec::new(2, 2, 7)).unwrap();
-        let scaled = EpochDb::open_scaled(metro.graph()).unwrap();
+        let profile = StorageProfile::for_nodes(metro.graph().node_count());
+        let scaled = store(Database::open_with_profile(metro.graph(), profile).unwrap());
         assert!(scaled.snapshot().db.profile().is_segmented());
-        let paper = EpochDb::new(Database::open(metro.graph()).unwrap());
+        let paper = store(Database::open(metro.graph()).unwrap());
         let (s, d) = metro.query_pair(MetroQuery::AdjacentCity);
 
         for epochs in [&scaled, &paper] {
@@ -441,7 +271,7 @@ mod tests {
         }
         let a = scaled.snapshot();
         let b = paper.snapshot();
-        assert_eq!(a.epoch, b.epoch);
+        assert_eq!(a.install(), b.install());
         let ra = a.db.run(Algorithm::Dijkstra, s, d).unwrap();
         let rb = b.db.run(Algorithm::Dijkstra, s, d).unwrap();
         // Same answer and the same *charged* I/O — the layouts differ
@@ -457,22 +287,17 @@ mod tests {
     }
 
     #[test]
-    fn updates_without_tables_report_no_refresh() {
-        let epochs = two_route_graph();
-        let up = epochs.update_edge_cost(NodeId(0), NodeId(1), 3.0).unwrap();
-        assert_eq!(up.landmarks, LandmarkRefresh::None);
-    }
-
-    #[test]
     fn updates_serialize_into_consecutive_epochs() {
         let epochs = two_route_graph();
         for i in 1..=5u64 {
             let upd = epochs
                 .update_edge_cost(NodeId(0), NodeId(1), i as f64)
-                .unwrap();
-            assert_eq!(upd.epoch, i);
+                .unwrap()
+                .update;
+            assert_eq!((upd.epoch, upd.updated), (i, 1));
+            assert_eq!(upd.old_cost, (i as f64 - 1.0).max(1.0));
         }
-        assert_eq!(epochs.epoch(), 5);
+        assert_eq!(epochs.install(), 5);
         assert_eq!(
             epochs.snapshot().db.graph().edge_cost(NodeId(0), NodeId(1)),
             Some(5.0)

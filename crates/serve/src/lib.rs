@@ -20,11 +20,12 @@
 //!   ticks flow into the planner's cost-unit budget, so a request that
 //!   would blow its deadline stops consuming block reads mid-expansion
 //!   instead of completing uselessly.
-//! * **Epoch snapshots** ([`EpochDb`]) — `ROUTE` queries run in parallel
-//!   against an immutable `Arc<Database>` snapshot while `UPDATE`
-//!   traffic installs a new epoch copy-on-write. Every answer carries the
-//!   epoch it was computed at; no answer can mix pre- and post-update
-//!   edge costs.
+//! * **Epoch snapshots** ([`ShardedEpochDb`]) — `ROUTE` queries run in
+//!   parallel against an immutable `Arc<Database>` snapshot while
+//!   `UPDATE` traffic installs a new epoch copy-on-write, bumping the
+//!   version of each region-group shard the update can affect. Every
+//!   answer carries the epoch it was computed at; no answer can mix pre-
+//!   and post-update edge costs.
 //! * **Circuit breakers + stale-serve degradation** ([`CircuitBreaker`])
 //!   — per-resource breakers (storage, landmark rebuilds) open after a
 //!   threshold of typed errors and route requests down a degrade ladder
@@ -32,8 +33,9 @@
 //!   [`RouteOutcome::Stale`] (the `STALE k` wire reply); half-open
 //!   probing re-closes a breaker once the fault clears.
 //! * **Invalidation-aware route cache** ([`RouteCache`]) — LRU-bounded,
-//!   keyed by `(from, to, epoch)`. An update drops exactly the entries
-//!   it could have changed (path uses the updated edge, or the new cost
+//!   keyed by `(from, to)` and validated against the shard versions the
+//!   route was stamped with. An update drops exactly the entries it
+//!   could have changed (path uses the updated edge, or a cost decrease
 //!   undercuts the cached total) and promotes the rest to the new epoch
 //!   without recomputation; invalidated entries retire into the stale
 //!   tier that backs the degrade ladder's last rung.
@@ -99,7 +101,7 @@ pub use breaker::{
 pub use cache::{CacheStats, CachedRoute, RouteCache};
 #[cfg(not(loom))]
 pub use chaos::{ChaosReport, ChaosScenario, OutcomeCounts};
-pub use epoch::{EpochDb, EpochUpdate, HierarchyRefresh, LandmarkRefresh, Snapshot};
+pub use epoch::{EpochUpdate, HierarchyRefresh, LandmarkRefresh};
 pub use error::{ServeError, ShedReason};
 pub use service::{
     Deadline, RequestClass, RouteAnswer, RouteOutcome, RouteService, ServeConfig, Ticket,

@@ -8,8 +8,8 @@
 //! ```text
 //! submit() ──admission──▶ class queues ──▶ worker i
 //!    │ shed? SHED            (interactive     │ deadline check (virtual ticks)
-//!    ▼       (typed reason)   before bulk)    │ pin snapshot (epoch e)
-//! Ticket::wait() ◀── answer ◀────────────────┤ cache lookup (from,to,e)
+//!    ▼       (typed reason)   before bulk)    │ pin snapshot (epoch vector e)
+//! Ticket::wait() ◀── answer ◀────────────────┤ cache lookup (from,to) @ e
 //!                                            │ hit: serve cached
 //!                                            └ miss: degrade ladder
 //!                                               primary → v4/v3 → Dijkstra
@@ -51,12 +51,14 @@
 //!
 //! ## Sharded epochs and batched expansion
 //!
-//! With [`ServeConfig::with_shards`] the epoch state is versioned per
-//! region-group shard (see `shard.rs`): an update bumps only the shards
-//! its edge touches, queries pin one consistent epoch *vector*, and the
-//! cache validates entries against the shard versions they were stamped
-//! with — so an update in one shard no longer invalidates routes that
-//! never cross it. With [`ServeConfig::with_batch_max`] a worker drains
+//! The epoch state is versioned per region-group shard (see `shard.rs`;
+//! [`ServeConfig::with_shards`] sets how many, and one shard is the
+//! same code at a different data point): a cost increase bumps only the
+//! shards its edge touches (a decrease bumps them all), queries pin one
+//! consistent epoch *vector*, and the cache validates entries against
+//! the shard versions they were stamped with — so a jam in one shard
+//! does not evict routes that never cross it. With
+//! [`ServeConfig::with_batch_max`] a worker drains
 //! up to `batch_max` queued requests in one dequeue (never waiting for
 //! more — batching adds zero queueing latency), serves identical
 //! `(from, to)` keys from a single run, and — when the primary
@@ -71,7 +73,7 @@ use crate::breaker::{
     Admission, BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, ProbeGuard,
 };
 use crate::cache::{CachedRoute, RouteCache};
-use crate::epoch::{EpochUpdate, HierarchyRefresh, LandmarkRefresh, Snapshot};
+use crate::epoch::{EpochUpdate, HierarchyRefresh, LandmarkRefresh};
 use crate::error::{ServeError, ShedReason};
 use crate::shard::{ShardMap, ShardSnapshot, ShardedEpochDb, ShardedUpdate};
 use crate::sync::{self, Arc, Condvar, Mutex, MutexGuard};
@@ -192,14 +194,15 @@ pub struct ServeConfig {
     /// `retry_after = queue_depth × retry_unit_ticks` on queue-full
     /// sheds.
     pub retry_unit_ticks: u64,
-    /// Circuit-breaker tuning (shared by the storage and landmark
-    /// breakers).
+    /// Circuit-breaker tuning (shared by the storage, landmark and
+    /// hierarchy breakers).
     pub breaker: BreakerConfig,
     /// Oldest answer (in epochs) the stale-serve rung may return.
     pub stale_max_age: u64,
-    /// Epoch shards (region groups over the partition map). `1` keeps
-    /// the single global epoch; more shards confine an update's cache
-    /// invalidation to the shards its edge touches.
+    /// Epoch shards (region groups over the partition map). With `1`
+    /// every update bumps the one shard (a single global epoch); more
+    /// shards confine a cost increase's cache invalidation to the shards
+    /// its edge touches.
     pub shards: usize,
     /// Most requests a worker folds into one dequeue (≥ 1; `1` disables
     /// batching). A batch is drain-only — a worker never waits for one
@@ -460,12 +463,6 @@ impl Shared {
         sync::lock(&self.queue)
     }
 
-    /// Whether epochs are sharded (more than one region group): selects
-    /// the stamped cache family over the legacy single-epoch one.
-    fn sharded(&self) -> bool {
-        !self.epoch_db.map().is_single()
-    }
-
     fn now(&self) -> u64 {
         self.clock.load(Ordering::Relaxed)
     }
@@ -592,11 +589,7 @@ impl RouteService {
         if let Some(m) = &metrics {
             cache = cache.with_metrics(m.clone());
         }
-        let map = if config.shards <= 1 {
-            ShardMap::single(db.graph().node_count())
-        } else {
-            ShardMap::build(db.graph(), config.shards)
-        };
+        let map = ShardMap::build(db.graph(), config.shards);
         if let Some(m) = &metrics {
             m.set("serve_shards", map.shard_count() as u64);
             m.set("serve_batch_max", config.batch_max.max(1) as u64);
@@ -675,19 +668,10 @@ impl RouteService {
         self.shared.now()
     }
 
-    /// The current `(epoch, database)` snapshot — for read-only side
-    /// queries (`EVAL`) that must see one consistent epoch. The epoch
-    /// reported is the global install counter.
-    pub fn snapshot(&self) -> Snapshot {
-        let snap = self.shared.epoch_db.snapshot();
-        Snapshot {
-            epoch: snap.install(),
-            db: snap.db,
-        }
-    }
-
-    /// The current sharded snapshot: the database plus the whole epoch
-    /// vector, pinned together under one lock acquisition.
+    /// The current snapshot: the database plus the whole epoch vector,
+    /// pinned together under one lock acquisition — for read-only side
+    /// queries (`EVAL`) that must see one consistent epoch
+    /// ([`ShardSnapshot::install`] is the epoch answers report).
     pub fn shard_snapshot(&self) -> ShardSnapshot {
         self.shared.epoch_db.snapshot()
     }
@@ -883,20 +867,14 @@ impl RouteService {
             }
             _ => {}
         }
-        let (invalidated, promoted) = if self.shared.sharded() {
-            self.shared.cache.apply_shard_update(
-                u,
-                v,
-                update.old_cost,
-                update.new_cost,
-                &shards,
-                &epochs,
-            )
-        } else {
-            self.shared
-                .cache
-                .apply_update(u, v, update.new_cost, update.epoch)
-        };
+        let (invalidated, promoted) = self.shared.cache.apply_shard_update(
+            u,
+            v,
+            update.old_cost,
+            update.new_cost,
+            &shards,
+            &epochs,
+        );
         self.shared.inc("serve_epoch_installs_total");
         self.shared.emit(ServeEvent::EpochInstalled {
             epoch: update.epoch,
@@ -904,16 +882,14 @@ impl RouteService {
             invalidated,
             promoted,
         });
-        if self.shared.sharded() {
-            self.shared.inc("serve_shard_installs_total");
-            self.shared.emit(ServeEvent::ShardEpochInstalled {
-                install: epochs.install(),
-                shards_touched: shards.len() as u64,
-                shards_total: self.shared.epoch_db.map().shard_count() as u64,
-                invalidated,
-                promoted,
-            });
-        }
+        self.shared.inc("serve_shard_installs_total");
+        self.shared.emit(ServeEvent::ShardEpochInstalled {
+            install: epochs.install(),
+            shards_touched: shards.len() as u64,
+            shards_total: self.shared.epoch_db.map().shard_count() as u64,
+            invalidated,
+            promoted,
+        });
         Ok(update)
     }
 }
@@ -1200,7 +1176,10 @@ fn run_cluster(
     // Cache first: a hit detaches its group from the sweep entirely.
     let mut misses: Vec<Group> = Vec::new();
     for group in cluster {
-        if let Some(hit) = cache_lookup(shared, snapshot, group.from, group.to) {
+        if let Some(hit) = shared
+            .cache
+            .lookup_vec(group.from, group.to, &snapshot.epochs)
+        {
             if let Some((lead, _)) = group.members.first() {
                 shared.emit(ServeEvent::CacheHit {
                     request: lead.id,
@@ -1434,7 +1413,7 @@ fn execute(
     now: u64,
 ) -> (Result<Exec, ServeError>, u64) {
     let install = snapshot.install();
-    if let Some(hit) = cache_lookup(shared, snapshot, job.from, job.to) {
+    if let Some(hit) = shared.cache.lookup_vec(job.from, job.to, &snapshot.epochs) {
         shared.emit(ServeEvent::CacheHit {
             request: job.id,
             epoch: install,
@@ -1720,25 +1699,8 @@ fn storage_fault_metric(fault: &StorageError) -> &'static str {
     }
 }
 
-/// Looks a key up in the cache family the service runs: the legacy
-/// single-epoch check in global mode, the stamped epoch-vector check in
-/// sharded mode.
-fn cache_lookup(
-    shared: &Shared,
-    snapshot: &ShardSnapshot,
-    from: NodeId,
-    to: NodeId,
-) -> Option<CachedRoute> {
-    if shared.sharded() {
-        shared.cache.lookup_vec(from, to, &snapshot.epochs)
-    } else {
-        shared.cache.lookup(from, to, snapshot.install())
-    }
-}
-
-/// Inserts a computed route into the running cache family. In sharded
-/// mode the entry is stamped with the version (from the pinned vector)
-/// of every shard the path crosses.
+/// Inserts a computed route, stamped with the version (from the pinned
+/// vector) of every shard the path crosses.
 fn cache_insert(
     shared: &Shared,
     snapshot: &ShardSnapshot,
@@ -1748,33 +1710,20 @@ fn cache_insert(
     iterations: u64,
     cost_units: f64,
 ) {
-    if shared.sharded() {
-        let stamps: Vec<(u32, u64)> = shared
-            .epoch_db
-            .map()
-            .path_shards(&path.nodes)
-            .into_iter()
-            .map(|shard| (shard, snapshot.epochs.version(shard)))
-            .collect();
-        let route = CachedRoute {
-            path,
-            epoch: snapshot.install(),
-            iterations,
-            cost_units,
-        };
-        shared.cache.insert_stamped(from, to, route, stamps);
-    } else {
-        shared.cache.insert(
-            from,
-            to,
-            CachedRoute {
-                path,
-                epoch: snapshot.install(),
-                iterations,
-                cost_units,
-            },
-        );
-    }
+    let stamps: Vec<(u32, u64)> = shared
+        .epoch_db
+        .map()
+        .path_shards(&path.nodes)
+        .into_iter()
+        .map(|shard| (shard, snapshot.epochs.version(shard)))
+        .collect();
+    let route = CachedRoute {
+        path,
+        epoch: snapshot.install(),
+        iterations,
+        cost_units,
+    };
+    shared.cache.insert_stamped(from, to, route, stamps);
 }
 
 /// The ladder's last rung: a stale-tier answer tagged with its age, or a
@@ -2410,7 +2359,7 @@ mod tests {
         assert_eq!(registry.counter("serve_hierarchy_customized_total"), 1);
         let answer = service.route(s, d).unwrap();
         assert_eq!(answer.outcome, RouteOutcome::Computed);
-        let snap = service.snapshot();
+        let snap = service.shard_snapshot();
         let oracle = atis_algorithms::memory::dijkstra_pair(snap.db.graph(), s, d).unwrap();
         assert!((answer.path.unwrap().cost - oracle.cost).abs() < 1e-9);
 
@@ -2504,9 +2453,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_answers_match_the_global_mode_across_updates() {
+    fn sharded_answers_match_the_one_shard_service_across_updates() {
         let grid = Grid::new(32, CostModel::TWENTY_PERCENT, 7).unwrap();
-        let global = RouteService::new(
+        let single = RouteService::new(
             Database::open(grid.graph()).unwrap(),
             ServeConfig::default().with_workers(1),
         );
@@ -2524,46 +2473,56 @@ mod tests {
             (grid.node_at(10, 10), grid.node_at(10, 11), 9.0),
             (grid.node_at(30, 30), grid.node_at(30, 31), 11.0),
         ] {
-            global.update_edge_cost(u, v, cost).unwrap();
+            single.update_edge_cost(u, v, cost).unwrap();
             sharded.update_edge_cost(u, v, cost).unwrap();
             for &(s, d) in &pairs {
-                let a = global.route(s, d).unwrap();
+                let a = single.route(s, d).unwrap();
                 let b = sharded.route(s, d).unwrap();
                 assert_eq!(
                     a.path.as_ref().map(|p| &p.nodes),
                     b.path.as_ref().map(|p| &p.nodes),
-                    "sharded answers must be bit-identical to global ones"
+                    "answers must be bit-identical whatever the shard count"
                 );
                 assert_eq!(a.path.map(|p| p.cost), b.path.map(|p| p.cost));
-                assert_eq!(a.epoch, b.epoch, "both modes count installs globally");
+                assert_eq!(
+                    a.epoch, b.epoch,
+                    "installs are counted globally whatever the shard count"
+                );
             }
         }
     }
 
     #[test]
-    fn a_far_shard_update_keeps_a_sharded_route_cached_where_global_drops_it() {
-        // A cheap jam increase on a far-away edge: the legacy cache
-        // cannot see the old cost, so `new_cost < path.cost` forces it
-        // to drop the entry; the sharded cache sees the update never
-        // touches the route's shards and keeps it hot.
-        let (global, grid) = sharded_service(ServeConfig::default().with_workers(1));
+    fn a_far_update_keeps_a_route_cached_unless_a_decrease_undercuts_it() {
+        // The route hugs one corner, the updated edge the opposite one.
+        // One shard or eight, the rule sees `old_cost`: a jam — even a
+        // cheap one, below the cached total — cannot have made any route
+        // better, so the entry stays hot; a decrease below the cached
+        // total could have, so it drops.
+        let (single, grid) = sharded_service(ServeConfig::default().with_workers(1));
         let (sharded, _) = sharded_service(ServeConfig::default().with_workers(1).with_shards(8));
+        assert!(single.shards() == 1 && sharded.shards() > 1);
         let (s, d) = (grid.node_at(0, 0), grid.node_at(0, 3));
         let (ju, jv) = (grid.node_at(31, 30), grid.node_at(31, 31));
-        for service in [&global, &sharded] {
-            assert_eq!(service.route(s, d).unwrap().outcome, RouteOutcome::Computed);
+        for service in [&single, &sharded] {
+            let shards = service.shards();
+            let fresh = service.route(s, d).unwrap();
+            assert_eq!(fresh.outcome, RouteOutcome::Computed);
+            let total = fresh.path.unwrap().cost;
+            assert!(total > 2.5);
             service.update_edge_cost(ju, jv, 2.5).unwrap();
+            assert_eq!(
+                service.route(s, d).unwrap().outcome,
+                RouteOutcome::CacheHit,
+                "{shards} shard(s): a far increase must not evict the route"
+            );
+            service.update_edge_cost(ju, jv, 0.01).unwrap();
+            assert_eq!(
+                service.route(s, d).unwrap().outcome,
+                RouteOutcome::Computed,
+                "{shards} shard(s): an undercutting decrease must evict it"
+            );
         }
-        assert_eq!(
-            sharded.route(s, d).unwrap().outcome,
-            RouteOutcome::CacheHit,
-            "an untouched-shard route must survive the update"
-        );
-        assert_ne!(
-            global.route(s, d).unwrap().outcome,
-            RouteOutcome::CacheHit,
-            "the global epoch must have dropped the same route"
-        );
     }
 
     /// Spin until the worker pool has emitted `Started` for `request` —

@@ -1,17 +1,20 @@
-//! Sharded epoch state: per-shard versions so an `UPDATE` does not
-//! stop the world.
+//! The epoch store: one database, versioned per shard so an `UPDATE`
+//! does not stop the world.
 //!
-//! The global [`crate::epoch::EpochDb`] stamps every install with one
-//! epoch number, which makes *every* update look like it touched the
-//! whole network: the route cache must sweep (and re-stamp) every
-//! entry, and a cached route between two untouched suburbs misses just
-//! because a street jammed on the other side of the city.
+//! Stamping every install with a single epoch number makes *every*
+//! update look like it touched the whole network: the route cache must
+//! sweep (and re-stamp) every entry, and a cached route between two
+//! untouched suburbs misses just because a street jammed on the other
+//! side of the city.
 //!
 //! Sharding splits the serving state along the storage engine's own
 //! [`PartitionMap`] region groups ([`ShardMap`]): each shard carries its
-//! own version counter, and an update bumps only the shards whose
-//! blocks it touches — the endpoints' shards — plus one global
-//! *install* counter that totally orders installs.
+//! own version counter, and a cost *increase* bumps only the shards
+//! whose blocks it touches — the endpoints' shards — plus one global
+//! *install* counter that totally orders installs. A cost *decrease*
+//! can create a better route between any two nodes, so it bumps every
+//! shard. With [`ShardMap::single`] every update touches the one shard
+//! and the scheme is exactly the single global epoch.
 //!
 //! ## The epoch-vector consistency rule
 //!
@@ -33,8 +36,8 @@
 //! The database itself stays whole-graph (one `Arc<Database>` per
 //! install): sharding versions the *validity* of derived state, it does
 //! not split the storage engine. Landmark tables and the contraction
-//! hierarchy remain whole-graph epoch artifacts maintained exactly as
-//! in the global scheme (`maintain_artifacts`).
+//! hierarchy remain whole-graph epoch artifacts, maintained per install
+//! by `maintain_artifacts`.
 
 use crate::epoch::{maintain_artifacts, EpochUpdate, HierarchyRefresh, LandmarkRefresh};
 use crate::sync::{self, Arc, Mutex, MutexGuard};
@@ -97,11 +100,6 @@ impl ShardMap {
     /// Number of shards (≥ 1).
     pub fn shard_count(&self) -> usize {
         self.shards as usize
-    }
-
-    /// Whether this is the trivial single-shard map.
-    pub fn is_single(&self) -> bool {
-        self.shards == 1
     }
 
     /// The sorted, deduplicated set of shards a node sequence (a path)
@@ -182,14 +180,16 @@ pub struct ShardedUpdate {
     /// The classic update record; `update.epoch` is the new global
     /// install counter.
     pub update: EpochUpdate,
-    /// The shards whose versions this install bumped (sorted, deduped).
+    /// The shards whose versions this install bumped (sorted, deduped):
+    /// the endpoints' shards for an increase, every shard for a decrease.
     pub shards: Vec<u32>,
     /// The epoch vector after the install.
     pub epochs: Arc<EpochVector>,
 }
 
 /// A database versioned by a per-shard epoch vector: lock-briefly
-/// reads, copy-on-write updates that bump only the touched shards.
+/// reads, copy-on-write updates that bump only the shards whose cached
+/// routes the update can have changed.
 #[derive(Debug)]
 pub struct ShardedEpochDb {
     map: Arc<ShardMap>,
@@ -236,15 +236,22 @@ impl ShardedEpochDb {
 
     /// Applies a traffic update copy-on-write: clones the current
     /// database, updates edge `(u, v)` on the clone, and installs it
-    /// with the endpoint shards' versions (and the install counter)
-    /// bumped. Running queries keep their old snapshots; untouched
-    /// shards keep their versions, which is what lets the cache carry
-    /// their routes across the install without a sweep.
+    /// with the install counter and the affected shards' versions
+    /// bumped. Running queries keep their old snapshots; queries
+    /// admitted after this call see the new costs.
     ///
-    /// Landmark tables and the contraction hierarchy follow the same
-    /// maintenance contract as [`crate::epoch::EpochDb`] — they are
-    /// whole-graph artifacts, so their refresh is keyed to the install,
-    /// not to a shard.
+    /// A cost *increase* can only invalidate routes that use the edge,
+    /// so it bumps the endpoints' shards; the others keep their
+    /// versions, which is what lets the cache carry their routes across
+    /// the install without a sweep. A cost *decrease* can undercut a
+    /// route that never comes near the edge, so it bumps every shard:
+    /// nothing validated before it hits until the sweep has looked at
+    /// it, and a late pre-decrease worker cannot re-admit its route.
+    ///
+    /// Landmark tables and the contraction hierarchy are whole-graph
+    /// artifacts, so their refresh (`maintain_artifacts`: patch /
+    /// customize on an increase, rebuild / re-contract on a decrease)
+    /// is keyed to the install, not to a shard.
     ///
     /// # Errors
     /// Fails for unknown endpoints or invalid costs; the current
@@ -270,7 +277,11 @@ impl ShardedEpochDb {
         if updated > 0 {
             (next, landmarks, hierarchy) = maintain_artifacts(next, old_cost, cost);
         }
-        let shards = self.map.path_shards(&[u, v]);
+        let shards: Vec<u32> = if cost < old_cost {
+            (0..self.map.shards).collect()
+        } else {
+            self.map.path_shards(&[u, v])
+        };
         let mut epochs: EpochVector = (*current.epochs).clone();
         epochs.install += 1;
         for &s in &shards {
@@ -335,7 +346,7 @@ mod tests {
     #[test]
     fn single_map_is_the_global_scheme() {
         let map = ShardMap::single(16);
-        assert!(map.is_single());
+        assert_eq!(map.shard_count(), 1);
         assert_eq!(map.shard_of(NodeId(7)), 0);
         assert_eq!(map.path_shards(&[NodeId(1), NodeId(9)]), vec![0]);
     }
@@ -363,6 +374,56 @@ mod tests {
         // At least one shard must be untouched on a 4-shard grid for a
         // corner-local update.
         assert!(upd.shards.len() < map.shard_count());
+    }
+
+    /// A decrease can undercut a route anywhere, so an entry whose path
+    /// avoids the edge's shards must not be served (or re-admitted) on
+    /// the strength of its own shards' versions.
+    #[test]
+    fn a_decrease_bumps_every_shard_so_far_entries_neither_hit_nor_return() {
+        use crate::cache::{CachedRoute, RouteCache};
+
+        let (store, grid) = grid_store(4);
+        let map = store.map().clone();
+        let cache = RouteCache::new(8);
+        let (s, d) = (grid.node_at(0, 0), grid.node_at(0, 1));
+        let (u, v) = (grid.node_at(31, 30), grid.node_at(31, 31));
+        let near = map.path_shards(&[s, d]);
+        assert!(map.path_shards(&[u, v]).iter().all(|f| !near.contains(f)));
+        let before = store.snapshot();
+        // What a worker pinned to `before` inserts, early or late.
+        let insert = || {
+            let path = atis_graph::Path {
+                nodes: vec![s, d],
+                cost: before.db.graph().edge_cost(s, d).unwrap(),
+            };
+            let route = CachedRoute {
+                path,
+                epoch: before.install(),
+                iterations: 1,
+                cost_units: 1.0,
+            };
+            let stamps = near.iter().map(|&n| (n, before.epochs.version(n)));
+            cache.insert_stamped(s, d, route, stamps.collect());
+        };
+        insert();
+        assert!(cache.lookup_vec(s, d, &before.epochs).is_some());
+
+        let upd = store.update_edge_cost(u, v, 0.01).unwrap();
+        assert_eq!(upd.shards.len(), map.shard_count());
+        let after = store.snapshot().epochs;
+        assert!(
+            cache.lookup_vec(s, d, &after).is_none(),
+            "hit between the install and the sweep"
+        );
+        let (old, new) = (upd.update.old_cost, upd.update.new_cost);
+        let swept = cache.apply_shard_update(u, v, old, new, &upd.shards, &upd.epochs);
+        assert_eq!(swept, (1, 0), "0.01 undercuts the cached total");
+        insert();
+        assert!(
+            cache.lookup_vec(s, d, &after).is_none(),
+            "a pre-decrease worker re-admitted its route after the sweep"
+        );
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! Loom model tests for the serving layer's three load-bearing races.
+//! Loom model tests for the serving layer's load-bearing races.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"` (the `loom` CI job);
 //! the whole serving crate then builds against `loom::sync` through the
-//! `crate::sync` shim, so these tests exercise the *real* `EpochDb` /
-//! `RouteCache` / `RouteService` code under perturbed schedules — not
-//! test doubles. The vendored loom stand-in explores bounded randomized
-//! interleavings (see `vendor/loom`); upstream loom would explore
-//! exhaustively with the same test source.
+//! `crate::sync` shim, so these tests exercise the *real*
+//! `ShardedEpochDb` / `RouteCache` / `RouteService` code under perturbed
+//! schedules — not test doubles. The vendored loom stand-in explores
+//! bounded randomized interleavings (see `vendor/loom`); upstream loom
+//! would explore exhaustively with the same test source.
 #![cfg(loom)]
 
 use atis_algorithms::Database;
 use atis_graph::{CostModel, Grid, NodeId, Path, QueryKind};
 use atis_serve::{
-    Admission, BreakerConfig, BreakerState, CachedRoute, CircuitBreaker, EpochDb, ProbeGuard,
-    RouteCache, RouteService, ServeConfig, ServeError, ShardMap, ShardedEpochDb,
+    Admission, BreakerConfig, BreakerState, CachedRoute, CircuitBreaker, ProbeGuard, RouteCache,
+    RouteService, ServeConfig, ServeError, ShardMap, ShardedEpochDb,
 };
 use std::sync::Arc;
 
@@ -21,55 +21,6 @@ fn small_db() -> (Database, NodeId, NodeId) {
     let grid = Grid::new(4, CostModel::TWENTY_PERCENT, 7).expect("grid");
     let (s, d) = grid.query_pair(QueryKind::Diagonal);
     (Database::open(grid.graph()).expect("open"), s, d)
-}
-
-/// Race: `update_edge_cost` installing epoch 1 while readers snapshot.
-///
-/// Invariants checked under every interleaving:
-/// * a snapshot is never torn — epoch 0 always carries the pre-update
-///   cost, epoch 1 always carries the post-update cost;
-/// * epochs observed by one reader never go backwards.
-#[test]
-fn epoch_install_vs_snapshot_race() {
-    let (base, _, _) = small_db();
-    // Any real edge works; take the first arc out of node 0.
-    let u = NodeId(0);
-    let v = base.graph().neighbors(u)[0].to;
-    let old_cost = base.graph().edge_cost(u, v).expect("edge");
-    let new_cost = old_cost + 50.0;
-
-    loom::model(move || {
-        let db = Arc::new(EpochDb::new(base.clone()));
-
-        let writer = {
-            let db = db.clone();
-            loom::thread::spawn(move || {
-                db.update_edge_cost(u, v, new_cost).expect("update");
-            })
-        };
-        let reader = {
-            let db = db.clone();
-            loom::thread::spawn(move || {
-                let mut last_epoch = 0;
-                for _ in 0..4 {
-                    let snap = db.snapshot();
-                    let seen = snap.db.graph().edge_cost(u, v).expect("edge");
-                    let expect = if snap.epoch == 0 { old_cost } else { new_cost };
-                    assert_eq!(
-                        seen.to_bits(),
-                        expect.to_bits(),
-                        "torn snapshot: epoch {} with cost {seen}",
-                        snap.epoch
-                    );
-                    assert!(snap.epoch >= last_epoch, "epoch went backwards");
-                    last_epoch = snap.epoch;
-                }
-            })
-        };
-        writer.join().expect("writer");
-        reader.join().expect("reader");
-        assert_eq!(db.epoch(), 1);
-    });
 }
 
 /// Race: concurrent submitters against a 1-worker, capacity-1 queue.
@@ -118,62 +69,6 @@ fn admission_queue_reject_path() {
     });
 }
 
-fn route(nodes: &[u32], cost: f64, epoch: u64) -> CachedRoute {
-    CachedRoute {
-        path: Path {
-            nodes: nodes.iter().map(|&n| NodeId(n)).collect(),
-            cost,
-        },
-        epoch,
-        iterations: 3,
-        cost_units: 10.0,
-    }
-}
-
-/// Race: an update sweep promoting/dropping entries while readers look
-/// up at both the old and the new epoch.
-///
-/// Invariants: a hit at epoch `e` always carries `route.epoch == e`; the
-/// entry whose path uses the updated edge is never served at the new
-/// epoch; the off-path entry survives the sweep (promoted, same bits).
-#[test]
-fn cache_promote_or_drop_sweep() {
-    loom::model(|| {
-        let cache = Arc::new(RouteCache::new(8));
-        cache.insert(NodeId(1), NodeId(3), route(&[1, 2, 3], 4.0, 0));
-        cache.insert(NodeId(4), NodeId(5), route(&[4, 5], 2.0, 0));
-
-        let sweeper = {
-            let cache = cache.clone();
-            loom::thread::spawn(move || {
-                // Congestion on (1,2): drops the through route, promotes
-                // the off-path one (99.0 cannot undercut 2.0).
-                cache.apply_update(NodeId(1), NodeId(2), 99.0, 1)
-            })
-        };
-        let reader = {
-            let cache = cache.clone();
-            loom::thread::spawn(move || {
-                for _ in 0..4 {
-                    if let Some(hit) = cache.lookup(NodeId(1), NodeId(3), 1) {
-                        panic!("stale through-route served at epoch 1: {hit:?}");
-                    }
-                    if let Some(hit) = cache.lookup(NodeId(4), NodeId(5), 1) {
-                        assert_eq!(hit.epoch, 1);
-                        assert_eq!(hit.path.cost.to_bits(), 2.0f64.to_bits());
-                    }
-                }
-            })
-        };
-
-        let (invalidated, promoted) = sweeper.join().expect("sweeper");
-        reader.join().expect("reader");
-        assert_eq!((invalidated, promoted), (1, 1));
-        assert!(cache.lookup(NodeId(1), NodeId(3), 1).is_none());
-        assert!(cache.lookup(NodeId(4), NodeId(5), 1).is_some());
-    });
-}
-
 /// Race: concurrent typed failures and a success racing an epoch
 /// install against one circuit breaker.
 ///
@@ -196,7 +91,7 @@ fn breaker_trip_probe_reclose_vs_epoch_install() {
             open_ticks: 10,
             probes: 1,
         }));
-        let epochs = Arc::new(EpochDb::new(base.clone()));
+        let epochs = Arc::new(ShardedEpochDb::new(base.clone(), ShardMap::single(16)));
 
         let failers: Vec<_> = (0..2)
             .map(|_| {
@@ -222,7 +117,7 @@ fn breaker_trip_probe_reclose_vs_epoch_install() {
         closer.join().expect("closer");
         installer.join().expect("installer");
         assert!(trips <= 1, "the trip transition fired {trips} times");
-        assert_eq!(epochs.epoch(), 1, "the update must land regardless");
+        assert_eq!(epochs.install(), 1, "the update must land regardless");
 
         // Deterministic tail: whatever the race left behind, the machine
         // must still trip, probe, and re-close cleanly.
@@ -399,4 +294,101 @@ fn shard_install_vs_batched_read_race() {
         reader.join().expect("reader");
         assert_eq!(db.install(), 1);
     });
+}
+
+/// Race: an update installing and then sweeping the cache, while a
+/// reader pins snapshots and looks three one-hop routes up — one over
+/// the updated edge, one beside it (same shards), one far from it
+/// (other shards). `clear` picks a decrease; otherwise the edge jams.
+///
+/// Invariants under every interleaving, for a snapshot at or after the
+/// update's install: the on-edge route is never served; a hit on the
+/// neighbouring route was promoted by this sweep (it carries the
+/// update's install, same cost bits); and after a decrease — which can
+/// undercut a route anywhere — so was a hit on the far route: the
+/// install takes every entry out of service until the sweep has
+/// re-validated it. Either way the sweep drops exactly the on-edge
+/// route.
+fn install_and_sweep_vs_lookup_race(clear: bool) {
+    let grid = Grid::new(24, CostModel::TWENTY_PERCENT, 7).expect("grid");
+    let base = Database::open(grid.graph()).expect("open");
+    let map = ShardMap::build(base.graph(), 4);
+    let edge = (grid.node_at(23, 22), grid.node_at(23, 23));
+    let beside = (grid.node_at(22, 22), grid.node_at(22, 23));
+    let far = (grid.node_at(0, 0), grid.node_at(0, 1));
+    let shards = |(a, b): (NodeId, NodeId)| map.path_shards(&[a, b]);
+    assert_eq!(shards(beside), shards(edge));
+    assert!(shards(far).iter().all(|f| !shards(edge).contains(f)));
+    let jammed = base.graph().edge_cost(edge.0, edge.1).expect("edge") + 50.0;
+
+    loom::model(move || {
+        let db = Arc::new(ShardedEpochDb::new(base.clone(), map.clone()));
+        // Install 1 jams the edge, so install 2 can clear it part of the
+        // way and still stay above the cached routes' totals.
+        db.update_edge_cost(edge.0, edge.1, jammed).expect("jam");
+        let pinned = db.snapshot();
+        let cache = Arc::new(RouteCache::new(8));
+        for (a, b) in [edge, beside, far] {
+            let route = CachedRoute {
+                path: Path {
+                    nodes: vec![a, b],
+                    cost: pinned.db.graph().edge_cost(a, b).expect("edge"),
+                },
+                epoch: pinned.install(),
+                iterations: 3,
+                cost_units: 10.0,
+            };
+            let stamps = map.path_shards(&[a, b]).into_iter();
+            let stamps = stamps.map(|shard| (shard, pinned.epochs.version(shard)));
+            cache.insert_stamped(a, b, route, stamps.collect());
+        }
+
+        let writer = {
+            let (db, cache) = (db.clone(), cache.clone());
+            let cost = if clear { jammed - 10.0 } else { jammed + 10.0 };
+            loom::thread::spawn(move || {
+                let up = db.update_edge_cost(edge.0, edge.1, cost).expect("install");
+                let (old, new) = (up.update.old_cost, up.update.new_cost);
+                cache.apply_shard_update(edge.0, edge.1, old, new, &up.shards, &up.epochs)
+            })
+        };
+        let reader = {
+            let (db, cache, pinned) = (db.clone(), cache.clone(), pinned.clone());
+            loom::thread::spawn(move || {
+                for _ in 0..4 {
+                    let snap = db.snapshot();
+                    if snap.install() < 2 {
+                        continue;
+                    }
+                    let hit = |(a, b): (NodeId, NodeId)| cache.lookup_vec(a, b, &snap.epochs);
+                    assert!(hit(edge).is_none(), "stale on-edge route served");
+                    if let Some(hit) = hit(beside) {
+                        let cost = pinned.db.graph().edge_cost(beside.0, beside.1);
+                        assert_eq!(hit.epoch, 2);
+                        assert_eq!(Some(hit.path.cost.to_bits()), cost.map(f64::to_bits));
+                    }
+                    if let Some(hit) = hit(far) {
+                        assert!(!clear || hit.epoch == 2, "validated at {}", hit.epoch);
+                    }
+                }
+            })
+        };
+        let promoted = if clear { 2 } else { 1 };
+        assert_eq!(writer.join().expect("writer"), (1, promoted));
+        reader.join().expect("reader");
+        let now = db.snapshot().epochs;
+        assert!(cache.lookup_vec(edge.0, edge.1, &now).is_none());
+        assert!(cache.lookup_vec(beside.0, beside.1, &now).is_some());
+        assert!(cache.lookup_vec(far.0, far.1, &now).is_some());
+    });
+}
+
+#[test]
+fn cache_promote_or_drop_sweep() {
+    install_and_sweep_vs_lookup_race(false);
+}
+
+#[test]
+fn decrease_install_vs_vector_lookup_race() {
+    install_and_sweep_vs_lookup_race(true);
 }

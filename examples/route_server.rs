@@ -111,7 +111,7 @@ fn respond(service: &RouteService, line: &str) -> String {
             }
             // One consistent snapshot for the whole evaluation — a
             // concurrent UPDATE cannot change costs mid-walk.
-            let snapshot = service.snapshot();
+            let snapshot = service.shard_snapshot();
             if let Some(bad) = nodes.iter().find(|n| !snapshot.db.graph().contains(**n)) {
                 return Err(format!("unknown node {bad}"));
             }
@@ -143,7 +143,7 @@ fn respond(service: &RouteService, line: &str) -> String {
         })()
         .unwrap_or_else(|e| format!("ERR {e}")),
         Some("EPOCH") => format!("EPOCH {}", service.epoch()),
-        Some("STATS") => match service.snapshot().db.metrics() {
+        Some("STATS") => match service.shard_snapshot().db.metrics() {
             Some(m) => format!("STATS {}", m.snapshot_json()),
             None => "ERR no metrics registry attached".to_string(),
         },

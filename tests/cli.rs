@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 fn atis(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_atis"))
@@ -21,20 +22,27 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// The exported map every test reads. Exported once per test binary:
+/// tests run on parallel threads, and a second export into the same file
+/// would let another test read it half-written.
 fn temp_map() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("atis_cli_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let map = dir.join("map.txt");
-    let out = atis(&[
-        "export-map",
-        "grid",
-        "10",
-        "7",
-        "variance",
-        map.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    map
+    static MAP: OnceLock<PathBuf> = OnceLock::new();
+    MAP.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("atis_cli_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let map = dir.join("map.txt");
+        let out = atis(&[
+            "export-map",
+            "grid",
+            "10",
+            "7",
+            "variance",
+            map.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        map
+    })
+    .clone()
 }
 
 #[test]

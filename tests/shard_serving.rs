@@ -128,7 +128,7 @@ proptest! {
                 (grid.node_at(x, y), grid.node_at(x + 1, y))
             };
             let old = sharded
-                .snapshot()
+                .shard_snapshot()
                 .db
                 .graph()
                 .edge_cost(u, v)
@@ -177,7 +177,12 @@ fn a_cross_shard_diagonal_survives_partial_invalidation_bit_identically() {
         let x = (round * 3) % (k - 1);
         let y = (round * 5) % k;
         let (u, v) = (corner(x, y), corner(x + 1, y));
-        let old = sharded.snapshot().db.graph().edge_cost(u, v).expect("edge");
+        let old = sharded
+            .shard_snapshot()
+            .db
+            .graph()
+            .edge_cost(u, v)
+            .expect("edge");
         sharded.update_edge_cost(u, v, old * 1.5).expect("update");
         oracle.update_edge_cost(u, v, old * 1.5).expect("update");
 
@@ -212,7 +217,12 @@ fn a_cost_decrease_is_swept_conservatively() {
     // optimal route almost certainly changes.
     for y in 0..k {
         let (u, v) = (grid.node_at(k / 2 - 1, y), grid.node_at(k / 2, y));
-        let old = sharded.snapshot().db.graph().edge_cost(u, v).expect("edge");
+        let old = sharded
+            .shard_snapshot()
+            .db
+            .graph()
+            .edge_cost(u, v)
+            .expect("edge");
         sharded.update_edge_cost(u, v, old * 0.1).expect("update");
         oracle.update_edge_cost(u, v, old * 0.1).expect("update");
     }
