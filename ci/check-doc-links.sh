@@ -88,6 +88,29 @@ if [ -f crates/analyze/src/rules.rs ]; then
     done
 fi
 
+# 5. Ladder-doc drift: SERVING.md is where the degrade ladder is written
+#    up, and the table in ladder.rs is where it is declared. Every rung
+#    `name` the table declares (plus the `PRIMARY` label) must appear in
+#    SERVING.md, and every `rung: "…"` SERVING.md shows must be one the
+#    table declares — a rung nobody emits cannot be documented.
+ladder=crates/algorithms/src/ladder.rs
+if [ -f "$ladder" ]; then
+    rungs=$( (grep -o '^ *name: "[a-z0-9-]*"' "$ladder"; grep -o '^pub const PRIMARY: &str = "[a-z0-9-]*"' "$ladder") \
+        | sed 's/.*"\(.*\)"/\1/' | sort -u)
+    for rung in $rungs; do
+        if ! grep -q "\`$rung\`\|\"$rung\"" SERVING.md; then
+            echo "UNDOCUMENTED RUNG: $rung (declared in $ladder) is not in SERVING.md"
+            fail=1
+        fi
+    done
+    for shown in $(grep -o 'rung: "[^"]*"' SERVING.md | sed 's/rung: "\(.*\)"/\1/' | sort -u); do
+        if ! echo "$rungs" | grep -qx "$shown"; then
+            echo "UNKNOWN RUNG: SERVING.md shows rung \"$shown\", which $ladder does not declare"
+            fail=1
+        fi
+    done
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "doc-link check FAILED"
     exit 1

@@ -45,6 +45,7 @@ pub mod error;
 pub mod estimator;
 pub(crate) mod hierarchy_search;
 pub mod iterative;
+pub mod ladder;
 pub mod memory;
 pub(crate) mod observe;
 pub mod trace;
@@ -56,3 +57,8 @@ pub use duplicates::DuplicatePolicy;
 pub use error::{AlgorithmError, BudgetKind, HierarchyIssue, LandmarkIssue};
 pub use estimator::Estimator;
 pub use trace::RunTrace;
+
+// The artifacts `Database::with_hierarchy` / `with_landmarks` take, so a
+// caller can build them without dependencies of its own.
+pub use atis_hierarchy::{Hierarchy, HierarchyConfig};
+pub use atis_preprocess::{LandmarkTables, PreprocessConfig};

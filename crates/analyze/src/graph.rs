@@ -34,7 +34,7 @@
 //! only dispatches into crate D when C names D (`atis_<d>` appears in
 //! C's sources) — storage can never "call" serve. **Std collisions**:
 //! an untyped receiver never fans out on a method name from the std
-//! prelude/collection/iterator API ([`STD_METHODS`] — `len`, `insert`,
+//! prelude/collection/iterator API (`STD_METHODS` — `len`, `insert`,
 //! `get`, …); those calls are overwhelmingly `Vec`/`BTreeMap`/`Option`
 //! operations, and typed receivers still resolve them precisely.
 //!

@@ -7,6 +7,9 @@
 //! silently falls through a `_` arm (the tracked enums are all
 //! `#[non_exhaustive]`, so downstream matches are forced to carry `_`
 //! arms, and "the compiler checks exhaustiveness" stops being true).
+//! For `AlgorithmError` that pattern is the ladder's one error → fall
+//! `match` (`Fall::of` in `crates/algorithms/src/ladder.rs`), which both
+//! the planner and the serving layer walk.
 //!
 //! Mechanics:
 //!
@@ -40,11 +43,11 @@ pub const ID: &str = "degrade-ladder-exhaustiveness";
 const TRACKED: &[&str] = &["AlgorithmError", "ServeError", "StorageError"];
 
 /// Files that constitute "the serving path" for matching purposes: the
-/// serve crate, the TCP front-end, and the planner's ladder.
+/// serve crate, the TCP front-end, and the declared ladder table.
 pub const MATCH_SCOPE: &[&str] = &[
     "crates/serve/src/",
     "examples/route_server.rs",
-    "crates/core/src/planner.rs",
+    "crates/algorithms/src/ladder.rs",
 ];
 
 fn in_match_scope(path: &str) -> bool {

@@ -1,8 +1,8 @@
 //! The interprocedural graph passes.
 //!
 //! Each pass is a pure function over the whole-workspace
-//! [`CallGraph`](crate::graph::CallGraph) and reports
-//! [`Finding`](crate::rules::Finding)s with **call-chain witnesses**: a
+//! [`CallGraph`] and reports
+//! [`Finding`]s with **call-chain witnesses**: a
 //! list of `root -> … -> site` hops, one per line, so a reviewer can
 //! replay exactly how the entry point reaches the flagged code. Allow
 //! filtering happens in the caller ([`crate::check_files`]), keyed by

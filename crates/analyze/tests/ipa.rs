@@ -78,7 +78,7 @@ fn ladder_finding_names_the_unmatched_variant() {
         .find(|f| f.rule == "degrade-ladder-exhaustiveness")
         .expect("ladder finding");
     assert!(
-        f.message.contains("ServeError::Overload"),
+        f.message.contains("AlgorithmError::Timeout"),
         "wrong variant: {}",
         f.message
     );

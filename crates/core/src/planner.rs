@@ -1,6 +1,7 @@
 //! Route computation: the planner facade over the database-resident
 //! algorithms.
 
+use atis_algorithms::ladder::{self, Fall, Policy, Rung, Step, Walked};
 use atis_algorithms::{
     memory, AStarVersion, Algorithm, AlgorithmError, Budgets, Database, RunTrace,
 };
@@ -16,10 +17,10 @@ use std::time::{Duration, Instant};
 /// Transient faults ([`atis_algorithms::AlgorithmError::is_transient`],
 /// i.e. injected I/O failures) are retried with doubling backoff; anything
 /// else — corruption, an exhausted budget — skips straight to degradation.
-/// When a rung of the ladder is out of retries the planner falls to the
-/// next one: the requested algorithm, then Dijkstra (exact, no estimator
-/// to mislead under partial data), then the in-memory oracle, which cannot
-/// touch the (faulty) storage engine at all and therefore always answers.
+/// When a rung is out of retries the planner falls down the declared
+/// ladder ([`atis_algorithms::ladder`]) and, below its last rung, to the
+/// in-memory oracle, which cannot touch the (faulty) storage engine at
+/// all and therefore always answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResiliencePolicy {
     /// Retries per ladder rung for *transient* errors (0 = fail fast).
@@ -44,12 +45,6 @@ impl ResiliencePolicy {
             max_retries: 0,
             backoff: Duration::ZERO,
         }
-    }
-
-    /// Overrides the per-rung retry count.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
     }
 
     /// Overrides the initial backoff (doubles per retry).
@@ -161,11 +156,10 @@ impl RoutePlanner {
     }
 
     /// Builds landmark (ALT) tables for the resident network and makes
-    /// A\* version 4 the default algorithm. The resilience ladder then
-    /// runs v4 → v3 → Dijkstra → in-memory oracle: if the tables go
-    /// stale (a cost update without re-preprocessing), v4 fails with
-    /// `LandmarksUnavailable` and the planner degrades to v3, which needs
-    /// no tables.
+    /// A\* version 4 the default algorithm. If the tables go stale (a
+    /// cost update without re-preprocessing), v4 fails with
+    /// `LandmarksUnavailable` and [`plan_resilient`](Self::plan_resilient)
+    /// falls down the ladder.
     ///
     /// # Errors
     /// Propagates preprocessing errors (empty graph, landmark count
@@ -185,11 +179,10 @@ impl RoutePlanner {
     }
 
     /// Builds a contraction hierarchy for the resident network and makes
-    /// A\* version 5 the default algorithm. The resilience ladder then
-    /// runs v5 → v4 (when landmark tables are attached) → v3 → Dijkstra
-    /// → in-memory oracle: if the hierarchy goes stale (a cost update
-    /// without customization), v5 fails with `HierarchyUnavailable` and
-    /// the planner degrades down the ladder.
+    /// A\* version 5 the default algorithm. If the hierarchy goes stale (a
+    /// cost update without customization), v5 fails with
+    /// `HierarchyUnavailable` and [`plan_resilient`](Self::plan_resilient)
+    /// falls down the ladder.
     ///
     /// # Errors
     /// Propagates hierarchy build errors (empty graph).
@@ -358,120 +351,70 @@ impl RoutePlanner {
             .collect()
     }
 
-    /// Plans a route, riding out storage faults and exhausted budgets.
-    ///
-    /// Transient I/O failures are retried per [`ResiliencePolicy`]; when a
-    /// rung stays broken the planner degrades — requested algorithm, then
-    /// Dijkstra, then the in-memory oracle (which bypasses the storage
-    /// engine entirely and cannot fail). The report records every failed
+    /// Plans a route, riding out storage faults and exhausted budgets:
+    /// one walk of the declared degrade ladder
+    /// ([`atis_algorithms::ladder`]) from the default algorithm down. A
+    /// lower rung runs when its artifact is attached, transient I/O
+    /// failures retry the same rung per [`ResiliencePolicy`], an
+    /// exhausted budget moves on to the next rung, and below the last
+    /// rung sits the in-memory oracle (which bypasses the storage engine
+    /// entirely and cannot fail). The report records every failed
     /// attempt and whether the answer is degraded.
     ///
     /// # Errors
     /// Only for unknown endpoints — the query itself is wrong, and no
     /// amount of retrying fixes it.
     pub fn plan_resilient(&self, s: NodeId, d: NodeId) -> Result<PlanReport, AlgorithmError> {
-        if !self.graph().contains(s) {
-            return Err(AlgorithmError::UnknownSource(s));
-        }
-        if !self.graph().contains(d) {
-            return Err(AlgorithmError::UnknownDestination(d));
-        }
-
-        let mut ladder = vec![self.default_algorithm];
-        if self.default_algorithm == Algorithm::AStar(AStarVersion::V5) {
-            // v5 depends on the hierarchy overlay: when it is missing or
-            // stale the run fails without searching. The next rung is v4
-            // when landmark tables are attached (the other preprocessing
-            // artifact may still be fresh), then v3, which needs nothing.
-            if self.db.landmarks().is_some() {
-                ladder.push(Algorithm::AStar(AStarVersion::V4));
-            }
-            ladder.push(Algorithm::AStar(AStarVersion::V3));
-        }
-        if self.default_algorithm == Algorithm::AStar(AStarVersion::V4) {
-            // v4's preprocessing dependency is the landmark tables: when
-            // they are missing or stale it fails without searching, and
-            // v3 — same engine, geometric estimator, no tables — is the
-            // natural next rung.
-            ladder.push(Algorithm::AStar(AStarVersion::V3));
-        }
-        if self.default_algorithm != Algorithm::Dijkstra {
-            ladder.push(Algorithm::Dijkstra);
-        }
-
-        let mut attempts = Vec::new();
-        for (rung, &algorithm) in ladder.iter().enumerate() {
-            let mut retries = 0u32;
-            let mut backoff = self.resilience.backoff;
-            loop {
-                self.emit(PlanEvent::AttemptStarted {
-                    algorithm: algorithm.label(),
-                    rung: rung as u32,
-                    retry: retries,
-                });
-                match self.db.run(algorithm, s, d) {
-                    Ok(trace) => {
-                        let mut report = PlanReport::from_trace(trace, self.db.params());
-                        report.degraded = rung > 0;
-                        report.attempts = attempts;
-                        self.emit(PlanEvent::Completed {
-                            algorithm: report.algorithm.clone(),
-                            degraded: report.degraded,
-                            failed_attempts: report.attempts.len() as u32,
-                            found: report.found(),
-                        });
-                        self.record_plan_metrics(&report);
-                        return Ok(report);
-                    }
-                    Err(err) => {
-                        let transient = err.is_transient();
-                        self.emit(PlanEvent::AttemptFailed {
-                            algorithm: algorithm.label(),
-                            rung: rung as u32,
-                            retry: retries,
-                            error: err.to_string(),
-                            transient,
-                        });
-                        attempts.push(AttemptRecord {
-                            algorithm: algorithm.label(),
-                            error: err.to_string(),
-                            transient,
-                        });
-                        // Corruption and blown budgets won't heal on a
-                        // rerun; only transient I/O errors earn a retry.
-                        if transient && retries < self.resilience.max_retries {
-                            retries += 1;
-                            if let Some(m) = self.db.metrics() {
-                                m.inc("plan_retries_total");
-                            }
-                            if !backoff.is_zero() {
-                                std::thread::sleep(backoff);
-                                backoff *= 2;
-                            }
-                            continue;
-                        }
-                        break; // next rung of the ladder
-                    }
-                }
-            }
-            let next = ladder
-                .get(rung + 1)
-                .map(|a| a.label())
-                .unwrap_or_else(|| "Dijkstra (in-memory fallback)".to_string());
-            self.emit(PlanEvent::Degraded {
-                from: algorithm.label(),
-                to: next,
-                rung: rung as u32 + 1,
+        let rungs = ladder::sequence(self.default_algorithm);
+        let mut policy = Resilient {
+            planner: self,
+            attempts: Vec::new(),
+        };
+        let walked = ladder::walk(&self.db, &rungs, &mut policy, |step| {
+            self.emit(PlanEvent::AttemptStarted {
+                algorithm: step.rung.algorithm.label(),
+                rung: step.index as u32,
+                retry: step.retry,
             });
-        }
+            self.db.run(step.rung.algorithm, s, d)
+        });
+        let (trace, degraded) = match walked {
+            Walked::Answered { index, value, .. } => (value, index > 0),
+            Walked::Ended { error } if Fall::of(&error) == Fall::Stop => return Err(error),
+            // Below the last rung: the in-memory oracle. No storage
+            // engine, no faults, no budget — degraded service beats no
+            // service for a traveller already on the road.
+            Walked::Ended { .. } | Walked::Denied => {
+                let last = policy.attempts.last().map(|a| a.algorithm.clone());
+                (self.memory_fallback(last, rungs.len(), s, d), true)
+            }
+        };
+        let mut report = PlanReport::from_trace(trace, self.db.params());
+        report.degraded = degraded;
+        report.attempts = policy.attempts;
+        self.emit(PlanEvent::Completed {
+            algorithm: report.algorithm.clone(),
+            degraded,
+            failed_attempts: report.attempts.len() as u32,
+            found: report.found(),
+        });
+        self.record_plan_metrics(&report);
+        Ok(report)
+    }
 
-        // Last rung: the in-memory oracle. No storage engine, no faults,
-        // no budget — degraded service beats no service for a traveller
-        // already on the road.
+    /// The ladder's tail: Dijkstra on the in-memory graph, announced as
+    /// one more descent from the `last` algorithm that failed.
+    fn memory_fallback(&self, last: Option<String>, rung: usize, s: NodeId, d: NodeId) -> RunTrace {
+        let algorithm = "Dijkstra (in-memory fallback)".to_string();
+        self.emit(PlanEvent::Degraded {
+            from: last.unwrap_or_else(|| self.default_algorithm.label()),
+            to: algorithm.clone(),
+            rung: rung as u32,
+        });
         let started = Instant::now();
         let path = memory::dijkstra_pair(self.graph(), s, d);
-        let trace = RunTrace {
-            algorithm: "Dijkstra (in-memory fallback)".to_string(),
+        RunTrace {
+            algorithm,
             iterations: 0,
             expanded: 0,
             reopened: 0,
@@ -482,18 +425,7 @@ impl RoutePlanner {
             expansion_order: Vec::new(),
             steps: Default::default(),
             frontier_peak: 0,
-        };
-        let mut report = PlanReport::from_trace(trace, self.db.params());
-        report.degraded = true;
-        report.attempts = attempts;
-        self.emit(PlanEvent::Completed {
-            algorithm: report.algorithm.clone(),
-            degraded: true,
-            failed_attempts: report.attempts.len() as u32,
-            found: report.found(),
-        });
-        self.record_plan_metrics(&report);
-        Ok(report)
+        }
     }
 
     fn record_plan_metrics(&self, report: &PlanReport) {
@@ -502,6 +434,55 @@ impl RoutePlanner {
         if report.degraded {
             m.inc("plans_degraded_total");
         }
+    }
+}
+
+/// The planner's side of one ladder walk: [`ResiliencePolicy`] retries
+/// and the attempt log (admission is the walker's own "is it attached").
+struct Resilient<'a> {
+    planner: &'a RoutePlanner,
+    attempts: Vec<AttemptRecord>,
+}
+
+impl Policy for Resilient<'_> {
+    const BUDGET_FALLS: bool = true;
+
+    fn failed(&mut self, step: &Step<'_>, error: &AlgorithmError) -> bool {
+        let planner = self.planner;
+        let transient = error.is_transient();
+        planner.emit(PlanEvent::AttemptFailed {
+            algorithm: step.rung.algorithm.label(),
+            rung: step.index as u32,
+            retry: step.retry,
+            error: error.to_string(),
+            transient,
+        });
+        self.attempts.push(AttemptRecord {
+            algorithm: step.rung.algorithm.label(),
+            error: error.to_string(),
+            transient,
+        });
+        // Corruption and blown budgets won't heal on a rerun; only
+        // transient I/O errors earn a retry.
+        if !transient || step.retry >= planner.resilience.max_retries {
+            return false;
+        }
+        if let Some(m) = planner.db.metrics() {
+            m.inc("plan_retries_total");
+        }
+        let backoff = planner.resilience.backoff * 2u32.saturating_pow(step.retry);
+        if !backoff.is_zero() {
+            std::thread::sleep(backoff);
+        }
+        true
+    }
+
+    fn hop(&mut self, from: &Rung, to: &Step<'_>, _reason: &str) {
+        self.planner.emit(PlanEvent::Degraded {
+            from: from.algorithm.label(),
+            to: to.rung.algorithm.label(),
+            rung: to.index as u32,
+        });
     }
 }
 

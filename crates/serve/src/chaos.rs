@@ -36,7 +36,10 @@
 use crate::breaker::{BreakerConfig, BreakerState};
 use crate::error::ServeError;
 use crate::service::{RequestClass, RouteService, ServeConfig};
-use atis_algorithms::{AlgorithmError, Database};
+use atis_algorithms::ladder::{self, Needs};
+use atis_algorithms::{
+    AlgorithmError, Database, Hierarchy, HierarchyConfig, LandmarkTables, PreprocessConfig,
+};
 use atis_graph::{CostModel, Graph, Grid, NodeId, Path};
 use atis_storage::FaultPlan;
 use std::sync::Arc;
@@ -356,12 +359,27 @@ pub fn standard_scenarios() -> Vec<ChaosScenario> {
 /// state).
 ///
 /// # Errors
-/// Setup failures (grid/database construction, thread spawning) as
-/// strings; the storm itself never errors — client failures land in
+/// Setup failures (grid/database/artifact construction, thread
+/// spawning) as strings; the storm itself never errors — client failures land in
 /// the report.
 pub fn run_scenario(scenario: &ChaosScenario) -> Result<ChaosReport, String> {
     let grid = scenario_grid(scenario)?;
     let mut db = Database::open(grid.graph()).map_err(|e| format!("database: {e}"))?;
+    // The storm drives the ladder as shipped: every artifact a rung of
+    // the scenario's primary needs is attached.
+    for rung in ladder::sequence(scenario.config.algorithm) {
+        db = match rung.needs {
+            Needs::Hierarchy => db.with_hierarchy(
+                Hierarchy::build(grid.graph(), HierarchyConfig::paper())
+                    .map_err(|e| format!("hierarchy: {e}"))?,
+            ),
+            Needs::Landmarks => db.with_landmarks(
+                LandmarkTables::build(grid.graph(), PreprocessConfig::grid_default())
+                    .map_err(|e| format!("landmarks: {e}"))?,
+            ),
+            Needs::Nothing => db,
+        };
+    }
     if let Some(plan) = &scenario.fault_plan {
         db = db.with_fault_plan(*plan);
     }

@@ -12,7 +12,7 @@
 //! Ticket::wait() ◀── answer ◀────────────────┤ cache lookup (from,to) @ e
 //!                                            │ hit: serve cached
 //!                                            └ miss: degrade ladder
-//!                                               primary → v4/v3 → Dijkstra
+//!                                               (atis_algorithms::ladder)
 //!                                               → stale tier (STALE k)
 //! ```
 //!
@@ -38,11 +38,10 @@
 //! uselessly.
 //!
 //! **Circuit breakers** guard the storage engine, the landmark rebuild
-//! path, and the hierarchy maintenance path (see `breaker.rs`). An open
-//! storage breaker skips the database rungs entirely and serves from
-//! the stale cache tier; an open hierarchy breaker skips A\* v5 and
-//! starts the ladder at v4 (or v3 without landmark tables); an open
-//! landmark breaker skips A\* v4 and starts the ladder at v3.
+//! path, and the hierarchy maintenance path (see `breaker.rs`); they are
+//! this layer's admission argument to the one ladder walker
+//! (`atis_algorithms::ladder::walk`) — SERVING.md "Circuit breakers and
+//! the degrade ladder" is the full account.
 //!
 //! Updates bypass the queue: [`RouteService::update_edge_cost`] installs
 //! a new epoch copy-on-write (running queries keep their snapshots) and
@@ -61,29 +60,31 @@
 //! [`ServeConfig::with_batch_max`] a worker drains
 //! up to `batch_max` queued requests in one dequeue (never waiting for
 //! more — batching adds zero queueing latency), serves identical
-//! `(from, to)` keys from a single run, and — when the primary
-//! algorithm is Dijkstra — folds same-source requests into one shared
+//! `(from, to)` keys from a single run, and — when the ladder is the
+//! single Dijkstra rung — folds same-source requests into one shared
 //! frontier sweep (`dijkstra_many`) charged a single pass of block
 //! reads. Fairness bounds: a batch is drain-only (bound 1: no request
 //! ever waits for a batch to fill), and a shared run's cost budget is
 //! the *maximum* member allowance (bound 2: no member is aborted
 //! earlier than its solo run would have been).
 
-use crate::breaker::{
-    Admission, BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, ProbeGuard,
-};
-use crate::cache::{CachedRoute, RouteCache};
+use crate::breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
+use crate::cache::RouteCache;
 use crate::epoch::{EpochUpdate, HierarchyRefresh, LandmarkRefresh};
 use crate::error::{ServeError, ShedReason};
 use crate::shard::{ShardMap, ShardSnapshot, ShardedEpochDb, ShardedUpdate};
 use crate::sync::{self, Arc, Condvar, Mutex, MutexGuard};
-use atis_algorithms::{AStarVersion, Algorithm, AlgorithmError, BudgetKind, Budgets, Database};
+use atis_algorithms::ladder::{self, Rung};
+use atis_algorithms::{AStarVersion, Algorithm, AlgorithmError, Database};
 use atis_graph::{NodeId, Path};
 use atis_obs::{ServeEvent, SharedRegistry, SharedSink, TraceEvent};
-use atis_storage::StorageError;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+#[path = "execute.rs"]
+mod execute;
+use execute::{execute, Group};
 
 type JoinHandle = sync::thread::JoinHandle<()>;
 
@@ -136,12 +137,11 @@ pub enum RouteOutcome {
     Computed,
     /// Served from the route cache, bit-identical to a fresh run.
     CacheHit,
-    /// A fallback rung of the degrade ladder answered (still exact, and
-    /// still at the current epoch — just a cheaper/estimator-free
-    /// algorithm).
+    /// A rung below the configured algorithm answered — still exact,
+    /// still at the current epoch (the ladder is SERVING.md "Circuit
+    /// breakers and the degrade ladder").
     Degraded {
-        /// Ladder rung that produced the answer (`"astar-v3"`,
-        /// `"dijkstra"`).
+        /// Name of the answering rung in `atis_algorithms::ladder::TABLE`.
         rung: &'static str,
     },
     /// Served from the stale cache tier: a route valid `age` epochs ago
@@ -186,19 +186,9 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Algorithm every `ROUTE` request runs.
     pub algorithm: Algorithm,
-    /// Default per-request deadline, in virtual-time ticks.
-    pub default_deadline_ticks: u64,
-    /// Fraction of the remaining deadline a run may spend as cost units
-    /// before being aborted mid-expansion (the "shed at 80%" rule).
-    pub deadline_spend_fraction: f64,
-    /// `retry_after = queue_depth × retry_unit_ticks` on queue-full
-    /// sheds.
-    pub retry_unit_ticks: u64,
     /// Circuit-breaker tuning (shared by the storage, landmark and
     /// hierarchy breakers).
     pub breaker: BreakerConfig,
-    /// Oldest answer (in epochs) the stale-serve rung may return.
-    pub stale_max_age: u64,
     /// Epoch shards (region groups over the partition map). With `1`
     /// every update bumps the one shard (a single global epoch); more
     /// shards confine a cost increase's cache invalidation to the shards
@@ -217,11 +207,7 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             cache_capacity: 1024,
             algorithm: Algorithm::AStar(AStarVersion::V3),
-            default_deadline_ticks: 100_000,
-            deadline_spend_fraction: 0.8,
-            retry_unit_ticks: 16,
             breaker: BreakerConfig::default(),
-            stale_max_age: 8,
             shards: 1,
             batch_max: 1,
         }
@@ -253,27 +239,9 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the default per-request deadline (virtual ticks).
-    pub fn with_default_deadline_ticks(mut self, ticks: u64) -> Self {
-        self.default_deadline_ticks = ticks;
-        self
-    }
-
-    /// Overrides the deadline spend fraction (clamped to `(0, 1]`).
-    pub fn with_deadline_spend_fraction(mut self, fraction: f64) -> Self {
-        self.deadline_spend_fraction = fraction.clamp(0.05, 1.0);
-        self
-    }
-
     /// Overrides the circuit-breaker tuning.
     pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
         self.breaker = breaker;
-        self
-    }
-
-    /// Overrides the maximum stale-serve age (epochs).
-    pub fn with_stale_max_age(mut self, age: u64) -> Self {
-        self.stale_max_age = age;
         self
     }
 
@@ -440,11 +408,9 @@ struct Shared {
     available: Condvar,
     queue_capacity: usize,
     algorithm: Algorithm,
+    /// The degrade ladder `algorithm` walks, resolved once at build.
+    rungs: Vec<Rung>,
     batch_max: usize,
-    default_deadline_ticks: u64,
-    deadline_spend_fraction: f64,
-    retry_unit_ticks: u64,
-    stale_max_age: u64,
     breakers: Breakers,
     /// The virtual clock: +1 per dequeue, +⌈cost units⌉ per run —
     /// completed *or* failed (a cost-budget abort is charged its full
@@ -455,6 +421,13 @@ struct Shared {
     metrics: Option<SharedRegistry>,
     sink: Option<SharedSink>,
 }
+
+/// The deadline, in virtual ticks, of a request that brings none — and
+/// the `retry_after` hint of a deadline shed.
+const DEFAULT_DEADLINE_TICKS: u64 = 100_000;
+
+/// `retry_after = queue_depth × RETRY_UNIT_TICKS` on queue-full sheds.
+const RETRY_UNIT_TICKS: u64 = 16;
 
 impl Shared {
     /// Designated acquirer for the admission queue (rank 1, the
@@ -509,8 +482,8 @@ impl Shared {
     /// and emits the trace span. Never called with a lock held.
     fn shed_job(&self, job: &Job, reason: ShedReason, queue_depth: usize) {
         let retry_after = match reason {
-            ShedReason::DeadlineExpired => self.default_deadline_ticks,
-            _ => (queue_depth as u64).max(1) * self.retry_unit_ticks,
+            ShedReason::DeadlineExpired => DEFAULT_DEADLINE_TICKS,
+            _ => (queue_depth as u64).max(1) * RETRY_UNIT_TICKS,
         };
         self.resolve_shed(job, reason, retry_after, queue_depth);
     }
@@ -601,11 +574,8 @@ impl RouteService {
             available: Condvar::new(),
             queue_capacity: config.queue_capacity.max(1),
             algorithm: config.algorithm,
+            rungs: ladder::sequence(config.algorithm),
             batch_max: config.batch_max.max(1),
-            default_deadline_ticks: config.default_deadline_ticks.max(1),
-            deadline_spend_fraction: config.deadline_spend_fraction.clamp(0.05, 1.0),
-            retry_unit_ticks: config.retry_unit_ticks.max(1),
-            stale_max_age: config.stale_max_age,
             breakers: Breakers {
                 storage: CircuitBreaker::new(config.breaker),
                 landmarks: CircuitBreaker::new(config.breaker),
@@ -722,10 +692,7 @@ impl RouteService {
         let id = self.shared.next_request.fetch_add(1, Ordering::Relaxed);
         let now = self.shared.now();
         let deadline = Deadline {
-            expires_at: now
-                + deadline_ticks
-                    .unwrap_or(self.shared.default_deadline_ticks)
-                    .max(1),
+            expires_at: now + deadline_ticks.unwrap_or(DEFAULT_DEADLINE_TICKS).max(1),
         };
         let mut victims: Vec<(Job, ShedReason)> = Vec::new();
         let mut queue = self.shared.lock_queue();
@@ -748,7 +715,7 @@ impl RouteService {
             for (job, reason) in victims {
                 self.shared.shed_job(&job, reason, depth);
             }
-            let retry_after = (depth as u64).max(1) * self.shared.retry_unit_ticks;
+            let retry_after = (depth as u64).max(1) * RETRY_UNIT_TICKS;
             self.shared.inc("serve_shed_total");
             self.shared.emit(ServeEvent::Shed {
                 request: id,
@@ -962,29 +929,9 @@ fn worker_loop(shared: &Shared, worker: usize) {
             });
         }
 
-        if live.len() == 1 {
-            // The solo path — byte-for-byte the pre-batching life cycle.
-            let Some((job, queue_wait)) = live.pop() else {
-                continue;
-            };
-            let started = Instant::now();
-            let (outcome, consumed) = execute(shared, &snapshot, &job, job.deadline, now);
-            let service_time = started.elapsed();
-            // The run ticks the virtual clock by what it consumed whether
-            // it completed or died: a cost-budget abort burned its whole
-            // allowance before the meter fired, and any other failed run
-            // is charged a one-unit floor — so breaker open-windows and
-            // queued deadlines keep progressing under fault storms
-            // instead of freezing while every run fails.
-            shared.advance(consumed);
-            finish(shared, worker, job, queue_wait, service_time, outcome);
-            continue;
-        }
-
-        // The batched path: identical (from, to) keys collapse into one
-        // run (singleflight), and — when the primary algorithm is
-        // Dijkstra — same-source groups share one multi-target frontier
-        // sweep charged a single pass of block reads.
+        // Identical (from, to) keys collapse into one run (singleflight);
+        // a lone request is a group of one, served exactly as before
+        // batching existed.
         let size = live.len() as u64;
         let mut groups: Vec<Group> = Vec::new();
         for (job, wait) in live {
@@ -1000,759 +947,41 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 }),
             }
         }
-        shared.observe("serve_batch_size", size as f64);
-        shared.emit(ServeEvent::BatchExecuted {
-            worker: worker as u64,
-            size,
-            groups: groups.len() as u64,
-            epoch: snapshot.install(),
-        });
-
-        if shared.algorithm == Algorithm::Dijkstra {
-            // Cluster the groups by source; each multi-group cluster
-            // becomes one shared sweep.
-            let mut clusters: Vec<Vec<Group>> = Vec::new();
-            for group in groups {
-                match clusters
-                    .iter_mut()
-                    .find(|c| c.first().is_some_and(|g| g.from == group.from))
-                {
-                    Some(c) => c.push(group),
-                    None => clusters.push(vec![group]),
-                }
-            }
-            for mut cluster in clusters {
-                if cluster.len() == 1 {
-                    if let Some(group) = cluster.pop() {
-                        run_group(shared, worker, &snapshot, group, now);
-                    }
-                } else {
-                    run_cluster(shared, worker, &snapshot, cluster, now);
-                }
-            }
-        } else {
-            for group in groups {
-                run_group(shared, worker, &snapshot, group, now);
-            }
-        }
-    }
-}
-
-/// One singleflight batch group: requests for the same `(from, to)` key
-/// served by a single run.
-struct Group {
-    from: NodeId,
-    to: NodeId,
-    members: Vec<(Job, Duration)>,
-}
-
-impl Group {
-    /// The latest member deadline — a shared run's budget covers every
-    /// member's own allowance (fairness bound 2).
-    fn deadline(&self) -> Deadline {
-        self.members
-            .iter()
-            .map(|(job, _)| job.deadline)
-            .max()
-            .unwrap_or(Deadline { expires_at: 0 })
-    }
-}
-
-/// Classifies one request's result, counts it, emits its life-cycle
-/// events, and resolves its ticket. The caller has already advanced the
-/// virtual clock for the work consumed.
-fn finish(
-    shared: &Shared,
-    worker: usize,
-    job: Job,
-    queue_wait: Duration,
-    service_time: Duration,
-    outcome: Result<Exec, ServeError>,
-) {
-    shared.observe("serve_service_seconds", service_time.as_secs_f64());
-    shared.inc("serve_requests_total");
-    shared.inc(&format!("serve_worker_{worker}_requests_total"));
-    let answer = outcome.map(|exec| {
-        if let RouteOutcome::Stale { age } = exec.outcome {
-            shared.inc("serve_stale_served_total");
-            shared.emit(ServeEvent::StaleServed {
-                request: job.id,
-                epoch: exec.epoch,
-                age,
+        if size > 1 {
+            shared.observe("serve_batch_size", size as f64);
+            shared.emit(ServeEvent::BatchExecuted {
+                worker: worker as u64,
+                size,
+                groups: groups.len() as u64,
+                epoch: snapshot.install(),
             });
         }
-        if let RouteOutcome::Degraded { .. } = exec.outcome {
-            shared.inc("serve_degraded_total");
-        }
-        shared.emit(ServeEvent::Completed {
-            request: job.id,
-            worker: worker as u64,
-            epoch: exec.epoch,
-            cached: exec.outcome == RouteOutcome::CacheHit,
-            found: exec.path.is_some(),
-        });
-        RouteAnswer {
-            path: exec.path,
-            epoch: exec.epoch,
-            outcome: exec.outcome,
-            deadline: job.deadline,
-            class: job.class,
-            cached: exec.outcome == RouteOutcome::CacheHit,
-            iterations: exec.iterations,
-            cost_units: exec.cost_units,
-            queue_wait,
-            service_time,
-            worker,
-        }
-    });
-    match answer {
-        Err(ServeError::Shed {
-            reason,
-            retry_after,
-            queue_depth,
-        }) => {
-            // A mid-run shed already carries its true back-off hint
-            // (the breaker's remaining countdown, a deadline
-            // renewal) and its consumed cost was metered above:
-            // resolve it as-is instead of recomputing the hint from
-            // queue depth.
-            shared.resolve_shed(&job, reason, retry_after, queue_depth);
-        }
-        other => {
-            if other.is_err() {
-                shared.inc("serve_failed_total");
+
+        // Same-source groups share one frontier sweep, charged a single
+        // pass of block reads, only when the ladder is one rung: such a
+        // walk has nowhere to fall mid-sweep, and `ladder::sequence` gives
+        // that shape to Dijkstra alone — the one algorithm whose expansion
+        // order is destination-independent. Unknown endpoints fail per
+        // request: one bad destination must not poison a shared sweep.
+        let graph = snapshot.db.graph();
+        let mut clusters: Vec<Vec<Group>> = Vec::new();
+        for group in groups {
+            if shared.rungs.len() > 1 || !graph.contains(group.from) || !graph.contains(group.to) {
+                execute(shared, worker, &snapshot, vec![group], now);
+                continue;
             }
-            job.ticket.resolve(other);
-        }
-    }
-}
-
-/// Resolves every member of a singleflight group with (a clone of) the
-/// group's one result.
-fn resolve_group(
-    shared: &Shared,
-    worker: usize,
-    group: Group,
-    result: Result<Exec, ServeError>,
-    service_time: Duration,
-) {
-    for (job, wait) in group.members {
-        finish(shared, worker, job, wait, service_time, result.clone());
-    }
-}
-
-/// Runs one batch group through the full solo ladder (cache, breakers,
-/// degrade rungs, stale tier) exactly once, under the group deadline,
-/// and fans the result out to every member.
-fn run_group(shared: &Shared, worker: usize, snapshot: &ShardSnapshot, group: Group, now: u64) {
-    let deadline = group.deadline();
-    let started = Instant::now();
-    let (result, consumed) = match group.members.first() {
-        Some((lead, _)) => execute(shared, snapshot, lead, deadline, now),
-        None => return,
-    };
-    shared.advance(consumed);
-    let service_time = started.elapsed();
-    resolve_group(shared, worker, group, result, service_time);
-}
-
-/// Runs a same-source cluster of ≥ 2 Dijkstra groups as **one** shared
-/// frontier sweep: per-group cache lookups first, then a single
-/// `dijkstra_many` run whose charged I/O pass serves every remaining
-/// frontier, under the maximum member allowance.
-fn run_cluster(
-    shared: &Shared,
-    worker: usize,
-    snapshot: &ShardSnapshot,
-    cluster: Vec<Group>,
-    now: u64,
-) {
-    let started = Instant::now();
-    let Some(source) = cluster.first().map(|g| g.from) else {
-        return;
-    };
-    let install = snapshot.install();
-
-    // Cache first: a hit detaches its group from the sweep entirely.
-    let mut misses: Vec<Group> = Vec::new();
-    for group in cluster {
-        if let Some(hit) = shared
-            .cache
-            .lookup_vec(group.from, group.to, &snapshot.epochs)
-        {
-            if let Some((lead, _)) = group.members.first() {
-                shared.emit(ServeEvent::CacheHit {
-                    request: lead.id,
-                    epoch: install,
-                });
-            }
-            shared.advance(ticks(hit.cost_units));
-            let exec = Exec {
-                path: Some(hit.path),
-                outcome: RouteOutcome::CacheHit,
-                epoch: install,
-                iterations: hit.iterations,
-                cost_units: hit.cost_units,
-            };
-            resolve_group(shared, worker, group, Ok(exec), started.elapsed());
-        } else {
-            misses.push(group);
-        }
-    }
-    if misses.is_empty() {
-        return;
-    }
-
-    // Unknown endpoints fail per request, exactly as solo runs do — one
-    // bad destination must not poison the shared sweep.
-    if !snapshot.db.graph().contains(source) {
-        let service_time = started.elapsed();
-        for group in misses {
-            shared.advance(1);
-            resolve_group(
-                shared,
-                worker,
-                group,
-                Err(ServeError::from(AlgorithmError::UnknownSource(source))),
-                service_time,
-            );
-        }
-        return;
-    }
-    let mut valid: Vec<Group> = Vec::new();
-    for group in misses {
-        if snapshot.db.graph().contains(group.to) {
-            valid.push(group);
-        } else {
-            shared.advance(1);
-            let err = Err(ServeError::from(AlgorithmError::UnknownDestination(
-                group.to,
-            )));
-            resolve_group(shared, worker, group, err, started.elapsed());
-        }
-    }
-    if valid.is_empty() {
-        return;
-    }
-
-    // The shared budget is the *maximum* member allowance: if the sweep
-    // aborts on it, every member's own (smaller or equal) solo budget
-    // would have aborted too, so shedding the whole cluster is sound.
-    let deadline = valid
-        .iter()
-        .map(Group::deadline)
-        .max()
-        .unwrap_or(Deadline { expires_at: 0 });
-    let remaining = deadline.remaining(now);
-    let allowance = (remaining as f64) * shared.deadline_spend_fraction;
-    let budgets = snapshot
-        .db
-        .budgets()
-        .min_with(Budgets::unlimited().with_max_cost_units(allowance.max(1.0)));
-    let deadline_binding = budgets.max_cost_units == Some(allowance.max(1.0));
-
-    let (storage_admission, t) = shared.breakers.storage.admit(now);
-    shared.emit_transition("storage", t);
-    if let Admission::Deny { retry_after } = storage_admission {
-        for group in valid {
-            let result = stale_or_shed(shared, snapshot, group.from, group.to, retry_after);
-            if let Ok(exec) = &result {
-                shared.advance(ticks(exec.cost_units));
-            }
-            resolve_group(shared, worker, group, result, started.elapsed());
-        }
-        return;
-    }
-    let mut storage_probe = ProbeGuard::new(&shared.breakers.storage, storage_admission);
-
-    let targets: Vec<NodeId> = valid.iter().map(|g| g.to).collect();
-    let mut consumed: u64 = 0;
-    let mut result =
-        snapshot
-            .db
-            .run_many_with_budgets(Algorithm::Dijkstra, source, &targets, budgets);
-    if let Err(AlgorithmError::Storage(_)) = &result {
-        let t = storage_probe.failure(now);
-        shared.emit_transition("storage", t);
-        if matches!(
-            shared.breakers.storage.state(),
-            BreakerState::Closed | BreakerState::HalfOpen
-        ) {
-            consumed += 1;
-            result =
-                snapshot
-                    .db
-                    .run_many_with_budgets(Algorithm::Dijkstra, source, &targets, budgets);
-        }
-    }
-    match result {
-        Ok(traces) => {
-            let t = storage_probe.success();
-            shared.emit_transition("storage", t);
-            shared.inc("serve_batched_runs_total");
-            // Every trace carries the same shared I/O: the sweep is
-            // charged exactly once, which is the entire point.
-            let cost_units = traces
-                .first()
-                .map_or(0.0, |trace| trace.cost_units(snapshot.db.params()));
-            consumed += ticks(cost_units);
-            shared.advance(consumed);
-            let service_time = started.elapsed();
-            for (group, trace) in valid.into_iter().zip(traces) {
-                if let Some(path) = &trace.path {
-                    cache_insert(
-                        shared,
-                        snapshot,
-                        group.from,
-                        group.to,
-                        path.clone(),
-                        trace.iterations,
-                        cost_units,
-                    );
-                }
-                let exec = Exec {
-                    path: trace.path,
-                    outcome: RouteOutcome::Computed,
-                    epoch: install,
-                    iterations: trace.iterations,
-                    cost_units,
-                };
-                resolve_group(shared, worker, group, Ok(exec), service_time);
+            match clusters
+                .iter_mut()
+                .find(|c| c.first().is_some_and(|g| g.from == group.from))
+            {
+                Some(c) => c.push(group),
+                None => clusters.push(vec![group]),
             }
         }
-        Err(e) => {
-            consumed += match &e {
-                AlgorithmError::BudgetExceeded(BudgetKind::CostUnits) => {
-                    budgets.max_cost_units.map_or(1, ticks).max(1)
-                }
-                _ => 1,
-            };
-            shared.advance(consumed);
-            let service_time = started.elapsed();
-            match e {
-                AlgorithmError::BudgetExceeded(BudgetKind::CostUnits) if deadline_binding => {
-                    for group in valid {
-                        let shed = Err(ServeError::Shed {
-                            reason: ShedReason::DeadlineExpired,
-                            retry_after: shared.default_deadline_ticks,
-                            queue_depth: 0,
-                        });
-                        resolve_group(shared, worker, group, shed, service_time);
-                    }
-                }
-                e @ AlgorithmError::Storage(_) => {
-                    let t = storage_probe.failure(now);
-                    shared.emit_transition("storage", t);
-                    if let AlgorithmError::Storage(fault) = &e {
-                        shared.inc(storage_fault_metric(fault));
-                    }
-                    for group in valid {
-                        let result = match stale_or_shed(
-                            shared,
-                            snapshot,
-                            group.from,
-                            group.to,
-                            shared.retry_unit_ticks,
-                        ) {
-                            Ok(exec) => {
-                                shared.advance(ticks(exec.cost_units));
-                                Ok(exec)
-                            }
-                            Err(ServeError::Shed { .. }) => Err(ServeError::from(e.clone())),
-                            Err(other) => Err(other),
-                        };
-                        resolve_group(shared, worker, group, result, service_time);
-                    }
-                }
-                e => {
-                    for group in valid {
-                        resolve_group(
-                            shared,
-                            worker,
-                            group,
-                            Err(ServeError::from(e.clone())),
-                            service_time,
-                        );
-                    }
-                }
-            }
+        for cluster in clusters {
+            execute(shared, worker, &snapshot, cluster, now);
         }
     }
-}
-
-/// What one executed request produced. Cloneable so a singleflight
-/// group can fan one result out to every member.
-#[derive(Clone)]
-struct Exec {
-    path: Option<Path>,
-    outcome: RouteOutcome,
-    epoch: u64,
-    iterations: u64,
-    cost_units: f64,
-}
-
-/// Cost units rounded up to whole virtual-clock ticks.
-fn ticks(cost_units: f64) -> u64 {
-    cost_units.max(0.0).ceil() as u64
-}
-
-/// Answers one job against its pinned snapshot: cache, then the degrade
-/// ladder (primary → v3 on landmark trouble → Dijkstra on storage
-/// trouble → the stale tier), under the deadline-derived cost budget.
-///
-/// Also returns the cost-unit ticks the attempt consumed — exact for
-/// completed runs and cost-budget aborts (which burned their whole
-/// allowance before the meter fired), a one-unit floor for failures
-/// whose partial spend is unknowable — so the worker can meter the
-/// virtual clock for aborted work too, not just completed work.
-fn execute(
-    shared: &Shared,
-    snapshot: &ShardSnapshot,
-    job: &Job,
-    deadline: Deadline,
-    now: u64,
-) -> (Result<Exec, ServeError>, u64) {
-    let install = snapshot.install();
-    if let Some(hit) = shared.cache.lookup_vec(job.from, job.to, &snapshot.epochs) {
-        shared.emit(ServeEvent::CacheHit {
-            request: job.id,
-            epoch: install,
-        });
-        let consumed = ticks(hit.cost_units);
-        return (
-            Ok(Exec {
-                path: Some(hit.path),
-                outcome: RouteOutcome::CacheHit,
-                epoch: install,
-                iterations: hit.iterations,
-                cost_units: hit.cost_units,
-            }),
-            consumed,
-        );
-    }
-
-    // The deadline-derived budget: the run may spend at most
-    // `deadline_spend_fraction` of the remaining ticks as cost units,
-    // intersected with the database's own standing budgets. `deadline`
-    // is the job's own for solo runs, the group maximum for batches.
-    let remaining = deadline.remaining(now);
-    let allowance = (remaining as f64) * shared.deadline_spend_fraction;
-    let budgets = snapshot
-        .db
-        .budgets()
-        .min_with(Budgets::unlimited().with_max_cost_units(allowance.max(1.0)));
-    let deadline_binding = budgets.max_cost_units == Some(allowance.max(1.0));
-
-    // Storage breaker open: skip every database rung, serve stale or
-    // refuse with the breaker's countdown.
-    let (storage_admission, t) = shared.breakers.storage.admit(now);
-    shared.emit_transition("storage", t);
-    if let Admission::Deny { retry_after } = storage_admission {
-        let result = stale_or_shed(shared, snapshot, job.from, job.to, retry_after);
-        let consumed = result.as_ref().map_or(0, |exec| ticks(exec.cost_units));
-        return (result, consumed);
-    }
-    // From here this request may hold the storage breaker's half-open
-    // probe slot. The guard resolves it exactly once: a verdict below
-    // defuses it, and every other exit path (deadline shed, an error
-    // that says nothing about storage) releases the slot on drop, so an
-    // aborted probe can never wedge the breaker half-open.
-    let mut storage_probe = ProbeGuard::new(&shared.breakers.storage, storage_admission);
-
-    // Rung 0: the configured algorithm, unless a breaker denies its
-    // preprocessed artifact — an open hierarchy breaker starts a v5
-    // service one rung down (v4 when the snapshot carries landmark
-    // tables, v3 otherwise), an open landmark breaker starts v4 at v3.
-    // Admission (not a bare state read) drives the machine, so an open
-    // breaker whose window has elapsed half-opens here and this request
-    // runs the guarded rung as the probe that can re-close it.
-    let needs_hierarchy = shared.algorithm == Algorithm::AStar(AStarVersion::V5);
-    let (hierarchy_admission, t) = if needs_hierarchy {
-        shared.breakers.hierarchy.admit(now)
-    } else {
-        (Admission::Allow, None)
-    };
-    shared.emit_transition("hierarchy", t);
-    let mut hierarchy_probe = ProbeGuard::new(&shared.breakers.hierarchy, hierarchy_admission);
-    let hierarchy_denied = matches!(hierarchy_admission, Admission::Deny { .. });
-    // Where a v5 request lands when its overlay is unusable.
-    let below_v5: (&'static str, Algorithm) = if snapshot.db.landmarks().is_some() {
-        ("astar-v4", Algorithm::AStar(AStarVersion::V4))
-    } else {
-        ("astar-v3", Algorithm::AStar(AStarVersion::V3))
-    };
-    let needs_landmarks = shared.algorithm == Algorithm::AStar(AStarVersion::V4)
-        || (hierarchy_denied && below_v5.1 == Algorithm::AStar(AStarVersion::V4));
-    let (landmark_admission, t) = if needs_landmarks {
-        shared.breakers.landmarks.admit(now)
-    } else {
-        (Admission::Allow, None)
-    };
-    shared.emit_transition("landmarks", t);
-    let mut landmark_probe = ProbeGuard::new(&shared.breakers.landmarks, landmark_admission);
-    let landmarks_denied = matches!(landmark_admission, Admission::Deny { .. });
-    let (mut rung, mut result) = if landmarks_denied {
-        (
-            "astar-v3",
-            snapshot.db.run_with_budgets(
-                Algorithm::AStar(AStarVersion::V3),
-                job.from,
-                job.to,
-                budgets,
-            ),
-        )
-    } else if hierarchy_denied {
-        (
-            below_v5.0,
-            snapshot
-                .db
-                .run_with_budgets(below_v5.1, job.from, job.to, budgets),
-        )
-    } else {
-        (
-            "primary",
-            snapshot
-                .db
-                .run_with_budgets(shared.algorithm, job.from, job.to, budgets),
-        )
-    };
-
-    // Ticks consumed by failed rungs whose traces were discarded before
-    // a later rung replaced them (exact spend is unknowable without
-    // threading IoStats through errors, so each is a one-unit floor).
-    let mut consumed: u64 = 0;
-
-    // Hierarchy trouble (a missing or stale overlay): count it against
-    // the hierarchy breaker, announce the degrade, and fall to the
-    // strongest flat rung — still exact answers, just more expansions.
-    let hierarchy_failure = match &result {
-        Err(e @ AlgorithmError::HierarchyUnavailable(_)) => Some(e.to_string()),
-        _ => None,
-    };
-    if let Some(reason) = hierarchy_failure {
-        let t = hierarchy_probe.failure(now);
-        shared.emit_transition("hierarchy", t);
-        shared.inc("serve_hierarchy_degraded_total");
-        shared.emit(ServeEvent::AlgorithmDegraded {
-            request: job.id,
-            from: rung.to_string(),
-            to: below_v5.0.to_string(),
-            reason,
-            at_tick: now,
-        });
-        consumed += 1;
-        rung = below_v5.0;
-        result = snapshot
-            .db
-            .run_with_budgets(below_v5.1, job.from, job.to, budgets);
-    } else if needs_hierarchy && !hierarchy_denied && result.is_ok() {
-        let t = hierarchy_probe.success();
-        shared.emit_transition("hierarchy", t);
-    }
-
-    // Landmark trouble: count it against the landmark breaker and fall
-    // to v3 (exact, estimator degraded to Manhattan-family bounds).
-    if let Err(AlgorithmError::LandmarksUnavailable(_)) = &result {
-        let t = landmark_probe.failure(now);
-        shared.emit_transition("landmarks", t);
-        consumed += 1;
-        rung = "astar-v3";
-        result = snapshot.db.run_with_budgets(
-            Algorithm::AStar(AStarVersion::V3),
-            job.from,
-            job.to,
-            budgets,
-        );
-    } else if needs_landmarks && !landmarks_denied && result.is_ok() {
-        let t = landmark_probe.success();
-        shared.emit_transition("landmarks", t);
-    }
-
-    // Storage trouble: count it, then retry once on Dijkstra (transient
-    // fault counters advance, and the plain algorithm reads fewer
-    // blocks than an estimator-guided one under partial information).
-    if let Err(AlgorithmError::Storage(_)) = &result {
-        let t = storage_probe.failure(now);
-        shared.emit_transition("storage", t);
-        if matches!(
-            shared.breakers.storage.state(),
-            BreakerState::Closed | BreakerState::HalfOpen
-        ) {
-            consumed += 1;
-            rung = "dijkstra";
-            result = snapshot
-                .db
-                .run_with_budgets(Algorithm::Dijkstra, job.from, job.to, budgets);
-        }
-    }
-
-    match result {
-        Ok(trace) => {
-            let t = storage_probe.success();
-            shared.emit_transition("storage", t);
-            let cost_units = trace.cost_units(snapshot.db.params());
-            consumed += ticks(cost_units);
-            if let Some(path) = &trace.path {
-                cache_insert(
-                    shared,
-                    snapshot,
-                    job.from,
-                    job.to,
-                    path.clone(),
-                    trace.iterations,
-                    cost_units,
-                );
-            }
-            let outcome = if rung == "primary" {
-                RouteOutcome::Computed
-            } else {
-                RouteOutcome::Degraded { rung }
-            };
-            (
-                Ok(Exec {
-                    path: trace.path,
-                    outcome,
-                    epoch: install,
-                    iterations: trace.iterations,
-                    cost_units,
-                }),
-                consumed,
-            )
-        }
-        Err(e) => {
-            // A cost-budget abort read blocks until it crossed its
-            // allowance, so it is charged in full; any other failure's
-            // partial spend is the floor.
-            consumed += match &e {
-                AlgorithmError::BudgetExceeded(BudgetKind::CostUnits) => {
-                    budgets.max_cost_units.map_or(1, ticks).max(1)
-                }
-                _ => 1,
-            };
-            match e {
-                AlgorithmError::BudgetExceeded(BudgetKind::CostUnits) if deadline_binding => {
-                    // The deadline, not the database's own budget,
-                    // stopped the run: this is a shed, not an algorithm
-                    // failure — and no verdict on storage health, so a
-                    // held probe slot is released by the guard.
-                    (
-                        Err(ServeError::Shed {
-                            reason: ShedReason::DeadlineExpired,
-                            retry_after: shared.default_deadline_ticks,
-                            queue_depth: 0,
-                        }),
-                        consumed,
-                    )
-                }
-                e @ AlgorithmError::Storage(_) => {
-                    let t = storage_probe.failure(now);
-                    shared.emit_transition("storage", t);
-                    if let AlgorithmError::Storage(fault) = &e {
-                        shared.inc(storage_fault_metric(fault));
-                    }
-                    let result = match stale_or_shed(
-                        shared,
-                        snapshot,
-                        job.from,
-                        job.to,
-                        shared.retry_unit_ticks,
-                    ) {
-                        Ok(exec) => Ok(exec),
-                        Err(ServeError::Shed { .. }) => Err(ServeError::from(e)),
-                        Err(other) => Err(other),
-                    };
-                    if let Ok(exec) = &result {
-                        consumed += ticks(exec.cost_units);
-                    }
-                    (result, consumed)
-                }
-                e @ (AlgorithmError::Graph(_)
-                | AlgorithmError::UnknownSource(_)
-                | AlgorithmError::UnknownDestination(_)) => {
-                    // Deterministic failures — a corrupt graph or
-                    // endpoints absent from it. No degrade rung can
-                    // answer these, so they are counted and surfaced
-                    // immediately rather than retried or served stale.
-                    shared.inc("serve_deterministic_error_total");
-                    (Err(ServeError::from(e)), consumed)
-                }
-                e => (Err(ServeError::from(e)), consumed),
-            }
-        }
-    }
-}
-
-/// Metric name classifying a storage fault observed on the serving
-/// path. Every `StorageError` variant is named so that when the storage
-/// crate grows a failure mode, the degrade ladder is forced to decide
-/// how serving should count it; the `_` arm exists only because the
-/// enum is `#[non_exhaustive]`.
-fn storage_fault_metric(fault: &StorageError) -> &'static str {
-    match fault {
-        StorageError::IoFailed { .. } => "serve_storage_fault_io_total",
-        StorageError::CorruptBlock { .. } => "serve_storage_fault_corrupt_total",
-        StorageError::KeyNotFound(_) => "serve_storage_fault_key_total",
-        StorageError::SlotOutOfRange { .. } => "serve_storage_fault_slot_total",
-        StorageError::InvalidValue(_) => "serve_storage_fault_value_total",
-        StorageError::CapacityExceeded { .. } => "serve_storage_fault_capacity_total",
-        _ => "serve_storage_fault_other_total",
-    }
-}
-
-/// Inserts a computed route, stamped with the version (from the pinned
-/// vector) of every shard the path crosses.
-fn cache_insert(
-    shared: &Shared,
-    snapshot: &ShardSnapshot,
-    from: NodeId,
-    to: NodeId,
-    path: Path,
-    iterations: u64,
-    cost_units: f64,
-) {
-    let stamps: Vec<(u32, u64)> = shared
-        .epoch_db
-        .map()
-        .path_shards(&path.nodes)
-        .into_iter()
-        .map(|shard| (shard, snapshot.epochs.version(shard)))
-        .collect();
-    let route = CachedRoute {
-        path,
-        epoch: snapshot.install(),
-        iterations,
-        cost_units,
-    };
-    shared.cache.insert_stamped(from, to, route, stamps);
-}
-
-/// The ladder's last rung: a stale-tier answer tagged with its age, or a
-/// typed breaker-open shed when even that is empty.
-fn stale_or_shed(
-    shared: &Shared,
-    snapshot: &ShardSnapshot,
-    from: NodeId,
-    to: NodeId,
-    retry_after: u64,
-) -> Result<Exec, ServeError> {
-    if let Some((route, age)) =
-        shared
-            .cache
-            .lookup_stale(from, to, snapshot.install(), shared.stale_max_age)
-    {
-        return Ok(Exec {
-            path: Some(route.path),
-            outcome: RouteOutcome::Stale { age },
-            epoch: route.epoch,
-            iterations: route.iterations,
-            cost_units: route.cost_units,
-        });
-    }
-    Err(ServeError::Shed {
-        reason: ShedReason::BreakerOpen,
-        retry_after: retry_after.max(1),
-        queue_depth: 0,
-    })
 }
 
 #[cfg(test)]
@@ -1761,7 +990,7 @@ mod tests {
     use atis_graph::{CostModel, Grid, QueryKind};
     use atis_obs::{MetricsRegistry, RingSink};
 
-    fn grid_service(config: ServeConfig) -> (RouteService, Grid) {
+    pub(super) fn grid_service(config: ServeConfig) -> (RouteService, Grid) {
         let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
         let db = Database::open(grid.graph()).unwrap();
         (RouteService::new(db, config), grid)
@@ -1961,90 +1190,6 @@ mod tests {
     }
 
     #[test]
-    fn storage_breaker_opens_and_serves_stale_then_recovers() {
-        use atis_storage::FaultPlan;
-        let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
-        let (s, d) = grid.query_pair(QueryKind::Diagonal);
-
-        // Replay the warm-up against an inert-fault oracle to learn
-        // exactly how many physical reads it consumes, so the brownout
-        // window can be placed deterministically *after* it.
-        let oracle = Database::open(grid.graph())
-            .unwrap()
-            .with_fault_plan(FaultPlan::inert(3));
-        let trace = oracle.run(ServeConfig::default().algorithm, s, d).unwrap();
-        let path = trace.path.clone().unwrap();
-        let (u, v) = path.hops().next().unwrap();
-        let mut updated = oracle.clone();
-        updated.update_edge_cost(u, v, path.cost + 100.0).unwrap();
-        let warm_reads = oracle.faults().unwrap().lock().unwrap().reads();
-
-        // The brownout: every read after the warm-up fails, for a
-        // 40-operation window, then storage recovers.
-        let window = (warm_reads + 1, warm_reads + 40);
-        let db = Database::open(grid.graph())
-            .unwrap()
-            .with_fault_plan(FaultPlan::inert(3).with_read_failure_window(window.0, window.1, 1.0));
-        let service = RouteService::new(
-            db,
-            ServeConfig::default()
-                .with_workers(1)
-                .with_breaker(BreakerConfig {
-                    failure_threshold: 2,
-                    open_ticks: 50,
-                    probes: 1,
-                }),
-        );
-
-        // Warm the cache, then retire the entry so the stale tier has it.
-        let fresh = service.route(s, d).unwrap();
-        assert_eq!(fresh.outcome, RouteOutcome::Computed);
-        service.update_edge_cost(u, v, path.cost + 100.0).unwrap();
-
-        // Drive the storm: typed failures trip the breaker, the open
-        // breaker stale-serves, probes burn through the fault window one
-        // read at a time, and the first probe past the window re-closes
-        // the breaker.
-        let mut stale_seen = 0;
-        let mut opened = false;
-        for _ in 0..400 {
-            match service.route(s, d) {
-                Ok(answer) => {
-                    if let RouteOutcome::Stale { age } = answer.outcome {
-                        assert!(age >= 1);
-                        assert!(answer.epoch < service.epoch());
-                        stale_seen += 1;
-                    }
-                }
-                Err(ServeError::Shed { reason, .. }) => {
-                    assert_eq!(reason, ShedReason::BreakerOpen);
-                }
-                Err(ServeError::Algorithm(AlgorithmError::Storage(_))) => {}
-                Err(e) => panic!("unexpected {e}"),
-            }
-            if matches!(
-                service.breaker_state("storage"),
-                Some(BreakerState::Open { .. })
-            ) {
-                opened = true;
-            }
-            if opened && service.breaker_state("storage") == Some(BreakerState::Closed) {
-                break;
-            }
-        }
-        assert!(opened, "repeated storage faults must open the breaker");
-        assert!(
-            stale_seen > 0,
-            "an open breaker with a retired route must stale-serve"
-        );
-        assert_eq!(
-            service.breaker_state("storage"),
-            Some(BreakerState::Closed),
-            "the breaker must re-close once the brownout ends"
-        );
-    }
-
-    #[test]
     fn metrics_and_spans_cover_the_request_life_cycle() {
         let registry = MetricsRegistry::shared();
         let ring = RingSink::shared(256);
@@ -2134,204 +1279,6 @@ mod tests {
     }
 
     #[test]
-    fn virtual_clock_advances_with_completed_work() {
-        let (service, grid) = grid_service(
-            ServeConfig::default()
-                .with_workers(1)
-                .with_cache_capacity(0),
-        );
-        assert_eq!(service.now_ticks(), 0);
-        let (s, d) = grid.query_pair(QueryKind::Diagonal);
-        let answer = service.route(s, d).unwrap();
-        let after_one = service.now_ticks();
-        assert!(
-            after_one > answer.cost_units as u64,
-            "clock {after_one} must cover the dequeue tick plus {} cost units",
-            answer.cost_units
-        );
-        service.route(s, d).unwrap();
-        assert!(service.now_ticks() > after_one);
-    }
-
-    #[test]
-    fn a_tripped_landmark_breaker_recovers_through_query_probing() {
-        use atis_preprocess::{LandmarkTables, PreprocessConfig};
-        let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
-        let tables = LandmarkTables::build(grid.graph(), PreprocessConfig::grid_default()).unwrap();
-        let db = Database::open(grid.graph()).unwrap().with_landmarks(tables);
-        let service = RouteService::new(
-            db,
-            ServeConfig::default()
-                .with_workers(1)
-                .with_cache_capacity(0)
-                .with_algorithm(Algorithm::AStar(AStarVersion::V4))
-                .with_breaker(BreakerConfig {
-                    failure_threshold: 1,
-                    open_ticks: 8,
-                    probes: 1,
-                }),
-        );
-        let (s, d) = grid.query_pair(QueryKind::Diagonal);
-
-        // Trip the landmark breaker, exactly as a failed rebuild would.
-        let tripped = service
-            .shared
-            .breakers
-            .landmarks
-            .on_failure(service.now_ticks());
-        assert!(tripped.is_some(), "threshold 1 must trip on one failure");
-
-        // While open, the ladder starts at v3.
-        let degraded = service.route(s, d).unwrap();
-        assert_eq!(
-            degraded.outcome,
-            RouteOutcome::Degraded { rung: "astar-v3" }
-        );
-
-        // Each served query advances the virtual clock; once the open
-        // window elapses, admission half-opens the breaker, a request
-        // probes v4, and its success re-closes the machine — the
-        // breaker must not stay open forever after landmarks recover.
-        let mut recovered = false;
-        for _ in 0..64 {
-            if service.route(s, d).unwrap().outcome == RouteOutcome::Computed {
-                recovered = true;
-                break;
-            }
-        }
-        assert!(recovered, "an elapsed open window must let v4 probe back");
-        assert_eq!(
-            service.breaker_state("landmarks"),
-            Some(BreakerState::Closed)
-        );
-    }
-
-    #[test]
-    fn a_stale_hierarchy_degrades_v5_to_v4_with_a_typed_event() {
-        use atis_hierarchy::{Hierarchy, HierarchyConfig};
-        use atis_preprocess::{LandmarkTables, PreprocessConfig};
-        let registry = MetricsRegistry::shared();
-        let ring = RingSink::shared(256);
-        let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
-        // Overlay built on the pristine grid, landmarks on the mutated
-        // copy the service actually runs: v5 fails typed (stale), the
-        // ladder lands on v4, and the answer is still exact.
-        let overlay = Hierarchy::build(grid.graph(), HierarchyConfig::paper()).unwrap();
-        let mut changed = grid.graph().clone();
-        changed
-            .set_edge_cost(grid.node_at(2, 2), grid.node_at(2, 3), 9.0)
-            .unwrap();
-        let tables = LandmarkTables::build(&changed, PreprocessConfig::grid_default()).unwrap();
-        let db = Database::open(&changed)
-            .unwrap()
-            .with_hierarchy(overlay)
-            .with_landmarks(tables);
-        let service = RouteService::with_observability(
-            db,
-            ServeConfig::default()
-                .with_workers(1)
-                .with_cache_capacity(0)
-                .with_algorithm(Algorithm::AStar(AStarVersion::V5)),
-            Some(registry.clone()),
-            Some(ring.clone() as SharedSink),
-        );
-        let (s, d) = grid.query_pair(QueryKind::Diagonal);
-        let answer = service.route(s, d).unwrap();
-        assert_eq!(answer.outcome, RouteOutcome::Degraded { rung: "astar-v4" });
-        let oracle = atis_algorithms::memory::dijkstra_pair(&changed, s, d).unwrap();
-        assert!((answer.path.unwrap().cost - oracle.cost).abs() < 1e-3);
-        assert_eq!(registry.counter("serve_hierarchy_degraded_total"), 1);
-        assert_eq!(registry.counter("serve_degraded_total"), 1);
-        let json: Vec<String> = ring.events().iter().map(|e| e.to_json()).collect();
-        let degrade = json
-            .iter()
-            .find(|j| j.contains(r#""type":"serve_algorithm_degraded""#))
-            .expect("the v5 -> v4 fall must be announced");
-        assert!(degrade.contains(r#""from":"primary""#), "{degrade}");
-        assert!(degrade.contains(r#""to":"astar-v4""#), "{degrade}");
-        assert!(degrade.contains("stale"), "{degrade}");
-    }
-
-    #[test]
-    fn a_stale_hierarchy_without_landmarks_degrades_v5_to_v3() {
-        use atis_hierarchy::{Hierarchy, HierarchyConfig};
-        let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
-        let overlay = Hierarchy::build(grid.graph(), HierarchyConfig::paper()).unwrap();
-        let mut changed = grid.graph().clone();
-        changed
-            .set_edge_cost(grid.node_at(2, 2), grid.node_at(2, 3), 9.0)
-            .unwrap();
-        let db = Database::open(&changed).unwrap().with_hierarchy(overlay);
-        let service = RouteService::new(
-            db,
-            ServeConfig::default()
-                .with_workers(1)
-                .with_cache_capacity(0)
-                .with_algorithm(Algorithm::AStar(AStarVersion::V5)),
-        );
-        let (s, d) = grid.query_pair(QueryKind::Diagonal);
-        let answer = service.route(s, d).unwrap();
-        assert_eq!(answer.outcome, RouteOutcome::Degraded { rung: "astar-v3" });
-        let oracle = atis_algorithms::memory::dijkstra_pair(&changed, s, d).unwrap();
-        assert!((answer.path.unwrap().cost - oracle.cost).abs() < 1e-3);
-    }
-
-    #[test]
-    fn a_tripped_hierarchy_breaker_recovers_through_query_probing() {
-        use atis_hierarchy::{Hierarchy, HierarchyConfig};
-        let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
-        let overlay = Hierarchy::build(grid.graph(), HierarchyConfig::paper()).unwrap();
-        let db = Database::open(grid.graph())
-            .unwrap()
-            .with_hierarchy(overlay);
-        let service = RouteService::new(
-            db,
-            ServeConfig::default()
-                .with_workers(1)
-                .with_cache_capacity(0)
-                .with_algorithm(Algorithm::AStar(AStarVersion::V5))
-                .with_breaker(BreakerConfig {
-                    failure_threshold: 1,
-                    open_ticks: 8,
-                    probes: 1,
-                }),
-        );
-        let (s, d) = grid.query_pair(QueryKind::Diagonal);
-
-        // Trip the hierarchy breaker, exactly as a failed re-contraction
-        // would.
-        let tripped = service
-            .shared
-            .breakers
-            .hierarchy
-            .on_failure(service.now_ticks());
-        assert!(tripped.is_some(), "threshold 1 must trip on one failure");
-
-        // While open, the ladder starts below v5 (no landmark tables
-        // here, so at v3).
-        let degraded = service.route(s, d).unwrap();
-        assert_eq!(
-            degraded.outcome,
-            RouteOutcome::Degraded { rung: "astar-v3" }
-        );
-
-        // Once the open window elapses, admission half-opens the
-        // breaker, a request probes v5, and its success re-closes it.
-        let mut recovered = false;
-        for _ in 0..64 {
-            if service.route(s, d).unwrap().outcome == RouteOutcome::Computed {
-                recovered = true;
-                break;
-            }
-        }
-        assert!(recovered, "an elapsed open window must let v5 probe back");
-        assert_eq!(
-            service.breaker_state("hierarchy"),
-            Some(BreakerState::Closed)
-        );
-    }
-
-    #[test]
     fn updates_maintain_the_hierarchy_and_count_refreshes() {
         use atis_hierarchy::{Hierarchy, HierarchyConfig};
         let registry = MetricsRegistry::shared();
@@ -2370,78 +1317,6 @@ mod tests {
         let answer = service.route(s, d).unwrap();
         assert_eq!(answer.outcome, RouteOutcome::Computed);
         assert_eq!(registry.counter("serve_hierarchy_degraded_total"), 0);
-    }
-
-    #[test]
-    fn a_deadline_shed_probe_releases_the_storage_breaker_slot() {
-        let (service, grid) = grid_service(
-            ServeConfig::default()
-                .with_workers(1)
-                .with_cache_capacity(0)
-                .with_breaker(BreakerConfig {
-                    failure_threshold: 1,
-                    open_ticks: 64,
-                    probes: 1,
-                }),
-        );
-        let (s, d) = grid.query_pair(QueryKind::Diagonal);
-
-        // Trip the storage breaker at tick 0: open until tick 64.
-        let tripped = service.shared.breakers.storage.on_failure(0);
-        assert!(tripped.is_some());
-
-        // While open, requests shed with the breaker's *actual*
-        // countdown (not the queue-depth retry formula), and each shed
-        // still ticks the clock by its dequeue.
-        match service.route(s, d) {
-            Err(ServeError::Shed {
-                reason,
-                retry_after,
-                ..
-            }) => {
-                assert_eq!(reason, ShedReason::BreakerOpen);
-                assert!(
-                    retry_after > 16,
-                    "retry_after {retry_after} must be the breaker countdown, \
-                     not the 16-tick retry unit"
-                );
-            }
-            other => panic!("open breaker must shed, got {other:?}"),
-        }
-        while service.now_ticks() < 64 {
-            let _ = service.route(s, d);
-        }
-
-        // The open window has elapsed: the next request is admitted as
-        // the half-open probe, but its 3-tick deadline aborts the run
-        // mid-expansion — a shed, with no verdict on storage health.
-        let before = service.now_ticks();
-        match service.route_with(s, d, RequestClass::Interactive, Some(3)) {
-            Err(ServeError::Shed { reason, .. }) => {
-                assert_eq!(
-                    reason,
-                    ShedReason::DeadlineExpired,
-                    "the probe must be admitted (BreakerOpen would mean denied)"
-                );
-            }
-            other => panic!("a 3-tick deadline must shed mid-run, got {other:?}"),
-        }
-        // The aborted run burned its whole cost allowance; the clock
-        // must be charged for it (dequeue + ⌈allowance⌉), not just the
-        // dequeue tick.
-        assert!(
-            service.now_ticks() >= before + 3,
-            "aborted work must still meter the clock: {} -> {}",
-            before,
-            service.now_ticks()
-        );
-
-        // The aborted probe released its slot: the next request probes,
-        // succeeds, and re-closes the breaker instead of being denied
-        // by a permanently saturated half-open machine.
-        let answer = service.route(s, d).unwrap();
-        assert_eq!(answer.outcome, RouteOutcome::Computed);
-        assert_eq!(service.breaker_state("storage"), Some(BreakerState::Closed));
     }
 
     /// A grid big enough for the partition map to yield several regions
@@ -2523,151 +1398,5 @@ mod tests {
                 "{shards} shard(s): an undercutting decrease must evict it"
             );
         }
-    }
-
-    /// Spin until the worker pool has emitted `Started` for `request` —
-    /// the deterministic "the plug is running solo" barrier the batching
-    /// tests queue up behind.
-    fn wait_for_started(sink: &std::sync::Arc<RingSink>, request: u64) {
-        for _ in 0..20_000 {
-            let started = sink.events().iter().any(|e| {
-                matches!(
-                    e,
-                    TraceEvent::Serve(ServeEvent::Started { request: r, .. }) if *r == request
-                )
-            });
-            if started {
-                return;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        panic!("worker never started request {request}");
-    }
-
-    #[test]
-    fn a_batched_worker_folds_queued_requests_into_one_shared_sweep() {
-        use atis_storage::FaultPlan;
-        let registry = MetricsRegistry::shared();
-        let sink = RingSink::shared(256);
-        let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
-        // Slow, reliable reads: the plug request holds the lone worker
-        // for milliseconds while the microsecond-scale submits below
-        // pile up behind it.
-        let db = Database::open(grid.graph()).unwrap().with_fault_plan(
-            FaultPlan::inert(0x5EED).with_read_latency(Duration::from_micros(100)),
-        );
-        let oracle = Database::open(grid.graph()).unwrap();
-        let service = RouteService::with_observability(
-            db,
-            ServeConfig::default()
-                .with_workers(1)
-                .with_batch_max(8)
-                .with_cache_capacity(0)
-                .with_algorithm(Algorithm::Dijkstra),
-            Some(registry.clone()),
-            Some(sink.clone()),
-        );
-        let plug = service
-            .submit(grid.node_at(5, 5), grid.node_at(0, 0))
-            .unwrap();
-        wait_for_started(&sink, plug.id());
-        let s = grid.node_at(0, 0);
-        let targets = [
-            grid.node_at(5, 5),
-            grid.node_at(0, 5),
-            grid.node_at(5, 0),
-            grid.node_at(5, 5), // duplicate key: singleflight member
-        ];
-        let tickets: Vec<Ticket> = targets
-            .iter()
-            .map(|&d| service.submit(s, d).unwrap())
-            .collect();
-        plug.wait().unwrap();
-        let answers: Vec<RouteAnswer> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-        for (answer, &d) in answers.iter().zip(&targets) {
-            let solo = oracle.run(Algorithm::Dijkstra, s, d).unwrap();
-            assert_eq!(
-                answer.path.as_ref().unwrap().nodes,
-                solo.path.as_ref().unwrap().nodes,
-                "batched answers must be bit-identical to solo runs"
-            );
-            assert_eq!(answer.iterations, solo.iterations);
-            assert_eq!(answer.outcome, RouteOutcome::Computed);
-        }
-        // All four answers came from one charged sweep: every member
-        // reports the same shared cost, and exactly one batch ran.
-        assert!(answers
-            .iter()
-            .all(|a| a.cost_units == answers[0].cost_units));
-        assert_eq!(registry.counter("serve_batched_runs_total"), 1);
-        let batches: Vec<(u64, u64)> = sink
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Serve(ServeEvent::BatchExecuted { size, groups, .. }) => {
-                    Some((*size, *groups))
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(batches, vec![(4, 3)], "4 requests, 3 distinct keys");
-    }
-
-    #[test]
-    fn batching_never_regresses_a_lone_interactive_request() {
-        // Fairness bound 1 (drain-only): with an idle queue a batched
-        // service serves a lone request exactly as an unbatched one —
-        // same outcome, same clock charge, no waiting for a batch.
-        let (batched, grid) =
-            grid_service(ServeConfig::default().with_workers(1).with_batch_max(8));
-        let (plain, _) = grid_service(ServeConfig::default().with_workers(1));
-        let (s, d) = grid.query_pair(QueryKind::Diagonal);
-        let a = batched.route(s, d).unwrap();
-        let b = plain.route(s, d).unwrap();
-        assert_eq!(
-            a.path.as_ref().map(|p| &p.nodes),
-            b.path.as_ref().map(|p| &p.nodes)
-        );
-        assert_eq!(a.outcome, b.outcome);
-        assert_eq!(a.cost_units, b.cost_units);
-        assert_eq!(batched.now_ticks(), plain.now_ticks());
-    }
-
-    #[test]
-    fn batched_non_dijkstra_groups_run_singleflight_per_key() {
-        // An estimator-guided primary cannot share frontiers, but
-        // identical (from, to) keys still collapse into one run.
-        use atis_storage::FaultPlan;
-        let registry = MetricsRegistry::shared();
-        let sink = RingSink::shared(256);
-        let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
-        let db = Database::open(grid.graph()).unwrap().with_fault_plan(
-            FaultPlan::inert(0x5EED).with_read_latency(Duration::from_micros(100)),
-        );
-        let service = RouteService::with_observability(
-            db,
-            ServeConfig::default()
-                .with_workers(1)
-                .with_batch_max(8)
-                .with_cache_capacity(0),
-            Some(registry.clone()),
-            Some(sink.clone()),
-        );
-        let plug = service
-            .submit(grid.node_at(5, 5), grid.node_at(0, 0))
-            .unwrap();
-        wait_for_started(&sink, plug.id());
-        let (s, d) = grid.query_pair(QueryKind::Diagonal);
-        let tickets: Vec<Ticket> = (0..3).map(|_| service.submit(s, d).unwrap()).collect();
-        plug.wait().unwrap();
-        let answers: Vec<RouteAnswer> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-        assert!(answers.iter().all(|a| a.outcome == RouteOutcome::Computed));
-        assert!(answers
-            .windows(2)
-            .all(|w| w[0].path.as_ref().unwrap().nodes == w[1].path.as_ref().unwrap().nodes));
-        // No shared sweep ran (not Dijkstra), every request was counted,
-        // and the singleflight saved two runs' worth of cache misses.
-        assert_eq!(registry.counter("serve_batched_runs_total"), 0);
-        assert_eq!(registry.counter("serve_requests_total"), 4);
     }
 }

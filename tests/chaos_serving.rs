@@ -22,6 +22,7 @@
 //! typed refusal or a valid path priced at some epoch ≤ the final one —
 //! the service never invents a route no epoch ever contained.
 
+use atis::algorithms::{AStarVersion, Algorithm};
 use atis::serve::chaos::{run_scenario, scenario_grid, standard_scenarios, ChaosScenario};
 use atis::serve::{BreakerState, ServeConfig};
 use proptest::prelude::*;
@@ -151,6 +152,67 @@ fn io_brownout_degrades_typed_and_breakers_reclose() {
     );
     // Stale answers are real old routes; everything re-prices at its
     // claimed epoch.
+    let grid = scenario_grid(&scenario).expect("grid");
+    report
+        .verify_answers(grid.graph())
+        .expect("no torn answers");
+}
+
+/// The standard storm `name`, re-run on the ladder we ship: an A\* v5
+/// primary, so `run_scenario` attaches the hierarchy and the landmark
+/// tables and every rung of the table is live under the storm.
+fn standard_on_v5(name: &str) -> ChaosScenario {
+    let scenario = standard(name);
+    ChaosScenario {
+        config: scenario
+            .config
+            .clone()
+            .with_algorithm(Algorithm::AStar(AStarVersion::V5)),
+        ..scenario
+    }
+}
+
+#[test]
+fn update_storm_never_tears_answers_on_the_v5_ladder() {
+    let scenario = standard_on_v5("update-storm");
+    let report = run_scenario(&scenario).expect("scenario runs");
+
+    assert_eq!(report.panicked_clients, 0);
+    assert_eq!(
+        report.counts.total(),
+        (scenario.clients * scenario.requests_per_client) as u64
+    );
+    assert_eq!(report.counts.failed, 0, "updates are not faults");
+    // Every install customizes or re-contracts the overlay under its own
+    // lock, so no pinned snapshot ever carries a stale one: the storm
+    // must not push a single request down the ladder.
+    assert_eq!(report.counts.degraded, 0, "artifacts stay fresh per epoch");
+    assert!(report.final_epoch >= scenario.updates as u64 / 2);
+    let grid = scenario_grid(&scenario).expect("grid");
+    report
+        .verify_answers(grid.graph())
+        .expect("no torn answers");
+}
+
+/// Today the overlay search does not read through the fault layer
+/// (ROADMAP item 1(d)), so the brownout only reaches requests the
+/// ladder has already moved off v5; the invariants must hold either way.
+#[test]
+fn io_brownout_on_the_v5_ladder_stays_typed_and_recloses() {
+    let scenario = standard_on_v5("io-brownout");
+    let report = run_scenario(&scenario).expect("scenario runs");
+
+    assert_eq!(report.panicked_clients, 0);
+    assert_eq!(
+        report.counts.total(),
+        (scenario.clients * scenario.requests_per_client) as u64,
+        "brownout or not, every request ends typed"
+    );
+    assert_eq!(
+        report.storage_breaker,
+        BreakerState::Closed,
+        "storage breaker must re-close after the brownout ends"
+    );
     let grid = scenario_grid(&scenario).expect("grid");
     report
         .verify_answers(grid.graph())
