@@ -111,6 +111,39 @@ if [ -f "$ladder" ]; then
     done
 fi
 
+# 6. Refresh-doc drift: the update path's vocabulary lives in
+#    crates/serve/src/ — the `HierarchyRefresh` / `LandmarkRefresh`
+#    variants an install reports and the `serve_hierarchy_*` /
+#    `serve_landmark*` metric names it feeds. Every variant and every
+#    such metric name that HIERARCHY.md, OBSERVABILITY.md or SERVING.md
+#    mention must exist there: a deleted arm or a renamed counter fails
+#    here, not in a reader's dashboard. `Enum::{A, B}` lists are
+#    expanded; a variant counts only inside its own enum's braces.
+serve_src=crates/serve/src
+if [ -d "$serve_src" ]; then
+    for doc in HIERARCHY.md OBSERVABILITY.md SERVING.md; do
+        [ -f "$doc" ] || continue
+        for enum in HierarchyRefresh LandmarkRefresh; do
+            declared=$(sed -n "/^pub enum $enum {/,/^}/p" "$serve_src/epoch.rs" \
+                | grep -o '^    [A-Z][A-Za-z]*' | tr -d ' ')
+            mentioned=$(grep -o "$enum::\({[^}]*}\|[A-Z][A-Za-z]*\)" "$doc" 2>/dev/null \
+                | sed "s/^$enum:://" | tr -d '{}' | tr ',' '\n' | tr -d ' ' | sort -u) || true
+            for variant in $mentioned; do
+                if ! echo "$declared" | grep -qx "$variant"; then
+                    echo "UNKNOWN VARIANT: $doc mentions $enum::$variant, which $serve_src/epoch.rs does not declare"
+                    fail=1
+                fi
+            done
+        done
+        for metric in $(grep -o 'serve_\(hierarchy\|landmark\)[a-z_]*' "$doc" 2>/dev/null | sort -u); do
+            if ! grep -rqF "\"$metric\"" "$serve_src"; then
+                echo "UNKNOWN METRIC: $doc mentions $metric, which nothing in $serve_src emits"
+                fail=1
+            fi
+        done
+    done
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "doc-link check FAILED"
     exit 1

@@ -24,14 +24,19 @@
 //!
 //! [`Hierarchy`] carries the same staleness contract that
 //! `LandmarkTables` established for v4, keyed by
-//! [`Graph::cost_fingerprint`]: an UPDATE that raises costs can
-//! [`Hierarchy::customized_for`] the overlay in one cheap pass (correct
-//! for any metric but *degraded* — witness dormancy is cleared, so
-//! queries scan more arcs), while a decrease triggers
-//! [`Hierarchy::rebuild_for`], a full re-contraction that restores
-//! dormancy. Either way a fingerprint mismatch means *stale*, and the
-//! query layer refuses to serve stale-priced shortcuts — that refusal
-//! is the typed `HierarchyUnavailable` degrade to v4/v3.
+//! [`Graph::cost_fingerprint`]: a fingerprint mismatch means *stale*,
+//! and the query layer refuses to serve stale-priced shortcuts — that
+//! refusal is the typed `HierarchyUnavailable` degrade to v4/v3. An
+//! UPDATE never re-contracts. The per-update phase,
+//! [`Hierarchy::customized_for_edge`], re-prices only the arcs one
+//! changed edge can reach — the same code for an increase and a
+//! decrease, bit-identical to the full pass — and
+//! [`Hierarchy::customized_for`], the full pass, is what build-time
+//! pricing runs, what the tests compare against, and the fallback that
+//! heals an overlay of unknown provenance. Both leave the overlay
+//! correct for any metric but *degraded* (witness dormancy is cleared,
+//! so queries scan more arcs); only a build —
+//! [`Hierarchy::rebuild_for`] — derives dormancy again.
 //!
 //! All preprocessing is metered in block I/O ([`IoStats`]) so the
 //! paper's cost-model lens extends to the build: HIERARCHY.md tabulates
@@ -45,7 +50,7 @@ mod error;
 mod order;
 mod overlay;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use atis_graph::{Graph, NodeId, PartitionMap};
 use atis_storage::block::BLOCK_SIZE;
@@ -53,7 +58,7 @@ use atis_storage::{EdgeTuple, FixedTuple, IoStats, NodeTuple};
 
 pub use error::HierarchyError;
 
-use overlay::{Core, Pricing, NO_VIA};
+use overlay::{Core, DownArcs, Pricing, NO_VIA};
 
 /// Bytes per overlay arc record: two endpoint ids (8), two directed
 /// customized costs (16), two unpack middles (8), and two dormancy
@@ -123,6 +128,10 @@ pub struct UpArc {
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     core: Arc<Core>,
+    /// Derived from `core` on the first UPDATE and shared, like it, by
+    /// every re-priced descendant; a server that never sees an UPDATE
+    /// never builds it.
+    down: Arc<OnceLock<DownArcs>>,
     pricing: Arc<Pricing>,
     fingerprint: u64,
     config: HierarchyConfig,
@@ -158,6 +167,7 @@ impl Hierarchy {
 
         Ok(Hierarchy {
             core: Arc::new(core),
+            down: Arc::default(),
             pricing: Arc::new(pricing),
             fingerprint: graph.cost_fingerprint(),
             config,
@@ -173,10 +183,10 @@ impl Hierarchy {
     /// the old costs and cannot be trusted, so it is cleared down to
     /// "the direction has a finite cost" and queries scan more arcs.
     ///
-    /// This is the hierarchy's analogue of `LandmarkTables::patched_for`
-    /// and the cheap arm of the UPDATE contract: customize when costs
-    /// rise (rush hour), re-contract ([`Hierarchy::rebuild_for`]) when
-    /// they fall and the dormancy is worth re-deriving.
+    /// This is the reference pass of the UPDATE contract: what
+    /// [`Hierarchy::customized_for_edge`] must equal bit for bit, and
+    /// the fallback for an overlay that is not known to be current for
+    /// the costs before the change.
     pub fn customized_for(&self, graph: &Graph) -> Hierarchy {
         let mut io = self.build_io;
         // Re-read current costs, rewrite the overlay's price columns.
@@ -185,6 +195,7 @@ impl Hierarchy {
         io.write_blocks(overlay_blocks(self.core.arc_count()));
         Hierarchy {
             core: Arc::clone(&self.core),
+            down: Arc::clone(&self.down),
             pricing: Arc::new(pricing),
             fingerprint: graph.cost_fingerprint(),
             config: self.config,
@@ -193,9 +204,53 @@ impl Hierarchy {
         }
     }
 
+    /// The per-update phase: re-prices the overlay for a change to the
+    /// cost of edge `from → to` alone, at a cost proportional to what
+    /// the change can reach rather than to the overlay — the same code
+    /// for an increase and a decrease. Returns the hierarchy and the
+    /// number of arcs it examined.
+    ///
+    /// `self` must be current for `graph` as it was before that one
+    /// cost changed (the caller compares [`Hierarchy::fingerprint`]
+    /// with the pre-update graph's; an overlay that fails that check
+    /// goes through [`Hierarchy::customized_for`] instead). Under that
+    /// precondition the result equals `customized_for(graph)` field
+    /// for field, bit for bit, and like it is **degraded**. The price
+    /// columns are copied, so holders of `self` keep reading the old
+    /// prices. `fingerprint` is `graph.cost_fingerprint()`, passed in
+    /// because a caller maintaining several artifacts for one update
+    /// already has it and the pass over every edge costs as much as the
+    /// re-pricing does.
+    pub fn customized_for_edge(
+        &self,
+        graph: &Graph,
+        from: NodeId,
+        to: NodeId,
+        fingerprint: u64,
+    ) -> (Hierarchy, usize) {
+        debug_assert_eq!(fingerprint, graph.cost_fingerprint());
+        let mut io = self.build_io;
+        let mut pricing = Pricing::clone(&self.pricing);
+        if !self.degraded {
+            pricing.clear_dormancy();
+        }
+        let down = self.down.get_or_init(|| DownArcs::build(&self.core));
+        let examined = pricing.reprice_edge(&self.core, down, graph, from, to, &mut io);
+        let hierarchy = Hierarchy {
+            core: Arc::clone(&self.core),
+            down: Arc::clone(&self.down),
+            pricing: Arc::new(pricing),
+            fingerprint,
+            config: self.config,
+            degraded: true,
+            build_io: io,
+        };
+        (hierarchy, examined)
+    }
+
     /// Rebuilds from scratch at `graph`'s current costs — fresh
-    /// ordering, contraction, customization, and witness dormancy. The
-    /// expensive arm of the UPDATE contract; clears the degraded flag.
+    /// ordering, contraction, customization, and witness dormancy; the
+    /// only way back from degraded. No UPDATE takes it.
     pub fn rebuild_for(&self, graph: &Graph) -> Result<Hierarchy, HierarchyError> {
         Hierarchy::build(graph, self.config)
     }
@@ -528,6 +583,118 @@ mod tests {
             live(&rebuilt) < live(&customized),
             "rebuild should restore dormancy"
         );
+    }
+
+    /// `metro`'s graph with a seeded handful of edges doubled by a
+    /// dearer parallel twin (`Graph::edge_cost` prices the cheaper one).
+    fn with_parallel_edges(graph: &Graph, rng: &mut SplitMix64) -> Graph {
+        let mut b =
+            atis_graph::GraphBuilder::with_capacity(graph.node_count(), graph.edge_count() + 16);
+        for u in graph.node_ids() {
+            b.add_node(graph.point(u));
+        }
+        let edges: Vec<_> = graph.edges().copied().collect();
+        for e in &edges {
+            b.add_edge(*e);
+        }
+        for _ in 0..16 {
+            let e = edges[rng.next_below(edges.len() as u64) as usize];
+            b.add_arc(e.from, e.to, e.cost * 1.25);
+        }
+        b.build().unwrap()
+    }
+
+    fn assert_same_pricing(partial: &Hierarchy, full: &Hierarchy, step: &str) {
+        let (p, f) = (&partial.pricing, &full.pricing);
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&p.fwd), bits(&f.fwd), "fwd after {step}");
+        assert_eq!(bits(&p.bwd), bits(&f.bwd), "bwd after {step}");
+        assert_eq!(p.fwd_via, f.fwd_via, "fwd_via after {step}");
+        assert_eq!(p.bwd_via, f.bwd_via, "bwd_via after {step}");
+        assert_eq!(p.fwd_live, f.fwd_live, "fwd_live after {step}");
+        assert_eq!(p.bwd_live, f.bwd_live, "bwd_live after {step}");
+        assert_eq!(partial.fingerprint, full.fingerprint);
+        assert!(partial.is_degraded() && full.is_degraded());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 6,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The per-update phase's contract: after every step of a script
+        /// of increases, decreases below the base cost, exact restores,
+        /// chained updates of one edge and updates of adjacent edges,
+        /// the partial pass — chained from its own previous result —
+        /// equals the full pass on the updated graph bit for bit.
+        #[test]
+        fn partial_customization_is_bit_identical_to_the_full_pass(
+            cx in 2usize..=3,
+            cy in 2usize..=3,
+            seed in 0u64..1_000_000,
+        ) {
+            let metro = Metro::new(MetroSpec::new(cx, cy, seed)).unwrap();
+            let mut rng = SplitMix64::new(seed ^ 0x5eed);
+            let mut graph = with_parallel_edges(metro.graph(), &mut rng);
+            let built = Hierarchy::build(&graph, HierarchyConfig::paper()).unwrap();
+            let mut partial = built.clone();
+            let edges: Vec<_> = graph.edges().copied().collect();
+            // A one-way freeway carriageway, then seeded picks.
+            let one_way = edges.iter().find(|e| graph.edge_cost(e.to, e.from).is_none());
+            let mut picks = vec![*one_way.expect("metros have one-way carriageways")];
+            picks.extend((0..5).map(|_| edges[rng.next_below(edges.len() as u64) as usize]));
+            for pick in picks {
+                // An adjacent edge: another edge out of the pick's head.
+                let adjacent = graph.neighbors(pick.to)[0];
+                let script = [
+                    (pick, 2.5, "increase"),
+                    (pick, 4.0, "chained increase"),
+                    (adjacent, 3.0, "adjacent increase"),
+                    (pick, 0.4, "decrease below base"),
+                    (adjacent, 1.0, "adjacent restore"),
+                    (pick, 1.0, "exact restore"),
+                ];
+                for (edge, factor, step) in script {
+                    graph
+                        .set_edge_cost(edge.from, edge.to, edge.cost * factor)
+                        .unwrap();
+                    let fingerprint = graph.cost_fingerprint();
+                    let (next, examined) =
+                        partial.customized_for_edge(&graph, edge.from, edge.to, fingerprint);
+                    proptest::prop_assert!(examined >= 1 && examined <= next.arc_count());
+                    assert_same_pricing(&next, &built.customized_for(&graph), step);
+                    partial = next;
+                }
+            }
+            // Every cost is back at its base: so is every price.
+            proptest::prop_assert_eq!(&partial.pricing.fwd, &built.pricing.fwd);
+            proptest::prop_assert_eq!(&partial.pricing.bwd, &built.pricing.bwd);
+        }
+    }
+
+    #[test]
+    fn the_per_update_phase_is_copy_on_write_and_metered() {
+        let metro = Metro::new(MetroSpec::new(2, 2, 21)).unwrap();
+        let mut graph = metro.graph().clone();
+        let h = Hierarchy::build(&graph, HierarchyConfig::paper()).unwrap();
+        let edge = *graph.edges().next().unwrap();
+        let before = h.pricing.fwd.clone();
+        graph
+            .set_edge_cost(edge.from, edge.to, edge.cost * 3.0)
+            .unwrap();
+        let (next, examined) =
+            h.customized_for_edge(&graph, edge.from, edge.to, graph.cost_fingerprint());
+        assert!(Arc::ptr_eq(&h.core, &next.core), "the topology is shared");
+        assert_eq!(h.pricing.fwd, before, "holders of the old overlay keep it");
+        assert!(!h.is_current_for(&graph) && next.is_current_for(&graph));
+        let spent = next.build_io().since(&h.build_io());
+        assert!(spent.block_reads >= 3 * examined as u64);
+        assert!(spent.tuple_updates >= 1, "the seed arc's record changed");
+        assert_eq!(spent.block_writes, 0, "no column is rewritten wholesale");
+        // A self-loop has no overlay arc: nothing to examine.
+        let (_, none) = next.customized_for_edge(&graph, edge.from, edge.from, next.fingerprint());
+        assert_eq!(none, 0);
     }
 
     #[test]

@@ -61,6 +61,50 @@ pub(crate) struct Core {
     pub(crate) heads: Vec<u32>,
 }
 
+/// Down-arc index — the transpose of [`Core`]'s up-arc CSR: for every
+/// node the tails of its incoming up-arcs, its *down-neighbours*, as a
+/// CSR indexed by head node id with tails in rank order within each
+/// head's range. Metric-independent like [`Core`], but kept beside it
+/// rather than in it: only the per-update pass
+/// ([`Pricing::reprice_edge`]) reads it, so it is derived lazily, and a
+/// lazily-filled cell inside `Core` would cost every `&Core` hot loop
+/// its read-only guarantee (the full pass ran 13 % slower that way).
+#[derive(Debug)]
+pub(crate) struct DownArcs {
+    first: Vec<u32>,
+    tails: Vec<u32>,
+}
+
+impl DownArcs {
+    /// Transposes `core`'s up-arcs: a counting sort by head, fed tails
+    /// in rank order.
+    pub(crate) fn build(core: &Core) -> DownArcs {
+        let n = core.rank.len();
+        let mut first = vec![0u32; n + 1];
+        for &h in &core.heads {
+            first[h as usize + 1] += 1;
+        }
+        for i in 0..n {
+            first[i + 1] += first[i];
+        }
+        let mut next = first.clone();
+        let mut tails = vec![0u32; core.heads.len()];
+        for &tail in &core.order {
+            for idx in core.range(tail) {
+                let slot = &mut next[core.heads[idx] as usize];
+                tails[*slot as usize] = tail;
+                *slot += 1;
+            }
+        }
+        DownArcs { first, tails }
+    }
+
+    /// The down-neighbours of `head` in rank order.
+    fn of(&self, head: u32) -> &[u32] {
+        &self.tails[self.first[head as usize] as usize..self.first[head as usize + 1] as usize]
+    }
+}
+
 impl Core {
     /// Orders the graph and computes the elimination fill.
     ///
@@ -102,10 +146,9 @@ impl Core {
             }
             scratch.clear();
             scratch.extend(set.iter().copied());
-            let &lowest = scratch
-                .iter()
-                .min_by_key(|&&v| rank[v as usize])
-                .expect("set has at least two entries");
+            let Some(&lowest) = scratch.iter().min_by_key(|&&v| rank[v as usize]) else {
+                continue;
+            };
             for &v in &scratch {
                 if v != lowest {
                     up[lowest as usize].insert(v);
@@ -154,7 +197,7 @@ impl Core {
 /// Metric state for one overlay: per-direction customized costs, unpack
 /// middles, and dormancy flags. `fwd` prices tail → head, `bwd` head →
 /// tail.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Pricing {
     pub(crate) fwd: Vec<f64>,
     pub(crate) bwd: Vec<f64>,
@@ -212,33 +255,185 @@ impl Pricing {
                 for j in i + 1..fan.len() {
                     let (lo, hi) = (fan[i], fan[j]);
                     let (x, y) = (core.heads[lo], core.heads[hi]);
-                    let idx = core
-                        .arc_index(x, y)
-                        .expect("chordal fill: both up-neighbours of m are adjacent");
-                    // x → m → y uses the bwd side of (m, x) and the fwd
-                    // side of (m, y); the reverse direction mirrors it.
-                    let via_fwd = pricing.bwd[lo] + pricing.fwd[hi];
-                    if via_fwd < pricing.fwd[idx] {
-                        pricing.fwd[idx] = via_fwd;
-                        pricing.fwd_via[idx] = m;
-                        improvements += 1;
-                    }
-                    let via_bwd = pricing.bwd[hi] + pricing.fwd[lo];
-                    if via_bwd < pricing.bwd[idx] {
-                        pricing.bwd[idx] = via_bwd;
-                        pricing.bwd_via[idx] = m;
-                        improvements += 1;
-                    }
+                    let Some(idx) = core.arc_index(x, y) else {
+                        debug_assert!(false, "chordal fill: up-neighbours {x}, {y} of {m}");
+                        continue;
+                    };
+                    improvements += pricing.relax(idx, lo, hi, m);
                 }
             }
         }
 
-        for idx in 0..arcs {
-            pricing.fwd_live[idx] = pricing.fwd[idx].is_finite();
-            pricing.bwd_live[idx] = pricing.bwd[idx].is_finite();
-        }
+        pricing.clear_dormancy();
         io.update_tuples(improvements);
         pricing
+    }
+
+    /// Relaxes both directions of arc `idx` (`x`–`y`, `x` the lower
+    /// rank) through the middle `m` whose up-arcs are `lo` (`m → x`) and
+    /// `hi` (`m → y`), returning how many directions improved. Strict
+    /// `<`: among equal-cost middles the first one offered wins, so
+    /// callers offer middles in rank order.
+    #[inline]
+    fn relax(&mut self, idx: usize, lo: usize, hi: usize, m: u32) -> u64 {
+        let mut improvements = 0;
+        // x → m → y uses the bwd side of (m, x) and the fwd side of
+        // (m, y); the reverse direction mirrors it.
+        let via_fwd = self.bwd[lo] + self.fwd[hi];
+        if via_fwd < self.fwd[idx] {
+            self.fwd[idx] = via_fwd;
+            self.fwd_via[idx] = m;
+            improvements += 1;
+        }
+        let via_bwd = self.bwd[hi] + self.fwd[lo];
+        if via_bwd < self.bwd[idx] {
+            self.bwd[idx] = via_bwd;
+            self.bwd_via[idx] = m;
+            improvements += 1;
+        }
+        improvements
+    }
+
+    /// The per-update phase: brings `self` — which must hold exactly
+    /// what [`Pricing::customize`] computes for `graph` as it was before
+    /// the cost of edge `a → b` (either direction, any parallels)
+    /// changed — to exactly what it computes for `graph` now, touching
+    /// only the arcs the change can reach. Increase and decrease run the
+    /// same code. Returns the number of arcs examined.
+    ///
+    /// A queue ordered by tail rank starts at the overlay arc joining
+    /// `a` and `b`. Each popped arc `x`–`y` is recomputed from scratch:
+    /// its original edge costs, then its *lower triangles* — the
+    /// down-neighbours `m` of `x` that also reach `y`, in rank order,
+    /// through the same [`Pricing::relax`] the full pass uses, so prices
+    /// and vias come out bit-identical. Only when a price moved are the
+    /// arc's *upper triangles* — the arcs joining `y` to the rest of
+    /// `x`'s fan — looked at, and of those only the ones `x` can change
+    /// are enqueued: `x` was a recorded middle, or what it now offers
+    /// ties or beats the standing price. They have higher-ranked tails,
+    /// so every arc is final before it is read as a side, as in the
+    /// full pass; an arc never enqueued keeps its argmin candidate and
+    /// sees no new one at or below it, so recomputing it would change
+    /// nothing.
+    ///
+    /// Liveness is kept at "the direction has a finite cost" for the
+    /// arcs examined; clearing witness dormancy elsewhere is the
+    /// caller's job ([`Pricing::clear_dormancy`]). Charged to `io`: per
+    /// arc examined one overlay block and the two adjacency blocks its
+    /// original costs come from, one overlay block per triangle — lower
+    /// (both sides sit in the middle's fan) or upper (the arc looked at)
+    /// — and a tuple update per arc whose record changed.
+    // Out of line on purpose: inlined into its one caller it moved the
+    // code the *build* runs and cost metro-10k's 236 ms build 10 ms
+    // (measured, alternating binaries; with this attribute, parity).
+    #[inline(never)]
+    pub(crate) fn reprice_edge(
+        &mut self,
+        core: &Core,
+        down: &DownArcs,
+        graph: &Graph,
+        a: NodeId,
+        b: NodeId,
+        io: &mut IoStats,
+    ) -> usize {
+        let (Some(&rank_a), Some(&rank_b)) = (core.rank.get(a.index()), core.rank.get(b.index()))
+        else {
+            return 0;
+        };
+        let (tail, head) = if rank_a < rank_b {
+            (a.0, b.0)
+        } else {
+            (b.0, a.0)
+        };
+        // No arc: a self-loop, which the fill skips and no route can use.
+        let Some(seed) = core.arc_index(tail, head) else {
+            return 0;
+        };
+        let offers = |offer: f64, standing: f64| offer.is_finite() && offer <= standing;
+        let mut queue = BTreeSet::from([(rank_a.min(rank_b), seed)]);
+        let (mut examined, mut triangles, mut rewritten) = (0usize, 0u64, 0u64);
+        while let Some((rank, idx)) = queue.pop_first() {
+            examined += 1;
+            let (x, y) = (core.order[rank as usize], core.heads[idx]);
+            let before = self.record(idx);
+            self.fwd[idx] = graph
+                .edge_cost(NodeId(x), NodeId(y))
+                .unwrap_or(f64::INFINITY);
+            self.bwd[idx] = graph
+                .edge_cost(NodeId(y), NodeId(x))
+                .unwrap_or(f64::INFINITY);
+            self.fwd_via[idx] = NO_VIA;
+            self.bwd_via[idx] = NO_VIA;
+            for &m in down.of(x) {
+                let Some(hi) = core.arc_index(m, y) else {
+                    continue;
+                };
+                let Some(lo) = core.arc_index(m, x) else {
+                    debug_assert!(false, "down-arc index lists {m} under {x}");
+                    continue;
+                };
+                triangles += 1;
+                self.relax(idx, lo, hi, m);
+            }
+            self.fwd_live[idx] = self.fwd[idx].is_finite();
+            self.bwd_live[idx] = self.bwd[idx].is_finite();
+            let after = self.record(idx);
+            rewritten += u64::from(after != before);
+            if after[..2] == before[..2] {
+                continue;
+            }
+            for side in core.range(x) {
+                let z = core.heads[side];
+                if z == y {
+                    continue;
+                }
+                let (lo, hi) = if core.rank[y as usize] < core.rank[z as usize] {
+                    (idx, side)
+                } else {
+                    (side, idx)
+                };
+                let (t, h) = (core.heads[lo], core.heads[hi]);
+                triangles += 1;
+                let Some(upper) = core.arc_index(t, h) else {
+                    debug_assert!(false, "chordal fill: up-neighbours {t}, {h} of {x}");
+                    continue;
+                };
+                // `x` can change `upper` only if it was a middle there,
+                // or what it now offers ties (the via may move to it)
+                // or beats the standing price. `∞` never wins a relax.
+                if self.fwd_via[upper] == x
+                    || self.bwd_via[upper] == x
+                    || offers(self.bwd[lo] + self.fwd[hi], self.fwd[upper])
+                    || offers(self.bwd[hi] + self.fwd[lo], self.bwd[upper])
+                {
+                    queue.insert((core.rank[t as usize], upper));
+                }
+            }
+        }
+        io.read_blocks(3 * examined as u64 + triangles);
+        io.update_tuples(rewritten);
+        examined
+    }
+
+    /// Arc `idx`'s prices (first two) and vias as bit patterns, for
+    /// exact before/after comparison.
+    fn record(&self, idx: usize) -> [u64; 4] {
+        [
+            self.fwd[idx].to_bits(),
+            self.bwd[idx].to_bits(),
+            u64::from(self.fwd_via[idx]),
+            u64::from(self.bwd_via[idx]),
+        ]
+    }
+
+    /// Clears witness dormancy down to "the direction has a finite
+    /// cost" — what [`Pricing::customize`] leaves — because dormancy is
+    /// valid only at the metric the witness searches ran against.
+    pub(crate) fn clear_dormancy(&mut self) {
+        for idx in 0..self.fwd.len() {
+            self.fwd_live[idx] = self.fwd[idx].is_finite();
+            self.bwd_live[idx] = self.bwd[idx].is_finite();
+        }
     }
 
     /// Re-derives dormancy at the current metric: each live direction is

@@ -32,9 +32,11 @@
 //! Preprocessing is a one-time cost per traffic epoch: `2·k` single-source
 //! Dijkstra runs for `k` landmarks, entirely in memory. `atis-serve`
 //! amortizes it across every query answered at that epoch, and its
-//! copy-on-write `UPDATE` path decides between patching (cost increases
-//! keep the tables admissible — see [`LandmarkTables::patched_for`]) and a
-//! full rebuild (cost decreases can make stale tables overestimate).
+//! copy-on-write `UPDATE` path decides between patching (a new cost that
+//! [`LandmarkTables::admits_cost`] passes — every increase, and a
+//! decrease that undercuts no table value — keeps the tables admissible;
+//! see [`LandmarkTables::patched_for`]) and a full rebuild (an
+//! undercutting decrease can make stale tables overestimate).
 //!
 //! Entry points: [`LandmarkSelection`] (farthest-point and coverage-based
 //! selection), [`LandmarkTables::build`], and

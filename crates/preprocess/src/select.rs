@@ -95,9 +95,7 @@ pub fn select(
     }
     match selection {
         LandmarkSelection::FarthestPoint => Ok(farthest_point(graph, count)),
-        LandmarkSelection::Coverage { sample_pairs } => {
-            Ok(coverage(graph, count, sample_pairs.max(1)))
-        }
+        LandmarkSelection::Coverage { sample_pairs } => coverage(graph, count, sample_pairs.max(1)),
         LandmarkSelection::PartitionSpread { region_target } => {
             Ok(partition_spread(graph, count, region_target.max(1)))
         }
@@ -176,14 +174,18 @@ fn pair_bound(fwd: &[f64], bwd: &[f64], s: usize, t: usize) -> f64 {
     bound
 }
 
-fn coverage(graph: &Graph, count: usize, sample_pairs: usize) -> Vec<NodeId> {
+fn coverage(
+    graph: &Graph,
+    count: usize,
+    sample_pairs: usize,
+) -> Result<Vec<NodeId>, PreprocessError> {
     let n = graph.node_count();
     // Candidate pool: a farthest-point spread four times the target size
     // (bounded by the graph), so the greedy step chooses among
     // well-separated nodes instead of scoring all n.
     let pool = farthest_point(graph, (count * 4).min(n));
     if pool.len() <= count {
-        return pool;
+        return Ok(pool);
     }
     // Deterministic query-pair sample. The seed is fixed: selection must
     // be a pure function of the graph so rebuilds across epochs agree.
@@ -196,7 +198,7 @@ fn coverage(graph: &Graph, count: usize, sample_pairs: usize) -> Vec<NodeId> {
             pairs.push((s, t));
         }
     }
-    let rev = sssp::reversed(graph);
+    let rev = sssp::reversed(graph)?;
     let tables: Vec<(Vec<f64>, Vec<f64>)> = pool
         .iter()
         .map(|&c| {
@@ -244,7 +246,7 @@ fn coverage(graph: &Graph, count: usize, sample_pairs: usize) -> Vec<NodeId> {
             chosen.push(c);
         }
     }
-    chosen
+    Ok(chosen)
 }
 
 fn partition_spread(graph: &Graph, count: usize, region_target: usize) -> Vec<NodeId> {

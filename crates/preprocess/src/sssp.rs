@@ -9,6 +9,7 @@
 //! workspace layering acyclic: preprocess depends on nothing but the
 //! graph substrate).
 
+use crate::error::PreprocessError;
 use atis_graph::{Graph, GraphBuilder, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -70,7 +71,12 @@ pub fn distances_from(graph: &Graph, source: NodeId) -> Vec<f64> {
 
 /// The transposed graph (every arc reversed) — distances from `L` on the
 /// reverse graph are distances *to* `L` on the original.
-pub fn reversed(graph: &Graph) -> Graph {
+///
+/// # Errors
+/// [`PreprocessError::InvalidGraph`] if the transpose fails the graph
+/// builder's validation — which a valid `graph` cannot cause, so on the
+/// UPDATE path it surfaces as a failed rebuild rather than a panic.
+pub fn reversed(graph: &Graph) -> Result<Graph, PreprocessError> {
     let mut b = GraphBuilder::with_capacity(graph.node_count(), graph.edge_count());
     for u in graph.node_ids() {
         b.add_node(graph.point(u));
@@ -79,7 +85,7 @@ pub fn reversed(graph: &Graph) -> Graph {
         b.add_arc(e.to, e.from, e.cost);
     }
     b.build()
-        .expect("reversing a valid graph preserves validity")
+        .map_err(|e| PreprocessError::InvalidGraph(e.to_string()))
 }
 
 #[cfg(test)]
@@ -105,7 +111,7 @@ mod tests {
     #[test]
     fn reverse_distances_are_distances_to() {
         let g = graph_from_arcs(3, &[(0, 1, 2.0), (1, 2, 3.0)]).unwrap();
-        let to_2 = distances_from(&reversed(&g), NodeId(2));
+        let to_2 = distances_from(&reversed(&g).unwrap(), NodeId(2));
         assert_eq!(to_2[0], 5.0);
         assert_eq!(to_2[1], 3.0);
         assert_eq!(to_2[2], 0.0);

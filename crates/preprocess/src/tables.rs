@@ -8,16 +8,20 @@
 //! consumers compare fingerprints at query time to detect that a traffic
 //! update has made the tables stale.
 //!
-//! Staleness does not always force a rebuild. When edge costs only
-//! *increase* (the common ATIS case — congestion), the old tables remain
-//! admissible: for any nodes with old distances `d` and new distances
-//! `d'`, `d(L,t) − d(L,u) ≤ d(u,t) ≤ d'(u,t)` because the old values
-//! satisfy the triangle inequality over the old costs and new costs
-//! dominate old ones, so old bounds still under-estimate new distances.
+//! Staleness does not always force a rebuild. The table values are
+//! *feasible potentials* for the costs they were built from — every edge
+//! `(a, b)` satisfies `d(L,b) ≤ d(L,a) + c(a,b)` and
+//! `d(a,L) ≤ c(a,b) + d(b,L)` — and they stay admissible under any costs
+//! that keep every edge's inequality: summing them along a shortest
+//! `u ⇝ t` path gives `d(L,t) − d(L,u) ≤ d'(u,t)`. A cost *increase*
+//! (the common ATIS case — congestion) keeps every inequality trivially;
+//! a *decrease* of one edge keeps them iff that edge still satisfies its
+//! own ([`LandmarkTables::admits_cost`]) — a jam clearing back to the
+//! cost the tables were built at always does. In both cases
 //! [`LandmarkTables::patched_for`] re-stamps the tables for the updated
-//! graph and marks them degraded (still correct, just looser). A cost
-//! *decrease* can make `d(L,t)` overestimate the new distance and break
-//! admissibility, so it requires [`LandmarkTables::rebuild_for`].
+//! graph and marks them degraded (still correct, just looser). Only a
+//! decrease that undercuts a table value — `d(L,t)` would overestimate
+//! the new distance — requires [`LandmarkTables::rebuild_for`].
 
 use crate::error::PreprocessError;
 use crate::select::{self, LandmarkSelection};
@@ -99,7 +103,7 @@ impl LandmarkTables {
     /// Propagates selection errors (empty graph, bad landmark count).
     pub fn build(graph: &Graph, config: PreprocessConfig) -> Result<Self, PreprocessError> {
         let landmarks = select::select(graph, config.count, config.strategy)?;
-        let rev = sssp::reversed(graph);
+        let rev = sssp::reversed(graph)?;
         let forward = landmarks
             .iter()
             .map(|&l| sssp::distances_from(graph, l))
@@ -151,16 +155,42 @@ impl LandmarkTables {
         self.degraded
     }
 
-    /// Re-stamps the tables for an updated graph **whose edge costs are
-    /// all ≥ the costs the tables were built from** (e.g. a congestion
-    /// update), marking them degraded.
+    /// Whether the tables stay admissible when edge `u → v` costs
+    /// `cost`, given that they are admissible for the other edges'
+    /// current costs: per landmark, `d(L,v) ≤ d(L,u) + cost` and
+    /// `d(u,L) ≤ cost + d(v,L)` (see the module docs), skipping
+    /// non-finite bases exactly as [`LandmarkTables::lower_bound`]
+    /// does. Any increase passes; a decrease passes unless it undercuts
+    /// a table value. Unknown endpoints admit nothing.
+    pub fn admits_cost(&self, u: NodeId, v: NodeId, cost: f64) -> bool {
+        let (ui, vi) = (u.index(), v.index());
+        let tables = &self.tables;
+        tables
+            .forward
+            .iter()
+            .zip(&tables.backward)
+            .all(|(fwd, bwd)| {
+                let (Some(&fu), Some(&fv), Some(&bu), Some(&bv)) =
+                    (fwd.get(ui), fwd.get(vi), bwd.get(ui), bwd.get(vi))
+                else {
+                    return false;
+                };
+                (!fu.is_finite() || fv <= fu + cost) && (!bv.is_finite() || bu <= bv + cost)
+            })
+    }
+
+    /// Re-stamps the tables for an updated graph **every edge of which
+    /// still satisfies the tables' triangle inequalities** — all costs
+    /// ≥ the costs the tables were built from (a congestion update), or
+    /// lowered only as far as [`LandmarkTables::admits_cost`] allows —
+    /// marking them degraded.
     ///
-    /// Soundness rests on cost monotonicity: old table values satisfy
-    /// `d(L,t) ≤ d(L,u) + d(u,t) ≤ d(L,u) + d'(u,t)` when `d' ≥ d`
-    /// edge-wise, so every bound derived from them still under-estimates
-    /// the new shortest-path distances. The caller is responsible for the
-    /// monotonicity precondition; for a cost decrease use
-    /// [`LandmarkTables::rebuild_for`] instead.
+    /// Soundness: old table values satisfy
+    /// `d(L,t) ≤ d(L,u) + d'(u,t)` whenever each edge on a shortest
+    /// `u ⇝ t` path satisfies its own inequality under the new costs, so
+    /// every bound derived from them still under-estimates the new
+    /// shortest-path distances. The caller is responsible for that
+    /// precondition; otherwise use [`LandmarkTables::rebuild_for`].
     pub fn patched_for(&self, graph: &Graph) -> LandmarkTables {
         LandmarkTables {
             tables: Arc::clone(&self.tables),

@@ -15,6 +15,7 @@
 //! ([`EpochUpdate`]).
 
 use atis_algorithms::Database;
+use atis_graph::{Graph, NodeId};
 
 /// How an update maintained the snapshot's landmark (ALT) tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,12 +23,17 @@ pub enum LandmarkRefresh {
     /// The database carries no landmark tables (or the update touched no
     /// edge), so there was nothing to maintain.
     None,
-    /// Cost increase: the old tables stay admissible (old bounds
-    /// under-estimate distances that only grew), so they were re-stamped
-    /// for the new epoch without recomputation — degraded but sound.
+    /// The old tables stay admissible at the new cost — any increase
+    /// (old bounds under-estimate distances that only grew), and a
+    /// decrease that undercuts no table value, such as a jam clearing
+    /// back to the cost the tables were built at — so they were
+    /// re-stamped for the new epoch without recomputation: degraded but
+    /// sound.
     Patched,
-    /// Cost decrease: stale bounds could overestimate, so the tables were
-    /// rebuilt from scratch (2·k SSSP sweeps) before the epoch installed.
+    /// The new cost undercuts a table value, so stale bounds could
+    /// overestimate — or the tables were not current for the costs
+    /// before the update, so nothing is known about them: rebuilt from
+    /// scratch (2·k SSSP sweeps) before the epoch installed.
     Rebuilt,
     /// A required rebuild failed: the stale tables were left in place
     /// (marked not-current, so v4 fails typed and the degrade ladder
@@ -42,20 +48,13 @@ pub enum HierarchyRefresh {
     /// The database carries no hierarchy (or the update touched no
     /// edge), so there was nothing to maintain.
     None,
-    /// Cost increase: the overlay topology stays valid and a
-    /// customization pass re-priced every shortcut for the new metric —
-    /// exact but degraded (witness dormancy cleared, so v5 expands
-    /// more arcs until the next re-contraction).
+    /// The overlay topology is metric-independent, so the update —
+    /// increase or decrease alike — re-priced the shortcuts the changed
+    /// edge can reach (or, for an overlay that was not current for the
+    /// costs before the update, all of them): exact but degraded
+    /// (witness dormancy cleared, so v5 expands more arcs). Nothing on
+    /// the update path re-contracts, so nothing on it can fail.
     Customized,
-    /// Cost decrease: witness dormancy computed at the old metric could
-    /// hide the now-cheaper shortcuts, so the hierarchy was
-    /// re-contracted from scratch before the epoch installed.
-    Recontracted,
-    /// A required re-contraction failed: the stale hierarchy was left
-    /// in place (marked not-current, so v5 fails typed and the degrade
-    /// ladder serves v4/v3 instead of stale-priced shortcuts). Counted
-    /// against the hierarchy circuit breaker.
-    RebuildFailed,
 }
 
 /// The result of installing one traffic update.
@@ -73,67 +72,80 @@ pub struct EpochUpdate {
     pub landmarks: LandmarkRefresh,
     /// How the epoch's contraction hierarchy was kept current.
     pub hierarchy: HierarchyRefresh,
+    /// Overlay arcs the hierarchy refresh examined: what the changed
+    /// edge can reach, or every arc when the full pass had to run (0
+    /// without a hierarchy).
+    pub arcs_examined: usize,
 }
 
 /// Maintains a cloned snapshot's landmark (ALT) tables and contraction
-/// hierarchy for an edge-cost change from `old_cost` to `new_cost`:
-/// increases patch/customize (cheap, degraded-but-sound), decreases
-/// rebuild/re-contract (a failure leaves the stale artifact in place,
-/// marked not-current, so the degrade ladder serves a lower rung).
+/// hierarchy for a change of edge `u → v` to `new_cost`; `before` is the
+/// graph of the snapshot `next` was cloned from. Returns the database,
+/// both refresh arms, and the overlay arcs the hierarchy arm examined.
+///
+/// Each artifact's cheap arm — re-stamp the tables, re-price only what
+/// the edge can reach — is exact only for an artifact that is current
+/// for `before`, and that is checked here, not assumed: a service may
+/// have been started on a stale artifact, and a failed rebuild leaves
+/// one behind. Whatever fails the check is healed by the full arm
+/// (rebuild the tables, re-price the whole overlay). A failed table
+/// rebuild leaves the stale tables in place, marked not-current, so the
+/// degrade ladder serves a lower rung.
+///
+/// An install costs two passes over the edges for fingerprints however
+/// many artifacts it maintains: one over `before`, and one over the new
+/// costs that the landmark arm takes to stamp its tables and the
+/// hierarchy arm reuses.
 ///
 /// Artifacts are whole-graph, so this is independent of how many shards
 /// [`crate::shard::ShardedEpochDb`] versions the install by.
 pub(crate) fn maintain_artifacts(
     mut next: Database,
-    old_cost: f64,
+    before: &Graph,
+    (u, v): (NodeId, NodeId),
     new_cost: f64,
-) -> (Database, LandmarkRefresh, HierarchyRefresh) {
+) -> (Database, LandmarkRefresh, HierarchyRefresh, usize) {
     let mut landmarks = LandmarkRefresh::None;
-    let mut hierarchy = HierarchyRefresh::None;
-    if let Some(overlay) = next.hierarchy().cloned() {
-        if new_cost >= old_cost {
-            // Congestion: the overlay topology is metric-independent,
-            // so a customization pass re-prices every shortcut
-            // exactly — no re-contraction needed.
-            let customized = overlay.customized_for(next.graph());
-            next = next.with_hierarchy(customized);
-            hierarchy = HierarchyRefresh::Customized;
-        } else {
-            match overlay.rebuild_for(next.graph()) {
-                Ok(fresh) => {
-                    next = next.with_hierarchy(fresh);
-                    hierarchy = HierarchyRefresh::Recontracted;
-                }
-                // Leave the stale hierarchy in place — v5 then
-                // fails typed and the ladder serves v4/v3:
-                // degraded service, never a stale-priced
-                // shortcut.
-                Err(_) => hierarchy = HierarchyRefresh::RebuildFailed,
-            }
-        }
+    if next.landmarks().is_none() && next.hierarchy().is_none() {
+        return (next, landmarks, HierarchyRefresh::None, 0);
     }
+    let before = before.cost_fingerprint();
+    let mut after = None;
     if let Some(tables) = next.landmarks().cloned() {
-        if new_cost >= old_cost {
-            let patched = tables.patched_for(next.graph());
-            next = next.with_landmarks(patched);
-            landmarks = LandmarkRefresh::Patched;
+        let cheap = tables.fingerprint() == before && tables.admits_cost(u, v, new_cost);
+        let fresh = if cheap {
+            Ok(tables.patched_for(next.graph()))
         } else {
-            match tables.rebuild_for(next.graph()) {
-                Ok(fresh) => {
-                    next = next.with_landmarks(fresh);
-                    landmarks = LandmarkRefresh::Rebuilt;
+            tables.rebuild_for(next.graph())
+        };
+        landmarks = match fresh {
+            Ok(fresh) => {
+                after = Some(fresh.fingerprint());
+                next = next.with_landmarks(fresh);
+                if cheap {
+                    LandmarkRefresh::Patched
+                } else {
+                    LandmarkRefresh::Rebuilt
                 }
-                // Leave the stale tables in place — v4 then
-                // fails typed and the degrade ladder serves v3:
-                // degraded service, not wrong answers. Reported
-                // so the serving layer can trip its landmark
-                // breaker instead of re-attempting the rebuild
-                // on every subsequent update.
-                Err(_) => landmarks = LandmarkRefresh::RebuildFailed,
             }
-        }
+            // Leave the stale tables in place — v4 then fails typed and
+            // the degrade ladder serves v3: degraded service, not wrong
+            // answers. Reported so the serving layer can trip its
+            // landmark breaker.
+            Err(_) => LandmarkRefresh::RebuildFailed,
+        };
     }
-    (next, landmarks, hierarchy)
+    let Some(overlay) = next.hierarchy().cloned() else {
+        return (next, landmarks, HierarchyRefresh::None, 0);
+    };
+    let (customized, examined) = if overlay.fingerprint() == before {
+        let after = after.unwrap_or_else(|| next.graph().cost_fingerprint());
+        overlay.customized_for_edge(next.graph(), u, v, after)
+    } else {
+        (overlay.customized_for(next.graph()), overlay.arc_count())
+    };
+    next = next.with_hierarchy(customized);
+    (next, landmarks, HierarchyRefresh::Customized, examined)
 }
 
 #[cfg(test)]
@@ -194,8 +206,73 @@ mod tests {
             .is_ok());
     }
 
+    /// The landmark admission rule under seeded scripts of jams, jams
+    /// easing part-way, jams clearing to the base cost (all patched) and
+    /// decreases that undercut the build-time cost (rebuilt): after
+    /// every install v4 equals the oracle and no bound exceeds the true
+    /// distance — over one-way freeway carriageways too.
     #[test]
-    fn cost_increase_customizes_the_hierarchy_cost_decrease_recontracts() {
+    fn landmark_tables_stay_admissible_across_increase_and_decrease_scripts() {
+        use atis_algorithms::memory::dijkstra_pair;
+        use atis_algorithms::AStarVersion;
+        use atis_graph::{Metro, MetroSpec, SplitMix64};
+        use atis_preprocess::{LandmarkTables, PreprocessConfig};
+
+        for seed in [3u64, 1993] {
+            let metro = Metro::new(MetroSpec::new(2, 2, seed)).unwrap();
+            let graph = metro.graph();
+            let tables = LandmarkTables::build(graph, PreprocessConfig::grid_default()).unwrap();
+            let epochs = store(Database::open(graph).unwrap().with_landmarks(tables));
+            let edges: Vec<_> = graph.edges().copied().collect();
+            let n = graph.node_count() as u64;
+            let mut rng = SplitMix64::new(seed);
+            let (mut patched_decreases, mut rebuilds) = (0, 0);
+            for step in 0..24 {
+                let e = edges[rng.next_below(edges.len() as u64) as usize];
+                let script = [
+                    (e.cost * 4.0, LandmarkRefresh::Patched),
+                    (e.cost * 2.0, LandmarkRefresh::Patched),
+                    (e.cost, LandmarkRefresh::Patched),
+                    (e.cost * 0.25, LandmarkRefresh::Rebuilt),
+                ];
+                // Every sixth edge goes all the way below its base cost.
+                let len = if step % 6 == 5 { 4 } else { 3 };
+                for &(cost, expect) in &script[..len] {
+                    let up = epochs.update_edge_cost(e.from, e.to, cost).unwrap().update;
+                    assert_eq!(up.landmarks, expect, "step {step}: {e:?} to {cost}");
+                    if cost < up.old_cost {
+                        match expect {
+                            LandmarkRefresh::Patched => patched_decreases += 1,
+                            _ => rebuilds += 1,
+                        }
+                    }
+                    let snap = epochs.snapshot();
+                    let lm = snap.db.landmarks().unwrap();
+                    assert!(lm.is_current_for(snap.db.graph()));
+                    for _ in 0..4 {
+                        let s = NodeId(rng.next_below(n) as u32);
+                        let d = NodeId(rng.next_below(n) as u32);
+                        let oracle = dijkstra_pair(snap.db.graph(), s, d).unwrap();
+                        assert!(
+                            lm.lower_bound(s, d) <= oracle.cost + 1e-9,
+                            "step {step}: bound {} > d({s:?},{d:?}) = {}",
+                            lm.lower_bound(s, d),
+                            oracle.cost
+                        );
+                        let t = snap
+                            .db
+                            .run(Algorithm::AStar(AStarVersion::V4), s, d)
+                            .unwrap();
+                        assert!((t.path_cost() - oracle.cost).abs() < 1e-3);
+                    }
+                }
+            }
+            assert!(patched_decreases >= 24 && rebuilds >= 4);
+        }
+    }
+
+    #[test]
+    fn cost_increase_and_cost_decrease_both_customize_the_hierarchy() {
         use atis_algorithms::AStarVersion;
         use atis_graph::{CostModel, Grid, QueryKind};
         use atis_hierarchy::{Hierarchy, HierarchyConfig};
@@ -224,13 +301,14 @@ mod tests {
         let oracle = atis_algorithms::memory::dijkstra_pair(snap.db.graph(), s, d).unwrap();
         assert!((t.path_cost() - oracle.cost).abs() < 1e-9);
 
-        // The jam clears: a decrease re-contracts, restoring witness
-        // dormancy (the degraded flag drops).
+        // The jam clears: a decrease takes the same arm — re-priced,
+        // not re-contracted, so the overlay stays degraded.
         let down = epochs.update_edge_cost(a, b, 1.0).unwrap().update;
-        assert_eq!(down.hierarchy, HierarchyRefresh::Recontracted);
+        assert_eq!(down.hierarchy, HierarchyRefresh::Customized);
+        assert!(down.arcs_examined >= 1);
         let snap = epochs.snapshot();
         let h = snap.db.hierarchy().unwrap();
-        assert!(h.is_current_for(snap.db.graph()) && !h.is_degraded());
+        assert!(h.is_current_for(snap.db.graph()) && h.is_degraded());
         let t = snap
             .db
             .run(Algorithm::AStar(AStarVersion::V5), s, d)

@@ -789,8 +789,10 @@ impl RouteService {
     /// sweeps the route cache (see `cache.rs` for the invalidation rule;
     /// invalidated entries retire into the stale tier). Queries already
     /// running keep their snapshots; queries admitted after this call
-    /// see the new costs. A failed landmark rebuild counts against the
-    /// landmark circuit breaker.
+    /// see the new costs. The hierarchy is re-priced where the edge can
+    /// reach and the arcs examined are recorded
+    /// (`serve_hierarchy_arcs_examined`); a failed landmark rebuild
+    /// counts against the landmark circuit breaker.
     ///
     /// # Errors
     /// Fails for unknown endpoints or invalid costs (no epoch change).
@@ -805,23 +807,12 @@ impl RouteService {
             shards,
             epochs,
         } = self.shared.epoch_db.update_edge_cost(u, v, cost)?;
-        match update.hierarchy {
-            HierarchyRefresh::RebuildFailed => {
-                self.shared.inc("serve_hierarchy_rebuild_failed_total");
-                let t = self.shared.breakers.hierarchy.on_failure(self.shared.now());
-                self.shared.emit_transition("hierarchy", t);
-            }
-            HierarchyRefresh::Customized => {
-                self.shared.inc("serve_hierarchy_customized_total");
-                let t = self.shared.breakers.hierarchy.on_success();
-                self.shared.emit_transition("hierarchy", t);
-            }
-            HierarchyRefresh::Recontracted => {
-                self.shared.inc("serve_hierarchy_recontracted_total");
-                let t = self.shared.breakers.hierarchy.on_success();
-                self.shared.emit_transition("hierarchy", t);
-            }
-            HierarchyRefresh::None => {}
+        if update.hierarchy == HierarchyRefresh::Customized {
+            self.shared.inc("serve_hierarchy_customized_total");
+            self.shared
+                .observe("serve_hierarchy_arcs_examined", update.arcs_examined as f64);
+            let t = self.shared.breakers.hierarchy.on_success();
+            self.shared.emit_transition("hierarchy", t);
         }
         match update.landmarks {
             LandmarkRefresh::RebuildFailed => {
@@ -1279,7 +1270,7 @@ mod tests {
     }
 
     #[test]
-    fn updates_maintain_the_hierarchy_and_count_refreshes() {
+    fn updates_customize_the_hierarchy_and_count_refreshes() {
         use atis_hierarchy::{Hierarchy, HierarchyConfig};
         let registry = MetricsRegistry::shared();
         let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
@@ -1310,13 +1301,75 @@ mod tests {
         let oracle = atis_algorithms::memory::dijkstra_pair(snap.db.graph(), s, d).unwrap();
         assert!((answer.path.unwrap().cost - oracle.cost).abs() < 1e-9);
 
-        // The jam clears: re-contract.
+        // The jam clears: the same arm, and v5 answers exactly again.
         let down = service.update_edge_cost(a, b, 1.0).unwrap();
-        assert_eq!(down.hierarchy, HierarchyRefresh::Recontracted);
-        assert_eq!(registry.counter("serve_hierarchy_recontracted_total"), 1);
+        assert_eq!(down.hierarchy, HierarchyRefresh::Customized);
+        assert_eq!(registry.counter("serve_hierarchy_customized_total"), 2);
         let answer = service.route(s, d).unwrap();
         assert_eq!(answer.outcome, RouteOutcome::Computed);
+        let snap = service.shard_snapshot();
+        let oracle = atis_algorithms::memory::dijkstra_pair(snap.db.graph(), s, d).unwrap();
+        assert!((answer.path.unwrap().cost - oracle.cost).abs() < 1e-9);
         assert_eq!(registry.counter("serve_hierarchy_degraded_total"), 0);
+        // The write side shows its work: one observation per update,
+        // each a small part of the overlay.
+        let examined = registry.histogram("serve_hierarchy_arcs_examined").unwrap();
+        let arcs = snap.db.hierarchy().unwrap().arc_count() as f64;
+        assert_eq!(examined.count, 2);
+        assert!(examined.min >= 1.0 && examined.max < arcs);
+        assert_eq!(examined.sum, (up.arcs_examined + down.arcs_examined) as f64);
+    }
+
+    /// The per-update phase is exact only from an overlay that is
+    /// current for the costs before the update; the install checks that
+    /// rather than assuming it. Started on an overlay priced before a
+    /// jam on the route, a service must come out of its first update —
+    /// in either direction, on an unrelated edge — with v5 answering at
+    /// the real costs: re-pricing only what the updated edge can reach
+    /// would stamp the jam's stale price as current.
+    #[test]
+    fn a_service_started_on_a_stale_hierarchy_is_healed_by_its_first_update() {
+        use atis_hierarchy::{Hierarchy, HierarchyConfig};
+        let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
+        let overlay = Hierarchy::build(grid.graph(), HierarchyConfig::paper()).unwrap();
+        let (s, d) = grid.query_pair(QueryKind::Diagonal);
+        let free_flow = atis_algorithms::memory::dijkstra_pair(grid.graph(), s, d).unwrap();
+        let (ju, jv) = free_flow.hops().next().unwrap();
+        let mut jammed = grid.graph().clone();
+        jammed.set_edge_cost(ju, jv, 50.0).unwrap();
+        let (a, b) = (grid.node_at(5, 0), grid.node_at(5, 1));
+        assert!((a, b) != (ju, jv));
+        let base = jammed.edge_cost(a, b).unwrap();
+
+        for cost in [base * 2.0, base * 0.5] {
+            let db = Database::open(&jammed)
+                .unwrap()
+                .with_hierarchy(overlay.clone());
+            let service = RouteService::new(
+                db,
+                ServeConfig::default()
+                    .with_workers(1)
+                    .with_cache_capacity(0)
+                    .with_algorithm(Algorithm::AStar(AStarVersion::V5)),
+            );
+            assert!(matches!(
+                service.route(s, d).unwrap().outcome,
+                RouteOutcome::Degraded { .. }
+            ));
+            let up = service.update_edge_cost(a, b, cost).unwrap();
+            assert_eq!(up.hierarchy, HierarchyRefresh::Customized);
+            let snap = service.shard_snapshot();
+            let overlay = snap.db.hierarchy().unwrap();
+            assert!(overlay.is_current_for(snap.db.graph()));
+            let answer = service.route(s, d).unwrap();
+            assert_eq!(answer.outcome, RouteOutcome::Computed);
+            let oracle = atis_algorithms::memory::dijkstra_pair(snap.db.graph(), s, d).unwrap();
+            assert!((answer.path.unwrap().cost - oracle.cost).abs() < 1e-9);
+            assert_eq!(up.arcs_examined, overlay.arc_count(), "the full pass");
+            // Healed: the next update is proportional to its change.
+            let next = service.update_edge_cost(a, b, base).unwrap();
+            assert!(next.arcs_examined < overlay.arc_count());
+        }
     }
 
     /// A grid big enough for the partition map to yield several regions

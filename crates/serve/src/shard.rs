@@ -249,9 +249,10 @@ impl ShardedEpochDb {
     /// it, and a late pre-decrease worker cannot re-admit its route.
     ///
     /// Landmark tables and the contraction hierarchy are whole-graph
-    /// artifacts, so their refresh (`maintain_artifacts`: patch /
-    /// customize on an increase, rebuild / re-contract on a decrease)
-    /// is keyed to the install, not to a shard.
+    /// artifacts, so their refresh (`maintain_artifacts`: re-price what
+    /// the edge can reach in the overlay; re-stamp the tables, or
+    /// rebuild them when the new cost undercuts one) is keyed to the
+    /// install, not to a shard.
     ///
     /// # Errors
     /// Fails for unknown endpoints or invalid costs; the current
@@ -272,10 +273,11 @@ impl ShardedEpochDb {
         let old_cost = current.db.graph().edge_cost(u, v).unwrap_or(f64::INFINITY);
         let mut next: Database = (*current.db).clone();
         let updated = next.update_edge_cost(u, v, cost)?;
-        let mut landmarks = LandmarkRefresh::None;
-        let mut hierarchy = HierarchyRefresh::None;
+        let (mut landmarks, mut hierarchy) = (LandmarkRefresh::None, HierarchyRefresh::None);
+        let mut arcs_examined = 0;
         if updated > 0 {
-            (next, landmarks, hierarchy) = maintain_artifacts(next, old_cost, cost);
+            (next, landmarks, hierarchy, arcs_examined) =
+                maintain_artifacts(next, current.db.graph(), (u, v), cost);
         }
         let shards: Vec<u32> = if cost < old_cost {
             (0..self.map.shards).collect()
@@ -304,6 +306,7 @@ impl ShardedEpochDb {
                 new_cost: cost,
                 landmarks,
                 hierarchy,
+                arcs_examined,
             },
             shards,
             epochs,

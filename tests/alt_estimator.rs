@@ -15,7 +15,7 @@ use proptest::prelude::*;
 /// transposed graph (grids and radial cities may be cost-asymmetric,
 /// so `d(u, t) != d(t, u)` in general).
 fn distances_to(graph: &Graph, t: NodeId) -> Vec<f64> {
-    sssp::distances_from(&sssp::reversed(graph), t)
+    sssp::distances_from(&sssp::reversed(graph).unwrap(), t)
 }
 
 /// Asserts the two ALT soundness properties for one destination.
