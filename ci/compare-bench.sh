@@ -47,7 +47,13 @@
 #                          per (network, layout, workload, algorithm) —
 #                          lower is better, same tight tolerance (all
 #                          three counters are deterministic: seeded
-#                          generator, deterministic pool). Records
+#                          generator, deterministic pool) — plus
+#                          hierarchy_arcs per (network, layout), which
+#                          must be *equal*: the overlay's size is a pure
+#                          function of the graph and the order, so a
+#                          change in either direction is a different
+#                          hierarchy, not noise (hierarchy_ms beside it
+#                          is wall clock and stays ungated). Records
 #                          predating the workload field key as
 #                          "regional". CI reruns only the 10k smoke
 #                          scale (BENCH_scaling_smoke.json), so baseline
@@ -265,9 +271,28 @@ compare_scaling() {
             ne = num("nodes_expanded"); br = num("block_reads"); pr = num("physical_reads")
             if (NR == FNR) { base_ne[key] = ne; base_br[key] = br; base_pr[key] = pr; base_net[key] = net }
             else { fresh_ne[key] = ne; fresh_br[key] = br; fresh_pr[key] = pr; seen[key] = 1; nets[net] = 1 }
+            # Only the v5 records carry the overlay size; every one of
+            # a (network, layout) carries the same number.
+            arcs = num("hierarchy_arcs")
+            if (arcs >= 0) {
+                hkey = net "|" str("layout")
+                if (NR == FNR) { base_arcs[hkey] = arcs; arcs_net[hkey] = net }
+                else fresh_arcs[hkey] = arcs
+            }
         }
         END {
             fail = 0
+            for (k in base_arcs) {
+                if (!(arcs_net[k] in nets)) continue
+                if (!(k in fresh_arcs)) {
+                    printf "FAIL scaling: %s hierarchy_arcs missing from fresh artifact\n", k
+                    fail = 1
+                } else if (fresh_arcs[k] != base_arcs[k]) {
+                    printf "FAIL scaling: %s hierarchy_arcs %d != baseline %d (must be equal)\n", \
+                        k, fresh_arcs[k], base_arcs[k]
+                    fail = 1
+                } else printf "ok   scaling: %s hierarchy_arcs %d\n", k, fresh_arcs[k]
+            }
             for (k in base_ne) {
                 # A scale the fresh run did not measure at all (smoke
                 # mode) is skipped; a dropped config within a measured
@@ -342,7 +367,7 @@ EOF
 
     cat > "$tmp/scaling_base.json" <<'EOF'
 {"benchmark":"scaling","network":"metro-10k","layout":"region","algorithm":"Dijkstra","nodes_expanded":856,"block_reads":13043,"physical_reads":106}
-{"benchmark":"scaling","network":"metro-10k","layout":"region","workload":"long-haul","algorithm":"A* (version 5)","nodes_expanded":166,"block_reads":558,"physical_reads":0}
+{"benchmark":"scaling","network":"metro-10k","layout":"region","workload":"long-haul","algorithm":"A* (version 5)","nodes_expanded":166,"block_reads":558,"physical_reads":0,"hierarchy_arcs":109621,"hierarchy_ms":317.0}
 {"benchmark":"scaling","network":"metro-10k","layout":"shuffled","algorithm":"Dijkstra","nodes_expanded":856,"block_reads":13670,"physical_reads":733}
 {"benchmark":"scaling","network":"metro-100k","layout":"region","algorithm":"Dijkstra","nodes_expanded":856,"block_reads":19181,"physical_reads":822}
 EOF
@@ -477,6 +502,22 @@ EOF
         echo "self-test FAILED: sharded record without p999_ms passed the gate"
         status=1
     fi
+
+    echo "self-test 12: a changed overlay size must fail in either direction, a changed hierarchy_ms must not"
+    sed 's/"hierarchy_ms":317.0/"hierarchy_ms":52.0/' "$tmp/scaling_base.json" \
+        > "$tmp/scaling_faster.json"
+    compare_scaling "$tmp/scaling_base.json" "$tmp/scaling_faster.json" || {
+        echo "self-test FAILED: a changed hierarchy_ms (wall clock) failed the gate"
+        status=1
+    }
+    for arcs in 109620 109622; do
+        sed "s/\"hierarchy_arcs\":109621/\"hierarchy_arcs\":$arcs/" "$tmp/scaling_base.json" \
+            > "$tmp/scaling_arcs_bad.json"
+        if compare_scaling "$tmp/scaling_base.json" "$tmp/scaling_arcs_bad.json"; then
+            echo "self-test FAILED: hierarchy_arcs $arcs (baseline 109621) passed the gate"
+            status=1
+        fi
+    done
 
     if [ "$status" -eq 0 ]; then
         echo "compare-bench self-test OK"

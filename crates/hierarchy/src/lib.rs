@@ -19,8 +19,10 @@
 //!    it survives every UPDATE.
 //! 3. **Customization** (`overlay`): price every arc direction against
 //!    the current costs via triangle relaxations, then (at build time)
-//!    run bounded witness searches that put provably useless directions
-//!    to sleep.
+//!    run one bounded witness search per node, which puts the provably
+//!    useless directions that start there to sleep.
+//!
+//! [`Hierarchy::build_report`] says what each pass cost.
 //!
 //! [`Hierarchy`] carries the same staleness contract that
 //! `LandmarkTables` established for v4, keyed by
@@ -58,6 +60,7 @@ use atis_storage::{EdgeTuple, FixedTuple, IoStats, NodeTuple};
 
 pub use error::HierarchyError;
 
+use order::nested_dissection_order;
 use overlay::{Core, DownArcs, Pricing, NO_VIA};
 
 /// Bytes per overlay arc record: two endpoint ids (8), two directed
@@ -118,6 +121,28 @@ pub struct UpArc {
     pub bwd_live: bool,
 }
 
+/// Where one [`Hierarchy::build`] spent its time and work, pass by pass.
+/// The counts repeat exactly for a graph and configuration; the wall
+/// times are this machine's.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BuildReport {
+    /// Wall time of the ordering pass (partition regions included), ms.
+    pub order_ms: f64,
+    /// Wall time of the elimination fill, ms.
+    pub fill_ms: f64,
+    /// Wall time of the customization (triangle) pass, ms.
+    pub customize_ms: f64,
+    /// Wall time of the witness pass, ms.
+    pub witness_ms: f64,
+    /// Triangles the customization pass relaxed.
+    pub triangles: u64,
+    /// Witness searches run — one per node with a question to ask.
+    pub witness_searches: u64,
+    /// Nodes the witness searches settled and expanded, one charged
+    /// block read each.
+    pub witness_settles: u64,
+}
+
 /// A contraction hierarchy: contraction order, shortcut overlay, and
 /// customized per-direction prices, stamped with the cost fingerprint
 /// of the graph it was priced against.
@@ -137,6 +162,7 @@ pub struct Hierarchy {
     config: HierarchyConfig,
     degraded: bool,
     build_io: IoStats,
+    report: BuildReport,
 }
 
 impl Hierarchy {
@@ -144,22 +170,41 @@ impl Hierarchy {
     /// current costs, with witness dormancy derived at this metric.
     ///
     /// Metered honestly: the build scans the node and edge relations
-    /// once, charges one block read per witness settle, and writes the
-    /// overlay out at [`ARC_TUPLE_SIZE`] bytes per arc. The total is
-    /// available as [`Hierarchy::build_io`] and feeds HIERARCHY.md's
-    /// preprocessing cost tables.
+    /// once, charges one block read per node a witness search expands
+    /// (one search per node answers all of that node's questions), and
+    /// writes the overlay out at [`ARC_TUPLE_SIZE`] bytes per arc. The
+    /// total is available as [`Hierarchy::build_io`] and feeds
+    /// HIERARCHY.md's preprocessing cost tables; the per-pass split is
+    /// [`Hierarchy::build_report`].
     pub fn build(graph: &Graph, config: HierarchyConfig) -> Result<Hierarchy, HierarchyError> {
         if graph.node_count() == 0 {
             return Err(HierarchyError::EmptyGraph);
         }
         let mut io = IoStats::new();
+        let mut report = BuildReport::default();
         // One sequential scan of R and S to learn structure and costs.
         io.read_blocks(relation_blocks(graph));
 
+        // analyze::allow(determinism-wall-clock): pass wall times are BuildReport metadata, never an input to the overlay
+        let clock = std::time::Instant::now;
+        let mut pass = clock();
+        let mut lap = || {
+            std::mem::replace(&mut pass, clock())
+                .elapsed()
+                .as_secs_f64()
+                * 1e3
+        };
         let partition = PartitionMap::build(graph, config.region_target);
-        let core = Core::build(graph, &partition);
-        let mut pricing = Pricing::customize(&core, graph, &mut io);
-        pricing.apply_witnesses(&core, graph, config.witness_settle_limit, &mut io);
+        let order = nested_dissection_order(graph, &partition);
+        report.order_ms = lap();
+        let core = Core::fill(graph, order);
+        report.fill_ms = lap();
+        let (mut pricing, triangles) = Pricing::customize_counted(&core, graph, &mut io);
+        report.triangles = triangles;
+        report.customize_ms = lap();
+        (report.witness_searches, report.witness_settles) =
+            pricing.apply_witnesses(&core, graph, config.witness_settle_limit, &mut io);
+        report.witness_ms = lap();
 
         // Materialize the overlay relation.
         io.write_blocks(overlay_blocks(core.arc_count()));
@@ -173,6 +218,7 @@ impl Hierarchy {
             config,
             degraded: false,
             build_io: io,
+            report,
         })
     }
 
@@ -201,6 +247,7 @@ impl Hierarchy {
             config: self.config,
             degraded: true,
             build_io: io,
+            report: self.report,
         }
     }
 
@@ -244,6 +291,7 @@ impl Hierarchy {
             config: self.config,
             degraded: true,
             build_io: io,
+            report: self.report,
         };
         (hierarchy, examined)
     }
@@ -282,6 +330,12 @@ impl Hierarchy {
     /// artifact, in the same currency queries are charged in.
     pub fn build_io(&self) -> IoStats {
         self.build_io
+    }
+
+    /// The per-pass time and work of the [`Hierarchy::build`] this
+    /// overlay descends from (re-pricing leaves it as it was).
+    pub fn build_report(&self) -> BuildReport {
+        self.report
     }
 
     /// Number of nodes the hierarchy covers.
@@ -542,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn update_contract_customize_then_recontract() {
+    fn update_contract_customize_then_rebuild() {
         let metro = Metro::new(MetroSpec::new(2, 2, 21)).unwrap();
         let mut graph = metro.graph().clone();
         let h = Hierarchy::build(&graph, HierarchyConfig::paper()).unwrap();
@@ -673,6 +727,63 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 4,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The build kernels against the ones they replaced, kept as
+        /// test-only oracles: the merge triangle pass equals the
+        /// binary-search pass on both price columns (by bit pattern),
+        /// both `via` columns and the improvement count, and the shared
+        /// witness search equals the per-arc searches on both liveness
+        /// columns at every settle limit — 0 and 1 (nothing is visible),
+        /// 2 and 3 (the limit's edge), and limits no search reaches. The
+        /// graphs carry parallel twins, one-way carriageways and a
+        /// zero-cost edge (ties between a node and its neighbour).
+        #[test]
+        fn build_kernels_are_bit_identical_to_the_reference_kernels(
+            cx in 2usize..=3,
+            seed in 0u64..1_000_000,
+        ) {
+            let metro = Metro::new(MetroSpec::new(cx, 2, seed)).unwrap();
+            let mut rng = SplitMix64::new(seed ^ 0x5eed);
+            let mut graph = with_parallel_edges(metro.graph(), &mut rng);
+            let edges: Vec<_> = graph.edges().copied().collect();
+            proptest::prop_assert!(
+                edges.iter().any(|e| graph.edge_cost(e.to, e.from).is_none()),
+                "metros have one-way carriageways"
+            );
+            let free = edges[rng.next_below(edges.len() as u64) as usize];
+            graph.set_edge_cost(free.from, free.to, 0.0).unwrap();
+
+            let partition = PartitionMap::build(&graph, 256);
+            let core = Core::fill(&graph, nested_dissection_order(&graph, &partition));
+            let mut io = IoStats::new();
+            let merged = Pricing::customize(&core, &graph, &mut io);
+            let (searched, improvements) = Pricing::customize_by_search(&core, &graph);
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&merged.fwd), bits(&searched.fwd));
+            proptest::prop_assert_eq!(bits(&merged.bwd), bits(&searched.bwd));
+            proptest::prop_assert_eq!(&merged.fwd_via, &searched.fwd_via);
+            proptest::prop_assert_eq!(&merged.bwd_via, &searched.bwd_via);
+            proptest::prop_assert_eq!(io.tuple_updates, improvements);
+
+            for limit in [0, 1, 2, 3, 5, 64, 1000] {
+                let (mut shared, mut per_arc) = (merged.clone(), merged.clone());
+                shared.apply_witnesses(&core, &graph, limit, &mut io);
+                per_arc.apply_witnesses_per_arc(&core, &graph, limit);
+                proptest::prop_assert_eq!(
+                    &shared.fwd_live, &per_arc.fwd_live, "fwd_live at limit {}", limit
+                );
+                proptest::prop_assert_eq!(
+                    &shared.bwd_live, &per_arc.bwd_live, "bwd_live at limit {}", limit
+                );
+            }
+        }
+    }
+
     #[test]
     fn the_per_update_phase_is_copy_on_write_and_metered() {
         let metro = Metro::new(MetroSpec::new(2, 2, 21)).unwrap();
@@ -707,6 +818,13 @@ mod tests {
         assert_eq!(a.pricing.fwd, b.pricing.fwd);
         assert_eq!(a.pricing.fwd_live, b.pricing.fwd_live);
         assert_eq!(a.build_io(), b.build_io());
+        // The report's counts repeat; its wall times need not.
+        let counts = |h: &Hierarchy| {
+            let r = h.build_report();
+            (r.triangles, r.witness_searches, r.witness_settles)
+        };
+        assert_eq!(counts(&a), counts(&b));
+        assert!(counts(&a).0 > 0 && counts(&a).1 > 0 && counts(&a).2 > 0);
     }
 
     #[test]

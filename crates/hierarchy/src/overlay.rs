@@ -17,9 +17,17 @@
 //!   witness searches ran against*: a direction is dormant when a
 //!   bounded Dijkstra on the original graph found a strictly shorter
 //!   path between its endpoints, so no shortest up-down path can need
-//!   it. A customized (re-priced, not re-contracted) overlay clears
-//!   dormancy down to "cost is finite" — correct for any metric, just
-//!   slower, which is why the artifact reports itself degraded.
+//!   it. One search per node answers every direction that starts there
+//!   ([`Pricing::apply_witnesses`]). A customized (re-priced, not
+//!   re-contracted) overlay clears dormancy down to "cost is finite" —
+//!   correct for any metric, just slower, which is why the artifact
+//!   reports itself degraded.
+//!
+//! The two build kernels — the triangle pass and the witness pass — each
+//! have the kernel they replaced beside them under `#[cfg(test)]`
+//! (`customize_by_search`, `apply_witnesses_per_arc`): 6× and 23×
+//! slower at metro-100k, obviously right, and the crate's property tests
+//! hold the fast ones to them bit for bit.
 //!
 //! The safety argument for skipping a dormant direction: suppose a
 //! shortest up-down `s`–`t` path of cost `D` used direction `(a, b)`
@@ -33,10 +41,8 @@
 
 use std::collections::BTreeSet;
 
-use atis_graph::{Graph, NodeId, PartitionMap};
+use atis_graph::{Graph, NodeId};
 use atis_storage::IoStats;
-
-use crate::order::nested_dissection_order;
 
 /// Sentinel for "no middle node": the arc direction is an original edge.
 pub(crate) const NO_VIA: u32 = u32::MAX;
@@ -76,26 +82,9 @@ pub(crate) struct DownArcs {
 }
 
 impl DownArcs {
-    /// Transposes `core`'s up-arcs: a counting sort by head, fed tails
-    /// in rank order.
+    /// Transposes `core`'s up-arcs, keeping each arc's tail.
     pub(crate) fn build(core: &Core) -> DownArcs {
-        let n = core.rank.len();
-        let mut first = vec![0u32; n + 1];
-        for &h in &core.heads {
-            first[h as usize + 1] += 1;
-        }
-        for i in 0..n {
-            first[i + 1] += first[i];
-        }
-        let mut next = first.clone();
-        let mut tails = vec![0u32; core.heads.len()];
-        for &tail in &core.order {
-            for idx in core.range(tail) {
-                let slot = &mut next[core.heads[idx] as usize];
-                tails[*slot as usize] = tail;
-                *slot += 1;
-            }
-        }
+        let (first, tails) = core.transpose(|tail, _| tail);
         DownArcs { first, tails }
     }
 
@@ -106,7 +95,8 @@ impl DownArcs {
 }
 
 impl Core {
-    /// Orders the graph and computes the elimination fill.
+    /// Computes the elimination fill of `graph` under the contraction
+    /// order `order` (`order[rank] = node`).
     ///
     /// The fill uses the quotient-graph (minimum-neighbour) rule: when
     /// node `m` is eliminated, instead of inserting the full clique over
@@ -115,52 +105,48 @@ impl Core {
     /// eliminated before the rest, and its own elimination completes the
     /// clique transitively — the resulting fill is identical (a unit
     /// test checks this against the textbook full-clique rule).
-    pub(crate) fn build(graph: &Graph, partition: &PartitionMap) -> Core {
-        let order = nested_dissection_order(graph, partition);
+    pub(crate) fn fill(graph: &Graph, order: Vec<u32>) -> Core {
         let n = order.len();
         let mut rank = vec![0u32; n];
         for (r, &node) in order.iter().enumerate() {
             rank[node as usize] = r as u32;
         }
 
-        // Up-neighbour sets keyed by tail node id. BTreeSet keeps both
-        // membership checks and the final CSR emission deterministic.
-        let mut up: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
+        // Up-neighbour lists keyed by tail node id, pushed unsorted —
+        // an arc can arrive more than once (parallel edges, both
+        // directions, several eliminated middles) — then sorted and
+        // deduplicated when the tail's own turn comes: everything that
+        // pushes into a list ranks below its owner, so the list is final
+        // by then. A node pushes one arc fewer than it has, so together
+        // the lists never hold more than the edges plus the fill.
+        let mut up: Vec<Vec<u32>> = vec![Vec::new(); n];
         for e in graph.edges() {
             let (a, b) = (e.from.0, e.to.0);
             if a == b {
                 continue;
             }
             if rank[a as usize] < rank[b as usize] {
-                up[a as usize].insert(b);
+                up[a as usize].push(b);
             } else {
-                up[b as usize].insert(a);
+                up[b as usize].push(a);
             }
         }
 
-        let mut scratch: Vec<u32> = Vec::new();
         for &m in &order {
-            let set = &up[m as usize];
-            if set.len() < 2 {
-                continue;
+            let mut heads = std::mem::take(&mut up[m as usize]);
+            heads.sort_unstable();
+            heads.dedup();
+            if let Some(&lowest) = heads.iter().min_by_key(|&&v| rank[v as usize]) {
+                up[lowest as usize].extend(heads.iter().filter(|&&v| v != lowest));
             }
-            scratch.clear();
-            scratch.extend(set.iter().copied());
-            let Some(&lowest) = scratch.iter().min_by_key(|&&v| rank[v as usize]) else {
-                continue;
-            };
-            for &v in &scratch {
-                if v != lowest {
-                    up[lowest as usize].insert(v);
-                }
-            }
+            up[m as usize] = heads;
         }
 
         let mut first = Vec::with_capacity(n + 1);
         let mut heads = Vec::new();
         first.push(0u32);
-        for set in &up {
-            heads.extend(set.iter().copied());
+        for list in &up {
+            heads.extend_from_slice(list);
             first.push(heads.len() as u32);
         }
         Core {
@@ -169,6 +155,31 @@ impl Core {
             first,
             heads,
         }
+    }
+
+    /// Groups the up-arcs by head — the transpose of the CSR: offsets
+    /// indexed by head node id, and for each head what `entry(tail, arc
+    /// index)` keeps of its incoming arcs, tails in rank order. A
+    /// counting sort.
+    fn transpose<T: Copy + Default>(&self, entry: impl Fn(u32, usize) -> T) -> (Vec<u32>, Vec<T>) {
+        let n = self.rank.len();
+        let mut first = vec![0u32; n + 1];
+        for &h in &self.heads {
+            first[h as usize + 1] += 1;
+        }
+        for i in 0..n {
+            first[i + 1] += first[i];
+        }
+        let mut next = first.clone();
+        let mut entries = vec![T::default(); self.heads.len()];
+        for &tail in &self.order {
+            for idx in self.range(tail) {
+                let slot = &mut next[self.heads[idx] as usize];
+                entries[*slot as usize] = entry(tail, idx);
+                *slot += 1;
+            }
+        }
+        (first, entries)
     }
 
     /// Number of overlay arcs (each prices both directions).
@@ -220,6 +231,26 @@ impl Pricing {
     /// side, so one pass suffices. `improvements` (tuple updates in the
     /// cost model) counts successful relaxations.
     pub(crate) fn customize(core: &Core, graph: &Graph, io: &mut IoStats) -> Pricing {
+        Pricing::customize_counted(core, graph, io).0
+    }
+
+    /// [`Pricing::customize`], also returning the number of triangles
+    /// it relaxed.
+    pub(crate) fn customize_counted(
+        core: &Core,
+        graph: &Graph,
+        io: &mut IoStats,
+    ) -> (Pricing, u64) {
+        let mut pricing = Pricing::from_edges(core, graph);
+        let (improvements, triangles) = pricing.relax_triangles(core);
+        pricing.clear_dormancy();
+        io.update_tuples(improvements);
+        (pricing, triangles)
+    }
+
+    /// Every arc direction at the cost of its cheapest original edge,
+    /// `∞` where there is none; nothing live yet.
+    fn from_edges(core: &Core, graph: &Graph) -> Pricing {
         let arcs = core.arc_count();
         let mut pricing = Pricing {
             fwd: vec![f64::INFINITY; arcs],
@@ -240,7 +271,92 @@ impl Pricing {
                 }
             }
         }
+        pricing
+    }
 
+    /// The triangle pass: returns the number of successful relaxations
+    /// and the number of triangles relaxed.
+    ///
+    /// Middles are taken in rank order — that order is the contract:
+    /// [`Pricing::relax`]'s strict `<` lets the first middle offered win
+    /// a tie. Within one middle `m` every pair of up-arcs prices a
+    /// different third side and reads only `m`'s own arcs, which are
+    /// final, so that order is free, and the pass takes it in memory
+    /// order. In a chordal fill the up-neighbours of `m` ranked above
+    /// `x` are exactly the up-neighbours of `m` that `x` has too, so the
+    /// triangles over an up-arc `lo = m → x` are found by walking `x`'s
+    /// arcs once, in place, and asking of each head whether `m` reaches
+    /// it — a table from node to position in `m`'s fan, set for the fan
+    /// and unset after it, answers without a search. `m`'s own prices
+    /// are read from a copy, which keeps them contiguous and lets `x`'s
+    /// columns be borrowed as plain slices. This is the
+    /// neighbour-intersection enumeration of customizable CH (Strasser &
+    /// Zeitz, PAPERS.md). An up-arc with no finite direction can relax
+    /// nothing (`∞ + c < d` never holds) and is skipped. The arithmetic
+    /// is [`Pricing::relax`]'s, with `lo`'s two prices held in locals.
+    fn relax_triangles(&mut self, core: &Core) -> (u64, u64) {
+        let (mut improvements, mut triangles) = (0u64, 0u64);
+        let mut fan_slot = vec![u32::MAX; core.rank.len()];
+        let (mut fan_fwd, mut fan_bwd): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+        for &m in &core.order {
+            let fan = core.range(m);
+            if fan.len() < 2 {
+                continue;
+            }
+            let fan_heads = &core.heads[fan.clone()];
+            fan_fwd.clear();
+            fan_fwd.extend_from_slice(&self.fwd[fan.clone()]);
+            fan_bwd.clear();
+            fan_bwd.extend_from_slice(&self.bwd[fan]);
+            for (slot, &y) in fan_heads.iter().enumerate() {
+                fan_slot[y as usize] = slot as u32;
+            }
+            for (lo, &x) in fan_heads.iter().enumerate() {
+                let (lo_fwd, lo_bwd) = (fan_fwd[lo], fan_bwd[lo]);
+                if lo_fwd.is_infinite() && lo_bwd.is_infinite() {
+                    continue;
+                }
+                let upper = core.range(x);
+                let upper_heads = &core.heads[upper.clone()];
+                let fwd = &mut self.fwd[upper.clone()];
+                let bwd = &mut self.bwd[upper.clone()];
+                let fwd_via = &mut self.fwd_via[upper.clone()];
+                let bwd_via = &mut self.bwd_via[upper];
+                for (idx, &y) in upper_heads.iter().enumerate() {
+                    // `u32::MAX` (not in the fan) fails this test too.
+                    let hi = fan_slot[y as usize] as usize;
+                    if hi >= fan_heads.len() {
+                        continue;
+                    }
+                    triangles += 1;
+                    let via_fwd = lo_bwd + fan_fwd[hi];
+                    if via_fwd < fwd[idx] {
+                        fwd[idx] = via_fwd;
+                        fwd_via[idx] = m;
+                        improvements += 1;
+                    }
+                    let via_bwd = fan_bwd[hi] + lo_fwd;
+                    if via_bwd < bwd[idx] {
+                        bwd[idx] = via_bwd;
+                        bwd_via[idx] = m;
+                        improvements += 1;
+                    }
+                }
+            }
+            for &y in fan_heads {
+                fan_slot[y as usize] = u32::MAX;
+            }
+        }
+        (improvements, triangles)
+    }
+
+    /// The triangle pass as it was before the fan table: each third side
+    /// found by binary search ([`Core::arc_index`]), each relaxation
+    /// through [`Pricing::relax`]. The oracle [`Pricing::customize`] is
+    /// compared against; returns the pricing and its `improvements`.
+    #[cfg(test)]
+    pub(crate) fn customize_by_search(core: &Core, graph: &Graph) -> (Pricing, u64) {
+        let mut pricing = Pricing::from_edges(core, graph);
         let mut improvements = 0u64;
         let mut fan: Vec<usize> = Vec::new();
         for &m in &core.order {
@@ -255,18 +371,13 @@ impl Pricing {
                 for j in i + 1..fan.len() {
                     let (lo, hi) = (fan[i], fan[j]);
                     let (x, y) = (core.heads[lo], core.heads[hi]);
-                    let Some(idx) = core.arc_index(x, y) else {
-                        debug_assert!(false, "chordal fill: up-neighbours {x}, {y} of {m}");
-                        continue;
-                    };
+                    let idx = core.arc_index(x, y).expect("chordal fill");
                     improvements += pricing.relax(idx, lo, hi, m);
                 }
             }
         }
-
         pricing.clear_dormancy();
-        io.update_tuples(improvements);
-        pricing
+        (pricing, improvements)
     }
 
     /// Relaxes both directions of arc `idx` (`x`–`y`, `x` the lower
@@ -436,44 +547,98 @@ impl Pricing {
         }
     }
 
-    /// Re-derives dormancy at the current metric: each live direction is
-    /// checked by a bounded witness Dijkstra on the original graph and
-    /// put to sleep when a strictly shorter real path exists (see the
-    /// module docs for why that is safe). Charges one metered block read
-    /// per settled witness node — the honesty that keeps preprocessing
-    /// comparable to query I/O in HIERARCHY.md's cost tables.
+    /// Re-derives dormancy at the current metric: a live direction is
+    /// put to sleep when a bounded witness Dijkstra on the original
+    /// graph finds a strictly shorter real path between its endpoints
+    /// (see the module docs for why that is safe). Returns the number of
+    /// searches run and the number of nodes they expanded.
+    ///
+    /// One search per node answers every question that starts there. A
+    /// witness search pops nodes in an order that depends only on its
+    /// source — the heap is keyed by `(distance, node id)` and nothing is
+    /// pruned on the way in — while the question's target and bound only
+    /// decide where it stops. So the search from `source` runs once, to
+    /// the settle limit or the largest cutoff any of its questions has,
+    /// and a question `(target, bound)` has a witness exactly when
+    /// `target` was settled at a distance below the question's own
+    /// cutoff: distances come off the heap in non-decreasing order, so
+    /// no earlier pop could have stopped that question first. The
+    /// forward directions of `source`'s up-arcs start there, and so do
+    /// the backward directions of its incoming arcs, found through a
+    /// transpose that carries arc indexes and lives only for this pass
+    /// (8 bytes per arc).
+    ///
+    /// Charges one metered block read per node a search expands — the
+    /// honesty that keeps preprocessing comparable to query I/O in
+    /// HIERARCHY.md's cost tables.
     pub(crate) fn apply_witnesses(
         &mut self,
         core: &Core,
         graph: &Graph,
         settle_limit: usize,
         io: &mut IoStats,
+    ) -> (u64, u64) {
+        let (first, incoming) = core.transpose(|tail, idx| (tail, idx as u32));
+        let mut witness = WitnessSearch::new(graph.node_count());
+        let (mut searches, mut settles) = (0u64, 0u64);
+        for source in 0..core.rank.len() as u32 {
+            let out = core.range(source);
+            let inc =
+                &incoming[first[source as usize] as usize..first[source as usize + 1] as usize];
+            let mut reach = 0.0f64;
+            for idx in out.clone() {
+                if self.fwd_live[idx] {
+                    reach = reach.max(witness_cutoff(self.fwd[idx]));
+                }
+            }
+            for &(_, idx) in inc {
+                if self.bwd_live[idx as usize] {
+                    reach = reach.max(witness_cutoff(self.bwd[idx as usize]));
+                }
+            }
+            // Nothing settles below a zero cutoff: no question to ask.
+            if reach == 0.0 {
+                continue;
+            }
+            searches += 1;
+            settles += witness.settle_from(graph, source, reach, settle_limit);
+            for idx in out {
+                if self.fwd_live[idx] && witness.settled_below(core.heads[idx], self.fwd[idx]) {
+                    self.fwd_live[idx] = false;
+                }
+            }
+            for &(tail, idx) in inc {
+                let idx = idx as usize;
+                if self.bwd_live[idx] && witness.settled_below(tail, self.bwd[idx]) {
+                    self.bwd_live[idx] = false;
+                }
+            }
+        }
+        io.read_blocks(settles);
+        (searches, settles)
+    }
+
+    /// The witness pass as it was before the shared search: one bounded
+    /// Dijkstra per live arc direction. The oracle
+    /// [`Pricing::apply_witnesses`] is compared against.
+    #[cfg(test)]
+    pub(crate) fn apply_witnesses_per_arc(
+        &mut self,
+        core: &Core,
+        graph: &Graph,
+        settle_limit: usize,
     ) {
         let mut witness = WitnessSearch::new(graph.node_count());
         for tail in 0..core.rank.len() as u32 {
             for idx in core.range(tail) {
                 let head = core.heads[idx];
                 if self.fwd_live[idx]
-                    && witness.shorter_path_exists(
-                        graph,
-                        tail,
-                        head,
-                        self.fwd[idx],
-                        settle_limit,
-                        io,
-                    )
+                    && witness.shorter_path_exists(graph, tail, head, self.fwd[idx], settle_limit)
                 {
                     self.fwd_live[idx] = false;
                 }
                 if self.bwd_live[idx]
-                    && witness.shorter_path_exists(
-                        graph,
-                        head,
-                        tail,
-                        self.bwd[idx],
-                        settle_limit,
-                        io,
-                    )
+                    && witness.shorter_path_exists(graph, head, tail, self.bwd[idx], settle_limit)
                 {
                     self.bwd_live[idx] = false;
                 }
@@ -482,11 +647,20 @@ impl Pricing {
     }
 }
 
-/// Reusable scratch state for witness searches; generation-stamped so a
-/// million tiny Dijkstras share one allocation.
+/// The distance a witness for an arc direction priced `bound` must stay
+/// below.
+fn witness_cutoff(bound: f64) -> f64 {
+    bound * (1.0 - WITNESS_MARGIN)
+}
+
+/// Reusable scratch state for witness searches; generation-stamped so
+/// every search shares one allocation.
 struct WitnessSearch {
     dist: Vec<f64>,
+    /// `dist[v]` belongs to search `generation[v]`.
     generation: Vec<u64>,
+    /// `v` was settled by search `settled[v]`, at `dist[v]`.
+    settled: Vec<u64>,
     current: u64,
     heap: std::collections::BinaryHeap<WitnessEntry>,
 }
@@ -521,18 +695,77 @@ impl WitnessSearch {
         WitnessSearch {
             dist: vec![f64::INFINITY; n],
             generation: vec![0; n],
+            settled: vec![0; n],
             current: 0,
             heap: std::collections::BinaryHeap::new(),
         }
     }
 
+    /// Settles nodes outward from `source` until the next one lies at or
+    /// beyond `reach` or `settle_limit` nodes are settled, and returns
+    /// how many of them it expanded. Nothing is pruned on the way into
+    /// the heap, so the order nodes settle in depends on `source` alone.
+    /// The last node the limit admits is settled — a question may ask
+    /// about it — but not expanded: nothing it reaches could be settled.
+    fn settle_from(&mut self, graph: &Graph, source: u32, reach: f64, settle_limit: usize) -> u64 {
+        self.current += 1;
+        self.heap.clear();
+        self.dist[source as usize] = 0.0;
+        self.generation[source as usize] = self.current;
+        self.heap.push(WitnessEntry {
+            dist: 0.0,
+            node: source,
+        });
+        let (mut settled, mut expanded) = (0usize, 0u64);
+        while settled < settle_limit {
+            let Some(WitnessEntry { dist, node }) = self.heap.pop() else {
+                break;
+            };
+            if dist > self.dist[node as usize] {
+                continue; // lazy deletion
+            }
+            if dist >= reach {
+                break;
+            }
+            self.settled[node as usize] = self.current;
+            settled += 1;
+            if settled == settle_limit {
+                break; // visible to a question, never expanded
+            }
+            expanded += 1;
+            for e in graph.neighbors(NodeId(node)) {
+                let next = dist + e.cost;
+                let v = e.to.0 as usize;
+                if self.generation[v] != self.current || next < self.dist[v] {
+                    self.generation[v] = self.current;
+                    self.dist[v] = next;
+                    self.heap.push(WitnessEntry {
+                        dist: next,
+                        node: e.to.0,
+                    });
+                }
+            }
+        }
+        expanded
+    }
+
+    /// Whether the last [`WitnessSearch::settle_from`] settled `target`
+    /// at a distance strictly below the cutoff of `bound` — a real path
+    /// from the source shorter than an arc direction priced `bound`.
+    fn settled_below(&self, target: u32, bound: f64) -> bool {
+        self.settled[target as usize] == self.current
+            && self.dist[target as usize] < witness_cutoff(bound)
+    }
+
     /// Whether a real path `source ⇝ target` strictly shorter than
-    /// `bound` exists. Bounded two ways: keys at or beyond the bound are
-    /// never expanded (the ball a witness can live in has radius
-    /// `bound`), and at most `settle_limit` nodes are settled —
-    /// exhausting the limit conservatively reports "no witness", which
-    /// keeps the arc live and the overlay correct. One block read is
-    /// charged per settled node.
+    /// `bound` exists, by a search of its own — the per-arc kernel the
+    /// shared search replaced, kept as its oracle. Bounded two ways:
+    /// keys at or beyond the bound are never expanded (the ball a
+    /// witness can live in has radius `bound`), and at most
+    /// `settle_limit` nodes are settled — exhausting the limit
+    /// conservatively reports "no witness", which keeps the arc live and
+    /// the overlay correct.
+    #[cfg(test)]
     fn shorter_path_exists(
         &mut self,
         graph: &Graph,
@@ -540,7 +773,6 @@ impl WitnessSearch {
         target: u32,
         bound: f64,
         settle_limit: usize,
-        io: &mut IoStats,
     ) -> bool {
         let cutoff = bound * (1.0 - WITNESS_MARGIN);
         self.current += 1;
@@ -563,7 +795,6 @@ impl WitnessSearch {
                 return true;
             }
             settled += 1;
-            io.read_blocks(1);
             if settled >= settle_limit {
                 return false;
             }
@@ -588,7 +819,17 @@ impl WitnessSearch {
 mod tests {
     use super::*;
     use atis_graph::graph::graph_from_arcs;
-    use atis_graph::{Metro, MetroSpec, SplitMix64};
+    use atis_graph::{Metro, MetroSpec, PartitionMap, SplitMix64};
+
+    impl Core {
+        /// Order and fill, as `Hierarchy::build` composes them.
+        pub(crate) fn build(graph: &Graph, partition: &PartitionMap) -> Core {
+            Core::fill(
+                graph,
+                crate::order::nested_dissection_order(graph, partition),
+            )
+        }
+    }
 
     /// Textbook full-clique elimination fill, for cross-checking the
     /// quotient-graph rule used by `Core::build`.

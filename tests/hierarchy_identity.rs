@@ -224,3 +224,27 @@ fn an_update_examines_a_sliver_of_the_overlay() {
         "one update examined {worst} of {arcs} arcs, more than 0.5 %"
     );
 }
+
+/// The build's tripwire, in counts because counts repeat exactly where
+/// wall time does not. On metro-10k under the region layout the overlay
+/// has 109 621 arcs with 78 839 forward-live and 79 010 backward-live
+/// directions — what the per-arc witness searches derived before one
+/// search per node replaced them, so a build kernel that changes any
+/// answer moves these — and the build charges at most 700 000 block
+/// reads (376 187 measured; the per-arc searches charged 6 433 013).
+#[test]
+fn the_build_keeps_its_live_directions_and_its_read_budget() {
+    let metro = Metro::new(MetroSpec::with_nodes(10_000, 1993)).unwrap();
+    let map = atis::graph::PartitionMap::build(metro.graph(), 256);
+    let (graph, _) = map.apply(metro.graph()).unwrap();
+    let hierarchy = Hierarchy::build(&graph, HierarchyConfig::paper()).unwrap();
+    let arcs: Vec<_> = graph
+        .node_ids()
+        .flat_map(|u| hierarchy.up_arcs(u))
+        .collect();
+    assert_eq!(arcs.len(), 109_621);
+    assert_eq!(arcs.iter().filter(|a| a.fwd_live).count(), 78_839);
+    assert_eq!(arcs.iter().filter(|a| a.bwd_live).count(), 79_010);
+    let reads = hierarchy.build_io().block_reads;
+    assert!(reads <= 700_000, "the build charged {reads} block reads");
+}
