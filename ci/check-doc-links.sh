@@ -9,8 +9,9 @@ set -eu
 fail=0
 
 # Markdown files to scan: the tracked docs (tooling config under .claude/
-# is not part of the documentation set).
-docs=$(git ls-files '*.md' | grep -v '^\.claude/')
+# is not part of the documentation set, and neither is ISSUE.md, the
+# growth driver's task file — it names files a PR is asked to delete).
+docs=$(git ls-files '*.md' | grep -v '^\.claude/' | grep -vx 'ISSUE.md')
 
 for doc in $docs; do
     dir=$(dirname "$doc")
@@ -95,7 +96,7 @@ fi
 #    table declares — a rung nobody emits cannot be documented.
 ladder=crates/algorithms/src/ladder.rs
 if [ -f "$ladder" ]; then
-    rungs=$( (grep -o '^ *name: "[a-z0-9-]*"' "$ladder"; grep -o '^pub const PRIMARY: &str = "[a-z0-9-]*"' "$ladder") \
+    rungs=$( (grep -o '^ *Rung::new("[a-z0-9-]*"' "$ladder"; grep -o '^pub const PRIMARY: &str = "[a-z0-9-]*"' "$ladder") \
         | sed 's/.*"\(.*\)"/\1/' | sort -u)
     for rung in $rungs; do
         if ! grep -q "\`$rung\`\|\"$rung\"" SERVING.md; then
@@ -141,6 +142,58 @@ if [ -d "$serve_src" ]; then
                 fail=1
             fi
         done
+    done
+fi
+
+# 7. Tree drift: DESIGN.md's repository tree is checked, not remembered.
+#    Inside its fenced block an entry line is `├── names  description`
+#    (names end at the first double space; `{a,b}.rs` lists expand) and a
+#    crate's branch starts at `├── <dir>/  atis-<crate>`. Every `*.rs` a
+#    branch names must exist under that crate's src/ (a leading `src/`
+#    is the crate's own), and — because that is where modules come and go
+#    — every file in crates/algorithms/src/ other than lib.rs must be
+#    named in its branch.
+if [ -f DESIGN.md ]; then
+    named=$(awk '
+        /^```/ { fenced = !fenced; next }
+        !fenced || !/(├|└)── / { next }
+        {
+            line = $0
+            sub(/^.*(├|└)── /, "", line)
+            sub(/  .*$/, "", line)
+            if (line ~ /^[a-z]+\/$/ && $0 ~ /  atis-[a-z]+ /) {
+                crate = line
+                sub(/\/$/, "", crate)
+                next
+            }
+            if (crate == "") next
+            while (match(line, /\{[^}]*\}\.rs/)) {
+                list = substr(line, RSTART + 1, RLENGTH - 5)
+                gsub(/,/, ".rs ", list)
+                line = substr(line, 1, RSTART - 1) list ".rs" substr(line, RSTART + RLENGTH)
+            }
+            n = split(line, words, " ")
+            for (i = 1; i <= n; i++)
+                if (words[i] ~ /\.rs$/) { sub(/^src\//, "", words[i]); print crate, words[i] }
+        }' DESIGN.md)
+    if [ -z "$named" ]; then
+        echo "TREE: DESIGN.md names no source file in its repository tree"
+        fail=1
+    fi
+    echo "$named" | while read -r crate file; do
+        [ -z "$crate" ] && continue
+        if [ -z "$(find "crates/$crate/src" -path "*/$file" 2>/dev/null)" ]; then
+            echo "TREE: DESIGN.md lists $file under $crate/, but crates/$crate/src/ has no such file"
+            exit 1
+        fi
+    done || fail=1
+    for src in crates/algorithms/src/*.rs; do
+        file=$(basename "$src")
+        [ "$file" = lib.rs ] && continue
+        if ! echo "$named" | grep -qx "algorithms $file"; then
+            echo "TREE: $src is not in DESIGN.md's repository tree"
+            fail=1
+        fi
     done
 fi
 

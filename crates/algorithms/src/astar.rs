@@ -1,40 +1,32 @@
-//! Database-resident A\* (Figure 3), in the paper's three implementation
-//! versions (Section 5.3):
+//! Database-resident A\* (Figure 3): the paper's three implementation
+//! versions (Section 5.3) and this reproduction's two preprocessing-backed
+//! extensions.
 //!
-//! | Version | FrontierSet            | Estimator  |
-//! |---------|------------------------|------------|
-//! | 1       | separate relation      | Euclidean  |
-//! | 2       | status attribute in R  | Euclidean  |
-//! | 3       | status attribute in R  | Manhattan  |
+//! | Version | FrontierSet            | Goal direction                          |
+//! |---------|------------------------|-----------------------------------------|
+//! | 1       | separate relation      | Euclidean estimator                     |
+//! | 2       | status attribute in R  | Euclidean estimator                     |
+//! | 3       | status attribute in R  | Manhattan estimator                     |
+//! | 4       | status attribute in R  | max(landmark bound, Euclidean)          |
+//! | 5       | two heaps beside the overlay | the contraction hierarchy itself  |
 //!
-//! Versions 2 and 3 run on the shared status-frontier engine
-//! (the crate-private `bestfirst` module); version 1 is implemented here
-//! with two
-//! temporary relations: the frontier proper (APPEND/DELETE with index
-//! adjustment) and a lazily grown resultant relation ("A\* version 1
-//! expands nodes and appends them to the resultant relation as it goes
-//! along, unlike version 2, which begins by loading all neighbors into the
-//! resultant relation").
-//!
-//! Figure 3's reopening rule is honoured: an improved node re-enters the
-//! frontier even if it was explored (`if not_in(v, frontierSet)` — no
-//! explored-set check), which is what preserves optimality under an
-//! admissible-but-inconsistent estimator and lets the inadmissible
-//! Manhattan estimator on the Minneapolis map still find good paths.
+//! Versions 1–4 are rows of one table, not implementations: each is the
+//! crate's single best-first loop (the crate-private `search` module)
+//! run over the frontier representation and estimator that
+//! [`Algorithm::describe`] names for it, with Figure 3's reopening rule
+//! — an improved node re-enters the frontier even if it was explored
+//! (`if not_in(v, frontierSet)`, no explored-set check), which is what
+//! preserves optimality under an admissible-but-inconsistent estimator
+//! and lets the inadmissible Manhattan estimator on the Minneapolis map
+//! still find good paths. Version 5 is a different loop (the
+//! crate-private `hierarchy_search` module). This module keeps the
+//! version enum and the two unbracketed entry points.
 
-use crate::bestfirst::{run_status_frontier, StatusFrontierConfig};
-use crate::database::{Budgets, Database, FrontierKind};
+use crate::database::{Algorithm, Budgets, Database, FrontierKind, Kernel};
 use crate::error::AlgorithmError;
 use crate::estimator::Estimator;
-use crate::observe::RunObserver;
 use crate::trace::RunTrace;
-use atis_graph::{NodeId, Path, Point};
-use atis_obs::IterationPhase;
-use atis_storage::{
-    join_adjacency, IoStats, JoinStrategy, NodeStatus, NodeTuple, TempRelation, NO_PRED,
-};
-// analyze::allow(determinism-wall-clock): wall_ms is trace reporting metadata, never an algorithm input
-use std::time::Instant;
+use atis_graph::NodeId;
 
 /// The paper's three A\* implementation versions, plus this
 /// reproduction's landmark-based extension (version 4).
@@ -64,7 +56,7 @@ pub enum AStarVersion {
 
 impl AStarVersion {
     /// Row label used by the paper (v4 extends the numbering).
-    pub fn label(&self) -> &'static str {
+    pub const fn label(&self) -> &'static str {
         match self {
             AStarVersion::V1 => "A* (version 1)",
             AStarVersion::V2 => "A* (version 2)",
@@ -80,10 +72,9 @@ impl AStarVersion {
     /// estimator-guided at all — its upward search is goal-directed by
     /// the hierarchy's structure — so it reports the zero estimator.
     pub fn estimator(&self) -> Estimator {
-        match self {
-            AStarVersion::V1 | AStarVersion::V2 | AStarVersion::V4 => Estimator::Euclidean,
-            AStarVersion::V3 => Estimator::Manhattan,
-            AStarVersion::V5 => Estimator::Zero,
+        match Algorithm::AStar(*self).describe().kernel {
+            Kernel::BestFirst { estimator, .. } => estimator,
+            Kernel::LevelSynchronous | Kernel::Upward => Estimator::Zero,
         }
     }
 
@@ -91,23 +82,10 @@ impl AStarVersion {
     /// frontiers live beside the overlay rather than in a separate
     /// relation, which is the status-attribute shape.
     pub fn frontier(&self) -> FrontierKind {
-        match self {
-            AStarVersion::V1 => FrontierKind::SeparateRelation,
-            AStarVersion::V2 | AStarVersion::V3 | AStarVersion::V4 | AStarVersion::V5 => {
-                FrontierKind::StatusAttribute
-            }
+        match Algorithm::AStar(*self).describe().kernel {
+            Kernel::BestFirst { frontier, .. } => frontier,
+            Kernel::LevelSynchronous | Kernel::Upward => FrontierKind::StatusAttribute,
         }
-    }
-
-    /// Whether this version needs landmark tables on the database.
-    pub fn needs_landmarks(&self) -> bool {
-        matches!(self, AStarVersion::V4)
-    }
-
-    /// Whether this version needs a contraction hierarchy on the
-    /// database.
-    pub fn needs_hierarchy(&self) -> bool {
-        matches!(self, AStarVersion::V5)
     }
 
     /// The paper's three versions in paper order. Version 4 is excluded
@@ -137,7 +115,8 @@ impl AStarVersion {
     ];
 }
 
-/// Runs one of the A\* versions.
+/// Runs one of the A\* versions, without the endpoint checks and the
+/// fault / metrics bracket of [`Database::run_with_budgets`].
 ///
 /// # Errors
 /// Version 4 additionally fails with
@@ -152,36 +131,7 @@ pub fn run(
     version: AStarVersion,
     budgets: Budgets,
 ) -> Result<RunTrace, AlgorithmError> {
-    if version.needs_hierarchy() {
-        return crate::hierarchy_search::run(db, s, d, budgets);
-    }
-    let alt = if version.needs_landmarks() {
-        Some(db.alt_bounds_for(d)?)
-    } else {
-        None
-    };
-    match version.frontier() {
-        FrontierKind::StatusAttribute => run_status_frontier(
-            db,
-            s,
-            d,
-            StatusFrontierConfig {
-                label: version.label().to_string(),
-                estimator: version.estimator(),
-                reopen_closed: true,
-                alt,
-            },
-            budgets,
-        ),
-        FrontierKind::SeparateRelation => run_relation_frontier(
-            db,
-            s,
-            d,
-            version.estimator(),
-            version.label().to_string(),
-            budgets,
-        ),
-    }
+    db.run_kernel(Algorithm::AStar(version), s, d, budgets)
 }
 
 /// Runs an ablation configuration: any frontier × any estimator, with
@@ -194,221 +144,11 @@ pub fn run_custom(
     estimator: Estimator,
     budgets: Budgets,
 ) -> Result<RunTrace, AlgorithmError> {
-    let label = format!(
-        "A* ({} frontier, {} estimator)",
-        match frontier {
-            FrontierKind::StatusAttribute => "status",
-            FrontierKind::SeparateRelation => "relation",
-        },
-        estimator.label()
-    );
-    match frontier {
-        FrontierKind::StatusAttribute => run_status_frontier(
-            db,
-            s,
-            d,
-            StatusFrontierConfig {
-                label,
-                estimator,
-                reopen_closed: true,
-                alt: None,
-            },
-            budgets,
-        ),
-        FrontierKind::SeparateRelation => {
-            run_relation_frontier(db, s, d, estimator, label, budgets)
-        }
-    }
-}
-
-/// A\* with the frontier as an independent relation (version 1).
-fn run_relation_frontier(
-    db: &Database,
-    s: NodeId,
-    d: NodeId,
-    estimator: Estimator,
-    label: String,
-    budgets: Budgets,
-) -> Result<RunTrace, AlgorithmError> {
-    // analyze::allow(determinism-wall-clock): wall_ms is trace reporting metadata, never an algorithm input
-    let wall_start = Instant::now();
-    let mut io = IoStats::new();
-    let mut observer = RunObserver::new(db, &label);
-    observer.run_started(s, d);
-    let s_id = s.0;
-    let d_id = d.0;
-    let levels = db.params().isam_levels;
-
-    // C1 twice: the frontier relation and the (lazily grown) resultant
-    // relation. No bulk load, no index-build pass — version 1's cheap
-    // initialisation.
-    let mut result: TempRelation<NodeTuple> = TempRelation::create(levels, &mut io);
-    let mut frontier: TempRelation<NodeTuple> = TempRelation::create(levels, &mut io);
-    if let Some(pool) = db.buffer() {
-        result.attach_buffer(pool);
-        frontier.attach_buffer(pool);
-    }
-    if let Some(faults) = db.faults() {
-        result.attach_faults(faults);
-        frontier.attach_faults(faults);
-    }
-    let meter = db.budget_meter_with(budgets);
-
-    let sp = db.graph().point(s);
-    let dest: Point = db.graph().point(d);
-    let start_tuple = NodeTuple {
-        x: sp.x as f32,
-        y: sp.y as f32,
-        status: NodeStatus::Open,
-        path: NO_PRED,
-        path_cost: 0.0,
+    let algorithm = Algorithm::Custom {
+        frontier,
+        estimator,
     };
-    result.append(s_id, &start_tuple, &mut io)?;
-    frontier.append(s_id, &start_tuple, &mut io)?;
-    // In-memory mirror of the frontier relation's live-tuple count.
-    let mut frontier_size = 1u64;
-    let mut frontier_peak = frontier_size;
-    observer.span(IterationPhase::Init, 0, None, frontier_size, None, &io);
-
-    let mut iterations = 0u64;
-    let mut reopened = 0u64;
-    let mut order = Vec::new();
-    let mut join_strategy: Option<JoinStrategy> = None;
-    let mut found = false;
-
-    loop {
-        meter.check(iterations, &io)?;
-        // Select the best node by a scan of the frontier relation.
-        let selected = frontier.select_min(&mut io, |_, t| {
-            t.path_cost as f64 + estimator.evaluate_f32(t.x, t.y, dest)
-        })?;
-        let Some((u, ut)) = selected else {
-            break;
-        };
-
-        frontier_size -= 1;
-        // DELETE from the frontier (index adjustment charged), close in
-        // the resultant relation.
-        frontier.delete(u, &mut io)?;
-        result.replace(u, &mut io, |t| t.status = NodeStatus::Closed)?;
-        if u == d_id {
-            found = true;
-            break;
-        }
-        iterations += 1;
-        order.push(NodeId(u));
-
-        let (adjacency, strategy) = join_adjacency(
-            &[(u, ut)],
-            db.edges(),
-            db.join_policy(),
-            db.params(),
-            &mut io,
-        )?;
-        join_strategy = Some(strategy);
-
-        for (_, e) in adjacency {
-            let v = e.end;
-            let candidate = ut.path_cost + e.cost as f32;
-            if result.contains(v, &mut io)? {
-                let current = result.get(v, &mut io)?;
-                if candidate < current.path_cost {
-                    result.replace(v, &mut io, |t| {
-                        t.path_cost = candidate;
-                        t.path = u;
-                        t.status = NodeStatus::Open;
-                    })?;
-                    match current.status {
-                        NodeStatus::Open => {
-                            frontier.replace(v, &mut io, |t| {
-                                t.path_cost = candidate;
-                                t.path = u;
-                            })?;
-                        }
-                        _ => {
-                            // Closed node improved: APPEND back into the
-                            // frontier (Figure 3 has no explored-set check).
-                            let mut t = current;
-                            t.path_cost = candidate;
-                            t.path = u;
-                            t.status = NodeStatus::Open;
-                            frontier.append(v, &t, &mut io)?;
-                            reopened += 1;
-                            frontier_size += 1;
-                        }
-                    }
-                }
-            } else {
-                // Newly discovered node: APPEND to both relations. Its
-                // coordinates come from the segment data in S (end_x/end_y).
-                let t = NodeTuple {
-                    x: e.end_x,
-                    y: e.end_y,
-                    status: NodeStatus::Open,
-                    path: u,
-                    path_cost: candidate,
-                };
-                result.append(v, &t, &mut io)?;
-                frontier.append(v, &t, &mut io)?;
-                frontier_size += 1;
-            }
-        }
-        frontier_peak = frontier_peak.max(frontier_size);
-        observer.span(
-            IterationPhase::Search,
-            iterations,
-            Some(u),
-            frontier_size,
-            Some(strategy),
-            &io,
-        );
-    }
-
-    let path = if found {
-        let n = db.graph().node_count();
-        let mut pred: Vec<Option<NodeId>> = vec![None; n];
-        for id in 0..n as u32 {
-            if let Some(t) = result.peek(id)? {
-                if t.path != NO_PRED {
-                    pred[id as usize] = Some(NodeId(t.path));
-                }
-            }
-        }
-        let cost = result
-            .peek(d_id)?
-            .map(|t| t.path_cost as f64)
-            .unwrap_or(f64::INFINITY);
-        Path::from_predecessors(s, d, cost, &pred)
-    } else {
-        None
-    };
-    observer.finished(
-        iterations,
-        path.is_some(),
-        frontier_size,
-        &io,
-        io.cost(db.params()),
-    );
-
-    Ok(RunTrace {
-        algorithm: label,
-        iterations,
-        expanded: iterations,
-        reopened,
-        io,
-        join_strategy,
-        path,
-        wall: wall_start.elapsed(),
-        expansion_order: order,
-        // Coarse attribution: the relation-frontier variants report their
-        // whole metered run as one bucket; the fine-grained breakdown
-        // experiment uses the status-frontier engines.
-        steps: crate::trace::StepBreakdown {
-            bookkeeping: io,
-            ..Default::default()
-        },
-        frontier_peak,
-    })
+    db.run_kernel(algorithm, s, d, budgets)
 }
 
 #[cfg(test)]

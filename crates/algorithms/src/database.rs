@@ -1,13 +1,13 @@
 //! The run harness: a graph loaded into the storage engine plus the knobs
 //! an experiment can turn (join policy, cost parameters).
 
-use crate::astar::{self, AStarVersion};
-use crate::batch;
-use crate::dijkstra;
+use crate::astar::AStarVersion;
 use crate::error::{AlgorithmError, BudgetKind, HierarchyIssue, LandmarkIssue};
 use crate::estimator::Estimator;
-use crate::iterative;
+use crate::ladder::Needs;
+use crate::search::{self, Spec};
 use crate::trace::RunTrace;
+use crate::{hierarchy_search, iterative};
 use atis_graph::{Graph, NodeId};
 use atis_hierarchy::Hierarchy;
 use atis_obs::{SharedRegistry, SharedSink, TraceEvent};
@@ -166,22 +166,150 @@ impl Algorithm {
 
     /// Row label used by the paper's tables.
     pub fn label(&self) -> String {
-        match self {
-            Algorithm::Iterative => "Iterative".to_string(),
-            Algorithm::Dijkstra => "Dijkstra".to_string(),
-            Algorithm::AStar(v) => v.label().to_string(),
+        self.describe().label.to_string()
+    }
+
+    /// What this algorithm *is* — the one total `match` every other
+    /// question about an algorithm (its label, what it cannot run
+    /// without, which loop runs it and how that loop is parameterised)
+    /// is a read of.
+    pub const fn describe(&self) -> Description {
+        use {AStarVersion::*, Estimator::*, FrontierKind::*};
+        /// Figure 3: an improved closed node re-enters the frontier.
+        const fn figure3(frontier: FrontierKind, estimator: Estimator) -> Kernel {
+            Kernel::BestFirst {
+                frontier,
+                estimator,
+                reopen_closed: true,
+            }
+        }
+        let (label, needs, kernel) = match *self {
+            Algorithm::Iterative => (
+                Label::Row("Iterative"),
+                Needs::Nothing,
+                Kernel::LevelSynchronous,
+            ),
+            // Figure 2 checks `not_in(v, frontierSet ∪ exploredSet)`:
+            // closed nodes never re-enter the frontier.
+            Algorithm::Dijkstra => (
+                Label::Row("Dijkstra"),
+                Needs::Nothing,
+                Kernel::BestFirst {
+                    frontier: StatusAttribute,
+                    estimator: Zero,
+                    reopen_closed: false,
+                },
+            ),
+            Algorithm::AStar(v) => {
+                let (needs, kernel) = match v {
+                    V1 => (Needs::Nothing, figure3(SeparateRelation, Euclidean)),
+                    V2 => (Needs::Nothing, figure3(StatusAttribute, Euclidean)),
+                    V3 => (Needs::Nothing, figure3(StatusAttribute, Manhattan)),
+                    // Euclidean is the *floor*: the landmark bound is
+                    // resolved per run from the database's tables and
+                    // maxed with it.
+                    V4 => (Needs::Landmarks, figure3(StatusAttribute, Euclidean)),
+                    V5 => (Needs::Hierarchy, Kernel::Upward),
+                };
+                (Label::Row(v.label()), needs, kernel)
+            }
             Algorithm::Custom {
                 frontier,
                 estimator,
-            } => {
-                let f = match frontier {
+            } => (
+                Label::Axes(frontier, estimator),
+                Needs::Nothing,
+                figure3(frontier, estimator),
+            ),
+        };
+        Description {
+            label,
+            needs,
+            kernel,
+        }
+    }
+}
+
+/// How an [`Algorithm`] labels its rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Label {
+    /// A row of the paper's tables (versions 4 and 5 extend the
+    /// numbering).
+    Row(&'static str),
+    /// An ablation configuration, spelled from its two axes.
+    Axes(FrontierKind, Estimator),
+}
+
+impl std::fmt::Display for Label {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Label::Row(row) => f.write_str(row),
+            Label::Axes(frontier, estimator) => {
+                let frontier = match frontier {
                     FrontierKind::StatusAttribute => "status",
                     FrontierKind::SeparateRelation => "relation",
                 };
-                format!("A* ({f} frontier, {} estimator)", estimator.label())
+                write!(
+                    f,
+                    "A* ({frontier} frontier, {} estimator)",
+                    estimator.label()
+                )
             }
         }
     }
+}
+
+/// The loop that runs an [`Algorithm`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Kernel {
+    /// Figure 1: every round selects *all* current nodes and relaxes
+    /// them with two rewrite passes over `R` (the `iterative` module).
+    LevelSynchronous,
+    /// Figures 2–3: one node per iteration, selected by minimum
+    /// `C(s,u) + f(u,d)` — one loop (the crate-private `search` module)
+    /// over the paper's axes.
+    BestFirst {
+        /// FrontierSet representation (Section 5.3.1).
+        frontier: FrontierKind,
+        /// The `f(u,d)` added to the path cost (Section 5.3.2).
+        estimator: Estimator,
+        /// Whether an improved closed node re-enters the frontier
+        /// (Figure 3) or is final (Figure 2).
+        reopen_closed: bool,
+    },
+    /// A\* version 5: two upward searches over the contraction-hierarchy
+    /// overlay that meet (the crate-private `hierarchy_search` module).
+    /// Goal-directed by the hierarchy's structure, not by an estimator.
+    Upward,
+}
+
+impl Kernel {
+    /// Whether the expansion order is the same whatever the destination:
+    /// best-first on `C(s,u)` alone with closed nodes final. Only such a
+    /// kernel can serve many destinations in one sweep
+    /// ([`Database::run_many_with_budgets`]) — any estimator makes the
+    /// order depend on the destination through `f(u, d)`.
+    pub fn is_target_independent(&self) -> bool {
+        matches!(
+            self,
+            Kernel::BestFirst {
+                estimator: Estimator::Zero,
+                reopen_closed: false,
+                ..
+            }
+        )
+    }
+}
+
+/// What an [`Algorithm`] is ([`Algorithm::describe`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Description {
+    /// Its row label.
+    pub label: Label,
+    /// The preprocessed artifact it cannot run without.
+    pub needs: Needs,
+    /// The loop that runs it.
+    pub kernel: Kernel,
 }
 
 /// A graph resident in the storage engine: the persistent edge relation
@@ -491,14 +619,10 @@ impl Database {
         self.budgets
     }
 
-    /// Starts budget enforcement for one run; algorithms call
+    /// Starts budget enforcement for one run under `budgets` — the
+    /// standing set or the per-run override
+    /// [`Database::run_with_budgets`] threads through. Algorithms call
     /// [`BudgetMeter::check`] once per main-loop iteration.
-    pub(crate) fn budget_meter(&self) -> BudgetMeter {
-        self.budget_meter_with(self.budgets)
-    }
-
-    /// Starts budget enforcement with an explicit budget set — the
-    /// per-run override [`Database::run_with_budgets`] threads through.
     pub(crate) fn budget_meter_with(&self, budgets: Budgets) -> BudgetMeter {
         BudgetMeter {
             budgets,
@@ -638,45 +762,29 @@ impl Database {
         d: NodeId,
         budgets: Budgets,
     ) -> Result<RunTrace, AlgorithmError> {
-        if !self.graph.contains(s) {
-            return Err(AlgorithmError::UnknownSource(s));
-        }
-        if !self.graph.contains(d) {
-            return Err(AlgorithmError::UnknownDestination(d));
-        }
-        let fault_mark = self
-            .faults
-            .as_ref()
-            .map(|f| f.lock().unwrap_or_else(|p| p.into_inner()).log.len())
-            .unwrap_or(0);
-        let buffer_mark = self.buffer.as_ref().map(|b| {
-            let pool = b.lock().unwrap_or_else(|p| p.into_inner());
-            (pool.hits, pool.misses)
-        });
-        let result = match algorithm {
-            Algorithm::Iterative => iterative::run(self, s, d, budgets),
-            Algorithm::Dijkstra => dijkstra::run(self, s, d, budgets),
-            Algorithm::AStar(v) => astar::run(self, s, d, v, budgets),
-            Algorithm::Custom {
-                frontier,
-                estimator,
-            } => astar::run_custom(self, s, d, frontier, estimator, budgets),
-        };
-        let faults_fired = self.drain_faults(&algorithm.label(), fault_mark);
-        self.update_metrics(&result, buffer_mark, faults_fired);
-        result
+        self.bracket(
+            &algorithm.label(),
+            s,
+            &[d],
+            |trace| trace,
+            || self.run_kernel(algorithm, s, d, budgets),
+        )
     }
 
     /// Runs one query per target from the shared source `s`, returning
-    /// traces in target order. For `Algorithm::Dijkstra` with more than
-    /// one target this executes as a **single batched sweep**
-    /// (set-at-a-time expansion, the paper's v1 frontier-as-relation
-    /// insight): one charged pass settles every destination, each
-    /// returned trace carries the shared I/O, and per-target paths and
-    /// iteration counts are bit-identical to solo runs (see the `batch`
-    /// module for the argument). Estimator-driven algorithms have
-    /// destination-dependent expansion orders, so they fall back to
-    /// independent solo runs.
+    /// traces in target order. An algorithm whose kernel is
+    /// target-independent ([`Kernel::is_target_independent`] — Dijkstra)
+    /// serves more than one target as a **single sweep** of the one
+    /// best-first loop (set-at-a-time expansion, the paper's v1
+    /// frontier-as-relation insight carried to multi-query execution):
+    /// one charged pass settles every destination. Every returned trace
+    /// carries the **shared** run's I/O — the batch is charged once,
+    /// which is the entire point — under the label `dijkstra_many`,
+    /// while paths and iteration counts are per target and bit-identical
+    /// to solo runs. Unreachable targets get `path: None`; the per-node
+    /// `expansion_order` is not meaningful per target and is left empty.
+    /// Estimator-driven algorithms have destination-dependent expansion
+    /// orders, so they fall back to independent solo runs.
     ///
     /// # Errors
     /// As [`Database::run_with_budgets`]; a budget exhausted mid-sweep
@@ -688,12 +796,93 @@ impl Database {
         targets: &[NodeId],
         budgets: Budgets,
     ) -> Result<Vec<RunTrace>, AlgorithmError> {
-        if targets.len() < 2 || algorithm != Algorithm::Dijkstra {
-            return targets
+        /// What a sweep announces itself as (traces, events, metrics).
+        const SWEEP: &str = "dijkstra_many";
+        let kernel = algorithm.describe().kernel;
+        match kernel {
+            Kernel::BestFirst {
+                frontier,
+                estimator,
+                reopen_closed,
+            } if targets.len() >= 2 && kernel.is_target_independent() => {
+                let spec = Spec {
+                    label: SWEEP.to_string(),
+                    estimator,
+                    reopen_closed,
+                    alt: None,
+                };
+                // The sweep is one run: metered once (every trace reports
+                // the same shared I/O, so the first stands for the batch).
+                self.bracket(
+                    SWEEP,
+                    s,
+                    targets,
+                    |traces: &Vec<RunTrace>| &traces[0],
+                    || {
+                        let run = search::best_first_on(frontier, self, s, targets, spec, budgets)?;
+                        Ok(targets.iter().map(|&d| run.trace_to(d)).collect())
+                    },
+                )
+            }
+            _ => targets
                 .iter()
                 .map(|&d| self.run_with_budgets(algorithm, s, d, budgets))
-                .collect();
+                .collect(),
         }
+    }
+
+    /// Runs `algorithm`'s kernel from `s` to `d` as its description says
+    /// — without the endpoint checks and the fault / metrics bracket of
+    /// [`Database::run_with_budgets`].
+    pub(crate) fn run_kernel(
+        &self,
+        algorithm: Algorithm,
+        s: NodeId,
+        d: NodeId,
+        budgets: Budgets,
+    ) -> Result<RunTrace, AlgorithmError> {
+        let Description {
+            label,
+            needs,
+            kernel,
+        } = algorithm.describe();
+        match kernel {
+            Kernel::LevelSynchronous => iterative::run(self, s, d, budgets),
+            Kernel::Upward => hierarchy_search::run(self, s, d, budgets),
+            Kernel::BestFirst {
+                frontier,
+                estimator,
+                reopen_closed,
+            } => {
+                let alt = match needs {
+                    Needs::Landmarks => Some(self.alt_bounds_for(d)?),
+                    Needs::Hierarchy | Needs::Nothing => None,
+                };
+                let spec = Spec {
+                    label: label.to_string(),
+                    estimator,
+                    reopen_closed,
+                    alt,
+                };
+                let run = search::best_first_on(frontier, self, s, &[d], spec, budgets)?;
+                Ok(run.trace_to(d))
+            }
+        }
+    }
+
+    /// The bracket around one metered run — a solo run is a target set
+    /// of one, a sweep one run over all of its targets: the endpoint
+    /// checks, then the fault-log and buffer-pool marks before `run` and
+    /// the fault events and registry updates after it. `metered` picks
+    /// the trace that stands for the run in the registry.
+    fn bracket<T>(
+        &self,
+        label: &str,
+        s: NodeId,
+        targets: &[NodeId],
+        metered: impl Fn(&T) -> &RunTrace,
+        run: impl FnOnce() -> Result<T, AlgorithmError>,
+    ) -> Result<T, AlgorithmError> {
         if !self.graph.contains(s) {
             return Err(AlgorithmError::UnknownSource(s));
         }
@@ -709,15 +898,9 @@ impl Database {
             let pool = b.lock().unwrap_or_else(|p| p.into_inner());
             (pool.hits, pool.misses)
         });
-        let result = batch::run_dijkstra_many(self, s, targets, budgets);
-        let faults_fired = self.drain_faults("dijkstra_many", fault_mark);
-        // The sweep is one run: meter it once (every trace reports the
-        // same shared I/O, so the first stands for the batch).
-        let metered = result
-            .as_ref()
-            .map(|traces| traces[0].clone())
-            .map_err(|e| e.clone());
-        self.update_metrics(&metered, buffer_mark, faults_fired);
+        let result = run();
+        let faults_fired = self.drain_faults(label, fault_mark);
+        self.update_metrics(result.as_ref().map(metered), buffer_mark, faults_fired);
         result
     }
 
@@ -742,7 +925,7 @@ impl Database {
     /// Folds one finished run into the attached metrics registry.
     fn update_metrics(
         &self,
-        result: &Result<RunTrace, AlgorithmError>,
+        result: Result<&RunTrace, &AlgorithmError>,
         buffer_mark: Option<(u64, u64)>,
         faults_fired: u64,
     ) {
@@ -876,6 +1059,102 @@ mod tests {
         ));
         // The standing (unlimited) budgets still govern plain `run`.
         assert!(db.run(Algorithm::Dijkstra, s, d).is_ok());
+    }
+
+    /// The sweep's contract, on the public API: one shared Dijkstra run
+    /// from `s` until every target has settled.
+    fn sweep(db: &Database, s: NodeId, targets: &[NodeId]) -> Vec<RunTrace> {
+        db.run_many_with_budgets(Algorithm::Dijkstra, s, targets, db.budgets())
+            .unwrap()
+    }
+
+    #[test]
+    fn batched_targets_are_bit_identical_to_solo_runs() {
+        use atis_graph::{CostModel, Grid, QueryKind};
+        let grid = Grid::new(10, CostModel::TWENTY_PERCENT, 11).unwrap();
+        let db = Database::open(grid.graph()).unwrap();
+        let (s, _) = grid.query_pair(QueryKind::Diagonal);
+        let targets = [
+            grid.node_at(9, 9),
+            grid.node_at(0, 9),
+            grid.node_at(5, 5),
+            grid.node_at(9, 0),
+        ];
+        let batched = sweep(&db, s, &targets);
+        assert_eq!(batched.len(), targets.len());
+        for (trace, &d) in batched.iter().zip(&targets) {
+            let solo = db.run(Algorithm::Dijkstra, s, d).unwrap();
+            assert_eq!(
+                trace.path.as_ref().unwrap().nodes,
+                solo.path.as_ref().unwrap().nodes,
+                "batched path to {d:?} must be bit-identical"
+            );
+            assert_eq!(trace.path.as_ref().unwrap().cost, solo.path.unwrap().cost);
+            assert_eq!(trace.iterations, solo.iterations, "settle count to {d:?}");
+        }
+    }
+
+    #[test]
+    fn one_charged_sweep_costs_less_than_solo_runs() {
+        use atis_graph::{CostModel, Grid, QueryKind};
+        let grid = Grid::new(10, CostModel::TWENTY_PERCENT, 7).unwrap();
+        let db = Database::open(grid.graph()).unwrap();
+        let (s, _) = grid.query_pair(QueryKind::Diagonal);
+        let targets = [grid.node_at(9, 9), grid.node_at(0, 9), grid.node_at(9, 0)];
+        let batched = sweep(&db, s, &targets);
+        let solo_blocks: u64 = targets
+            .iter()
+            .map(|&d| db.run(Algorithm::Dijkstra, s, d).unwrap().io.block_reads)
+            .sum();
+        // Every member reports the same shared I/O, and the shared sweep
+        // reads fewer blocks than the three solo runs combined.
+        assert!(batched.iter().all(|t| t.io == batched[0].io));
+        assert!(batched[0].io.block_reads < solo_blocks);
+    }
+
+    #[test]
+    fn unreachable_targets_get_no_path_and_reachable_ones_still_do() {
+        let g = graph_from_arcs(4, &[(0, 1, 1.0), (2, 3, 1.0)]).unwrap();
+        let db = Database::open(&g).unwrap();
+        let traces = sweep(&db, NodeId(0), &[NodeId(1), NodeId(3)]);
+        assert!(traces[0].path.is_some());
+        assert!(traces[1].path.is_none());
+    }
+
+    #[test]
+    fn source_as_target_settles_at_zero_iterations() {
+        let g = graph_from_arcs(2, &[(0, 1, 1.0)]).unwrap();
+        let db = Database::open(&g).unwrap();
+        let traces = sweep(&db, NodeId(0), &[NodeId(0), NodeId(1)]);
+        assert_eq!(traces[0].iterations, 0);
+        assert_eq!(traces[0].path.as_ref().unwrap().cost, 0.0);
+        assert!(traces[1].path.is_some());
+    }
+
+    #[test]
+    fn only_dijkstra_is_target_independent() {
+        let mut all = vec![Algorithm::Iterative, Algorithm::Dijkstra];
+        all.extend(AStarVersion::ALL_WITH_HIERARCHY.map(Algorithm::AStar));
+        for frontier in [
+            FrontierKind::StatusAttribute,
+            FrontierKind::SeparateRelation,
+        ] {
+            // A zero estimator alone is not enough: Figure 3 may reopen.
+            for estimator in [Estimator::Zero, Estimator::Euclidean] {
+                all.push(Algorithm::Custom {
+                    frontier,
+                    estimator,
+                });
+            }
+        }
+        for algorithm in all {
+            assert_eq!(
+                algorithm.describe().kernel.is_target_independent(),
+                algorithm == Algorithm::Dijkstra,
+                "{}",
+                algorithm.label()
+            );
+        }
     }
 
     #[test]

@@ -7,37 +7,30 @@
 //! (Lemma 2), which is what lets it beat the iterative algorithm on short
 //! paths.
 //!
-//! Dijkstra shares its engine with the status-frontier A\* versions — it
-//! is exactly best-first search with a zero estimator and no reopening
-//! (Figure 2 checks `not_in(v, frontierSet ∪ exploredSet)`, so closed
-//! nodes never re-enter the frontier).
+//! Dijkstra is not a loop of its own: [`Algorithm::describe`] says it is
+//! the crate's single best-first loop (the crate-private `search`
+//! module) with the status-attribute frontier, a zero estimator and no
+//! reopening (Figure 2 checks `not_in(v, frontierSet ∪ exploredSet)`, so
+//! closed nodes never re-enter the frontier). That zero-estimator,
+//! no-reopening score is target-independent, which is also what lets
+//! `Database::run_many_with_budgets` serve many destinations in one
+//! sweep.
 
-use crate::bestfirst::{run_status_frontier, StatusFrontierConfig};
-use crate::database::{Budgets, Database};
+use crate::database::{Algorithm, Budgets, Database};
 use crate::error::AlgorithmError;
-use crate::estimator::Estimator;
 use crate::trace::RunTrace;
 use atis_graph::NodeId;
 
-/// Runs Dijkstra's algorithm from `s` to `d` under `budgets`.
+/// Runs Dijkstra's algorithm from `s` to `d` under `budgets`, without
+/// the endpoint checks and the fault / metrics bracket of
+/// [`Database::run_with_budgets`].
 pub fn run(
     db: &Database,
     s: NodeId,
     d: NodeId,
     budgets: Budgets,
 ) -> Result<RunTrace, AlgorithmError> {
-    run_status_frontier(
-        db,
-        s,
-        d,
-        StatusFrontierConfig {
-            label: "Dijkstra".to_string(),
-            estimator: Estimator::Zero,
-            reopen_closed: false,
-            alt: None,
-        },
-        budgets,
-    )
+    db.run_kernel(Algorithm::Dijkstra, s, d, budgets)
 }
 
 #[cfg(test)]

@@ -11,7 +11,10 @@
 //!
 //! [`run_with_duplicate_policy`] runs relation-frontier A\* under each
 //! policy so the preference can be measured (the `duplicates` ablation in
-//! `atis-bench`):
+//! `atis-bench`). A policy is a frontier representation of the crate's
+//! single best-first loop (the crate-private `search` module), nothing
+//! more — so every policy is budgeted, observed and attributed per step
+//! exactly like every other run:
 //!
 //! * **Avoid** — membership is checked before every insertion (the
 //!   default elsewhere in this crate); each relaxation pays an index
@@ -22,17 +25,13 @@
 //! * **Eliminate** — insertions are blind and a duplicate-elimination
 //!   pass sweeps the frontier after each iteration's relaxations.
 
-use crate::database::Database;
+use crate::astar::run_custom;
+use crate::database::{Database, FrontierKind};
 use crate::error::AlgorithmError;
 use crate::estimator::Estimator;
+use crate::search::{best_first, BlindFrontier, Spec};
 use crate::trace::RunTrace;
-use atis_graph::{NodeId, Path, Point};
-use atis_storage::{
-    join_adjacency, IoStats, JoinStrategy, MultiRelation, NodeStatus, NodeTuple, TempRelation,
-    NO_PRED,
-};
-// analyze::allow(determinism-wall-clock): wall_ms is trace reporting metadata, never an algorithm input
-use std::time::Instant;
+use atis_graph::NodeId;
 
 /// The three duplicate-management options of Section 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,173 +79,26 @@ pub fn run_with_duplicate_policy(
     if !db.graph().contains(d) {
         return Err(AlgorithmError::UnknownDestination(d));
     }
-    if policy == DuplicatePolicy::Avoid {
-        // The avoidance policy *is* the standard relation-frontier A*.
-        let mut trace = crate::astar::run_custom(
-            db,
-            s,
-            d,
-            crate::database::FrontierKind::SeparateRelation,
-            estimator,
-            db.budgets(),
-        )?;
-        trace.algorithm = format!("A* (relation frontier, {} duplicates)", policy.label());
-        return Ok(trace);
-    }
-
-    // analyze::allow(determinism-wall-clock): wall_ms is trace reporting metadata, never an algorithm input
-    let wall_start = Instant::now();
-    let mut io = IoStats::new();
-    let s_id = s.0;
-    let d_id = d.0;
-    let levels = db.params().isam_levels;
-
-    let mut result: TempRelation<NodeTuple> = TempRelation::create(levels, &mut io);
-    let mut frontier: MultiRelation<NodeTuple> = MultiRelation::create(levels, &mut io);
-    if let Some(faults) = db.faults() {
-        result.attach_faults(faults);
-        frontier.attach_faults(faults);
-    }
-    let meter = db.budget_meter();
-
-    let sp = db.graph().point(s);
-    let dest: Point = db.graph().point(d);
-    let start_tuple = NodeTuple {
-        x: sp.x as f32,
-        y: sp.y as f32,
-        status: NodeStatus::Open,
-        path: NO_PRED,
-        path_cost: 0.0,
+    let spec = Spec {
+        label: format!("A* (relation frontier, {} duplicates)", policy.label()),
+        estimator,
+        reopen_closed: true,
+        alt: None,
     };
-    result.append(s_id, &start_tuple, &mut io)?;
-    frontier.append(s_id, &start_tuple, &mut io)?;
-    let mut frontier_peak = frontier.len() as u64;
-
-    let score = |t: &NodeTuple| t.path_cost as f64 + estimator.evaluate_f32(t.x, t.y, dest);
-
-    let mut iterations = 0u64;
-    let mut redundant = 0u64;
-    let mut reopened = 0u64;
-    let mut order = Vec::new();
-    let mut join_strategy: Option<JoinStrategy> = None;
-    let mut found = false;
-
-    while let Some((slot, u, ut)) = frontier.select_min(&mut io, |_, t| score(t))? {
-        meter.check(iterations, &io)?;
-        frontier.delete_slot(slot, &mut io)?;
-
-        // A stale duplicate: the node has already been explored at a cost
-        // no worse than this entry. The selection itself was a full scan —
-        // the "redundant iteration" the paper warns about.
-        let current = result.get(u, &mut io)?;
-        if current.status == NodeStatus::Closed && current.path_cost <= ut.path_cost {
-            iterations += 1;
-            redundant += 1;
-            continue;
-        }
-
-        result.replace(u, &mut io, |t| t.status = NodeStatus::Closed)?;
-        if u == d_id {
-            found = true;
-            break;
-        }
-        iterations += 1;
-        order.push(NodeId(u));
-
-        // Expand with the node's *best* known cost (the result relation's,
-        // which a fresher duplicate may have improved past this entry).
-        let ut = NodeTuple {
-            status: NodeStatus::Current,
-            ..current
-        };
-        let (adjacency, strategy) = join_adjacency(
-            &[(u, ut)],
-            db.edges(),
-            db.join_policy(),
-            db.params(),
-            &mut io,
-        )?;
-        join_strategy = Some(strategy);
-
-        for (_, e) in adjacency {
-            let v = e.end;
-            let candidate = ut.path_cost + e.cost as f32;
-            if result.contains(v, &mut io)? {
-                let cur = result.get(v, &mut io)?;
-                if candidate < cur.path_cost {
-                    if cur.status == NodeStatus::Closed {
-                        reopened += 1;
-                    }
-                    result.replace(v, &mut io, |t| {
-                        t.path_cost = candidate;
-                        t.path = u;
-                        t.status = NodeStatus::Open;
-                    })?;
-                    // Blind duplicate APPEND: no frontier probe.
-                    let mut t = cur;
-                    t.path_cost = candidate;
-                    t.path = u;
-                    t.status = NodeStatus::Open;
-                    frontier.append(v, &t, &mut io)?;
-                }
-            } else {
-                let t = NodeTuple {
-                    x: e.end_x,
-                    y: e.end_y,
-                    status: NodeStatus::Open,
-                    path: u,
-                    path_cost: candidate,
-                };
-                result.append(v, &t, &mut io)?;
-                frontier.append(v, &t, &mut io)?;
-            }
-        }
-
-        // Peak is read before elimination: the scan that just happened saw
-        // the duplicated frontier at this size.
-        frontier_peak = frontier_peak.max(frontier.len() as u64);
-        if policy == DuplicatePolicy::Eliminate {
-            frontier.eliminate_duplicates(&mut io, |_, t| score(t))?;
-        }
-    }
-
-    let path = if found {
-        let n = db.graph().node_count();
-        let mut pred: Vec<Option<NodeId>> = vec![None; n];
-        for id in 0..n as u32 {
-            if let Some(t) = result.peek(id)? {
-                if t.path != NO_PRED {
-                    pred[id as usize] = Some(NodeId(t.path));
-                }
-            }
-        }
-        let cost = result
-            .peek(d_id)?
-            .map(|t| t.path_cost as f64)
-            .unwrap_or(f64::INFINITY);
-        Path::from_predecessors(s, d, cost, &pred)
-    } else {
-        None
-    };
-
-    Ok(RunTrace {
-        algorithm: format!("A* (relation frontier, {} duplicates)", policy.label()),
-        iterations,
-        expanded: iterations - redundant,
-        reopened,
-        io,
-        join_strategy,
-        path,
-        wall: wall_start.elapsed(),
-        expansion_order: order,
-        // Coarse attribution: the relation-frontier variants report their
-        // whole metered run as one bucket; the fine-grained breakdown
-        // experiment uses the status-frontier engines.
-        steps: crate::trace::StepBreakdown {
-            bookkeeping: io,
-            ..Default::default()
+    let budgets = db.budgets();
+    Ok(match policy {
+        // The avoidance policy *is* the standard relation-frontier A*
+        // (and says so to a trace sink); only the trace is relabelled.
+        DuplicatePolicy::Avoid => RunTrace {
+            algorithm: spec.label,
+            ..run_custom(db, s, d, FrontierKind::SeparateRelation, estimator, budgets)?
         },
-        frontier_peak,
+        DuplicatePolicy::Eliminate => {
+            best_first::<BlindFrontier<true>>(db, s, &[d], spec, budgets)?.trace_to(d)
+        }
+        DuplicatePolicy::Allow => {
+            best_first::<BlindFrontier<false>>(db, s, &[d], spec, budgets)?.trace_to(d)
+        }
     })
 }
 

@@ -203,8 +203,9 @@ pub(crate) fn run(
         path,
         wall: wall_start.elapsed(),
         expansion_order: order,
-        // Coarse attribution, like the relation-frontier engine: the
-        // whole metered run lands in one bucket.
+        // Coarse attribution: the overlay search has no select / join /
+        // update steps of Table 3's kind, so the whole metered run lands
+        // in one bucket.
         steps: StepBreakdown {
             bookkeeping: io,
             ..Default::default()

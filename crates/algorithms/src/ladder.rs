@@ -34,8 +34,19 @@ pub struct Rung {
     pub name: &'static str,
     /// What the rung runs.
     pub algorithm: Algorithm,
-    /// What it cannot run without.
+    /// What it cannot run without — read off the algorithm's description
+    /// ([`Algorithm::describe`]) when the rung is made, never restated.
     pub needs: Needs,
+}
+
+impl Rung {
+    const fn new(name: &'static str, algorithm: Algorithm) -> Rung {
+        Rung {
+            name,
+            algorithm,
+            needs: algorithm.describe().needs,
+        }
+    }
 }
 
 /// The name every sequence's first rung answers to.
@@ -44,26 +55,10 @@ pub const PRIMARY: &str = "primary";
 /// The ladder, strongest rung first. Every rung answers exactly; lower
 /// rungs need less preprocessing and expand more nodes.
 pub const TABLE: [Rung; 4] = [
-    Rung {
-        name: "astar-v5",
-        algorithm: Algorithm::AStar(AStarVersion::V5),
-        needs: Needs::Hierarchy,
-    },
-    Rung {
-        name: "astar-v4",
-        algorithm: Algorithm::AStar(AStarVersion::V4),
-        needs: Needs::Landmarks,
-    },
-    Rung {
-        name: "astar-v3",
-        algorithm: Algorithm::AStar(AStarVersion::V3),
-        needs: Needs::Nothing,
-    },
-    Rung {
-        name: "dijkstra",
-        algorithm: Algorithm::Dijkstra,
-        needs: Needs::Nothing,
-    },
+    Rung::new("astar-v5", Algorithm::AStar(AStarVersion::V5)),
+    Rung::new("astar-v4", Algorithm::AStar(AStarVersion::V4)),
+    Rung::new("astar-v3", Algorithm::AStar(AStarVersion::V3)),
+    Rung::new("dijkstra", Algorithm::Dijkstra),
 ];
 
 /// The rungs a `primary` algorithm walks: itself (named [`PRIMARY`]),
@@ -72,13 +67,8 @@ pub const TABLE: [Rung; 4] = [
 /// row, Dijkstra, below it; Dijkstra is its own whole ladder.
 pub fn sequence(primary: Algorithm) -> Vec<Rung> {
     let row = TABLE.iter().position(|r| r.algorithm == primary);
-    let head = Rung {
-        name: PRIMARY,
-        algorithm: primary,
-        needs: row.map_or(Needs::Nothing, |i| TABLE[i].needs),
-    };
     let below = row.map_or(TABLE.len() - 1, |i| i + 1);
-    std::iter::once(head)
+    std::iter::once(Rung::new(PRIMARY, primary))
         .chain(TABLE[below..].iter().copied())
         .collect()
 }
@@ -296,6 +286,13 @@ mod tests {
         // The primary keeps its row's artifact.
         assert_eq!(sequence(v(AStarVersion::V5))[0].needs, Needs::Hierarchy);
         assert_eq!(sequence(Algorithm::Iterative)[0].needs, Needs::Nothing);
+    }
+
+    #[test]
+    fn every_rung_needs_what_its_algorithm_is_described_to_need() {
+        for rung in TABLE {
+            assert_eq!(rung.needs, rung.algorithm.describe().needs, "{}", rung.name);
+        }
     }
 
     #[test]

@@ -13,7 +13,13 @@
 //! * [`astar`] — the estimator-based single-pair representative
 //!   (Figure 3), in the three implementation versions of Section 5.3:
 //!   v1 (separate frontier relation + Euclidean), v2 (status-attribute
-//!   frontier + Euclidean), v3 (status-attribute frontier + Manhattan).
+//!   frontier + Euclidean), v3 (status-attribute frontier + Manhattan),
+//!   plus the landmark-guided v4 and the hierarchy-backed v5.
+//!
+//! Figures 2 and 3 are one loop (Section 5.3): the crate has a single
+//! best-first driver, parameterised by frontier representation,
+//! estimator and reopening rule, and [`Algorithm::describe`] is the one
+//! `match` that says which parameters each algorithm is.
 //!
 //! Every run produces a [`RunTrace`]: the iteration count the paper's
 //! tables report, the metered [`atis_storage::IoStats`], the cost in
@@ -34,8 +40,6 @@
 #![forbid(unsafe_code)]
 
 pub mod astar;
-pub(crate) mod batch;
-pub(crate) mod bestfirst;
 pub mod bidirectional;
 pub mod closure;
 pub mod database;
@@ -48,11 +52,12 @@ pub mod iterative;
 pub mod ladder;
 pub mod memory;
 pub(crate) mod observe;
+pub(crate) mod search;
 pub mod trace;
 
 pub use astar::AStarVersion;
 pub use bidirectional::{bidirectional_dijkstra, BidirectionalResult};
-pub use database::{Algorithm, Budgets, Database, FrontierKind};
+pub use database::{Algorithm, Budgets, Database, Description, FrontierKind, Kernel, Label};
 pub use duplicates::DuplicatePolicy;
 pub use error::{AlgorithmError, BudgetKind, HierarchyIssue, LandmarkIssue};
 pub use estimator::Estimator;

@@ -6,8 +6,8 @@
 //! [`RunObserver::span`] emits one [`IterationEvent`] whose `io_delta` is
 //! exactly the storage work since the previous span — so the emitted
 //! deltas partition the run's total `IoStats` with nothing counted twice
-//! and nothing missed (`tests/observability.rs` enforces this for all
-//! five algorithms).
+//! and nothing missed (`tests/observability.rs` enforces this for every
+//! preset).
 //!
 //! With no sink attached every method is a single `Option` check; no
 //! event is built, nothing allocates, and — because observers read

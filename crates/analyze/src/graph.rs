@@ -186,7 +186,9 @@ impl CallGraph {
                 let t = &toks[i];
                 let is_call = t.kind == TokenKind::Ident
                     && !is_keyword(&t.text)
-                    && toks.get(i + 1).is_some_and(|p| p.is_punct('('));
+                    && toks
+                        .get(after_turbofish(toks, i + 1))
+                        .is_some_and(|p| p.is_punct('('));
                 if is_call {
                     let name = t.text.as_str();
                     let prev = i.checked_sub(1).map(|j| &toks[j]);
@@ -754,6 +756,31 @@ fn resolve_bare(
         .collect()
 }
 
+/// The token index after the turbofish starting at `i`, or `i` itself
+/// when there is none — so `name::<A, B>(…)` is the call of `name` that
+/// `name(…)` is (a generic function picked by type is otherwise an
+/// invisible edge, and everything below it unreachable).
+fn after_turbofish(toks: &[Token], i: usize) -> usize {
+    let is = |j: usize, c: char| toks.get(j).is_some_and(|t| t.is_punct(c));
+    if !(is(i, ':') && is(i + 1, ':') && is(i + 2, '<')) {
+        return i;
+    }
+    let mut depth = 0usize;
+    for j in i + 2..toks.len() {
+        if is(j, '<') {
+            depth += 1;
+        } else if is(j, '>') && !is(j - 1, '-') {
+            depth -= 1;
+            if depth == 0 {
+                return j + 1;
+            }
+        } else if is(j, ';') || is(j, '{') {
+            break; // not a type list after all
+        }
+    }
+    i
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -930,6 +957,22 @@ mod tests {
         let paint = g.node("serve", "paint", None).unwrap();
         let draw = g.node("serve", "draw", Some("Page")).unwrap();
         assert_eq!(g.callees(paint), vec![draw]);
+    }
+
+    #[test]
+    fn turbofish_calls_are_calls() {
+        let g = graph(&[(
+            "crates/serve/src/lib.rs",
+            "fn run() { pick::<Vec<Box<u8>>, fn() -> u8>(); Page::draw::<u8>(); }\n\
+             fn pick<A, B>() {}\nimpl Page { fn draw<T>() {} }\n\
+             fn idle() { let _ = pick::<u8, u8>; }",
+        )]);
+        let run = g.node("serve", "run", None).unwrap();
+        let pick = g.node("serve", "pick", None).unwrap();
+        let draw = g.node("serve", "draw", Some("Page")).unwrap();
+        assert_eq!(g.callees(run), vec![pick, draw]);
+        // Naming a generic function without calling it is not a call.
+        assert!(g.callees(g.node("serve", "idle", None).unwrap()).is_empty());
     }
 
     #[test]

@@ -41,6 +41,7 @@
 //! ESTIMATORS_SMOKE=1 cargo bench -p atis-bench --bench estimator_quality
 //! ```
 
+use atis_algorithms::ladder::Needs;
 use atis_algorithms::{AStarVersion, Algorithm, Database};
 use atis_bench::PAPER_SEED;
 use atis_graph::{
@@ -93,6 +94,7 @@ fn run_versions(
     versions
         .iter()
         .map(|&version| {
+            let needs = Algorithm::AStar(version).describe().needs;
             let mut rec = Record {
                 network,
                 nodes: graph.node_count(),
@@ -103,10 +105,10 @@ fn run_versions(
                 block_reads: 0,
                 frontier_peak: 0,
                 wall_ms: 0.0,
-                preprocess_ms: version.needs_landmarks().then_some(preprocess_ms),
-                landmarks: version.needs_landmarks().then_some(landmark_count),
-                hierarchy_ms: version.needs_hierarchy().then_some(hierarchy_ms),
-                hierarchy_arcs: version.needs_hierarchy().then_some(hierarchy_arcs),
+                preprocess_ms: (needs == Needs::Landmarks).then_some(preprocess_ms),
+                landmarks: (needs == Needs::Landmarks).then_some(landmark_count),
+                hierarchy_ms: (needs == Needs::Hierarchy).then_some(hierarchy_ms),
+                hierarchy_arcs: (needs == Needs::Hierarchy).then_some(hierarchy_arcs),
             };
             for &(s, d) in queries {
                 let started = Instant::now();

@@ -11,8 +11,7 @@
 //!    by that iteration), any injected-fault events, and one
 //!    [`RunFinished`](TraceEvent::RunFinished). The deltas partition the
 //!    run: summed, they equal the run's total `IoStats` to the block
-//!    (an invariant the integration tests enforce for all five
-//!    algorithms).
+//!    (an invariant the integration tests enforce for every preset).
 //! 2. **What has this process done so far?** — a [`MetricsRegistry`] of
 //!    named monotonic counters and histograms (iterations per run,
 //!    blocks per iteration, buffer-pool hit rate, …), snapshot-able as

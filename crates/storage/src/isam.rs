@@ -95,6 +95,7 @@ impl IsamIndex {
         io.read_blocks(self.levels);
         if let Some(f) = &self.faults {
             let stall = {
+                // analyze::allow(panic-reachability): a poisoned fault-state lock means a panicked holder; aborting is the documented policy
                 let mut f = f.lock().expect("fault state lock");
                 for level in 0..self.levels {
                     f.on_read(INDEX_BLOCK_BASE + level as usize)?;

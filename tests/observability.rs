@@ -3,7 +3,11 @@
 //! plan-event spans under injected faults, and the model-vs-measured
 //! report at the paper's tolerance.
 
-use atis::algorithms::{AStarVersion, Algorithm, Database};
+use atis::algorithms::duplicates::run_with_duplicate_policy;
+use atis::algorithms::{
+    AStarVersion, Algorithm, Database, DuplicatePolicy, Estimator, FrontierKind, Hierarchy,
+    HierarchyConfig, LandmarkTables, PreprocessConfig, RunTrace,
+};
 use atis::core::{ResiliencePolicy, RoutePlanner};
 use atis::costmodel::ModelParams;
 use atis::obs::{
@@ -11,41 +15,91 @@ use atis::obs::{
     StepIo, TraceEvent,
 };
 use atis::storage::{FaultPlan, IoStats};
-use atis::{CostModel, Grid, QueryKind};
+use atis::{CostModel, Grid, NodeId, QueryKind};
 use std::sync::Arc;
-
-const ALL_FIVE: [Algorithm; 5] = [
-    Algorithm::Iterative,
-    Algorithm::Dijkstra,
-    Algorithm::AStar(AStarVersion::V1),
-    Algorithm::AStar(AStarVersion::V2),
-    Algorithm::AStar(AStarVersion::V3),
-];
 
 fn grid8() -> Grid {
     Grid::new(8, CostModel::TWENTY_PERCENT, 1993).unwrap()
 }
 
+/// A database every preset can run against: landmark tables (v4) and a
+/// hierarchy (v5) attached.
+fn db_with_artifacts(grid: &Grid) -> Database {
+    let graph = grid.graph();
+    Database::open(graph)
+        .unwrap()
+        .with_landmarks(LandmarkTables::build(graph, PreprocessConfig::grid_default()).unwrap())
+        .with_hierarchy(Hierarchy::build(graph, HierarchyConfig::paper()).unwrap())
+}
+
+/// One way to run a database-resident search from `s` to `d`; a sweep
+/// returns one trace per target, everything else one trace.
+type Preset = Box<dyn Fn(&Database, NodeId, NodeId) -> Vec<RunTrace>>;
+
+/// Every preset: the iterative algorithm, Dijkstra, A\* versions 1–5,
+/// the eight custom frontier × estimator combinations, the three
+/// duplicate policies, and a four-target sweep.
+fn every_preset(grid: &Grid) -> Vec<Preset> {
+    let mut algorithms = vec![Algorithm::Iterative, Algorithm::Dijkstra];
+    algorithms.extend(AStarVersion::ALL_WITH_HIERARCHY.map(Algorithm::AStar));
+    for frontier in [
+        FrontierKind::StatusAttribute,
+        FrontierKind::SeparateRelation,
+    ] {
+        for estimator in [
+            Estimator::Zero,
+            Estimator::Euclidean,
+            Estimator::Manhattan,
+            Estimator::WeightedManhattan { weight: 0.5 },
+        ] {
+            algorithms.push(Algorithm::Custom {
+                frontier,
+                estimator,
+            });
+        }
+    }
+    let mut presets: Vec<Preset> = Vec::new();
+    for alg in algorithms {
+        presets.push(Box::new(move |db, s, d| vec![db.run(alg, s, d).unwrap()]));
+    }
+    for policy in DuplicatePolicy::ALL {
+        presets.push(Box::new(move |db, s, d| {
+            vec![run_with_duplicate_policy(db, s, d, Estimator::Manhattan, policy).unwrap()]
+        }));
+    }
+    let others = [grid.node_at(0, 7), grid.node_at(4, 4), grid.node_at(7, 0)];
+    presets.push(Box::new(move |db, s, d| {
+        let targets = [d, others[0], others[1], others[2]];
+        db.run_many_with_budgets(Algorithm::Dijkstra, s, &targets, db.budgets())
+            .unwrap()
+    }));
+    presets
+}
+
 /// The tentpole invariant: the emitted iteration events partition the
 /// run's I/O. Summing every event's `io_delta` reproduces the run's
-/// total `IoStats` exactly — to the counter — for all five algorithms,
-/// and the per-step `StepBreakdown` totals agree.
+/// total `IoStats` exactly — to the counter — for every preset, and the
+/// per-step `StepBreakdown` totals agree.
 #[test]
 fn iteration_deltas_partition_the_run_io_for_all_five_algorithms() {
     let grid = grid8();
     let (s, d) = grid.query_pair(QueryKind::Diagonal);
-    for alg in ALL_FIVE {
+    let base = db_with_artifacts(&grid);
+    for preset in every_preset(&grid) {
         let ring = RingSink::shared(100_000);
-        let db = Database::open(grid.graph())
-            .unwrap()
-            .with_trace_sink(ring.clone());
-        let trace = db.run(alg, s, d).unwrap();
+        let db = base.clone().with_trace_sink(ring.clone());
+        let traces = preset(&db, s, d);
+        // A sweep's traces share the run's I/O; its main loop ran until
+        // the last of its targets was selected.
+        let trace = &traces[0];
+        let iterations = traces.iter().map(|t| t.iterations).max().unwrap();
 
         let mut summed = IoStats::new();
         let mut init_events = 0;
         let mut search_events = 0;
         let mut finish_events = 0;
-        for event in ring.events() {
+        let events = ring.events();
+        for event in &events {
             if let TraceEvent::Iteration(ev) = event {
                 summed += ev.io_delta;
                 match ev.phase {
@@ -56,16 +110,32 @@ fn iteration_deltas_partition_the_run_io_for_all_five_algorithms() {
             }
         }
         let label = trace.algorithm.as_str();
+        assert!(
+            matches!(events.first(), Some(TraceEvent::RunStarted { .. })),
+            "{label}: the stream opens with RunStarted"
+        );
+        assert!(
+            matches!(events.last(), Some(TraceEvent::RunFinished { .. })),
+            "{label}: the stream closes with RunFinished"
+        );
         assert_eq!(summed, trace.io, "{label}: summed deltas != run IoStats");
         assert_eq!(
             summed,
             trace.steps.total(),
             "{label}: deltas != step breakdown"
         );
-        assert_eq!(init_events, 1, "{label}: exactly one init event");
+        // One init span covers the initialisation a run charged; version
+        // 5 builds no relation, so it has neither.
+        let initialises = trace.steps.init != IoStats::new();
+        assert_eq!(
+            init_events,
+            u64::from(initialises),
+            "{label}: exactly one init event"
+        );
+        assert_eq!(initialises, !label.contains("version 5"), "{label}");
         assert_eq!(finish_events, 1, "{label}: exactly one finish event");
         assert_eq!(
-            search_events, trace.iterations,
+            search_events, iterations,
             "{label}: one search event per main-loop iteration"
         );
         assert_eq!(
@@ -77,33 +147,35 @@ fn iteration_deltas_partition_the_run_io_for_all_five_algorithms() {
 }
 
 /// Attaching a sink must not perturb the engine: `IoStats`, iteration
-/// counts and the discovered path are bit-identical with and without one.
+/// counts and the discovered path are bit-identical with and without
+/// one, for every preset.
 #[test]
 fn tracing_leaves_iostats_and_paths_bit_identical() {
     let grid = grid8();
+    let bare = db_with_artifacts(&grid);
+    let traced = bare
+        .clone()
+        .with_trace_sink(RingSink::shared(1 << 16))
+        .with_metrics(MetricsRegistry::shared());
     for kind in [
         QueryKind::Horizontal,
         QueryKind::Diagonal,
         QueryKind::Random,
     ] {
         let (s, d) = grid.query_pair(kind);
-        for alg in ALL_FIVE {
-            let bare = Database::open(grid.graph()).unwrap();
-            let traced = Database::open(grid.graph())
-                .unwrap()
-                .with_trace_sink(RingSink::shared(1 << 16))
-                .with_metrics(MetricsRegistry::shared());
-            let a = bare.run(alg, s, d).unwrap();
-            let b = traced.run(alg, s, d).unwrap();
-            assert_eq!(a.io, b.io, "{}: IoStats must be identical", a.algorithm);
-            assert_eq!(a.iterations, b.iterations);
-            assert_eq!(a.expansion_order, b.expansion_order);
-            assert_eq!(
-                a.path.as_ref().map(|p| &p.nodes),
-                b.path.as_ref().map(|p| &p.nodes),
-                "{}: path must be identical",
-                a.algorithm
-            );
+        for preset in every_preset(&grid) {
+            for (a, b) in preset(&bare, s, d).iter().zip(&preset(&traced, s, d)) {
+                assert_eq!(a.io, b.io, "{}: IoStats must be identical", a.algorithm);
+                assert_eq!(a.steps, b.steps, "{}: step breakdown", a.algorithm);
+                assert_eq!(a.iterations, b.iterations);
+                assert_eq!(a.expansion_order, b.expansion_order);
+                assert_eq!(
+                    a.path.as_ref().map(|p| &p.nodes),
+                    b.path.as_ref().map(|p| &p.nodes),
+                    "{}: path must be identical",
+                    a.algorithm
+                );
+            }
         }
     }
 }
