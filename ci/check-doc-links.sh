@@ -197,6 +197,29 @@ if [ -f DESIGN.md ]; then
     done
 fi
 
+# 8. Hierarchy-doc drift, the twin of check 6 for crates/hierarchy/src/:
+#    every `Hierarchy::x`, `HierarchyConfig::x`, `BuildReport::x`,
+#    `UpArc::x` and `Pricing::x` that HIERARCHY.md, DESIGN.md, SERVING.md
+#    or SCALING.md mention (`Type::{a, b}` lists are expanded) must be an
+#    `fn x` or a field `x:` declared there, so a deleted method, column
+#    or knob fails here, not in a reader's editor.
+hier_src=crates/hierarchy/src
+if [ -d "$hier_src" ]; then
+    for doc in HIERARCHY.md DESIGN.md SERVING.md SCALING.md; do
+        [ -f "$doc" ] || continue
+        for type in Hierarchy HierarchyConfig BuildReport UpArc Pricing; do
+            mentioned=$(grep -o "\\b$type::\\({[^}]*}\\|[a-z_][a-z0-9_]*\\)" "$doc" 2>/dev/null \
+                | sed "s/^$type:://" | tr -d '{}' | tr ',' '\n' | tr -d ' ' | sort -u) || true
+            for name in $mentioned; do
+                if ! grep -rq "fn $name[(<]\|^ *\(pub \|pub(crate) \)\?$name: " "$hier_src"; then
+                    echo "UNKNOWN HIERARCHY NAME: $doc mentions $type::$name, which $hier_src declares neither as a fn nor as a field"
+                    fail=1
+                fi
+            done
+        done
+    done
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "doc-link check FAILED"
     exit 1

@@ -447,7 +447,7 @@ mod tests {
         assert!(db.run(Algorithm::AStar(AStarVersion::V3), s, d).is_ok());
         // Customizing for the new costs restores v5, exactly.
         let customized = db.hierarchy().unwrap().customized_for(db.graph());
-        assert!(customized.is_degraded());
+        assert!(customized.is_current_for(db.graph()));
         let db = db.with_hierarchy(customized);
         let t = db.run(Algorithm::AStar(AStarVersion::V5), s, d).unwrap();
         let oracle = memory::dijkstra_pair(db.graph(), s, d).unwrap();

@@ -153,14 +153,7 @@ pub(crate) fn run(
         }
 
         for arc in hierarchy.up_arcs(NodeId(u)) {
-            let (cost, live) = if side == FWD {
-                (arc.fwd, arc.fwd_live)
-            } else {
-                (arc.bwd, arc.bwd_live)
-            };
-            if !live {
-                continue;
-            }
+            let cost = if side == FWD { arc.fwd } else { arc.bwd };
             let next = score + cost;
             let v = arc.head.index();
             if next < dist[side][v] {

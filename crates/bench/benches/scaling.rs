@@ -314,18 +314,15 @@ fn run_scale(target: usize, network: &'static str) -> Vec<Record> {
     ] {
         let report = layout.hierarchy.build_report();
         println!(
-            "    {:<8} hierarchy_ms={:.1} (order {:.1}, fill {:.1}, customize {:.1}, witness {:.1}) \
-             arcs={} triangles={} witness_searches={} witness_settles={}",
+            "    {:<8} hierarchy_ms={:.1} (order {:.1}, fill {:.1}, customize {:.1}) \
+             arcs={} triangles={}",
             layout.label,
             layout.hierarchy_ms,
             report.order_ms,
             report.fill_ms,
             report.customize_ms,
-            report.witness_ms,
             layout.hierarchy.arc_count(),
-            report.triangles,
-            report.witness_searches,
-            report.witness_settles
+            report.triangles
         );
         let mut rows = run_workload(
             network,

@@ -18,9 +18,7 @@
 //!    under that order, stored as an up-arc CSR. Pure structure too, so
 //!    it survives every UPDATE.
 //! 3. **Customization** (`overlay`): price every arc direction against
-//!    the current costs via triangle relaxations, then (at build time)
-//!    run one bounded witness search per node, which puts the provably
-//!    useless directions that start there to sleep.
+//!    the current costs via triangle relaxations.
 //!
 //! [`Hierarchy::build_report`] says what each pass cost.
 //!
@@ -33,12 +31,11 @@
 //! [`Hierarchy::customized_for_edge`], re-prices only the arcs one
 //! changed edge can reach — the same code for an increase and a
 //! decrease, bit-identical to the full pass — and
-//! [`Hierarchy::customized_for`], the full pass, is what build-time
-//! pricing runs, what the tests compare against, and the fallback that
-//! heals an overlay of unknown provenance. Both leave the overlay
-//! correct for any metric but *degraded* (witness dormancy is cleared,
-//! so queries scan more arcs); only a build —
-//! [`Hierarchy::rebuild_for`] — derives dormancy again.
+//! [`Hierarchy::customized_for`], the full pass, is what the build
+//! itself runs, what the tests compare against, and the fallback that
+//! heals an overlay of unknown provenance. An overlay is a fill and the
+//! prices of one metric, however it got them: a built one and a
+//! re-priced one are the same thing.
 //!
 //! All preprocessing is metered in block I/O ([`IoStats`]) so the
 //! paper's cost-model lens extends to the build: HIERARCHY.md tabulates
@@ -64,9 +61,10 @@ use order::nested_dissection_order;
 use overlay::{Core, DownArcs, Pricing, NO_VIA};
 
 /// Bytes per overlay arc record: two endpoint ids (8), two directed
-/// customized costs (16), two unpack middles (8), and two dormancy
-/// words (16, block-aligned). Sets how many arcs fit a 4 KB block when
-/// queries and preprocessing are charged for touching the overlay.
+/// customized costs (16), two unpack middles (8), and 16 bytes the
+/// record once spent on per-direction pruning flags. Sets how many arcs
+/// fit a 4 KB block when queries and preprocessing are charged for
+/// touching the overlay.
 pub const ARC_TUPLE_SIZE: usize = 48;
 
 /// Overlay arc records per 4 KB block (85).
@@ -78,21 +76,13 @@ pub struct HierarchyConfig {
     /// Region size handed to [`PartitionMap`] when the ordering seeds
     /// itself from partition regions.
     pub region_target: usize,
-    /// Settle budget per witness search. Exhausting it conservatively
-    /// keeps the arc live, so a small limit trades build time for a few
-    /// extra live arcs — never correctness.
-    pub witness_settle_limit: usize,
 }
 
 impl HierarchyConfig {
     /// The configuration used throughout the experiments: 256-node
-    /// regions (the storage layer's block-aligned choice) and a 64-node
-    /// witness budget.
+    /// regions (the storage layer's block-aligned choice).
     pub fn paper() -> HierarchyConfig {
-        HierarchyConfig {
-            region_target: 256,
-            witness_settle_limit: 64,
-        }
+        HierarchyConfig { region_target: 256 }
     }
 }
 
@@ -103,9 +93,7 @@ impl Default for HierarchyConfig {
 }
 
 /// One up-arc out of a node, as seen by the bidirectional upward
-/// search. `fwd` prices tail → head travel, `bwd` head → tail; a
-/// direction flagged dormant can be skipped without losing any shortest
-/// path (see the `overlay` module docs for the witness argument).
+/// search. `fwd` prices tail → head travel, `bwd` head → tail.
 #[derive(Debug, Clone, Copy)]
 pub struct UpArc {
     /// The higher-ranked endpoint.
@@ -115,10 +103,6 @@ pub struct UpArc {
     pub fwd: f64,
     /// Customized cost head → tail.
     pub bwd: f64,
-    /// Whether the forward direction can appear on a shortest path.
-    pub fwd_live: bool,
-    /// Whether the backward direction can appear on a shortest path.
-    pub bwd_live: bool,
 }
 
 /// Where one [`Hierarchy::build`] spent its time and work, pass by pass.
@@ -132,15 +116,8 @@ pub struct BuildReport {
     pub fill_ms: f64,
     /// Wall time of the customization (triangle) pass, ms.
     pub customize_ms: f64,
-    /// Wall time of the witness pass, ms.
-    pub witness_ms: f64,
     /// Triangles the customization pass relaxed.
     pub triangles: u64,
-    /// Witness searches run — one per node with a question to ask.
-    pub witness_searches: u64,
-    /// Nodes the witness searches settled and expanded, one charged
-    /// block read each.
-    pub witness_settles: u64,
 }
 
 /// A contraction hierarchy: contraction order, shortcut overlay, and
@@ -160,22 +137,22 @@ pub struct Hierarchy {
     pricing: Arc<Pricing>,
     fingerprint: u64,
     config: HierarchyConfig,
-    degraded: bool,
     build_io: IoStats,
     report: BuildReport,
 }
 
 impl Hierarchy {
     /// Orders, contracts, and customizes a hierarchy for `graph` at its
-    /// current costs, with witness dormancy derived at this metric.
+    /// current costs: a fresh order and fill, then the pricing
+    /// [`Hierarchy::customized_for`] computes. A `region_target` of 0
+    /// is taken as 1.
     ///
     /// Metered honestly: the build scans the node and edge relations
-    /// once, charges one block read per node a witness search expands
-    /// (one search per node answers all of that node's questions), and
-    /// writes the overlay out at [`ARC_TUPLE_SIZE`] bytes per arc. The
-    /// total is available as [`Hierarchy::build_io`] and feeds
-    /// HIERARCHY.md's preprocessing cost tables; the per-pass split is
-    /// [`Hierarchy::build_report`].
+    /// once, charges a tuple update per triangle relaxation that
+    /// improved a price, and writes the overlay out at
+    /// [`ARC_TUPLE_SIZE`] bytes per arc. The total is available as
+    /// [`Hierarchy::build_io`] and feeds HIERARCHY.md's preprocessing
+    /// cost tables; the per-pass split is [`Hierarchy::build_report`].
     pub fn build(graph: &Graph, config: HierarchyConfig) -> Result<Hierarchy, HierarchyError> {
         if graph.node_count() == 0 {
             return Err(HierarchyError::EmptyGraph);
@@ -194,17 +171,14 @@ impl Hierarchy {
                 .as_secs_f64()
                 * 1e3
         };
-        let partition = PartitionMap::build(graph, config.region_target);
+        let partition = PartitionMap::build(graph, config.region_target.max(1));
         let order = nested_dissection_order(graph, &partition);
         report.order_ms = lap();
         let core = Core::fill(graph, order);
         report.fill_ms = lap();
-        let (mut pricing, triangles) = Pricing::customize_counted(&core, graph, &mut io);
+        let (pricing, triangles) = Pricing::customize(&core, graph, &mut io);
         report.triangles = triangles;
         report.customize_ms = lap();
-        (report.witness_searches, report.witness_settles) =
-            pricing.apply_witnesses(&core, graph, config.witness_settle_limit, &mut io);
-        report.witness_ms = lap();
 
         // Materialize the overlay relation.
         io.write_blocks(overlay_blocks(core.arc_count()));
@@ -216,7 +190,6 @@ impl Hierarchy {
             pricing: Arc::new(pricing),
             fingerprint: graph.cost_fingerprint(),
             config,
-            degraded: false,
             build_io: io,
             report,
         })
@@ -224,10 +197,9 @@ impl Hierarchy {
 
     /// Re-prices the overlay against `graph`'s current costs *without*
     /// re-contracting: the elimination fill is metric-independent, so
-    /// only the customization pass re-runs. The result is correct for
-    /// any metric but **degraded** — witness dormancy was derived at
-    /// the old costs and cannot be trusted, so it is cleared down to
-    /// "the direction has a finite cost" and queries scan more arcs.
+    /// only the customization pass re-runs — the pass
+    /// [`Hierarchy::build`] runs, so the result is the overlay a build
+    /// under the same order would price.
     ///
     /// This is the reference pass of the UPDATE contract: what
     /// [`Hierarchy::customized_for_edge`] must equal bit for bit, and
@@ -237,7 +209,7 @@ impl Hierarchy {
         let mut io = self.build_io;
         // Re-read current costs, rewrite the overlay's price columns.
         io.read_blocks(relation_blocks(graph));
-        let pricing = Pricing::customize(&self.core, graph, &mut io);
+        let (pricing, _) = Pricing::customize(&self.core, graph, &mut io);
         io.write_blocks(overlay_blocks(self.core.arc_count()));
         Hierarchy {
             core: Arc::clone(&self.core),
@@ -245,7 +217,6 @@ impl Hierarchy {
             pricing: Arc::new(pricing),
             fingerprint: graph.cost_fingerprint(),
             config: self.config,
-            degraded: true,
             build_io: io,
             report: self.report,
         }
@@ -262,8 +233,7 @@ impl Hierarchy {
     /// with the pre-update graph's; an overlay that fails that check
     /// goes through [`Hierarchy::customized_for`] instead). Under that
     /// precondition the result equals `customized_for(graph)` field
-    /// for field, bit for bit, and like it is **degraded**. The price
-    /// columns are copied, so holders of `self` keep reading the old
+    /// for field, bit for bit. The price columns are copied, so holders of `self` keep reading the old
     /// prices. `fingerprint` is `graph.cost_fingerprint()`, passed in
     /// because a caller maintaining several artifacts for one update
     /// already has it and the pass over every edge costs as much as the
@@ -278,9 +248,6 @@ impl Hierarchy {
         debug_assert_eq!(fingerprint, graph.cost_fingerprint());
         let mut io = self.build_io;
         let mut pricing = Pricing::clone(&self.pricing);
-        if !self.degraded {
-            pricing.clear_dormancy();
-        }
         let down = self.down.get_or_init(|| DownArcs::build(&self.core));
         let examined = pricing.reprice_edge(&self.core, down, graph, from, to, &mut io);
         let hierarchy = Hierarchy {
@@ -289,16 +256,14 @@ impl Hierarchy {
             pricing: Arc::new(pricing),
             fingerprint,
             config: self.config,
-            degraded: true,
             build_io: io,
             report: self.report,
         };
         (hierarchy, examined)
     }
 
-    /// Rebuilds from scratch at `graph`'s current costs — fresh
-    /// ordering, contraction, customization, and witness dormancy; the
-    /// only way back from degraded. No UPDATE takes it.
+    /// Rebuilds from scratch at `graph`'s current costs — a fresh order
+    /// and fill, for a changed *structure*. No UPDATE takes it.
     pub fn rebuild_for(&self, graph: &Graph) -> Result<Hierarchy, HierarchyError> {
         Hierarchy::build(graph, self.config)
     }
@@ -308,12 +273,6 @@ impl Hierarchy {
     /// — its shortcuts embed old prices.
     pub fn is_current_for(&self, graph: &Graph) -> bool {
         self.fingerprint == graph.cost_fingerprint()
-    }
-
-    /// Whether witness dormancy has been cleared by a customization
-    /// pass (queries stay exact but scan more arcs).
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 
     /// The cost fingerprint this hierarchy was priced at.
@@ -367,8 +326,6 @@ impl Hierarchy {
             head: NodeId(self.core.heads[idx]),
             fwd: self.pricing.fwd[idx],
             bwd: self.pricing.bwd[idx],
-            fwd_live: self.pricing.fwd_live[idx],
-            bwd_live: self.pricing.bwd_live[idx],
         })
     }
 
@@ -418,7 +375,7 @@ mod tests {
     use atis_graph::graph::graph_from_arcs;
     use atis_graph::{Metro, MetroSpec, SplitMix64};
 
-    /// Exhaustive bidirectional upward search over live directions —
+    /// Exhaustive bidirectional upward search —
     /// the reference implementation of the v5 query, kept here so the
     /// overlay is testable without the algorithms crate.
     fn updown_dist(h: &Hierarchy, s: NodeId, t: NodeId) -> f64 {
@@ -443,15 +400,7 @@ mod tests {
                 continue;
             }
             for arc in h.up_arcs(NodeId(u)) {
-                let (cost, live) = if forward {
-                    (arc.fwd, arc.fwd_live)
-                } else {
-                    (arc.bwd, arc.bwd_live)
-                };
-                if !live {
-                    continue;
-                }
-                let next = d + cost;
+                let next = d + if forward { arc.fwd } else { arc.bwd };
                 if next < dist[arc.head.index()] {
                     dist[arc.head.index()] = next;
                     heap.push((std::cmp::Reverse(ordered(next)), arc.head.0));
@@ -601,7 +550,6 @@ mod tests {
         let mut graph = metro.graph().clone();
         let h = Hierarchy::build(&graph, HierarchyConfig::paper()).unwrap();
         assert!(h.is_current_for(&graph));
-        assert!(!h.is_degraded());
 
         // Rush hour: a cost increase leaves the hierarchy stale.
         let edge = *graph.edges().next().unwrap();
@@ -610,33 +558,22 @@ mod tests {
             .unwrap();
         assert!(!h.is_current_for(&graph));
 
-        // Cheap arm: customize re-prices without re-contracting and
-        // stays exact, but reports degraded.
+        // Each arm — the full pass, the per-update phase, a rebuild —
+        // leaves the overlay current and exact.
         let customized = h.customized_for(&graph);
-        assert!(customized.is_current_for(&graph));
-        assert!(customized.is_degraded());
-        for (s, t) in sample_pairs(graph.node_count(), 15, 7) {
-            let got = updown_dist(&customized, s, t);
-            let want = reference_dist(&graph, s, t);
-            if want.is_finite() {
-                assert!((got - want).abs() <= want.abs() * 1e-9 + 1e-12);
+        let (partial, _) =
+            h.customized_for_edge(&graph, edge.from, edge.to, graph.cost_fingerprint());
+        let rebuilt = customized.rebuild_for(&graph).unwrap();
+        for arm in [&customized, &partial, &rebuilt] {
+            assert!(arm.is_current_for(&graph));
+            for (s, t) in sample_pairs(graph.node_count(), 15, 7) {
+                let got = updown_dist(arm, s, t);
+                let want = reference_dist(&graph, s, t);
+                if want.is_finite() {
+                    assert!((got - want).abs() <= want.abs() * 1e-9 + 1e-12);
+                }
             }
         }
-
-        // Expensive arm: re-contraction restores dormancy.
-        let rebuilt = customized.rebuild_for(&graph).unwrap();
-        assert!(rebuilt.is_current_for(&graph));
-        assert!(!rebuilt.is_degraded());
-        let live = |h: &Hierarchy| {
-            (0..h.node_count() as u32)
-                .flat_map(|u| h.up_arcs(NodeId(u)).collect::<Vec<_>>())
-                .filter(|a| a.fwd_live)
-                .count()
-        };
-        assert!(
-            live(&rebuilt) < live(&customized),
-            "rebuild should restore dormancy"
-        );
     }
 
     /// `metro`'s graph with a seeded handful of edges doubled by a
@@ -665,10 +602,7 @@ mod tests {
         assert_eq!(bits(&p.bwd), bits(&f.bwd), "bwd after {step}");
         assert_eq!(p.fwd_via, f.fwd_via, "fwd_via after {step}");
         assert_eq!(p.bwd_via, f.bwd_via, "bwd_via after {step}");
-        assert_eq!(p.fwd_live, f.fwd_live, "fwd_live after {step}");
-        assert_eq!(p.bwd_live, f.bwd_live, "bwd_live after {step}");
         assert_eq!(partial.fingerprint, full.fingerprint);
-        assert!(partial.is_degraded() && full.is_degraded());
     }
 
     proptest::proptest! {
@@ -733,15 +667,12 @@ mod tests {
             ..proptest::prelude::ProptestConfig::default()
         })]
 
-        /// The build kernels against the ones they replaced, kept as
-        /// test-only oracles: the merge triangle pass equals the
+        /// The build kernel against the one it replaced, kept as a
+        /// test-only oracle: the merge triangle pass equals the
         /// binary-search pass on both price columns (by bit pattern),
-        /// both `via` columns and the improvement count, and the shared
-        /// witness search equals the per-arc searches on both liveness
-        /// columns at every settle limit — 0 and 1 (nothing is visible),
-        /// 2 and 3 (the limit's edge), and limits no search reaches. The
-        /// graphs carry parallel twins, one-way carriageways and a
-        /// zero-cost edge (ties between a node and its neighbour).
+        /// both `via` columns and the improvement count. The graphs carry
+        /// parallel twins, one-way carriageways and a zero-cost edge (ties
+        /// between a node and its neighbour).
         #[test]
         fn build_kernels_are_bit_identical_to_the_reference_kernels(
             cx in 2usize..=3,
@@ -761,7 +692,7 @@ mod tests {
             let partition = PartitionMap::build(&graph, 256);
             let core = Core::fill(&graph, nested_dissection_order(&graph, &partition));
             let mut io = IoStats::new();
-            let merged = Pricing::customize(&core, &graph, &mut io);
+            let (merged, _) = Pricing::customize(&core, &graph, &mut io);
             let (searched, improvements) = Pricing::customize_by_search(&core, &graph);
             let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             proptest::prop_assert_eq!(bits(&merged.fwd), bits(&searched.fwd));
@@ -769,18 +700,6 @@ mod tests {
             proptest::prop_assert_eq!(&merged.fwd_via, &searched.fwd_via);
             proptest::prop_assert_eq!(&merged.bwd_via, &searched.bwd_via);
             proptest::prop_assert_eq!(io.tuple_updates, improvements);
-
-            for limit in [0, 1, 2, 3, 5, 64, 1000] {
-                let (mut shared, mut per_arc) = (merged.clone(), merged.clone());
-                shared.apply_witnesses(&core, &graph, limit, &mut io);
-                per_arc.apply_witnesses_per_arc(&core, &graph, limit);
-                proptest::prop_assert_eq!(
-                    &shared.fwd_live, &per_arc.fwd_live, "fwd_live at limit {}", limit
-                );
-                proptest::prop_assert_eq!(
-                    &shared.bwd_live, &per_arc.bwd_live, "bwd_live at limit {}", limit
-                );
-            }
         }
     }
 
@@ -816,15 +735,17 @@ mod tests {
         assert_eq!(a.core.heads, b.core.heads);
         assert_eq!(a.core.order, b.core.order);
         assert_eq!(a.pricing.fwd, b.pricing.fwd);
-        assert_eq!(a.pricing.fwd_live, b.pricing.fwd_live);
         assert_eq!(a.build_io(), b.build_io());
-        // The report's counts repeat; its wall times need not.
-        let counts = |h: &Hierarchy| {
-            let r = h.build_report();
-            (r.triangles, r.witness_searches, r.witness_settles)
-        };
-        assert_eq!(counts(&a), counts(&b));
-        assert!(counts(&a).0 > 0 && counts(&a).1 > 0 && counts(&a).2 > 0);
+        // The report's count repeats; its wall times need not.
+        assert_eq!(a.build_report().triangles, b.build_report().triangles);
+        assert!(a.build_report().triangles > 0);
+    }
+
+    #[test]
+    fn a_zero_region_target_builds_like_one() {
+        let graph = graph_from_arcs(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
+        let h = Hierarchy::build(&graph, HierarchyConfig { region_target: 0 }).unwrap();
+        assert!((updown_dist(&h, NodeId(0), NodeId(2)) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -841,7 +762,7 @@ mod tests {
         let metro = Metro::new(MetroSpec::new(2, 2, 13)).unwrap();
         let h = Hierarchy::build(metro.graph(), HierarchyConfig::paper()).unwrap();
         let io = h.build_io();
-        assert!(io.block_reads > 0, "scan + witness settles must be metered");
+        assert!(io.block_reads > 0, "the relation scan must be metered");
         assert!(
             io.block_writes > 0,
             "overlay materialization must be metered"

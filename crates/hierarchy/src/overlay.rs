@@ -1,5 +1,4 @@
-//! Shortcut overlay: elimination fill, metric customization, and
-//! witness dormancy.
+//! Shortcut overlay: elimination fill and metric customization.
 //!
 //! The overlay follows the customizable-contraction-hierarchy split of
 //! concerns (Strasser & Zeitz, PAPERS.md):
@@ -13,31 +12,13 @@
 //!   arc; `via` is what lets a query unpack a shortcut back into real
 //!   edges. Re-costing the graph re-runs only this pass — the fill is
 //!   untouched, which is what makes UPDATE-driven customization cheap.
-//! * **Dormancy** is a per-direction flag valid *only at the metric the
-//!   witness searches ran against*: a direction is dormant when a
-//!   bounded Dijkstra on the original graph found a strictly shorter
-//!   path between its endpoints, so no shortest up-down path can need
-//!   it. One search per node answers every direction that starts there
-//!   ([`Pricing::apply_witnesses`]). A customized (re-priced, not
-//!   re-contracted) overlay clears dormancy down to "cost is finite" —
-//!   correct for any metric, just slower, which is why the artifact
-//!   reports itself degraded.
 //!
-//! The two build kernels — the triangle pass and the witness pass — each
-//! have the kernel they replaced beside them under `#[cfg(test)]`
-//! (`customize_by_search`, `apply_witnesses_per_arc`): 6× and 23×
-//! slower at metro-100k, obviously right, and the crate's property tests
-//! hold the fast ones to them bit for bit.
-//!
-//! The safety argument for skipping a dormant direction: suppose a
-//! shortest up-down `s`–`t` path of cost `D` used direction `(a, b)`
-//! with customized cost `c` while some real path `a` ⇝ `b` costs
-//! `d < c`. Splicing that real path in place of the arc yields an
-//! `s`–`t` walk of cost `D - c + d < D`, and every walk is bounded
-//! below by the true distance — contradicting `D`'s optimality. The
-//! comparison uses a relative margin (`d < c · (1 − 1e-9)`) so float
-//! re-association noise between the two summation orders can never
-//! dormant an arc that is actually tied.
+//! That is all of it: a direction a query may relax is one priced
+//! finite, and nothing prunes further (HIERARCHY.md, "Why there is no
+//! witness pass"). The triangle pass has the kernel it replaced beside
+//! it under `#[cfg(test)]` (`customize_by_search`): 6× slower at
+//! metro-100k, obviously right, and the crate's property tests hold the
+//! fast one to it bit for bit.
 
 use std::collections::BTreeSet;
 
@@ -46,11 +27,6 @@ use atis_storage::IoStats;
 
 /// Sentinel for "no middle node": the arc direction is an original edge.
 pub(crate) const NO_VIA: u32 = u32::MAX;
-
-/// Relative margin for the witness comparison; absorbs the float
-/// re-association difference between a summed shortcut and a summed
-/// path without ever dormanting a genuinely tied arc.
-const WITNESS_MARGIN: f64 = 1e-9;
 
 /// Metric-independent overlay topology: the contraction order and the
 /// elimination fill stored as an up-arc CSR (tails in node-id order,
@@ -84,7 +60,7 @@ pub(crate) struct DownArcs {
 impl DownArcs {
     /// Transposes `core`'s up-arcs, keeping each arc's tail.
     pub(crate) fn build(core: &Core) -> DownArcs {
-        let (first, tails) = core.transpose(|tail, _| tail);
+        let (first, tails) = core.transpose();
         DownArcs { first, tails }
     }
 
@@ -158,10 +134,9 @@ impl Core {
     }
 
     /// Groups the up-arcs by head — the transpose of the CSR: offsets
-    /// indexed by head node id, and for each head what `entry(tail, arc
-    /// index)` keeps of its incoming arcs, tails in rank order. A
-    /// counting sort.
-    fn transpose<T: Copy + Default>(&self, entry: impl Fn(u32, usize) -> T) -> (Vec<u32>, Vec<T>) {
+    /// indexed by head node id, and for each head the tails of its
+    /// incoming arcs in rank order. A counting sort.
+    fn transpose(&self) -> (Vec<u32>, Vec<u32>) {
         let n = self.rank.len();
         let mut first = vec![0u32; n + 1];
         for &h in &self.heads {
@@ -171,15 +146,15 @@ impl Core {
             first[i + 1] += first[i];
         }
         let mut next = first.clone();
-        let mut entries = vec![T::default(); self.heads.len()];
+        let mut tails = vec![0u32; self.heads.len()];
         for &tail in &self.order {
             for idx in self.range(tail) {
                 let slot = &mut next[self.heads[idx] as usize];
-                entries[*slot as usize] = entry(tail, idx);
+                tails[*slot as usize] = tail;
                 *slot += 1;
             }
         }
-        (first, entries)
+        (first, tails)
     }
 
     /// Number of overlay arcs (each prices both directions).
@@ -205,22 +180,20 @@ impl Core {
     }
 }
 
-/// Metric state for one overlay: per-direction customized costs, unpack
-/// middles, and dormancy flags. `fwd` prices tail → head, `bwd` head →
-/// tail.
+/// Metric state for one overlay: per-direction customized costs and
+/// unpack middles. `fwd` prices tail → head, `bwd` head → tail.
 #[derive(Debug, Clone)]
 pub(crate) struct Pricing {
     pub(crate) fwd: Vec<f64>,
     pub(crate) bwd: Vec<f64>,
     pub(crate) fwd_via: Vec<u32>,
     pub(crate) bwd_via: Vec<u32>,
-    pub(crate) fwd_live: Vec<bool>,
-    pub(crate) bwd_live: Vec<bool>,
 }
 
 impl Pricing {
     /// Prices every arc direction against `graph`'s current costs via a
-    /// bottom-up triangle pass, leaving every finite direction live.
+    /// bottom-up triangle pass, and returns the pricing with the number
+    /// of triangles the pass relaxed.
     ///
     /// Arcs are initialised from the cheapest parallel original edge in
     /// each direction (`∞` when absent — one-way streets stay one-way in
@@ -228,28 +201,17 @@ impl Pricing {
     /// of up-arcs `(m→x, m→y)` relaxes the third side `x–y` of the
     /// triangle, which the chordal fill guarantees exists. Processing
     /// middles bottom-up makes each arc final before it is used as a
-    /// side, so one pass suffices. `improvements` (tuple updates in the
-    /// cost model) counts successful relaxations.
-    pub(crate) fn customize(core: &Core, graph: &Graph, io: &mut IoStats) -> Pricing {
-        Pricing::customize_counted(core, graph, io).0
-    }
-
-    /// [`Pricing::customize`], also returning the number of triangles
-    /// it relaxed.
-    pub(crate) fn customize_counted(
-        core: &Core,
-        graph: &Graph,
-        io: &mut IoStats,
-    ) -> (Pricing, u64) {
+    /// side, so one pass suffices. Successful relaxations are charged to
+    /// `io` as tuple updates.
+    pub(crate) fn customize(core: &Core, graph: &Graph, io: &mut IoStats) -> (Pricing, u64) {
         let mut pricing = Pricing::from_edges(core, graph);
         let (improvements, triangles) = pricing.relax_triangles(core);
-        pricing.clear_dormancy();
         io.update_tuples(improvements);
         (pricing, triangles)
     }
 
     /// Every arc direction at the cost of its cheapest original edge,
-    /// `∞` where there is none; nothing live yet.
+    /// `∞` where there is none.
     fn from_edges(core: &Core, graph: &Graph) -> Pricing {
         let arcs = core.arc_count();
         let mut pricing = Pricing {
@@ -257,8 +219,6 @@ impl Pricing {
             bwd: vec![f64::INFINITY; arcs],
             fwd_via: vec![NO_VIA; arcs],
             bwd_via: vec![NO_VIA; arcs],
-            fwd_live: vec![false; arcs],
-            bwd_live: vec![false; arcs],
         };
         for tail in 0..core.rank.len() as u32 {
             for idx in core.range(tail) {
@@ -376,7 +336,6 @@ impl Pricing {
                 }
             }
         }
-        pricing.clear_dormancy();
         (pricing, improvements)
     }
 
@@ -427,13 +386,11 @@ impl Pricing {
     /// sees no new one at or below it, so recomputing it would change
     /// nothing.
     ///
-    /// Liveness is kept at "the direction has a finite cost" for the
-    /// arcs examined; clearing witness dormancy elsewhere is the
-    /// caller's job ([`Pricing::clear_dormancy`]). Charged to `io`: per
-    /// arc examined one overlay block and the two adjacency blocks its
-    /// original costs come from, one overlay block per triangle — lower
-    /// (both sides sit in the middle's fan) or upper (the arc looked at)
-    /// — and a tuple update per arc whose record changed.
+    /// Charged to `io`: per arc examined one overlay block and the two
+    /// adjacency blocks its original costs come from, one overlay block
+    /// per triangle — lower (both sides sit in the middle's fan) or upper
+    /// (the arc looked at) — and a tuple update per arc whose record
+    /// changed.
     // Out of line on purpose: inlined into its one caller it moved the
     // code the *build* runs and cost metro-10k's 236 ms build 10 ms
     // (measured, alternating binaries; with this attribute, parity).
@@ -486,8 +443,6 @@ impl Pricing {
                 triangles += 1;
                 self.relax(idx, lo, hi, m);
             }
-            self.fwd_live[idx] = self.fwd[idx].is_finite();
-            self.bwd_live[idx] = self.bwd[idx].is_finite();
             let after = self.record(idx);
             rewritten += u64::from(after != before);
             if after[..2] == before[..2] {
@@ -536,290 +491,13 @@ impl Pricing {
             u64::from(self.bwd_via[idx]),
         ]
     }
-
-    /// Clears witness dormancy down to "the direction has a finite
-    /// cost" — what [`Pricing::customize`] leaves — because dormancy is
-    /// valid only at the metric the witness searches ran against.
-    pub(crate) fn clear_dormancy(&mut self) {
-        for idx in 0..self.fwd.len() {
-            self.fwd_live[idx] = self.fwd[idx].is_finite();
-            self.bwd_live[idx] = self.bwd[idx].is_finite();
-        }
-    }
-
-    /// Re-derives dormancy at the current metric: a live direction is
-    /// put to sleep when a bounded witness Dijkstra on the original
-    /// graph finds a strictly shorter real path between its endpoints
-    /// (see the module docs for why that is safe). Returns the number of
-    /// searches run and the number of nodes they expanded.
-    ///
-    /// One search per node answers every question that starts there. A
-    /// witness search pops nodes in an order that depends only on its
-    /// source — the heap is keyed by `(distance, node id)` and nothing is
-    /// pruned on the way in — while the question's target and bound only
-    /// decide where it stops. So the search from `source` runs once, to
-    /// the settle limit or the largest cutoff any of its questions has,
-    /// and a question `(target, bound)` has a witness exactly when
-    /// `target` was settled at a distance below the question's own
-    /// cutoff: distances come off the heap in non-decreasing order, so
-    /// no earlier pop could have stopped that question first. The
-    /// forward directions of `source`'s up-arcs start there, and so do
-    /// the backward directions of its incoming arcs, found through a
-    /// transpose that carries arc indexes and lives only for this pass
-    /// (8 bytes per arc).
-    ///
-    /// Charges one metered block read per node a search expands — the
-    /// honesty that keeps preprocessing comparable to query I/O in
-    /// HIERARCHY.md's cost tables.
-    pub(crate) fn apply_witnesses(
-        &mut self,
-        core: &Core,
-        graph: &Graph,
-        settle_limit: usize,
-        io: &mut IoStats,
-    ) -> (u64, u64) {
-        let (first, incoming) = core.transpose(|tail, idx| (tail, idx as u32));
-        let mut witness = WitnessSearch::new(graph.node_count());
-        let (mut searches, mut settles) = (0u64, 0u64);
-        for source in 0..core.rank.len() as u32 {
-            let out = core.range(source);
-            let inc =
-                &incoming[first[source as usize] as usize..first[source as usize + 1] as usize];
-            let mut reach = 0.0f64;
-            for idx in out.clone() {
-                if self.fwd_live[idx] {
-                    reach = reach.max(witness_cutoff(self.fwd[idx]));
-                }
-            }
-            for &(_, idx) in inc {
-                if self.bwd_live[idx as usize] {
-                    reach = reach.max(witness_cutoff(self.bwd[idx as usize]));
-                }
-            }
-            // Nothing settles below a zero cutoff: no question to ask.
-            if reach == 0.0 {
-                continue;
-            }
-            searches += 1;
-            settles += witness.settle_from(graph, source, reach, settle_limit);
-            for idx in out {
-                if self.fwd_live[idx] && witness.settled_below(core.heads[idx], self.fwd[idx]) {
-                    self.fwd_live[idx] = false;
-                }
-            }
-            for &(tail, idx) in inc {
-                let idx = idx as usize;
-                if self.bwd_live[idx] && witness.settled_below(tail, self.bwd[idx]) {
-                    self.bwd_live[idx] = false;
-                }
-            }
-        }
-        io.read_blocks(settles);
-        (searches, settles)
-    }
-
-    /// The witness pass as it was before the shared search: one bounded
-    /// Dijkstra per live arc direction. The oracle
-    /// [`Pricing::apply_witnesses`] is compared against.
-    #[cfg(test)]
-    pub(crate) fn apply_witnesses_per_arc(
-        &mut self,
-        core: &Core,
-        graph: &Graph,
-        settle_limit: usize,
-    ) {
-        let mut witness = WitnessSearch::new(graph.node_count());
-        for tail in 0..core.rank.len() as u32 {
-            for idx in core.range(tail) {
-                let head = core.heads[idx];
-                if self.fwd_live[idx]
-                    && witness.shorter_path_exists(graph, tail, head, self.fwd[idx], settle_limit)
-                {
-                    self.fwd_live[idx] = false;
-                }
-                if self.bwd_live[idx]
-                    && witness.shorter_path_exists(graph, head, tail, self.bwd[idx], settle_limit)
-                {
-                    self.bwd_live[idx] = false;
-                }
-            }
-        }
-    }
-}
-
-/// The distance a witness for an arc direction priced `bound` must stay
-/// below.
-fn witness_cutoff(bound: f64) -> f64 {
-    bound * (1.0 - WITNESS_MARGIN)
-}
-
-/// Reusable scratch state for witness searches; generation-stamped so
-/// every search shares one allocation.
-struct WitnessSearch {
-    dist: Vec<f64>,
-    /// `dist[v]` belongs to search `generation[v]`.
-    generation: Vec<u64>,
-    /// `v` was settled by search `settled[v]`, at `dist[v]`.
-    settled: Vec<u64>,
-    current: u64,
-    heap: std::collections::BinaryHeap<WitnessEntry>,
-}
-
-/// Min-heap entry ordered by distance with node-id tie-break, matching
-/// the deterministic heap idiom used across the algorithm crates.
-#[derive(PartialEq)]
-struct WitnessEntry {
-    dist: f64,
-    node: u32,
-}
-
-impl Eq for WitnessEntry {}
-
-impl Ord for WitnessEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for WitnessEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl WitnessSearch {
-    fn new(n: usize) -> WitnessSearch {
-        WitnessSearch {
-            dist: vec![f64::INFINITY; n],
-            generation: vec![0; n],
-            settled: vec![0; n],
-            current: 0,
-            heap: std::collections::BinaryHeap::new(),
-        }
-    }
-
-    /// Settles nodes outward from `source` until the next one lies at or
-    /// beyond `reach` or `settle_limit` nodes are settled, and returns
-    /// how many of them it expanded. Nothing is pruned on the way into
-    /// the heap, so the order nodes settle in depends on `source` alone.
-    /// The last node the limit admits is settled — a question may ask
-    /// about it — but not expanded: nothing it reaches could be settled.
-    fn settle_from(&mut self, graph: &Graph, source: u32, reach: f64, settle_limit: usize) -> u64 {
-        self.current += 1;
-        self.heap.clear();
-        self.dist[source as usize] = 0.0;
-        self.generation[source as usize] = self.current;
-        self.heap.push(WitnessEntry {
-            dist: 0.0,
-            node: source,
-        });
-        let (mut settled, mut expanded) = (0usize, 0u64);
-        while settled < settle_limit {
-            let Some(WitnessEntry { dist, node }) = self.heap.pop() else {
-                break;
-            };
-            if dist > self.dist[node as usize] {
-                continue; // lazy deletion
-            }
-            if dist >= reach {
-                break;
-            }
-            self.settled[node as usize] = self.current;
-            settled += 1;
-            if settled == settle_limit {
-                break; // visible to a question, never expanded
-            }
-            expanded += 1;
-            for e in graph.neighbors(NodeId(node)) {
-                let next = dist + e.cost;
-                let v = e.to.0 as usize;
-                if self.generation[v] != self.current || next < self.dist[v] {
-                    self.generation[v] = self.current;
-                    self.dist[v] = next;
-                    self.heap.push(WitnessEntry {
-                        dist: next,
-                        node: e.to.0,
-                    });
-                }
-            }
-        }
-        expanded
-    }
-
-    /// Whether the last [`WitnessSearch::settle_from`] settled `target`
-    /// at a distance strictly below the cutoff of `bound` — a real path
-    /// from the source shorter than an arc direction priced `bound`.
-    fn settled_below(&self, target: u32, bound: f64) -> bool {
-        self.settled[target as usize] == self.current
-            && self.dist[target as usize] < witness_cutoff(bound)
-    }
-
-    /// Whether a real path `source ⇝ target` strictly shorter than
-    /// `bound` exists, by a search of its own — the per-arc kernel the
-    /// shared search replaced, kept as its oracle. Bounded two ways:
-    /// keys at or beyond the bound are never expanded (the ball a
-    /// witness can live in has radius `bound`), and at most
-    /// `settle_limit` nodes are settled — exhausting the limit
-    /// conservatively reports "no witness", which keeps the arc live and
-    /// the overlay correct.
-    #[cfg(test)]
-    fn shorter_path_exists(
-        &mut self,
-        graph: &Graph,
-        source: u32,
-        target: u32,
-        bound: f64,
-        settle_limit: usize,
-    ) -> bool {
-        let cutoff = bound * (1.0 - WITNESS_MARGIN);
-        self.current += 1;
-        self.heap.clear();
-        self.dist[source as usize] = 0.0;
-        self.generation[source as usize] = self.current;
-        self.heap.push(WitnessEntry {
-            dist: 0.0,
-            node: source,
-        });
-        let mut settled = 0usize;
-        while let Some(WitnessEntry { dist, node }) = self.heap.pop() {
-            if self.generation[node as usize] == self.current && dist > self.dist[node as usize] {
-                continue; // lazy deletion
-            }
-            if dist >= cutoff {
-                return false;
-            }
-            if node == target {
-                return true;
-            }
-            settled += 1;
-            if settled >= settle_limit {
-                return false;
-            }
-            for e in graph.neighbors(NodeId(node)) {
-                let next = dist + e.cost;
-                let v = e.to.0 as usize;
-                if self.generation[v] != self.current || next < self.dist[v] {
-                    self.generation[v] = self.current;
-                    self.dist[v] = next;
-                    self.heap.push(WitnessEntry {
-                        dist: next,
-                        node: e.to.0,
-                    });
-                }
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use atis_graph::graph::graph_from_arcs;
-    use atis_graph::{Metro, MetroSpec, PartitionMap, SplitMix64};
+    use atis_graph::{PartitionMap, SplitMix64};
 
     impl Core {
         /// Order and fill, as `Hierarchy::build` composes them.
@@ -913,7 +591,7 @@ mod tests {
         let partition = PartitionMap::build(&graph, 256);
         let core = Core::build(&graph, &partition);
         let mut io = IoStats::new();
-        let pricing = Pricing::customize(&core, &graph, &mut io);
+        let (pricing, _) = Pricing::customize(&core, &graph, &mut io);
         for tail in 0..graph.node_count() as u32 {
             for idx in core.range(tail) {
                 let head = core.heads[idx];
@@ -933,45 +611,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn witness_pass_keeps_original_shortest_edges_live() {
-        let metro = Metro::new(MetroSpec::new(2, 2, 11)).unwrap();
-        let graph = metro.graph();
-        let partition = PartitionMap::build(graph, 256);
-        let core = Core::build(graph, &partition);
-        let mut io = IoStats::new();
-        let mut pricing = Pricing::customize(&core, graph, &mut io);
-        let before = pricing.fwd_live.iter().filter(|&&l| l).count()
-            + pricing.bwd_live.iter().filter(|&&l| l).count();
-        pricing.apply_witnesses(&core, graph, 64, &mut io);
-        let after = pricing.fwd_live.iter().filter(|&&l| l).count()
-            + pricing.bwd_live.iter().filter(|&&l| l).count();
-        assert!(after < before, "witness pass should dormant some arcs");
-        assert!(io.block_reads > 0, "witness settles must be metered");
-        // A direction whose customized cost equals the true distance
-        // must stay live — it may be the only way through.
-        for tail in 0..graph.node_count() as u32 {
-            for idx in core.range(tail) {
-                let head = core.heads[idx];
-                if pricing.fwd[idx].is_finite() && !pricing.fwd_live[idx] {
-                    let true_dist = reference_dist(graph, tail, head);
-                    assert!(
-                        true_dist < pricing.fwd[idx],
-                        "dormant arc {tail}->{head} has no shorter witness"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Plain in-memory Dijkstra distance for test oracles.
+    /// Plain in-memory Dijkstra distance for test oracles. The heap is
+    /// keyed by the distance's bit pattern, which orders non-negative
+    /// floats as the floats order.
     fn reference_dist(graph: &Graph, s: u32, t: u32) -> f64 {
+        use std::cmp::Reverse;
         let n = graph.node_count();
         let mut dist = vec![f64::INFINITY; n];
         let mut heap = std::collections::BinaryHeap::new();
         dist[s as usize] = 0.0;
-        heap.push(WitnessEntry { dist: 0.0, node: s });
-        while let Some(WitnessEntry { dist: d, node }) = heap.pop() {
+        heap.push(Reverse((0.0f64.to_bits(), s)));
+        while let Some(Reverse((bits, node))) = heap.pop() {
+            let d = f64::from_bits(bits);
             if d > dist[node as usize] {
                 continue;
             }
@@ -979,10 +630,7 @@ mod tests {
                 let next = d + e.cost;
                 if next < dist[e.to.0 as usize] {
                     dist[e.to.0 as usize] = next;
-                    heap.push(WitnessEntry {
-                        dist: next,
-                        node: e.to.0,
-                    });
+                    heap.push(Reverse((next.to_bits(), e.to.0)));
                 }
             }
         }

@@ -51,9 +51,9 @@ pub enum HierarchyRefresh {
     /// The overlay topology is metric-independent, so the update —
     /// increase or decrease alike — re-priced the shortcuts the changed
     /// edge can reach (or, for an overlay that was not current for the
-    /// costs before the update, all of them): exact but degraded
-    /// (witness dormancy cleared, so v5 expands more arcs). Nothing on
-    /// the update path re-contracts, so nothing on it can fail.
+    /// costs before the update, all of them): exact, and the overlay a
+    /// build at the new costs would price. Nothing on the update path
+    /// re-contracts, so nothing on it can fail.
     Customized,
 }
 
@@ -293,7 +293,7 @@ mod tests {
         assert_eq!(up.hierarchy, HierarchyRefresh::Customized);
         let snap = epochs.snapshot();
         let h = snap.db.hierarchy().unwrap();
-        assert!(h.is_current_for(snap.db.graph()) && h.is_degraded());
+        assert!(h.is_current_for(snap.db.graph()));
         let t = snap
             .db
             .run(Algorithm::AStar(AStarVersion::V5), s, d)
@@ -302,13 +302,13 @@ mod tests {
         assert!((t.path_cost() - oracle.cost).abs() < 1e-9);
 
         // The jam clears: a decrease takes the same arm — re-priced,
-        // not re-contracted, so the overlay stays degraded.
+        // not re-contracted.
         let down = epochs.update_edge_cost(a, b, 1.0).unwrap().update;
         assert_eq!(down.hierarchy, HierarchyRefresh::Customized);
         assert!(down.arcs_examined >= 1);
         let snap = epochs.snapshot();
         let h = snap.db.hierarchy().unwrap();
-        assert!(h.is_current_for(snap.db.graph()) && h.is_degraded());
+        assert!(h.is_current_for(snap.db.graph()));
         let t = snap
             .db
             .run(Algorithm::AStar(AStarVersion::V5), s, d)

@@ -16,7 +16,7 @@
 //!   selection and per-epoch forward/backward distance tables, the fuel
 //!   for A\* version 4's triangle-inequality bounds.
 //! * [`hierarchy`] — contraction-hierarchy preprocessing: nested-
-//!   dissection ordering over partition regions, witness-pruned shortcut
+//!   dissection ordering over partition regions, elimination-fill shortcut
 //!   overlay, and metric customization, the machinery behind A\*
 //!   version 5's bidirectional upward search (see `HIERARCHY.md`).
 //! * [`costmodel`] — the paper's algebraic cost models (Tables 1–3) and the
