@@ -61,13 +61,12 @@ use order::nested_dissection_order;
 use overlay::{Core, DownArcs, Pricing, NO_VIA};
 
 /// Bytes per overlay arc record: two endpoint ids (8), two directed
-/// customized costs (16), two unpack middles (8), and 16 bytes the
-/// record once spent on per-direction pruning flags. Sets how many arcs
-/// fit a 4 KB block when queries and preprocessing are charged for
+/// customized costs (16), and two unpack middles (8). Sets how many
+/// arcs fit a 4 KB block when queries and preprocessing are charged for
 /// touching the overlay.
-pub const ARC_TUPLE_SIZE: usize = 48;
+pub const ARC_TUPLE_SIZE: usize = 32;
 
-/// Overlay arc records per 4 KB block (85).
+/// Overlay arc records per 4 KB block (128).
 const ARCS_PER_BLOCK: usize = BLOCK_SIZE / ARC_TUPLE_SIZE;
 
 /// Build-time knobs for [`Hierarchy::build`].
