@@ -232,11 +232,11 @@ impl Hierarchy {
     /// with the pre-update graph's; an overlay that fails that check
     /// goes through [`Hierarchy::customized_for`] instead). Under that
     /// precondition the result equals `customized_for(graph)` field
-    /// for field, bit for bit. The price columns are copied, so holders of `self` keep reading the old
-    /// prices. `fingerprint` is `graph.cost_fingerprint()`, passed in
-    /// because a caller maintaining several artifacts for one update
-    /// already has it and the pass over every edge costs as much as the
-    /// re-pricing does.
+    /// for field, bit for bit. The price columns are copied, so holders
+    /// of `self` keep reading the old prices. `fingerprint` is
+    /// `graph.cost_fingerprint()`, passed in because a caller
+    /// maintaining several artifacts for one update already has it and
+    /// the pass over every edge costs as much as the re-pricing does.
     pub fn customized_for_edge(
         &self,
         graph: &Graph,
@@ -417,7 +417,9 @@ mod tests {
     #[derive(PartialEq, Eq, PartialOrd, Ord)]
     struct OrderedBits(u64);
 
-    fn reference_dist(graph: &Graph, s: NodeId, t: NodeId) -> f64 {
+    /// Plain in-memory Dijkstra distance, the oracle of this crate's
+    /// tests (`overlay`'s included).
+    pub(crate) fn reference_dist(graph: &Graph, s: NodeId, t: NodeId) -> f64 {
         let n = graph.node_count();
         let mut dist = vec![f64::INFINITY; n];
         let mut heap = std::collections::BinaryHeap::new();

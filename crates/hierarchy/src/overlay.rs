@@ -600,7 +600,7 @@ mod tests {
                     (pricing.bwd[idx], head, tail),
                 ] {
                     if cost.is_finite() {
-                        let true_dist = reference_dist(&graph, s, t);
+                        let true_dist = crate::tests::reference_dist(&graph, NodeId(s), NodeId(t));
                         assert!(
                             cost >= true_dist - 1e-9,
                             "arc {s}->{t} priced {cost} below true distance {true_dist}"
@@ -609,31 +609,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Plain in-memory Dijkstra distance for test oracles. The heap is
-    /// keyed by the distance's bit pattern, which orders non-negative
-    /// floats as the floats order.
-    fn reference_dist(graph: &Graph, s: u32, t: u32) -> f64 {
-        use std::cmp::Reverse;
-        let n = graph.node_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut heap = std::collections::BinaryHeap::new();
-        dist[s as usize] = 0.0;
-        heap.push(Reverse((0.0f64.to_bits(), s)));
-        while let Some(Reverse((bits, node))) = heap.pop() {
-            let d = f64::from_bits(bits);
-            if d > dist[node as usize] {
-                continue;
-            }
-            for e in graph.neighbors(NodeId(node)) {
-                let next = d + e.cost;
-                if next < dist[e.to.0 as usize] {
-                    dist[e.to.0 as usize] = next;
-                    heap.push(Reverse((next.to_bits(), e.to.0)));
-                }
-            }
-        }
-        dist[t as usize]
     }
 }
