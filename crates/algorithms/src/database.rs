@@ -495,6 +495,7 @@ impl Database {
     /// re-contracted) hierarchy is attached.
     pub fn with_hierarchy(mut self, hierarchy: Hierarchy) -> Self {
         self.hierarchy = Some(hierarchy);
+        self.publish_layout_gauges();
         self
     }
 
@@ -541,16 +542,17 @@ impl Database {
     /// counters (`runs_total`, `io_block_reads_total`, …) and histograms
     /// (`iterations_per_run`, `blocks_per_iteration`, `buffer_hit_rate`,
     /// …), and the storage layout is published once as gauges
-    /// (`storage_segment_*`, `partition_*`). See `OBSERVABILITY.md` for
-    /// the full metric list.
+    /// (`storage_segment_*`, `partition_*`, `hierarchy_*`). See
+    /// `OBSERVABILITY.md` for the full metric list.
     pub fn with_metrics(mut self, metrics: SharedRegistry) -> Self {
         self.metrics = Some(metrics);
         self.publish_layout_gauges();
         self
     }
 
-    /// Publishes the storage-layout gauges to the attached registry (a
-    /// no-op until both the registry and the facts exist).
+    /// Publishes the storage-layout and overlay-size gauges to the
+    /// attached registry (a no-op until both the registry and the facts
+    /// exist).
     fn publish_layout_gauges(&self) {
         let Some(m) = &self.metrics else { return };
         let dir = self.edges.segment_directory();
@@ -567,6 +569,10 @@ impl Database {
             m.set("partition_regions", regions);
             m.set("partition_target_nodes", target);
             m.set("partition_cut_edges", cut);
+        }
+        if let Some(hierarchy) = &self.hierarchy {
+            m.set("hierarchy_arcs", hierarchy.arc_count() as u64);
+            m.set("hierarchy_triangles", hierarchy.build_report().triangles);
         }
     }
 

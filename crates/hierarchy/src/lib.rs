@@ -11,9 +11,10 @@
 //!
 //! The build splits into three passes, and the split is the point:
 //!
-//! 1. **Ordering** (`order`): nested dissection seeded from the storage
-//!    layer's [`PartitionMap`] regions — interiors first, the
-//!    inter-region boundary last. Pure structure; no costs.
+//! 1. **Ordering** (`order`): one top-down nested dissection whose
+//!    upper levels split lists of the storage layer's [`PartitionMap`]
+//!    regions and whose lower levels split one region's nodes. Pure
+//!    structure; no costs.
 //! 2. **Contraction** (`overlay`): the elimination fill of the graph
 //!    under that order, stored as an up-arc CSR. Pure structure too, so
 //!    it survives every UPDATE.
@@ -72,8 +73,9 @@ const ARCS_PER_BLOCK: usize = BLOCK_SIZE / ARC_TUPLE_SIZE;
 /// Build-time knobs for [`Hierarchy::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
-    /// Region size handed to [`PartitionMap`] when the ordering seeds
-    /// itself from partition regions.
+    /// Region size handed to [`PartitionMap`]: regions are the upper
+    /// levels of the dissection — the ordering splits lists of whole
+    /// regions until one is left, and only then that region's nodes.
     pub region_target: usize,
 }
 

@@ -281,9 +281,7 @@ fn jsonl_transcripts_are_deterministic() {
 fn metrics_aggregate_across_runs() {
     let grid = grid8();
     let metrics = MetricsRegistry::shared();
-    let db = Database::open(grid.graph())
-        .unwrap()
-        .with_metrics(metrics.clone());
+    let db = db_with_artifacts(&grid).with_metrics(metrics.clone());
     let mut iterations = 0;
     let mut reads = 0;
     for kind in [QueryKind::Horizontal, QueryKind::Diagonal] {
@@ -301,6 +299,15 @@ fn metrics_aggregate_across_runs() {
     assert_eq!(metrics.histogram("iterations_per_run").unwrap().count, 4);
     let snapshot = metrics.snapshot_json();
     assert!(snapshot.contains(r#""runs_total":4"#), "{snapshot}");
+    // The overlay's size is a gauge: what the benches gate, a poller sees.
+    let overlay = db.hierarchy().unwrap();
+    assert_eq!(
+        (
+            metrics.gauge("hierarchy_arcs"),
+            metrics.gauge("hierarchy_triangles")
+        ),
+        (overlay.arc_count() as u64, overlay.build_report().triangles)
+    );
 }
 
 /// Under an injected-fault plan, the resilient planner's event stream
