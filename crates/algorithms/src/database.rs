@@ -8,6 +8,7 @@ use crate::ladder::Needs;
 use crate::search::{self, Spec};
 use crate::trace::RunTrace;
 use crate::{hierarchy_search, iterative};
+use atis_graph::grouped::Sharing;
 use atis_graph::{Graph, NodeId};
 use atis_hierarchy::Hierarchy;
 use atis_obs::{SharedRegistry, SharedSink, TraceEvent};
@@ -316,6 +317,13 @@ pub struct Description {
 /// `S` plus run-time configuration. Loading `S` happens once here and is
 /// *not* metered into run traces — it is the stored database, not
 /// algorithm work (the cost models start at step `C1`, creating `R`).
+///
+/// A database is a persistent structure: [`Database::open`] shares the
+/// graph it is given rather than copying it, a clone shares every edge
+/// group, page of `S`, price group and table with its source, and
+/// [`Database::update_edge_cost`] copies the one edge group and the one
+/// page it writes. That is what makes a snapshot per traffic update
+/// affordable.
 #[derive(Clone)]
 pub struct Database {
     graph: Graph,
@@ -671,6 +679,21 @@ impl Database {
     /// The active join policy.
     pub fn join_policy(&self) -> JoinPolicy {
         self.join_policy
+    }
+
+    /// How much of this database is the very memory `other` holds,
+    /// summed over the graph, `S` and whichever artifacts both carry.
+    #[doc(hidden)]
+    pub fn shared_with(&self, other: &Database) -> Sharing {
+        let mut sharing = self.graph.shared_with(&other.graph);
+        sharing += self.edges.shared_with(&other.edges);
+        if let (Some(a), Some(b)) = (&self.hierarchy, &other.hierarchy) {
+            sharing += a.shared_with(b);
+        }
+        if let (Some(a), Some(b)) = (&self.landmarks, &other.landmarks) {
+            sharing += a.shared_with(b);
+        }
+        sharing
     }
 
     /// Applies a real-time cost update to edge `(u, v)` — both the

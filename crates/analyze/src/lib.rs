@@ -262,6 +262,26 @@ pub fn self_test() -> Result<(), String> {
         false,
     )?;
     expect(
+        "lock-order trips when the install lock is taken under the snapshot slot",
+        &[(
+            "crates/serve/src/lib.rs",
+            "impl Store { fn publish(&self) { let current = self.lock_current(); \
+             let writer = self.lock_writer(); } }",
+        )],
+        "lock-order",
+        true,
+    )?;
+    expect(
+        "lock-order clean when an install takes the writer lock first",
+        &[(
+            "crates/serve/src/lib.rs",
+            "impl Store { fn install(&self) { let writer = self.lock_writer(); \
+             *self.lock_current() = 1; } }",
+        )],
+        "lock-order",
+        false,
+    )?;
+    expect(
         "metered-io-escape trips",
         &[(
             "crates/serve/src/lib.rs",

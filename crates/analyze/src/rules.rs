@@ -59,19 +59,24 @@ const SERVE_SCOPE: &[&str] = &["crates/serve/src/", "examples/route_server.rs"];
 pub const LOCK_ORDER: &[(&str, u32, &str)] = &[
     ("lock_queue", 1, "Shared.queue — the admission queue"),
     (
-        "lock_current",
+        "lock_writer",
         2,
+        "ShardedEpochDb.writer — the install lock, held while an epoch is built",
+    ),
+    (
+        "lock_current",
+        3,
         "ShardedEpochDb.current — the epoch snapshot slot",
     ),
     (
         "lock_entries",
-        3,
+        4,
         "RouteCache.inner — the route-cache table",
     ),
-    ("lock_slot", 4, "TicketInner.slot — a ticket's answer slot"),
+    ("lock_slot", 5, "TicketInner.slot — a ticket's answer slot"),
     (
         "lock_breaker",
-        5,
+        6,
         "CircuitBreaker.inner — a breaker's state machine",
     ),
 ];

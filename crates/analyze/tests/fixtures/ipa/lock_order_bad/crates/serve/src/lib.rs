@@ -1,5 +1,5 @@
 //! Lock-order inversion across a two-hop call chain: `drain` holds
-//! `lock_entries` (rank 3) while `touch` → `requeue` acquires
+//! `lock_entries` (rank 4) while `touch` → `requeue` acquires
 //! `lock_queue` (rank 1) underneath it.
 
 pub struct Svc {

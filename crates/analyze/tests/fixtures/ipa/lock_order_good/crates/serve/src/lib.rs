@@ -1,6 +1,6 @@
 //! The fixed shape of `lock_order_bad`: the outer function holds the
 //! lower-ranked `lock_queue` (rank 1) and the callee chain acquires the
-//! higher-ranked `lock_entries` (rank 3) — the declared order.
+//! higher-ranked `lock_entries` (rank 4) — the declared order.
 
 pub struct Svc {
     state: State,

@@ -1,8 +1,20 @@
 //! The directed graph `G = (N, E, C)` of Section 2, in compressed sparse
 //! row (CSR) form with planar node coordinates.
+//!
+//! A [`Graph`] is a persistent structure: coordinates and CSR offsets
+//! never change after the build and sit behind `Arc`, and the edge
+//! column is a [`GroupedColumn`] — cut every [`GROUP_NODES`] nodes, each
+//! group behind its own `Arc`. Cloning a graph copies pointers, and
+//! [`Graph::set_edge_cost`] copies the one group the edge lives in, so a
+//! database opened on a graph and every snapshot a traffic update makes
+//! of it hold the edges once between them. Both builders assemble the
+//! groups directly; no flat edge column ever exists.
+
+use std::sync::Arc;
 
 use crate::edge::Edge;
 use crate::error::GraphError;
+use crate::grouped::{GroupedColumn, Sharing, GROUP_NODES};
 use crate::node::{NodeId, Point};
 
 /// Maximum node count supported by the fixed-width storage tuples: ids are
@@ -14,14 +26,17 @@ pub const MAX_NODES: usize = (1 << 24) - 1;
 /// An immutable directed graph with node coordinates and edge costs.
 ///
 /// Adjacency is stored CSR-style: `offsets[u.index()] ..
-/// offsets[u.index() + 1]` indexes into `targets`/`costs`. Edges out of a
-/// node are kept in insertion order, which the database-resident algorithms
-/// rely on for reproducible tie-breaking.
+/// offsets[u.index() + 1]` are `u`'s rows of the edge column. Edges out
+/// of a node are kept in insertion order, which the database-resident
+/// algorithms rely on for reproducible tie-breaking.
+///
+/// Cloning is cheap: a clone shares everything with its source (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct Graph {
-    points: Vec<Point>,
-    offsets: Vec<u32>,
-    edges: Vec<Edge>,
+    points: Arc<[Point]>,
+    offsets: Arc<[u32]>,
+    edges: GroupedColumn<Edge>,
 }
 
 impl Graph {
@@ -58,9 +73,7 @@ impl Graph {
     /// The out-edges of `u` — the paper's `u.adjacencyList`.
     #[inline]
     pub fn neighbors(&self, u: NodeId) -> &[Edge] {
-        let lo = self.offsets[u.index()] as usize;
-        let hi = self.offsets[u.index() + 1] as usize;
-        &self.edges[lo..hi]
+        self.edges.row(&self.offsets, u.index())
     }
 
     /// Out-degree of `u`.
@@ -128,10 +141,7 @@ impl Graph {
     /// The smallest edge cost in the graph (`∞` if there are no edges).
     /// Useful for scaling estimators to keep them admissible.
     pub fn min_edge_cost(&self) -> f64 {
-        self.edges
-            .iter()
-            .map(|e| e.cost)
-            .fold(f64::INFINITY, f64::min)
+        self.edges().map(|e| e.cost).fold(f64::INFINITY, f64::min)
     }
 
     /// Returns a copy of the graph with every edge cost replaced by the
@@ -139,7 +149,7 @@ impl Graph {
     /// information" re-costing of Section 1.1 used by the rush-hour example.
     pub fn with_travel_time_costs(&self) -> Graph {
         let mut g = self.clone();
-        for e in &mut g.edges {
+        for e in g.edges.groups_mut().into_iter().flatten() {
             e.cost = e.travel_time();
         }
         g
@@ -165,10 +175,12 @@ impl Graph {
         if u.index() + 1 >= self.offsets.len() {
             return Err(GraphError::UnknownNode(u));
         }
-        let lo = self.offsets[u.index()] as usize;
-        let hi = self.offsets[u.index() + 1] as usize;
+        // A pair with no edge writes nothing, so it copies nothing.
+        if !self.neighbors(u).iter().any(|e| e.to == v) {
+            return Ok(0);
+        }
         let mut updated = 0;
-        for e in &mut self.edges[lo..hi] {
+        for e in self.edges.row_mut(&self.offsets, u.index()) {
             if e.to == v {
                 e.cost = cost;
                 updated += 1;
@@ -198,9 +210,11 @@ impl Graph {
         };
         mix(self.points.len() as u64);
         mix(self.edges.len() as u64);
-        for e in &self.edges {
-            mix(u64::from(e.from.0) << 32 | u64::from(e.to.0));
-            mix(e.cost.to_bits());
+        for group in self.edges.groups() {
+            for e in group {
+                mix(u64::from(e.from.0) << 32 | u64::from(e.to.0));
+                mix(e.cost.to_bits());
+            }
         }
         h
     }
@@ -211,7 +225,7 @@ impl Graph {
     /// Returns an error if `f` produces a negative or non-finite cost.
     pub fn map_costs(&self, mut f: impl FnMut(&Edge) -> f64) -> Result<Graph, GraphError> {
         let mut g = self.clone();
-        for e in &mut g.edges {
+        for e in g.edges.groups_mut().into_iter().flatten() {
             let c = f(e);
             if !c.is_finite() {
                 return Err(GraphError::NonFiniteCost {
@@ -229,6 +243,18 @@ impl Graph {
             e.cost = c;
         }
         Ok(g)
+    }
+
+    /// How much of this graph is the very memory `other` holds: the
+    /// coordinates, the offsets and each edge group count one part.
+    #[doc(hidden)]
+    pub fn shared_with(&self, other: &Graph) -> Sharing {
+        let mut sharing = self.edges.shared_with(&other.edges);
+        let bytes = std::mem::size_of_val(&self.points[..]);
+        sharing.part(&self.points, &other.points, bytes);
+        let bytes = std::mem::size_of_val(&self.offsets[..]);
+        sharing.part(&self.offsets, &other.offsets, bytes);
+        sharing
     }
 }
 
@@ -330,7 +356,7 @@ impl GraphBuilder {
         }
 
         // Counting sort of edges by origin into CSR, preserving insertion
-        // order within each origin (stable).
+        // order within each origin (stable), straight into the groups.
         let mut counts = vec![0u32; n + 1];
         for e in &self.edges {
             counts[e.from.index() + 1] += 1;
@@ -338,17 +364,19 @@ impl GraphBuilder {
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
-        let offsets = counts.clone();
+        let offsets: Arc<[u32]> = Arc::from(&counts[..]);
         let mut cursor = counts;
-        let mut sorted = vec![Edge::new(NodeId(0), NodeId(0), 0.0); self.edges.len()];
+        let mut sorted = GroupedColumn::filled(&offsets, Edge::new(NodeId(0), NodeId(0), 0.0));
+        let mut groups = sorted.groups_mut();
         for e in &self.edges {
-            let slot = cursor[e.from.index()] as usize;
-            sorted[slot] = *e;
+            let g = e.from.index() / GROUP_NODES;
+            let slot = cursor[e.from.index()] - offsets[g * GROUP_NODES];
+            groups[g][slot as usize] = *e;
             cursor[e.from.index()] += 1;
         }
 
         Ok(Graph {
-            points: self.points,
+            points: self.points.into(),
             offsets,
             edges: sorted,
         })
@@ -356,19 +384,23 @@ impl GraphBuilder {
 }
 
 /// Streaming CSR builder: adjacency is sealed one node at a time, in id
-/// order, directly into the final CSR arrays.
+/// order, directly into the final edge groups.
 ///
 /// [`GraphBuilder`] buffers every edge and counting-sorts at `build` time,
 /// which briefly holds *two* copies of the edge list — fine at the paper's
 /// 1k-node scale, prohibitive for the metro generator's 100k–1M-node
 /// networks. The streaming builder accepts each node's out-edges exactly
 /// once, in nondecreasing origin order (the order generators naturally
-/// produce), so the unsorted intermediate list never exists.
+/// produce), so the unsorted intermediate list never exists — and neither
+/// does a flat sorted one: every [`GROUP_NODES`] nodes the edges sealed
+/// so far become one finished group of the graph's edge column.
 #[derive(Debug)]
 pub struct StreamingGraphBuilder {
     points: Vec<Point>,
     offsets: Vec<u32>,
-    edges: Vec<Edge>,
+    edges: GroupedColumn<Edge>,
+    /// Edges of the group still being sealed.
+    open: Vec<Edge>,
 }
 
 impl StreamingGraphBuilder {
@@ -381,10 +413,13 @@ impl StreamingGraphBuilder {
         if points.len() > MAX_NODES {
             return Err(GraphError::TooManyNodes(points.len()));
         }
+        let mut offsets = Vec::with_capacity(points.len() + 1);
+        offsets.push(0);
         Ok(StreamingGraphBuilder {
             points,
-            offsets: vec![0],
-            edges: Vec::new(),
+            offsets,
+            edges: GroupedColumn::default(),
+            open: Vec::new(),
         })
     }
 
@@ -436,8 +471,16 @@ impl StreamingGraphBuilder {
                 });
             }
         }
-        self.edges.extend_from_slice(edges);
-        self.offsets.push(self.edges.len() as u32);
+        self.open.extend_from_slice(edges);
+        self.offsets
+            .push((self.edges.len() + self.open.len()) as u32);
+        // The open group ends GROUP_NODES past the last one, or with the
+        // last node.
+        let group_end = (self.edges.groups().len() + 1) * GROUP_NODES;
+        if self.offsets.len() - 1 == group_end.min(self.points.len()) {
+            self.edges.push_group(&self.open);
+            self.open.clear();
+        }
         Ok(u)
     }
 
@@ -454,8 +497,8 @@ impl StreamingGraphBuilder {
             )));
         }
         Ok(Graph {
-            points: self.points,
-            offsets: self.offsets,
+            points: self.points.into(),
+            offsets: self.offsets.into(),
             edges: self.edges,
         })
     }

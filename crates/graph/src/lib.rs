@@ -38,6 +38,8 @@ pub mod error;
 pub mod format;
 pub mod graph;
 pub mod grid;
+#[doc(hidden)]
+pub mod grouped;
 pub mod metro;
 pub mod minneapolis;
 pub mod node;

@@ -52,6 +52,7 @@ mod overlay;
 
 use std::sync::{Arc, OnceLock};
 
+use atis_graph::grouped::Sharing;
 use atis_graph::{Graph, NodeId, PartitionMap};
 use atis_storage::block::BLOCK_SIZE;
 use atis_storage::{EdgeTuple, FixedTuple, IoStats, NodeTuple};
@@ -127,7 +128,9 @@ pub struct BuildReport {
 ///
 /// Cloning is cheap (the topology and pricing are shared behind `Arc`),
 /// which is what lets epoch snapshots carry the hierarchy the same
-/// way they carry landmark tables.
+/// way they carry landmark tables. A re-priced descendant
+/// ([`Hierarchy::customized_for_edge`]) shares the topology outright and
+/// every group of the price columns its update did not write.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     core: Arc<Core>,
@@ -234,8 +237,10 @@ impl Hierarchy {
     /// with the pre-update graph's; an overlay that fails that check
     /// goes through [`Hierarchy::customized_for`] instead). Under that
     /// precondition the result equals `customized_for(graph)` field
-    /// for field, bit for bit. The price columns are copied, so holders
-    /// of `self` keep reading the old prices. `fingerprint` is
+    /// for field, bit for bit. The price columns are copied on write, a
+    /// group of 256 tails at a time, so holders of `self` keep reading
+    /// the old prices and the result shares every group the change
+    /// could not reach. `fingerprint` is
     /// `graph.cost_fingerprint()`, passed in because a caller
     /// maintaining several artifacts for one update already has it and
     /// the pass over every edge costs as much as the re-pricing does.
@@ -323,10 +328,13 @@ impl Hierarchy {
 
     /// Iterates the up-arcs out of `u` (heads in node-id order).
     pub fn up_arcs(&self, u: NodeId) -> impl Iterator<Item = UpArc> + '_ {
-        self.core.range(u.0).map(move |idx| UpArc {
-            head: NodeId(self.core.heads[idx]),
-            fwd: self.pricing.fwd[idx],
-            bwd: self.pricing.bwd[idx],
+        let heads = &self.core.heads[self.core.range(u.0)];
+        let fwd = self.pricing.fwd.row(&self.core.first, u.index());
+        let bwd = self.pricing.bwd.row(&self.core.first, u.index());
+        (heads.iter().zip(fwd).zip(bwd)).map(|((&head, &fwd), &bwd)| UpArc {
+            head: NodeId(head),
+            fwd,
+            bwd,
         })
     }
 
@@ -338,16 +346,30 @@ impl Hierarchy {
     pub fn arc_direction(&self, from: NodeId, to: NodeId) -> Option<(f64, Option<NodeId>)> {
         let (cost, via) = if self.rank(from) < self.rank(to) {
             let idx = self.core.arc_index(from.0, to.0)?;
-            (self.pricing.fwd[idx], self.pricing.fwd_via[idx])
+            let at = self.core.slot(from.0, idx);
+            (self.pricing.fwd[at], self.pricing.fwd_via[at])
         } else {
             let idx = self.core.arc_index(to.0, from.0)?;
-            (self.pricing.bwd[idx], self.pricing.bwd_via[idx])
+            let at = self.core.slot(to.0, idx);
+            (self.pricing.bwd[at], self.pricing.bwd_via[at])
         };
         if !cost.is_finite() {
             return None;
         }
         let middle = (via != NO_VIA).then_some(NodeId(via));
         Some((cost, middle))
+    }
+
+    /// How much of this overlay is the very memory `other` holds: the
+    /// topology, the down-arc index and each group of each price column
+    /// count one part.
+    #[doc(hidden)]
+    pub fn shared_with(&self, other: &Hierarchy) -> Sharing {
+        let mut sharing = self.pricing.shared_with(&other.pricing);
+        sharing.part(&self.core, &other.core, self.core.bytes());
+        let down = self.down.get().map_or(0, DownArcs::bytes);
+        sharing.part(&self.down, &other.down, down);
+        sharing
     }
 }
 
@@ -374,6 +396,7 @@ fn overlay_blocks(arcs: usize) -> u64 {
 mod tests {
     use super::*;
     use atis_graph::graph::graph_from_arcs;
+    use atis_graph::grouped::GroupedColumn;
     use atis_graph::{Metro, MetroSpec, SplitMix64};
 
     /// Exhaustive bidirectional upward search —
@@ -600,7 +623,7 @@ mod tests {
 
     fn assert_same_pricing(partial: &Hierarchy, full: &Hierarchy, step: &str) {
         let (p, f) = (&partial.pricing, &full.pricing);
-        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let bits = |v: &GroupedColumn<f64>| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&p.fwd), bits(&f.fwd), "fwd after {step}");
         assert_eq!(bits(&p.bwd), bits(&f.bwd), "bwd after {step}");
         assert_eq!(p.fwd_via, f.fwd_via, "fwd_via after {step}");
@@ -697,7 +720,7 @@ mod tests {
             let mut io = IoStats::new();
             let (merged, _) = Pricing::customize(&core, &graph, &mut io);
             let (searched, improvements) = Pricing::customize_by_search(&core, &graph);
-            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            let bits = |v: &GroupedColumn<f64>| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             proptest::prop_assert_eq!(bits(&merged.fwd), bits(&searched.fwd));
             proptest::prop_assert_eq!(bits(&merged.bwd), bits(&searched.bwd));
             proptest::prop_assert_eq!(&merged.fwd_via, &searched.fwd_via);
@@ -719,7 +742,16 @@ mod tests {
         let (next, examined) =
             h.customized_for_edge(&graph, edge.from, edge.to, graph.cost_fingerprint());
         assert!(Arc::ptr_eq(&h.core, &next.core), "the topology is shared");
+        assert!(Arc::ptr_eq(&h.down, &next.down), "and so is its transpose");
         assert_eq!(h.pricing.fwd, before, "holders of the old overlay keep it");
+        // Each arc examined can copy its tail's group in each of the
+        // four columns, and nothing else is copied.
+        let sharing = next.shared_with(&h);
+        assert!(
+            (1..=4 * examined).contains(&sharing.copied()),
+            "{sharing:?}"
+        );
+        assert_eq!(h.clone().shared_with(&h).copied(), 0);
         assert!(!h.is_current_for(&graph) && next.is_current_for(&graph));
         let spent = next.build_io().since(&h.build_io());
         assert!(spent.block_reads >= 3 * examined as u64);

@@ -13,6 +13,14 @@
 //!   edges. Re-costing the graph re-runs only this pass — the fill is
 //!   untouched, which is what makes UPDATE-driven customization cheap.
 //!
+//! The four price columns are [`GroupedColumn`]s cut by *tail* group —
+//! the same [`GROUP_NODES`] the graph's edge column is cut at — so a
+//! re-priced overlay shares every group its update did not write with
+//! the overlay it came from, while a tail's fan is still one contiguous
+//! slice per column: the triangle pass borrows every group once, up
+//! front, and its loops run over plain `&mut [f64]` as they did over the
+//! flat columns.
+//!
 //! That is all of it: a direction a query may relax is one priced
 //! finite, and nothing prunes further (HIERARCHY.md, "Why there is no
 //! witness pass"). The triangle pass has the kernel it replaced beside
@@ -22,11 +30,15 @@
 
 use std::collections::BTreeSet;
 
+use atis_graph::grouped::{GroupedColumn, Sharing, GROUP_NODES};
 use atis_graph::{Graph, NodeId};
 use atis_storage::IoStats;
 
 /// Sentinel for "no middle node": the arc direction is an original edge.
 pub(crate) const NO_VIA: u32 = u32::MAX;
+
+/// An arc's position in the price columns ([`Core::slot`]).
+type Slot = (usize, usize);
 
 /// Metric-independent overlay topology: the contraction order and the
 /// elimination fill stored as an up-arc CSR (tails in node-id order,
@@ -62,6 +74,11 @@ impl DownArcs {
     pub(crate) fn build(core: &Core) -> DownArcs {
         let (first, tails) = core.transpose();
         DownArcs { first, tails }
+    }
+
+    /// Bytes the index holds.
+    pub(crate) fn bytes(&self) -> usize {
+        4 * (self.first.len() + self.tails.len())
     }
 
     /// The down-neighbours of `head` in rank order.
@@ -162,10 +179,23 @@ impl Core {
         self.heads.len()
     }
 
+    /// Bytes the topology holds.
+    pub(crate) fn bytes(&self) -> usize {
+        4 * (self.rank.len() + self.order.len() + self.first.len() + self.heads.len())
+    }
+
     /// The CSR range of up-arc indexes out of `tail`.
     #[inline]
     pub(crate) fn range(&self, tail: u32) -> std::ops::Range<usize> {
         self.first[tail as usize] as usize..self.first[tail as usize + 1] as usize
+    }
+
+    /// Where the up-arc with index `idx` out of `tail` sits in a price
+    /// column: `tail`'s group and the position within it.
+    #[inline]
+    pub(crate) fn slot(&self, tail: u32, idx: usize) -> (usize, usize) {
+        let group = tail as usize / GROUP_NODES;
+        (group, idx - self.first[group * GROUP_NODES] as usize)
     }
 
     /// Index of the up-arc `tail → head`, if present. `heads` is sorted
@@ -181,13 +211,15 @@ impl Core {
 }
 
 /// Metric state for one overlay: per-direction customized costs and
-/// unpack middles. `fwd` prices tail → head, `bwd` head → tail.
+/// unpack middles. `fwd` prices tail → head, `bwd` head → tail. Rows
+/// follow [`Core`]'s CSR (`core.first` are the offsets); an arc is
+/// addressed by its [`Core::slot`]. A clone shares every group.
 #[derive(Debug, Clone)]
 pub(crate) struct Pricing {
-    pub(crate) fwd: Vec<f64>,
-    pub(crate) bwd: Vec<f64>,
-    pub(crate) fwd_via: Vec<u32>,
-    pub(crate) bwd_via: Vec<u32>,
+    pub(crate) fwd: GroupedColumn<f64>,
+    pub(crate) bwd: GroupedColumn<f64>,
+    pub(crate) fwd_via: GroupedColumn<u32>,
+    pub(crate) bwd_via: GroupedColumn<u32>,
 }
 
 impl Pricing {
@@ -213,25 +245,39 @@ impl Pricing {
     /// Every arc direction at the cost of its cheapest original edge,
     /// `∞` where there is none.
     fn from_edges(core: &Core, graph: &Graph) -> Pricing {
-        let arcs = core.arc_count();
         let mut pricing = Pricing {
-            fwd: vec![f64::INFINITY; arcs],
-            bwd: vec![f64::INFINITY; arcs],
-            fwd_via: vec![NO_VIA; arcs],
-            bwd_via: vec![NO_VIA; arcs],
+            fwd: GroupedColumn::filled(&core.first, f64::INFINITY),
+            bwd: GroupedColumn::filled(&core.first, f64::INFINITY),
+            fwd_via: GroupedColumn::filled(&core.first, NO_VIA),
+            bwd_via: GroupedColumn::filled(&core.first, NO_VIA),
         };
+        let (mut fwd, mut bwd) = (pricing.fwd.groups_mut(), pricing.bwd.groups_mut());
         for tail in 0..core.rank.len() as u32 {
-            for idx in core.range(tail) {
-                let head = core.heads[idx];
+            let range = core.range(tail);
+            let heads = &core.heads[range.clone()];
+            let (group, lo) = core.slot(tail, range.start);
+            let fwd = &mut fwd[group][lo..][..heads.len()];
+            let bwd = &mut bwd[group][lo..][..heads.len()];
+            for ((&head, fwd), bwd) in heads.iter().zip(fwd).zip(bwd) {
                 if let Some(c) = graph.edge_cost(NodeId(tail), NodeId(head)) {
-                    pricing.fwd[idx] = c;
+                    *fwd = c;
                 }
                 if let Some(c) = graph.edge_cost(NodeId(head), NodeId(tail)) {
-                    pricing.bwd[idx] = c;
+                    *bwd = c;
                 }
             }
         }
         pricing
+    }
+
+    /// How much of these prices is the very memory `other` holds: each
+    /// group of each of the four columns counts one part.
+    pub(crate) fn shared_with(&self, other: &Pricing) -> Sharing {
+        let mut sharing = self.fwd.shared_with(&other.fwd);
+        sharing += self.bwd.shared_with(&other.bwd);
+        sharing += self.fwd_via.shared_with(&other.fwd_via);
+        sharing += self.bwd_via.shared_with(&other.bwd_via);
+        sharing
     }
 
     /// The triangle pass: returns the number of successful relaxations
@@ -249,28 +295,54 @@ impl Pricing {
     /// it — a table from node to position in `m`'s fan, set for the fan
     /// and unset after it, answers without a search. `m`'s own prices
     /// are read from a copy, which keeps them contiguous and lets `x`'s
-    /// columns be borrowed as plain slices. This is the
+    /// columns be borrowed as plain slices — out of the groups, which
+    /// are all borrowed once before the loop. This is the
     /// neighbour-intersection enumeration of customizable CH (Strasser &
     /// Zeitz, PAPERS.md). An up-arc with no finite direction can relax
     /// nothing (`∞ + c < d` never holds) and is skipped. The arithmetic
     /// is [`Pricing::relax`]'s, with `lo`'s two prices held in locals.
     fn relax_triangles(&mut self, core: &Core) -> (u64, u64) {
+        /// One group's rows in each column, and the CSR index they start at.
+        struct Rows<'a> {
+            base: usize,
+            fwd: &'a mut [f64],
+            bwd: &'a mut [f64],
+            fwd_via: &'a mut [u32],
+            bwd_via: &'a mut [u32],
+        }
         let (mut improvements, mut triangles) = (0u64, 0u64);
         let mut fan_slot = vec![u32::MAX; core.rank.len()];
         let (mut fan_fwd, mut fan_bwd): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+        let prices = self.fwd.groups_mut().into_iter().zip(self.bwd.groups_mut());
+        let vias = (self.fwd_via.groups_mut().into_iter()).zip(self.bwd_via.groups_mut());
+        let mut groups: Vec<Rows> = (prices.zip(vias).enumerate())
+            .map(|(g, ((fwd, bwd), (fwd_via, bwd_via)))| Rows {
+                base: core.first[g * GROUP_NODES] as usize,
+                fwd,
+                bwd,
+                fwd_via,
+                bwd_via,
+            })
+            .collect();
         for &m in &core.order {
             let fan = core.range(m);
             if fan.len() < 2 {
                 continue;
             }
             let fan_heads = &core.heads[fan.clone()];
+            // Rows are sliced to the length of the heads they belong to,
+            // here and below, so the loops index them unchecked.
+            let own = &groups[m as usize / GROUP_NODES];
             fan_fwd.clear();
-            fan_fwd.extend_from_slice(&self.fwd[fan.clone()]);
+            fan_fwd.extend_from_slice(&own.fwd[fan.start - own.base..][..fan_heads.len()]);
             fan_bwd.clear();
-            fan_bwd.extend_from_slice(&self.bwd[fan]);
+            fan_bwd.extend_from_slice(&own.bwd[fan.start - own.base..][..fan_heads.len()]);
             for (slot, &y) in fan_heads.iter().enumerate() {
                 fan_slot[y as usize] = slot as u32;
             }
+            // Heads come in id order, so successive `x` mostly share a
+            // group: its rows are looked up when the group changes.
+            let (mut group, mut rows) = (usize::MAX, None);
             for (lo, &x) in fan_heads.iter().enumerate() {
                 let (lo_fwd, lo_bwd) = (fan_fwd[lo], fan_bwd[lo]);
                 if lo_fwd.is_infinite() && lo_bwd.is_infinite() {
@@ -278,10 +350,18 @@ impl Pricing {
                 }
                 let upper = core.range(x);
                 let upper_heads = &core.heads[upper.clone()];
-                let fwd = &mut self.fwd[upper.clone()];
-                let bwd = &mut self.bwd[upper.clone()];
-                let fwd_via = &mut self.fwd_via[upper.clone()];
-                let bwd_via = &mut self.bwd_via[upper];
+                if group != x as usize / GROUP_NODES {
+                    group = x as usize / GROUP_NODES;
+                    rows = Some(&mut groups[group]);
+                }
+                let Some(rows) = &mut rows else {
+                    unreachable!("set for the first head and kept since");
+                };
+                let (lo, len) = (upper.start - rows.base, upper_heads.len());
+                let fwd = &mut rows.fwd[lo..][..len];
+                let bwd = &mut rows.bwd[lo..][..len];
+                let fwd_via = &mut rows.fwd_via[lo..][..len];
+                let bwd_via = &mut rows.bwd_via[lo..][..len];
                 for (idx, &y) in upper_heads.iter().enumerate() {
                     // `u32::MAX` (not in the fan) fails this test too.
                     let hi = fan_slot[y as usize] as usize;
@@ -331,34 +411,38 @@ impl Pricing {
                 for j in i + 1..fan.len() {
                     let (lo, hi) = (fan[i], fan[j]);
                     let (x, y) = (core.heads[lo], core.heads[hi]);
-                    let idx = core.arc_index(x, y).expect("chordal fill");
-                    improvements += pricing.relax(idx, lo, hi, m);
+                    let at = core.slot(x, core.arc_index(x, y).expect("chordal fill"));
+                    let mut arc = pricing.record(at);
+                    improvements += pricing.relax(&mut arc, core.slot(m, lo), core.slot(m, hi), m);
+                    pricing.store(at, arc);
                 }
             }
         }
         (pricing, improvements)
     }
 
-    /// Relaxes both directions of arc `idx` (`x`–`y`, `x` the lower
-    /// rank) through the middle `m` whose up-arcs are `lo` (`m → x`) and
-    /// `hi` (`m → y`), returning how many directions improved. Strict
-    /// `<`: among equal-cost middles the first one offered wins, so
-    /// callers offer middles in rank order.
+    /// Relaxes both directions of `arc` (`x`–`y`, `x` the lower rank)
+    /// through the middle `m` whose up-arcs sit at `lo` (`m → x`) and
+    /// `hi` (`m → y`), both as [`Core::slot`]s, returning how many
+    /// directions improved. Strict `<`: among equal-cost middles the
+    /// first one offered wins, so callers offer middles in rank order.
+    /// `arc` is the caller's copy of the record: the columns are written
+    /// by [`Pricing::store`], and only where the record moved.
     #[inline]
-    fn relax(&mut self, idx: usize, lo: usize, hi: usize, m: u32) -> u64 {
+    fn relax(&self, arc: &mut Record, lo: Slot, hi: Slot, m: u32) -> u64 {
         let mut improvements = 0;
         // x → m → y uses the bwd side of (m, x) and the fwd side of
         // (m, y); the reverse direction mirrors it.
         let via_fwd = self.bwd[lo] + self.fwd[hi];
-        if via_fwd < self.fwd[idx] {
-            self.fwd[idx] = via_fwd;
-            self.fwd_via[idx] = m;
+        if via_fwd < arc.fwd {
+            arc.fwd = via_fwd;
+            arc.fwd_via = m;
             improvements += 1;
         }
         let via_bwd = self.bwd[hi] + self.fwd[lo];
-        if via_bwd < self.bwd[idx] {
-            self.bwd[idx] = via_bwd;
-            self.bwd_via[idx] = m;
+        if via_bwd < arc.bwd {
+            arc.bwd = via_bwd;
+            arc.bwd_via = m;
             improvements += 1;
         }
         improvements
@@ -372,11 +456,12 @@ impl Pricing {
     /// same code. Returns the number of arcs examined.
     ///
     /// A queue ordered by tail rank starts at the overlay arc joining
-    /// `a` and `b`. Each popped arc `x`–`y` is recomputed from scratch:
-    /// its original edge costs, then its *lower triangles* — the
-    /// down-neighbours `m` of `x` that also reach `y`, in rank order,
-    /// through the same [`Pricing::relax`] the full pass uses, so prices
-    /// and vias come out bit-identical. Only when a price moved are the
+    /// `a` and `b`. Each popped arc `x`–`y` is recomputed from scratch,
+    /// in a local: its original edge costs, then its *lower triangles* —
+    /// the down-neighbours `m` of `x` that also reach `y`, in rank
+    /// order, through the same [`Pricing::relax`] the full pass's oracle
+    /// uses, so prices and vias come out bit-identical — and written
+    /// back only where the record moved. Only when a price moved are the
     /// arc's *upper triangles* — the arcs joining `y` to the rest of
     /// `x`'s fan — looked at, and of those only the ones `x` can change
     /// are enqueued: `x` was a recorded middle, or what it now offers
@@ -423,15 +508,15 @@ impl Pricing {
         while let Some((rank, idx)) = queue.pop_first() {
             examined += 1;
             let (x, y) = (core.order[rank as usize], core.heads[idx]);
-            let before = self.record(idx);
-            self.fwd[idx] = graph
-                .edge_cost(NodeId(x), NodeId(y))
-                .unwrap_or(f64::INFINITY);
-            self.bwd[idx] = graph
-                .edge_cost(NodeId(y), NodeId(x))
-                .unwrap_or(f64::INFINITY);
-            self.fwd_via[idx] = NO_VIA;
-            self.bwd_via[idx] = NO_VIA;
+            let at = core.slot(x, idx);
+            let before = self.record(at);
+            let edge = |a, b| graph.edge_cost(NodeId(a), NodeId(b));
+            let mut arc = Record {
+                fwd: edge(x, y).unwrap_or(f64::INFINITY),
+                bwd: edge(y, x).unwrap_or(f64::INFINITY),
+                fwd_via: NO_VIA,
+                bwd_via: NO_VIA,
+            };
             for &m in down.of(x) {
                 let Some(hi) = core.arc_index(m, y) else {
                     continue;
@@ -441,10 +526,14 @@ impl Pricing {
                     continue;
                 };
                 triangles += 1;
-                self.relax(idx, lo, hi, m);
+                self.relax(&mut arc, core.slot(m, lo), core.slot(m, hi), m);
             }
-            let after = self.record(idx);
-            rewritten += u64::from(after != before);
+            let (before, after) = (before.bits(), arc.bits());
+            if after == before {
+                continue;
+            }
+            rewritten += 1;
+            self.store(at, arc);
             if after[..2] == before[..2] {
                 continue;
             }
@@ -464,13 +553,14 @@ impl Pricing {
                     debug_assert!(false, "chordal fill: up-neighbours {t}, {h} of {x}");
                     continue;
                 };
+                let (lo, hi, at) = (core.slot(x, lo), core.slot(x, hi), core.slot(t, upper));
                 // `x` can change `upper` only if it was a middle there,
                 // or what it now offers ties (the via may move to it)
                 // or beats the standing price. `∞` never wins a relax.
-                if self.fwd_via[upper] == x
-                    || self.bwd_via[upper] == x
-                    || offers(self.bwd[lo] + self.fwd[hi], self.fwd[upper])
-                    || offers(self.bwd[hi] + self.fwd[lo], self.bwd[upper])
+                if self.fwd_via[at] == x
+                    || self.bwd_via[at] == x
+                    || offers(self.bwd[lo] + self.fwd[hi], self.fwd[at])
+                    || offers(self.bwd[hi] + self.fwd[lo], self.bwd[at])
                 {
                     queue.insert((core.rank[t as usize], upper));
                 }
@@ -481,14 +571,54 @@ impl Pricing {
         examined
     }
 
-    /// Arc `idx`'s prices (first two) and vias as bit patterns, for
-    /// exact before/after comparison.
-    fn record(&self, idx: usize) -> [u64; 4] {
+    /// The record of the arc at `at`.
+    fn record(&self, at: Slot) -> Record {
+        Record {
+            fwd: self.fwd[at],
+            bwd: self.bwd[at],
+            fwd_via: self.fwd_via[at],
+            bwd_via: self.bwd_via[at],
+        }
+    }
+
+    /// Writes `arc` as the record at `at`, column by column and only
+    /// where it differs — a write copies the group it lands in if the
+    /// overlay this one was cloned from still shares it, and most
+    /// re-priced arcs keep their middles.
+    fn store(&mut self, at: Slot, arc: Record) {
+        if self.fwd[at].to_bits() != arc.fwd.to_bits() {
+            self.fwd[at] = arc.fwd;
+        }
+        if self.bwd[at].to_bits() != arc.bwd.to_bits() {
+            self.bwd[at] = arc.bwd;
+        }
+        if self.fwd_via[at] != arc.fwd_via {
+            self.fwd_via[at] = arc.fwd_via;
+        }
+        if self.bwd_via[at] != arc.bwd_via {
+            self.bwd_via[at] = arc.bwd_via;
+        }
+    }
+}
+
+/// One arc's row across the four price columns.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    fwd: f64,
+    bwd: f64,
+    fwd_via: u32,
+    bwd_via: u32,
+}
+
+impl Record {
+    /// Prices (first two) and middles as bit patterns, for exact
+    /// before/after comparison.
+    fn bits(&self) -> [u64; 4] {
         [
-            self.fwd[idx].to_bits(),
-            self.bwd[idx].to_bits(),
-            u64::from(self.fwd_via[idx]),
-            u64::from(self.bwd_via[idx]),
+            self.fwd.to_bits(),
+            self.bwd.to_bits(),
+            u64::from(self.fwd_via),
+            u64::from(self.bwd_via),
         ]
     }
 }
@@ -594,11 +724,8 @@ mod tests {
         let (pricing, _) = Pricing::customize(&core, &graph, &mut io);
         for tail in 0..graph.node_count() as u32 {
             for idx in core.range(tail) {
-                let head = core.heads[idx];
-                for (cost, s, t) in [
-                    (pricing.fwd[idx], tail, head),
-                    (pricing.bwd[idx], head, tail),
-                ] {
+                let (head, at) = (core.heads[idx], core.slot(tail, idx));
+                for (cost, s, t) in [(pricing.fwd[at], tail, head), (pricing.bwd[at], head, tail)] {
                     if cost.is_finite() {
                         let true_dist = crate::tests::reference_dist(&graph, NodeId(s), NodeId(t));
                         assert!(

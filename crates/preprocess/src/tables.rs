@@ -26,6 +26,7 @@
 use crate::error::PreprocessError;
 use crate::select::{self, LandmarkSelection};
 use crate::sssp;
+use atis_graph::grouped::Sharing;
 use atis_graph::{Graph, NodeId};
 use std::sync::Arc;
 
@@ -226,6 +227,17 @@ impl LandmarkTables {
             }
         }
         bound
+    }
+
+    /// Whether this table set is the very memory `other` holds (one
+    /// part: patched descendants share their tables outright).
+    #[doc(hidden)]
+    pub fn shared_with(&self, other: &LandmarkTables) -> Sharing {
+        let columns = self.tables.forward.iter().chain(&self.tables.backward);
+        let bytes = columns.map(|c| std::mem::size_of_val(&c[..])).sum();
+        let mut sharing = Sharing::default();
+        sharing.part(&self.tables, &other.tables, bytes);
+        sharing
     }
 
     /// Resolves the tables against a fixed destination, producing the

@@ -133,7 +133,7 @@ impl CircuitBreaker {
         }
     }
 
-    /// Designated acquirer for the breaker state (rank 5, innermost in
+    /// Designated acquirer for the breaker state (rank 6, innermost in
     /// the declared lock order — see `sync.rs`).
     fn lock_breaker(&self) -> MutexGuard<'_, Inner> {
         sync::lock(&self.state)

@@ -184,7 +184,7 @@ impl RouteCache {
         self
     }
 
-    /// Designated acquirer for the cache table (rank 3 in the declared
+    /// Designated acquirer for the cache table (rank 4 in the declared
     /// lock order — see `sync.rs` and `atis-analyze rules`).
     fn lock_entries(&self) -> MutexGuard<'_, Inner> {
         sync::lock(&self.inner)

@@ -6,7 +6,11 @@
 //! update copy-on-write: readers pin an immutable snapshot, a writer
 //! clones the current database, applies the cost change to the clone and
 //! publishes it as the next install — so every answer has a well-defined
-//! epoch and never mixes pre- and post-update edge costs.
+//! epoch and never mixes pre- and post-update edge costs. The database
+//! is a persistent structure, so "clones" means pointer bumps and
+//! "applies" copies the chunks it writes: the artifacts below follow the
+//! same rule — patched tables share the old ones outright, a re-priced
+//! overlay shares every price group the edge cannot reach.
 //!
 //! This module holds the part of an install that does not depend on how
 //! installs are versioned: keeping the landmark (ALT) tables and the

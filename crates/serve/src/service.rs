@@ -297,7 +297,7 @@ struct TicketInner {
 }
 
 impl TicketInner {
-    /// Designated acquirer for the answer slot (rank 4 in the declared
+    /// Designated acquirer for the answer slot (rank 5 in the declared
     /// order — see `sync.rs`).
     fn lock_slot(&self) -> MutexGuard<'_, Option<Result<RouteAnswer, ServeError>>> {
         sync::lock(&self.slot)
@@ -792,7 +792,13 @@ impl RouteService {
     /// see the new costs. The hierarchy is re-priced where the edge can
     /// reach and the arcs examined are recorded
     /// (`serve_hierarchy_arcs_examined`); a failed landmark rebuild
-    /// counts against the landmark circuit breaker.
+    /// counts against the landmark circuit breaker. How long the store
+    /// took to build and publish the install is observed as
+    /// `serve_install_seconds`.
+    ///
+    /// An update of a pair with no edge between it changes nothing and
+    /// installs nothing: no epoch, no sweep, no event — the report
+    /// carries the current epoch and `updated: 0`.
     ///
     /// # Errors
     /// Fails for unknown endpoints or invalid costs (no epoch change).
@@ -802,11 +808,17 @@ impl RouteService {
         v: NodeId,
         cost: f64,
     ) -> Result<EpochUpdate, AlgorithmError> {
+        let started = Instant::now();
         let ShardedUpdate {
             update,
             shards,
             epochs,
         } = self.shared.epoch_db.update_edge_cost(u, v, cost)?;
+        if update.updated == 0 {
+            return Ok(update);
+        }
+        self.shared
+            .observe("serve_install_seconds", started.elapsed().as_secs_f64());
         if update.hierarchy == HierarchyRefresh::Customized {
             self.shared.inc("serve_hierarchy_customized_total");
             self.shared
@@ -1213,6 +1225,10 @@ mod tests {
                 >= 3
         );
         assert!(registry.histogram("serve_service_seconds").unwrap().count >= 3);
+        assert_eq!(
+            registry.histogram("serve_install_seconds").unwrap().count,
+            1
+        );
 
         let events = ring.events();
         let json: Vec<String> = events.iter().map(|e| e.to_json()).collect();

@@ -38,6 +38,21 @@
 //! not split the storage engine. Landmark tables and the contraction
 //! hierarchy remain whole-graph epoch artifacts, maintained per install
 //! by `maintain_artifacts`.
+//!
+//! ## The install path
+//!
+//! Two locks, taken in this order and never the other way round: the
+//! *writer* lock serialises installs and is held for a whole one; the
+//! *current* lock guards the published snapshot and is held for a
+//! pointer clone (readers) or a pointer swap (the writer). An install
+//! is: take the writer lock → pin the current snapshot → clone its
+//! database (a persistent structure: the clone shares every chunk) →
+//! apply the update and maintain the artifacts on the clone, copying
+//! the chunks written → swap the result in under the current lock.
+//! Nothing a reader waits on is held while the install is built, and
+//! since only the writer-lock holder ever replaces `current`, the
+//! snapshot an install was built from is still the current one when it
+//! publishes.
 
 use crate::epoch::{maintain_artifacts, EpochUpdate, HierarchyRefresh, LandmarkRefresh};
 use crate::sync::{self, Arc, Mutex, MutexGuard};
@@ -188,11 +203,15 @@ pub struct ShardedUpdate {
 }
 
 /// A database versioned by a per-shard epoch vector: lock-briefly
-/// reads, copy-on-write updates that bump only the shards whose cached
-/// routes the update can have changed.
+/// reads, copy-on-write updates built outside the lock readers take,
+/// which bump only the shards whose cached routes the update can have
+/// changed.
 #[derive(Debug)]
 pub struct ShardedEpochDb {
     map: Arc<ShardMap>,
+    /// Serialises installs; whoever holds it is the only thread that
+    /// may replace `current`.
+    writer: Mutex<()>,
     current: Mutex<ShardSnapshot>,
 }
 
@@ -203,6 +222,7 @@ impl ShardedEpochDb {
         let shards = map.shard_count();
         ShardedEpochDb {
             map: Arc::new(map),
+            writer: Mutex::new(()),
             current: Mutex::new(ShardSnapshot {
                 db: Arc::new(db),
                 epochs: Arc::new(EpochVector::new(shards)),
@@ -210,8 +230,15 @@ impl ShardedEpochDb {
         }
     }
 
-    /// Designated acquirer for the epoch slot (rank 2 in the declared
-    /// lock order — see `sync.rs` and `atis-analyze rules`).
+    /// Designated acquirer for the install lock (rank 2 in the declared
+    /// lock order — see `sync.rs` and `atis-analyze rules`): taken
+    /// before `lock_current`, never while holding it.
+    fn lock_writer(&self) -> MutexGuard<'_, ()> {
+        sync::lock(&self.writer)
+    }
+
+    /// Designated acquirer for the epoch slot (rank 3 in the declared
+    /// lock order).
     fn lock_current(&self) -> MutexGuard<'_, ShardSnapshot> {
         sync::lock(&self.current)
     }
@@ -238,7 +265,9 @@ impl ShardedEpochDb {
     /// database, updates edge `(u, v)` on the clone, and installs it
     /// with the install counter and the affected shards' versions
     /// bumped. Running queries keep their old snapshots; queries
-    /// admitted after this call see the new costs.
+    /// admitted after this call see the new costs. Installs serialise on
+    /// the writer lock; readers are held up only for the pointer swap at
+    /// the end (see the [module docs](self)).
     ///
     /// A cost *increase* can only invalidate routes that use the edge,
     /// so it bumps the endpoints' shards; the others keep their
@@ -247,6 +276,11 @@ impl ShardedEpochDb {
     /// route that never comes near the edge, so it bumps every shard:
     /// nothing validated before it hits until the sweep has looked at
     /// it, and a late pre-decrease worker cannot re-admit its route.
+    ///
+    /// An update that touches no tuple — a valid pair with no edge
+    /// between it — installs nothing: the report carries the current
+    /// install, `updated: 0` and no shards, and there is nothing for a
+    /// cache to sweep.
     ///
     /// Landmark tables and the contraction hierarchy are whole-graph
     /// artifacts, so their refresh (`maintain_artifacts`: re-price what
@@ -263,51 +297,64 @@ impl ShardedEpochDb {
         v: NodeId,
         cost: f64,
     ) -> Result<ShardedUpdate, AlgorithmError> {
-        let mut current = self.lock_current();
-        if !current.db.graph().contains(u) {
+        let _writer = self.lock_writer();
+        let base = self.snapshot();
+        if !base.db.graph().contains(u) {
             return Err(AlgorithmError::UnknownSource(u));
         }
-        if !current.db.graph().contains(v) {
+        if !base.db.graph().contains(v) {
             return Err(AlgorithmError::UnknownDestination(v));
         }
-        let old_cost = current.db.graph().edge_cost(u, v).unwrap_or(f64::INFINITY);
-        let mut next: Database = (*current.db).clone();
-        let updated = next.update_edge_cost(u, v, cost)?;
-        let (mut landmarks, mut hierarchy) = (LandmarkRefresh::None, HierarchyRefresh::None);
-        let mut arcs_examined = 0;
-        if updated > 0 {
-            (next, landmarks, hierarchy, arcs_examined) =
-                maintain_artifacts(next, current.db.graph(), (u, v), cost);
+        let old_cost = base.db.graph().edge_cost(u, v).unwrap_or(f64::INFINITY);
+        let mut update = EpochUpdate {
+            epoch: base.install(),
+            updated: 0,
+            old_cost,
+            new_cost: cost,
+            landmarks: LandmarkRefresh::None,
+            hierarchy: HierarchyRefresh::None,
+            arcs_examined: 0,
+        };
+        let mut next: Database = (*base.db).clone();
+        update.updated = next.update_edge_cost(u, v, cost)?;
+        if update.updated == 0 {
+            // `next` wrote nothing, so it copied nothing; drop it.
+            return Ok(ShardedUpdate {
+                update,
+                shards: Vec::new(),
+                epochs: base.epochs,
+            });
         }
+        (
+            next,
+            update.landmarks,
+            update.hierarchy,
+            update.arcs_examined,
+        ) = maintain_artifacts(next, base.db.graph(), (u, v), cost);
         let shards: Vec<u32> = if cost < old_cost {
             (0..self.map.shards).collect()
         } else {
             self.map.path_shards(&[u, v])
         };
-        let mut epochs: EpochVector = (*current.epochs).clone();
+        let mut epochs: EpochVector = (*base.epochs).clone();
         epochs.install += 1;
         for &s in &shards {
             if let Some(version) = epochs.versions.get_mut(s as usize) {
                 *version += 1;
             }
         }
+        update.epoch = epochs.install;
         let epochs: Arc<EpochVector> = Arc::new(epochs);
-        *current = ShardSnapshot {
+        let next = ShardSnapshot {
             db: Arc::new(next),
             epochs: epochs.clone(),
         };
-        let install = epochs.install();
-        drop(current);
+        // Only the writer-lock holder replaces `current`, so `base` is
+        // still what is published: this swap loses no install. (`base`
+        // also keeps the old snapshot alive, so nothing is freed here.)
+        *self.lock_current() = next;
         Ok(ShardedUpdate {
-            update: EpochUpdate {
-                epoch: install,
-                updated,
-                old_cost,
-                new_cost: cost,
-                landmarks,
-                hierarchy,
-                arcs_examined,
-            },
+            update,
             shards,
             epochs,
         })

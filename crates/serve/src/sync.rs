@@ -15,12 +15,15 @@
 //!    poisoning policy: a panicking worker must not wedge the whole
 //!    service, so a poisoned lock is recovered with `into_inner` — all
 //!    state guarded here (queue, snapshot slot, cache table, answer
-//!    slots) stays structurally valid mid-update.
+//!    slots) stays structurally valid mid-update (the install lock
+//!    guards no data at all: an install that panics has published
+//!    nothing).
 //!
 //! Call-site discipline: per-lock named helpers (`lock_queue`,
-//! `lock_current`, `lock_entries`, `lock_slot`, `lock_breaker`) wrap [`lock`] so the
-//! `lock-order` rule can check the declared acquisition order
-//! (`atis-analyze rules` prints it) at every call site.
+//! `lock_writer`, `lock_current`, `lock_entries`, `lock_slot`,
+//! `lock_breaker`) wrap [`lock`] so the `lock-order` rule can check the
+//! declared acquisition order (`atis-analyze rules` prints it) at every
+//! call site.
 
 #[cfg(loom)]
 pub(crate) use loom::sync::{Arc, Condvar, Mutex, MutexGuard};

@@ -392,3 +392,115 @@ fn cache_promote_or_drop_sweep() {
 fn decrease_install_vs_vector_lookup_race() {
     install_and_sweep_vs_lookup_race(true);
 }
+
+/// Race: two writers and one reader, now that an install is built
+/// under the writer lock only and `lock_current` is held just for the
+/// swap.
+///
+/// Each writer jams its own edge, so a lost update — both writers
+/// building on install 0, the second swap overwriting the first — would
+/// show as a final database missing one jam. Invariants under every
+/// interleaving:
+///
+/// * every `(costs, install)` pair the reader pins is one of the three
+///   consistent ones: install 0 with neither jam, install 1 with exactly
+///   the jam of the writer that reported epoch 1, install 2 with both;
+/// * the final install is 2, holds both jams, and the second writer's
+///   report says it built on the first's (`updated` 1 each, epochs 1
+///   and 2) — writer-lock order;
+/// * and, across the explored schedules, at least once the reader's
+///   `snapshot()` returns install *k* after a writer has begun building
+///   *k + 1*. Holding `lock_current` across the build made that
+///   impossible: a build in progress blocked `snapshot()` until it had
+///   published. "Begun building" is observed through the fault state
+///   the snapshots share — an inert plan, but it counts every physical
+///   read, and each build makes exactly one (the tuple it rewrites in
+///   `S`) and then stalls there for the plan's read latency, which is
+///   what holds the window open for the reader.
+#[test]
+fn install_builds_outside_the_snapshot_lock() {
+    use atis_storage::{FaultPlan, STALL_QUANTUM};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let grid = Grid::new(4, CostModel::TWENTY_PERCENT, 7).expect("grid");
+    let plan = FaultPlan::inert(7).with_read_latency(STALL_QUANTUM);
+    let base = Database::open(grid.graph())
+        .expect("open")
+        .with_fault_plan(plan);
+    let edges = [
+        (grid.node_at(0, 0), grid.node_at(0, 1)),
+        (grid.node_at(3, 2), grid.node_at(3, 3)),
+    ];
+    let old = edges.map(|(u, v)| base.graph().edge_cost(u, v).expect("edge"));
+    let jam = [old[0] + 50.0, old[1] + 70.0];
+    let overlapped = Arc::new(AtomicBool::new(false));
+
+    let witnessed = overlapped.clone();
+    loom::model(move || {
+        let db = Arc::new(ShardedEpochDb::new(base.clone(), ShardMap::single(16)));
+        let faults = base.faults().expect("plan attached").clone();
+        let builds_begun = move || faults.lock().expect("fault state").reads();
+        let begun_before = builds_begun();
+
+        let writers: Vec<_> = (0..2)
+            .map(|w| {
+                let db = db.clone();
+                loom::thread::spawn(move || {
+                    let (u, v) = edges[w];
+                    let up = db.update_edge_cost(u, v, jam[w]).expect("install");
+                    assert_eq!(up.update.updated, 1);
+                    up.update.epoch
+                })
+            })
+            .collect();
+        let reader = {
+            let (db, witnessed) = (db.clone(), witnessed.clone());
+            loom::thread::spawn(move || {
+                let mut seen = Vec::new();
+                for _ in 0..24 {
+                    let begun = builds_begun() - begun_before;
+                    let snap = db.snapshot();
+                    if begun > snap.install() {
+                        witnessed.store(true, Ordering::Relaxed);
+                    }
+                    let costs = edges.map(|(u, v)| snap.db.graph().edge_cost(u, v).expect("edge"));
+                    seen.push((costs, snap.install()));
+                    if snap.install() == 2 {
+                        break;
+                    }
+                    loom::thread::yield_now();
+                }
+                seen
+            })
+        };
+
+        let epochs: Vec<u64> = writers
+            .into_iter()
+            .map(|h| h.join().expect("writer"))
+            .collect();
+        let first = epochs.iter().position(|&e| e == 1).expect("an epoch 1");
+        assert_eq!(epochs[1 - first], 2, "installs must be consecutive");
+        let mut consistent = [(old, 0), (old, 1), (jam, 2)];
+        consistent[1].0[first] = jam[first];
+        let bits = |costs: [f64; 2]| costs.map(f64::to_bits);
+        let mut last = 0;
+        for (costs, install) in reader.join().expect("reader") {
+            assert!(
+                consistent.contains(&(costs, install))
+                    && bits(costs) == bits(consistent[install as usize].0),
+                "torn install: {costs:?} at install {install}"
+            );
+            assert!(install >= last, "install counter went backwards");
+            last = install;
+        }
+        let end = db.snapshot();
+        assert_eq!(end.install(), 2);
+        for (w, (u, v)) in edges.into_iter().enumerate() {
+            assert_eq!(end.db.graph().edge_cost(u, v), Some(jam[w]), "lost update");
+        }
+    });
+    assert!(
+        overlapped.load(Ordering::Relaxed),
+        "no schedule pinned install k while install k + 1 was being built"
+    );
+}

@@ -1,21 +1,37 @@
 //! Fixed-size disk blocks.
+//!
+//! A page's bytes sit behind an `Arc`: cloning a [`Block`] — and so a
+//! heap file, and so the stored relation `S` of a database snapshot —
+//! shares the bytes, and the first write through [`Block::bytes_mut`]
+//! to a page somebody else still holds copies that one page. A traffic
+//! update therefore copies the page it rewrites and nothing else.
+
+use atis_graph::grouped::Sharing;
+use std::sync::Arc;
 
 /// Disk block size in bytes — `B = 4096` in Table 4A.
 pub const BLOCK_SIZE: usize = 4096;
 
 /// A 4096-byte page. Tuples are stored at fixed-width slots; the slot
-/// layout is owned by [`crate::heapfile::HeapFile`].
+/// layout is owned by [`crate::heapfile::HeapFile`]. Clones share the
+/// page until one of them writes it.
 #[derive(Clone)]
 pub struct Block {
-    data: Box<[u8; BLOCK_SIZE]>,
+    data: Arc<[u8; BLOCK_SIZE]>,
 }
 
 impl Block {
     /// A zeroed block.
     pub fn new() -> Self {
         Block {
-            data: Box::new([0u8; BLOCK_SIZE]),
+            data: Arc::new([0u8; BLOCK_SIZE]),
         }
+    }
+
+    /// Counts this page into `sharing`: shared iff `other` is the same
+    /// page in memory.
+    pub(crate) fn count_shared(&self, other: &Block, sharing: &mut Sharing) {
+        sharing.part(&self.data, &other.data, BLOCK_SIZE);
     }
 
     /// Immutable view of a byte range.
@@ -27,13 +43,14 @@ impl Block {
         &self.data[offset..offset + len]
     }
 
-    /// Mutable view of a byte range.
+    /// Mutable view of a byte range; copies the page first if a clone
+    /// still shares it.
     ///
     /// # Panics
     /// Panics if the range exceeds the block.
     #[inline]
     pub fn bytes_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
-        &mut self.data[offset..offset + len]
+        &mut Arc::make_mut(&mut self.data)[offset..offset + len]
     }
 }
 
@@ -72,6 +89,19 @@ mod tests {
         b.bytes_mut(100, 4).copy_from_slice(&[1, 2, 3, 4]);
         assert_eq!(b.bytes(100, 4), &[1, 2, 3, 4]);
         assert_eq!(b.bytes(99, 1), &[0]);
+    }
+
+    #[test]
+    fn a_clone_shares_the_page_until_it_is_written() {
+        let mut a = Block::new();
+        a.bytes_mut(0, 1)[0] = 7;
+        let mut b = a.clone();
+        let mut sharing = Sharing::default();
+        a.count_shared(&b, &mut sharing);
+        b.bytes_mut(1, 1)[0] = 8;
+        a.count_shared(&b, &mut sharing);
+        assert_eq!((sharing.shared, sharing.copied_bytes), (1, BLOCK_SIZE));
+        assert_eq!((a.bytes(0, 2), b.bytes(0, 2)), (&[7, 0][..], &[7, 8][..]));
     }
 
     #[test]

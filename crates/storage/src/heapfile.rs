@@ -1,8 +1,10 @@
 //! Paged heap files of fixed-width tuples with block-level I/O charging.
 //!
 //! A [`HeapFile`] is the physical body of a relation: a vector of 4096-byte
-//! blocks, each holding `BLOCK_SIZE / T::SIZE` tuple slots. Operations
-//! charge the borrowed [`IoStats`]:
+//! blocks, each holding `BLOCK_SIZE / T::SIZE` tuple slots. Cloning one
+//! is a pointer bump per page (see [`crate::block`]): the clone shares
+//! every page with its source until it writes one. Operations charge the
+//! borrowed [`IoStats`]:
 //!
 //! * `scan`-style visits charge one **block read** per block entered;
 //! * `read_slot` charges one block read;
@@ -41,6 +43,7 @@ use crate::fault::{self, SharedFaults, WriteMode};
 use crate::io::IoStats;
 use crate::segment::{SegmentDirectory, SegmentInfo};
 use crate::tuple::FixedTuple;
+use atis_graph::grouped::Sharing;
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
@@ -313,6 +316,16 @@ impl<T: FixedTuple> HeapFile<T> {
     #[inline]
     pub fn block_count(&self) -> usize {
         self.blocks.len()
+    }
+
+    /// How many of this file's pages are the very memory `other` holds,
+    /// page by page.
+    pub(crate) fn shared_with(&self, other: &HeapFile<T>) -> Sharing {
+        let mut sharing = Sharing::default();
+        for (a, b) in self.blocks.iter().zip(&other.blocks) {
+            a.count_shared(b, &mut sharing);
+        }
+        sharing
     }
 
     #[inline]

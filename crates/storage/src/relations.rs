@@ -19,7 +19,9 @@ use crate::io::IoStats;
 use crate::isam::IsamIndex;
 use crate::segment::SegmentDirectory;
 use crate::tuple::{EdgeTuple, NodeTuple, MAX_NODE_ID};
+use atis_graph::grouped::Sharing;
 use atis_graph::{Graph, NodeId, RoadClass};
+use std::sync::Arc;
 
 /// Rejects graphs whose node ids exceed the 24-bit tuple encoding.
 fn check_node_capacity(n: usize) -> Result<(), StorageError> {
@@ -70,12 +72,16 @@ fn road_class_code(class: RoadClass) -> u8 {
 }
 
 /// The read-only edge relation `S`, hash-clustered on `Begin-node`.
+///
+/// Cloning is cheap — the bucket directory is shared outright and the
+/// pages until written — which is what lets every epoch snapshot carry
+/// its own `S`: a cost update copies the page it rewrites.
 #[derive(Debug, Clone)]
 pub struct EdgeRelation {
     heap: HeapFile<EdgeTuple>,
     /// Bucket directory: for node `u`, its adjacency occupies slots
-    /// `bucket[u].0 .. bucket[u].0 + bucket[u].1`.
-    buckets: Vec<(u32, u32)>,
+    /// `bucket[u].0 .. bucket[u].0 + bucket[u].1`. Fixed at load.
+    buckets: Arc<[(u32, u32)]>,
     avg_degree: f64,
 }
 
@@ -123,10 +129,8 @@ impl EdgeRelation {
         let flush_every = segment_blocks
             .map(|sb| sb * HeapFile::<EdgeTuple>::TUPLES_PER_BLOCK)
             .unwrap_or(usize::MAX);
-        let mut buckets = Vec::with_capacity(n);
         let mut staged = 0usize;
         for u in graph.node_ids() {
-            let start = heap.len() as u32;
             for e in graph.neighbors(u) {
                 let end_point = graph.point(e.to);
                 heap.append(&EdgeTuple {
@@ -144,9 +148,19 @@ impl EdgeRelation {
                     staged = 0;
                 }
             }
-            buckets.push((start, graph.degree(u) as u32));
         }
         heap.flush(io)?;
+        // Edges were appended in node order, so a bucket starts where
+        // the degrees before it end.
+        let mut start = 0u32;
+        let buckets = graph
+            .node_ids()
+            .map(|u| {
+                let bucket = (start, graph.degree(u) as u32);
+                start += bucket.1;
+                bucket
+            })
+            .collect();
         Ok(EdgeRelation {
             heap,
             buckets,
@@ -182,6 +196,16 @@ impl EdgeRelation {
     /// `|A|`, the average adjacency-list length.
     pub fn average_degree(&self) -> f64 {
         self.avg_degree
+    }
+
+    /// How much of `S` is the very memory `other` holds: the bucket
+    /// directory and each page count one part.
+    #[doc(hidden)]
+    pub fn shared_with(&self, other: &EdgeRelation) -> Sharing {
+        let mut sharing = self.heap.shared_with(&other.heap);
+        let bytes = std::mem::size_of_val(&self.buckets[..]);
+        sharing.part(&self.buckets, &other.buckets, bytes);
+        sharing
     }
 
     /// Fetches `u.adjacencyList` through the hash index, charging the reads

@@ -269,6 +269,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(second.contains(" EPOCH 1 "), "{second}");
     assert_ne!(first, second, "the jammed route must change");
 
+    // Opposite corners share no edge: nothing to update, so nothing is
+    // installed — same epoch, and the route just cached stays cached.
+    assert_eq!(ask("UPDATE 0 143 1.0")?, "UPDATED 0 EPOCH 1");
+
     // The metrics registry has seen both computed ROUTE runs (the cache
     // hit ran no algorithm) plus the serving-layer and cache counters;
     // the snapshot is one JSON line and is stable between requests that
@@ -284,6 +288,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(stats.contains(r#""serve_requests_total":3"#), "{stats}");
     assert!(stats.contains(r#""iterations_per_run""#), "{stats}");
+    assert!(stats.contains(r#""serve_install_seconds""#), "{stats}");
     let again = ask("STATS")?;
     assert_eq!(stats, again, "STATS must be deterministic when idle");
 

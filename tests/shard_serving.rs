@@ -233,3 +233,44 @@ fn a_cost_decrease_is_swept_conservatively() {
         "after clearing",
     );
 }
+
+/// An `UPDATE` of a valid pair that has no edge between it changes no
+/// tuple, so it must install nothing: same epoch, same shard versions,
+/// nothing swept — the warm routes keep hitting the cache. (It used to
+/// install an epoch classed as a decrease from `∞`, which bumped every
+/// shard and dropped every cached route dearer than the typed cost.)
+#[test]
+fn an_update_of_a_pair_with_no_edge_installs_nothing() {
+    use atis::serve::RouteOutcome;
+
+    let k = 16;
+    let grid = Grid::new(k, CostModel::TWENTY_PERCENT, 7).expect("grid");
+    let sharded = service(&grid, 4, 1);
+    let pairs = [
+        (grid.node_at(0, 0), grid.node_at(k - 1, k - 1)),
+        (grid.node_at(k - 1, 0), grid.node_at(0, k - 1)),
+        (grid.node_at(0, k / 2), grid.node_at(k - 1, k / 2)),
+    ];
+    for &(s, d) in &pairs {
+        route(&sharded, s, d);
+    }
+    let before = sharded.shard_snapshot();
+    let swept = sharded.cache().stats().invalidations;
+
+    let (u, far) = (grid.node_at(0, 0), grid.node_at(k - 1, k - 1));
+    assert!(before.db.graph().edge_cost(u, far).is_none());
+    let update = sharded.update_edge_cost(u, far, 0.5).expect("a valid pair");
+    assert_eq!((update.updated, update.epoch), (0, before.install()));
+    assert_eq!(update.arcs_examined, 0);
+
+    let after = sharded.shard_snapshot();
+    assert_eq!(after.install(), before.install());
+    assert_eq!(after.epochs.versions(), before.epochs.versions());
+    assert_eq!(sharded.cache().stats().invalidations, swept);
+    for &(s, d) in &pairs {
+        assert_eq!(route(&sharded, s, d).outcome, RouteOutcome::CacheHit);
+    }
+    // Invalid input is still refused, edge or no edge.
+    assert!(sharded.update_edge_cost(u, far, f64::NAN).is_err());
+    assert!(sharded.update_edge_cost(u, far, -1.0).is_err());
+}
