@@ -92,8 +92,13 @@ fi
 # 5. Ladder-doc drift: SERVING.md is where the degrade ladder is written
 #    up, and the table in ladder.rs is where it is declared. Every rung
 #    `name` the table declares (plus the `PRIMARY` label) must appear in
-#    SERVING.md, and every `rung: "…"` SERVING.md shows must be one the
-#    table declares — a rung nobody emits cannot be documented.
+#    SERVING.md, and every rung any doc shows — `rung: "…"` or
+#    `Degraded { "…" }` — must be one the table declares: a rung nobody
+#    emits cannot be documented. Likewise every breaker a doc names —
+#    `breaker_state("…")` or a `"…"` circuit breaker in backticks — must
+#    be a name `RouteService::breaker_state` answers. (CHANGES.md, the
+#    session log, records what earlier PRs deleted and is not checked.)
+current_docs=$(echo "$docs" | grep -vx 'CHANGES.md')
 ladder=crates/algorithms/src/ladder.rs
 if [ -f "$ladder" ]; then
     rungs=$( (grep -o '^ *Rung::new("[a-z0-9-]*"' "$ladder"; grep -o '^pub const PRIMARY: &str = "[a-z0-9-]*"' "$ladder") \
@@ -104,11 +109,29 @@ if [ -f "$ladder" ]; then
             fail=1
         fi
     done
-    for shown in $(grep -o 'rung: "[^"]*"' SERVING.md | sed 's/rung: "\(.*\)"/\1/' | sort -u); do
-        if ! echo "$rungs" | grep -qx "$shown"; then
-            echo "UNKNOWN RUNG: SERVING.md shows rung \"$shown\", which $ladder does not declare"
-            fail=1
-        fi
+    for doc in $current_docs; do
+        for shown in $(grep -o 'rung: *"[^"]*"\|Degraded { *"[^"]*"' "$doc" | sed 's/.*"\(.*\)"/\1/' | sort -u); do
+            if ! echo "$rungs" | grep -qx "$shown"; then
+                echo "UNKNOWN RUNG: $doc shows rung \"$shown\", which $ladder does not declare"
+                fail=1
+            fi
+        done
+    done
+fi
+service=crates/serve/src/service.rs
+if [ -f "$service" ]; then
+    breakers=$(sed -n '/pub fn breaker_state(/,/^    }/p' "$service" | grep -o '"[a-z0-9-]*" =>' | tr -d '" =>')
+    if [ -z "$breakers" ]; then
+        echo "BREAKERS: no resource name found in RouteService::breaker_state ($service)"
+        fail=1
+    fi
+    for doc in $current_docs; do
+        for named in $(grep -o 'breaker_state("[^"]*")\|`"[^"]*"` circuit breaker' "$doc" | sed 's/[^"]*"\([^"]*\)".*/\1/' | sort -u); do
+            if ! echo "$breakers" | grep -qx "$named"; then
+                echo "UNKNOWN BREAKER: $doc names a \"$named\" circuit breaker, which RouteService::breaker_state does not answer"
+                fail=1
+            fi
+        done
     done
 fi
 

@@ -119,7 +119,7 @@ pub struct Step<'a> {
     pub retry: u32,
 }
 
-/// What legitimately differs between the ladder's callers. The fourth
+/// What legitimately differs between the ladder's callers. One more
 /// difference — the tail below the last rung (the planner's in-memory
 /// oracle; serving's stale tier, then a typed shed) — is whatever the
 /// caller does with [`Walked::Ended`].
@@ -130,20 +130,20 @@ pub trait Policy {
     /// deadline, and a lower rung only costs more).
     const BUDGET_FALLS: bool;
 
-    /// Artifact admission beyond "is it attached" (which [`walk`] checks
-    /// itself): may `rung` run? `Err` carries the reason it may not —
-    /// announced if it is the primary that was denied, silent for a rung
-    /// skipped on the way down.
-    fn admit(&mut self, _rung: &Rung) -> Result<(), String> {
-        Ok(())
+    /// Admission beyond "is its artifact attached" (which [`walk`]
+    /// checks itself) for a rung a failure moves the walk to — never
+    /// asked for the primary's first run. `false` passes the rung over.
+    fn admit(&mut self, _rung: &Rung) -> bool {
+        true
     }
 
     /// Observes one failed attempt and decides whether the same rung
     /// runs again.
     fn failed(&mut self, step: &Step<'_>, error: &AlgorithmError) -> bool;
 
-    /// Observes the walk moving from one rung to a different one.
-    fn hop(&mut self, from: &Rung, to: &Step<'_>, reason: &str);
+    /// Observes the walk leaving rung `from`, which failed with `error`,
+    /// for a different one.
+    fn hop(&mut self, from: &Rung, to: &Step<'_>, error: &AlgorithmError);
 }
 
 /// How a walk ended.
@@ -165,16 +165,14 @@ pub enum Walked<T> {
         /// The final failure.
         error: AlgorithmError,
     },
-    /// No rung was admitted; nothing ran.
-    Denied,
 }
 
-/// Walks `rungs` from the top against `db`: runs (`run`) the first
-/// admitted rung and, when it fails, lets [`Fall::of`] name the
-/// candidates to move to — until a rung answers or no candidate is left.
-/// The primary always runs (and reports a missing artifact itself); a
-/// lower rung only when `db` carries its artifact at all — a stale one
-/// is only discovered by running against it.
+/// Walks `rungs` from the top against `db`: runs (`run`) the primary
+/// and, when a rung fails, lets [`Fall::of`] name the candidates to move
+/// to — until a rung answers or no candidate is left. The primary always
+/// runs (and reports a missing artifact itself); a rung the walk falls
+/// to runs only when `db` carries its artifact at all and the policy
+/// admits it — a stale artifact is only discovered by running against it.
 pub fn walk<P: Policy, T>(
     db: &Database,
     rungs: &[Rung],
@@ -182,53 +180,18 @@ pub fn walk<P: Policy, T>(
     mut run: impl FnMut(&Step<'_>) -> Result<T, AlgorithmError>,
 ) -> Walked<T> {
     let mut storage_fall_left = true;
-    let mut from = 0;
-    let mut candidates = 0..rungs.len();
-    // Why the walk is leaving `from`: its last run's error — or, for a
-    // primary that never ran, the reason it was denied.
-    let mut failure: Option<AlgorithmError> = None;
-    let mut reason = String::new();
+    let mut step = Step {
+        index: 0,
+        rung: &rungs[0],
+        retry: 0,
+    };
     loop {
-        let admitted = candidates.find(|&i| {
-            let attached = match rungs[i].needs {
-                Needs::Hierarchy => db.hierarchy().is_some(),
-                Needs::Landmarks => db.landmarks().is_some(),
-                Needs::Nothing => true,
-            };
-            if i > 0 && !attached {
-                return false;
-            }
-            match policy.admit(&rungs[i]) {
-                Ok(()) => true,
-                Err(denied) => {
-                    if reason.is_empty() {
-                        reason = denied;
-                    }
-                    false
-                }
-            }
-        });
-        let Some(at) = admitted else {
-            return match failure {
-                Some(error) => Walked::Ended { error },
-                None => Walked::Denied,
-            };
-        };
-        let mut step = Step {
-            index: at,
-            rung: &rungs[at],
-            retry: 0,
-        };
-        if at != from {
-            policy.hop(&rungs[from], &step, &reason);
-        }
-        from = at;
         let error = loop {
             match run(&step) {
                 Ok(value) => {
                     return Walked::Answered {
-                        index: at,
-                        rung: rungs[at],
+                        index: step.index,
+                        rung: *step.rung,
                         value,
                     }
                 }
@@ -236,14 +199,33 @@ pub fn walk<P: Policy, T>(
                 Err(error) => break error,
             }
         };
-        candidates = match Fall::of(&error) {
+        let at = step.index;
+        let mut candidates = match Fall::of(&error) {
             Fall::Artifact => at + 1..rungs.len(),
             Fall::Budget(_) if P::BUDGET_FALLS => at + 1..rungs.len(),
             Fall::Storage if std::mem::take(&mut storage_fall_left) => rungs.len() - 1..rungs.len(),
             Fall::Storage | Fall::Budget(_) | Fall::Stop => 0..0,
         };
-        reason = error.to_string();
-        failure = Some(error);
+        let admitted = candidates.find(|&i| {
+            let attached = match rungs[i].needs {
+                Needs::Hierarchy => db.hierarchy().is_some(),
+                Needs::Landmarks => db.landmarks().is_some(),
+                Needs::Nothing => true,
+            };
+            attached && policy.admit(&rungs[i])
+        });
+        let Some(next) = admitted else {
+            return Walked::Ended { error };
+        };
+        let from = step.rung;
+        step = Step {
+            index: next,
+            rung: &rungs[next],
+            retry: 0,
+        };
+        if next != at {
+            policy.hop(from, &step, &error);
+        }
     }
 }
 
@@ -304,7 +286,7 @@ mod tests {
         assert_eq!(TABLE[TABLE.len() - 1].needs, Needs::Nothing);
     }
 
-    /// A scripted policy: denies the listed rungs, retries transient
+    /// A scripted policy: refuses the listed rungs, retries transient
     /// errors `retries` times, and logs every hop.
     struct Script<const BUDGET_FALLS: bool> {
         deny: Vec<&'static str>,
@@ -324,19 +306,14 @@ mod tests {
 
     impl<const B: bool> Policy for Script<B> {
         const BUDGET_FALLS: bool = B;
-        fn admit(&mut self, rung: &Rung) -> Result<(), String> {
-            if self.deny.contains(&rung.name) {
-                Err(format!("{} denied", rung.name))
-            } else {
-                Ok(())
-            }
+        fn admit(&mut self, rung: &Rung) -> bool {
+            !self.deny.contains(&rung.name)
         }
         fn failed(&mut self, step: &Step<'_>, error: &AlgorithmError) -> bool {
             error.is_transient() && step.retry < self.retries
         }
-        fn hop(&mut self, from: &Rung, to: &Step<'_>, reason: &str) {
-            self.hops
-                .push((from.name, to.rung.name, reason.to_string()));
+        fn hop(&mut self, from: &Rung, to: &Step<'_>, error: &AlgorithmError) {
+            self.hops.push((from.name, to.rung.name, error.to_string()));
         }
     }
 
@@ -390,18 +367,6 @@ mod tests {
                 ("primary", "astar-v4", stale_h.to_string()),
                 ("astar-v4", "astar-v3", stale_l.to_string()),
             ]
-        );
-    }
-
-    #[test]
-    fn a_denied_primary_hops_once_to_the_first_admitted_rung() {
-        let mut script = Script::<false>::new(&["primary", "astar-v4"], 0);
-        let (walked, ran) = walk_v5(&mut script, &[]);
-        assert_eq!(answered(&walked), Some("astar-v3"));
-        assert_eq!(ran, ["astar-v3"]);
-        assert_eq!(
-            script.hops,
-            [("primary", "astar-v3", "primary denied".to_string())]
         );
     }
 
@@ -507,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn a_wrong_query_stops_the_walk_and_nothing_admitted_is_denied() {
+    fn a_wrong_query_stops_the_walk() {
         let mut script = Script::<true>::new(&[], 3);
         let (walked, ran) = walk_v5(
             &mut script,
@@ -520,10 +485,22 @@ mod tests {
             }
         ));
         assert_eq!(ran, ["primary"]);
+    }
 
-        let mut script = Script::<true>::new(&["primary", "astar-v4", "astar-v3", "dijkstra"], 0);
-        let (walked, ran) = walk_v5(&mut script, &[]);
-        assert!(matches!(walked, Walked::Denied));
-        assert!(ran.is_empty());
+    #[test]
+    fn a_refused_storage_fall_ends_the_walk_after_the_primary() {
+        // What serving's storage breaker does when a failure mid-walk
+        // trips it: the rung the storage fall lands on is refused, so
+        // nothing runs after the primary — which is never asked.
+        let mut script = Script::<false>::new(&["primary", "dijkstra"], 0);
+        let (walked, ran) = walk_v5(&mut script, &[("primary", io_fault())]);
+        assert!(matches!(
+            walked,
+            Walked::Ended {
+                error: AlgorithmError::Storage(_)
+            }
+        ));
+        assert_eq!(ran, ["primary"]);
+        assert!(script.hops.is_empty());
     }
 }

@@ -384,7 +384,7 @@ impl RoutePlanner {
             // Below the last rung: the in-memory oracle. No storage
             // engine, no faults, no budget — degraded service beats no
             // service for a traveller already on the road.
-            Walked::Ended { .. } | Walked::Denied => {
+            Walked::Ended { .. } => {
                 let last = policy.attempts.last().map(|a| a.algorithm.clone());
                 (self.memory_fallback(last, rungs.len(), s, d), true)
             }
@@ -477,7 +477,7 @@ impl Policy for Resilient<'_> {
         true
     }
 
-    fn hop(&mut self, from: &Rung, to: &Step<'_>, _reason: &str) {
+    fn hop(&mut self, from: &Rung, to: &Step<'_>, _: &AlgorithmError) {
         self.planner.emit(PlanEvent::Degraded {
             from: from.algorithm.label(),
             to: to.rung.algorithm.label(),

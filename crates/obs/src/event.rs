@@ -213,7 +213,7 @@ pub enum ServeEvent {
     },
     /// A circuit breaker changed state.
     BreakerTransition {
-        /// Resource the breaker guards (`storage`, `landmarks`).
+        /// Resource the breaker guards (`storage`).
         resource: String,
         /// State label before (`closed`, `open`, `half-open`).
         from: String,
@@ -222,31 +222,24 @@ pub enum ServeEvent {
         /// Virtual-time tick of the transition.
         at_tick: u64,
     },
-    /// An `UPDATE` installed a new database epoch and swept the cache.
+    /// An `UPDATE` installed a new database epoch and swept the cache:
+    /// the global install counter advanced, but only the touched shards'
+    /// versions moved — snapshots over other shards keep hitting the
+    /// cache unswept.
     EpochInstalled {
-        /// The new epoch number.
+        /// The new epoch number (the global install counter).
         epoch: u64,
         /// Directed edge tuples the update touched.
         updated_edges: u64,
-        /// Cache entries dropped by the invalidation rule.
-        invalidated: u64,
-        /// Cache entries proven unaffected and carried into the new epoch.
-        promoted: u64,
-    },
-    /// An `UPDATE` installed a new epoch on *sharded* serving state: the
-    /// global install counter advanced, but only the listed shards'
-    /// versions moved — snapshots over other shards keep hitting the
-    /// cache unswept.
-    ShardEpochInstalled {
-        /// The new global install counter.
-        install: u64,
-        /// How many shards the update touched (the endpoint shards).
+        /// How many shards the update touched (the endpoints' shards for
+        /// an increase, every shard for a decrease).
         shards_touched: u64,
         /// Total shards in the serving state.
         shards_total: u64,
-        /// Cache entries dropped by the sharded invalidation rule.
+        /// Cache entries dropped by the invalidation rule.
         invalidated: u64,
-        /// Cache entries re-stamped to the touched shards' new versions.
+        /// Cache entries proven unaffected and re-stamped to the touched
+        /// shards' new versions.
         promoted: u64,
     },
     /// A worker executed a batch of admitted requests as one shared
@@ -513,24 +506,14 @@ impl ServeEvent {
             ServeEvent::EpochInstalled {
                 epoch,
                 updated_edges,
+                shards_touched,
+                shards_total,
                 invalidated,
                 promoted,
             } => JsonObject::new()
                 .string("type", "serve_epoch_installed")
                 .u64("epoch", *epoch)
                 .u64("updated_edges", *updated_edges)
-                .u64("invalidated", *invalidated)
-                .u64("promoted", *promoted)
-                .finish(),
-            ServeEvent::ShardEpochInstalled {
-                install,
-                shards_touched,
-                shards_total,
-                invalidated,
-                promoted,
-            } => JsonObject::new()
-                .string("type", "serve_shard_epoch_installed")
-                .u64("install", *install)
                 .u64("shards_touched", *shards_touched)
                 .u64("shards_total", *shards_total)
                 .u64("invalidated", *invalidated)
@@ -721,13 +704,14 @@ mod tests {
         let installed = TraceEvent::Serve(ServeEvent::EpochInstalled {
             epoch: 5,
             updated_edges: 2,
+            shards_touched: 1,
+            shards_total: 8,
             invalidated: 3,
             promoted: 9,
         });
-        let json = installed.to_json();
-        assert!(
-            json.contains(r#""invalidated":3"#) && json.contains(r#""promoted":9"#),
-            "{json}"
+        assert_eq!(
+            installed.to_json(),
+            r#"{"type":"serve_epoch_installed","epoch":5,"updated_edges":2,"shards_touched":1,"shards_total":8,"invalidated":3,"promoted":9}"#
         );
     }
 

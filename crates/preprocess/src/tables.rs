@@ -19,7 +19,7 @@
 //! own ([`LandmarkTables::admits_cost`]) — a jam clearing back to the
 //! cost the tables were built at always does. In both cases
 //! [`LandmarkTables::patched_for`] re-stamps the tables for the updated
-//! graph and marks them degraded (still correct, just looser). Only a
+//! graph, sharing their memory (still correct, just looser). Only a
 //! decrease that undercuts a table value — `d(L,t)` would overestimate
 //! the new distance — requires [`LandmarkTables::rebuild_for`].
 
@@ -83,7 +83,8 @@ struct Tables {
     backward: Vec<Vec<f64>>,
 }
 
-/// Per-epoch landmark distance tables with staleness tracking.
+/// Per-epoch landmark distance tables, stamped with the costs they are
+/// current for.
 ///
 /// Cloning is cheap (`Arc` on the tables); the serving layer clones one
 /// table set into every database snapshot of an epoch.
@@ -92,7 +93,6 @@ pub struct LandmarkTables {
     tables: Arc<Tables>,
     fingerprint: u64,
     config: PreprocessConfig,
-    degraded: bool,
 }
 
 impl LandmarkTables {
@@ -121,7 +121,6 @@ impl LandmarkTables {
             }),
             fingerprint: graph.cost_fingerprint(),
             config,
-            degraded: false,
         })
     }
 
@@ -148,12 +147,6 @@ impl LandmarkTables {
     /// Whether the tables match `graph`'s current costs.
     pub fn is_current_for(&self, graph: &Graph) -> bool {
         self.fingerprint == graph.cost_fingerprint()
-    }
-
-    /// Whether the tables were carried across a cost-increase patch
-    /// (still admissible, but looser than a fresh build).
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 
     /// Whether the tables stay admissible when edge `u → v` costs
@@ -184,7 +177,7 @@ impl LandmarkTables {
     /// still satisfies the tables' triangle inequalities** — all costs
     /// ≥ the costs the tables were built from (a congestion update), or
     /// lowered only as far as [`LandmarkTables::admits_cost`] allows —
-    /// marking them degraded.
+    /// sharing the table memory with `self`.
     ///
     /// Soundness: old table values satisfy
     /// `d(L,t) ≤ d(L,u) + d'(u,t)` whenever each edge on a shortest
@@ -197,7 +190,6 @@ impl LandmarkTables {
             tables: Arc::clone(&self.tables),
             fingerprint: graph.cost_fingerprint(),
             config: self.config,
-            degraded: true,
         }
     }
 
@@ -384,15 +376,16 @@ mod tests {
         let mut g = grid.graph().clone();
         let tables = LandmarkTables::build(&g, PreprocessConfig::grid_default()).unwrap();
         assert!(tables.is_current_for(&g));
-        assert!(!tables.is_degraded());
 
         // Congestion: a cost increase. Patched tables are current again,
-        // degraded, and still admissible against the new distances.
+        // the very table memory they came from, and still admissible
+        // against the new distances.
         let (a, b) = (grid.node_at(2, 2), grid.node_at(2, 3));
         g.set_edge_cost(a, b, 9.0).unwrap();
         assert!(!tables.is_current_for(&g));
         let patched = tables.patched_for(&g);
-        assert!(patched.is_current_for(&g) && patched.is_degraded());
+        assert!(patched.is_current_for(&g));
+        assert_eq!(patched.shared_with(&tables).copied(), 0);
         let truth = all_pairs(&g);
         for u in g.node_ids() {
             for t in g.node_ids() {
@@ -400,9 +393,10 @@ mod tests {
             }
         }
 
-        // A rebuild is fresh: current and not degraded.
+        // A rebuild is fresh: current, and sharing no table memory.
         let rebuilt = patched.rebuild_for(&g).unwrap();
-        assert!(rebuilt.is_current_for(&g) && !rebuilt.is_degraded());
+        assert!(rebuilt.is_current_for(&g));
+        assert_eq!(rebuilt.shared_with(&patched).shared, 0);
         assert_eq!(rebuilt.config(), tables.config());
     }
 

@@ -1,10 +1,9 @@
-//! Per-resource circuit breakers for the serving layer.
+//! The serving layer's circuit breaker.
 //!
-//! A breaker watches one failure-prone resource (the storage engine
-//! under fault injection, the landmark rebuild path) and cuts traffic to
-//! it once typed errors pile up, so a browning-out disk degrades service
-//! *once* instead of making every request rediscover the outage at full
-//! I/O cost. The classic three-state machine, driven entirely by the
+//! A breaker watches one failure-prone resource — in `RouteService`,
+//! the storage engine — and cuts traffic to it once typed errors pile
+//! up, so a browning-out disk degrades service *once* instead of making
+//! every request rediscover the outage at full I/O cost. The classic three-state machine, driven entirely by the
 //! service's deterministic virtual clock (no wall time, consistent with
 //! the analyze determinism rules):
 //!
@@ -21,9 +20,8 @@
 //!
 //! * **Closed** — traffic flows; consecutive typed failures are counted,
 //!   any success resets the count.
-//! * **Open** — traffic is denied (the service skips the resource's
-//!   degrade-ladder rungs and falls through to stale-serve) until the
-//!   virtual clock reaches `until`.
+//! * **Open** — traffic is denied (the service runs no rung and falls
+//!   through to stale-serve) until the virtual clock reaches `until`.
 //! * **Half-open** — up to `probes` requests are admitted as probes; one
 //!   success re-closes the breaker, one failure re-opens it for another
 //!   `open_ticks`.

@@ -22,7 +22,7 @@
 //!    every returned path prices cost-exactly against the graph at
 //!    exactly the epoch the answer claims (stale answers against their
 //!    *older* epoch).
-//! 3. **Breakers recover** — after the fault window closes, the
+//! 3. **The breaker recovers** — after the fault window closes, the
 //!    storage breaker is driven back to `closed`
 //!    ([`ChaosReport::storage_breaker`]).
 //! 4. **Shedding stays within policy** — [`ChaosReport::shed_fraction`]
@@ -143,8 +143,6 @@ pub struct ChaosReport {
     /// Storage-breaker state at the end of the run (after recovery
     /// probing).
     pub storage_breaker: BreakerState,
-    /// Landmark-breaker state at the end of the run.
-    pub landmarks_breaker: BreakerState,
     /// The service's final epoch.
     pub final_epoch: u64,
     /// The service's final virtual time.
@@ -520,9 +518,6 @@ pub fn run_scenario(scenario: &ChaosScenario) -> Result<ChaosReport, String> {
         storage_breaker: service
             .breaker_state("storage")
             .unwrap_or(BreakerState::Closed),
-        landmarks_breaker: service
-            .breaker_state("landmarks")
-            .unwrap_or(BreakerState::Closed),
         final_epoch: service.epoch(),
         final_ticks: service.now_ticks(),
     })
@@ -603,7 +598,6 @@ mod tests {
             answers: Vec::new(),
             updates: Vec::new(),
             storage_breaker: BreakerState::Closed,
-            landmarks_breaker: BreakerState::Closed,
             final_epoch: 0,
             final_ticks: 0,
         };

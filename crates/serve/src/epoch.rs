@@ -40,9 +40,9 @@ pub enum LandmarkRefresh {
     /// scratch (2·k SSSP sweeps) before the epoch installed.
     Rebuilt,
     /// A required rebuild failed: the stale tables were left in place
-    /// (marked not-current, so v4 fails typed and the degrade ladder
-    /// serves v3 instead of wrong answers). The serving layer counts
-    /// this against the landmark circuit breaker.
+    /// (not current, so v4 fails typed and the degrade ladder serves v3
+    /// instead of wrong answers). The serving layer counts it
+    /// (`serve_landmark_rebuild_failed_total`).
     RebuildFailed,
 }
 
@@ -134,8 +134,7 @@ pub(crate) fn maintain_artifacts(
             }
             // Leave the stale tables in place — v4 then fails typed and
             // the degrade ladder serves v3: degraded service, not wrong
-            // answers. Reported so the serving layer can trip its
-            // landmark breaker.
+            // answers. Reported so the serving layer can count it.
             Err(_) => LandmarkRefresh::RebuildFailed,
         };
     }
@@ -183,13 +182,15 @@ mod tests {
         let (s, d) = grid.query_pair(QueryKind::Diagonal);
         let (a, b) = (grid.node_at(2, 2), grid.node_at(2, 3));
 
-        // Congestion: patched, degraded, and v4 still answers optimally
-        // at the new epoch.
+        // Congestion: patched — the tables the store started with,
+        // re-stamped — and v4 still answers optimally at the new epoch.
+        let built = epochs.snapshot().db.landmarks().unwrap().clone();
         let up = epochs.update_edge_cost(a, b, 9.0).unwrap().update;
         assert_eq!(up.landmarks, LandmarkRefresh::Patched);
         let snap = epochs.snapshot();
         let lm = snap.db.landmarks().unwrap();
-        assert!(lm.is_current_for(snap.db.graph()) && lm.is_degraded());
+        assert!(lm.is_current_for(snap.db.graph()));
+        assert_eq!(lm.shared_with(&built).copied(), 0);
         let t = snap
             .db
             .run(Algorithm::AStar(AStarVersion::V4), s, d)
@@ -197,13 +198,14 @@ mod tests {
         let oracle = atis_algorithms::memory::dijkstra_pair(snap.db.graph(), s, d).unwrap();
         assert!((t.path_cost() - oracle.cost).abs() < 1e-3);
 
-        // The jam clears: a cost decrease forces a rebuild, clearing the
-        // degraded flag.
+        // The jam clears: a cost decrease forces a rebuild — fresh tables
+        // that share no memory with the patched ones.
         let down = epochs.update_edge_cost(a, b, 1.0).unwrap().update;
         assert_eq!(down.landmarks, LandmarkRefresh::Rebuilt);
         let snap = epochs.snapshot();
         let lm = snap.db.landmarks().unwrap();
-        assert!(lm.is_current_for(snap.db.graph()) && !lm.is_degraded());
+        assert!(lm.is_current_for(snap.db.graph()));
+        assert_eq!(lm.shared_with(&built).shared, 0);
         assert!(snap
             .db
             .run(Algorithm::AStar(AStarVersion::V4), s, d)

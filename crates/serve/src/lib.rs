@@ -26,12 +26,12 @@
 //!   version of each region-group shard the update can affect. Every
 //!   answer carries the epoch it was computed at; no answer can mix pre-
 //!   and post-update edge costs.
-//! * **Circuit breakers + stale-serve degradation** ([`CircuitBreaker`])
-//!   — per-resource breakers (storage, landmark rebuilds) open after a
-//!   threshold of typed errors and route requests down a degrade ladder
-//!   whose final rung serves the last good cached answer tagged
+//! * **A storage circuit breaker + stale-serve degradation**
+//!   ([`CircuitBreaker`]) — the breaker opens after a threshold of typed
+//!   storage errors and sends requests to the degrade ladder's tail,
+//!   which serves the last good cached answer tagged
 //!   [`RouteOutcome::Stale`] (the `STALE k` wire reply); half-open
-//!   probing re-closes a breaker once the fault clears.
+//!   probing re-closes it once the fault clears.
 //! * **Invalidation-aware route cache** ([`RouteCache`]) — LRU-bounded,
 //!   keyed by `(from, to)` and validated against the shard versions the
 //!   route was stamped with. An update drops exactly the entries it
@@ -43,7 +43,7 @@
 //!   waves (arrival bursts, `UPDATE` storms, injected I/O brownouts)
 //!   driven against a real service, asserting the resilience
 //!   invariants: no torn answers, every request ends in a typed
-//!   outcome, breakers re-close after faults clear.
+//!   outcome, the breaker re-closes after faults clear.
 //!
 //! The whole subsystem is threaded through `atis-obs`: request-level
 //! trace spans ([`atis_obs::ServeEvent`]), per-worker counters, queue

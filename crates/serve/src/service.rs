@@ -1,7 +1,7 @@
 //! The concurrent route service: two-class admission control with
 //! load-shedding, deadline propagation over a virtual clock, a fixed
-//! worker pool, epoch snapshots, circuit breakers with stale-serve
-//! degradation, and the route cache.
+//! worker pool, epoch snapshots, a storage circuit breaker with
+//! stale-serve degradation, and the route cache.
 //!
 //! ## Request life cycle
 //!
@@ -11,7 +11,9 @@
 //!    ▼       (typed reason)   before bulk)    │ pin snapshot (epoch vector e)
 //! Ticket::wait() ◀── answer ◀────────────────┤ cache lookup (from,to) @ e
 //!                                            │ hit: serve cached
-//!                                            └ miss: degrade ladder
+//!                                            └ miss: storage breaker open?
+//!                                               no: degrade ladder from
+//!                                               the primary
 //!                                               (atis_algorithms::ladder)
 //!                                               → stale tier (STALE k)
 //! ```
@@ -37,11 +39,12 @@
 //! meter — it stops consuming block reads instead of completing
 //! uselessly.
 //!
-//! **Circuit breakers** guard the storage engine, the landmark rebuild
-//! path, and the hierarchy maintenance path (see `breaker.rs`); they are
-//! this layer's admission argument to the one ladder walker
-//! (`atis_algorithms::ladder::walk`) — SERVING.md "Circuit breakers and
-//! the degrade ladder" is the full account.
+//! **One circuit breaker** guards the storage engine (see `breaker.rs`):
+//! an open breaker sends a request straight to the stale tier, and one
+//! that trips mid-walk stops the storage fall — this layer's admission
+//! argument to the one ladder walker (`atis_algorithms::ladder::walk`).
+//! SERVING.md "The storage breaker and the degrade ladder" is the full
+//! account.
 //!
 //! Updates bypass the queue: [`RouteService::update_edge_cost`] installs
 //! a new epoch copy-on-write (running queries keep their snapshots) and
@@ -138,8 +141,8 @@ pub enum RouteOutcome {
     /// Served from the route cache, bit-identical to a fresh run.
     CacheHit,
     /// A rung below the configured algorithm answered — still exact,
-    /// still at the current epoch (the ladder is SERVING.md "Circuit
-    /// breakers and the degrade ladder").
+    /// still at the current epoch (the ladder is SERVING.md "The storage
+    /// breaker and the degrade ladder").
     Degraded {
         /// Name of the answering rung in `atis_algorithms::ladder::TABLE`.
         rung: &'static str,
@@ -186,8 +189,7 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Algorithm every `ROUTE` request runs.
     pub algorithm: Algorithm,
-    /// Circuit-breaker tuning (shared by the storage, landmark and
-    /// hierarchy breakers).
+    /// Tuning of the storage circuit breaker.
     pub breaker: BreakerConfig,
     /// Epoch shards (region groups over the partition map). With `1`
     /// every update bumps the one shard (a single global epoch); more
@@ -395,10 +397,9 @@ impl QueueState {
     }
 }
 
+/// The service's circuit breakers — the storage engine's is the only one.
 struct Breakers {
     storage: CircuitBreaker,
-    landmarks: CircuitBreaker,
-    hierarchy: CircuitBreaker,
 }
 
 struct Shared {
@@ -462,7 +463,8 @@ impl Shared {
         }
     }
 
-    fn emit_transition(&self, resource: &'static str, transition: Option<BreakerTransition>) {
+    /// Mirrors a storage-breaker transition into metrics and the trace.
+    fn emit_transition(&self, transition: Option<BreakerTransition>) {
         let Some(t) = transition else { return };
         if matches!(t.to, BreakerState::Open { .. }) {
             self.inc("serve_breaker_open_total");
@@ -471,7 +473,7 @@ impl Shared {
             self.inc("serve_breaker_close_total");
         }
         self.emit(ServeEvent::BreakerTransition {
-            resource: resource.to_string(),
+            resource: "storage".to_string(),
             from: t.from.label().to_string(),
             to: t.to.label().to_string(),
             at_tick: self.now(),
@@ -578,8 +580,6 @@ impl RouteService {
             batch_max: config.batch_max.max(1),
             breakers: Breakers {
                 storage: CircuitBreaker::new(config.breaker),
-                landmarks: CircuitBreaker::new(config.breaker),
-                hierarchy: CircuitBreaker::new(config.breaker),
             },
             clock: AtomicU64::new(0),
             next_request: AtomicU64::new(0),
@@ -651,13 +651,11 @@ impl RouteService {
         &self.shared.cache
     }
 
-    /// The state of a named circuit breaker (`"storage"`,
-    /// `"landmarks"`, `"hierarchy"`); `None` for unknown names.
+    /// The state of a named circuit breaker — `"storage"` is the one;
+    /// `None` for any other name.
     pub fn breaker_state(&self, resource: &str) -> Option<BreakerState> {
         match resource {
             "storage" => Some(self.shared.breakers.storage.state()),
-            "landmarks" => Some(self.shared.breakers.landmarks.state()),
-            "hierarchy" => Some(self.shared.breakers.hierarchy.state()),
             _ => None,
         }
     }
@@ -791,8 +789,9 @@ impl RouteService {
     /// running keep their snapshots; queries admitted after this call
     /// see the new costs. The hierarchy is re-priced where the edge can
     /// reach and the arcs examined are recorded
-    /// (`serve_hierarchy_arcs_examined`); a failed landmark rebuild
-    /// counts against the landmark circuit breaker. How long the store
+    /// (`serve_hierarchy_arcs_examined`); a failed landmark rebuild is
+    /// counted (`serve_landmark_rebuild_failed_total`) and leaves v4
+    /// failing typed until a later rebuild succeeds. How long the store
     /// took to build and publish the install is observed as
     /// `serve_install_seconds`.
     ///
@@ -823,19 +822,9 @@ impl RouteService {
             self.shared.inc("serve_hierarchy_customized_total");
             self.shared
                 .observe("serve_hierarchy_arcs_examined", update.arcs_examined as f64);
-            let t = self.shared.breakers.hierarchy.on_success();
-            self.shared.emit_transition("hierarchy", t);
         }
-        match update.landmarks {
-            LandmarkRefresh::RebuildFailed => {
-                let t = self.shared.breakers.landmarks.on_failure(self.shared.now());
-                self.shared.emit_transition("landmarks", t);
-            }
-            LandmarkRefresh::Rebuilt | LandmarkRefresh::Patched => {
-                let t = self.shared.breakers.landmarks.on_success();
-                self.shared.emit_transition("landmarks", t);
-            }
-            _ => {}
+        if update.landmarks == LandmarkRefresh::RebuildFailed {
+            self.shared.inc("serve_landmark_rebuild_failed_total");
         }
         let (invalidated, promoted) = self.shared.cache.apply_shard_update(
             u,
@@ -849,12 +838,6 @@ impl RouteService {
         self.shared.emit(ServeEvent::EpochInstalled {
             epoch: update.epoch,
             updated_edges: update.updated as u64,
-            invalidated,
-            promoted,
-        });
-        self.shared.inc("serve_shard_installs_total");
-        self.shared.emit(ServeEvent::ShardEpochInstalled {
-            install: epochs.install(),
             shards_touched: shards.len() as u64,
             shards_total: self.shared.epoch_db.map().shard_count() as u64,
             invalidated,
@@ -1237,7 +1220,6 @@ mod tests {
             "serve_started",
             "serve_cache_hit",
             "serve_completed",
-            "serve_epoch_installed",
         ] {
             assert!(
                 json.iter()
@@ -1245,6 +1227,18 @@ mod tests {
                 "missing {kind} span in {json:#?}"
             );
         }
+        // The install is one event, and the last one: the epoch and its
+        // shard footprint together.
+        let installs: Vec<&String> = json.iter().filter(|j| j.contains("_installed")).collect();
+        assert_eq!(installs.len(), 1, "{json:#?}");
+        assert_eq!(json.last(), Some(installs[0]));
+        assert!(
+            installs[0].starts_with(
+                r#"{"type":"serve_epoch_installed","epoch":1,"updated_edges":1,"shards_touched":1,"shards_total":1,"#
+            ),
+            "{}",
+            installs[0]
+        );
     }
 
     #[test]
@@ -1334,6 +1328,55 @@ mod tests {
         assert_eq!(examined.count, 2);
         assert!(examined.min >= 1.0 && examined.max < arcs);
         assert_eq!(examined.sum, (up.arcs_examined + down.arcs_examined) as f64);
+    }
+
+    /// A landmark rebuild fails only for tables attached to a graph they
+    /// were not built for — no cost update causes one. Eight landmarks
+    /// cannot be chosen on four nodes: the stale tables stay attached,
+    /// the failure is counted, and v4 requests are answered one rung
+    /// down, exactly.
+    #[test]
+    fn a_failed_landmark_rebuild_is_counted_and_v4_degrades_to_v3() {
+        use atis_graph::graph::graph_from_arcs;
+        use atis_preprocess::{LandmarkTables, PreprocessConfig};
+        let registry = MetricsRegistry::shared();
+        let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
+        let tables = LandmarkTables::build(grid.graph(), PreprocessConfig::grid_default()).unwrap();
+        // 0 -> 1 -> 3 (cost 3) versus 0 -> 2 -> 3 (cost 4).
+        let graph =
+            graph_from_arcs(4, &[(0, 1, 1.0), (1, 3, 2.0), (0, 2, 2.0), (2, 3, 2.0)]).unwrap();
+        let db = Database::open(&graph)
+            .unwrap()
+            .with_landmarks(tables.clone());
+        let service = RouteService::with_observability(
+            db,
+            ServeConfig::default()
+                .with_workers(1)
+                .with_cache_capacity(0)
+                .with_algorithm(Algorithm::AStar(AStarVersion::V4)),
+            Some(registry.clone()),
+            None,
+        );
+        let update = service.update_edge_cost(NodeId(0), NodeId(1), 3.0).unwrap();
+        assert_eq!(update.landmarks, LandmarkRefresh::RebuildFailed);
+        let snap = service.shard_snapshot();
+        let kept = snap.db.landmarks().unwrap();
+        assert_eq!(
+            kept.shared_with(&tables).copied(),
+            0,
+            "the stale tables stay"
+        );
+        assert!(!kept.is_current_for(snap.db.graph()));
+        assert_eq!(registry.counter("serve_landmark_rebuild_failed_total"), 1);
+        for gone in ["landmarks", "hierarchy"] {
+            assert_eq!(service.breaker_state(gone), None, "no {gone} breaker");
+        }
+
+        let (s, d) = (NodeId(0), NodeId(3));
+        let answer = service.route(s, d).unwrap();
+        assert_eq!(answer.outcome, RouteOutcome::Degraded { rung: "astar-v3" });
+        let oracle = atis_algorithms::memory::dijkstra_pair(snap.db.graph(), s, d).unwrap();
+        assert!((answer.path.unwrap().cost - oracle.cost).abs() < 1e-9);
     }
 
     /// The per-update phase is exact only from an overlay that is
