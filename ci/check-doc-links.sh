@@ -243,6 +243,32 @@ if [ -d "$hier_src" ]; then
     done
 fi
 
+# 9. Bench drift: every `[[bench]]` in crates/bench/Cargo.toml must be
+#    run by a workflow (`--bench <name>` in .github/workflows/) or
+#    regenerate a figure (bench `<name>` in a row of DESIGN.md's figure
+#    table, the `| F…` / `| T…` rows). A bench nothing runs and no doc
+#    cites still compiles on every build and rots unseen. The reverse
+#    holds too: every bench a workflow runs or the table names must be
+#    declared.
+bench_toml=crates/bench/Cargo.toml
+if [ -f "$bench_toml" ]; then
+    declared=$(awk '/^\[\[bench\]\]/ { b = 1; next } b && /^name *=/ { gsub(/^name *= *"|".*$/, ""); print; b = 0 }' "$bench_toml")
+    run=$(cat .github/workflows/*.yml 2>/dev/null | grep -o -- '--bench [A-Za-z0-9_]*' | sed 's/^--bench //' | sort -u) || true
+    cited=$(grep '^| [FT][0-9A-Z]* ' DESIGN.md 2>/dev/null | grep -o 'bench `[A-Za-z0-9_]*`' | sed 's/^bench `\(.*\)`$/\1/' | sort -u) || true
+    for bench in $declared; do
+        if ! echo "$run" | grep -qx "$bench" && ! echo "$cited" | grep -qx "$bench"; then
+            echo "UNUSED BENCH: $bench ($bench_toml) is run by no workflow and regenerates no figure in DESIGN.md's table"
+            fail=1
+        fi
+    done
+    for bench in $run $cited; do
+        if ! echo "$declared" | grep -qx "$bench"; then
+            echo "UNKNOWN BENCH: $bench is run by a workflow or named in DESIGN.md's figure table, but $bench_toml does not declare it"
+            fail=1
+        fi
+    done
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "doc-link check FAILED"
     exit 1

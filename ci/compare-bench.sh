@@ -10,27 +10,6 @@
 # where reviewers see it.
 #
 # Gated metrics:
-#   BENCH_serve.json       req_per_s per (mode, workers, shards, batch)
-#                          config — higher is better; loose tolerance
-#                          (default 15%) because throughput on shared
-#                          runners is noisy — plus shed_fraction, gated
-#                          with an absolute slack (default 0.05). Records
-#                          predating the sharded schema carry no mode key
-#                          and parse as mode="legacy", shards=1, batch=1;
-#                          a legacy baseline facing a sharded-schema
-#                          fresh artifact is skipped with a migration
-#                          message (commit the fresh artifact to migrate)
-#                          rather than failed on phantom-missing keys.
-#                          Sharded-schema fresh records must carry
-#                          p999_ms and shed_fraction — the open-loop
-#                          harness always emits them, so their absence
-#                          means a truncated artifact. PR CI reruns only
-#                          one worker count (SERVE_SMOKE=1 writes
-#                          BENCH_serve_smoke.json), so baseline records
-#                          for worker counts absent from the fresh
-#                          artifact are skipped, not failed; dropping a
-#                          mode *within* a measured worker count still
-#                          fails.
 #   BENCH_estimators.json  nodes_expanded and block_reads per
 #                          (network, algorithm) — lower is better; tight
 #                          tolerance (default 2%) because both counters
@@ -62,120 +41,19 @@
 #                          coverage is a run-mode choice; dropping an
 #                          algorithm, layout or workload *within* a
 #                          measured scale still fails.
-# A (network, algorithm) or workers key present in the baseline but
-# missing from the fresh artifact fails the gate: silently dropping a
-# bench configuration must not read as a pass.
+# A key present in the baseline but missing from the fresh artifact
+# fails the gate: silently dropping a bench configuration must not read
+# as a pass.
 #
 # Usage:
 #   ci/compare-bench.sh                  # gate working-tree artifacts vs HEAD
-#   ci/compare-bench.sh --self-test      # prove the gate trips on an
-#                                        # injected >15% regression
-#   ci/compare-bench.sh --serve BASE FRESH        # gate one pair directly
+#   ci/compare-bench.sh --self-test      # prove the gate trips on
+#                                        # injected regressions
 #   ci/compare-bench.sh --estimators BASE FRESH   # gate one pair directly
 #   ci/compare-bench.sh --scaling BASE FRESH      # gate one pair directly
 set -eu
 
-SERVE_TOL=${SERVE_TOL:-0.15}
-SHED_SLACK=${SHED_SLACK:-0.05}
 EST_TOL=${EST_TOL:-0.02}
-
-# --- serve: req_per_s + shed per (mode, workers, shards, batch) ------------
-compare_serve() {
-    base=$1 fresh=$2
-    awk -v tol="$SERVE_TOL" -v shed_slack="$SHED_SLACK" '
-        function str(key,    s) {
-            if (match($0, "\"" key "\":\"[^\"]*\"")) {
-                s = substr($0, RSTART, RLENGTH)
-                sub("\"" key "\":\"", "", s)
-                sub("\"$", "", s)
-                return s
-            }
-            return ""
-        }
-        function num(key,    s) {
-            if (match($0, "\"" key "\":[0-9.]+")) {
-                s = substr($0, RSTART, RLENGTH)
-                sub("\"" key "\":", "", s)
-                return s + 0
-            }
-            return -1
-        }
-        # Split the configs array into one record per {...} chunk.
-        {
-            n = split($0, chunk, "{")
-            for (i = 1; i <= n; i++) {
-                if (chunk[i] !~ /"workers"/) continue
-                $0 = chunk[i]
-                w = num("workers"); r = num("req_per_s")
-                if (w < 0 || r < 0) continue
-                # Pre-sharding artifacts carry none of the mode keys.
-                m = str("mode"); if (m == "") m = "legacy"
-                sh = num("shards"); if (sh < 0) sh = 1
-                b = num("batch"); if (b < 0) b = 1
-                key = m "|w" w "|s" sh "|b" b
-                if (NR == FNR) {
-                    base_rps[key] = r
-                    base_w[key] = w
-                    base_shed[key] = num("shed_fraction")
-                    if (m != "legacy") base_mode = 1
-                } else {
-                    fresh_rps[key] = r
-                    fresh_shed[key] = num("shed_fraction")
-                    seen[key] = 1
-                    fresh_workers[w] = 1
-                    if (m != "legacy") {
-                        fresh_mode = 1
-                        if (num("p999_ms") < 0 || num("shed_fraction") < 0) {
-                            printf "FAIL serve: %s lacks p999_ms/shed_fraction (truncated artifact?)\n", key
-                            schema_fail = 1
-                        }
-                    }
-                }
-            }
-        }
-        END {
-            if (schema_fail) exit 1
-            # A legacy (pre-sharding) baseline cannot gate a
-            # sharded-schema run: no key overlaps, so every record
-            # would read as dropped. Skip with a migration message.
-            if (!base_mode && fresh_mode) {
-                print "skip serve: baseline predates the sharded schema — commit the fresh artifact to migrate the baseline"
-                exit 0
-            }
-            fail = 0
-            for (k in base_rps) {
-                # A worker count the fresh run did not measure at all
-                # (SERVE_SMOKE runs one) is skipped; a dropped mode
-                # within a measured worker count is a failure.
-                if (!(base_w[k] in fresh_workers)) {
-                    printf "skip serve: %s (worker count not measured by this run)\n", k
-                    continue
-                }
-                if (!(k in seen)) {
-                    printf "FAIL serve: %s missing from fresh artifact\n", k
-                    fail = 1
-                    continue
-                }
-                floor = base_rps[k] * (1 - tol)
-                if (fresh_rps[k] < floor) {
-                    printf "FAIL serve: %s req_per_s %.1f < %.1f (baseline %.1f, tol %.0f%%)\n", \
-                        k, fresh_rps[k], floor, base_rps[k], tol * 100
-                    fail = 1
-                } else {
-                    printf "ok   serve: %s req_per_s %.1f (baseline %.1f)\n", \
-                        k, fresh_rps[k], base_rps[k]
-                }
-                if (base_shed[k] >= 0 && fresh_shed[k] >= 0 \
-                    && fresh_shed[k] > base_shed[k] + shed_slack) {
-                    printf "FAIL serve: %s shed_fraction %.4f > baseline %.4f + %.2f slack\n", \
-                        k, fresh_shed[k], base_shed[k], shed_slack
-                    fail = 1
-                }
-            }
-            exit fail
-        }
-    ' "$base" "$fresh"
-}
 
 # --- estimators: nodes_expanded / block_reads per record, lower is better --
 compare_estimators() {
@@ -355,9 +233,6 @@ self_test() {
     trap 'rm -rf "$tmp"' EXIT
     status=0
 
-    cat > "$tmp/serve_base.json" <<'EOF'
-{"benchmark":"serve_throughput","configs":[{"workers":1,"req_per_s":200.00,"p50_ms":80.0},{"workers":4,"req_per_s":750.00,"p50_ms":18.0}]}
-EOF
     cat > "$tmp/est_base.json" <<'EOF'
 {"benchmark":"estimator_quality","network":"grid30","algorithm":"A* (version 3)","nodes_expanded":1399,"block_reads":66678,"wall_ms":5.0}
 {"benchmark":"estimator_quality","network":"grid30","algorithm":"A* (version 4)","nodes_expanded":131,"block_reads":6294,"wall_ms":1.0}
@@ -373,19 +248,10 @@ EOF
 EOF
 
     echo "self-test 1: identical artifacts must pass"
-    compare_serve "$tmp/serve_base.json" "$tmp/serve_base.json" || status=1
     compare_estimators "$tmp/est_base.json" "$tmp/est_base.json" || status=1
     compare_scaling "$tmp/scaling_base.json" "$tmp/scaling_base.json" || status=1
 
-    echo "self-test 2: a 30% throughput regression must fail"
-    sed 's/"req_per_s":750.00/"req_per_s":525.00/' "$tmp/serve_base.json" \
-        > "$tmp/serve_bad.json"
-    if compare_serve "$tmp/serve_base.json" "$tmp/serve_bad.json"; then
-        echo "self-test FAILED: regressed serve artifact passed the gate"
-        status=1
-    fi
-
-    echo "self-test 3: a 30% nodes_expanded regression must fail"
+    echo "self-test 2: a 30% nodes_expanded regression must fail"
     sed 's/"nodes_expanded":131/"nodes_expanded":171/' "$tmp/est_base.json" \
         > "$tmp/est_bad.json"
     if compare_estimators "$tmp/est_base.json" "$tmp/est_bad.json"; then
@@ -393,19 +259,14 @@ EOF
         status=1
     fi
 
-    echo "self-test 4: a dropped bench configuration must fail (worker counts are a run-mode choice and skip)"
-    sed 's/,{"workers":4[^}]*}//' "$tmp/serve_base.json" > "$tmp/serve_missing.json"
-    compare_serve "$tmp/serve_base.json" "$tmp/serve_missing.json" || {
-        echo "self-test FAILED: absent worker count (smoke run mode) failed the gate"
-        status=1
-    }
+    echo "self-test 3: a dropped bench configuration must fail"
     grep -v '"A\* (version 4)"' "$tmp/est_base.json" > "$tmp/est_missing.json" || true
     if compare_estimators "$tmp/est_base.json" "$tmp/est_missing.json"; then
         echo "self-test FAILED: missing estimator record passed the gate"
         status=1
     fi
 
-    echo "self-test 5: a scaling physical_reads regression must fail"
+    echo "self-test 4: a scaling physical_reads regression must fail"
     sed 's/"physical_reads":106/"physical_reads":150/' "$tmp/scaling_base.json" \
         > "$tmp/scaling_bad.json"
     if compare_scaling "$tmp/scaling_base.json" "$tmp/scaling_bad.json"; then
@@ -413,7 +274,7 @@ EOF
         status=1
     fi
 
-    echo "self-test 6: a smoke run must skip unmeasured scales but gate measured ones"
+    echo "self-test 5: a smoke run must skip unmeasured scales but gate measured ones"
     grep -v '"metro-100k"' "$tmp/scaling_base.json" > "$tmp/scaling_smoke.json" || true
     compare_scaling "$tmp/scaling_base.json" "$tmp/scaling_smoke.json" || {
         echo "self-test FAILED: smoke artifact with full 10k coverage failed the gate"
@@ -425,10 +286,10 @@ EOF
         status=1
     fi
 
-    echo "self-test 7: a missing committed baseline must record, not fail"
+    echo "self-test 6: a missing committed baseline must record, not fail"
     rm -f "$tmp/recorded.json"
-    if record_baseline "$tmp/serve_base.json" "$tmp/recorded.json" \
-        && cmp -s "$tmp/serve_base.json" "$tmp/recorded.json"; then
+    if record_baseline "$tmp/est_base.json" "$tmp/recorded.json" \
+        && cmp -s "$tmp/est_base.json" "$tmp/recorded.json"; then
         :
     else
         echo "self-test FAILED: first run did not record the baseline"
@@ -439,7 +300,7 @@ EOF
         status=1
     fi
 
-    echo "self-test 8: an estimator smoke run must skip unmeasured networks, and a v5 regression must fail"
+    echo "self-test 7: an estimator smoke run must skip unmeasured networks, and a v5 regression must fail"
     grep -v '"metro-100k"' "$tmp/est_base.json" > "$tmp/est_smoke.json" || true
     compare_estimators "$tmp/est_base.json" "$tmp/est_smoke.json" || {
         echo "self-test FAILED: estimator smoke artifact failed the gate"
@@ -452,58 +313,14 @@ EOF
         status=1
     fi
 
-    echo "self-test 9: a dropped long-haul workload within a measured scale must fail"
+    echo "self-test 8: a dropped long-haul workload within a measured scale must fail"
     grep -v '"workload":"long-haul"' "$tmp/scaling_base.json" > "$tmp/scaling_no_lh.json" || true
     if compare_scaling "$tmp/scaling_base.json" "$tmp/scaling_no_lh.json"; then
         echo "self-test FAILED: dropped long-haul workload passed the gate"
         status=1
     fi
 
-    echo "self-test 10: the sharded serve schema must gate per (mode, workers) and smoke-skip absent worker counts"
-    cat > "$tmp/serve_sharded_base.json" <<'EOF'
-{"benchmark":"serve_throughput","open_loop":true,"configs":[{"mode":"global","workers":4,"shards":1,"batch":1,"req_per_s":290.00,"p99_ms":710.0,"p999_ms":715.0,"shed_fraction":0.7900},{"mode":"sharded","workers":4,"shards":8,"batch":8,"req_per_s":2000.00,"p99_ms":2.3,"p999_ms":16.6,"shed_fraction":0.0000},{"mode":"global","workers":8,"shards":1,"batch":1,"req_per_s":550.00,"p99_ms":368.0,"p999_ms":386.0,"shed_fraction":0.6600},{"mode":"sharded","workers":8,"shards":8,"batch":8,"req_per_s":2000.00,"p99_ms":1.6,"p999_ms":16.7,"shed_fraction":0.0000}]}
-EOF
-    compare_serve "$tmp/serve_sharded_base.json" "$tmp/serve_sharded_base.json" || {
-        echo "self-test FAILED: identical sharded serve artifacts failed the gate"
-        status=1
-    }
-    sed 's/"req_per_s":2000.00,"p99_ms":2.3/"req_per_s":1400.00,"p99_ms":2.3/' \
-        "$tmp/serve_sharded_base.json" > "$tmp/serve_sharded_bad.json"
-    if compare_serve "$tmp/serve_sharded_base.json" "$tmp/serve_sharded_bad.json"; then
-        echo "self-test FAILED: regressed sharded mode passed the gate"
-        status=1
-    fi
-    sed 's/"shed_fraction":0.7900/"shed_fraction":0.9500/' \
-        "$tmp/serve_sharded_base.json" > "$tmp/serve_shed_bad.json"
-    if compare_serve "$tmp/serve_sharded_base.json" "$tmp/serve_shed_bad.json"; then
-        echo "self-test FAILED: regressed shed_fraction passed the gate"
-        status=1
-    fi
-    sed 's/,{"mode":"global","workers":8[^}]*},{"mode":"sharded","workers":8[^}]*}//' \
-        "$tmp/serve_sharded_base.json" > "$tmp/serve_sharded_smoke.json"
-    compare_serve "$tmp/serve_sharded_base.json" "$tmp/serve_sharded_smoke.json" || {
-        echo "self-test FAILED: serve smoke artifact (workers=4 only) failed the gate"
-        status=1
-    }
-    sed 's/,{"mode":"sharded","workers":4[^}]*}//' \
-        "$tmp/serve_sharded_smoke.json" > "$tmp/serve_mode_dropped.json"
-    if compare_serve "$tmp/serve_sharded_base.json" "$tmp/serve_mode_dropped.json"; then
-        echo "self-test FAILED: dropped mode within a measured worker count passed the gate"
-        status=1
-    fi
-
-    echo "self-test 11: a legacy baseline must skip (not fail) a sharded-schema run, and a truncated sharded record must fail"
-    compare_serve "$tmp/serve_base.json" "$tmp/serve_sharded_base.json" || {
-        echo "self-test FAILED: legacy baseline vs sharded fresh did not skip"
-        status=1
-    }
-    sed 's/"p999_ms":16.6,//' "$tmp/serve_sharded_base.json" > "$tmp/serve_truncated.json"
-    if compare_serve "$tmp/serve_sharded_base.json" "$tmp/serve_truncated.json"; then
-        echo "self-test FAILED: sharded record without p999_ms passed the gate"
-        status=1
-    fi
-
-    echo "self-test 12: a changed overlay size must fail in either direction, a changed hierarchy_ms must not"
+    echo "self-test 9: a changed overlay size must fail in either direction, a changed hierarchy_ms must not"
     sed 's/"hierarchy_ms":317.0/"hierarchy_ms":52.0/' "$tmp/scaling_base.json" \
         > "$tmp/scaling_faster.json"
     compare_scaling "$tmp/scaling_base.json" "$tmp/scaling_faster.json" || {
@@ -531,9 +348,6 @@ case "${1:-}" in
     --self-test)
         self_test
         ;;
-    --serve)
-        compare_serve "$2" "$3"
-        ;;
     --estimators)
         compare_estimators "$2" "$3"
         ;;
@@ -544,7 +358,7 @@ case "${1:-}" in
         tmp=$(mktemp -d)
         trap 'rm -rf "$tmp"' EXIT
         status=0
-        for f in BENCH_serve.json BENCH_estimators.json BENCH_scaling.json; do
+        for f in BENCH_estimators.json BENCH_scaling.json; do
             if ! git show "HEAD:$f" > "$tmp/$(basename "$f")" 2>/dev/null; then
                 record_baseline "$f" "$f" || status=1
                 continue
@@ -553,9 +367,6 @@ case "${1:-}" in
             # separate artifacts; gate against them when present (the
             # committed full artifacts stay the baselines).
             fresh="$f"
-            if [ "$f" = "BENCH_serve.json" ] && [ -f BENCH_serve_smoke.json ]; then
-                fresh=BENCH_serve_smoke.json
-            fi
             if [ "$f" = "BENCH_scaling.json" ] && [ -f BENCH_scaling_smoke.json ]; then
                 fresh=BENCH_scaling_smoke.json
             fi
@@ -568,7 +379,6 @@ case "${1:-}" in
                 continue
             fi
             case "$f" in
-                BENCH_serve.json) compare_serve "$tmp/$f" "$fresh" || status=1 ;;
                 BENCH_scaling.json) compare_scaling "$tmp/$f" "$fresh" || status=1 ;;
                 *) compare_estimators "$tmp/$f" "$fresh" || status=1 ;;
             esac
@@ -580,7 +390,7 @@ case "${1:-}" in
         echo "benchmark-regression gate OK"
         ;;
     *)
-        echo "usage: $0 [--self-test | --serve BASE FRESH | --estimators BASE FRESH | --scaling BASE FRESH]" >&2
+        echo "usage: $0 [--self-test | --estimators BASE FRESH | --scaling BASE FRESH]" >&2
         exit 2
         ;;
 esac

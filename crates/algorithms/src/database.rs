@@ -284,24 +284,6 @@ pub enum Kernel {
     Upward,
 }
 
-impl Kernel {
-    /// Whether the expansion order is the same whatever the destination:
-    /// best-first on `C(s,u)` alone with closed nodes final. Only such a
-    /// kernel can serve many destinations in one sweep
-    /// ([`Database::run_many_with_budgets`]) — any estimator makes the
-    /// order depend on the destination through `f(u, d)`.
-    pub fn is_target_independent(&self) -> bool {
-        matches!(
-            self,
-            Kernel::BestFirst {
-                estimator: Estimator::Zero,
-                reopen_closed: false,
-                ..
-            }
-        )
-    }
-}
-
 /// What an [`Algorithm`] is ([`Algorithm::describe`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Description {
@@ -781,6 +763,10 @@ impl Database {
     /// layer uses this to enforce per-request deadlines without cloning
     /// the database.
     ///
+    /// This is the bracket around every metered run: the endpoint
+    /// checks, then the fault-log and buffer-pool marks before the kernel
+    /// runs and the fault events and registry updates after it.
+    ///
     /// # Errors
     /// As [`Database::run`], plus [`AlgorithmError::BudgetExceeded`] when
     /// a budget dimension is exhausted mid-run.
@@ -791,73 +777,25 @@ impl Database {
         d: NodeId,
         budgets: Budgets,
     ) -> Result<RunTrace, AlgorithmError> {
-        self.bracket(
-            &algorithm.label(),
-            s,
-            &[d],
-            |trace| trace,
-            || self.run_kernel(algorithm, s, d, budgets),
-        )
-    }
-
-    /// Runs one query per target from the shared source `s`, returning
-    /// traces in target order. An algorithm whose kernel is
-    /// target-independent ([`Kernel::is_target_independent`] — Dijkstra)
-    /// serves more than one target as a **single sweep** of the one
-    /// best-first loop (set-at-a-time expansion, the paper's v1
-    /// frontier-as-relation insight carried to multi-query execution):
-    /// one charged pass settles every destination. Every returned trace
-    /// carries the **shared** run's I/O — the batch is charged once,
-    /// which is the entire point — under the label `dijkstra_many`,
-    /// while paths and iteration counts are per target and bit-identical
-    /// to solo runs. Unreachable targets get `path: None`; the per-node
-    /// `expansion_order` is not meaningful per target and is left empty.
-    /// Estimator-driven algorithms have destination-dependent expansion
-    /// orders, so they fall back to independent solo runs.
-    ///
-    /// # Errors
-    /// As [`Database::run_with_budgets`]; a budget exhausted mid-sweep
-    /// fails the whole batch.
-    pub fn run_many_with_budgets(
-        &self,
-        algorithm: Algorithm,
-        s: NodeId,
-        targets: &[NodeId],
-        budgets: Budgets,
-    ) -> Result<Vec<RunTrace>, AlgorithmError> {
-        /// What a sweep announces itself as (traces, events, metrics).
-        const SWEEP: &str = "dijkstra_many";
-        let kernel = algorithm.describe().kernel;
-        match kernel {
-            Kernel::BestFirst {
-                frontier,
-                estimator,
-                reopen_closed,
-            } if targets.len() >= 2 && kernel.is_target_independent() => {
-                let spec = Spec {
-                    label: SWEEP.to_string(),
-                    estimator,
-                    reopen_closed,
-                    alt: None,
-                };
-                // The sweep is one run: metered once (every trace reports
-                // the same shared I/O, so the first stands for the batch).
-                self.bracket(
-                    SWEEP,
-                    s,
-                    targets,
-                    |traces: &Vec<RunTrace>| &traces[0],
-                    || {
-                        let run = search::best_first_on(frontier, self, s, targets, spec, budgets)?;
-                        Ok(targets.iter().map(|&d| run.trace_to(d)).collect())
-                    },
-                )
-            }
-            _ => targets
-                .iter()
-                .map(|&d| self.run_with_budgets(algorithm, s, d, budgets))
-                .collect(),
+        if !self.graph.contains(s) {
+            return Err(AlgorithmError::UnknownSource(s));
         }
+        if !self.graph.contains(d) {
+            return Err(AlgorithmError::UnknownDestination(d));
+        }
+        let fault_mark = self
+            .faults
+            .as_ref()
+            .map(|f| f.lock().unwrap_or_else(|p| p.into_inner()).log.len())
+            .unwrap_or(0);
+        let buffer_mark = self.buffer.as_ref().map(|b| {
+            let pool = b.lock().unwrap_or_else(|p| p.into_inner());
+            (pool.hits, pool.misses)
+        });
+        let result = self.run_kernel(algorithm, s, d, budgets);
+        let faults_fired = self.drain_faults(&algorithm.label(), fault_mark);
+        self.update_metrics(result.as_ref(), buffer_mark, faults_fired);
+        result
     }
 
     /// Runs `algorithm`'s kernel from `s` to `d` as its description says
@@ -893,44 +831,9 @@ impl Database {
                     reopen_closed,
                     alt,
                 };
-                let run = search::best_first_on(frontier, self, s, &[d], spec, budgets)?;
-                Ok(run.trace_to(d))
+                search::best_first_on(frontier, self, s, d, spec, budgets)
             }
         }
-    }
-
-    /// The bracket around one metered run — a solo run is a target set
-    /// of one, a sweep one run over all of its targets: the endpoint
-    /// checks, then the fault-log and buffer-pool marks before `run` and
-    /// the fault events and registry updates after it. `metered` picks
-    /// the trace that stands for the run in the registry.
-    fn bracket<T>(
-        &self,
-        label: &str,
-        s: NodeId,
-        targets: &[NodeId],
-        metered: impl Fn(&T) -> &RunTrace,
-        run: impl FnOnce() -> Result<T, AlgorithmError>,
-    ) -> Result<T, AlgorithmError> {
-        if !self.graph.contains(s) {
-            return Err(AlgorithmError::UnknownSource(s));
-        }
-        if let Some(&d) = targets.iter().find(|d| !self.graph.contains(**d)) {
-            return Err(AlgorithmError::UnknownDestination(d));
-        }
-        let fault_mark = self
-            .faults
-            .as_ref()
-            .map(|f| f.lock().unwrap_or_else(|p| p.into_inner()).log.len())
-            .unwrap_or(0);
-        let buffer_mark = self.buffer.as_ref().map(|b| {
-            let pool = b.lock().unwrap_or_else(|p| p.into_inner());
-            (pool.hits, pool.misses)
-        });
-        let result = run();
-        let faults_fired = self.drain_faults(label, fault_mark);
-        self.update_metrics(result.as_ref().map(metered), buffer_mark, faults_fired);
-        result
     }
 
     /// Re-emits the faults that fired during the run just finished as
@@ -1088,102 +991,6 @@ mod tests {
         ));
         // The standing (unlimited) budgets still govern plain `run`.
         assert!(db.run(Algorithm::Dijkstra, s, d).is_ok());
-    }
-
-    /// The sweep's contract, on the public API: one shared Dijkstra run
-    /// from `s` until every target has settled.
-    fn sweep(db: &Database, s: NodeId, targets: &[NodeId]) -> Vec<RunTrace> {
-        db.run_many_with_budgets(Algorithm::Dijkstra, s, targets, db.budgets())
-            .unwrap()
-    }
-
-    #[test]
-    fn batched_targets_are_bit_identical_to_solo_runs() {
-        use atis_graph::{CostModel, Grid, QueryKind};
-        let grid = Grid::new(10, CostModel::TWENTY_PERCENT, 11).unwrap();
-        let db = Database::open(grid.graph()).unwrap();
-        let (s, _) = grid.query_pair(QueryKind::Diagonal);
-        let targets = [
-            grid.node_at(9, 9),
-            grid.node_at(0, 9),
-            grid.node_at(5, 5),
-            grid.node_at(9, 0),
-        ];
-        let batched = sweep(&db, s, &targets);
-        assert_eq!(batched.len(), targets.len());
-        for (trace, &d) in batched.iter().zip(&targets) {
-            let solo = db.run(Algorithm::Dijkstra, s, d).unwrap();
-            assert_eq!(
-                trace.path.as_ref().unwrap().nodes,
-                solo.path.as_ref().unwrap().nodes,
-                "batched path to {d:?} must be bit-identical"
-            );
-            assert_eq!(trace.path.as_ref().unwrap().cost, solo.path.unwrap().cost);
-            assert_eq!(trace.iterations, solo.iterations, "settle count to {d:?}");
-        }
-    }
-
-    #[test]
-    fn one_charged_sweep_costs_less_than_solo_runs() {
-        use atis_graph::{CostModel, Grid, QueryKind};
-        let grid = Grid::new(10, CostModel::TWENTY_PERCENT, 7).unwrap();
-        let db = Database::open(grid.graph()).unwrap();
-        let (s, _) = grid.query_pair(QueryKind::Diagonal);
-        let targets = [grid.node_at(9, 9), grid.node_at(0, 9), grid.node_at(9, 0)];
-        let batched = sweep(&db, s, &targets);
-        let solo_blocks: u64 = targets
-            .iter()
-            .map(|&d| db.run(Algorithm::Dijkstra, s, d).unwrap().io.block_reads)
-            .sum();
-        // Every member reports the same shared I/O, and the shared sweep
-        // reads fewer blocks than the three solo runs combined.
-        assert!(batched.iter().all(|t| t.io == batched[0].io));
-        assert!(batched[0].io.block_reads < solo_blocks);
-    }
-
-    #[test]
-    fn unreachable_targets_get_no_path_and_reachable_ones_still_do() {
-        let g = graph_from_arcs(4, &[(0, 1, 1.0), (2, 3, 1.0)]).unwrap();
-        let db = Database::open(&g).unwrap();
-        let traces = sweep(&db, NodeId(0), &[NodeId(1), NodeId(3)]);
-        assert!(traces[0].path.is_some());
-        assert!(traces[1].path.is_none());
-    }
-
-    #[test]
-    fn source_as_target_settles_at_zero_iterations() {
-        let g = graph_from_arcs(2, &[(0, 1, 1.0)]).unwrap();
-        let db = Database::open(&g).unwrap();
-        let traces = sweep(&db, NodeId(0), &[NodeId(0), NodeId(1)]);
-        assert_eq!(traces[0].iterations, 0);
-        assert_eq!(traces[0].path.as_ref().unwrap().cost, 0.0);
-        assert!(traces[1].path.is_some());
-    }
-
-    #[test]
-    fn only_dijkstra_is_target_independent() {
-        let mut all = vec![Algorithm::Iterative, Algorithm::Dijkstra];
-        all.extend(AStarVersion::ALL_WITH_HIERARCHY.map(Algorithm::AStar));
-        for frontier in [
-            FrontierKind::StatusAttribute,
-            FrontierKind::SeparateRelation,
-        ] {
-            // A zero estimator alone is not enough: Figure 3 may reopen.
-            for estimator in [Estimator::Zero, Estimator::Euclidean] {
-                all.push(Algorithm::Custom {
-                    frontier,
-                    estimator,
-                });
-            }
-        }
-        for algorithm in all {
-            assert_eq!(
-                algorithm.describe().kernel.is_target_independent(),
-                algorithm == Algorithm::Dijkstra,
-                "{}",
-                algorithm.label()
-            );
-        }
     }
 
     #[test]

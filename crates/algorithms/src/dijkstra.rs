@@ -11,10 +11,7 @@
 //! the crate's single best-first loop (the crate-private `search`
 //! module) with the status-attribute frontier, a zero estimator and no
 //! reopening (Figure 2 checks `not_in(v, frontierSet ∪ exploredSet)`, so
-//! closed nodes never re-enter the frontier). That zero-estimator,
-//! no-reopening score is target-independent, which is also what lets
-//! `Database::run_many_with_budgets` serve many destinations in one
-//! sweep.
+//! closed nodes never re-enter the frontier).
 
 use crate::database::{Algorithm, Budgets, Database};
 use crate::error::AlgorithmError;

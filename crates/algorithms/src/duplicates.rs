@@ -93,12 +93,8 @@ pub fn run_with_duplicate_policy(
             algorithm: spec.label,
             ..run_custom(db, s, d, FrontierKind::SeparateRelation, estimator, budgets)?
         },
-        DuplicatePolicy::Eliminate => {
-            best_first::<BlindFrontier<true>>(db, s, &[d], spec, budgets)?.trace_to(d)
-        }
-        DuplicatePolicy::Allow => {
-            best_first::<BlindFrontier<false>>(db, s, &[d], spec, budgets)?.trace_to(d)
-        }
+        DuplicatePolicy::Eliminate => best_first::<BlindFrontier<true>>(db, s, d, spec, budgets)?,
+        DuplicatePolicy::Allow => best_first::<BlindFrontier<false>>(db, s, d, spec, budgets)?,
     })
 }
 

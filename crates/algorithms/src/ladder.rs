@@ -64,7 +64,8 @@ pub const TABLE: [Rung; 4] = [
 /// The rungs a `primary` algorithm walks: itself (named [`PRIMARY`]),
 /// then every row strictly below it. A primary outside the table
 /// (Iterative, A\* v1/v2, a custom configuration) has only the last
-/// row, Dijkstra, below it; Dijkstra is its own whole ladder.
+/// row, Dijkstra, below it; Dijkstra is its own whole ladder, so a
+/// storage fall re-runs it.
 pub fn sequence(primary: Algorithm) -> Vec<Rung> {
     let row = TABLE.iter().position(|r| r.algorithm == primary);
     let below = row.map_or(TABLE.len() - 1, |i| i + 1);

@@ -9,10 +9,10 @@
 //! [`Frontier`] impl, statically dispatched, that owns *every* storage
 //! call of its representation and therefore every charge), the
 //! estimator (Section 5.3.2 — one score closure, the only place `h` is
-//! computed), whether a closed node may reopen (Figure 2 vs Figure 3),
-//! and the targets (a solo run is a set of one). DESIGN.md, "One loop,
-//! three frontiers", has the table of which public entry point is which
-//! combination.
+//! computed), and whether a closed node may reopen (Figure 2 vs Figure
+//! 3). A run has one source and one destination: the paper's single-pair
+//! query. DESIGN.md, "One loop, three frontiers", has the table of which
+//! public entry point is which combination.
 //!
 //! Five wrinkles keep every charge, tie order and event of the four
 //! hand-written loops this replaced; each is commented where it lives,
@@ -30,7 +30,6 @@ use atis_storage::{
     join_adjacency, IoStats, MultiRelation, NodeRelation, NodeStatus, NodeTuple, StorageError,
     TempRelation, NO_PRED,
 };
-use std::collections::HashMap;
 // analyze::allow(determinism-wall-clock): wall_ms is trace reporting metadata, never an algorithm input
 use std::time::Instant;
 
@@ -120,8 +119,8 @@ pub(crate) trait Frontier: Sized {
 }
 
 /// The frontier as the `status` attribute of the node relation `R`
-/// (A\* versions 2–4, Dijkstra, the multi-target sweep): `R` is bulk
-/// loaded and indexed up front, and every mutation is a keyed REPLACE.
+/// (A\* versions 2–4, Dijkstra): `R` is bulk loaded and indexed up
+/// front, and every mutation is a keyed REPLACE.
 pub(crate) struct StatusFrontier {
     r: NodeRelation,
     open: u64,
@@ -446,73 +445,31 @@ impl<const ELIMINATE: bool> Frontier for BlindFrontier<ELIMINATE> {
     }
 }
 
-/// One finished run, from which each target's [`RunTrace`] is read.
-pub(crate) struct Outcome {
-    /// What every target's trace shares: the run's totals, and no path.
-    shared: RunTrace,
-    /// Per requested target, once the run selected it: the
-    /// `(iterations, expanded)` counters at its own selection, and its
-    /// path.
-    settled: HashMap<u32, Option<(u64, u64, Option<Path>)>>,
-}
-
-impl Outcome {
-    /// The trace to `target` — total over nodes: one the run never
-    /// selected (unreachable, or not asked for) reports no path and the
-    /// whole run's counters.
-    pub(crate) fn trace_to(&self, target: NodeId) -> RunTrace {
-        let mut trace = self.shared.clone();
-        if let Some(Some((iterations, expanded, path))) = self.settled.get(&target.0) {
-            trace.iterations = *iterations;
-            trace.expanded = *expanded;
-            trace.path = path.clone();
-        }
-        trace
-    }
-}
-
 /// Runs best-first search from `s` over frontier representation `F`
-/// until every node in `targets` has been selected, or the frontier is
-/// exhausted.
-///
-/// With more than one target the score must be target-independent (zero
-/// estimator, no landmark bound); the caller checks
-/// (`Kernel::is_target_independent`). Then the shared run visits exactly
-/// the nodes — in exactly the order — each solo run would have, a
-/// target's cost and predecessor chain are final when it is selected
-/// (costs are non-negative and closed nodes never improve under Figure
-/// 2 semantics), and the counters recorded at its selection equal the
-/// solo run's.
+/// until `d` is selected, or the frontier is exhausted.
 ///
 /// # Errors
-/// Storage faults surface as errors, and exhausting `budgets` fails the
-/// whole run — for a sweep that is sound for deadline enforcement
-/// because the batch budget is at least every member's own allowance.
+/// Storage faults surface as errors, and so does exhausting `budgets`.
 pub(crate) fn best_first<F: Frontier>(
     db: &Database,
     s: NodeId,
-    targets: &[NodeId],
+    d: NodeId,
     spec: Spec,
     budgets: Budgets,
-) -> Result<Outcome, AlgorithmError> {
+) -> Result<RunTrace, AlgorithmError> {
     // analyze::allow(determinism-wall-clock): wall_ms is trace reporting metadata, never an algorithm input
     let wall_start = Instant::now();
     let mut io = IoStats::new();
     let mut steps = StepBreakdown::default();
     let mut observer = RunObserver::new(db, &spec.label);
-    observer.run_started(s, targets.first().copied().unwrap_or(s));
+    observer.run_started(s, d);
 
     let mut frontier = F::create(db, &mut io)?;
     let meter = db.budget_meter_with(budgets);
     // (a) Op order at init is create → destination → start mark, and
-    // only a single-target run fetches a destination: Dijkstra pays the
-    // read although its zero estimator ignores it, the sweep does not.
-    // Either change moves every later physical op number.
-    let dest = match targets {
-        [d] => frontier.locate(db, *d, &mut io)?,
-        // Never looked at: a sweep's score is target-independent.
-        _ => Point::new(0.0, 0.0),
-    };
+    // Dijkstra pays the destination read although its zero estimator
+    // ignores it. Either change moves every later physical op number.
+    let dest = frontier.locate(db, d, &mut io)?;
     frontier.start(db, s, &mut io)?;
     steps.init = io;
     let mut frontier_peak = frontier.len();
@@ -526,23 +483,21 @@ pub(crate) fn best_first<F: Frontier>(
         t.path_cost as f64 + h
     };
 
-    let mut settled: HashMap<u32, Option<(u64, u64, Option<Path>)>> =
-        targets.iter().map(|t| (t.0, None)).collect();
-    let mut pending = settled.len();
+    let mut found = false;
     let mut iterations = 0u64;
     let mut expanded = 0u64;
     let mut reopened = 0u64;
     let mut order = Vec::new();
     let mut join_strategy = None;
 
-    while pending > 0 {
+    loop {
         // (e) The budget check sits at the loop top, before the scan.
         meter.check(iterations, &io)?;
         let mark = io;
         let selected = frontier.select(&mut io, score)?;
         steps.select += io.since(&mark);
         let Some(selected @ (_, u, _)) = selected else {
-            break; // frontier exhausted: the pending targets are unreachable
+            break; // frontier exhausted: d is unreachable
         };
 
         let mark = io;
@@ -562,21 +517,15 @@ pub(crate) fn best_first<F: Frontier>(
             );
             continue;
         };
-        if let Some(at @ None) = settled.get_mut(&u) {
-            // Lemma 2 / Lemma 3 termination: the selection of a target
-            // is not itself counted as an iteration.
-            *at = Some((iterations, expanded, None));
-            pending -= 1;
-            if pending == 0 {
-                break;
-            }
+        if u == d.0 {
+            // Lemma 2 / Lemma 3 termination: the selection of the
+            // destination is not itself counted as an iteration.
+            found = true;
+            break;
         }
         iterations += 1;
         expanded += 1;
-        // (c) A sweep's expansion order is not any one target's.
-        if targets.len() == 1 {
-            order.push(NodeId(u));
-        }
+        order.push(NodeId(u));
 
         // Fetch u.adjacencyList via the join against S.
         let mark = io;
@@ -618,46 +567,35 @@ pub(crate) fn best_first<F: Frontier>(
     let attributed = steps.total();
     steps.bookkeeping = io.since(&attributed);
 
-    // (c) The predecessor array is only asked for when something
-    // settled: reading it surfaces checksum errors.
-    if pending < settled.len() {
+    // (c) The predecessor array is only asked for when `d` was
+    // selected: reading it surfaces checksum errors.
+    let path = if found {
         let predecessors = (0..db.graph().node_count() as u32)
             .map(|id| {
                 let tuple = frontier.peek(id)?;
                 Ok(tuple.filter(|t| t.path != NO_PRED).map(|t| NodeId(t.path)))
             })
             .collect::<Result<Vec<_>, StorageError>>()?;
-        for &target in targets {
-            if let Some(Some((_, _, path @ None))) = settled.get_mut(&target.0) {
-                let tuple = frontier.peek(target.0)?;
-                let cost = tuple.map_or(f64::INFINITY, |t| t.path_cost as f64);
-                *path = Path::from_predecessors(s, target, cost, &predecessors);
-            }
-        }
-    }
-    observer.finished(
-        iterations,
-        pending == 0,
-        frontier.len(),
-        &io,
-        io.cost(db.params()),
-    );
+        let tuple = frontier.peek(d.0)?;
+        let cost = tuple.map_or(f64::INFINITY, |t| t.path_cost as f64);
+        Path::from_predecessors(s, d, cost, &predecessors)
+    } else {
+        None
+    };
+    observer.finished(iterations, found, frontier.len(), &io, io.cost(db.params()));
 
-    Ok(Outcome {
-        shared: RunTrace {
-            algorithm: spec.label,
-            iterations,
-            expanded,
-            reopened,
-            io,
-            join_strategy,
-            path: None,
-            wall: wall_start.elapsed(),
-            expansion_order: order,
-            steps,
-            frontier_peak,
-        },
-        settled,
+    Ok(RunTrace {
+        algorithm: spec.label,
+        iterations,
+        expanded,
+        reopened,
+        io,
+        join_strategy,
+        path,
+        wall: wall_start.elapsed(),
+        expansion_order: order,
+        steps,
+        frontier_peak,
     })
 }
 
@@ -666,17 +604,13 @@ pub(crate) fn best_first_on(
     kind: FrontierKind,
     db: &Database,
     s: NodeId,
-    targets: &[NodeId],
+    d: NodeId,
     spec: Spec,
     budgets: Budgets,
-) -> Result<Outcome, AlgorithmError> {
+) -> Result<RunTrace, AlgorithmError> {
     match kind {
-        FrontierKind::StatusAttribute => {
-            best_first::<StatusFrontier>(db, s, targets, spec, budgets)
-        }
-        FrontierKind::SeparateRelation => {
-            best_first::<RelationFrontier>(db, s, targets, spec, budgets)
-        }
+        FrontierKind::StatusAttribute => best_first::<StatusFrontier>(db, s, d, spec, budgets),
+        FrontierKind::SeparateRelation => best_first::<RelationFrontier>(db, s, d, spec, budgets),
     }
 }
 
@@ -695,7 +629,7 @@ mod tests {
         let map = Minneapolis::paper();
         let db = Database::open(map.graph()).unwrap();
         let (s, d) = map.query_pair(NamedPair::ALL[0]);
-        let reopened = |run: fn(&Database, NodeId, &[NodeId], Spec, Budgets) -> _,
+        let reopened = |run: fn(&Database, NodeId, NodeId, Spec, Budgets) -> _,
                         reopen_closed: bool| {
             let spec = Spec {
                 label: "test".to_string(),
@@ -703,8 +637,8 @@ mod tests {
                 reopen_closed,
                 alt: None,
             };
-            let run: Result<Outcome, AlgorithmError> = run(&db, s, &[d], spec, db.budgets());
-            let trace = run.unwrap().trace_to(d);
+            let run: Result<RunTrace, AlgorithmError> = run(&db, s, d, spec, db.budgets());
+            let trace = run.unwrap();
             assert!(trace.found());
             trace.reopened
         };

@@ -306,34 +306,6 @@ impl RoutePlanner {
         Ok(PlanReport::from_trace(trace, self.db.params()))
     }
 
-    /// Plans routes from one source to several destinations, one report
-    /// per destination in input order. With `Algorithm::Dijkstra` and
-    /// two or more destinations the whole set executes as a **single
-    /// batched sweep** (set-at-a-time frontier expansion): one charged
-    /// pass over the node relation settles every destination, and each
-    /// report's path and iteration count are bit-identical to a solo
-    /// `plan_with` call. Estimator-driven algorithms fall back to
-    /// independent runs — their expansion order depends on the
-    /// destination, so they cannot share a sweep.
-    ///
-    /// # Errors
-    /// Fails for unknown endpoints; an exhausted budget mid-sweep fails
-    /// the whole batch.
-    pub fn plan_many(
-        &self,
-        algorithm: Algorithm,
-        s: NodeId,
-        destinations: &[NodeId],
-    ) -> Result<Vec<PlanReport>, AlgorithmError> {
-        let traces =
-            self.db
-                .run_many_with_budgets(algorithm, s, destinations, self.db.budgets())?;
-        Ok(traces
-            .into_iter()
-            .map(|trace| PlanReport::from_trace(trace, self.db.params()))
-            .collect())
-    }
-
     /// Runs several algorithms on the same query — the paper's comparative
     /// methodology — returning one report per algorithm.
     ///

@@ -242,13 +242,14 @@ pub enum ServeEvent {
         /// shards' new versions.
         promoted: u64,
     },
-    /// A worker executed a batch of admitted requests as one shared
-    /// frontier sweep (set-at-a-time expansion): a single charged run
-    /// answered every member.
+    /// A worker drained a batch of admitted requests in one dequeue and
+    /// pinned one snapshot for all of them. Requests for the same
+    /// `(from, to)` key share one run (single-flight); each distinct key
+    /// runs once, on its own.
     BatchExecuted {
         /// Pool index of the executing worker.
         worker: u64,
-        /// Requests answered by the shared sweep (≥ 2).
+        /// Requests in the batch (≥ 2).
         size: u64,
         /// Distinct `(from, to)` groups in the batch (singleflight
         /// collapses duplicates to one run).

@@ -1,8 +1,9 @@
-//! The execute layer: one dequeued batch of requests, from its
-//! singleflight groups through the route cache and one walk of the
-//! degrade ladder (`atis_algorithms::ladder`) down to the stale tier and
-//! the typed refusal — and the serving layer's side of that walk
-//! (storage-breaker admission, probe verdicts, virtual-clock charges).
+//! The execute layer: one singleflight group of a dequeued batch — the
+//! requests for one `(from, to)` key — from the route cache through one
+//! walk of the degrade ladder (`atis_algorithms::ladder`) down to the
+//! stale tier and the typed refusal, and the serving layer's side of
+//! that walk (storage-breaker admission, probe verdicts, virtual-clock
+//! charges). One walk answers one key.
 
 use super::{Deadline, Job, RouteAnswer, RouteOutcome, Shared, DEFAULT_DEADLINE_TICKS};
 use crate::breaker::{Admission, BreakerState, ProbeGuard};
@@ -130,12 +131,10 @@ fn ticks(cost_units: f64) -> u64 {
     cost_units.max(0.0).ceil() as u64
 }
 
-/// Answers same-source groups (a lone request is one group of one)
-/// against their pinned snapshot: cache hits detach, the rest ride
-/// **one** walk of the degrade ladder whose run is
-/// `run_many_with_budgets` — a solo run for one target, one shared
-/// frontier sweep charged a single I/O pass for several — and a walk
-/// without an answer, or a request the open storage breaker refuses
+/// Answers one singleflight group against its pinned snapshot: a cache
+/// hit answers every member; a miss rides **one** walk of the degrade
+/// ladder, each rung one `run_with_budgets` from `from` to `to`; and a
+/// walk without an answer, or a request the open storage breaker refuses
 /// before it, ends in the tail (stale tier, typed refusal).
 ///
 /// The virtual clock is ticked by what the work consumed whether it
@@ -147,41 +146,33 @@ pub(super) fn execute(
     shared: &Shared,
     worker: usize,
     snapshot: &ShardSnapshot,
-    groups: Vec<Group>,
+    group: Group,
     now: u64,
 ) {
     let started = Instant::now();
-    let mut sweep: Vec<Group> = Vec::new();
-    for group in groups {
-        match cache_hit(shared, snapshot, &group) {
-            Some(hit) => {
-                shared.advance(ticks(hit.cost_units));
-                resolve_group(shared, worker, group, Ok(hit), started.elapsed());
-            }
-            None => sweep.push(group),
-        }
-    }
-    let Some((source, lead)) = sweep.first().map(|g| (g.from, g.lead())) else {
+    if let Some(hit) = cache_hit(shared, snapshot, &group) {
+        shared.advance(ticks(hit.cost_units));
+        resolve_group(shared, worker, group, Ok(hit), started.elapsed());
         return;
-    };
+    }
 
-    // The shared budget is the *maximum* member allowance (fairness
+    // The group's budget is the *maximum* member allowance (fairness
     // bound 2): if the walk aborts on it, every member's own (smaller or
-    // equal) solo budget would have aborted too, so shedding the whole
-    // sweep is sound.
-    let deadline = sweep
+    // equal) budget would have aborted too, so shedding the whole group
+    // is sound.
+    let deadline = group
+        .members
         .iter()
-        .flat_map(|g| g.members.iter().map(|(job, _)| job.deadline))
+        .map(|(job, _)| job.deadline)
         .max()
         .unwrap_or(Deadline { expires_at: 0 });
-    let targets: Vec<NodeId> = sweep.iter().map(|g| g.to).collect();
-    let (result, consumed) = match Breakered::begin(shared, snapshot, lead, deadline, now) {
+    let (result, consumed) = match Breakered::begin(shared, snapshot, group.lead(), deadline, now) {
         Ok(mut policy) => {
             let budgets = policy.budgets;
             let walked = ladder::walk(&snapshot.db, &shared.rungs, &mut policy, |step| {
                 snapshot
                     .db
-                    .run_many_with_budgets(step.rung.algorithm, source, &targets, budgets)
+                    .run_with_budgets(step.rung.algorithm, group.from, group.to, budgets)
             });
             policy.settle(walked)
         }
@@ -199,30 +190,19 @@ pub(super) fn execute(
         }
     };
     match result {
-        Ok((outcome, traces)) => {
-            if targets.len() > 1 {
-                shared.inc("serve_batched_runs_total");
-            }
-            // Every trace of a sweep carries the same shared I/O: it is
-            // charged exactly once, which is the entire point.
-            let cost_units = traces
-                .first()
-                .map_or(0.0, |trace| trace.cost_units(snapshot.db.params()));
+        Ok((outcome, trace)) => {
+            let cost_units = trace.cost_units(snapshot.db.params());
             shared.advance(consumed + ticks(cost_units));
             let service_time = started.elapsed();
-            for (group, trace) in sweep.into_iter().zip(traces) {
-                let exec = computed(shared, snapshot, &group, trace, cost_units, outcome);
-                resolve_group(shared, worker, group, Ok(exec), service_time);
-            }
+            let exec = computed(shared, snapshot, &group, trace, cost_units, outcome);
+            resolve_group(shared, worker, group, Ok(exec), service_time);
         }
         Err(refusal) => {
             shared.advance(consumed);
             let service_time = started.elapsed();
-            for group in sweep {
-                let (result, stale_ticks) = tail(shared, snapshot, &group, &refusal);
-                shared.advance(stale_ticks);
-                resolve_group(shared, worker, group, result, service_time);
-            }
+            let (result, stale_ticks) = tail(shared, snapshot, &group, &refusal);
+            shared.advance(stale_ticks);
+            resolve_group(shared, worker, group, result, service_time);
         }
     }
 }
@@ -235,9 +215,9 @@ const DEADLINE_SPEND_FRACTION: f64 = 0.8;
 const STALE_MAX_AGE: u64 = 8;
 
 /// The serving layer's side of one ladder walk — the [`Policy`]
-/// [`execute`] hands to `ladder::walk`, solo run or shared sweep alike:
-/// the storage breaker's verdicts and virtual-clock charges after each
-/// failed rung, one `AlgorithmDegraded` event per hop.
+/// [`execute`] hands to `ladder::walk`: the storage breaker's verdicts
+/// and virtual-clock charges after each failed rung, one
+/// `AlgorithmDegraded` event per hop.
 struct Breakered<'a> {
     shared: &'a Shared,
     request: u64,
@@ -398,9 +378,8 @@ struct Refusal {
     try_stale: bool,
 }
 
-/// The ladder's tail for one key (every member of a sweep has its own
-/// stale-tier entry): a stale answer tagged with its age, and the ticks
-/// it is charged; failing that, the typed refusal.
+/// The ladder's tail for the group's key: a stale answer tagged with its
+/// age, and the ticks it is charged; failing that, the typed refusal.
 fn tail(
     shared: &Shared,
     snapshot: &ShardSnapshot,
@@ -972,9 +951,8 @@ mod tests {
     }
 
     #[test]
-    fn a_batched_worker_folds_queued_requests_into_one_shared_sweep() {
+    fn a_batched_dijkstra_worker_answers_every_key_with_its_own_run() {
         use atis_storage::FaultPlan;
-        let registry = MetricsRegistry::shared();
         let sink = RingSink::shared(256);
         let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
         // Slow, reliable reads: the plug request holds the lone worker
@@ -991,7 +969,7 @@ mod tests {
                 .with_batch_max(8)
                 .with_cache_capacity(0)
                 .with_algorithm(Algorithm::Dijkstra),
-            Some(registry.clone()),
+            None,
             Some(sink.clone()),
         );
         let plug = service
@@ -1011,6 +989,8 @@ mod tests {
             .collect();
         plug.wait().unwrap();
         let answers: Vec<RouteAnswer> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        // Same-source keys share a batch and a snapshot, never a run:
+        // every answer is its own key's solo run, cost included.
         for (answer, &d) in answers.iter().zip(&targets) {
             let solo = oracle.run(Algorithm::Dijkstra, s, d).unwrap();
             assert_eq!(
@@ -1018,15 +998,14 @@ mod tests {
                 solo.path.as_ref().unwrap().nodes,
                 "batched answers must be bit-identical to solo runs"
             );
-            assert_eq!(answer.iterations, solo.iterations);
+            assert_eq!(answer.iterations, solo.iterations, "to {d:?}");
+            assert_eq!(
+                answer.cost_units,
+                solo.cost_units(oracle.params()),
+                "to {d:?}"
+            );
             assert_eq!(answer.outcome, RouteOutcome::Computed);
         }
-        // All four answers came from one charged sweep: every member
-        // reports the same shared cost, and exactly one batch ran.
-        assert!(answers
-            .iter()
-            .all(|a| a.cost_units == answers[0].cost_units));
-        assert_eq!(registry.counter("serve_batched_runs_total"), 1);
         let batches: Vec<(u64, u64)> = sink
             .events()
             .iter()
@@ -1075,10 +1054,9 @@ mod tests {
             answers[1],
             Err(ServeError::Algorithm(AlgorithmError::UnknownDestination(_)))
         ));
-        // The bad key left the sweep, failed on the solo path, and was
-        // counted there; the two good keys still shared one sweep.
+        // The bad key failed on its own run and was counted there; the
+        // two good keys were answered beside it.
         assert_eq!(registry.counter("serve_deterministic_error_total"), 1);
-        assert_eq!(registry.counter("serve_batched_runs_total"), 1);
     }
 
     #[test]
@@ -1103,8 +1081,7 @@ mod tests {
 
     #[test]
     fn batched_non_dijkstra_groups_run_singleflight_per_key() {
-        // An estimator-guided primary cannot share frontiers, but
-        // identical (from, to) keys still collapse into one run.
+        // Identical (from, to) keys collapse into one run.
         use atis_storage::FaultPlan;
         let registry = MetricsRegistry::shared();
         let sink = RingSink::shared(256);
@@ -1133,9 +1110,8 @@ mod tests {
         assert!(answers
             .windows(2)
             .all(|w| w[0].path.as_ref().unwrap().nodes == w[1].path.as_ref().unwrap().nodes));
-        // No shared sweep ran (not Dijkstra), every request was counted,
-        // and the singleflight saved two runs' worth of cache misses.
-        assert_eq!(registry.counter("serve_batched_runs_total"), 0);
+        // Every request was counted, and the singleflight saved two
+        // runs' worth of cache misses.
         assert_eq!(registry.counter("serve_requests_total"), 4);
     }
 }

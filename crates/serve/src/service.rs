@@ -51,7 +51,7 @@
 //! sweeps the cache under the invalidation rule, retiring invalidated
 //! entries into the stale tier.
 //!
-//! ## Sharded epochs and batched expansion
+//! ## Sharded epochs and single-flight batches
 //!
 //! The epoch state is versioned per region-group shard (see `shard.rs`;
 //! [`ServeConfig::with_shards`] sets how many, and one shard is the
@@ -60,16 +60,14 @@
 //! consistent epoch *vector*, and the cache validates entries against
 //! the shard versions they were stamped with — so a jam in one shard
 //! does not evict routes that never cross it. With
-//! [`ServeConfig::with_batch_max`] a worker drains
-//! up to `batch_max` queued requests in one dequeue (never waiting for
-//! more — batching adds zero queueing latency), serves identical
-//! `(from, to)` keys from a single run, and — when the ladder is the
-//! single Dijkstra rung — folds same-source requests into one shared
-//! frontier sweep (`dijkstra_many`) charged a single pass of block
-//! reads. Fairness bounds: a batch is drain-only (bound 1: no request
-//! ever waits for a batch to fill), and a shared run's cost budget is
-//! the *maximum* member allowance (bound 2: no member is aborted
-//! earlier than its solo run would have been).
+//! [`ServeConfig::with_batch_max`] a worker drains up to `batch_max`
+//! queued requests in one dequeue, pins one snapshot for all of them,
+//! and serves identical `(from, to)` keys from a single run
+//! (single-flight); each distinct key runs once, on its own. Fairness
+//! bounds: a batch is drain-only (bound 1: no request ever waits for a
+//! batch to fill), and a single-flight run's cost budget is the
+//! *maximum* member allowance (bound 2: no member is aborted earlier
+//! than its solo run would have been).
 
 use crate::breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
 use crate::cache::RouteCache;
@@ -943,29 +941,8 @@ fn worker_loop(shared: &Shared, worker: usize) {
             });
         }
 
-        // Same-source groups share one frontier sweep, charged a single
-        // pass of block reads, only when the ladder is one rung: such a
-        // walk has nowhere to fall mid-sweep, and `ladder::sequence` gives
-        // that shape to Dijkstra alone — the one algorithm whose expansion
-        // order is destination-independent. Unknown endpoints fail per
-        // request: one bad destination must not poison a shared sweep.
-        let graph = snapshot.db.graph();
-        let mut clusters: Vec<Vec<Group>> = Vec::new();
         for group in groups {
-            if shared.rungs.len() > 1 || !graph.contains(group.from) || !graph.contains(group.to) {
-                execute(shared, worker, &snapshot, vec![group], now);
-                continue;
-            }
-            match clusters
-                .iter_mut()
-                .find(|c| c.first().is_some_and(|g| g.from == group.from))
-            {
-                Some(c) => c.push(group),
-                None => clusters.push(vec![group]),
-            }
-        }
-        for cluster in clusters {
-            execute(shared, worker, &snapshot, cluster, now);
+            execute(shared, worker, &snapshot, group, now);
         }
     }
 }

@@ -9,8 +9,8 @@
 //! sequence) — plus one row per run for the whole
 //! `RunStarted`/`Iteration`/`Fault`/`RunFinished` event stream, over six
 //! network/engine configurations × every algorithm configuration × two
-//! budgets × three fault positions, and multi-target sweeps. The rows
-//! fold to one FNV-1a digest per (configuration, family).
+//! budgets × three fault positions. The rows fold to one FNV-1a digest
+//! per (configuration, family).
 //!
 //! The constants were generated by running this body at the commit
 //! *before* the four hand-copied best-first loops became one driver, so
@@ -38,6 +38,14 @@
 //! dissection: 103 of the dump's 5 632 rows, every path digest and
 //! `cost.to_bits()` among them unchanged, and no other constant.
 //!
+//! The multi-target Dijkstra sweep had a `sweep` family of its own until
+//! the sweep was deleted. Its event-stream rows sat at the end of each
+//! configuration's `events` group, and the `metrics` row summed its
+//! runs. So that deletion removed 154 rows (the six `sweep` groups and
+//! 48 trailing `events` rows) and changed the six `metrics` rows. Every
+//! other row stayed byte-identical. The `events` and `v5` constants
+//! moved then, and no other constant did.
+//!
 //! On a mismatch the test prints the rows of every offending group; the
 //! full dump is always written to `$CARGO_TARGET_TMPDIR/driver_identity.dump`
 //! so two commits can be compared with `diff`.
@@ -56,49 +64,43 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// `(configuration, family)` → FNV-1a digest of the group's rows.
-const GOLDEN: [(&str, &str, u64); 42] = [
+const GOLDEN: [(&str, &str, u64); 36] = [
     ("grid10", "solo", 0x3cfb_e8ad_8f43_6fb2),
     ("grid10", "duplicates", 0x06a3_2905_d505_5c85),
     ("grid10", "budgets", 0x4f19_8e28_197b_5357),
     ("grid10", "faults", 0xb6cc_d479_7ae5_b2cb),
-    ("grid10", "sweep", 0xae2e_050c_cfbb_9d77),
-    ("grid10", "events", 0xe8d6_cd1f_fb77_e807),
-    ("grid10", "v5", 0xa390_a340_86a1_5c52),
+    ("grid10", "events", 0x2086_3bb2_a6fe_e9e6),
+    ("grid10", "v5", 0x4db9_9c7a_4547_0ec8),
     ("grid10-pool", "solo", 0x558d_9114_0325_ad78),
     ("grid10-pool", "duplicates", 0x2758_0d46_7be2_e91e),
     ("grid10-pool", "budgets", 0x9c47_6e2d_fad1_5124),
     ("grid10-pool", "faults", 0x7214_4f67_82a9_7c0b),
-    ("grid10-pool", "sweep", 0xf82a_3c92_09ff_de83),
-    ("grid10-pool", "events", 0xf8fe_769c_e98f_c8fa),
-    ("grid10-pool", "v5", 0x114f_e6bd_78b1_3d15),
+    ("grid10-pool", "events", 0xe7bb_73db_0f9e_b721),
+    ("grid10-pool", "v5", 0x254b_f26a_6b39_d854),
     ("skewed9", "solo", 0x610b_0534_b2c3_309c),
     ("skewed9", "duplicates", 0xaf3a_9499_5e7e_2b2b),
     ("skewed9", "budgets", 0x9969_e1fb_1519_57c2),
     ("skewed9", "faults", 0x4308_506b_c8bc_a854),
-    ("skewed9", "sweep", 0xee83_0037_7b72_5612),
-    ("skewed9", "events", 0x8031_c3c3_e886_5c75),
-    ("skewed9", "v5", 0xc862_7c7d_afa4_8875),
+    ("skewed9", "events", 0x0bdf_8c76_e6ae_7744),
+    ("skewed9", "v5", 0xe4ab_511c_7fff_41b7),
     ("minneapolis", "solo", 0xa867_e3d9_407a_3375),
     ("minneapolis", "duplicates", 0x110c_5a40_812e_b898),
     ("minneapolis", "budgets", 0x4945_62b7_42f1_bfb5),
     ("minneapolis", "faults", 0x7d81_1b1b_95d3_d18f),
-    ("minneapolis", "sweep", 0x6ef3_7215_98db_685f),
-    ("minneapolis", "events", 0xc74e_a4bf_5588_35a9),
-    ("minneapolis", "v5", 0xabe6_c058_1b08_edec),
+    ("minneapolis", "events", 0x90f4_eeef_6081_1a86),
+    ("minneapolis", "v5", 0x8b1b_802d_f515_f921),
     ("metro3x2", "solo", 0x4669_1383_4363_740e),
     ("metro3x2", "duplicates", 0x5bcd_2e1d_b1c2_95e6),
     ("metro3x2", "budgets", 0xd413_506c_f4d5_4ded),
     ("metro3x2", "faults", 0x4812_a10e_10c3_ef42),
-    ("metro3x2", "sweep", 0x8a55_295e_bb5e_c6ca),
-    ("metro3x2", "events", 0x9bdc_156a_2ca1_9fcd),
-    ("metro3x2", "v5", 0x7b2c_41cb_decb_8ba7),
+    ("metro3x2", "events", 0x2a78_a189_9cee_c281),
+    ("metro3x2", "v5", 0xe06d_d1e9_ec81_156e),
     ("islands12", "solo", 0x672a_f312_f747_506d),
     ("islands12", "duplicates", 0xbad1_6f71_d769_8cd9),
     ("islands12", "budgets", 0x349a_dced_4f59_3bbb),
     ("islands12", "faults", 0xfd39_bdef_bb0d_b1de),
-    ("islands12", "sweep", 0x97b0_e363_b6c3_de3d),
-    ("islands12", "events", 0x897e_38cf_902e_ea74),
-    ("islands12", "v5", 0x1d56_51a5_462d_8d47),
+    ("islands12", "events", 0xb374_dbaa_ccde_8dd9),
+    ("islands12", "v5", 0xd933_5340_b69f_b8e4),
 ];
 
 /// Step breakdowns of every relation-frontier / duplicate-policy run,
@@ -271,8 +273,6 @@ struct Config {
     ring: Arc<RingSink>,
     metrics: Arc<MetricsRegistry>,
     pairs: Vec<(NodeId, NodeId)>,
-    /// `(source, targets)` of the multi-target sweeps.
-    sweeps: Vec<(NodeId, Vec<NodeId>)>,
 }
 
 impl Config {
@@ -281,7 +281,6 @@ impl Config {
         graph: &Graph,
         open: impl FnOnce(&Graph) -> Database,
         pairs: Vec<(NodeId, NodeId)>,
-        sweeps: Vec<(NodeId, Vec<NodeId>)>,
     ) -> Config {
         let ring = RingSink::shared(1 << 20);
         let metrics = MetricsRegistry::shared();
@@ -296,7 +295,6 @@ impl Config {
             ring,
             metrics,
             pairs,
-            sweeps,
         }
     }
 }
@@ -308,23 +306,6 @@ fn configs() -> Vec<Config> {
         grid.query_pair(QueryKind::Horizontal),
         grid.query_pair(QueryKind::Random),
     ];
-    let (corner, far) = grid.query_pair(QueryKind::Diagonal);
-    let grid_sweeps = vec![
-        // The source as a target, and a repeated target.
-        (
-            corner,
-            vec![grid.node_at(5, 5), corner, far, grid.node_at(5, 5)],
-        ),
-        (
-            grid.node_at(3, 4),
-            vec![
-                grid.node_at(0, 9),
-                grid.node_at(9, 0),
-                grid.node_at(3, 5),
-                grid.node_at(7, 7),
-            ],
-        ),
-    ];
 
     let skewed = Grid::new(9, CostModel::Skewed, 0).unwrap();
     let (sk_s, sk_d) = skewed.query_pair(QueryKind::Diagonal);
@@ -332,8 +313,6 @@ fn configs() -> Vec<Config> {
 
     let mpls = Minneapolis::paper();
     let mpls_pairs: Vec<_> = NamedPair::ALL.map(|p| mpls.query_pair(p)).to_vec();
-    let (a, b) = mpls_pairs[0];
-    let (c, d) = mpls_pairs[1];
 
     let metro = Metro::new(MetroSpec::new(3, 2, 1993)).unwrap();
     let n = metro.graph().node_count();
@@ -342,7 +321,6 @@ fn configs() -> Vec<Config> {
         metro.query_pair(MetroQuery::IntraCity),
         metro.query_pair(MetroQuery::AdjacentCity),
     ];
-    let (m_s, m_d) = metro_pairs[0];
 
     // Two islands: 0..=8 (with edges cheaper than the coordinate
     // distance, so the geometric estimators overestimate and closed
@@ -378,7 +356,6 @@ fn configs() -> Vec<Config> {
             grid.graph(),
             |g| Database::open(g).unwrap(),
             grid_pairs.clone(),
-            grid_sweeps.clone(),
         ),
         Config::new(
             "grid10-pool",
@@ -391,21 +368,18 @@ fn configs() -> Vec<Config> {
                     .with_join_policy(JoinPolicy::CostBased)
             },
             grid_pairs,
-            grid_sweeps,
         ),
         Config::new(
             "skewed9",
             skewed.graph(),
             |g| Database::open(g).unwrap(),
             vec![(sk_s, sk_d), (mid, mid), (sk_d, mid)],
-            vec![(sk_s, vec![sk_d, mid, sk_s, mid]), (mid, vec![sk_s, sk_d])],
         ),
         Config::new(
             "minneapolis",
             mpls.graph(),
             |g| Database::open(g).unwrap(),
             mpls_pairs,
-            vec![(a, vec![b, d, a, b]), (c, vec![d, a])],
         ),
         Config::new(
             "metro3x2",
@@ -415,11 +389,7 @@ fn configs() -> Vec<Config> {
                     .unwrap()
                     .with_join_policy(JoinPolicy::CostBased)
             },
-            metro_pairs.clone(),
-            vec![
-                (m_s, vec![m_d, metro_pairs[1].1, m_s, m_d]),
-                (metro_pairs[2].0, vec![metro_pairs[2].1, m_s]),
-            ],
+            metro_pairs,
         ),
         Config::new(
             "islands12",
@@ -430,10 +400,6 @@ fn configs() -> Vec<Config> {
                 (NodeId(0), NodeId(10)),
                 (NodeId(9), NodeId(5)),
                 (NodeId(2), NodeId(2)),
-            ],
-            vec![
-                (NodeId(0), vec![NodeId(8), NodeId(10), NodeId(0), NodeId(8)]),
-                (NodeId(9), vec![NodeId(11), NodeId(7), NodeId(3)]),
             ],
         ),
     ]
@@ -462,35 +428,29 @@ impl Dump {
         cfg: &Config,
         family: &str,
         what: &str,
-        subject: Option<&Subject>,
-        result: &Result<Vec<RunTrace>, AlgorithmError>,
+        subject: &Subject,
+        result: &Result<RunTrace, AlgorithmError>,
     ) {
-        let relation = subject.is_some_and(Subject::relation_frontier);
-        let blind = subject.is_some_and(Subject::blind);
-        let (family, events_family) = if subject.is_some_and(Subject::is_v5) {
+        let (family, events_family) = if subject.is_v5() {
             ("v5", "v5")
         } else {
             (family, "events")
         };
         match result {
-            Ok(traces) => {
-                for (i, t) in traces.iter().enumerate() {
-                    let steps = steps_text(t);
-                    let row = trace_text(t);
-                    if relation {
-                        self.push(cfg.name, family, format!("{what} [{i}] {row}"));
-                        self.push(
-                            "*",
-                            "relation-steps",
-                            format!("{} {what} {steps}", cfg.name),
-                        );
-                    } else {
-                        self.push(
-                            cfg.name,
-                            family,
-                            format!("{what} [{i}] {row} steps: {steps}"),
-                        );
-                    }
+            // `[0]` is the trace's index in the rows' format, kept so the
+            // golden digests still read the same rows.
+            Ok(t) => {
+                let steps = steps_text(t);
+                let row = trace_text(t);
+                if subject.relation_frontier() {
+                    self.push(cfg.name, family, format!("{what} [0] {row}"));
+                    self.push(
+                        "*",
+                        "relation-steps",
+                        format!("{} {what} {steps}", cfg.name),
+                    );
+                } else {
+                    self.push(cfg.name, family, format!("{what} [0] {row} steps: {steps}"));
                 }
             }
             Err(e) => self.push(cfg.name, family, format!("{what} error: {e}")),
@@ -504,7 +464,7 @@ impl Dump {
             fnv1a(&mut d, b"\n");
         }
         let row = format!("{what} events={} #{d:016x}", events.len());
-        if blind {
+        if subject.blind() {
             self.push("*", "blind-events", format!("{} {row}", cfg.name));
         } else {
             self.push(cfg.name, events_family, row);
@@ -522,22 +482,16 @@ fn dump_config(cfg: &Config, dump: &mut Dump) {
             } else {
                 "solo"
             };
-            let result = subject.run(&cfg.db, s, d).map(|t| vec![t]);
-            dump.record(cfg, family, &what, Some(subject), &result);
+            let result = subject.run(&cfg.db, s, d);
+            dump.record(cfg, family, &what, subject, &result);
 
             for (tag, budgets) in [
                 ("iter<=7", Budgets::unlimited().with_max_iterations(7)),
                 ("cost<=3", Budgets::unlimited().with_max_cost_units(3.0)),
             ] {
                 let limited = cfg.db.clone().with_budgets(budgets);
-                let result = subject.run(&limited, s, d).map(|t| vec![t]);
-                dump.record(
-                    cfg,
-                    "budgets",
-                    &format!("{what} {tag}"),
-                    Some(subject),
-                    &result,
-                );
+                let result = subject.run(&limited, s, d);
+                dump.record(cfg, "budgets", &format!("{what} {tag}"), subject, &result);
             }
 
             for nth in [5, 40, 400] {
@@ -545,52 +499,20 @@ fn dump_config(cfg: &Config, dump: &mut Dump) {
                     .db
                     .clone()
                     .with_fault_plan(FaultPlan::inert(1).with_fail_nth_read(nth));
-                let result = subject.run(&faulty, s, d).map(|t| vec![t]);
+                let result = subject.run(&faulty, s, d);
                 dump.record(
                     cfg,
                     "faults",
                     &format!("{what} fail-read#{nth}"),
-                    Some(subject),
+                    subject,
                     &result,
                 );
             }
         }
     }
 
-    for (s, targets) in &cfg.sweeps {
-        let ids: Vec<u32> = targets.iter().map(|t| t.0).collect();
-        let what = format!("sweep {}->{ids:?}", s.0);
-        let result =
-            cfg.db
-                .run_many_with_budgets(Algorithm::Dijkstra, *s, targets, cfg.db.budgets());
-        dump.record(cfg, "sweep", &what, None, &result);
-        // The override path the serving layer uses, tripping mid-sweep.
-        let result = cfg.db.run_many_with_budgets(
-            Algorithm::Dijkstra,
-            *s,
-            targets,
-            Budgets::unlimited().with_max_iterations(7),
-        );
-        dump.record(cfg, "sweep", &format!("{what} iter<=7"), None, &result);
-        let faulty = cfg
-            .db
-            .clone()
-            .with_fault_plan(FaultPlan::inert(1).with_fail_nth_read(40));
-        let result =
-            faulty.run_many_with_budgets(Algorithm::Dijkstra, *s, targets, faulty.budgets());
-        dump.record(cfg, "sweep", &format!("{what} fail-read#40"), None, &result);
-        // An estimator-driven algorithm never sweeps: independent solo runs.
-        let result = cfg.db.run_many_with_budgets(
-            Algorithm::AStar(AStarVersion::V3),
-            *s,
-            targets,
-            cfg.db.budgets(),
-        );
-        dump.record(cfg, "sweep", &format!("{what} as v3"), None, &result);
-    }
-
     // What the run bracket folded into the registry over all of the
-    // above (a sweep is metered as one run, a solo run as one each).
+    // above, one run at a time.
     let counters: Vec<String> = [
         "runs_total",
         "runs_failed_total",

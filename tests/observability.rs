@@ -32,14 +32,13 @@ fn db_with_artifacts(grid: &Grid) -> Database {
         .with_hierarchy(Hierarchy::build(graph, HierarchyConfig::paper()).unwrap())
 }
 
-/// One way to run a database-resident search from `s` to `d`; a sweep
-/// returns one trace per target, everything else one trace.
-type Preset = Box<dyn Fn(&Database, NodeId, NodeId) -> Vec<RunTrace>>;
+/// One way to run a database-resident search from `s` to `d`.
+type Preset = Box<dyn Fn(&Database, NodeId, NodeId) -> RunTrace>;
 
 /// Every preset: the iterative algorithm, Dijkstra, A\* versions 1–5,
-/// the eight custom frontier × estimator combinations, the three
-/// duplicate policies, and a four-target sweep.
-fn every_preset(grid: &Grid) -> Vec<Preset> {
+/// the eight custom frontier × estimator combinations, and the three
+/// duplicate policies.
+fn every_preset() -> Vec<Preset> {
     let mut algorithms = vec![Algorithm::Iterative, Algorithm::Dijkstra];
     algorithms.extend(AStarVersion::ALL_WITH_HIERARCHY.map(Algorithm::AStar));
     for frontier in [
@@ -60,19 +59,13 @@ fn every_preset(grid: &Grid) -> Vec<Preset> {
     }
     let mut presets: Vec<Preset> = Vec::new();
     for alg in algorithms {
-        presets.push(Box::new(move |db, s, d| vec![db.run(alg, s, d).unwrap()]));
+        presets.push(Box::new(move |db, s, d| db.run(alg, s, d).unwrap()));
     }
     for policy in DuplicatePolicy::ALL {
         presets.push(Box::new(move |db, s, d| {
-            vec![run_with_duplicate_policy(db, s, d, Estimator::Manhattan, policy).unwrap()]
+            run_with_duplicate_policy(db, s, d, Estimator::Manhattan, policy).unwrap()
         }));
     }
-    let others = [grid.node_at(0, 7), grid.node_at(4, 4), grid.node_at(7, 0)];
-    presets.push(Box::new(move |db, s, d| {
-        let targets = [d, others[0], others[1], others[2]];
-        db.run_many_with_budgets(Algorithm::Dijkstra, s, &targets, db.budgets())
-            .unwrap()
-    }));
     presets
 }
 
@@ -85,14 +78,10 @@ fn iteration_deltas_partition_the_run_io_for_all_five_algorithms() {
     let grid = grid8();
     let (s, d) = grid.query_pair(QueryKind::Diagonal);
     let base = db_with_artifacts(&grid);
-    for preset in every_preset(&grid) {
+    for preset in every_preset() {
         let ring = RingSink::shared(100_000);
         let db = base.clone().with_trace_sink(ring.clone());
-        let traces = preset(&db, s, d);
-        // A sweep's traces share the run's I/O; its main loop ran until
-        // the last of its targets was selected.
-        let trace = &traces[0];
-        let iterations = traces.iter().map(|t| t.iterations).max().unwrap();
+        let trace = preset(&db, s, d);
 
         let mut summed = IoStats::new();
         let mut init_events = 0;
@@ -135,7 +124,7 @@ fn iteration_deltas_partition_the_run_io_for_all_five_algorithms() {
         assert_eq!(initialises, !label.contains("version 5"), "{label}");
         assert_eq!(finish_events, 1, "{label}: exactly one finish event");
         assert_eq!(
-            search_events, iterations,
+            search_events, trace.iterations,
             "{label}: one search event per main-loop iteration"
         );
         assert_eq!(
@@ -163,19 +152,18 @@ fn tracing_leaves_iostats_and_paths_bit_identical() {
         QueryKind::Random,
     ] {
         let (s, d) = grid.query_pair(kind);
-        for preset in every_preset(&grid) {
-            for (a, b) in preset(&bare, s, d).iter().zip(&preset(&traced, s, d)) {
-                assert_eq!(a.io, b.io, "{}: IoStats must be identical", a.algorithm);
-                assert_eq!(a.steps, b.steps, "{}: step breakdown", a.algorithm);
-                assert_eq!(a.iterations, b.iterations);
-                assert_eq!(a.expansion_order, b.expansion_order);
-                assert_eq!(
-                    a.path.as_ref().map(|p| &p.nodes),
-                    b.path.as_ref().map(|p| &p.nodes),
-                    "{}: path must be identical",
-                    a.algorithm
-                );
-            }
+        for preset in every_preset() {
+            let (a, b) = (preset(&bare, s, d), preset(&traced, s, d));
+            assert_eq!(a.io, b.io, "{}: IoStats must be identical", a.algorithm);
+            assert_eq!(a.steps, b.steps, "{}: step breakdown", a.algorithm);
+            assert_eq!(a.iterations, b.iterations);
+            assert_eq!(a.expansion_order, b.expansion_order);
+            assert_eq!(
+                a.path.as_ref().map(|p| &p.nodes),
+                b.path.as_ref().map(|p| &p.nodes),
+                "{}: path must be identical",
+                a.algorithm
+            );
         }
     }
 }
