@@ -13,7 +13,9 @@ fail=0
 # growth driver's task file — it names files a PR is asked to delete).
 docs=$(git ls-files '*.md' | grep -v '^\.claude/' | grep -vx 'ISSUE.md')
 
-for doc in $docs; do
+# Checks 1-2 also skip ROADMAP.md: like the task file excluded above, it
+# names files a change is asked to delete.
+for doc in $(echo "$docs" | grep -vx 'ROADMAP.md'); do
     dir=$(dirname "$doc")
 
     # 1. Explicit markdown links [text](target) with a relative target.
@@ -174,8 +176,8 @@ fi
 #    crate's branch starts at `├── <dir>/  atis-<crate>`. Every `*.rs` a
 #    branch names must exist under that crate's src/ (a leading `src/`
 #    is the crate's own), and — because that is where modules come and go
-#    — every file in crates/algorithms/src/ other than lib.rs must be
-#    named in its branch.
+#    — every file under crates/algorithms/src/ and crates/storage/src/
+#    (recursively) other than lib.rs must be named in its crate's branch.
 if [ -f DESIGN.md ]; then
     named=$(awk '
         /^```/ { fenced = !fenced; next }
@@ -210,10 +212,11 @@ if [ -f DESIGN.md ]; then
             exit 1
         fi
     done || fail=1
-    for src in crates/algorithms/src/*.rs; do
+    for src in $(find crates/algorithms/src crates/storage/src -name '*.rs' | sort); do
+        crate=$(echo "$src" | cut -d/ -f2)
         file=$(basename "$src")
         [ "$file" = lib.rs ] && continue
-        if ! echo "$named" | grep -qx "algorithms $file"; then
+        if ! echo "$named" | grep -qx "$crate $file"; then
             echo "TREE: $src is not in DESIGN.md's repository tree"
             fail=1
         fi
@@ -249,7 +252,10 @@ fi
 #    table, the `| F…` / `| T…` rows). A bench nothing runs and no doc
 #    cites still compiles on every build and rots unseen. The reverse
 #    holds too: every bench a workflow runs or the table names must be
-#    declared.
+#    declared. The table's rows also cite the modules that implement each
+#    figure: every backticked `file.rs` must exist under some
+#    crates/*/src/, and every `crate::module` (`crate::{a,b}` lists are
+#    expanded) must be crates/<crate>/src/<module>.rs or <module>/mod.rs.
 bench_toml=crates/bench/Cargo.toml
 if [ -f "$bench_toml" ]; then
     declared=$(awk '/^\[\[bench\]\]/ { b = 1; next } b && /^name *=/ { gsub(/^name *= *"|".*$/, ""); print; b = 0 }' "$bench_toml")
@@ -268,6 +274,28 @@ if [ -f "$bench_toml" ]; then
         fi
     done
 fi
+refs=$(grep '^| [FT][0-9A-Z]* ' DESIGN.md 2>/dev/null | grep -o '`[^` ]*`' | tr -d '`' \
+    | grep '\.rs$\|^[a-z_]*::' | sort -u) || true
+for ref in $refs; do
+    case "$ref" in
+        *::*)
+            crate=${ref%%::*}
+            for module in $(echo "${ref#*::}" | sed 's/^{\([^}]*\)}.*/\1/' | tr ',' ' '); do
+                module=${module%%::*}
+                if [ ! -f "crates/$crate/src/$module.rs" ] && [ ! -f "crates/$crate/src/$module/mod.rs" ]; then
+                    echo "UNKNOWN MODULE: DESIGN.md's figure table cites $crate::$module, but crates/$crate/src/ has no such module"
+                    fail=1
+                fi
+            done
+            ;;
+        *)
+            if [ -z "$(find crates/*/src -path "*/$ref" 2>/dev/null)" ]; then
+                echo "UNKNOWN FILE: DESIGN.md's figure table cites $ref, but no crates/*/src/ has such a file"
+                fail=1
+            fi
+            ;;
+    esac
+done
 
 if [ "$fail" -ne 0 ]; then
     echo "doc-link check FAILED"

@@ -14,6 +14,7 @@
 //! * [`mod@tuple`] — fixed-width tuple codecs: 32-byte edge tuples
 //!   (`Bf_s = 128` per block) and 16-byte node tuples (`Bf_r = 256`),
 //!   exactly the blocking factors of Table 4A.
+//! * [`error`] — [`StorageError`], the engine's one error type.
 //! * [`heapfile`] — paged heap files with per-block read/write charging and
 //!   dirty-page flushing.
 //! * [`io`] — the I/O meter ([`IoStats`]) and the unit-cost table
@@ -21,13 +22,17 @@
 //!   units.
 //! * [`isam`] — the static multi-level ISAM index on `R.node-id`.
 //! * [`relations`] — [`EdgeRelation`] (hash-clustered `S`) and
-//!   [`NodeRelation`] (ISAM-indexed `R`) with QUEL-flavoured operations
-//!   (`REPLACE`-style keyed updates, full scans).
+//!   [`NodeRelation`] (ISAM-indexed `R`); the paper's QUEL `REPLACE` is
+//!   the native keyed update [`NodeRelation::replace`].
 //! * [`join`] — the four join strategies of Section 4 (nested-loop, hash,
 //!   sort-merge, primary-key/index join) and the cost-based chooser
 //!   `F(B1, B2, B3)`.
-//! * [`temp`] — temporary relations with APPEND/DELETE and index-maintenance
-//!   charging, used by the separate-relation frontier of A\* version 1.
+//! * [`temp`] — temporary relations: [`TempRelation`], whose native
+//!   `append`/`delete`/`replace` are QUEL's APPEND/DELETE/REPLACE with
+//!   index-maintenance charging (the separate-relation frontier of A\*
+//!   version 1), and [`MultiRelation`], the allow-duplicates frontier.
+//! * [`buffer`] — the optional block-granular [`BufferPool`] (LRU or
+//!   region-aware eviction) and its [`CapacityPreset`] sizes.
 //! * [`segment`] — the segment directory for multi-file heap segments, the
 //!   layout metro-scale relations load through (see `SCALING.md`).
 //! * [`profile`] — [`StorageProfile`]: named knob bundles (segmentation ×
@@ -36,11 +41,15 @@
 //!   transient read/write failures, flaky blocks, and torn writes detected
 //!   by per-block checksums, for exercising the resilient planner.
 //!
-//! Faithfulness notes: there is deliberately **no buffer pool** — the
-//! paper's cost model (Tables 2–3) charges every scan at full block cost,
-//! which models INGRES single-user mode with a cold cache. All cost
-//! accounting flows through an explicit [`IoStats`] borrowed by each
-//! operation, so a caller can meter any sequence of operations.
+//! Faithfulness notes: [`StorageProfile::paper`] attaches **no buffer
+//! pool** — the paper's cost model (Tables 2–3) charges every scan at full
+//! block cost, which models INGRES single-user mode with a cold cache.
+//! [`StorageProfile::for_nodes`] is the extension: it segments the heap
+//! files and attaches the [`CapacityPreset`] pool for the network's scale
+//! (128 blocks at ~10k nodes, 1024 at ~100k): a block read that hits the
+//! pool is not charged, and writes stay write-through. All cost accounting
+//! flows through an explicit [`IoStats`] borrowed by each operation, so a
+//! caller can meter any sequence of operations.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,7 +63,6 @@ pub mod io;
 pub mod isam;
 pub mod join;
 pub mod profile;
-pub mod quel;
 pub mod relations;
 pub mod segment;
 pub mod temp;
