@@ -297,6 +297,34 @@ for ref in $refs; do
     esac
 done
 
+# 10. Event-taxonomy drift: the `"type"` column of OBSERVABILITY.md's
+#     event-taxonomy table must name exactly the `.string("type", "…")`
+#     discriminators crates/obs/src/event.rs renders, both ways. A
+#     deleted event family whose rows linger fails here, and so does a
+#     new event nobody wrote up.
+events=crates/obs/src/event.rs
+if [ -f "$events" ] && [ -f OBSERVABILITY.md ]; then
+    emitted=$(grep -o '\.string("type", "[a-z_]*")' "$events" | sed 's/.*, "\(.*\)")/\1/' | sort -u)
+    documented=$(awk '/^## /{ on = ($0 == "## Event taxonomy") } on && /^\| `/' OBSERVABILITY.md \
+        | awk -F'|' '{ print $3 }' | tr -d ' `' | sort -u)
+    if [ -z "$emitted" ] || [ -z "$documented" ]; then
+        echo "EVENTS: no event types found in $events or in OBSERVABILITY.md's event-taxonomy table"
+        fail=1
+    fi
+    for t in $documented; do
+        if ! echo "$emitted" | grep -qx "$t"; then
+            echo "UNKNOWN EVENT: OBSERVABILITY.md's event taxonomy lists \"$t\", which $events never renders"
+            fail=1
+        fi
+    done
+    for t in $emitted; do
+        if ! echo "$documented" | grep -qx "$t"; then
+            echo "UNDOCUMENTED EVENT: $events renders \"$t\", which OBSERVABILITY.md's event taxonomy does not list"
+            fail=1
+        fi
+    done
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "doc-link check FAILED"
     exit 1

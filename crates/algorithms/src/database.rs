@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 ///
 /// Budgets make a run *fail fast with a typed error* instead of grinding
 /// through a degenerate search (e.g. a fault-corrupted frontier or an
-/// oversized query): the resilient planner catches
-/// [`AlgorithmError::BudgetExceeded`] and degrades to a cheaper algorithm.
+/// oversized query). An exhausted budget ends a degrade-ladder walk
+/// ([`crate::ladder`]): a lower rung would only spend more.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Budgets {
     /// Maximum main-loop iterations (frontier selections / BFS rounds).

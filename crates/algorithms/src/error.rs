@@ -82,23 +82,14 @@ pub enum AlgorithmError {
     /// A search budget was exhausted before the run completed.
     BudgetExceeded(BudgetKind),
     /// A\* version 4 was requested but the landmark tables are missing or
-    /// stale. Not transient — the tables must be (re)built; the resilient
-    /// planner reacts by degrading to version 3.
+    /// stale. The tables must be (re)built; the serving layer's degrade
+    /// ladder reacts by falling to version 3.
     LandmarksUnavailable(LandmarkIssue),
     /// A\* version 5 was requested but the contraction hierarchy is
-    /// missing or stale. Not transient — the overlay must be customized
-    /// or re-contracted; the resilient planner reacts by degrading to
-    /// version 4 (then 3).
+    /// missing or stale. The overlay must be customized or re-contracted;
+    /// the serving layer's degrade ladder reacts by falling to version 4
+    /// (then 3).
     HierarchyUnavailable(HierarchyIssue),
-}
-
-impl AlgorithmError {
-    /// Whether the failure is transient — a retry of the same run may
-    /// succeed (injected I/O failures advance the global fault counters,
-    /// so planned Nth-operation failures do not repeat).
-    pub fn is_transient(&self) -> bool {
-        matches!(self, AlgorithmError::Storage(e) if e.is_transient())
-    }
 }
 
 impl fmt::Display for AlgorithmError {

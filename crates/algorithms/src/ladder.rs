@@ -8,9 +8,9 @@
 //! one `match` from every [`AlgorithmError`] variant to where the walk
 //! goes next (total because it lives in the crate that defines the
 //! enum: a new variant does not compile until it is classified here),
-//! and [`walk`] the one walker — `RoutePlanner::plan_resilient` and the
-//! serving layer each call it with a [`Policy`], not a walker of their
-//! own.
+//! and [`walk`] the one walker, which the serving layer's `RouteService`
+//! calls with its [`Policy`]. A walk never retries a rung, and an
+//! exhausted budget ends it.
 
 use crate::astar::AStarVersion;
 use crate::database::{Algorithm, Database};
@@ -85,8 +85,8 @@ pub enum Fall {
     /// op counters, and the plain algorithm reads fewer blocks than an
     /// estimator-guided one under partial information.
     Storage,
-    /// A budget ran out: the next rung down, or the end of the walk —
-    /// [`Policy::BUDGET_FALLS`] decides.
+    /// A budget ran out: the end of the walk — the budget is the
+    /// request's allowance, and a lower rung only costs more.
     Budget(BudgetKind),
     /// The query itself is wrong (unknown endpoints, a corrupt graph):
     /// no rung can answer it, the walk ends.
@@ -116,21 +116,12 @@ pub struct Step<'a> {
     pub index: usize,
     /// The rung being run.
     pub rung: &'a Rung,
-    /// Same-rung retries so far (0 = first attempt).
-    pub retry: u32,
 }
 
-/// What legitimately differs between the ladder's callers. One more
-/// difference — the tail below the last rung (the planner's in-memory
-/// oracle; serving's stale tier, then a typed shed) — is whatever the
-/// caller does with [`Walked::Ended`].
+/// The caller's side of a walk: admission and what it observes. The tail
+/// below the last rung (serving's stale tier, then a typed shed) is
+/// whatever the caller does with [`Walked::Ended`].
 pub trait Policy {
-    /// What an exhausted budget means: `true` moves on to the next rung
-    /// (the planner — a cheaper rung may fit the standing budget),
-    /// `false` ends the walk (serving — the budget *is* the request's
-    /// deadline, and a lower rung only costs more).
-    const BUDGET_FALLS: bool;
-
     /// Admission beyond "is its artifact attached" (which [`walk`]
     /// checks itself) for a rung a failure moves the walk to — never
     /// asked for the primary's first run. `false` passes the rung over.
@@ -138,9 +129,8 @@ pub trait Policy {
         true
     }
 
-    /// Observes one failed attempt and decides whether the same rung
-    /// runs again.
-    fn failed(&mut self, step: &Step<'_>, error: &AlgorithmError) -> bool;
+    /// Observes one failed attempt.
+    fn failed(&mut self, step: &Step<'_>, error: &AlgorithmError);
 
     /// Observes the walk leaving rung `from`, which failed with `error`,
     /// for a different one.
@@ -184,26 +174,22 @@ pub fn walk<P: Policy, T>(
     let mut step = Step {
         index: 0,
         rung: &rungs[0],
-        retry: 0,
     };
     loop {
-        let error = loop {
-            match run(&step) {
-                Ok(value) => {
-                    return Walked::Answered {
-                        index: step.index,
-                        rung: *step.rung,
-                        value,
-                    }
+        let error = match run(&step) {
+            Ok(value) => {
+                return Walked::Answered {
+                    index: step.index,
+                    rung: *step.rung,
+                    value,
                 }
-                Err(error) if policy.failed(&step, &error) => step.retry += 1,
-                Err(error) => break error,
             }
+            Err(error) => error,
         };
+        policy.failed(&step, &error);
         let at = step.index;
         let mut candidates = match Fall::of(&error) {
             Fall::Artifact => at + 1..rungs.len(),
-            Fall::Budget(_) if P::BUDGET_FALLS => at + 1..rungs.len(),
             Fall::Storage if std::mem::take(&mut storage_fall_left) => rungs.len() - 1..rungs.len(),
             Fall::Storage | Fall::Budget(_) | Fall::Stop => 0..0,
         };
@@ -222,7 +208,6 @@ pub fn walk<P: Policy, T>(
         step = Step {
             index: next,
             rung: &rungs[next],
-            retry: 0,
         };
         if next != at {
             policy.hop(from, &step, &error);
@@ -287,32 +272,26 @@ mod tests {
         assert_eq!(TABLE[TABLE.len() - 1].needs, Needs::Nothing);
     }
 
-    /// A scripted policy: refuses the listed rungs, retries transient
-    /// errors `retries` times, and logs every hop.
-    struct Script<const BUDGET_FALLS: bool> {
+    /// A scripted policy: refuses the listed rungs and logs every hop.
+    struct Script {
         deny: Vec<&'static str>,
-        retries: u32,
         hops: Vec<(&'static str, &'static str, String)>,
     }
 
-    impl<const B: bool> Script<B> {
-        fn new(deny: &[&'static str], retries: u32) -> Self {
+    impl Script {
+        fn new(deny: &[&'static str]) -> Self {
             Script {
                 deny: deny.to_vec(),
-                retries,
                 hops: Vec::new(),
             }
         }
     }
 
-    impl<const B: bool> Policy for Script<B> {
-        const BUDGET_FALLS: bool = B;
+    impl Policy for Script {
         fn admit(&mut self, rung: &Rung) -> bool {
             !self.deny.contains(&rung.name)
         }
-        fn failed(&mut self, step: &Step<'_>, error: &AlgorithmError) -> bool {
-            error.is_transient() && step.retry < self.retries
-        }
+        fn failed(&mut self, _: &Step<'_>, _: &AlgorithmError) {}
         fn hop(&mut self, from: &Rung, to: &Step<'_>, error: &AlgorithmError) {
             self.hops.push((from.name, to.rung.name, error.to_string()));
         }
@@ -328,8 +307,8 @@ mod tests {
 
     /// Runs a v5 walk in which each rung listed in `fail` fails with its
     /// error; returns the outcome and the rungs that ran, in order.
-    fn walk_v5<const B: bool>(
-        script: &mut Script<B>,
+    fn walk_v5(
+        script: &mut Script,
         fail: &[(&'static str, AlgorithmError)],
     ) -> (Walked<&'static str>, Vec<&'static str>) {
         let rungs = sequence(Algorithm::AStar(AStarVersion::V5));
@@ -355,7 +334,7 @@ mod tests {
     fn an_unavailable_artifact_falls_past_every_rung_that_needs_it() {
         let stale_h = AlgorithmError::HierarchyUnavailable(HierarchyIssue::Stale);
         let stale_l = AlgorithmError::LandmarksUnavailable(LandmarkIssue::Stale);
-        let mut script = Script::<false>::new(&[], 0);
+        let mut script = Script::new(&[]);
         let (walked, ran) = walk_v5(
             &mut script,
             &[("primary", stale_h.clone()), ("astar-v4", stale_l.clone())],
@@ -377,7 +356,7 @@ mod tests {
         let grid = Grid::new(4, CostModel::TWENTY_PERCENT, 1).unwrap();
         let bare = Database::open(grid.graph()).unwrap();
         let rungs = sequence(Algorithm::AStar(AStarVersion::V5));
-        let mut script = Script::<false>::new(&[], 0);
+        let mut script = Script::new(&[]);
         let mut ran = Vec::new();
         // The primary runs although `bare` has no hierarchy (its error
         // says so); `astar-v4` is passed over without a hop of its own.
@@ -395,12 +374,12 @@ mod tests {
 
     #[test]
     fn storage_trouble_falls_to_the_last_rung_exactly_once() {
-        let mut script = Script::<false>::new(&[], 0);
+        let mut script = Script::new(&[]);
         let (walked, ran) = walk_v5(&mut script, &[("primary", io_fault())]);
         assert_eq!(answered(&walked), Some("dijkstra"));
         assert_eq!(ran, ["primary", "dijkstra"]);
 
-        let mut script = Script::<false>::new(&[], 0);
+        let mut script = Script::new(&[]);
         let (walked, ran) = walk_v5(
             &mut script,
             &[("primary", io_fault()), ("dijkstra", io_fault())],
@@ -415,7 +394,7 @@ mod tests {
 
         // A one-rung ladder re-runs its only rung, once, and never hops.
         let rungs = sequence(Algorithm::Dijkstra);
-        let mut script = Script::<false>::new(&[], 0);
+        let mut script = Script::new(&[]);
         let mut runs = 0;
         let walked = walk(&db(), &rungs, &mut script, |_| {
             runs += 1;
@@ -437,27 +416,10 @@ mod tests {
     }
 
     #[test]
-    fn transient_errors_retry_the_same_rung_when_the_policy_says_so() {
-        let rungs = sequence(Algorithm::AStar(AStarVersion::V3));
-        let mut script = Script::<true>::new(&[], 2);
-        let mut retries_seen = Vec::new();
-        let walked = walk(&db(), &rungs, &mut script, |step| {
-            retries_seen.push((step.index, step.retry));
-            if step.retry < 2 {
-                Err(io_fault())
-            } else {
-                Ok(())
-            }
-        });
-        assert!(matches!(walked, Walked::Answered { index: 0, .. }));
-        assert_eq!(retries_seen, [(0, 0), (0, 1), (0, 2)]);
-    }
-
-    #[test]
-    fn out_of_budget_means_what_the_policy_says() {
+    fn out_of_budget_ends_the_walk() {
         let broke = AlgorithmError::BudgetExceeded(BudgetKind::CostUnits);
-        let mut stops = Script::<false>::new(&[], 0);
-        let (walked, ran) = walk_v5(&mut stops, &[("primary", broke.clone())]);
+        let mut script = Script::new(&[]);
+        let (walked, ran) = walk_v5(&mut script, &[("primary", broke)]);
         assert!(matches!(
             walked,
             Walked::Ended {
@@ -465,16 +427,12 @@ mod tests {
             }
         ));
         assert_eq!(ran, ["primary"]);
-
-        let mut falls = Script::<true>::new(&[], 0);
-        let (walked, ran) = walk_v5(&mut falls, &[("primary", broke)]);
-        assert_eq!(answered(&walked), Some("astar-v4"));
-        assert_eq!(ran, ["primary", "astar-v4"]);
+        assert!(script.hops.is_empty());
     }
 
     #[test]
     fn a_wrong_query_stops_the_walk() {
-        let mut script = Script::<true>::new(&[], 3);
+        let mut script = Script::new(&[]);
         let (walked, ran) = walk_v5(
             &mut script,
             &[("primary", AlgorithmError::UnknownSource(NodeId(9)))],
@@ -493,7 +451,7 @@ mod tests {
         // What serving's storage breaker does when a failure mid-walk
         // trips it: the rung the storage fall lands on is refused, so
         // nothing runs after the primary — which is never asked.
-        let mut script = Script::<false>::new(&["primary", "dijkstra"], 0);
+        let mut script = Script::new(&["primary", "dijkstra"]);
         let (walked, ran) = walk_v5(&mut script, &[("primary", io_fault())]);
         assert!(matches!(
             walked,

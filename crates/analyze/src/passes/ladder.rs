@@ -8,8 +8,8 @@
 //! `#[non_exhaustive]`, so downstream matches are forced to carry `_`
 //! arms, and "the compiler checks exhaustiveness" stops being true).
 //! For `AlgorithmError` that pattern is the ladder's one error → fall
-//! `match` (`Fall::of` in `crates/algorithms/src/ladder.rs`), which both
-//! the planner and the serving layer walk.
+//! `match` (`Fall::of` in `crates/algorithms/src/ladder.rs`), which the
+//! serving layer's one ladder walk (`ladder::walk` from `execute`) reads.
 //!
 //! Mechanics:
 //!

@@ -50,8 +50,8 @@ pub(crate) fn root_nodes(g: &CallGraph, specs: &[(&str, &str)]) -> Vec<usize> {
 }
 
 /// The serving entry points every reachability pass starts from: the
-/// worker loop and planner-dispatch in `atis-serve`, and the
-/// route_server accept loop.
+/// worker loop and the per-group ladder walk (`execute`) in
+/// `atis-serve`, and the route_server accept loop.
 pub(crate) const SERVE_ROOTS: &[(&str, &str)] = &[
     ("serve", "worker_loop"),
     ("serve", "execute"),

@@ -13,13 +13,13 @@
 //! * [`display`] — **route display**: turn-by-turn instructions and an
 //!   ASCII map renderer (used to regenerate Figure 8's Minneapolis map).
 //!
-//! Beyond the paper's three facilities, the planner carries the service
-//! concerns of a deployed ATIS: [`RoutePlanner::plan_resilient`] rides out
-//! injected storage faults via bounded retries and a degradation ladder
-//! (`DESIGN.md` §5a), and `with_trace_sink` / `with_metrics` attach the
-//! `atis-obs` observability layer so every attempt, retry, degradation
-//! rung and per-iteration I/O delta is emitted as a structured event
-//! (`OBSERVABILITY.md`).
+//! Beyond the paper's three facilities, `with_trace_sink` /
+//! `with_metrics` attach the `atis-obs` observability layer so every
+//! run's per-iteration I/O delta is emitted as a structured event
+//! (`OBSERVABILITY.md`). Riding out storage faults is the serving
+//! layer's job: `atis-serve`'s `RouteService` walks the degrade ladder
+//! (`DESIGN.md` §5a), and [`RoutePlanner::into_database`] hands it the
+//! planner's configured database.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,6 +34,6 @@ pub mod trip;
 pub use display::{render_map, turn_instructions, MapCanvas};
 pub use evaluation::{evaluate_route, RouteAttributes};
 pub use matching::{match_trace, MatchedTrace};
-pub use planner::{AttemptRecord, PlanReport, ResiliencePolicy, RoutePlanner};
+pub use planner::{PlanReport, RoutePlanner};
 pub use svg::{render_svg, SvgOptions};
 pub use trip::{itinerary, plan_alternatives, plan_trip, TripPlan};

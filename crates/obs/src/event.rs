@@ -14,8 +14,6 @@
 //! * `Fault` — the storage layer's fault-injection log
 //!   ([`atis_storage::FaultEvent`]), re-emitted per run so a trace shows
 //!   faults interleaved with the work they disrupted.
-//! * `Plan` ([`PlanEvent`]) — the planner's resilience spans: attempts,
-//!   retries, degradation rungs, completion.
 //! * `Serve` ([`ServeEvent`]) — the serving layer's request spans:
 //!   admission (accepted/shed), execution start on a worker at a pinned
 //!   epoch, cache hits, stale-tier serves, circuit-breaker transitions,
@@ -80,54 +78,6 @@ pub struct IterationEvent {
     /// Iterations left before the run's budget trips (`None` =
     /// unlimited).
     pub budget_iterations_left: Option<u64>,
-}
-
-/// One retry/degradation span from the resilient planner.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanEvent {
-    /// A database-resident run is about to start.
-    AttemptStarted {
-        /// Algorithm being attempted.
-        algorithm: String,
-        /// Degradation-ladder rung (0 = the requested algorithm).
-        rung: u32,
-        /// Retry number within the rung (0 = first try).
-        retry: u32,
-    },
-    /// The run failed.
-    AttemptFailed {
-        /// Algorithm that failed.
-        algorithm: String,
-        /// Degradation-ladder rung.
-        rung: u32,
-        /// Retry number within the rung.
-        retry: u32,
-        /// Rendered error.
-        error: String,
-        /// Whether the error is transient (eligible for retry).
-        transient: bool,
-    },
-    /// The planner fell to the next rung of the ladder.
-    Degraded {
-        /// Algorithm abandoned.
-        from: String,
-        /// Algorithm the planner falls to.
-        to: String,
-        /// Rung being entered.
-        rung: u32,
-    },
-    /// Planning finished (successfully — the resilient planner always
-    /// answers a valid query).
-    Completed {
-        /// Algorithm that produced the answer.
-        algorithm: String,
-        /// Whether the answer came from below the requested rung.
-        degraded: bool,
-        /// Failed attempts that preceded the answer.
-        failed_attempts: u32,
-        /// Whether a route was found.
-        found: bool,
-    },
 }
 
 /// One span of a request's life inside the serving layer (`atis-serve`):
@@ -280,8 +230,6 @@ pub enum TraceEvent {
         /// The storage layer's fault record.
         fault: FaultEvent,
     },
-    /// A resilient-planner span.
-    Plan(PlanEvent),
     /// A serving-layer span (admission, execution, cache, epochs).
     Serve(ServeEvent),
     /// A run finished (found a path, proved unreachability, or failed).
@@ -347,7 +295,6 @@ impl TraceEvent {
                 .u64("op_index", fault.op_index)
                 .bool("torn", fault.torn)
                 .finish(),
-            TraceEvent::Plan(p) => p.to_json(),
             TraceEvent::Serve(s) => s.to_json(),
             TraceEvent::RunFinished {
                 algorithm,
@@ -362,55 +309,6 @@ impl TraceEvent {
                 .bool("found", *found)
                 .raw("io_total", &io_json(io_total))
                 .f64("cost_units", *cost_units)
-                .finish(),
-        }
-    }
-}
-
-impl PlanEvent {
-    fn to_json(&self) -> String {
-        match self {
-            PlanEvent::AttemptStarted {
-                algorithm,
-                rung,
-                retry,
-            } => JsonObject::new()
-                .string("type", "plan_attempt_started")
-                .string("algorithm", algorithm)
-                .u64("rung", u64::from(*rung))
-                .u64("retry", u64::from(*retry))
-                .finish(),
-            PlanEvent::AttemptFailed {
-                algorithm,
-                rung,
-                retry,
-                error,
-                transient,
-            } => JsonObject::new()
-                .string("type", "plan_attempt_failed")
-                .string("algorithm", algorithm)
-                .u64("rung", u64::from(*rung))
-                .u64("retry", u64::from(*retry))
-                .string("error", error)
-                .bool("transient", *transient)
-                .finish(),
-            PlanEvent::Degraded { from, to, rung } => JsonObject::new()
-                .string("type", "plan_degraded")
-                .string("from", from)
-                .string("to", to)
-                .u64("rung", u64::from(*rung))
-                .finish(),
-            PlanEvent::Completed {
-                algorithm,
-                degraded,
-                failed_attempts,
-                found,
-            } => JsonObject::new()
-                .string("type", "plan_completed")
-                .string("algorithm", algorithm)
-                .bool("degraded", *degraded)
-                .u64("failed_attempts", u64::from(*failed_attempts))
-                .bool("found", *found)
                 .finish(),
         }
     }
@@ -597,21 +495,6 @@ mod tests {
         let json = finished.to_json();
         assert!(json.contains(r#""type":"run_finished""#));
         assert!(json.contains(r#""cost_units":12.5"#));
-    }
-
-    #[test]
-    fn plan_events_carry_rungs_and_retries() {
-        let ev = TraceEvent::Plan(PlanEvent::AttemptFailed {
-            algorithm: "A* (version 3)".into(),
-            rung: 0,
-            retry: 1,
-            error: "injected read failure".into(),
-            transient: true,
-        });
-        let json = ev.to_json();
-        assert!(json.contains(r#""type":"plan_attempt_failed""#));
-        assert!(json.contains(r#""retry":1"#));
-        assert!(json.contains(r#""transient":true"#));
     }
 
     #[test]

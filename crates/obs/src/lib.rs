@@ -57,7 +57,7 @@ pub mod metrics;
 pub mod report;
 mod sink;
 
-pub use event::{IterationEvent, IterationPhase, PlanEvent, ServeEvent, TraceEvent};
+pub use event::{IterationEvent, IterationPhase, ServeEvent, TraceEvent};
 pub use metrics::{Histogram, MetricsRegistry, SharedRegistry, DEFAULT_BUCKETS};
 pub use report::{
     best_first_report, estimator_report, iterative_report, EstimatorObservation, EstimatorReport,

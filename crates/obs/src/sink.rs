@@ -172,7 +172,7 @@ impl Drop for JsonlSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::PlanEvent;
+    use crate::event::ServeEvent;
     use std::sync::mpsc;
 
     fn ev(n: u32) -> TraceEvent {
@@ -238,10 +238,12 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let sink = JsonlSink::from_writer(Tx(tx));
         sink.record(&ev(9));
-        sink.record(&TraceEvent::Plan(PlanEvent::Degraded {
-            from: "A* (version 3)".into(),
-            to: "Dijkstra".into(),
-            rung: 1,
+        sink.record(&TraceEvent::Serve(ServeEvent::AlgorithmDegraded {
+            request: 1,
+            from: "primary".into(),
+            to: "dijkstra".into(),
+            reason: "storage error".into(),
+            at_tick: 2,
         }));
         drop(sink);
         let bytes: Vec<u8> = rx.try_iter().flatten().collect();
@@ -249,7 +251,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with(r#"{"type":"run_started""#));
-        assert!(lines[1].contains(r#""type":"plan_degraded""#));
+        assert!(lines[1].contains(r#""type":"serve_algorithm_degraded""#));
     }
 
     #[test]

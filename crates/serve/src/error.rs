@@ -52,8 +52,11 @@ pub enum ServeError {
     },
     /// The service is shutting down and no longer accepts requests.
     ShuttingDown,
-    /// The planner run itself failed (unknown endpoints, storage fault,
-    /// exhausted budget).
+    /// The degrade ladder's walk ended without an answer, and this is the
+    /// error of the last rung that ran: unknown endpoints, a storage
+    /// fault the stale tier could not cover, or the database's standing
+    /// budget (an exhausted budget ends the walk; it never falls to a
+    /// lower rung).
     Algorithm(AlgorithmError),
 }
 

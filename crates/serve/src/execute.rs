@@ -323,8 +323,6 @@ impl<'a> Breakered<'a> {
 }
 
 impl Policy for Breakered<'_> {
-    const BUDGET_FALLS: bool = false;
-
     /// A rung the walk falls to runs only while the storage breaker
     /// still admits this request: a failure that tripped it mid-walk
     /// stops the storage fall.
@@ -332,7 +330,7 @@ impl Policy for Breakered<'_> {
         self.storage.is_some()
     }
 
-    fn failed(&mut self, _: &Step<'_>, error: &AlgorithmError) -> bool {
+    fn failed(&mut self, _: &Step<'_>, error: &AlgorithmError) {
         let shared = self.shared;
         match Fall::of(error) {
             // A cost-budget abort read blocks until it crossed its
@@ -340,7 +338,7 @@ impl Policy for Breakered<'_> {
             // partial spend is unknowable, so it is charged a floor.
             Fall::Budget(BudgetKind::CostUnits) => {
                 self.consumed += self.budgets.max_cost_units.map_or(1, ticks).max(1);
-                return false;
+                return;
             }
             Fall::Storage => {
                 if let Some(guard) = &mut self.storage {
@@ -354,7 +352,6 @@ impl Policy for Breakered<'_> {
             Fall::Artifact | Fall::Budget(_) | Fall::Stop => {}
         }
         self.consumed += 1;
-        false
     }
 
     fn hop(&mut self, from: &Rung, to: &Step<'_>, error: &AlgorithmError) {
@@ -713,12 +710,10 @@ mod tests {
 
     /// Ladder conformance, driven by the table instead of hand-picked
     /// cases: for every primary × artifact state, the rung that answers
-    /// in `RouteService` and in `RoutePlanner::plan_resilient` is the
-    /// first rung of `ladder::sequence(primary)` whose artifact is
-    /// usable — the same rung for both callers, and an exact answer.
+    /// in `RouteService` is the first rung of `ladder::sequence(primary)`
+    /// whose artifact is usable, and its answer is exact.
     #[test]
     fn every_primary_lands_on_the_rung_the_table_predicts() {
-        use atis_core::{ResiliencePolicy, RoutePlanner};
         use atis_hierarchy::{Hierarchy, HierarchyConfig};
         use atis_preprocess::{LandmarkTables, PreprocessConfig};
 
@@ -731,7 +726,7 @@ mod tests {
         const STATES: [Artifact; 3] = [Artifact::Fresh, Artifact::Stale, Artifact::Missing];
 
         // Artifacts built on the pristine grid are stale for `changed`,
-        // the graph every service and planner below runs on.
+        // the graph every service below runs on.
         let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
         let mut changed = grid.graph().clone();
         changed
@@ -770,26 +765,6 @@ mod tests {
                     })
                     .unwrap();
 
-                let plan = RoutePlanner::new(&changed)
-                    .unwrap()
-                    .with_algorithm(primary)
-                    .with_resilience(ResiliencePolicy::fail_fast());
-                let plan = match db.hierarchy() {
-                    Some(h) => plan.with_hierarchy(h.clone()),
-                    None => plan,
-                };
-                let plan = match db.landmarks() {
-                    Some(l) => plan.with_landmarks(l.clone()),
-                    None => plan,
-                };
-                let report = plan.plan_resilient(s, d).unwrap();
-                assert_eq!(report.algorithm, predicted.algorithm.label(), "{case}");
-                assert_eq!(report.degraded, predicted.name != "primary", "{case}");
-                assert!(
-                    (report.route.unwrap().cost - oracle.cost).abs() < 1e-3,
-                    "{case}"
-                );
-
                 let service = RouteService::new(
                     db,
                     ServeConfig::default()
@@ -804,8 +779,6 @@ mod tests {
                     other => panic!("{case}: unexpected outcome {other:?}"),
                 };
                 assert_eq!(answered, predicted.name, "{case}");
-                let served = rungs.iter().find(|r| r.name == answered).unwrap();
-                assert_eq!(served.algorithm.label(), report.algorithm, "{case}");
                 assert!(
                     (answer.path.unwrap().cost - oracle.cost).abs() < 1e-3,
                     "{case}"
@@ -814,6 +787,43 @@ mod tests {
             }
         }
         assert_eq!(checked, 4 * 3 * 3);
+    }
+
+    #[test]
+    fn a_standing_budget_ends_the_walk_typed_without_a_hop() {
+        use atis_hierarchy::{Hierarchy, HierarchyConfig};
+        use atis_preprocess::{LandmarkTables, PreprocessConfig};
+        let registry = MetricsRegistry::shared();
+        let ring = RingSink::shared(256);
+        let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
+        // Fresh artifacts for every rung, so only the database's own
+        // one-iteration budget stops the primary: the walk ends there
+        // instead of trying a lower rung against the same budget.
+        let overlay = Hierarchy::build(grid.graph(), HierarchyConfig::paper()).unwrap();
+        let tables = LandmarkTables::build(grid.graph(), PreprocessConfig::grid_default()).unwrap();
+        let db = Database::open(grid.graph())
+            .unwrap()
+            .with_hierarchy(overlay)
+            .with_landmarks(tables)
+            .with_budgets(Budgets::unlimited().with_max_iterations(1));
+        let service = RouteService::with_observability(
+            db,
+            ServeConfig::default()
+                .with_workers(1)
+                .with_cache_capacity(0)
+                .with_algorithm(Algorithm::AStar(AStarVersion::V5)),
+            Some(registry.clone()),
+            Some(ring.clone() as SharedSink),
+        );
+        let (s, d) = grid.query_pair(QueryKind::Diagonal);
+        assert!(matches!(
+            service.route(s, d),
+            Err(ServeError::Algorithm(AlgorithmError::BudgetExceeded(
+                BudgetKind::Iterations
+            )))
+        ));
+        assert!(degrade_events(&ring).is_empty(), "no rung below ran");
+        assert_eq!(registry.counter("serve_degraded_total"), 0);
     }
 
     #[test]

@@ -45,15 +45,6 @@ pub enum StorageError {
     },
 }
 
-impl StorageError {
-    /// Whether retrying the failed operation (or the whole query) can
-    /// plausibly succeed. Transient I/O failures are retryable; detected
-    /// corruption and logical errors are not.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, StorageError::IoFailed { .. })
-    }
-}
-
 impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -39,7 +39,8 @@
 //!   buffer capacity × eviction policy) per network scale.
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]): seeded
 //!   transient read/write failures, flaky blocks, and torn writes detected
-//!   by per-block checksums, for exercising the resilient planner.
+//!   by per-block checksums, for exercising the serving layer's degrade
+//!   ladder and storage breaker.
 //!
 //! Faithfulness notes: [`StorageProfile::paper`] attaches **no buffer
 //! pool** — the paper's cost model (Tables 2–3) charges every scan at full

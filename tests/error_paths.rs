@@ -42,12 +42,6 @@ fn unknown_endpoints_through_the_planner() {
         planner.plan(NodeId(0), bad),
         Err(AlgorithmError::UnknownDestination(_))
     ));
-    // The resilient path refuses too: a wrong query is not a fault to
-    // ride out.
-    assert!(matches!(
-        planner.plan_resilient(bad, NodeId(0)),
-        Err(AlgorithmError::UnknownSource(_))
-    ));
 }
 
 #[test]

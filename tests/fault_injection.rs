@@ -1,5 +1,6 @@
-//! Chaos suite for the fault-injection layer (and the resilience built on
-//! top of it).
+//! Chaos suite for the fault-injection layer. How the serving layer rides
+//! the same faults out (degrade ladder, storage breaker, stale tier) is
+//! `tests/chaos_serving.rs`.
 //!
 //! The contract under injected faults is strict: every run either returns
 //! a path identical to the fault-free run, or a *typed* error. Never a
@@ -8,8 +9,7 @@
 //! reproducible — a failing seed here is a one-line repro.
 
 use atis::algorithms::{AStarVersion, Algorithm, Budgets, Database};
-use atis::core::{ResiliencePolicy, RoutePlanner};
-use atis::storage::{FaultPlan, IoStats};
+use atis::storage::FaultPlan;
 use atis::{CostModel, Grid, NodeId, QueryKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -143,91 +143,7 @@ fn inert_plan_leaves_iostats_bit_identical() {
     }
 }
 
-/// A planned one-shot failure is transient: the fault counter advances
-/// past it, so the planner's first retry of the same rung succeeds.
-#[test]
-fn planner_rides_out_a_transient_fault_on_the_same_rung() {
-    let grid = grid();
-    let (s, d) = grid.query_pair(QueryKind::Diagonal);
-    let planner = RoutePlanner::new(grid.graph())
-        .unwrap()
-        .with_fault_plan(FaultPlan::inert(5).with_fail_nth_read(40));
-    let report = planner.plan_resilient(s, d).unwrap();
-    assert!(!report.degraded);
-    assert_eq!(report.attempts.len(), 1);
-    assert!(report.attempts[0].transient);
-    assert!(report.found());
-}
-
-/// With every read failing, no database-resident rung can finish; the
-/// ladder must bottom out in the in-memory fallback and still produce the
-/// exact shortest path.
-#[test]
-fn degradation_ladder_bottoms_out_in_memory() {
-    let grid = grid();
-    let (s, d) = grid.query_pair(QueryKind::Diagonal);
-    let planner = RoutePlanner::new(grid.graph())
-        .unwrap()
-        .with_resilience(ResiliencePolicy::fail_fast())
-        .with_fault_plan(FaultPlan::inert(0).with_read_failure_rate(1.0));
-    let report = planner.plan_resilient(s, d).unwrap();
-    assert!(report.degraded);
-    assert_eq!(report.algorithm, "Dijkstra (in-memory fallback)");
-    assert_eq!(report.attempts.len(), 2, "one fail-fast attempt per rung");
-    let oracle = atis::algorithms::memory::dijkstra_pair(grid.graph(), s, d).unwrap();
-    assert!((report.route.unwrap().cost - oracle.cost).abs() < 1e-9);
-    // The fallback bypasses the storage engine entirely.
-    assert_eq!(report.trace.io, IoStats::new());
-}
-
-/// The resilient planner under the full chaos sweep: it must *always*
-/// return a route for a valid query — that is the whole point of the
-/// ladder — and the route must match one of the legitimate answers
-/// (requested algorithm, Dijkstra rung, or the in-memory oracle).
-#[test]
-fn resilient_planner_always_answers_under_chaos() {
-    let grid = grid();
-    let (s, d) = grid.query_pair(QueryKind::SemiDiagonal);
-    let clean = RoutePlanner::new(grid.graph()).unwrap();
-    let expected_costs: Vec<f64> = vec![
-        clean.plan(s, d).unwrap().route.unwrap().cost,
-        clean
-            .plan_with(Algorithm::Dijkstra, s, d)
-            .unwrap()
-            .route
-            .unwrap()
-            .cost,
-        atis::algorithms::memory::dijkstra_pair(grid.graph(), s, d)
-            .unwrap()
-            .cost,
-    ];
-
-    let mut degraded_runs = 0u32;
-    for seed in 0..50u64 {
-        let planner = RoutePlanner::new(grid.graph())
-            .unwrap()
-            .with_resilience(ResiliencePolicy::default().with_backoff(std::time::Duration::ZERO))
-            .with_fault_plan(FaultPlan::chaos(seed));
-        let report = catch_unwind(AssertUnwindSafe(|| planner.plan_resilient(s, d)))
-            .unwrap_or_else(|_| panic!("seed {seed}: resilient planner panicked"))
-            .unwrap_or_else(|e| panic!("seed {seed}: resilient planner refused: {e}"));
-        let cost = report.route.expect("grid is connected").cost;
-        assert!(
-            expected_costs.iter().any(|c| (c - cost).abs() < 1e-6),
-            "seed {seed}: cost {cost} matches no legitimate rung {expected_costs:?}"
-        );
-        if report.degraded {
-            degraded_runs += 1;
-        }
-    }
-    assert!(
-        degraded_runs < 50,
-        "every seed degraded — retries never helped"
-    );
-}
-
-/// Budget exhaustion is typed, deterministic, and not retried as if it
-/// were an I/O hiccup.
+/// Budget exhaustion is a typed error.
 #[test]
 fn budget_exhaustion_is_a_typed_error() {
     let grid = grid();
@@ -240,5 +156,4 @@ fn budget_exhaustion_is_a_typed_error() {
         err,
         atis::algorithms::AlgorithmError::BudgetExceeded(atis::algorithms::BudgetKind::Iterations)
     ));
-    assert!(!err.is_transient());
 }
