@@ -20,13 +20,10 @@
 //! and lets the inadmissible Manhattan estimator on the Minneapolis map
 //! still find good paths. Version 5 is a different loop (the
 //! crate-private `hierarchy_search` module). This module keeps the
-//! version enum and the two unbracketed entry points.
+//! version enum; every version runs through [`crate::Database::run`].
 
-use crate::database::{Algorithm, Budgets, Database, FrontierKind, Kernel};
-use crate::error::AlgorithmError;
+use crate::database::{Algorithm, FrontierKind, Kernel};
 use crate::estimator::Estimator;
-use crate::trace::RunTrace;
-use atis_graph::NodeId;
 
 /// The paper's three A\* implementation versions, plus this
 /// reproduction's landmark-based extension (version 4).
@@ -115,48 +112,13 @@ impl AStarVersion {
     ];
 }
 
-/// Runs one of the A\* versions, without the endpoint checks and the
-/// fault / metrics bracket of [`Database::run_with_budgets`].
-///
-/// # Errors
-/// Version 4 additionally fails with
-/// [`AlgorithmError::LandmarksUnavailable`] when the database has no
-/// landmark tables or the tables are stale for the current edge costs;
-/// version 5 likewise fails with
-/// [`AlgorithmError::HierarchyUnavailable`] without a current hierarchy.
-pub fn run(
-    db: &Database,
-    s: NodeId,
-    d: NodeId,
-    version: AStarVersion,
-    budgets: Budgets,
-) -> Result<RunTrace, AlgorithmError> {
-    db.run_kernel(Algorithm::AStar(version), s, d, budgets)
-}
-
-/// Runs an ablation configuration: any frontier × any estimator, with
-/// Figure 3 reopening semantics.
-pub fn run_custom(
-    db: &Database,
-    s: NodeId,
-    d: NodeId,
-    frontier: FrontierKind,
-    estimator: Estimator,
-    budgets: Budgets,
-) -> Result<RunTrace, AlgorithmError> {
-    let algorithm = Algorithm::Custom {
-        frontier,
-        estimator,
-    };
-    db.run_kernel(algorithm, s, d, budgets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::Algorithm;
+    use crate::database::Database;
+    use crate::error::AlgorithmError;
     use crate::memory;
-    use atis_graph::{CostModel, Grid, QueryKind};
+    use atis_graph::{CostModel, Grid, NodeId, QueryKind};
 
     fn grid_db(k: usize, model: CostModel, seed: u64) -> (Grid, Database) {
         let grid = Grid::new(k, model, seed).unwrap();

@@ -13,12 +13,11 @@ use atis_graph::{Graph, NodeId};
 use atis_hierarchy::Hierarchy;
 use atis_obs::{SharedRegistry, SharedSink, TraceEvent};
 use atis_preprocess::{DestBounds, LandmarkTables};
+use atis_storage::block::BLOCK_SIZE;
 use atis_storage::{
     BufferPool, CostParams, EdgeRelation, FaultPlan, IoStats, JoinPolicy, NodeRelation,
     SharedBuffer, SharedFaults, StorageError, StorageProfile,
 };
-// analyze::allow(determinism-wall-clock): the wall-clock budget deadline aborts runs, it never shapes a returned path
-use std::time::{Duration, Instant};
 
 /// Resource limits for a single algorithm run. `None` means unlimited —
 /// the default everywhere, so the paper's experiments are unaffected.
@@ -33,8 +32,6 @@ pub struct Budgets {
     pub max_iterations: Option<u64>,
     /// Maximum accumulated I/O cost, in Table 4A cost units.
     pub max_cost_units: Option<f64>,
-    /// Wall-clock deadline for the run.
-    pub deadline: Option<Duration>,
 }
 
 impl Budgets {
@@ -43,7 +40,6 @@ impl Budgets {
         Budgets {
             max_iterations: None,
             max_cost_units: None,
-            deadline: None,
         }
     }
 
@@ -59,20 +55,14 @@ impl Budgets {
         self
     }
 
-    /// Sets a wall-clock deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Whether any limit is set.
     pub fn is_limited(&self) -> bool {
-        self.max_iterations.is_some() || self.max_cost_units.is_some() || self.deadline.is_some()
+        self.max_iterations.is_some() || self.max_cost_units.is_some()
     }
 
     /// Combines two budget sets by taking the tighter limit for each
     /// dimension. The serving layer uses this to intersect a database's
-    /// standing budgets with a per-request deadline allowance.
+    /// standing budgets with a per-request deadline's cost allowance.
     pub fn min_with(self, other: Budgets) -> Budgets {
         fn tighter<T: PartialOrd>(a: Option<T>, b: Option<T>) -> Option<T> {
             match (a, b) {
@@ -84,7 +74,6 @@ impl Budgets {
         Budgets {
             max_iterations: tighter(self.max_iterations, other.max_iterations),
             max_cost_units: tighter(self.max_cost_units, other.max_cost_units),
-            deadline: tighter(self.deadline, other.deadline),
         }
     }
 }
@@ -95,8 +84,6 @@ impl Budgets {
 pub struct BudgetMeter {
     budgets: Budgets,
     params: CostParams,
-    // analyze::allow(determinism-wall-clock): the wall-clock budget deadline aborts runs, it never shapes a returned path
-    started: Instant,
 }
 
 impl BudgetMeter {
@@ -104,7 +91,7 @@ impl BudgetMeter {
     ///
     /// # Errors
     /// Returns [`AlgorithmError::BudgetExceeded`] naming the first
-    /// exhausted budget (iterations, then cost units, then wall clock).
+    /// exhausted budget (iterations, then cost units).
     pub fn check(&self, iterations: u64, io: &IoStats) -> Result<(), AlgorithmError> {
         if let Some(max) = self.budgets.max_iterations {
             if iterations > max {
@@ -114,11 +101,6 @@ impl BudgetMeter {
         if let Some(max) = self.budgets.max_cost_units {
             if io.cost(&self.params) > max {
                 return Err(AlgorithmError::BudgetExceeded(BudgetKind::CostUnits));
-            }
-        }
-        if let Some(deadline) = self.budgets.deadline {
-            if self.started.elapsed() > deadline {
-                return Err(AlgorithmError::BudgetExceeded(BudgetKind::WallClock));
             }
         }
         Ok(())
@@ -545,13 +527,16 @@ impl Database {
     /// exist).
     fn publish_layout_gauges(&self) {
         let Some(m) = &self.metrics else { return };
-        let dir = self.edges.segment_directory();
-        m.set("storage_segment_count", dir.segments.len() as u64);
+        let heap = self.edges.heap();
+        let blocks = heap.block_count();
+        m.set("storage_segment_count", heap.segment_count() as u64);
         // An unsegmented file reports one segment spanning every block.
-        let per_segment = dir.segment_blocks.min(dir.total_blocks());
-        m.set("storage_segment_blocks", per_segment as u64);
-        m.set("storage_blocks", dir.total_blocks() as u64);
-        m.set("storage_bytes", dir.total_bytes() as u64);
+        m.set(
+            "storage_segment_blocks",
+            heap.segment_blocks().min(blocks) as u64,
+        );
+        m.set("storage_blocks", blocks as u64);
+        m.set("storage_bytes", (blocks * BLOCK_SIZE) as u64);
         if let Some(cap) = self.profile.buffer_blocks {
             m.set("storage_buffer_capacity_blocks", cap as u64);
         }
@@ -623,8 +608,6 @@ impl Database {
         BudgetMeter {
             budgets,
             params: self.params,
-            // analyze::allow(determinism-wall-clock): the wall-clock budget deadline aborts runs, it never shapes a returned path
-            started: Instant::now(),
         }
     }
 
@@ -960,12 +943,10 @@ mod tests {
             .with_max_cost_units(90.0);
         let request = Budgets::unlimited()
             .with_max_iterations(1000)
-            .with_max_cost_units(40.0)
-            .with_deadline(Duration::from_millis(25));
+            .with_max_cost_units(40.0);
         let combined = standing.min_with(request);
         assert_eq!(combined.max_iterations, Some(500));
         assert_eq!(combined.max_cost_units, Some(40.0));
-        assert_eq!(combined.deadline, Some(Duration::from_millis(25)));
         // Unlimited is the identity.
         assert_eq!(standing.min_with(Budgets::unlimited()), standing);
         assert_eq!(Budgets::unlimited().min_with(standing), standing);

@@ -7,36 +7,19 @@
 //! (Lemma 2), which is what lets it beat the iterative algorithm on short
 //! paths.
 //!
-//! Dijkstra is not a loop of its own: [`Algorithm::describe`] says it is
-//! the crate's single best-first loop (the crate-private `search`
-//! module) with the status-attribute frontier, a zero estimator and no
-//! reopening (Figure 2 checks `not_in(v, frontierSet ∪ exploredSet)`, so
-//! closed nodes never re-enter the frontier).
-
-use crate::database::{Algorithm, Budgets, Database};
-use crate::error::AlgorithmError;
-use crate::trace::RunTrace;
-use atis_graph::NodeId;
-
-/// Runs Dijkstra's algorithm from `s` to `d` under `budgets`, without
-/// the endpoint checks and the fault / metrics bracket of
-/// [`Database::run_with_budgets`].
-pub fn run(
-    db: &Database,
-    s: NodeId,
-    d: NodeId,
-    budgets: Budgets,
-) -> Result<RunTrace, AlgorithmError> {
-    db.run_kernel(Algorithm::Dijkstra, s, d, budgets)
-}
+//! Dijkstra is not a loop of its own: [`crate::Algorithm::describe`]
+//! says it is the crate's single best-first loop (the crate-private
+//! `search` module) with the status-attribute frontier, a zero estimator
+//! and no reopening (Figure 2 checks `not_in(v, frontierSet ∪
+//! exploredSet)`, so closed nodes never re-enter the frontier). It runs
+//! through [`crate::Database::run`] with [`crate::Algorithm::Dijkstra`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::database::Algorithm;
+    use crate::database::{Algorithm, Database};
     use crate::memory;
     use atis_graph::graph::graph_from_arcs;
-    use atis_graph::{CostModel, Grid, QueryKind};
+    use atis_graph::{CostModel, Grid, NodeId, QueryKind};
 
     #[test]
     fn finds_the_shortest_path_on_a_diamond() {

@@ -25,8 +25,7 @@
 //! * **Eliminate** — insertions are blind and a duplicate-elimination
 //!   pass sweeps the frontier after each iteration's relaxations.
 
-use crate::astar::run_custom;
-use crate::database::{Database, FrontierKind};
+use crate::database::{Algorithm, Database, FrontierKind};
 use crate::error::AlgorithmError;
 use crate::estimator::Estimator;
 use crate::search::{best_first, BlindFrontier, Spec};
@@ -89,10 +88,16 @@ pub fn run_with_duplicate_policy(
     Ok(match policy {
         // The avoidance policy *is* the standard relation-frontier A*
         // (and says so to a trace sink); only the trace is relabelled.
-        DuplicatePolicy::Avoid => RunTrace {
-            algorithm: spec.label,
-            ..run_custom(db, s, d, FrontierKind::SeparateRelation, estimator, budgets)?
-        },
+        DuplicatePolicy::Avoid => {
+            let algorithm = Algorithm::Custom {
+                frontier: FrontierKind::SeparateRelation,
+                estimator,
+            };
+            RunTrace {
+                algorithm: spec.label,
+                ..db.run_kernel(algorithm, s, d, budgets)?
+            }
+        }
         DuplicatePolicy::Eliminate => best_first::<BlindFrontier<true>>(db, s, d, spec, budgets)?,
         DuplicatePolicy::Allow => best_first::<BlindFrontier<false>>(db, s, d, spec, budgets)?,
     })

@@ -11,8 +11,6 @@ pub enum BudgetKind {
     Iterations,
     /// The accumulated I/O cost (Table 4A units) exceeded the cap.
     CostUnits,
-    /// The wall-clock deadline passed.
-    WallClock,
 }
 
 impl fmt::Display for BudgetKind {
@@ -20,7 +18,6 @@ impl fmt::Display for BudgetKind {
         match self {
             BudgetKind::Iterations => write!(f, "iteration"),
             BudgetKind::CostUnits => write!(f, "cost-unit"),
-            BudgetKind::WallClock => write!(f, "wall-clock"),
         }
     }
 }

@@ -1,10 +1,9 @@
 //! CLI for the workspace invariant analyzer.
 //!
 //! ```sh
-//! atis-analyze check [--root DIR] [--format text|json] [--stage all|lexical|graph]
+//! atis-analyze check [--root DIR] [--format text|json]
 //! atis-analyze graph [--root DIR] --dot   # Graphviz dump of the call graph
 //! atis-analyze rules                      # print the rule table and lock order
-//! atis-analyze --self-test                # embedded end-to-end pass checks
 //! ```
 //!
 //! `check` exits 0 when clean, 1 with findings, 2 on usage or scan
@@ -14,8 +13,6 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-use atis_analyze::Stage;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,22 +51,12 @@ fn main() -> ExitCode {
             for r in atis_analyze::RULES {
                 println!("{:<30} {:<44} {}", r.id, r.summary, r.scope);
             }
-            println!("\nlock acquisition order (lock-order rules):");
+            println!("\nlock acquisition order (the lock-order rule):");
             for (name, rank, what) in atis_analyze::LOCK_ORDER {
                 println!("  {rank}. {name:<14} {what}");
             }
             ExitCode::SUCCESS
         }
-        Some("--self-test") => match atis_analyze::self_test() {
-            Ok(()) => {
-                println!("atis-analyze: self-test passed");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("atis-analyze: {msg}");
-                ExitCode::FAILURE
-            }
-        },
         _ => usage(),
     }
 }
@@ -77,7 +64,6 @@ fn main() -> ExitCode {
 struct CheckOpts {
     root: PathBuf,
     json: bool,
-    stage: Stage,
 }
 
 impl CheckOpts {
@@ -85,7 +71,6 @@ impl CheckOpts {
         let mut opts = CheckOpts {
             root: PathBuf::from("."),
             json: false,
-            stage: Stage::All,
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -103,14 +88,6 @@ impl CheckOpts {
                         other => return Err(format!("unknown format `{other}`")),
                     }
                 }
-                "--stage" => {
-                    opts.stage = match value("--stage")? {
-                        "all" => Stage::All,
-                        "lexical" => Stage::Lexical,
-                        "graph" => Stage::Graph,
-                        other => return Err(format!("unknown stage `{other}`")),
-                    }
-                }
                 other => return Err(format!("unrecognized argument: {other}")),
             }
         }
@@ -119,7 +96,7 @@ impl CheckOpts {
 }
 
 fn run_check(opts: &CheckOpts) -> ExitCode {
-    match atis_analyze::check_workspace_stage(&opts.root, opts.stage) {
+    match atis_analyze::check_workspace(&opts.root) {
         Ok(findings) if findings.is_empty() => {
             if opts.json {
                 println!("[]");
@@ -181,7 +158,7 @@ fn parse_graph_args(args: &[String]) -> Result<PathBuf, String> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: atis-analyze <check [--root DIR] [--format text|json] \
-         [--stage all|lexical|graph] | graph [--root DIR] --dot | rules | --self-test>"
+         | graph [--root DIR] --dot | rules>"
     );
     ExitCode::from(2)
 }

@@ -1,9 +1,9 @@
-//! Interprocedural lock-order checking.
+//! Lock-order checking: the one check of the serve crate's lock ranks.
 //!
-//! The lexical `lock-order` rule tracks guards within one function; a
-//! helper that *takes* a guard and then calls another function which
-//! acquires a lower-or-equal rank is invisible to it. This pass closes
-//! that hole:
+//! Every lock in `atis-serve` is taken through a designated helper
+//! ([`LOCK_ORDER`]), and a helper may only be entered while every live
+//! guard has a strictly lower rank. The pass sees inversions inside one
+//! function and across any call chain:
 //!
 //! 1. **Direct acquisitions** — every `.lock_X(…)` call site of a
 //!    [`LOCK_ORDER`] helper, per function.
@@ -11,26 +11,54 @@
 //!    function's acquired-rank set to its callers, recording one hop
 //!    per `(function, rank)` so a witness chain can be replayed.
 //! 3. **Guard-tracked walk** — every serve-crate function body is
-//!    re-walked with the same guard-lifetime tracking the lexical rule
-//!    uses (guards die at block close, `drop(name)`, or the statement
-//!    end for unnamed temporaries); a call to a *non-helper* function
-//!    that transitively acquires rank ≤ the highest held rank is a
-//!    violation.
+//!    walked with guard-lifetime tracking (guards die at block close,
+//!    `drop(name)`, or the statement end for unnamed temporaries). A
+//!    helper call at rank ≤ the highest held rank is a direct
+//!    inversion; a call to a *non-helper* function that transitively
+//!    acquires such a rank is an interprocedural one.
 //!
 //! Known approximation: a callee that acquires and fully releases a
 //! lock before returning still counts as "acquires" — that is the
 //! conservative direction, because acquiring a lower rank even briefly
 //! while holding a higher one is exactly the ordering inversion the
-//! ranks forbid. Direct inversions inside one function are *not*
-//! re-reported here; the lexical `lock-order` rule owns those.
+//! ranks forbid.
 
 use crate::graph::CallGraph;
 use crate::lexer::{Token, TokenKind};
-use crate::rules::{Finding, LOCK_ORDER};
+use crate::rules::Finding;
 use std::collections::BTreeMap;
 
 /// Stable rule identifier (allow-directive key).
-pub const ID: &str = "lock-order-interprocedural";
+pub const ID: &str = "lock-order";
+
+/// Designated lock-acquisition helpers in `atis-serve`, in the global
+/// acquisition order. A helper may only be called while holding locks
+/// of *strictly lower* rank. `crates/serve/src/sync.rs` is the one
+/// place allowed to touch `Mutex::lock` / `Condvar::wait` directly.
+pub const LOCK_ORDER: &[(&str, u32, &str)] = &[
+    ("lock_queue", 1, "Shared.queue — the admission queue"),
+    (
+        "lock_writer",
+        2,
+        "ShardedEpochDb.writer — the install lock, held while an epoch is built",
+    ),
+    (
+        "lock_current",
+        3,
+        "ShardedEpochDb.current — the epoch snapshot slot",
+    ),
+    (
+        "lock_entries",
+        4,
+        "RouteCache.inner — the route-cache table",
+    ),
+    ("lock_slot", 5, "TicketInner.slot — a ticket's answer slot"),
+    (
+        "lock_breaker",
+        6,
+        "CircuitBreaker.inner — a breaker's state machine",
+    ),
+];
 
 /// How a function comes to acquire a rank: at its own call site, or
 /// through a callee.
@@ -118,8 +146,9 @@ pub fn run(g: &CallGraph, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Walks one body with guard-lifetime tracking, flagging calls into
-/// functions that transitively acquire a rank ≤ the highest held rank.
+/// Walks one body with guard-lifetime tracking, flagging helper calls
+/// and calls into functions that transitively acquire a rank ≤ the
+/// highest held rank.
 fn check_body(g: &CallGraph, acq: &[BTreeMap<u32, Hop>], id: usize, findings: &mut Vec<Finding>) {
     let Some((open, close, nested)) = g.body_span(id) else {
         return;
@@ -153,10 +182,32 @@ fn check_body(g: &CallGraph, acq: &[BTreeMap<u32, Hop>], id: usize, findings: &m
             }
         } else if is_call_site(toks, i) {
             if let Some(rank) = rank_of(&t.text) {
-                // A direct helper acquisition: bind the guard. The
-                // lexical rule already checks direct inversions.
-                let name = crate::rules::statement_binding(toks, i);
-                guards.push((rank, depth, name));
+                // A direct helper acquisition: check it against the
+                // highest held guard, then bind its own guard.
+                let held = guards.iter().max_by_key(|(r, _, _)| *r);
+                if let Some((held, _, held_name)) = held.filter(|(r, _, _)| *r >= rank) {
+                    let held_name = held_name.as_deref().unwrap_or(helper_name(*held));
+                    findings.push(Finding {
+                        rule: ID,
+                        path: node.path.clone(),
+                        line: t.line,
+                        message: format!(
+                            "`{}` (rank {rank}) acquired while `{held_name}` (rank {held}) is \
+                             held: violates the declared lock order",
+                            t.text,
+                        ),
+                        witness: vec![format!(
+                            "{} ({}:{}) holds `{held_name}` (rank {held}), acquires `{}` at {}:{}",
+                            g.label(id),
+                            node.path,
+                            node.line,
+                            t.text,
+                            node.path,
+                            t.line,
+                        )],
+                    });
+                }
+                guards.push((rank, depth, statement_binding(toks, i)));
             } else if let Some(callees) = by_tok.get(&i) {
                 flag_calls(g, acq, id, t, callees, &guards, findings);
             }
@@ -240,4 +291,25 @@ fn flag_calls(
             findings.push(f);
         }
     }
+}
+
+/// If the statement containing token `i` is `let [mut] NAME = ...`,
+/// returns `NAME`. Searches backwards to the statement start.
+fn statement_binding(tokens: &[Token], i: usize) -> Option<String> {
+    let mut j = i;
+    while j > 0 {
+        j -= 1;
+        let t = &tokens[j];
+        if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
+            return None;
+        }
+        if t.is_ident("let") {
+            let mut k = j + 1;
+            if matches!(tokens.get(k), Some(m) if m.is_ident("mut")) {
+                k += 1;
+            }
+            return tokens.get(k).map(|n| n.text.clone());
+        }
+    }
+    None
 }

@@ -12,7 +12,8 @@
 //! allow-directive key — the rule-id drift check in
 //! `ci/check-doc-links.sh` greps these):
 //!
-//! * [`lock_order`] — held-guard sets propagated through calls.
+//! * [`lock_order`] — lock ranks acquired under a held guard, directly
+//!   or through calls.
 //! * [`metered_io`] — raw I/O reachable without an `IoStats` charge.
 //! * [`panic_reach`] — panic sites reachable from the serving roots.
 //! * [`ladder`] — constructed error variants never matched on the

@@ -52,35 +52,6 @@ const DETERMINISM_SCOPE: &[&str] = &[
 /// The serving request path: no panics on client-reachable input.
 const SERVE_SCOPE: &[&str] = &["crates/serve/src/", "examples/route_server.rs"];
 
-/// Designated lock-acquisition helpers in `atis-serve`, in the global
-/// acquisition order. A helper may only be called while holding locks
-/// of *strictly lower* rank. `crates/serve/src/sync.rs` is the one
-/// place allowed to touch `Mutex::lock` / `Condvar::wait` directly.
-pub const LOCK_ORDER: &[(&str, u32, &str)] = &[
-    ("lock_queue", 1, "Shared.queue — the admission queue"),
-    (
-        "lock_writer",
-        2,
-        "ShardedEpochDb.writer — the install lock, held while an epoch is built",
-    ),
-    (
-        "lock_current",
-        3,
-        "ShardedEpochDb.current — the epoch snapshot slot",
-    ),
-    (
-        "lock_entries",
-        4,
-        "RouteCache.inner — the route-cache table",
-    ),
-    ("lock_slot", 5, "TicketInner.slot — a ticket's answer slot"),
-    (
-        "lock_breaker",
-        6,
-        "CircuitBreaker.inner — a breaker's state machine",
-    ),
-];
-
 /// Static description of one rule for `atis-analyze rules` and the
 /// docs.
 pub struct RuleInfo {
@@ -140,13 +111,8 @@ pub const RULES: &[RuleInfo] = &[
         scope: "atis-serve (sync.rs exempt)",
     },
     RuleInfo {
-        id: "lock-order",
-        summary: "designated lock helpers acquired in declared rank order",
-        scope: "atis-serve",
-    },
-    RuleInfo {
         id: crate::passes::lock_order::ID,
-        summary: "no call chain acquires a lower-or-equal lock rank while one is held",
+        summary: "no lower-or-equal lock rank acquired while one is held, directly or via calls",
         scope: "atis-serve callers, whole-workspace callees (graph pass)",
     },
     RuleInfo {
@@ -193,9 +159,6 @@ pub fn run_all(path: &str, tokens: &[Token]) -> Vec<Finding> {
     non_exhaustive_errors(path, tokens, &mut findings);
     if path.starts_with("crates/serve/src/") && !path.ends_with("/sync.rs") {
         lock_discipline(path, tokens, &mut findings);
-    }
-    if path.starts_with("crates/serve/src/") {
-        lock_order(path, tokens, &mut findings);
     }
     findings
 }
@@ -745,96 +708,4 @@ fn lock_discipline(path: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
             );
         }
     }
-}
-
-/// Per-function lexical lock-order check over the designated helpers.
-///
-/// Tracks live guards as `(rank, brace_depth, Option<name>)`; a guard
-/// dies when its enclosing block closes, when `drop(name)` is seen, or
-/// (for unnamed temporaries) at the next `;` at its own depth.
-/// Acquiring a helper while a guard of *higher or equal* rank is live is
-/// a violation of the declared order.
-fn lock_order(path: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
-    let rank_of = |name: &str| {
-        LOCK_ORDER
-            .iter()
-            .find(|(n, _, _)| *n == name)
-            .map(|(_, r, _)| *r)
-    };
-    let mut depth: i32 = 0;
-    let mut guards: Vec<(u32, i32, Option<String>)> = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            guards.retain(|(_, d, _)| *d <= depth);
-        } else if t.is_punct(';') {
-            guards.retain(|(_, d, name)| name.is_some() || *d != depth);
-        } else if t.is_ident("drop") && matches!(tokens.get(i + 1), Some(p) if p.is_punct('(')) {
-            if let Some(var) = tokens.get(i + 2) {
-                guards.retain(|(_, _, name)| name.as_deref() != Some(var.text.as_str()));
-            }
-        } else if t.kind == TokenKind::Ident {
-            let Some(rank) = rank_of(&t.text) else {
-                continue;
-            };
-            // Only count call sites: `.helper(` — skip the definitions
-            // (`fn lock_queue`) and paths.
-            if i == 0
-                || !tokens[i - 1].is_punct('.')
-                || !matches!(tokens.get(i + 1), Some(p) if p.is_punct('('))
-            {
-                continue;
-            }
-            for (held, _, name) in &guards {
-                if *held >= rank {
-                    let held_name = LOCK_ORDER
-                        .iter()
-                        .find(|(_, r, _)| r == held)
-                        .map(|(n, _, _)| *n)
-                        .unwrap_or("?");
-                    push(
-                        findings,
-                        "lock-order",
-                        path,
-                        t.line,
-                        format!(
-                            "`{}` (rank {rank}) acquired while `{held_name}` (rank {held}) is \
-                             held{}: violates the declared lock order",
-                            t.text,
-                            name.as_deref()
-                                .map(|n| format!(" as `{n}`"))
-                                .unwrap_or_default(),
-                        ),
-                    );
-                }
-            }
-            // Bind the guard name if this is a `let [mut] name = ...` stmt.
-            let name = statement_binding(tokens, i);
-            guards.push((rank, depth, name));
-        }
-    }
-}
-
-/// If the statement containing token `i` is `let [mut] NAME = ...`,
-/// returns `NAME`. Searches backwards to the statement start. Shared
-/// with the interprocedural lock-order pass.
-pub(crate) fn statement_binding(tokens: &[Token], i: usize) -> Option<String> {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let t = &tokens[j];
-        if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-            return None;
-        }
-        if t.is_ident("let") {
-            let mut k = j + 1;
-            if matches!(tokens.get(k), Some(m) if m.is_ident("mut")) {
-                k += 1;
-            }
-            return tokens.get(k).map(|n| n.text.clone());
-        }
-    }
-    None
 }

@@ -4,6 +4,7 @@
 //! deterministic stop without anyone having decided that.
 
 /// Algorithm failures for the fixture ladder.
+#[non_exhaustive]
 pub enum AlgorithmError {
     /// The artifact the rung needs is stale.
     Stale,

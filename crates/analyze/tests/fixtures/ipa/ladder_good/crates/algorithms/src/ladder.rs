@@ -3,6 +3,7 @@
 //! walker unclassified.
 
 /// Algorithm failures for the fixture ladder.
+#[non_exhaustive]
 pub enum AlgorithmError {
     /// The artifact the rung needs is stale.
     Stale,

@@ -1,6 +1,8 @@
-//! Lock-order inversion across a two-hop call chain: `drain` holds
-//! `lock_entries` (rank 4) while `touch` → `requeue` acquires
-//! `lock_queue` (rank 1) underneath it.
+//! Two lock-order inversions: across a two-hop call chain, `drain`
+//! holds `lock_entries` (rank 4) while `touch` → `requeue` acquires
+//! `lock_queue` (rank 1) underneath it; directly, `publish` takes the
+//! install lock `lock_writer` (rank 2) under the snapshot slot
+//! `lock_current` (rank 3).
 
 pub struct Svc {
     state: State,
@@ -20,5 +22,12 @@ impl Svc {
         let entries = self.state.lock_entries();
         self.touch();
         drop(entries);
+    }
+
+    fn publish(&self) {
+        let current = self.state.lock_current();
+        let writer = self.state.lock_writer();
+        drop(writer);
+        drop(current);
     }
 }

@@ -1,5 +1,6 @@
 //! Storage half of the fixed panic-reachability fixture: the miss is
-//! propagated, not unwrapped.
+//! propagated, not unwrapped. The `expect` left in `fetch_or_abort` is
+//! not reachable from `execute`, so it is not a finding.
 
 pub fn fetch() -> Option<u32> {
     lookup()
@@ -7,4 +8,8 @@ pub fn fetch() -> Option<u32> {
 
 fn lookup() -> Option<u32> {
     None
+}
+
+pub fn fetch_or_abort() -> u32 {
+    lookup().expect("key present")
 }

@@ -1,5 +1,5 @@
 //! A stale allow directive: the panic it once masked is gone, so the
-//! full-stage run must flag the directive itself.
+//! analyzer must flag the directive itself.
 
 // analyze::allow(panic-reachability): stale — the unwrap this masked was removed
 pub fn tidy() {}

@@ -1,11 +1,11 @@
-//! Integration tests for the interprocedural (graph) stage: each
-//! fixture tree under `tests/fixtures/ipa/` is a miniature workspace —
-//! every `*_bad` tree trips exactly the pass it is named after, and the
-//! matching `*_good` tree (the same code with the fix applied) comes
-//! back clean, pinning both directions of every pass. The stale-allow
-//! tree pins the stage gating of `unused-allow`.
+//! Integration tests for the call-graph passes: each fixture tree under
+//! `tests/fixtures/ipa/` is a miniature workspace run through the full
+//! pipeline — every `*_bad` tree trips exactly the pass it is named
+//! after, and the matching `*_good` tree (the same code with the fix
+//! applied) comes back clean, pinning both directions of every pass.
+//! The stale-allow tree pins `unused-allow`.
 
-use atis_analyze::{check_workspace_stage, Stage};
+use atis_analyze::{check_workspace, Finding};
 use std::path::PathBuf;
 
 fn tree(name: &str) -> PathBuf {
@@ -14,10 +14,14 @@ fn tree(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Rule ids hit by the graph stage over the named fixture tree.
-fn graph_rules(name: &str) -> Vec<String> {
-    let mut rules: Vec<String> = check_workspace_stage(&tree(name), Stage::Graph)
-        .unwrap_or_else(|e| panic!("scan {name}: {e}"))
+/// Findings over the named fixture tree.
+fn check(name: &str) -> Vec<Finding> {
+    check_workspace(&tree(name)).unwrap_or_else(|e| panic!("scan {name}: {e}"))
+}
+
+/// Rule ids hit over the named fixture tree.
+fn rule_ids(name: &str) -> Vec<String> {
+    let mut rules: Vec<String> = check(name)
         .into_iter()
         .map(|f| f.rule.to_string())
         .collect();
@@ -28,34 +32,46 @@ fn graph_rules(name: &str) -> Vec<String> {
 
 #[test]
 fn lock_order_fixture_trips_and_its_fix_is_clean() {
-    assert_eq!(
-        graph_rules("lock_order_bad"),
-        ["lock-order-interprocedural"]
+    assert_eq!(rule_ids("lock_order_bad"), ["lock-order"]);
+    assert_eq!(rule_ids("lock_order_good"), [] as [&str; 0]);
+    // Both inversions are found: the writer lock taken directly under
+    // the snapshot slot, and the queue taken two calls below `drain`.
+    let findings = check("lock_order_bad");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.message.starts_with("`lock_writer` (rank 2)")),
+        "missing the direct inversion: {findings:?}"
     );
-    assert_eq!(graph_rules("lock_order_good"), [] as [&str; 0]);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.witness.iter().any(|w| w.contains("requeue"))),
+        "missing the call-chain inversion: {findings:?}"
+    );
 }
 
 #[test]
 fn metered_io_fixture_trips_and_its_fix_is_clean() {
-    assert_eq!(graph_rules("metered_io_bad"), ["metered-io-escape"]);
-    assert_eq!(graph_rules("metered_io_good"), [] as [&str; 0]);
+    assert_eq!(rule_ids("metered_io_bad"), ["metered-io-escape"]);
+    assert_eq!(rule_ids("metered_io_good"), [] as [&str; 0]);
 }
 
 #[test]
 fn panic_reach_fixture_trips_and_its_fix_is_clean() {
-    assert_eq!(graph_rules("panic_reach_bad"), ["panic-reachability"]);
-    assert_eq!(graph_rules("panic_reach_good"), [] as [&str; 0]);
+    assert_eq!(rule_ids("panic_reach_bad"), ["panic-reachability"]);
+    assert_eq!(rule_ids("panic_reach_good"), [] as [&str; 0]);
 }
 
 #[test]
 fn ladder_fixture_trips_and_its_fix_is_clean() {
-    assert_eq!(graph_rules("ladder_bad"), ["degrade-ladder-exhaustiveness"]);
-    assert_eq!(graph_rules("ladder_good"), [] as [&str; 0]);
+    assert_eq!(rule_ids("ladder_bad"), ["degrade-ladder-exhaustiveness"]);
+    assert_eq!(rule_ids("ladder_good"), [] as [&str; 0]);
 }
 
 #[test]
 fn findings_carry_call_chain_witnesses() {
-    let findings = check_workspace_stage(&tree("panic_reach_bad"), Stage::Graph).unwrap();
+    let findings = check("panic_reach_bad");
     let f = findings
         .iter()
         .find(|f| f.rule == "panic-reachability")
@@ -72,7 +88,7 @@ fn findings_carry_call_chain_witnesses() {
 
 #[test]
 fn ladder_finding_names_the_unmatched_variant() {
-    let findings = check_workspace_stage(&tree("ladder_bad"), Stage::Graph).unwrap();
+    let findings = check("ladder_bad");
     let f = findings
         .iter()
         .find(|f| f.rule == "degrade-ladder-exhaustiveness")
@@ -90,14 +106,6 @@ fn ladder_finding_names_the_unmatched_variant() {
 }
 
 #[test]
-fn stale_allows_are_findings_at_the_full_stage_only() {
-    let all: Vec<String> = check_workspace_stage(&tree("unused_allow"), Stage::All)
-        .unwrap()
-        .into_iter()
-        .map(|f| f.rule.to_string())
-        .collect();
-    assert_eq!(all, ["unused-allow"]);
-    // The graph stage alone cannot judge staleness (a directive may
-    // cover a lexical finding), so it stays silent.
-    assert_eq!(graph_rules("unused_allow"), [] as [&str; 0]);
+fn stale_allows_are_findings() {
+    assert_eq!(rule_ids("unused_allow"), ["unused-allow"]);
 }

@@ -1,11 +1,18 @@
 //! Integration tests for `atis-analyze`: each fixture under
 //! `tests/fixtures/` trips exactly the rule it is named after (checked
-//! under a scope-appropriate fake path, since rules dispatch on the file
-//! path), the allow-directive fixtures come back clean, the binary's
-//! exit codes match the contract, and the workspace at HEAD is clean.
+//! as a one-file workspace under a scope-appropriate fake path, since
+//! rules dispatch on the file path), the allow-directive fixtures come
+//! back clean (their directives count as used), the binary's exit codes
+//! match the contract, and the workspace at HEAD is clean.
 
-use atis_analyze::check_source;
+use atis_analyze::passes::lock_order;
+use atis_analyze::{check_files, Finding};
 use std::process::Command;
+
+/// Runs the full pipeline over `source` as the one file at `path`.
+fn check_one(path: &str, source: &str) -> Vec<Finding> {
+    check_files(&[(path.to_string(), source.to_string())])
+}
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}.rs", env!("CARGO_MANIFEST_DIR"));
@@ -14,7 +21,7 @@ fn fixture(name: &str) -> String {
 
 /// Checks `fixture` as if it lived at `as_path`; returns the rule ids.
 fn rules_hit(name: &str, as_path: &str) -> Vec<String> {
-    let mut rules: Vec<String> = check_source(as_path, &fixture(name))
+    let mut rules: Vec<String> = check_one(as_path, &fixture(name))
         .into_iter()
         .map(|f| f.rule.to_string())
         .collect();
@@ -46,7 +53,7 @@ fn fixture_trips_determinism_hash_iteration() {
         ["determinism-hash-iteration"]
     );
     // Both the `.iter()`/`.values()` calls and the `for … in` loop count.
-    let findings = check_source(ALGO_PATH, &fixture("determinism_hash_iteration"));
+    let findings = check_one(ALGO_PATH, &fixture("determinism_hash_iteration"));
     assert!(findings.len() >= 2, "expected both sites: {findings:?}");
 }
 
@@ -76,7 +83,7 @@ fn fixture_trips_metered_io_in_the_hierarchy_crate() {
 #[test]
 fn fixture_trips_panic_hygiene() {
     assert_eq!(rules_hit("panic_hygiene", SERVE_PATH), ["panic-hygiene"]);
-    let findings = check_source(SERVE_PATH, &fixture("panic_hygiene"));
+    let findings = check_one(SERVE_PATH, &fixture("panic_hygiene"));
     // unwrap, expect, panic!, and two index expressions.
     assert!(findings.len() >= 4, "expected all sites: {findings:?}");
 }
@@ -86,13 +93,13 @@ fn fixture_trips_serve_outcome() {
     assert_eq!(rules_hit("serve_outcome", SERVE_PATH), ["serve-outcome"]);
     // Exactly one finding: the classified literal and the `..`
     // destructuring pattern must both pass.
-    let findings = check_source(SERVE_PATH, &fixture("serve_outcome"));
+    let findings = check_one(SERVE_PATH, &fixture("serve_outcome"));
     assert_eq!(findings.len(), 1, "{findings:?}");
 }
 
 #[test]
 fn fixture_trips_non_exhaustive_errors() {
-    let findings = check_source(ALGO_PATH, &fixture("non_exhaustive_errors"));
+    let findings = check_one(ALGO_PATH, &fixture("non_exhaustive_errors"));
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, "non-exhaustive-errors");
     assert!(
@@ -109,23 +116,25 @@ fn fixture_trips_lock_discipline() {
 
 #[test]
 fn fixture_trips_lock_order() {
-    assert_eq!(rules_hit("lock_order", SERVE_PATH), ["lock-order"]);
+    // A direct inversion inside one function: the call-graph pass owns
+    // lock order, so this is its rule id.
+    assert_eq!(rules_hit("lock_order", SERVE_PATH), [lock_order::ID]);
 }
 
 #[test]
 fn scope_gates_the_rules() {
     // The same violating source outside its rule's scope: no findings.
     let outside = "crates/obs/src/fixture.rs";
-    assert!(check_source(outside, &fixture("determinism_wall_clock")).is_empty());
-    assert!(check_source(outside, &fixture("panic_hygiene")).is_empty());
-    assert!(check_source(outside, &fixture("lock_discipline")).is_empty());
-    assert!(check_source(outside, &fixture("serve_outcome")).is_empty());
+    assert!(check_one(outside, &fixture("determinism_wall_clock")).is_empty());
+    assert!(check_one(outside, &fixture("panic_hygiene")).is_empty());
+    assert!(check_one(outside, &fixture("lock_discipline")).is_empty());
+    assert!(check_one(outside, &fixture("serve_outcome")).is_empty());
 }
 
 #[test]
 fn allow_directives_suppress_findings() {
-    assert!(check_source(ALGO_PATH, &fixture("allowed_line")).is_empty());
-    assert!(check_source(ALGO_PATH, &fixture("allowed_file")).is_empty());
+    assert!(check_one(ALGO_PATH, &fixture("allowed_line")).is_empty());
+    assert!(check_one(ALGO_PATH, &fixture("allowed_file")).is_empty());
 }
 
 #[test]
@@ -138,7 +147,7 @@ fn test_code_is_exempt() {
             fn timing() { let _ = Instant::now(); }
         }
     "#;
-    assert!(check_source(ALGO_PATH, src).is_empty());
+    assert!(check_one(ALGO_PATH, src).is_empty());
 }
 
 // --- the binary's exit-code contract ---------------------------------------

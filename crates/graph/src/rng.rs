@@ -6,6 +6,18 @@
 //! determines an experiment. We deliberately avoid depending on `rand` in
 //! library code; `rand` is used only in dev-dependencies where convenient.
 
+/// The SplitMix64 output function: `x` advanced by the golden-ratio
+/// increment, then finalised. Also the workspace's one stateless mixer —
+/// fault-injection decision streams, relation tie-break hashes and the
+/// chaos harness all hash through it.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64 (Steele, Lea, Flood 2014): a tiny, high-quality, seedable
 /// 64-bit generator. Not cryptographic; exactly what a benchmark generator
 /// needs.
@@ -22,11 +34,9 @@ impl SplitMix64 {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
+        let z = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform `f64` in `[0, 1)`, using the top 53 bits.

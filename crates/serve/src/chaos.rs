@@ -40,6 +40,7 @@ use atis_algorithms::ladder::{self, Needs};
 use atis_algorithms::{
     AlgorithmError, Database, Hierarchy, HierarchyConfig, LandmarkTables, PreprocessConfig,
 };
+use atis_graph::rng::splitmix64;
 use atis_graph::{CostModel, Graph, Grid, NodeId, Path};
 use atis_storage::FaultPlan;
 use std::sync::Arc;
@@ -205,14 +206,6 @@ impl ChaosReport {
         }
         Ok(())
     }
-}
-
-/// `splitmix64`: the workspace's standard deterministic mixer.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A tiny deterministic stream over `splitmix64`.

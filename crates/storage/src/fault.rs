@@ -35,6 +35,7 @@
 //! `attach_faults` is called.
 
 use crate::error::StorageError;
+use atis_graph::rng::splitmix64;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -42,16 +43,6 @@ use std::time::Duration;
 /// index probes are distinguishable from heap-block events in a
 /// [`FaultState::log`].
 pub const INDEX_BLOCK_BASE: usize = 1 << 32;
-
-/// splitmix64 — the same finaliser the graph generators use; good enough
-/// to decorrelate the per-op decision streams.
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Deterministic Bernoulli draw for op `counter` on decision `stream`.
 fn decide(seed: u64, stream: u64, counter: u64, p: f64) -> bool {

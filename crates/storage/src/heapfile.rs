@@ -30,9 +30,9 @@
 //! carrying its own buffer-pool file id. Logically nothing changes — slot
 //! addressing, scans and charging are identical to the single-file layout
 //! — but the buffer pool now sees one *file* per segment, which is what
-//! the region-aware eviction policy (see [`crate::buffer`]) keys on, and
-//! the [`crate::segment::SegmentDirectory`] describes the resulting
-//! on-disk layout. The default [`HeapFile::create`] is the degenerate
+//! the region-aware eviction policy (see [`crate::buffer`]) keys on;
+//! [`HeapFile::segment_count`] and [`HeapFile::segment_blocks`] describe
+//! the resulting layout. The default [`HeapFile::create`] is the degenerate
 //! single-segment configuration and behaves bit-identically to the
 //! pre-segmentation engine.
 
@@ -41,7 +41,6 @@ use crate::buffer::{next_file_id, SharedBuffer};
 use crate::error::StorageError;
 use crate::fault::{self, SharedFaults, WriteMode};
 use crate::io::IoStats;
-use crate::segment::{SegmentDirectory, SegmentInfo};
 use crate::tuple::FixedTuple;
 use atis_graph::grouped::Sharing;
 use std::collections::BTreeSet;
@@ -99,7 +98,7 @@ impl<T: FixedTuple> HeapFile<T> {
     /// Creates an empty heap file split into segments of `segment_blocks`
     /// blocks, each with its own buffer-pool file id (see the
     /// [module docs](self)). Charges the relation-creation cost `I` once —
-    /// the segment directory is metadata of one relation, not extra
+    /// segments are the physical layout of one relation, not extra
     /// relations.
     ///
     /// # Errors
@@ -132,35 +131,6 @@ impl<T: FixedTuple> HeapFile<T> {
     /// Blocks per segment (`usize::MAX` for the unsegmented layout).
     pub fn segment_blocks(&self) -> usize {
         self.segment_blocks
-    }
-
-    /// Describes the on-disk layout: one [`SegmentInfo`] per segment.
-    pub fn segment_directory(&self) -> SegmentDirectory {
-        let per_block = Self::TUPLES_PER_BLOCK;
-        let segments = (0..self.segment_count())
-            .map(|i| {
-                let first_block = (i * self.segment_blocks).min(self.blocks.len());
-                let blocks = self
-                    .blocks
-                    .len()
-                    .saturating_sub(first_block)
-                    .min(self.segment_blocks);
-                let first_slot = first_block * per_block;
-                let tuples = self.len.saturating_sub(first_slot).min(blocks * per_block);
-                SegmentInfo {
-                    index: i,
-                    file_id: self.file_ids[i],
-                    first_block,
-                    blocks,
-                    tuples,
-                }
-            })
-            .collect();
-        SegmentDirectory {
-            segment_blocks: self.segment_blocks,
-            block_bytes: BLOCK_SIZE,
-            segments,
-        }
     }
 
     /// Attaches a shared buffer pool: subsequent block *reads* that hit
@@ -840,23 +810,22 @@ mod tests {
     }
 
     #[test]
-    fn segment_directory_accounts_for_every_block_and_tuple() {
+    fn segments_cover_every_block() {
         let mut io = IoStats::new();
         let mut f: HeapFile<EdgeTuple> = HeapFile::create_segmented(2, &mut io).unwrap();
+        assert_eq!(f.segment_count(), 1, "an empty file is one segment");
         for i in 0..600 {
             // 600 tuples at 128/block -> 5 blocks -> 3 segments (2+2+1).
             f.append(&edge(i, i, 1.0));
         }
         f.flush(&mut io).unwrap();
-        let dir = f.segment_directory();
-        assert_eq!(dir.segments.len(), 3);
-        assert_eq!(f.segment_count(), 3);
-        assert_eq!(dir.total_blocks(), 5);
-        assert_eq!(dir.total_tuples(), 600);
-        assert_eq!(dir.segments[2].blocks, 1);
-        assert_eq!(dir.segments[1].first_block, 2);
+        assert_eq!(
+            (f.segment_count(), f.segment_blocks(), f.block_count()),
+            (3, 2, 5)
+        );
+        assert_eq!(f.len(), 600);
         // Distinct buffer file ids per segment.
-        assert_ne!(dir.segments[0].file_id, dir.segments[1].file_id);
+        assert_ne!(f.block_address(1).0, f.block_address(2).0);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   exactly the blocking factors of Table 4A.
 //! * [`error`] — [`StorageError`], the engine's one error type.
 //! * [`heapfile`] — paged heap files with per-block read/write charging and
-//!   dirty-page flushing.
+//!   dirty-page flushing, optionally split into fixed-size segments (one
+//!   buffer-pool file each), the layout metro-scale relations load
+//!   through (see `SCALING.md`).
 //! * [`io`] — the I/O meter ([`IoStats`]) and the unit-cost table
 //!   ([`CostParams`], Table 4A) that converts counts to the paper's cost
 //!   units.
@@ -33,8 +35,6 @@
 //!   version 1), and [`MultiRelation`], the allow-duplicates frontier.
 //! * [`buffer`] — the optional block-granular [`BufferPool`] (LRU or
 //!   region-aware eviction) and its [`CapacityPreset`] sizes.
-//! * [`segment`] — the segment directory for multi-file heap segments, the
-//!   layout metro-scale relations load through (see `SCALING.md`).
 //! * [`profile`] — [`StorageProfile`]: named knob bundles (segmentation ×
 //!   buffer capacity × eviction policy) per network scale.
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]): seeded
@@ -65,7 +65,6 @@ pub mod isam;
 pub mod join;
 pub mod profile;
 pub mod relations;
-pub mod segment;
 pub mod temp;
 pub mod tuple;
 
@@ -78,6 +77,5 @@ pub use isam::IsamIndex;
 pub use join::{choose_strategy, join_adjacency, JoinPolicy, JoinStrategy};
 pub use profile::StorageProfile;
 pub use relations::{EdgeRelation, NodeRelation, NodeStatus};
-pub use segment::{SegmentDirectory, SegmentInfo};
 pub use temp::{MultiRelation, TempRelation};
 pub use tuple::{EdgeTuple, FixedTuple, NodeTuple, MAX_NODE_ID, NO_PRED};

@@ -17,7 +17,6 @@ use crate::error::StorageError;
 use crate::heapfile::HeapFile;
 use crate::io::IoStats;
 use crate::isam::IsamIndex;
-use crate::segment::SegmentDirectory;
 use crate::tuple::{EdgeTuple, NodeTuple, MAX_NODE_ID};
 use atis_graph::grouped::Sharing;
 use atis_graph::{Graph, NodeId, RoadClass};
@@ -97,7 +96,7 @@ impl EdgeRelation {
     }
 
     /// Loads a graph's edges into a **segmented** heap file of
-    /// `segment_blocks` blocks per segment (see [`crate::segment`]),
+    /// `segment_blocks` blocks per segment (see [`crate::heapfile`]),
     /// flushing incrementally whenever a segment fills — the streaming
     /// load path for metro-scale graphs, where staging the whole relation
     /// dirty before one big flush would defeat the layout. Charging is
@@ -168,9 +167,10 @@ impl EdgeRelation {
         })
     }
 
-    /// The on-disk layout of `S` (one segment for unsegmented loads).
-    pub fn segment_directory(&self) -> SegmentDirectory {
-        self.heap.segment_directory()
+    /// The heap file holding `S`, for its physical layout (segments,
+    /// blocks).
+    pub fn heap(&self) -> &HeapFile<EdgeTuple> {
+        &self.heap
     }
 
     /// Attaches a buffer pool to `S` (an extension; see [`crate::buffer`]).
@@ -371,7 +371,7 @@ impl NodeRelation {
 
     /// [`NodeRelation::load`] into a segmented heap file, flushing
     /// incrementally per segment (the streaming metro-scale load path;
-    /// see [`crate::segment`]). Charging is identical to the unsegmented
+    /// see [`crate::heapfile`]). Charging is identical to the unsegmented
     /// load.
     ///
     /// # Errors
@@ -417,11 +417,6 @@ impl NodeRelation {
         heap.flush(io)?; // C2 write side: B_r writes in total
         let isam = IsamIndex::build(n, heap.block_count(), Some(isam_levels), io); // C3
         Ok(NodeRelation { heap, isam })
-    }
-
-    /// The on-disk layout of `R` (one segment for unsegmented loads).
-    pub fn segment_directory(&self) -> SegmentDirectory {
-        self.heap.segment_directory()
     }
 
     /// Attaches a buffer pool to `R` (an extension; see [`crate::buffer`]).
@@ -605,10 +600,7 @@ impl NodeRelation {
 /// Deterministic tie-break hash (splitmix64 finaliser).
 #[inline]
 pub(crate) fn tie_hash(id: u32) -> u64 {
-    let mut z = (id as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    atis_graph::rng::splitmix64(id as u64)
 }
 
 #[cfg(test)]

@@ -77,7 +77,7 @@ fn oversized_graph_is_rejected_at_the_capacity_boundary() {
 fn every_budget_kind_fires_and_displays() {
     let grid = Grid::new(8, CostModel::TWENTY_PERCENT, 2).unwrap();
     let (s, d) = grid.query_pair(QueryKind::Diagonal);
-    let cases: [(Budgets, &str); 3] = [
+    let cases: [(Budgets, &str); 2] = [
         (
             Budgets::unlimited().with_max_iterations(1),
             "iteration budget exceeded",
@@ -85,10 +85,6 @@ fn every_budget_kind_fires_and_displays() {
         (
             Budgets::unlimited().with_max_cost_units(0.5),
             "cost-unit budget exceeded",
-        ),
-        (
-            Budgets::unlimited().with_deadline(std::time::Duration::ZERO),
-            "wall-clock budget exceeded",
         ),
     ];
     for (budgets, display) in cases {
@@ -115,8 +111,7 @@ fn generous_budgets_change_nothing() {
         .with_budgets(
             Budgets::unlimited()
                 .with_max_iterations(1_000_000)
-                .with_max_cost_units(1e12)
-                .with_deadline(std::time::Duration::from_secs(3600)),
+                .with_max_cost_units(1e12),
         )
         .run(Algorithm::Dijkstra, s, d)
         .unwrap();

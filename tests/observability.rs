@@ -13,7 +13,7 @@ use atis::obs::{
     best_first_report, iterative_report, IterationPhase, JsonlSink, MetricsRegistry, RingSink,
     StepIo, TraceEvent,
 };
-use atis::storage::{FaultPlan, IoStats};
+use atis::storage::{FaultPlan, IoStats, StorageProfile};
 use atis::{CostModel, Grid, NodeId, QueryKind};
 use std::sync::Arc;
 
@@ -310,6 +310,26 @@ fn metrics_aggregate_across_runs() {
         ),
         (overlay.arc_count() as u64, overlay.build_report().triangles)
     );
+    // The layout gauges of `S`: segment count, blocks per segment, total
+    // blocks and bytes — for the paper's single heap file (224 arcs, two
+    // blocks) and for a segmented 30x30 grid (3480 arcs, 28 blocks in
+    // four 8-block segments).
+    let layout = |m: &MetricsRegistry| {
+        [
+            "storage_segment_count",
+            "storage_segment_blocks",
+            "storage_blocks",
+            "storage_bytes",
+        ]
+        .map(|g| m.gauge(g))
+    };
+    assert_eq!(layout(&metrics), [1, 2, 2, 2 * 4096]);
+    let grid30 = Grid::new(30, CostModel::TWENTY_PERCENT, 1993).unwrap();
+    let segmented = MetricsRegistry::shared();
+    let _db = Database::open_with_profile(grid30.graph(), StorageProfile::for_nodes(900))
+        .unwrap()
+        .with_metrics(segmented.clone());
+    assert_eq!(layout(&segmented), [4, 8, 28, 28 * 4096]);
 }
 
 /// The report module reproduces the paper's validation claim on live
