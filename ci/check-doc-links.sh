@@ -14,8 +14,9 @@ fail=0
 docs=$(git ls-files '*.md' | grep -v '^\.claude/' | grep -vx 'ISSUE.md')
 
 # Checks 1-2 also skip ROADMAP.md: like the task file excluded above, it
-# names files a change is asked to delete.
-for doc in $(echo "$docs" | grep -vx 'ROADMAP.md'); do
+# names files a change is asked to delete. CHANGES.md, the session log,
+# names files earlier changes deleted, so it is skipped too.
+for doc in $(echo "$docs" | grep -vx 'ROADMAP.md\|CHANGES.md'); do
     dir=$(dirname "$doc")
 
     # 1. Explicit markdown links [text](target) with a relative target.
@@ -320,6 +321,42 @@ if [ -f "$events" ] && [ -f OBSERVABILITY.md ]; then
     for t in $emitted; do
         if ! echo "$documented" | grep -qx "$t"; then
             echo "UNDOCUMENTED EVENT: $events renders \"$t\", which OBSERVABILITY.md's event taxonomy does not list"
+            fail=1
+        fi
+    done
+fi
+
+# 11. Clippy-config drift: the table in ANALYSIS.md's "Clippy
+#     configuration" section must name exactly the `path = "…"` entries
+#     of the crate clippy.toml files, both ways (`clippy::` lint names in
+#     the table are not paths). The costmodel, hierarchy and preprocess
+#     configs must be symlinks to the algorithms one, so the determinism
+#     scope has one source of truth.
+configs=$(ls crates/*/clippy.toml 2>/dev/null) || true
+if [ -n "$configs" ]; then
+    configured=$(cat $configs | grep -o 'path = "[^"]*"' | sed 's/path = "\(.*\)"/\1/' | sort -u)
+    tabled=$(awk '/^## /{ on = ($0 == "## Clippy configuration") } on && /^\| /' ANALYSIS.md \
+        | grep -o '`[A-Za-z_][A-Za-z0-9_]*::[A-Za-z0-9_:]*`' | tr -d '`' | grep -v '^clippy::' | sort -u) || true
+    if [ -z "$tabled" ]; then
+        echo "CLIPPY CONFIG: ANALYSIS.md's Clippy configuration table names no path"
+        fail=1
+    fi
+    for path in $configured; do
+        if ! echo "$tabled" | grep -qx "$path"; then
+            echo "CLIPPY CONFIG: $path is configured in a crate clippy.toml but missing from ANALYSIS.md's Clippy table"
+            fail=1
+        fi
+    done
+    for path in $tabled; do
+        if ! echo "$configured" | grep -qx "$path"; then
+            echo "CLIPPY CONFIG: ANALYSIS.md's Clippy table names $path, which no crate clippy.toml configures"
+            fail=1
+        fi
+    done
+    for crate in costmodel hierarchy preprocess; do
+        link=crates/$crate/clippy.toml
+        if [ ! -L "$link" ] || [ "$(readlink "$link")" != ../algorithms/clippy.toml ]; then
+            echo "CLIPPY CONFIG: $link is not a symlink to crates/algorithms/clippy.toml"
             fail=1
         fi
     done

@@ -28,7 +28,10 @@ use atis_obs::IterationPhase;
 use atis_storage::block::BLOCK_SIZE;
 use atis_storage::IoStats;
 use std::collections::BinaryHeap;
-// analyze::allow(determinism-wall-clock): wall_ms is trace reporting metadata, never an algorithm input
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall_ms is trace reporting metadata, never an algorithm input"
+)]
 use std::time::Instant;
 
 /// No predecessor recorded (source of a search, or unreached).
@@ -73,7 +76,10 @@ pub(crate) fn run(
     d: NodeId,
     budgets: Budgets,
 ) -> Result<RunTrace, AlgorithmError> {
-    // analyze::allow(determinism-wall-clock): wall_ms is trace reporting metadata, never an algorithm input
+    #[expect(
+        clippy::disallowed_types,
+        reason = "wall_ms is trace reporting metadata, never an algorithm input"
+    )]
     let wall_start = Instant::now();
     let hierarchy = db.hierarchy_for()?;
     let label = crate::astar::AStarVersion::V5.label().to_string();

@@ -23,7 +23,10 @@ use atis_graph::{NodeId, Path};
 use atis_obs::IterationPhase;
 use atis_storage::{join_adjacency, IoStats, JoinStrategy, NodeStatus, NO_PRED};
 use std::collections::HashMap;
-// analyze::allow(determinism-wall-clock): wall_ms is trace reporting metadata, never an algorithm input
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall_ms is trace reporting metadata, never an algorithm input"
+)]
 use std::time::Instant;
 
 /// Runs the iterative algorithm from `s` to `d` under `budgets`.
@@ -33,7 +36,10 @@ pub fn run(
     d: NodeId,
     budgets: Budgets,
 ) -> Result<RunTrace, AlgorithmError> {
-    // analyze::allow(determinism-wall-clock): wall_ms is trace reporting metadata, never an algorithm input
+    #[expect(
+        clippy::disallowed_types,
+        reason = "wall_ms is trace reporting metadata, never an algorithm input"
+    )]
     let wall_start = Instant::now();
     let mut io = IoStats::new();
     let mut steps = StepBreakdown::default();

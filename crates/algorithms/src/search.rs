@@ -30,7 +30,10 @@ use atis_storage::{
     join_adjacency, IoStats, MultiRelation, NodeRelation, NodeStatus, NodeTuple, StorageError,
     TempRelation, NO_PRED,
 };
-// analyze::allow(determinism-wall-clock): wall_ms is trace reporting metadata, never an algorithm input
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall_ms is trace reporting metadata, never an algorithm input"
+)]
 use std::time::Instant;
 
 /// What a best-first run is, beyond its frontier representation.
@@ -457,7 +460,10 @@ pub(crate) fn best_first<F: Frontier>(
     spec: Spec,
     budgets: Budgets,
 ) -> Result<RunTrace, AlgorithmError> {
-    // analyze::allow(determinism-wall-clock): wall_ms is trace reporting metadata, never an algorithm input
+    #[expect(
+        clippy::disallowed_types,
+        reason = "wall_ms is trace reporting metadata, never an algorithm input"
+    )]
     let wall_start = Instant::now();
     let mut io = IoStats::new();
     let mut steps = StepBreakdown::default();

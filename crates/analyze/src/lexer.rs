@@ -407,20 +407,20 @@ mod tests {
 
     #[test]
     fn allow_directives_cover_their_line_and_the_next() {
-        let src = "// analyze::allow(determinism-wall-clock): trace metadata\nlet t = Instant::now();\nlet u = Instant::now();";
+        let src = "// analyze::allow(panic-reachability): invariant\nlet t = x.unwrap();\nlet u = y.unwrap();";
         let (_, allows) = lex(src);
-        assert!(allows.covers("determinism-wall-clock", 1));
-        assert!(allows.covers("determinism-wall-clock", 2));
-        assert!(!allows.covers("determinism-wall-clock", 3));
+        assert!(allows.covers("panic-reachability", 1));
+        assert!(allows.covers("panic-reachability", 2));
+        assert!(!allows.covers("panic-reachability", 3));
         assert!(!allows.covers("other-rule", 2));
     }
 
     #[test]
     fn unmatched_directives_are_reported_unused() {
-        let src = "// analyze::allow(panic-hygiene): stale\n// analyze::allow(lock-order)\nx;";
+        let src = "// analyze::allow(metered-io-escape): stale\n// analyze::allow(lock-order)\nx;";
         let (_, allows) = lex(src);
         assert!(allows.covers("lock-order", 3));
-        assert_eq!(allows.unused(), vec![("panic-hygiene".to_string(), 1)]);
+        assert_eq!(allows.unused(), vec![("metered-io-escape".to_string(), 1)]);
     }
 
     #[test]
@@ -434,9 +434,10 @@ mod tests {
 
     #[test]
     fn allow_file_covers_everything_and_lists_split() {
-        let src = "// analyze::allow-file(panic-hygiene): fixture\n// analyze::allow(a, b)\nx;";
+        let src =
+            "// analyze::allow-file(non-exhaustive-errors): fixture\n// analyze::allow(a, b)\nx;";
         let (_, allows) = lex(src);
-        assert!(allows.covers("panic-hygiene", 999));
+        assert!(allows.covers("non-exhaustive-errors", 999));
         assert!(allows.covers("a", 2) && allows.covers("b", 3));
     }
 }

@@ -1,10 +1,12 @@
 //! # atis-analyze — the workspace invariant analyzer
 //!
-//! Repo-specific conventions — bit-determinism of the algorithm crates,
-//! the `IoStats` metering choke point, panic hygiene on the serving
-//! path, and the serve crate's lock discipline — were enforced only by
-//! review until this crate existed. `atis-analyze` turns them into
-//! machine-checked rules that run at `cargo` time:
+//! Repo-specific conventions that Clippy cannot check — public error
+//! enums stay `#[non_exhaustive]`, the serve crate's locks are taken in
+//! rank order, raw I/O never escapes the `IoStats` metering choke point,
+//! no panic site is reachable from the serving roots, and every error
+//! variant meets the degrade ladder — are checked here. (Determinism,
+//! direct filesystem access, serving panics and raw locking are Clippy
+//! configuration: see `ANALYSIS.md`.)
 //!
 //! ```sh
 //! cargo run -p atis-analyze -- check             # exit 1 + findings on stderr
@@ -17,7 +19,7 @@
 //!
 //! * A hand-rolled Rust tokenizer ([`lexer`], standing in for `syn`,
 //!   which the offline build cannot fetch) feeds the per-file token
-//!   rules ([`rules`]).
+//!   rule ([`rules`]).
 //! * An item-level parser ([`parser`]) recovers `fn`/`impl` items and
 //!   brace-matched bodies from the same tokens, a resolved cross-crate
 //!   call graph ([`graph`]) links them, and the graph passes
@@ -53,7 +55,7 @@ pub use rules::{Finding, RULES};
 use std::io;
 use std::path::Path;
 
-/// Runs the token rules, the graph passes and unused-allow detection
+/// Runs the token rule, the graph passes and unused-allow detection
 /// over an in-memory file set of `(repo-relative path, source)` pairs
 /// (the path determines rule scoping) and returns unsuppressed findings
 /// sorted by `(path, line, rule)`.

@@ -1,6 +1,6 @@
 //! A dependency-free item-level parser over the lexed token stream.
 //!
-//! The lexical rules in [`crate::rules`] treat a file as a flat token
+//! The token rule in [`crate::rules`] treats a file as a flat token
 //! soup; the interprocedural passes in [`crate::passes`] need *items*:
 //! which function a token belongs to, which `impl` block a method lives
 //! in, where a body starts and ends. This module recovers exactly that

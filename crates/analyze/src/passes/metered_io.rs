@@ -1,11 +1,11 @@
 //! Metered-I/O escape analysis.
 //!
 //! The paper's cost tables are only honest if every block access on a
-//! query path is charged through the `IoStats` choke point. The lexical
-//! `metered-io` rule bans raw `std::fs` in the algorithm crates; this
-//! pass checks the *reachability* claim instead: starting from the
-//! serving/algorithm entry points, every path must reach raw access
-//! only **through** a charging wrapper.
+//! query path is charged through the `IoStats` choke point. Clippy's
+//! `disallowed-types` / `disallowed-methods` ban raw `std::fs` in the
+//! algorithm crates; this pass checks the *reachability* claim instead:
+//! starting from the serving/algorithm entry points, every path must
+//! reach raw access only **through** a charging wrapper.
 //!
 //! * **Raw access** — real-filesystem tokens (`std::fs`, `File::open`/
 //!   `create`/`options`, `OpenOptions`) or a `.peek_slot(…)` call (the

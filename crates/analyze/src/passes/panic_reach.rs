@@ -1,19 +1,20 @@
 //! Panic reachability from the serving roots.
 //!
-//! The lexical `panic-hygiene` rule bans panic sites *lexically* inside
-//! `crates/serve` and `examples/route_server.rs`. But the worker loop
-//! calls into storage, algorithms, and the planner — an `unwrap()` three
-//! crates down still aborts the server on a client request. This pass
-//! computes the transitive closure of panic sites reachable from
+//! Clippy's `unwrap_used` / `expect_used` / `panic` / `unreachable` /
+//! `indexing_slicing`, warned on in `crates/serve` and
+//! `examples/route_server.rs`, ban panic sites there. But the worker
+//! loop calls into storage, algorithms, and the planner — an `unwrap()`
+//! three crates down still aborts the server on a client request. This
+//! pass computes the transitive closure of panic sites reachable from
 //! `worker_loop` / `execute` / the route_server accept loop.
 //!
 //! Site definition, per reachable function:
 //!
 //! * `.unwrap(` / `.expect(` method calls and `panic!` / `unreachable!`
 //!   / `todo!` / `unimplemented!` macros — in any crate *except* the
-//!   serve scope, which the (stricter, whole-file) lexical rule already
-//!   owns; double-reporting there would force every existing allow to
-//!   carry two rule ids.
+//!   serve scope, which those (stricter, whole-file) Clippy lints
+//!   already own; double-reporting there would force every site to
+//!   carry both an `#[expect]` and an allow directive.
 //! * Slice/array indexing — only in `crates/core/src/` (the planner
 //!   orchestration layer). The algorithm/storage kernels index dense
 //!   arrays pervasively with lengths they construct themselves; flagging
@@ -30,7 +31,7 @@ use std::collections::BTreeSet;
 /// Stable rule identifier (allow-directive key).
 pub const ID: &str = "panic-reachability";
 
-/// Whether the lexical `panic-hygiene` rule already owns this file.
+/// Whether the serving scope's Clippy panic lints already own this file.
 fn in_serve_scope(path: &str) -> bool {
     path.starts_with("crates/serve/src/") || path == "examples/route_server.rs"
 }

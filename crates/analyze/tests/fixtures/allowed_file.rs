@@ -1,11 +1,10 @@
-// analyze::allow-file(determinism-rng)
-// Fixture: two determinism-rng violations suppressed by one file-level
-// directive — the linter must report nothing. Never compiled.
-pub fn jitter() -> f64 {
-    rand::thread_rng().gen()
+// analyze::allow-file(non-exhaustive-errors)
+// Fixture: two non-exhaustive-errors violations suppressed by one
+// file-level directive — the linter must report nothing. Never compiled.
+pub enum ParseError {
+    Empty,
 }
 
-pub fn seed() -> u64 {
-    let rng = SmallRng::from_entropy();
-    rng.next_u64()
+pub enum ReplyError {
+    Closed,
 }

@@ -1,7 +1,6 @@
-// Fixture: a determinism-wall-clock violation suppressed by a line
+// Fixture: a non-exhaustive-errors violation suppressed by a line
 // directive — the linter must report nothing. Never compiled.
-pub fn stamp() -> std::time::Duration {
-    // analyze::allow(determinism-wall-clock): fixture exercising the line-level escape hatch
-    let t0 = std::time::Instant::now();
-    t0.elapsed()
+// analyze::allow(non-exhaustive-errors): fixture exercising the line-level escape hatch
+pub enum WireError {
+    Closed,
 }

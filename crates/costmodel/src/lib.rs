@@ -37,6 +37,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod device;
 pub mod dijkstra_astar_model;

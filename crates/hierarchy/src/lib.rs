@@ -45,6 +45,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod error;
 mod order;
@@ -166,7 +167,10 @@ impl Hierarchy {
         // One sequential scan of R and S to learn structure and costs.
         io.read_blocks(relation_blocks(graph));
 
-        // analyze::allow(determinism-wall-clock): pass wall times are BuildReport metadata, never an input to the overlay
+        #[expect(
+            clippy::disallowed_types,
+            reason = "pass wall times are BuildReport metadata, never an input to the overlay"
+        )]
         let clock = std::time::Instant::now;
         let mut pass = clock();
         let mut lap = || {
@@ -419,7 +423,7 @@ mod tests {
         dist[s.index()] = 0.0;
         heap.push((std::cmp::Reverse(ordered(0.0)), s.0));
         while let Some((std::cmp::Reverse(d), u)) = heap.pop() {
-            let d = f64::from_bits(d.0);
+            let d = f64::from_bits(d);
             if d > dist[u as usize] {
                 continue;
             }
@@ -435,12 +439,9 @@ mod tests {
     }
 
     /// Order-preserving bit key for non-negative finite f64s.
-    fn ordered(x: f64) -> OrderedBits {
-        OrderedBits(x.to_bits())
+    fn ordered(x: f64) -> u64 {
+        x.to_bits()
     }
-
-    #[derive(PartialEq, Eq, PartialOrd, Ord)]
-    struct OrderedBits(u64);
 
     /// Plain in-memory Dijkstra distance, the oracle of this crate's
     /// tests (`overlay`'s included).
@@ -451,7 +452,7 @@ mod tests {
         dist[s.index()] = 0.0;
         heap.push((std::cmp::Reverse(ordered(0.0)), s.0));
         while let Some((std::cmp::Reverse(d), u)) = heap.pop() {
-            let d = f64::from_bits(d.0);
+            let d = f64::from_bits(d);
             if d > dist[u as usize] {
                 continue;
             }

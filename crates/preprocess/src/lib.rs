@@ -45,6 +45,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod error;
 pub mod select;

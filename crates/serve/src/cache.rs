@@ -347,6 +347,10 @@ impl RouteCache {
         let mut promoted = 0u64;
         let swept = std::mem::take(&mut inner.map);
         let mut retired: Vec<((u32, u32), CachedRoute)> = Vec::new();
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "each entry's fate depends on that entry alone, and `retired` is sorted below"
+        )]
         for (key, mut entry) in swept {
             // How far the entry's touched stamps trail this install.
             let behind = entry
@@ -379,6 +383,10 @@ impl RouteCache {
                 inner.map.insert(key, entry);
             }
         }
+        // `retire` evicts against the tier as it stands, so the tier's
+        // content depends on the order: retire in key order, not in the
+        // per-instance hash order the sweep visited.
+        retired.sort_unstable_by_key(|&(key, _)| key);
         for (key, route) in retired {
             self.retire(&mut inner, key, route);
         }
@@ -607,6 +615,48 @@ mod tests {
         );
         assert!(cache.lookup_stale(NodeId(4), NodeId(5), 3, 8).is_some());
         assert!(cache.lookup_stale(NodeId(6), NodeId(7), 3, 8).is_some());
+    }
+
+    #[test]
+    fn stale_tier_content_does_not_depend_on_hash_order() {
+        // X = (10,11) and Y = (12,13) fill the tier at epoch 2; then one
+        // decrease retires A = (0,1) (epoch 0, shard 1) and B = (2,3)
+        // (epoch 4, shard 0). Retiring A first
+        // evicts X, then B evicts A: the tier is {Y, B}. Retiring B
+        // first evicts X, then A evicts Y: {A, B}. Every fresh cache
+        // (each with its own hash seed) must land on the same tier.
+        let keys = [(0, 1), (2, 3), (10, 11), (12, 13)];
+        let tier = || {
+            let cache = RouteCache::new(2);
+            for (from, to) in [(10, 11), (12, 13)] {
+                cache.insert_stamped(
+                    NodeId(from),
+                    NodeId(to),
+                    route(&[from, to], 5.0, 2),
+                    vec![(0, 1)],
+                );
+            }
+            // An increase installs shard 0 at version 3: both are two
+            // versions behind, so both retire as stale.
+            cache.apply_shard_update(NodeId(98), NodeId(99), 1.0, 9.0, &[0], &vector(3, &[3]));
+            cache.insert_stamped(NodeId(0), NodeId(1), route(&[0, 1], 5.0, 0), vec![(1, 0)]);
+            cache.insert_stamped(NodeId(2), NodeId(3), route(&[2, 3], 5.0, 4), vec![(0, 3)]);
+            let v = vector(5, &[4, 1]);
+            let swept = cache.apply_shard_update(NodeId(98), NodeId(99), 9.0, 0.5, &[0, 1], &v);
+            assert_eq!(swept, (2, 0), "the decrease retires A and B");
+            keys.into_iter()
+                .filter(|&(from, to)| {
+                    cache
+                        .lookup_stale(NodeId(from), NodeId(to), 5, u64::MAX)
+                        .is_some()
+                })
+                .collect::<Vec<_>>()
+        };
+        let first = tier();
+        assert_eq!(first.len(), 2);
+        for _ in 1..32 {
+            assert_eq!(tier(), first);
+        }
     }
 
     #[test]

@@ -502,7 +502,7 @@ mod tests {
         let (u, v) = path.hops().next().unwrap();
         let mut updated = oracle.clone();
         updated.update_edge_cost(u, v, path.cost + 100.0).unwrap();
-        let warm_reads = oracle.faults().unwrap().lock().unwrap().reads();
+        let warm_reads = crate::sync::lock(oracle.faults().unwrap()).reads();
 
         // The brownout: every read after the warm-up fails, for a
         // 40-operation window, then storage recovers.

@@ -84,6 +84,14 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type
+)]
 
 pub mod breaker;
 pub mod cache;

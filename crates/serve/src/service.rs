@@ -584,16 +584,18 @@ impl RouteService {
             metrics,
             sink,
         });
+        // Startup-only: no request is admitted before the pool exists, so
+        // a spawn failure aborts construction here, never a client request.
+        #[expect(
+            clippy::expect_used,
+            reason = "startup-time spawn failure is fatal by design"
+        )]
         let handles = (0..workers)
             .map(|i| {
                 let shared = shared.clone();
                 sync::thread::Builder::new()
                     .name(format!("atis-serve-{i}"))
                     .spawn(move || worker_loop(&shared, i))
-                    // Startup-only: no request is admitted before the pool
-                    // exists, so a spawn failure aborts construction here,
-                    // never a client request.
-                    // analyze::allow(panic-hygiene): startup-time spawn failure is fatal by design
                     .expect("spawn worker thread")
             })
             .collect();

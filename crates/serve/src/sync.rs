@@ -10,8 +10,9 @@
 //!    serving code under perturbed schedules.
 //! 2. **The designated acquisition helpers.** [`lock`] and [`wait`]
 //!    are the only places in the crate allowed to call `Mutex::lock` /
-//!    `Condvar::wait` directly — `atis-analyze`'s `lock-discipline`
-//!    rule enforces this (this file is exempt). They encode the crate's
+//!    `Condvar::wait` directly — the crate's `clippy.toml` disallows
+//!    those methods and the two helpers below carry the crate's only
+//!    `#[expect(clippy::disallowed_methods)]`. They encode the crate's
 //!    poisoning policy: a panicking worker must not wedge the whole
 //!    service, so a poisoned lock is recovered with `into_inner` — all
 //!    state guarded here (queue, snapshot slot, cache table, answer
@@ -39,11 +40,13 @@ pub(crate) use std::thread;
 /// never left logically torn by a panicking holder (each critical
 /// section completes its update before releasing), so continuing with
 /// the inner value is sound and keeps the service available.
+#[expect(clippy::disallowed_methods, reason = "the designated lock helper")]
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Blocks on `cv`, with the same poisoning policy as [`lock`].
+#[expect(clippy::disallowed_methods, reason = "the designated wait helper")]
 pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard)
         .unwrap_or_else(std::sync::PoisonError::into_inner)

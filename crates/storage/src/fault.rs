@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] describes *which* physical block operations should
 //! misbehave; a [`FaultState`] (shared between all relations of one
 //! database via [`SharedFaults`]) counts physical reads and writes and
-//! consults the plan on every one. Faults come in three flavours:
+//! consults the plan on every one. Faults come in four flavours:
 //!
 //! * **Transient read/write failures** — the op returns
 //!   [`StorageError::IoFailed`]; nothing is
@@ -20,10 +20,12 @@
 //! * **Read latency** — every physical block read stalls the calling
 //!   thread for a fixed duration, modelling the seek/transfer time of the
 //!   disk-resident map database the paper assumes. Unlike the failure
-//!   flavours this never changes a result, only wall-clock time; the
-//!   serving benchmark uses it to measure worker-pool scaling on an
-//!   I/O-bound workload. Per-read charges accumulate as debt and are
-//!   served in [`STALL_QUANTUM`] sleeps *outside* the shared fault lock,
+//!   flavours this never changes a result, only wall-clock time. Three
+//!   kinds of test use it: the batching tests in `atis-serve`'s `execute.rs` (a
+//!   slow worker that requests queue behind), the chaos suite's
+//!   `burst-overload` scenario, and the loom model of an install built
+//!   outside the snapshot lock. Per-read charges accumulate as debt and
+//!   are served in [`STALL_QUANTUM`] sleeps *outside* the shared fault lock,
 //!   so concurrent readers overlap their waits exactly as they would on
 //!   real hardware with independent requests in flight.
 //!

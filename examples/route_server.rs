@@ -49,6 +49,14 @@
 //! cargo run --release --example route_server -- --serve # listen on 4750
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+
 use atis::obs::MetricsRegistry;
 use atis::serve::{RouteOutcome, RouteService, ServeConfig, ServeError};
 use atis::{CostModel, Grid, NodeId, Path, RoutePlanner};
