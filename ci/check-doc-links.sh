@@ -73,18 +73,19 @@ for doc in $(git ls-files '*.md' | grep -v '/' ); do
     fi
 done
 
-# 4. Rule-doc drift: every linter rule id declared in the atis-analyze
-#    rule table must be documented in ANALYSIS.md, so adding a rule
-#    without writing it up (or renaming one without updating the doc)
-#    fails the docs gate, not a reviewer's memory.
-#    Pass ids live as `pub const ID` in the pass modules (the rule
-#    table references them by path, so the literal never appears in
-#    rules.rs) — collect both sources.
-if [ -f crates/analyze/src/rules.rs ]; then
-    rule_ids=$(grep -o 'id: "[a-z-]*"' crates/analyze/src/rules.rs | sed 's/id: "\(.*\)"/\1/')
-    pass_ids=$(grep -ho 'pub const ID: &str = "[a-z-]*"' crates/analyze/src/passes/*.rs 2>/dev/null \
+# 4. Rule-doc drift: every atis-analyze rule id — a `pub const ID` in
+#    crates/analyze/src/ — must be documented in ANALYSIS.md, so adding a
+#    rule without writing it up (or renaming one without updating the
+#    doc) fails the docs gate, not a reviewer's memory. Finding no id at
+#    all fails too: a moved declaration must not pass vacuously.
+if [ -d crates/analyze/src ]; then
+    rule_ids=$(grep -rho 'pub const ID: &str = "[a-z-]*"' crates/analyze/src \
         | sed 's/.*"\(.*\)"/\1/') || true
-    for id in $rule_ids $pass_ids; do
+    if [ -z "$rule_ids" ]; then
+        echo "RULES: no \`pub const ID\` rule id found under crates/analyze/src"
+        fail=1
+    fi
+    for id in $rule_ids; do
         if ! grep -q "\`$id\`" ANALYSIS.md; then
             echo "UNDOCUMENTED RULE: $id is not documented in ANALYSIS.md"
             fail=1
@@ -328,15 +329,34 @@ fi
 
 # 11. Clippy-config drift: the table in ANALYSIS.md's "Clippy
 #     configuration" section must name exactly the `path = "…"` entries
-#     of the crate clippy.toml files, both ways (`clippy::` lint names in
-#     the table are not paths). The costmodel, hierarchy and preprocess
-#     configs must be symlinks to the algorithms one, so the determinism
-#     scope has one source of truth.
+#     of the crate clippy.toml files, both ways, and exactly the
+#     `clippy::` lints that some `#![…]` inner attribute under crates/ or
+#     examples/ enables, both ways. The costmodel, hierarchy, preprocess
+#     and storage configs must be symlinks to the algorithms one, so the
+#     determinism and metered-I/O scope has one source of truth.
 configs=$(ls crates/*/clippy.toml 2>/dev/null) || true
 if [ -n "$configs" ]; then
     configured=$(cat $configs | grep -o 'path = "[^"]*"' | sed 's/path = "\(.*\)"/\1/' | sort -u)
-    tabled=$(awk '/^## /{ on = ($0 == "## Clippy configuration") } on && /^\| /' ANALYSIS.md \
-        | grep -o '`[A-Za-z_][A-Za-z0-9_]*::[A-Za-z0-9_:]*`' | tr -d '`' | grep -v '^clippy::' | sort -u) || true
+    table=$(awk '/^## /{ on = ($0 == "## Clippy configuration") } on && /^\| /' ANALYSIS.md)
+    tabled=$(echo "$table" | grep -o '`[A-Za-z_][A-Za-z0-9_]*::[A-Za-z0-9_:]*`' | tr -d '`' \
+        | grep -v '^clippy::' | sort -u) || true
+    tabled_lints=$(echo "$table" | grep -o '`clippy::[a-z_]*`' | tr -d '`' | sort -u) || true
+    enabled_lints=$(find crates/*/src examples -name '*.rs' -exec awk '
+        /^#!\[/ { on = 1 }
+        on { print }
+        on && /\)\]$/ { on = 0 }' {} + | grep -o 'clippy::[a-z_]*' | sort -u) || true
+    for lint in $enabled_lints; do
+        if ! echo "$tabled_lints" | grep -qx "$lint"; then
+            echo "CLIPPY CONFIG: $lint is enabled by a #![…] attribute but missing from ANALYSIS.md's Clippy table"
+            fail=1
+        fi
+    done
+    for lint in $tabled_lints; do
+        if ! echo "$enabled_lints" | grep -qx "$lint"; then
+            echo "CLIPPY CONFIG: ANALYSIS.md's Clippy table names $lint, which no #![…] attribute enables"
+            fail=1
+        fi
+    done
     if [ -z "$tabled" ]; then
         echo "CLIPPY CONFIG: ANALYSIS.md's Clippy configuration table names no path"
         fail=1
@@ -353,10 +373,33 @@ if [ -n "$configs" ]; then
             fail=1
         fi
     done
-    for crate in costmodel hierarchy preprocess; do
+    for crate in costmodel hierarchy preprocess storage; do
         link=crates/$crate/clippy.toml
         if [ ! -L "$link" ] || [ "$(readlink "$link")" != ../algorithms/clippy.toml ]; then
             echo "CLIPPY CONFIG: $link is not a symlink to crates/algorithms/clippy.toml"
+            fail=1
+        fi
+    done
+fi
+
+# 12. Metric-doc drift: every metric name crates/serve/src records must
+#     be documented in OBSERVABILITY.md. A name is the literal first
+#     argument of an `inc`, `set`, `observe` or `add` call, or any string
+#     literal ending in `_total` or `_seconds` (the counter and timing
+#     suffixes), which also catches names routed through a helper such as
+#     `storage_fault_metric`. Test code (each file from its first column-0
+#     `#[cfg(test)]`) is not scanned.
+if [ -d "$serve_src" ] && [ -f OBSERVABILITY.md ]; then
+    live=$(find "$serve_src" -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/ { exit } { print }' {} \; \
+        | grep -o '\b\(inc\|set\|observe\|add\)("[a-z0-9_]*"\|"[a-z0-9_]*_\(total\|seconds\)"' \
+        | sed 's/.*"\(.*\)"/\1/' | sort -u) || true
+    if [ -z "$live" ]; then
+        echo "METRICS: no metric name found in $serve_src"
+        fail=1
+    fi
+    for metric in $live; do
+        if ! grep -qw "$metric" OBSERVABILITY.md; then
+            echo "UNDOCUMENTED METRIC: $serve_src records $metric, which OBSERVABILITY.md does not document"
             fail=1
         fi
     done

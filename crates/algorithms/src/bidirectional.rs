@@ -60,6 +60,10 @@ impl BidirectionalResult {
 }
 
 /// Runs bidirectional Dijkstra from `s` to `d`.
+#[expect(
+    clippy::expect_used,
+    reason = "the meeting node was relaxed from both balls, so both predecessor chains reach an endpoint"
+)]
 pub fn bidirectional_dijkstra(graph: &Graph, s: NodeId, d: NodeId) -> BidirectionalResult {
     let n = graph.node_count();
     if s == d {
@@ -103,7 +107,9 @@ pub fn bidirectional_dijkstra(graph: &Graph, s: NodeId, d: NodeId) -> Bidirectio
         }
         // Expand the cheaper frontier (balanced growth).
         if top_f <= top_b {
-            let Entry { score, node } = heap_f.pop().expect("top_f finite implies non-empty");
+            let Some(Entry { score, node }) = heap_f.pop() else {
+                break;
+            };
             if closed_f[node.index()] || score > dist_f[node.index()] {
                 continue;
             }
@@ -132,7 +138,9 @@ pub fn bidirectional_dijkstra(graph: &Graph, s: NodeId, d: NodeId) -> Bidirectio
                 }
             }
         } else {
-            let Entry { score, node } = heap_b.pop().expect("top_b finite implies non-empty");
+            let Some(Entry { score, node }) = heap_b.pop() else {
+                break;
+            };
             if closed_b[node.index()] || score > dist_b[node.index()] {
                 continue;
             }

@@ -214,21 +214,19 @@ impl IntervalClosure {
             if visited[root] {
                 continue;
             }
-            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+            // Frames are (component, next successor, counter on entry).
+            let mut stack: Vec<(usize, usize, u32)> = vec![(root, 0, counter)];
             visited[root] = true;
-            let mut lo_stack: Vec<u32> = vec![counter];
-            while let Some(&mut (c, ref mut next)) = stack.last_mut() {
+            while let Some(&mut (c, ref mut next, lo)) = stack.last_mut() {
                 if *next < dag_succ[c].len() {
                     let succ = dag_succ[c][*next] as usize;
                     *next += 1;
                     if !visited[succ] {
                         visited[succ] = true;
-                        stack.push((succ, 0));
-                        lo_stack.push(counter);
+                        stack.push((succ, 0, counter));
                     }
                 } else {
                     stack.pop();
-                    let lo = lo_stack.pop().expect("balanced stacks");
                     subtree_lo[c] = lo.min(counter);
                     postorder[c] = counter;
                     counter += 1;
@@ -358,8 +356,7 @@ fn strongly_connected_components(graph: &Graph) -> (Vec<u32>, usize) {
                 }
             } else {
                 if lowlink[u] == index[u] {
-                    loop {
-                        let w = stack.pop().expect("scc stack underflow");
+                    while let Some(w) = stack.pop() {
                         on_stack[w as usize] = false;
                         comp[w as usize] = comp_count;
                         if w as usize == u {

@@ -868,9 +868,7 @@ impl Database {
             }
             Err(_) => m.inc("runs_failed_total"),
         }
-        if let Some((h0, m0)) = buffer_mark {
-            // analyze::allow(panic-reachability): invariant — a buffer mark is only taken when the pool exists (guarded a few lines up)
-            let pool = self.buffer.as_ref().expect("mark implies pool");
+        if let (Some((h0, m0)), Some(pool)) = (buffer_mark, &self.buffer) {
             let pool = pool.lock().unwrap_or_else(|p| p.into_inner());
             let (dh, dm) = (pool.hits - h0, pool.misses - m0);
             m.add("buffer_hits_total", dh);

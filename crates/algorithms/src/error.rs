@@ -66,7 +66,6 @@ impl fmt::Display for HierarchyIssue {
 
 /// Errors raised while running a path-computation algorithm.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum AlgorithmError {
     /// A storage operation failed.
     Storage(StorageError),

@@ -22,7 +22,7 @@ use crate::database::{Budgets, Database};
 use crate::error::AlgorithmError;
 use crate::observe::RunObserver;
 use crate::trace::{RunTrace, StepBreakdown};
-use atis_graph::{NodeId, Path};
+use atis_graph::{GraphError, NodeId, Path};
 use atis_hierarchy::{Hierarchy, ARC_TUPLE_SIZE};
 use atis_obs::IterationPhase;
 use atis_storage::block::BLOCK_SIZE;
@@ -142,8 +142,9 @@ pub(crate) fn run(
             _ => break,
         };
 
-        // analyze::allow(panic-reachability): invariant — the side is only selected after peeking a non-empty heap
-        let HeapEntry { score, node: u } = heaps[side].pop().expect("peeked above");
+        let Some(HeapEntry { score, node: u }) = heaps[side].pop() else {
+            break;
+        };
         open[side] = open[side].saturating_sub(1);
         iterations += 1;
         order.push(NodeId(u));
@@ -183,7 +184,9 @@ pub(crate) fn run(
         );
     }
 
-    let path = meet.map(|m| unpack_path(db, hierarchy, s, d, m, &parent, &mut io));
+    let path = meet
+        .map(|m| unpack_path(db, hierarchy, s, d, m, &parent, &mut io))
+        .transpose()?;
     observer.finished(
         iterations,
         path.is_some(),
@@ -216,7 +219,9 @@ pub(crate) fn run(
 /// Reconstructs the up-down node chain through `meet`, unpacks every
 /// shortcut to real edges, and re-prices the final path left-to-right
 /// against the resident graph (so the reported cost is the sum the
-/// validator recomputes, not the float-reassociated overlay sum).
+/// validator recomputes, not the float-reassociated overlay sum). An
+/// overlay that unpacks to a hop the graph lacks is a typed
+/// [`GraphError::MissingEdge`].
 fn unpack_path(
     db: &Database,
     hierarchy: &Hierarchy,
@@ -225,7 +230,7 @@ fn unpack_path(
     meet: u32,
     parent: &[Vec<u32>; 2],
     io: &mut IoStats,
-) -> Path {
+) -> Result<Path, GraphError> {
     // Climb the parent links: s ⇝ meet (reversed) and meet ⇝ d.
     let mut chain = Vec::new();
     let mut cur = meet;
@@ -263,11 +268,11 @@ fn unpack_path(
 
     let mut cost = 0.0;
     for hop in nodes.windows(2) {
+        let (from, to) = (hop[0], hop[1]);
         cost += db
             .graph()
-            .edge_cost(hop[0], hop[1])
-            // analyze::allow(panic-reachability): invariant — hierarchy unpacking only emits hops that exist as edges
-            .expect("unpacked hops are real edges");
+            .edge_cost(from, to)
+            .ok_or(GraphError::MissingEdge { from, to })?;
     }
-    Path { nodes, cost }
+    Ok(Path { nodes, cost })
 }

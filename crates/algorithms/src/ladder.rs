@@ -12,6 +12,8 @@
 //! calls with its [`Policy`]. A walk never retries a rung, and an
 //! exhausted budget ends it.
 
+#![warn(clippy::wildcard_enum_match_arm)]
+
 use crate::astar::AStarVersion;
 use crate::database::{Algorithm, Database};
 use crate::error::{AlgorithmError, BudgetKind};

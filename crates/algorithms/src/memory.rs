@@ -188,6 +188,10 @@ pub fn bellman_ford_rounds(graph: &Graph, s: NodeId) -> (Vec<f64>, u64) {
 
 /// The transposed graph (every edge reversed) — used to compute true
 /// costs-to-destination for admissibility checks.
+#[expect(
+    clippy::expect_used,
+    reason = "the reversed arcs join the same nodes at the same validated costs"
+)]
 pub fn reverse_graph(graph: &Graph) -> Graph {
     let mut b = GraphBuilder::with_capacity(graph.node_count(), graph.edge_count());
     for u in graph.node_ids() {

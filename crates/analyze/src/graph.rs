@@ -1,53 +1,46 @@
-//! The resolved cross-crate call graph.
+//! The resolved call graph of the scanned files.
 //!
 //! Nodes are the function items parsed by [`crate::parser`]; edges are
 //! call sites found in their bodies, resolved by name plus a
 //! lightweight, flow-insensitive *type environment*. The **ambiguity
 //! policy**: when the receiver or path tells us the target type, only
 //! that type's methods are candidates — even if that leaves zero
-//! candidates (a std or vendored type adds no edges). When nothing
+//! candidates (a std or other-crate type adds no edges). When nothing
 //! pins the type down, an edge is added to *every* candidate so the
-//! safety passes (panic reachability, metered-I/O escape, lock order)
-//! over-approximate rather than miss. The three call forms:
+//! lock-order pass over-approximates rather than misses. The three
+//! call forms:
 //!
 //! * **Path-qualified** `Qual::name(…)` — an uppercase `Qual` (or
 //!   `Self`, substituted from the enclosing impl) is a type: candidates
 //!   are exactly that type's methods named `name`, possibly none —
 //!   `Box::new(…)` and `Vec::with_capacity(…)` must not fan out to
-//!   every workspace `new`. A lowercase `Qual` is a module/crate path
-//!   segment: candidates are free functions named `name`, preferring
-//!   (1) the crate matching `Qual` (with `atis_` normalisation), then
-//!   (2) the caller's own crate — module paths are almost always
-//!   crate-local — then (3) any free function. Uppercase `name` (a
-//!   tuple-variant constructor) is skipped.
+//!   every `new`. A lowercase `Qual` is a module path segment:
+//!   candidates are the free functions named `name`. Uppercase `name`
+//!   (a tuple-variant constructor) is skipped.
 //! * **Method** `recv.name(…)` — the receiver is typed when it is
 //!   `self` (the enclosing impl), a parameter or `let` binding with a
 //!   recoverable type, or a direct `self.field` access (struct field
-//!   types are parsed workspace-wide). A typed receiver resolves to
-//!   that type's methods only; an untyped receiver (chained calls,
-//!   nested field paths, `dyn`/`impl Trait`, generics) fans out to
-//!   every workspace method named `name`.
-//! * **Bare** `name(…)` — candidates are free functions named `name`
-//!   in the same crate, else anywhere in the workspace.
+//!   types are parsed from every scanned file). A typed receiver
+//!   resolves to that type's methods only; an untyped receiver (chained
+//!   calls, nested field paths, `dyn`/`impl Trait`, generics) fans out
+//!   to every method named `name`.
+//! * **Bare** `name(…)` — candidates are the free functions named
+//!   `name`.
 //!
-//! Two guards tame the untyped fan-out. **Crate visibility**: crate C
-//! only dispatches into crate D when C names D (`atis_<d>` appears in
-//! C's sources) — storage can never "call" serve. **Std collisions**:
-//! an untyped receiver never fans out on a method name from the std
-//! prelude/collection/iterator API (`STD_METHODS` — `len`, `insert`,
-//! `get`, …); those calls are overwhelmingly `Vec`/`BTreeMap`/`Option`
-//! operations, and typed receivers still resolve them precisely.
+//! **Std collisions** tame the untyped fan-out: an untyped receiver
+//! never fans out on a method name from the std prelude/collection/
+//! iterator API (`STD_METHODS` — `len`, `insert`, `get`, …); those
+//! calls are overwhelmingly `Vec`/`BTreeMap`/`Option` operations, and
+//! typed receivers still resolve them precisely.
 //!
 //! Known approximations, deliberate in both directions: trait-default
 //! methods are keyed under the trait's name, so a typed receiver can
 //! miss a default method inherited from a trait; `let` rebinding is
 //! flow-insensitive (the last recoverable binding in the body wins and
 //! an opaque rebinding erases the type); a `Type::CONST`
-//! associated-const initialiser types the binding as `Type`; dynamic
-//! dispatch into a crate the caller never names (callback objects
-//! registered by a higher layer) is invisible. Calls to functions the
-//! workspace does not define resolve to nothing.
-//! `cargo run -p atis-analyze -- graph --dot` dumps the graph.
+//! associated-const initialiser types the binding as `Type`; calls
+//! through trait objects and closures add no edges. Calls to functions
+//! the scanned files do not define resolve to nothing.
 
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{effective_type, is_keyword, FnItem, ParsedFile};
@@ -60,8 +53,6 @@ pub struct FnNode {
     pub file: usize,
     /// Index of the item in that file's `fns`.
     pub item: usize,
-    /// Crate identifier (see [`crate::parser::crate_of`]).
-    pub krate: String,
     /// Function name.
     pub name: String,
     /// Impl/trait self type for methods.
@@ -84,7 +75,7 @@ pub struct Call {
     pub tok: usize,
 }
 
-/// The whole-workspace call graph. Owns the parsed files so node body
+/// The call graph of the scanned files. Owns the parsed files so node body
 /// ranges stay resolvable.
 #[derive(Debug)]
 pub struct CallGraph {
@@ -105,7 +96,6 @@ impl CallGraph {
                 nodes.push(FnNode {
                     file: fi,
                     item: ii,
-                    krate: file.krate.clone(),
                     name: f.name.clone(),
                     self_ty: f.self_ty.clone(),
                     path: file.path.clone(),
@@ -118,8 +108,8 @@ impl CallGraph {
         for (id, n) in nodes.iter().enumerate() {
             by_name.entry(n.name.as_str()).or_default().push(id);
         }
-        // Field types across the workspace: (struct, field) → effective
-        // type (first definition wins on cross-crate name collisions),
+        // Field types across the files: (struct, field) → effective
+        // type (first definition wins on name collisions),
         // plus field name → type when the name types identically in
         // every struct that declares it (used for receivers reached
         // through a guard or intermediate value, `cur.epochs.bump(…)`).
@@ -139,22 +129,6 @@ impl CallGraph {
                             }
                         })
                         .or_insert(Some(ty.as_str()));
-                }
-            }
-        }
-        // Crate visibility: crate C can dispatch into crate D only when
-        // C *names* D (`atis_<d>` appears somewhere in C) or C == D.
-        // Dynamic dispatch into a crate the caller never names (a
-        // callback object registered by a higher layer) is out of
-        // scope — a documented approximation.
-        let mut crate_deps: BTreeMap<&str, std::collections::BTreeSet<&str>> = BTreeMap::new();
-        for file in &files {
-            let entry = crate_deps.entry(file.krate.as_str()).or_default();
-            for t in &file.tokens {
-                if t.kind == TokenKind::Ident {
-                    if let Some(dep) = t.text.strip_prefix("atis_") {
-                        entry.insert(dep);
-                    }
                 }
             }
         }
@@ -196,7 +170,7 @@ impl CallGraph {
                         // method call: `recv.name(…)`
                         let recv =
                             classify_receiver(toks, i, node, &locals, &field_types, &unique_fields);
-                        resolve_method(&nodes, &by_name, &crate_deps, name, &recv, node)
+                        resolve_method(&nodes, &by_name, name, &recv, node)
                     } else if prev.is_some_and(|p| p.is_punct(':'))
                         && i >= 2
                         && toks[i - 2].is_punct(':')
@@ -208,19 +182,12 @@ impl CallGraph {
                             let qual = toks
                                 .get(i.wrapping_sub(3))
                                 .and_then(|q| (q.kind == TokenKind::Ident).then(|| q.text.clone()));
-                            resolve_qualified(
-                                &nodes,
-                                &by_name,
-                                &crate_deps,
-                                name,
-                                qual.as_deref(),
-                                node,
-                            )
+                            resolve_qualified(&nodes, &by_name, name, qual.as_deref(), node)
                         }
                     } else if name.starts_with(char::is_uppercase) {
                         Vec::new() // `Some(…)`, tuple struct/variant
                     } else {
-                        resolve_bare(&nodes, &by_name, &crate_deps, name, node)
+                        free_fns(&nodes, &by_name, name)
                     };
                     for callee in candidates {
                         if calls[id]
@@ -246,30 +213,12 @@ impl CallGraph {
         }
     }
 
-    /// Finds a node by crate and name (and, when given, self type).
-    /// Returns the first match in file order.
-    pub fn node(&self, krate: &str, name: &str, self_ty: Option<&str>) -> Option<usize> {
-        self.nodes.iter().position(|n| {
-            n.krate == krate
-                && n.name == name
-                && (self_ty.is_none() || n.self_ty.as_deref() == self_ty)
-        })
-    }
-
-    /// Deduplicated callee ids of `id`.
-    pub fn callees(&self, id: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = self.calls[id].iter().map(|c| c.callee).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// A short human label: `crate::[SelfTy::]name`.
+    /// A short human label: `[SelfTy::]name`.
     pub fn label(&self, id: usize) -> String {
         let n = &self.nodes[id];
         match &n.self_ty {
-            Some(ty) => format!("{}::{}::{}", n.krate, ty, n.name),
-            None => format!("{}::{}", n.krate, n.name),
+            Some(ty) => format!("{ty}::{}", n.name),
+            None => n.name.clone(),
         }
     }
 
@@ -290,93 +239,11 @@ impl CallGraph {
             .collect();
         Some((open, close, nested))
     }
-
-    /// Renders the graph in Graphviz DOT format (one node per function,
-    /// one edge per deduplicated call pair).
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph callgraph {\n  rankdir=LR;\n  node [shape=box];\n");
-        for (id, n) in self.nodes.iter().enumerate() {
-            out.push_str(&format!(
-                "  n{id} [label=\"{}\\n{}:{}\"];\n",
-                self.label(id),
-                n.path,
-                n.line
-            ));
-        }
-        for (id, _) in self.nodes.iter().enumerate() {
-            for callee in self.callees(id) {
-                out.push_str(&format!("  n{id} -> n{callee};\n"));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Breadth-first reachability from `roots`; returns, for every
-    /// node, the parent hop `(caller, call_line)` discovered first
-    /// (roots map to themselves with line 0).
-    pub(crate) fn reach_from(
-        &self,
-        roots: &[usize],
-        stop_at: &dyn Fn(usize) -> bool,
-    ) -> BTreeMap<usize, (usize, u32)> {
-        let mut parent: BTreeMap<usize, (usize, u32)> = BTreeMap::new();
-        let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-        for &r in roots {
-            if parent.insert(r, (r, 0)).is_none() {
-                queue.push_back(r);
-            }
-        }
-        while let Some(id) = queue.pop_front() {
-            if stop_at(id) {
-                continue; // the node itself is reachable; its callees are not
-            }
-            for call in &self.calls[id] {
-                if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(call.callee) {
-                    e.insert((id, call.line));
-                    queue.push_back(call.callee);
-                }
-            }
-        }
-        parent
-    }
-
-    /// Reconstructs the call-chain witness from a root down to `id`
-    /// using a `reach_from` parent map: one string per hop.
-    pub(crate) fn witness(&self, parent: &BTreeMap<usize, (usize, u32)>, id: usize) -> Vec<String> {
-        let mut chain = Vec::new();
-        let mut cur = id;
-        while let Some(&(p, line)) = parent.get(&cur) {
-            let n = &self.nodes[cur];
-            if p == cur {
-                chain.push(format!("{} ({}:{})", self.label(cur), n.path, n.line));
-                break;
-            }
-            chain.push(format!(
-                "{} ({}:{}) <- called at {}:{}",
-                self.label(cur),
-                n.path,
-                n.line,
-                self.nodes[p].path,
-                line
-            ));
-            cur = p;
-        }
-        chain.reverse();
-        chain
-    }
 }
 
 /// One function body's token extent: `(open brace, close brace,
 /// nested fn ranges to skip)`.
 pub(crate) type BodySpan = (usize, usize, Vec<(usize, usize)>);
-
-/// Normalises a path qualifier against a crate id: `atis_storage` and
-/// `atis-storage` both match crate `storage`.
-fn qual_matches_crate(qual: &str, krate: &str) -> bool {
-    let q = qual.strip_prefix("atis_").unwrap_or(qual);
-    q == krate || qual == krate
-}
 
 /// How much the call site tells us about a method receiver.
 enum Recv {
@@ -388,24 +255,10 @@ enum Recv {
     Unknown,
 }
 
-/// Crate-visibility check: can `caller`'s crate dispatch into the
-/// crate of node `id`? True for the same crate and for any crate the
-/// caller's crate names via an `atis_*` path or import.
-fn visible(
-    nodes: &[FnNode],
-    deps: &BTreeMap<&str, std::collections::BTreeSet<&str>>,
-    caller: &FnNode,
-    id: usize,
-) -> bool {
-    let ck = caller.krate.as_str();
-    let dk = nodes[id].krate.as_str();
-    ck == dk || deps.get(ck).is_some_and(|d| d.contains(dk))
-}
-
 /// Method names that collide with the std prelude / collection /
 /// iterator API. An *untyped* receiver never fans out on these — such
 /// calls are overwhelmingly `Vec`/`BTreeMap`/`Option` operations, and
-/// letting them reach same-named workspace accessors manufactures
+/// letting them reach same-named accessors manufactures
 /// absurd edges (`guard.map.len()` → `RouteCache::len`). Typed
 /// receivers still resolve them precisely.
 const STD_METHODS: &[&str] = &[
@@ -622,7 +475,6 @@ fn init_type(toks: &[Token], m: usize) -> Option<String> {
 fn resolve_method(
     nodes: &[FnNode],
     by_name: &BTreeMap<&str, Vec<usize>>,
-    deps: &BTreeMap<&str, std::collections::BTreeSet<&str>>,
     name: &str,
     recv: &Recv,
     caller: &FnNode,
@@ -635,7 +487,7 @@ fn resolve_method(
             .copied()
             .filter(|&id| match ty {
                 Some(ty) => nodes[id].self_ty.as_deref() == Some(ty),
-                None => nodes[id].self_ty.is_some() && visible(nodes, deps, caller, id),
+                None => nodes[id].self_ty.is_some(),
             })
             .collect()
     };
@@ -672,87 +524,36 @@ fn resolve_method(
 fn resolve_qualified(
     nodes: &[FnNode],
     by_name: &BTreeMap<&str, Vec<usize>>,
-    deps: &BTreeMap<&str, std::collections::BTreeSet<&str>>,
     name: &str,
     qual: Option<&str>,
     caller: &FnNode,
 ) -> Vec<usize> {
-    let Some(ids) = by_name.get(name) else {
+    let ty = match qual {
+        Some("Self") => caller.self_ty.as_deref(),
+        Some(q) if q.starts_with(char::is_uppercase) => Some(q),
+        _ => return free_fns(nodes, by_name, name),
+    };
+    // Type-qualified: exactly the type's methods. A type the scanned
+    // files never implement (std, another crate) adds no edges —
+    // `Box::new(…)` must not fan out to every `new`.
+    let (Some(ty), Some(ids)) = (ty, by_name.get(name)) else {
         return Vec::new();
     };
-    let qual = match qual {
-        Some("Self") => caller.self_ty.clone(),
-        Some(q) => Some(q.to_string()),
-        None => None,
-    };
-    if let Some(q) = &qual {
-        if q.starts_with(char::is_uppercase) {
-            // Type-qualified: exactly the type's methods. A type the
-            // workspace never implements (std, vendored) adds no edges
-            // — `Box::new(…)` must not fan out to every `new`.
-            return ids
-                .iter()
-                .copied()
-                .filter(|&id| nodes[id].self_ty.as_deref() == Some(q.as_str()))
-                .collect();
-        }
-        // Module/crate-qualified free functions: the matching crate,
-        // else the caller's crate (module paths are almost always
-        // crate-local), else anywhere.
-        let free: Vec<usize> = ids
-            .iter()
-            .copied()
-            .filter(|&id| nodes[id].self_ty.is_none())
-            .collect();
-        let in_crate: Vec<usize> = free
-            .iter()
-            .copied()
-            .filter(|&id| qual_matches_crate(q, &nodes[id].krate))
-            .collect();
-        if !in_crate.is_empty() {
-            return in_crate;
-        }
-        let same_crate: Vec<usize> = free
-            .iter()
-            .copied()
-            .filter(|&id| nodes[id].krate == caller.krate)
-            .collect();
-        if !same_crate.is_empty() {
-            return same_crate;
-        }
-        return free
-            .into_iter()
-            .filter(|&id| visible(nodes, deps, caller, id))
-            .collect();
-    }
-    ids.clone()
+    ids.iter()
+        .copied()
+        .filter(|&id| nodes[id].self_ty.as_deref() == Some(ty))
+        .collect()
 }
 
-fn resolve_bare(
-    nodes: &[FnNode],
-    by_name: &BTreeMap<&str, Vec<usize>>,
-    deps: &BTreeMap<&str, std::collections::BTreeSet<&str>>,
-    name: &str,
-    caller: &FnNode,
-) -> Vec<usize> {
+/// Free functions named `name`: the candidates of a bare or
+/// module-qualified call.
+fn free_fns(nodes: &[FnNode], by_name: &BTreeMap<&str, Vec<usize>>, name: &str) -> Vec<usize> {
     let Some(ids) = by_name.get(name) else {
         return Vec::new();
     };
-    let free: Vec<usize> = ids
-        .iter()
+    ids.iter()
         .copied()
         .filter(|&id| nodes[id].self_ty.is_none())
-        .collect();
-    let same_crate: Vec<usize> = free
-        .iter()
-        .copied()
-        .filter(|&id| nodes[id].krate == caller.krate)
-        .collect();
-    if !same_crate.is_empty() {
-        return same_crate;
-    }
-    free.into_iter()
-        .filter(|&id| visible(nodes, deps, caller, id))
         .collect()
 }
 
@@ -790,64 +591,57 @@ mod tests {
     fn graph(files: &[(&str, &str)]) -> CallGraph {
         let parsed = files
             .iter()
-            .map(|(p, s)| {
-                let (tokens, _) = lexer::lex(s);
-                parse_file(p, tokens)
-            })
+            .map(|(p, s)| parse_file(p, lexer::lex(s)))
             .collect();
         CallGraph::build(parsed)
     }
 
-    #[test]
-    fn cross_crate_qualified_call_resolves_to_the_named_crate() {
-        let g = graph(&[
-            (
-                "crates/serve/src/lib.rs",
-                "fn run() { atis_storage::charge(); }",
-            ),
-            ("crates/storage/src/lib.rs", "pub fn charge() {}"),
-            ("crates/obs/src/lib.rs", "pub fn charge() {}"),
-        ]);
-        let run = g.node("serve", "run", None).unwrap();
-        let storage_charge = g.node("storage", "charge", None).unwrap();
-        assert_eq!(g.callees(run), vec![storage_charge]);
+    /// The node named `name` (and, when given, with self type `ty`).
+    fn node(g: &CallGraph, name: &str, ty: Option<&str>) -> usize {
+        g.nodes
+            .iter()
+            .position(|n| n.name == name && (ty.is_none() || n.self_ty.as_deref() == ty))
+            .unwrap_or_else(|| panic!("no node {name}"))
     }
 
+    /// Deduplicated callee ids of `id`.
+    fn callees(g: &CallGraph, id: usize) -> Vec<usize> {
+        let mut out: Vec<usize> = g.calls[id].iter().map(|c| c.callee).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    const LIB: &str = "crates/serve/src/lib.rs";
+
     #[test]
-    fn untyped_method_calls_fan_out_to_visible_candidates() {
+    fn untyped_method_calls_fan_out_to_every_candidate() {
         let g = graph(&[
+            (LIB, "fn run() { fetch().poke(); }"),
             (
-                "crates/serve/src/lib.rs",
-                "use atis_storage::Pool;\nfn run() { fetch().poke(); }",
+                "crates/serve/src/pool.rs",
+                "impl Pool { fn poke(&self) {} }\nimpl Sink { fn poke(&self) {} }",
             ),
-            (
-                "crates/storage/src/lib.rs",
-                "impl Pool { fn poke(&self) {} }",
-            ),
-            ("crates/obs/src/lib.rs", "impl Sink { fn poke(&self) {} }"),
         ]);
-        let run = g.node("serve", "run", None).unwrap();
-        let pool_poke = g.node("storage", "poke", Some("Pool")).unwrap();
-        assert_eq!(
-            g.callees(run),
-            vec![pool_poke],
-            "fan-out reaches named crates only: obs is invisible to serve here"
-        );
+        let run = node(&g, "run", None);
+        let pool_poke = node(&g, "poke", Some("Pool"));
+        let sink_poke = node(&g, "poke", Some("Sink"));
+        assert_eq!(callees(&g, run), vec![pool_poke, sink_poke]);
     }
 
     #[test]
     fn std_collision_names_do_not_fan_out_untyped() {
         let g = graph(&[(
-            "crates/serve/src/lib.rs",
+            LIB,
             "impl Cache { fn len(&self) -> usize { 0 } }\n\
              fn probe(c: &Cache) -> usize { c.len() + guard().map.len() }\n\
              fn guard() -> u32 { 0 }",
         )]);
-        let probe = g.node("serve", "probe", None).unwrap();
-        let cache_len = g.node("serve", "len", Some("Cache")).unwrap();
-        let guard = g.node("serve", "guard", None).unwrap();
+        let probe = node(&g, "probe", None);
+        let cache_len = node(&g, "len", Some("Cache"));
+        let guard = node(&g, "guard", None);
         assert_eq!(
-            g.callees(probe),
+            callees(&g, probe),
             vec![cache_len, guard],
             "typed receiver resolves len; the untyped guard chain adds nothing"
         );
@@ -855,29 +649,24 @@ mod tests {
 
     #[test]
     fn typed_receivers_narrow_to_the_receiver_type() {
-        let g = graph(&[
-            (
-                "crates/serve/src/lib.rs",
-                "fn by_param(p: &Pool) { p.poke(); }\n\
-                 fn by_let() { let s = Sink::open(); s.poke(); }\n\
-                 fn foreign(v: Vec<u8>) { v.poke(); }",
-            ),
-            (
-                "crates/storage/src/lib.rs",
-                "impl Pool { fn poke(&self) {} }\n\
-                 impl Sink { fn open() -> Sink { Sink } fn poke(&self) {} }",
-            ),
-        ]);
-        let pool_poke = g.node("storage", "poke", Some("Pool")).unwrap();
-        let sink_open = g.node("storage", "open", Some("Sink")).unwrap();
-        let sink_poke = g.node("storage", "poke", Some("Sink")).unwrap();
-        let by_param = g.node("serve", "by_param", None).unwrap();
-        let by_let = g.node("serve", "by_let", None).unwrap();
-        let foreign = g.node("serve", "foreign", None).unwrap();
-        assert_eq!(g.callees(by_param), vec![pool_poke]);
-        assert_eq!(g.callees(by_let), vec![sink_open, sink_poke]);
+        let g = graph(&[(
+            LIB,
+            "fn by_param(p: &Pool) { p.poke(); }\n\
+             fn by_let() { let s = Sink::open(); s.poke(); }\n\
+             fn foreign(v: Vec<u8>) { v.poke(); }\n\
+             impl Pool { fn poke(&self) {} }\n\
+             impl Sink { fn open() -> Sink { Sink } fn poke(&self) {} }",
+        )]);
+        let pool_poke = node(&g, "poke", Some("Pool"));
+        let sink_open = node(&g, "open", Some("Sink"));
+        let sink_poke = node(&g, "poke", Some("Sink"));
+        assert_eq!(callees(&g, node(&g, "by_param", None)), vec![pool_poke]);
+        assert_eq!(
+            callees(&g, node(&g, "by_let", None)),
+            vec![sink_open, sink_poke]
+        );
         assert!(
-            g.callees(foreign).is_empty(),
+            callees(&g, node(&g, "foreign", None)).is_empty(),
             "a std-typed receiver adds no edges"
         );
     }
@@ -885,16 +674,16 @@ mod tests {
     #[test]
     fn self_field_receivers_use_struct_field_types() {
         let g = graph(&[(
-            "crates/serve/src/lib.rs",
+            LIB,
             "struct Service { cache: Cache, names: Vec<String> }\n\
              impl Service { fn hit(&self) { self.cache.touch(); self.names.touch(); } }\n\
              impl Cache { fn touch(&self) {} }\n\
              impl Other { fn touch(&self) {} }",
         )]);
-        let hit = g.node("serve", "hit", Some("Service")).unwrap();
-        let cache_touch = g.node("serve", "touch", Some("Cache")).unwrap();
+        let hit = node(&g, "hit", Some("Service"));
+        let cache_touch = node(&g, "touch", Some("Cache"));
         assert_eq!(
-            g.callees(hit),
+            callees(&g, hit),
             vec![cache_touch],
             "self.cache narrows; self.names (Vec) adds nothing"
         );
@@ -903,109 +692,74 @@ mod tests {
     #[test]
     fn unknown_type_qualifiers_resolve_to_nothing() {
         let g = graph(&[(
-            "crates/serve/src/lib.rs",
+            LIB,
             "impl Pool { fn new() -> Pool { Pool } }\n\
              fn run() { let v = Box::new(3); side(v); }\n\
              fn side(_v: Box<i32>) {}",
         )]);
-        let run = g.node("serve", "run", None).unwrap();
-        let side = g.node("serve", "side", None).unwrap();
+        let run = node(&g, "run", None);
+        let side = node(&g, "side", None);
         assert_eq!(
-            g.callees(run),
+            callees(&g, run),
             vec![side],
             "Box::new must not fan out to Pool::new"
         );
     }
 
     #[test]
-    fn module_qualifiers_prefer_the_callers_crate() {
-        let g = graph(&[
-            (
-                "crates/algorithms/src/lib.rs",
-                "pub fn top() { search::run(); }\npub fn run() {}",
-            ),
-            ("crates/bench/src/lib.rs", "pub fn run() {}"),
-        ]);
-        let top = g.node("algorithms", "top", None).unwrap();
-        let own_run = g.node("algorithms", "run", None).unwrap();
-        assert_eq!(
-            g.callees(top),
-            vec![own_run],
-            "an unknown module path stays crate-local when possible"
-        );
+    fn module_qualifiers_resolve_to_free_functions() {
+        let g = graph(&[(
+            LIB,
+            "pub fn top() { sync::lock(); }\npub fn lock() {}\nimpl Q { fn lock(&self) {} }",
+        )]);
+        let top = node(&g, "top", None);
+        let free_lock = node(&g, "lock", None);
+        assert_eq!(callees(&g, top), vec![free_lock]);
     }
 
     #[test]
     fn self_receiver_narrows_to_the_own_impl() {
         let g = graph(&[(
-            "crates/serve/src/lib.rs",
+            LIB,
             "impl A { fn go(&self) { self.step(); } fn step(&self) {} }\n\
              impl B { fn step(&self) {} }",
         )]);
-        let go = g.node("serve", "go", Some("A")).unwrap();
-        let a_step = g.node("serve", "step", Some("A")).unwrap();
-        assert_eq!(g.callees(go), vec![a_step]);
+        let go = node(&g, "go", Some("A"));
+        let a_step = node(&g, "step", Some("A"));
+        assert_eq!(callees(&g, go), vec![a_step]);
     }
 
     #[test]
     fn trait_impls_resolve_through_the_type_qualifier() {
         let g = graph(&[(
-            "crates/serve/src/lib.rs",
+            LIB,
             "impl Render for Page { fn draw(&self) {} }\n\
              fn paint() { Page::draw(); }",
         )]);
-        let paint = g.node("serve", "paint", None).unwrap();
-        let draw = g.node("serve", "draw", Some("Page")).unwrap();
-        assert_eq!(g.callees(paint), vec![draw]);
+        let paint = node(&g, "paint", None);
+        let draw = node(&g, "draw", Some("Page"));
+        assert_eq!(callees(&g, paint), vec![draw]);
     }
 
     #[test]
     fn turbofish_calls_are_calls() {
         let g = graph(&[(
-            "crates/serve/src/lib.rs",
+            LIB,
             "fn run() { pick::<Vec<Box<u8>>, fn() -> u8>(); Page::draw::<u8>(); }\n\
              fn pick<A, B>() {}\nimpl Page { fn draw<T>() {} }\n\
              fn idle() { let _ = pick::<u8, u8>; }",
         )]);
-        let run = g.node("serve", "run", None).unwrap();
-        let pick = g.node("serve", "pick", None).unwrap();
-        let draw = g.node("serve", "draw", Some("Page")).unwrap();
-        assert_eq!(g.callees(run), vec![pick, draw]);
+        let run = node(&g, "run", None);
+        let pick = node(&g, "pick", None);
+        let draw = node(&g, "draw", Some("Page"));
+        assert_eq!(callees(&g, run), vec![pick, draw]);
         // Naming a generic function without calling it is not a call.
-        assert!(g.callees(g.node("serve", "idle", None).unwrap()).is_empty());
+        assert!(callees(&g, node(&g, "idle", None)).is_empty());
     }
 
     #[test]
     fn std_calls_resolve_to_nothing() {
-        let g = graph(&[(
-            "crates/serve/src/lib.rs",
-            "fn run(v: Vec<u8>) { v.sort(); println(); Some(3); }",
-        )]);
-        let run = g.node("serve", "run", None).unwrap();
-        assert!(g.callees(run).is_empty());
-    }
-
-    #[test]
-    fn dot_dump_contains_nodes_and_edges() {
-        let g = graph(&[("crates/serve/src/lib.rs", "fn a() { b(); }\nfn b() {}")]);
-        let dot = g.to_dot();
-        assert!(dot.contains("digraph callgraph"));
-        assert!(dot.contains("serve::a"));
-        assert!(dot.contains("->"));
-    }
-
-    #[test]
-    fn witness_chains_read_root_to_sink() {
-        let g = graph(&[(
-            "crates/serve/src/lib.rs",
-            "fn a() { b(); }\nfn b() { c(); }\nfn c() {}",
-        )]);
-        let a = g.node("serve", "a", None).unwrap();
-        let c = g.node("serve", "c", None).unwrap();
-        let parents = g.reach_from(&[a], &|_| false);
-        let w = g.witness(&parents, c);
-        assert_eq!(w.len(), 3);
-        assert!(w[0].starts_with("serve::a"));
-        assert!(w[2].starts_with("serve::c"));
+        let g = graph(&[(LIB, "fn run(v: Vec<u8>) { v.sort(); println(); Some(3); }")]);
+        assert!(callees(&g, node(&g, "run", None)).is_empty());
     }
 }

@@ -1,17 +1,12 @@
-//! A minimal Rust tokenizer for the invariant linter.
+//! A minimal Rust tokenizer for the lock-order checker.
 //!
 //! This is the stand-in for `syn` (unavailable offline): it produces a
 //! flat token stream with line numbers, correctly skipping the places
-//! where forbidden identifiers may legally appear as *text* — line and
+//! where a lock helper's name may legally appear as *text* — line and
 //! block comments (nested), string literals (plain, raw, byte), and
-//! char literals — so the rules in [`crate::rules`] only ever see real
-//! code tokens.
-//!
-//! While lexing, `analyze::allow(...)` directives embedded in comments
-//! are collected into an [`Allows`] table (see `ANALYSIS.md` for the
-//! syntax); the rule engine uses it to suppress findings.
-
-use std::cell::Cell;
+//! char literals — so the parser only ever sees real code tokens.
+//! [`strip_test_regions`] then drops test items, which may take locks
+//! in any order.
 
 /// What kind of token this is. Rules mostly match on identifier text,
 /// but punctuation kinds matter for context (attribute vs indexing).
@@ -51,101 +46,10 @@ impl Token {
     }
 }
 
-/// Allow-directive table collected from comments.
-///
-/// * `analyze::allow(rule)` — suppresses `rule` findings on the
-///   directive's own line and the next line (so a trailing comment
-///   covers its statement, and a comment line covers the line below).
-/// * `analyze::allow-file(rule)` — suppresses `rule` for the whole file.
-///
-/// Multiple rules may be listed comma-separated. An optional trailing
-/// `: reason` is encouraged (and ignored by the machinery).
-///
-/// Each directive tracks whether it ever suppressed a finding, so the
-/// `unused-allow` check (see [`crate::check_files`]) can flag stale
-/// directives that no longer mask anything.
-#[derive(Debug, Default)]
-pub struct Allows {
-    entries: Vec<AllowEntry>,
-}
-
-/// One parsed `analyze::allow` / `allow-file` directive.
-#[derive(Debug)]
-struct AllowEntry {
-    /// The rule id the directive names.
-    rule: String,
-    /// Whether this is an `allow-file` (whole-file) directive.
-    file_level: bool,
-    /// 1-based line the directive appears on.
-    line: u32,
-    /// Whether any finding was suppressed by this entry.
-    used: Cell<bool>,
-}
-
-impl Allows {
-    /// Whether a finding of `rule` at `line` is suppressed. Every
-    /// directive that covers the finding is marked used.
-    pub fn covers(&self, rule: &str, line: u32) -> bool {
-        let mut hit = false;
-        for e in self.entries.iter().filter(|e| e.rule == rule) {
-            // A directive on line N covers N and N+1.
-            if e.file_level || line == e.line || line == e.line + 1 {
-                e.used.set(true);
-                hit = true;
-            }
-        }
-        hit
-    }
-
-    /// Directives that never suppressed anything: `(rule, directive
-    /// line)`, in source order.
-    pub fn unused(&self) -> Vec<(String, u32)> {
-        self.entries
-            .iter()
-            .filter(|e| !e.used.get())
-            .map(|e| (e.rule.clone(), e.line))
-            .collect()
-    }
-
-    fn record(&mut self, comment: &str, line: u32) {
-        // Doc comments describe the directive syntax; only plain
-        // comments carry live directives (otherwise every module doc
-        // quoting the syntax would register a stale entry and trip
-        // `unused-allow` on itself).
-        if ["//!", "///", "/*!", "/**"]
-            .iter()
-            .any(|doc| comment.starts_with(doc))
-        {
-            return;
-        }
-        for (marker, file_level) in [("analyze::allow-file(", true), ("analyze::allow(", false)] {
-            let Some(start) = comment.find(marker) else {
-                continue;
-            };
-            let rest = &comment[start + marker.len()..];
-            let Some(end) = rest.find(')') else { continue };
-            for rule in rest[..end].split(',') {
-                let rule = rule.trim().to_string();
-                if rule.is_empty() {
-                    continue;
-                }
-                self.entries.push(AllowEntry {
-                    rule,
-                    file_level,
-                    line,
-                    used: Cell::new(false),
-                });
-            }
-            return; // allow-file( also contains allow( — first match wins
-        }
-    }
-}
-
-/// Lexes `source` into a token stream plus its allow-directive table.
-pub fn lex(source: &str) -> (Vec<Token>, Allows) {
+/// Lexes `source` into a token stream.
+pub fn lex(source: &str) -> Vec<Token> {
     let bytes: Vec<char> = source.chars().collect();
     let mut tokens = Vec::new();
-    let mut allows = Allows::default();
     let mut i = 0;
     let mut line: u32 = 1;
 
@@ -164,12 +68,9 @@ pub fn lex(source: &str) -> (Vec<Token>, Allows) {
             }
             c if c.is_whitespace() => i += 1,
             '/' if i + 1 < bytes.len() && bytes[i + 1] == '/' => {
-                let start = i;
                 while i < bytes.len() && bytes[i] != '\n' {
                     i += 1;
                 }
-                let comment: String = bytes[start..i].iter().collect();
-                allows.record(&comment, line);
             }
             '/' if i + 1 < bytes.len() && bytes[i + 1] == '*' => {
                 let start = i;
@@ -187,7 +88,6 @@ pub fn lex(source: &str) -> (Vec<Token>, Allows) {
                     }
                 }
                 let comment: String = bytes[start..i].iter().collect();
-                allows.record(&comment, line);
                 bump_lines!(comment);
             }
             '"' => {
@@ -320,7 +220,7 @@ pub fn lex(source: &str) -> (Vec<Token>, Allows) {
             }
         }
     }
-    (tokens, allows)
+    tokens
 }
 
 /// Whether the stream starting at an `r`/`b` begins a (raw/byte) string
@@ -357,13 +257,102 @@ fn scan_string(s: &[char]) -> (usize, u32) {
     (j, 0)
 }
 
+/// Removes `#[cfg(test)]` items and `#[test]` functions from the token
+/// stream: test code may take locks in any order.
+pub fn strip_test_regions(tokens: &[Token]) -> Vec<Token> {
+    let mut out = Vec::with_capacity(tokens.len());
+    let mut i = 0;
+    while i < tokens.len() {
+        if is_test_attribute(tokens, i) {
+            // Skip the attribute itself, any further attributes, then
+            // the annotated item (through its `;` or matching `}`).
+            i = skip_attribute(tokens, i);
+            while i < tokens.len() && tokens[i].is_punct('#') {
+                i = skip_attribute(tokens, i);
+            }
+            i = skip_item(tokens, i);
+            continue;
+        }
+        out.push(tokens[i].clone());
+        i += 1;
+    }
+    out
+}
+
+/// Whether tokens at `i` start `#[cfg(test)]` or `#[test]`.
+fn is_test_attribute(tokens: &[Token], i: usize) -> bool {
+    if !tokens[i].is_punct('#') {
+        return false;
+    }
+    let t = |k: usize| tokens.get(i + k);
+    let Some(open) = t(1) else { return false };
+    if !open.is_punct('[') {
+        return false;
+    }
+    match t(2) {
+        Some(tok) if tok.is_ident("test") => t(3).is_some_and(|x| x.is_punct(']')),
+        Some(tok) if tok.is_ident("cfg") => {
+            t(3).is_some_and(|x| x.is_punct('('))
+                && t(4).is_some_and(|x| x.is_ident("test"))
+                && t(5).is_some_and(|x| x.is_punct(')'))
+        }
+        _ => false,
+    }
+}
+
+/// Skips one `#[...]` attribute starting at `i`; returns the index just
+/// past its closing `]`.
+fn skip_attribute(tokens: &[Token], i: usize) -> usize {
+    let mut j = i + 1; // at '['
+    let mut depth = 0;
+    while j < tokens.len() {
+        if tokens[j].is_punct('[') {
+            depth += 1;
+        } else if tokens[j].is_punct(']') {
+            depth -= 1;
+            if depth == 0 {
+                return j + 1;
+            }
+        }
+        j += 1;
+    }
+    j
+}
+
+/// Skips one item starting at `i`: through the first `;` seen before
+/// any `{`, or through the matching `}` of the first `{`.
+fn skip_item(tokens: &[Token], i: usize) -> usize {
+    let mut j = i;
+    while j < tokens.len() {
+        if tokens[j].is_punct(';') {
+            return j + 1;
+        }
+        if tokens[j].is_punct('{') {
+            let mut depth = 0;
+            while j < tokens.len() {
+                if tokens[j].is_punct('{') {
+                    depth += 1;
+                } else if tokens[j].is_punct('}') {
+                    depth -= 1;
+                    if depth == 0 {
+                        return j + 1;
+                    }
+                }
+                j += 1;
+            }
+            return j;
+        }
+        j += 1;
+    }
+    j
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .0
             .into_iter()
             .filter(|t| t.kind == TokenKind::Ident)
             .map(|t| t.text)
@@ -373,23 +362,23 @@ mod tests {
     #[test]
     fn comments_and_strings_hide_identifiers() {
         let src = r##"
-            // unwrap in a comment
-            /* Instant in /* a nested */ block */
-            let s = "thread_rng inside a string";
-            let r = r#"HashMap "quoted" inside raw"#;
+            // lock_queue in a comment
+            /* lock_slot in /* a nested */ block */
+            let s = "lock_writer inside a string";
+            let r = r#"lock_entries "quoted" inside raw"#;
             let c = 'x';
             real_ident();
         "##;
         let ids = idents(src);
         assert!(ids.contains(&"real_ident".to_string()));
-        for hidden in ["unwrap", "Instant", "thread_rng", "HashMap"] {
+        for hidden in ["lock_queue", "lock_slot", "lock_writer", "lock_entries"] {
             assert!(!ids.contains(&hidden.to_string()), "{hidden} leaked");
         }
     }
 
     #[test]
     fn lifetimes_are_not_char_literals() {
-        let (tokens, _) = lex("fn f<'a>(x: &'a str) { let c = 'q'; }");
+        let tokens = lex("fn f<'a>(x: &'a str) { let c = 'q'; }");
         assert!(tokens
             .iter()
             .any(|t| t.kind == TokenKind::Lifetime && t.text == "'a"));
@@ -400,44 +389,8 @@ mod tests {
     #[test]
     fn line_numbers_survive_multiline_constructs() {
         let src = "let a = \"two\nlines\";\nlet b = 1;";
-        let (tokens, _) = lex(src);
+        let tokens = lex(src);
         let b = tokens.iter().find(|t| t.is_ident("b")).unwrap();
         assert_eq!(b.line, 3);
-    }
-
-    #[test]
-    fn allow_directives_cover_their_line_and_the_next() {
-        let src = "// analyze::allow(panic-reachability): invariant\nlet t = x.unwrap();\nlet u = y.unwrap();";
-        let (_, allows) = lex(src);
-        assert!(allows.covers("panic-reachability", 1));
-        assert!(allows.covers("panic-reachability", 2));
-        assert!(!allows.covers("panic-reachability", 3));
-        assert!(!allows.covers("other-rule", 2));
-    }
-
-    #[test]
-    fn unmatched_directives_are_reported_unused() {
-        let src = "// analyze::allow(metered-io-escape): stale\n// analyze::allow(lock-order)\nx;";
-        let (_, allows) = lex(src);
-        assert!(allows.covers("lock-order", 3));
-        assert_eq!(allows.unused(), vec![("metered-io-escape".to_string(), 1)]);
-    }
-
-    #[test]
-    fn doc_comments_never_carry_directives() {
-        let src = "//! syntax: analyze::allow(rule): reason\n/// e.g. analyze::allow(lock-order)\n/*! analyze::allow(a) */\nx;";
-        let (_, allows) = lex(src);
-        assert!(!allows.covers("rule", 1));
-        assert!(!allows.covers("lock-order", 2));
-        assert!(allows.unused().is_empty());
-    }
-
-    #[test]
-    fn allow_file_covers_everything_and_lists_split() {
-        let src =
-            "// analyze::allow-file(non-exhaustive-errors): fixture\n// analyze::allow(a, b)\nx;";
-        let (_, allows) = lex(src);
-        assert!(allows.covers("non-exhaustive-errors", 999));
-        assert!(allows.covers("a", 2) && allows.covers("b", 3));
     }
 }

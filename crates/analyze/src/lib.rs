@@ -1,174 +1,128 @@
-//! # atis-analyze — the workspace invariant analyzer
+//! # atis-analyze — the serve crate's lock-order checker
 //!
-//! Repo-specific conventions that Clippy cannot check — public error
-//! enums stay `#[non_exhaustive]`, the serve crate's locks are taken in
-//! rank order, raw I/O never escapes the `IoStats` metering choke point,
-//! no panic site is reachable from the serving roots, and every error
-//! variant meets the degrade ladder — are checked here. (Determinism,
-//! direct filesystem access, serving panics and raw locking are Clippy
-//! configuration: see `ANALYSIS.md`.)
+//! Every lock in `atis-serve` is taken through a designated helper with
+//! a rank, and a helper may only be entered while every live guard has
+//! a strictly lower rank. rustc and Clippy check everything else this
+//! workspace promises about its code (`ANALYSIS.md`); lock order held
+//! across calls is the one invariant they cannot see, so it is checked
+//! here.
 //!
 //! ```sh
-//! cargo run -p atis-analyze -- check             # exit 1 + findings on stderr
-//! cargo run -p atis-analyze -- check --format json
-//! cargo run -p atis-analyze -- graph --dot       # call-graph dump
-//! cargo run -p atis-analyze -- rules             # the rule table
+//! cargo run -p atis-analyze -- check     # exit 1 + findings on stderr
+//! cargo run -p atis-analyze -- rules     # the lock-order table
 //! ```
 //!
-//! One pipeline runs over every first-party source file ([`workspace`]):
+//! One pipeline runs over every source file under `crates/serve/src/`
+//! (the lock helpers are private to the serve crate, so no other crate
+//! can acquire a serve lock):
 //!
 //! * A hand-rolled Rust tokenizer ([`lexer`], standing in for `syn`,
-//!   which the offline build cannot fetch) feeds the per-file token
-//!   rule ([`rules`]).
+//!   which the offline build cannot fetch) drops comments, strings and
+//!   `#[cfg(test)]`/`#[test]` items.
 //! * An item-level parser ([`parser`]) recovers `fn`/`impl` items and
-//!   brace-matched bodies from the same tokens, a resolved cross-crate
-//!   call graph ([`graph`]) links them, and the graph passes
-//!   ([`passes`]) check what one file cannot show: lock ranks held
-//!   across calls, raw I/O escaping the `IoStats` cost model, panic
-//!   sites reachable from the serving roots, and error variants that
-//!   fall through the degrade ladder unmatched.
+//!   brace-matched bodies from the tokens, and a resolved call graph
+//!   ([`graph`]) links them.
+//! * The [`lock_order`] pass walks every body with guard tracking and
+//!   reports inversions, direct or through any call chain.
 //!
-//! Escape hatches are comment directives (`analyze::allow(rule):
-//! reason` / `analyze::allow-file(...)`); directives that suppress
-//! nothing are themselves findings (`unused-allow`), so stale allows
-//! cannot mask regressions. `#[cfg(test)]` items and `#[test]`
-//! functions are stripped before anything runs.
-//!
-//! `ANALYSIS.md` at the repository root documents every rule, the
-//! resolution/ambiguity policy, and the directive syntax;
-//! `tests/linter.rs` and `tests/ipa.rs` pin both directions (each rule
-//! trips on its fixture; the workspace at HEAD is clean).
+//! `tests/linter.rs` pins both directions: the fixtures trip the pass,
+//! and the serve crate at HEAD is clean.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod graph;
 pub mod lexer;
+pub mod lock_order;
 pub mod parser;
-pub mod passes;
-pub mod rules;
-pub mod workspace;
 
-pub use passes::lock_order::LOCK_ORDER;
-pub use rules::{Finding, RULES};
+pub use lock_order::LOCK_ORDER;
 
 use std::io;
 use std::path::Path;
 
-/// Runs the token rule, the graph passes and unused-allow detection
-/// over an in-memory file set of `(repo-relative path, source)` pairs
-/// (the path determines rule scoping) and returns unsuppressed findings
-/// sorted by `(path, line, rule)`.
+/// One lock-order violation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Stable rule identifier.
+    pub rule: &'static str,
+    /// Repo-relative path of the offending file.
+    pub path: String,
+    /// 1-based line number.
+    pub line: u32,
+    /// Human-readable explanation.
+    pub message: String,
+    /// Call-chain witness: one hop per entry, holder first.
+    pub witness: Vec<String>,
+}
+
+impl std::fmt::Display for Finding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.path, self.line, self.rule, self.message
+        )
+    }
+}
+
+/// Runs the lock-order pass over an in-memory file set of
+/// `(repo-relative path, source)` pairs and returns the findings sorted
+/// by `(path, line)`.
 pub fn check_files(files: &[(String, String)]) -> Vec<Finding> {
+    let parsed = files
+        .iter()
+        .map(|(path, source)| {
+            parser::parse_file(path, lexer::strip_test_regions(&lexer::lex(source)))
+        })
+        .collect();
     let mut findings = Vec::new();
-    let mut allows_by_path: Vec<(String, lexer::Allows)> = Vec::new();
-    let mut parsed = Vec::new();
-    for (path, source) in files {
-        let (tokens, allows) = lexer::lex(source);
-        let tokens = rules::strip_test_regions(&tokens);
-        findings.extend(rules::run_all(path, &tokens));
-        parsed.push(parser::parse_file(path, tokens));
-        allows_by_path.push((path.clone(), allows));
-    }
-    findings.extend(passes::run_graph_passes(&graph::CallGraph::build(parsed)));
-    let covered = |rule: &str, path: &str, line: u32| {
-        allows_by_path
-            .iter()
-            .find(|(p, _)| p == path)
-            .is_some_and(|(_, a)| a.covers(rule, line) || a.covers("all", line))
-    };
-    findings.retain(|f| !covered(f.rule, &f.path, f.line));
-    let mut unused = Vec::new();
-    for (path, allows) in &allows_by_path {
-        for (rule, line) in allows.unused() {
-            unused.push(Finding {
-                rule: "unused-allow",
-                path: path.clone(),
-                line,
-                message: format!(
-                    "`analyze::allow({rule})` suppresses nothing: the finding it \
-                     masked is gone, so the directive is stale — remove it"
-                ),
-                witness: Vec::new(),
-            });
-        }
-    }
-    unused.retain(|f| !covered(f.rule, &f.path, f.line));
-    findings.extend(unused);
-    findings
-        .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
+    lock_order::run(&graph::CallGraph::build(parsed), &mut findings);
+    findings.sort_by(|a, b| (a.path.as_str(), a.line).cmp(&(b.path.as_str(), b.line)));
     findings
 }
 
-/// Reads every first-party source file under `root` into memory.
+/// The directory scanned, relative to the repository root.
+const SCOPE: &str = "crates/serve/src";
+
+/// Reads every `.rs` file under `root`'s `crates/serve/src/`, in sorted
+/// order.
 ///
 /// # Errors
-/// Propagates filesystem errors from the workspace walk or file reads.
+/// Propagates filesystem errors from the directory walk or file reads.
 pub fn load_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
-    for rel in workspace::source_files(root)? {
-        let source = std::fs::read_to_string(root.join(&rel))?;
-        files.push((rel, source));
+    let mut dirs = vec![root.join(SCOPE)];
+    while let Some(dir) = dirs.pop() {
+        if !dir.is_dir() {
+            continue;
+        }
+        for entry in std::fs::read_dir(&dir)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push((relative(root, &path), std::fs::read_to_string(&path)?));
+            }
+        }
     }
+    files.sort();
     Ok(files)
 }
 
-/// Lints every first-party source file under `root` (the CI gate).
+/// `path` relative to `root`, with forward slashes.
+fn relative(root: &Path, path: &Path) -> String {
+    let rel = path.strip_prefix(root).unwrap_or(path);
+    rel.components()
+        .map(|c| c.as_os_str().to_string_lossy())
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
+/// Checks the serve crate under `root` (the CI gate).
 ///
 /// # Errors
-/// Propagates filesystem errors from the workspace walk or file reads.
+/// Propagates filesystem errors from the directory walk or file reads.
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(check_files(&load_workspace(root)?))
-}
-
-/// Builds the whole-workspace call graph (for `graph --dot`).
-///
-/// # Errors
-/// Propagates filesystem errors from the workspace walk or file reads.
-pub fn build_graph(root: &Path) -> io::Result<graph::CallGraph> {
-    let mut parsed = Vec::new();
-    for (path, source) in load_workspace(root)? {
-        let (tokens, _) = lexer::lex(&source);
-        let tokens = rules::strip_test_regions(&tokens);
-        parsed.push(parser::parse_file(&path, tokens));
-    }
-    Ok(graph::CallGraph::build(parsed))
-}
-
-/// Renders findings as a JSON array (hand-rolled; no serde offline).
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    let mut out = String::from("[\n");
-    for (i, f) in findings.iter().enumerate() {
-        let witness: Vec<String> = f
-            .witness
-            .iter()
-            .map(|w| format!("\"{}\"", esc(w)))
-            .collect();
-        out.push_str(&format!(
-            "  {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\", \
-             \"witness\": [{}]}}{}\n",
-            esc(f.rule),
-            esc(&f.path),
-            f.line,
-            esc(&f.message),
-            witness.join(", "),
-            if i + 1 < findings.len() { "," } else { "" },
-        ));
-    }
-    out.push(']');
-    out
 }

@@ -1,4 +1,4 @@
-//! Lock-order checking: the one check of the serve crate's lock ranks.
+//! Lock-order checking: the serve crate's lock ranks.
 //!
 //! Every lock in `atis-serve` is taken through a designated helper
 //! ([`LOCK_ORDER`]), and a helper may only be entered while every live
@@ -25,10 +25,10 @@
 
 use crate::graph::CallGraph;
 use crate::lexer::{Token, TokenKind};
-use crate::rules::Finding;
+use crate::Finding;
 use std::collections::BTreeMap;
 
-/// Stable rule identifier (allow-directive key).
+/// Stable rule identifier.
 pub const ID: &str = "lock-order";
 
 /// Designated lock-acquisition helpers in `atis-serve`, in the global
@@ -137,11 +137,8 @@ pub fn run(g: &CallGraph, findings: &mut Vec<Finding>) {
             break;
         }
     }
-    // 3. Guard-tracked walk of every serve-crate function.
+    // 3. Guard-tracked walk of every function.
     for id in 0..g.nodes.len() {
-        if !g.nodes[id].path.starts_with("crates/serve/src/") {
-            continue;
-        }
         check_body(g, &acq, id, findings);
     }
 }

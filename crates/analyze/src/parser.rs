@@ -1,9 +1,8 @@
 //! A dependency-free item-level parser over the lexed token stream.
 //!
-//! The token rule in [`crate::rules`] treats a file as a flat token
-//! soup; the interprocedural passes in [`crate::passes`] need *items*:
-//! which function a token belongs to, which `impl` block a method lives
-//! in, where a body starts and ends. This module recovers exactly that
+//! The lock-order pass ([`crate::lock_order`]) needs *items*: which
+//! function a token belongs to, which `impl` block a method lives in,
+//! where a body starts and ends. This module recovers exactly that
 //! much structure — no expression trees, no type resolution — from the
 //! test-stripped token stream:
 //!
@@ -14,8 +13,6 @@
 //!   top-level path segment of the implemented type, a documented
 //!   approximation — `impl fmt::Display for RouteAnswer` records
 //!   `RouteAnswer`);
-//! * every `enum` whose name ends in `Error`, with its variant names
-//!   (consumed by the degrade-ladder pass);
 //! * every `struct` with its named fields' *effective types*, and every
 //!   `fn`'s parameter bindings — the receiver-typing inputs for the
 //!   call graph's method resolution (see [`effective_type`]).
@@ -57,49 +54,18 @@ pub struct StructItem {
     pub fields: Vec<(String, String)>,
 }
 
-/// One parsed `enum *Error` item.
-#[derive(Debug, Clone)]
-pub struct EnumItem {
-    /// The enum's name (always ends in `Error`).
-    pub name: String,
-    /// 1-based line of the name.
-    pub line: u32,
-    /// Variant names with their 1-based definition lines.
-    pub variants: Vec<(String, u32)>,
-}
-
 /// One parsed source file: its (test-stripped) tokens plus the items
 /// recovered from them.
 #[derive(Debug)]
 pub struct ParsedFile {
     /// Repo-relative path (forward slashes).
     pub path: String,
-    /// Crate identifier derived from the path — see [`crate_of`].
-    pub krate: String,
     /// The test-stripped token stream the item spans index into.
     pub tokens: Vec<Token>,
     /// Every function item found.
     pub fns: Vec<FnItem>,
-    /// Every `enum *Error` found.
-    pub enums: Vec<EnumItem>,
     /// Every `struct` found (for field typing).
     pub structs: Vec<StructItem>,
-}
-
-/// Maps a repo-relative path to its crate identifier:
-/// `crates/<name>/src/...` → `<name>`, `src/...` → `atis`,
-/// `examples/<stem>.rs` → `example:<stem>`.
-pub fn crate_of(path: &str) -> String {
-    if let Some(rest) = path.strip_prefix("crates/") {
-        if let Some((name, _)) = rest.split_once('/') {
-            return name.to_string();
-        }
-    }
-    if let Some(rest) = path.strip_prefix("examples/") {
-        let stem = rest.strip_suffix(".rs").unwrap_or(rest);
-        return format!("example:{stem}");
-    }
-    "atis".to_string()
 }
 
 /// Keywords that can never be a call target or a type name.
@@ -188,7 +154,6 @@ fn brace_matches(tokens: &[Token]) -> Vec<Option<usize>> {
 pub fn parse_file(path: &str, tokens: Vec<Token>) -> ParsedFile {
     let matches = brace_matches(&tokens);
     let mut fns = Vec::new();
-    let mut enums = Vec::new();
     let mut structs = Vec::new();
     // Stack of (close_brace_index, self_ty) for enclosing impl/trait
     // blocks; the innermost one supplies the method's self type.
@@ -215,14 +180,8 @@ pub fn parse_file(path: &str, tokens: Vec<Token>) -> ParsedFile {
             if let Some((item, next)) = parse_fn(&tokens, i, &matches, &impl_stack) {
                 // Continue scanning *inside* the body so nested fns are
                 // their own items; the outer range already excludes
-                // nothing (passes skip nested ranges themselves).
+                // nothing (the pass skips nested ranges itself).
                 fns.push(item);
-                i = next;
-                continue;
-            }
-        } else if t.is_ident("enum") {
-            if let Some((item, next)) = parse_enum(&tokens, i, &matches) {
-                enums.push(item);
                 i = next;
                 continue;
             }
@@ -237,10 +196,8 @@ pub fn parse_file(path: &str, tokens: Vec<Token>) -> ParsedFile {
     }
     ParsedFile {
         path: path.to_string(),
-        krate: crate_of(path),
         tokens,
         fns,
-        enums,
         structs,
     }
 }
@@ -542,71 +499,13 @@ fn parse_struct(
     ))
 }
 
-/// Parses an `enum` item at `i` if its name ends in `Error`.
-fn parse_enum(tokens: &[Token], i: usize, matches: &[Option<usize>]) -> Option<(EnumItem, usize)> {
-    let name_tok = tokens.get(i + 1)?;
-    if name_tok.kind != TokenKind::Ident || !name_tok.text.ends_with("Error") {
-        return None;
-    }
-    let open = find_open_brace(tokens, i + 2)?;
-    let close = matches.get(open).copied().flatten()?;
-    let mut variants = Vec::new();
-    // Variant names are the first identifier of each depth-1 arm,
-    // skipping `#[...]` attributes between variants.
-    let mut j = open + 1;
-    let mut expect_name = true;
-    let mut depth = 0i32;
-    while j < close {
-        let t = &tokens[j];
-        if t.is_punct('#') && tokens.get(j + 1).is_some_and(|b| b.is_punct('[')) && depth == 0 {
-            let mut k = j + 1;
-            let mut bd = 0i32;
-            while k < close {
-                if tokens[k].is_punct('[') {
-                    bd += 1;
-                } else if tokens[k].is_punct(']') {
-                    bd -= 1;
-                    if bd == 0 {
-                        break;
-                    }
-                }
-                k += 1;
-            }
-            j = k + 1;
-            continue;
-        }
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if depth == 0 {
-            if t.is_punct(',') {
-                expect_name = true;
-            } else if expect_name && t.kind == TokenKind::Ident {
-                variants.push((t.text.clone(), t.line));
-                expect_name = false;
-            }
-        }
-        j += 1;
-    }
-    Some((
-        EnumItem {
-            name: name_tok.text.clone(),
-            line: name_tok.line,
-            variants,
-        },
-        close + 1,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer;
 
     fn parse(src: &str) -> ParsedFile {
-        let (tokens, _) = lexer::lex(src);
-        parse_file("crates/demo/src/lib.rs", tokens)
+        parse_file("crates/serve/src/lib.rs", lexer::lex(src))
     }
 
     #[test]
@@ -655,28 +554,6 @@ mod tests {
         let (ob, oe) = outer.body.unwrap();
         let (ib, ie) = inner.body.unwrap();
         assert!(ob < ib && ie < oe, "inner body nested in outer");
-    }
-
-    #[test]
-    fn error_enums_yield_variant_names() {
-        let f = parse(
-            "pub enum DemoError { Io { op: u8 }, #[doc = \"x\"] Missing(u32), Plain, }\n\
-             pub enum NotTracked { A, B }",
-        );
-        assert_eq!(f.enums.len(), 1);
-        let vs: Vec<&str> = f.enums[0]
-            .variants
-            .iter()
-            .map(|(v, _)| v.as_str())
-            .collect();
-        assert_eq!(vs, ["Io", "Missing", "Plain"]);
-    }
-
-    #[test]
-    fn crate_ids_follow_paths() {
-        assert_eq!(crate_of("crates/serve/src/service.rs"), "serve");
-        assert_eq!(crate_of("examples/route_server.rs"), "example:route_server");
-        assert_eq!(crate_of("src/bin/atis.rs"), "atis");
     }
 
     #[test]
@@ -737,7 +614,7 @@ mod tests {
             ("F", None),
         ];
         for (src, want) in cases {
-            let (tokens, _) = lexer::lex(src);
+            let tokens = lexer::lex(src);
             let n = tokens.len();
             assert_eq!(
                 effective_type(&tokens, 0, n).as_deref(),

@@ -166,7 +166,9 @@ impl MapCanvas {
     /// Plots a character at a map position (later plots win).
     pub fn plot(&mut self, p: Point, c: char) {
         let (row, col) = self.locate(p);
-        self.cells[row * self.width + col] = c;
+        if let Some(cell) = self.cells.get_mut(row * self.width + col) {
+            *cell = c;
+        }
     }
 
     /// Renders the canvas with a border.
@@ -177,7 +179,8 @@ impl MapCanvas {
         out.push_str("+\n");
         for row in 0..self.height {
             out.push('|');
-            out.extend(self.cells[row * self.width..(row + 1) * self.width].iter());
+            let line = self.cells.get(row * self.width..(row + 1) * self.width);
+            out.extend(line.unwrap_or_default());
             out.push_str("|\n");
         }
         out.push('+');

@@ -23,17 +23,25 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod display;
 pub mod evaluation;
-pub mod matching;
 pub mod planner;
 pub mod svg;
 pub mod trip;
 
 pub use display::{render_map, turn_instructions, MapCanvas};
 pub use evaluation::{evaluate_route, RouteAttributes};
-pub use matching::{match_trace, MatchedTrace};
 pub use planner::{PlanReport, RoutePlanner};
 pub use svg::{render_svg, SvgOptions};
 pub use trip::{itinerary, plan_alternatives, plan_trip, TripPlan};

@@ -5,7 +5,7 @@
 
 use crate::planner::{PlanReport, RoutePlanner};
 use atis_algorithms::{Algorithm, AlgorithmError};
-use atis_graph::{Graph, NodeId, Path};
+use atis_graph::{Graph, GraphError, NodeId, Path};
 
 /// A multi-leg journey: one [`PlanReport`] per leg plus the concatenated
 /// route.
@@ -35,11 +35,9 @@ impl TripPlan {
 pub fn itinerary(graph: &Graph, plan: &TripPlan) -> Vec<String> {
     let mut out = Vec::new();
     let legs = plan.legs.len();
-    for (i, leg) in plan.legs.iter().enumerate() {
-        let route = leg
-            .route
-            .as_ref()
-            .expect("plan_trip rejects unreachable legs");
+    // `plan_trip` builds no leg without a route.
+    let routes = plan.legs.iter().filter_map(|leg| leg.route.as_ref());
+    for (i, route) in routes.enumerate() {
         out.push(format!(
             "Leg {} of {legs}: {} -> {} ({:.1} units)",
             i + 1,
@@ -144,14 +142,14 @@ pub fn plan_alternatives(
             break;
         };
         // Re-cost against the *original* network for honest ranking.
-        let original_cost: f64 = found
+        let original_cost = found
             .hops()
-            .map(|(u, v)| {
+            .map(|(from, to)| {
                 graph
-                    .edge_cost(u, v)
-                    .expect("route edges exist in the original")
+                    .edge_cost(from, to)
+                    .ok_or(GraphError::MissingEdge { from, to })
             })
-            .sum();
+            .sum::<Result<f64, _>>()?;
         let candidate = Path {
             nodes: found.nodes.clone(),
             cost: original_cost,
@@ -163,22 +161,20 @@ pub fn plan_alternatives(
         // Penalise the edges just used (both directions, so two-way roads
         // are discouraged as a corridor).
         let used: std::collections::HashSet<(NodeId, NodeId)> = found.hops().collect();
-        working = working
-            .map_costs(|e| {
-                if used.contains(&(e.from, e.to)) || used.contains(&(e.to, e.from)) {
-                    e.cost * (1.0 + penalty)
-                } else {
-                    e.cost
-                }
-            })
-            .expect("scaling positive costs stays valid");
+        working = working.map_costs(|e| {
+            if used.contains(&(e.from, e.to)) || used.contains(&(e.to, e.from)) {
+                e.cost * (1.0 + penalty)
+            } else {
+                e.cost
+            }
+        })?;
     }
     if out.is_empty() {
         return Err(AlgorithmError::Graph(
             atis_graph::GraphError::MalformedPath(format!("no route from {s} to {d}")),
         ));
     }
-    out.sort_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"));
+    out.sort_by(|a, b| a.cost.total_cmp(&b.cost));
     Ok(out)
 }
 

@@ -38,6 +38,10 @@ pub fn algebraic_join_cost(
 
 /// `F(B1, B2, B3)` with the optimizer enabled: the cheapest of the four
 /// strategies and its cost.
+#[expect(
+    clippy::expect_used,
+    reason = "JoinStrategy::ALL is a non-empty constant"
+)]
 pub fn cheapest_join(
     b1: usize,
     b2: usize,

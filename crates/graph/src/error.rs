@@ -5,7 +5,6 @@ use std::fmt;
 
 /// Errors raised while building or validating graphs and paths.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum GraphError {
     /// An edge referenced a node id that does not exist in the graph.
     UnknownNode(NodeId),

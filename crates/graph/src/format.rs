@@ -27,7 +27,6 @@ use std::fmt;
 
 /// Errors from parsing the interchange format.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum FormatError {
     /// The header line is missing or wrong.
     BadHeader(String),

@@ -104,8 +104,7 @@ impl Graph {
         self.neighbors(u)
             .iter()
             .filter(|e| e.to == v)
-            // analyze::allow(panic-reachability): costs are validated finite at graph construction
-            .min_by(|a, b| a.cost.partial_cmp(&b.cost).expect("costs are finite"))
+            .min_by(|a, b| a.cost.total_cmp(&b.cost))
     }
 
     /// Average out-degree — the `|A|` of the cost model (Table 1). For the
@@ -132,7 +131,7 @@ impl Graph {
                 .min_by(|&a, &b| {
                     let da = self.point(a).euclidean(&position);
                     let db = self.point(b).euclidean(&position);
-                    da.partial_cmp(&db).expect("coordinates are finite")
+                    da.total_cmp(&db)
                 })
         };
         best(true).or_else(|| best(false))

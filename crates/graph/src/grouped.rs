@@ -80,6 +80,7 @@ impl<T: Clone> GroupedColumn<T> {
 }
 
 /// `group`, writable: copied first if another column shares it.
+#[expect(clippy::expect_used, reason = "the group was made unique just above")]
 fn unique<T: Clone>(group: &mut Arc<[T]>) -> &mut [T] {
     // `Arc::make_mut` on a slice is newer than the MSRV.
     if Arc::get_mut(group).is_none() {

@@ -24,11 +24,19 @@ impl Path {
     }
 
     /// The source node.
+    #[expect(
+        clippy::expect_used,
+        reason = "an empty path is malformed (`validate` rejects it): asking its ends is a caller bug"
+    )]
     pub fn source(&self) -> NodeId {
         *self.nodes.first().expect("paths are non-empty")
     }
 
     /// The destination node.
+    #[expect(
+        clippy::expect_used,
+        reason = "an empty path is malformed (`validate` rejects it): asking its ends is a caller bug"
+    )]
     pub fn destination(&self) -> NodeId {
         *self.nodes.last().expect("paths are non-empty")
     }

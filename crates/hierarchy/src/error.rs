@@ -4,7 +4,6 @@ use std::fmt;
 
 /// Errors raised while building or refreshing a contraction hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum HierarchyError {
     /// The graph has no nodes, so there is nothing to order or contract.
     EmptyGraph,

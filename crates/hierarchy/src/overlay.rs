@@ -340,9 +340,6 @@ impl Pricing {
             for (slot, &y) in fan_heads.iter().enumerate() {
                 fan_slot[y as usize] = slot as u32;
             }
-            // Heads come in id order, so successive `x` mostly share a
-            // group: its rows are looked up when the group changes.
-            let (mut group, mut rows) = (usize::MAX, None);
             for (lo, &x) in fan_heads.iter().enumerate() {
                 let (lo_fwd, lo_bwd) = (fan_fwd[lo], fan_bwd[lo]);
                 if lo_fwd.is_infinite() && lo_bwd.is_infinite() {
@@ -350,13 +347,7 @@ impl Pricing {
                 }
                 let upper = core.range(x);
                 let upper_heads = &core.heads[upper.clone()];
-                if group != x as usize / GROUP_NODES {
-                    group = x as usize / GROUP_NODES;
-                    rows = Some(&mut groups[group]);
-                }
-                let Some(rows) = &mut rows else {
-                    unreachable!("set for the first head and kept since");
-                };
+                let rows = &mut groups[x as usize / GROUP_NODES];
                 let (lo, len) = (upper.start - rows.base, upper_heads.len());
                 let fwd = &mut rows.fwd[lo..][..len];
                 let bwd = &mut rows.bwd[lo..][..len];

@@ -49,6 +49,15 @@
 //! Implement [`TraceSink`] for anything else — the trait is one method.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 #![deny(missing_docs)]
 
 mod event;

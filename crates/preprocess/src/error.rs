@@ -4,7 +4,6 @@ use std::fmt;
 
 /// Errors raised while selecting landmarks or building distance tables.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum PreprocessError {
     /// The graph has no nodes.
     EmptyGraph,

@@ -199,7 +199,7 @@ impl CircuitBreaker {
                     to: BreakerState::Closed,
                 })
             }
-            _ => None,
+            BreakerState::Closed | BreakerState::Open { .. } => None,
         }
     }
 

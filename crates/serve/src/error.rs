@@ -7,7 +7,6 @@ use std::fmt;
 /// work on a request. Every reason is actionable for the client: back
 /// off for `retry_after` virtual ticks and try again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum ShedReason {
     /// The bounded submission queue was full and nothing lower-priority
     /// could be displaced.
@@ -36,7 +35,6 @@ impl ShedReason {
 
 /// Why the serving layer could not answer a request.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum ServeError {
     /// The overload policy shed this request: admission refused it, it
     /// was displaced from the queue, or its deadline expired. This is
@@ -92,7 +90,7 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Algorithm(e) => Some(e),
-            _ => None,
+            ServeError::Shed { .. } | ServeError::ShuttingDown => None,
         }
     }
 }

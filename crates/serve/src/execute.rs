@@ -310,7 +310,9 @@ impl<'a> Breakered<'a> {
                             queue_depth: 0,
                         }
                     }
-                    _ => ServeError::from(error),
+                    Fall::Budget(_) | Fall::Artifact | Fall::Storage | Fall::Stop => {
+                        ServeError::from(error)
+                    }
                 };
                 Err(Refusal {
                     error,
@@ -405,10 +407,9 @@ fn tail(
 }
 
 /// Metric name classifying a storage fault observed on the serving
-/// path. Every `StorageError` variant is named so that when the storage
-/// crate grows a failure mode, the degrade ladder is forced to decide
-/// how serving should count it; the `_` arm exists only because the
-/// enum is `#[non_exhaustive]`.
+/// path. Every `StorageError` variant is named, with no `_` arm, so a new
+/// storage failure mode does not compile until serving decides how to
+/// count it.
 fn storage_fault_metric(fault: &StorageError) -> &'static str {
     match fault {
         StorageError::IoFailed { .. } => "serve_storage_fault_io_total",
@@ -417,7 +418,6 @@ fn storage_fault_metric(fault: &StorageError) -> &'static str {
         StorageError::SlotOutOfRange { .. } => "serve_storage_fault_slot_total",
         StorageError::InvalidValue(_) => "serve_storage_fault_value_total",
         StorageError::CapacityExceeded { .. } => "serve_storage_fault_capacity_total",
-        _ => "serve_storage_fault_other_total",
     }
 }
 

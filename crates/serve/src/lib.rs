@@ -92,6 +92,9 @@
     clippy::indexing_slicing,
     clippy::iter_over_hash_type
 )]
+// A new variant of a serving-path enum must not compile until every
+// serving match names it. Test matches may still use `_`.
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
 pub mod breaker;
 pub mod cache;

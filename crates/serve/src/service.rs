@@ -132,7 +132,6 @@ impl Deadline {
 /// client (and the chaos harness) can always tell full-fidelity service
 /// from degraded service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum RouteOutcome {
     /// A fresh run of the configured algorithm at the current epoch.
     Computed,
@@ -483,7 +482,9 @@ impl Shared {
     fn shed_job(&self, job: &Job, reason: ShedReason, queue_depth: usize) {
         let retry_after = match reason {
             ShedReason::DeadlineExpired => DEFAULT_DEADLINE_TICKS,
-            _ => (queue_depth as u64).max(1) * RETRY_UNIT_TICKS,
+            ShedReason::QueueFull | ShedReason::Displaced | ShedReason::BreakerOpen => {
+                (queue_depth as u64).max(1) * RETRY_UNIT_TICKS
+            }
         };
         self.resolve_shed(job, reason, retry_after, queue_depth);
     }

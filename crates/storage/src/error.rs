@@ -4,7 +4,6 @@ use std::fmt;
 
 /// Errors raised by the storage engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum StorageError {
     /// A keyed lookup missed (node id not present in the relation).
     KeyNotFound(u32),

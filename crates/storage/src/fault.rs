@@ -38,7 +38,7 @@
 
 use crate::error::StorageError;
 use atis_graph::rng::splitmix64;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Pseudo-block number base for ISAM index levels, so fault events on
@@ -243,6 +243,35 @@ pub struct FaultState {
 /// A fault state shared by all relations of one database (`Arc<Mutex<…>>`
 /// mirroring [`SharedBuffer`](crate::buffer::SharedBuffer)).
 pub type SharedFaults = Arc<Mutex<FaultState>>;
+
+/// Locks shared storage state: a [`SharedFaults`] or a
+/// [`SharedBuffer`](crate::buffer::SharedBuffer).
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned storage lock means its holder panicked mid-update, so the state it guards cannot be trusted"
+)]
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("storage lock poisoned")
+}
+
+/// Consults fault state for an index probe of `levels` pseudo-blocks,
+/// serving any planned device latency outside the lock.
+pub(crate) fn consult_index_probe(
+    faults: &Option<SharedFaults>,
+    levels: u64,
+) -> Result<(), StorageError> {
+    if let Some(f) = faults {
+        let debt = {
+            let mut f = lock(f);
+            for level in 0..levels {
+                f.on_read(INDEX_BLOCK_BASE + level as usize)?;
+            }
+            f.take_stall()
+        };
+        stall(debt);
+    }
+    Ok(())
+}
 
 impl FaultState {
     /// Fresh state for a plan: counters at zero, empty log.

@@ -172,8 +172,7 @@ impl<T: FixedTuple> HeapFile<T> {
     fn consult_read(&self, block: usize) -> Result<(), StorageError> {
         if let Some(f) = &self.faults {
             let stall = {
-                // analyze::allow(panic-reachability): a poisoned fault-state lock means a panicked holder; aborting is the documented policy
-                let mut state = f.lock().expect("fault state lock");
+                let mut state = fault::lock(f);
                 state.on_read(block)?;
                 state.take_stall()
             };
@@ -186,8 +185,7 @@ impl<T: FixedTuple> HeapFile<T> {
     #[inline]
     fn consult_write(&self, block: usize) -> Result<WriteMode, StorageError> {
         match &self.faults {
-            // analyze::allow(panic-reachability): a poisoned fault-state lock means a panicked holder; aborting is the documented policy
-            Some(f) => f.lock().expect("fault state lock").on_write(block),
+            Some(f) => fault::lock(f).on_write(block),
             None => Ok(WriteMode::Clean),
         }
     }
@@ -234,8 +232,7 @@ impl<T: FixedTuple> HeapFile<T> {
         let physical = match &self.buffer {
             Some(pool) => {
                 let (file, local) = self.block_address(block);
-                // analyze::allow(panic-reachability): a poisoned buffer-pool lock means a panicked holder; aborting is the documented policy
-                !pool.lock().expect("buffer pool lock").access(file, local)
+                !fault::lock(pool).access(file, local)
             }
             None => true,
         };
@@ -265,8 +262,7 @@ impl<T: FixedTuple> HeapFile<T> {
     fn install_block(&self, block: usize) {
         if let Some(pool) = &self.buffer {
             let (file, local) = self.block_address(block);
-            // analyze::allow(panic-reachability): a poisoned buffer-pool lock means a panicked holder; aborting is the documented policy
-            pool.lock().expect("buffer pool lock").install(file, local);
+            fault::lock(pool).install(file, local);
         }
     }
 
@@ -361,11 +357,12 @@ impl<T: FixedTuple> HeapFile<T> {
 
     /// Reads one tuple *without* charging I/O — for callers that already
     /// paid for the containing block (e.g. a scan that re-visits a slot it
-    /// just passed) or for assertions in tests.
+    /// just passed) or for assertions in tests. Crate-private, so no
+    /// caller outside storage can read behind the meter.
     ///
     /// # Errors
     /// Fails if `slot` is out of range or the block is corrupt.
-    pub fn peek_slot(&self, slot: usize) -> Result<T, StorageError> {
+    pub(crate) fn peek_slot(&self, slot: usize) -> Result<T, StorageError> {
         if slot >= self.len {
             return Err(StorageError::SlotOutOfRange {
                 slot,
@@ -507,7 +504,7 @@ impl<T: FixedTuple> HeapFile<T> {
     pub fn clear(&mut self, io: &mut IoStats) {
         io.delete_relation();
         if let Some(pool) = &self.buffer {
-            let mut pool = pool.lock().expect("buffer pool lock");
+            let mut pool = fault::lock(pool);
             for file in &self.file_ids {
                 pool.invalidate_file(*file);
             }

@@ -13,7 +13,7 @@
 //! traversal, exactly like the paper's cost model does.
 
 use crate::error::StorageError;
-use crate::fault::{SharedFaults, INDEX_BLOCK_BASE};
+use crate::fault::{consult_index_probe, SharedFaults};
 use crate::io::IoStats;
 
 /// Fan-out of each index level. 4096-byte index blocks with 8-byte
@@ -93,17 +93,7 @@ impl IsamIndex {
     /// read failure on one of the probed index levels.
     pub fn probe(&self, key: u32, io: &mut IoStats) -> Result<usize, StorageError> {
         io.read_blocks(self.levels);
-        if let Some(f) = &self.faults {
-            let stall = {
-                // analyze::allow(panic-reachability): a poisoned fault-state lock means a panicked holder; aborting is the documented policy
-                let mut f = f.lock().expect("fault state lock");
-                for level in 0..self.levels {
-                    f.on_read(INDEX_BLOCK_BASE + level as usize)?;
-                }
-                f.take_stall()
-            };
-            crate::fault::stall(stall);
-        }
+        consult_index_probe(&self.faults, self.levels)?;
         self.leaf
             .get(key as usize)
             .map(|&s| s as usize)

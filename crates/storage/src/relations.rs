@@ -237,11 +237,12 @@ impl EdgeRelation {
 
     /// Visits the adjacency of `u` without charging I/O. Join strategies
     /// use this when their charging formula already covers the access
-    /// (e.g. a nested-loop join has paid to scan all of `S`).
+    /// (e.g. a nested-loop join has paid to scan all of `S`), so it is
+    /// crate-private: no caller outside storage reads behind the meter.
     ///
     /// # Errors
     /// Surfaces checksum mismatches on corrupted blocks.
-    pub fn peek_adjacency(
+    pub(crate) fn peek_adjacency(
         &self,
         u: u32,
         mut visit: impl FnMut(&EdgeTuple),
@@ -461,7 +462,6 @@ impl NodeRelation {
     /// # Errors
     /// Fails for unknown node ids.
     pub fn peek(&self, id: u32) -> Result<NodeTuple, StorageError> {
-        // analyze::allow(metered-io-escape): documented uncharged accessor for assertions and post-run inspection; the metered path is `get`
         self.heap.peek_slot(id as usize)
     }
 
@@ -585,7 +585,6 @@ impl NodeRelation {
     pub fn predecessors(&self) -> Result<Vec<Option<NodeId>>, StorageError> {
         (0..self.heap.len())
             .map(|slot| {
-                // analyze::allow(metered-io-escape): documented uncharged post-run extraction; the metered path charges via `read_slot`
                 let t = self.heap.peek_slot(slot)?;
                 Ok(if t.path == crate::tuple::NO_PRED {
                     None

@@ -15,28 +15,11 @@
 //! load-bearing for reproducing version 1's scaling behaviour.
 
 use crate::error::StorageError;
-use crate::fault::{SharedFaults, INDEX_BLOCK_BASE};
+use crate::fault::{consult_index_probe, SharedFaults};
 use crate::heapfile::HeapFile;
 use crate::io::IoStats;
 use crate::tuple::FixedTuple;
 use std::collections::HashMap;
-
-/// Consults fault state for an index probe of `levels` pseudo-blocks,
-/// serving any planned device latency outside the lock.
-fn consult_index_probe(faults: &Option<SharedFaults>, levels: u64) -> Result<(), StorageError> {
-    if let Some(f) = faults {
-        let stall = {
-            // analyze::allow(panic-reachability): a poisoned fault-state lock means a panicked holder; aborting is the documented policy
-            let mut f = f.lock().expect("fault state lock");
-            for level in 0..levels {
-                f.on_read(INDEX_BLOCK_BASE + level as usize)?;
-            }
-            f.take_stall()
-        };
-        crate::fault::stall(stall);
-    }
-    Ok(())
-}
 
 /// A keyed temporary relation of fixed-width tuples.
 ///
@@ -188,18 +171,12 @@ impl<T: FixedTuple> TempRelation<T> {
         Ok(self.directory.contains_key(&key))
     }
 
-    /// Uncharged membership check, for assertions.
-    pub fn peek_contains(&self, key: u32) -> bool {
-        self.directory.contains_key(&key)
-    }
-
     /// Uncharged keyed read, for assertions and post-run inspection.
     ///
     /// # Errors
     /// Surfaces checksum mismatches on corrupted blocks.
     pub fn peek(&self, key: u32) -> Result<Option<T>, StorageError> {
         match self.directory.get(&key) {
-            // analyze::allow(metered-io-escape): documented uncharged accessor for assertions and post-run inspection; the metered path is `get`
             Some(&slot) => Ok(Some(self.heap.peek_slot(slot)?)),
             None => Ok(None),
         }
@@ -458,8 +435,8 @@ mod tests {
         assert_eq!(d.block_reads, 3); // probe
         assert_eq!(d.tuple_updates, 1 + 3); // tombstone + index adjust
         assert_eq!(f.len(), 1);
-        assert!(!f.peek_contains(1));
-        assert!(f.peek_contains(2));
+        assert_eq!(f.peek(1), Ok(None));
+        assert!(f.peek(2).unwrap().is_some());
         // Block space is not reclaimed.
         assert_eq!(f.block_count(), 1);
     }

@@ -98,11 +98,11 @@ impl FixedTuple for EdgeTuple {
         EdgeTuple {
             begin: u16::from_le_bytes([buf[0], buf[1]]) as u32 | ((buf[13] as u32) << 16),
             end: u16::from_le_bytes([buf[2], buf[3]]) as u32 | ((buf[14] as u32) << 16),
-            cost: f64::from_le_bytes(buf[4..12].try_into().expect("8 bytes")),
+            cost: f64::from_le_bytes(field(buf, 4)),
             class: buf[12],
-            occupancy: f32::from_le_bytes(buf[16..20].try_into().expect("4 bytes")),
-            end_x: f32::from_le_bytes(buf[20..24].try_into().expect("4 bytes")),
-            end_y: f32::from_le_bytes(buf[24..28].try_into().expect("4 bytes")),
+            occupancy: f32::from_le_bytes(field(buf, 16)),
+            end_x: f32::from_le_bytes(field(buf, 20)),
+            end_y: f32::from_le_bytes(field(buf, 24)),
         }
     }
 }
@@ -159,13 +159,21 @@ impl FixedTuple for NodeTuple {
     fn decode(buf: &[u8]) -> Self {
         debug_assert_eq!(buf.len(), Self::SIZE);
         NodeTuple {
-            x: f32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")),
-            y: f32::from_le_bytes(buf[4..8].try_into().expect("4 bytes")),
+            x: f32::from_le_bytes(field(buf, 0)),
+            y: f32::from_le_bytes(field(buf, 4)),
             status: NodeStatus::from_u8(buf[8]),
             path: u16::from_le_bytes([buf[10], buf[11]]) as u32 | ((buf[9] as u32) << 16),
-            path_cost: f32::from_le_bytes(buf[12..16].try_into().expect("4 bytes")),
+            path_cost: f32::from_le_bytes(field(buf, 12)),
         }
     }
+}
+
+/// The `N` bytes of `buf` from `at`, as an array for `from_le_bytes`.
+#[inline]
+fn field<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(&buf[at..at + N]);
+    out
 }
 
 /// Blocking factor for a tuple type — `Bf = B / T` (Table 4A).

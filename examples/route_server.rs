@@ -54,7 +54,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::unreachable,
-    clippy::indexing_slicing
+    clippy::indexing_slicing,
+    clippy::wildcard_enum_match_arm
 )]
 
 use atis::obs::MetricsRegistry;
@@ -92,7 +93,9 @@ fn respond(service: &RouteService, line: &str) -> String {
                         );
                         Ok(match answer.outcome {
                             RouteOutcome::Stale { age } => format!("STALE {age} {body}"),
-                            _ => body,
+                            RouteOutcome::Computed
+                            | RouteOutcome::CacheHit
+                            | RouteOutcome::Degraded { .. } => body,
                         })
                     }
                     None => Err("unreachable".into()),

@@ -128,23 +128,15 @@ fn join_policy_changes_cost_not_answers() {
 
 #[test]
 fn gps_trace_to_onward_route_pipeline() {
-    // The full ATIS loop: observe a vehicle trace, map-match it, then
-    // plan onward from the matched position and print the itinerary.
-    use atis::core::{itinerary, match_trace, plan_trip};
+    // The ATIS loop: snap a vehicle's GPS fix to the network, then plan
+    // onward from there and print the itinerary.
+    use atis::core::{itinerary, plan_trip};
     use atis::graph::Point;
     let m = Minneapolis::paper();
     let planner = RoutePlanner::new(m.graph()).unwrap();
 
-    // A noisy trace drifting through the south-west quadrant.
-    let obs: Vec<Point> = (0..5)
-        .map(|i| Point::new(3.0 + 2.0 * i as f64 + 0.2, 3.1 + i as f64))
-        .collect();
-    let matched = match_trace(m.graph(), &obs).expect("trace matches");
-    matched.route.validate(m.graph()).unwrap();
-    assert!(matched.mean_snap_distance < 1.0);
-
-    // Continue from the matched position to D via G.
-    let here = *matched.snapped.last().unwrap();
+    // Continue from the fix in the south-west quadrant to D via G.
+    let here = m.graph().nearest_node(Point::new(11.2, 7.1)).unwrap();
     let trip = plan_trip(&planner, &[here, m.landmark('G'), m.landmark('D')]).unwrap();
     trip.route.validate(m.graph()).unwrap();
     let lines = itinerary(m.graph(), &trip);
