@@ -73,24 +73,25 @@ for doc in $(git ls-files '*.md' | grep -v '/' ); do
     fi
 done
 
-# 4. Rule-doc drift: every atis-analyze rule id — a `pub const ID` in
-#    crates/analyze/src/ — must be documented in ANALYSIS.md, so adding a
-#    rule without writing it up (or renaming one without updating the
-#    doc) fails the docs gate, not a reviewer's memory. Finding no id at
-#    all fails too: a moved declaration must not pass vacuously.
-if [ -d crates/analyze/src ]; then
-    rule_ids=$(grep -rho 'pub const ID: &str = "[a-z-]*"' crates/analyze/src \
-        | sed 's/.*"\(.*\)"/\1/') || true
-    if [ -z "$rule_ids" ]; then
-        echo "RULES: no \`pub const ID\` rule id found under crates/analyze/src"
+# 4. Lock-level drift: the "Lock levels" table in ANALYSIS.md must list
+#    exactly the rank markers crates/serve/src/sync.rs orders in its
+#    `order!(…)` list, in rank order and numbered from 0. A rank added,
+#    dropped or reordered in the types but not in the table (or the
+#    reverse) fails here. Finding no rank list at all fails too: a moved
+#    declaration must not pass vacuously.
+sync_rs=crates/serve/src/sync.rs
+if [ -f "$sync_rs" ]; then
+    declared=$(grep -o '^order!([^)]*)' "$sync_rs" | sed 's/^order!(\(.*\))$/\1/' | tr -d ' ' | tr ',' '\n' \
+        | awk 'NF { printf "%s%d:%s", (n ? " " : ""), n, $0; n++ }')
+    tabled=$(awk '/^## /{ on = ($0 == "## Lock levels") } on && /^\| [0-9]/' ANALYSIS.md \
+        | awk -F'|' '{ gsub(/[ `]/, "", $2); gsub(/[ `]/, "", $3); printf "%s%s:%s", (n++ ? " " : ""), $2, $3 }')
+    if [ -z "$declared" ]; then
+        echo "LOCK LEVELS: no order!(…) rank list found in $sync_rs"
+        fail=1
+    elif [ "$declared" != "$tabled" ]; then
+        echo "LOCK LEVELS: ANALYSIS.md's level table lists [$tabled], but $sync_rs orders [$declared]"
         fail=1
     fi
-    for id in $rule_ids; do
-        if ! grep -q "\`$id\`" ANALYSIS.md; then
-            echo "UNDOCUMENTED RULE: $id is not documented in ANALYSIS.md"
-            fail=1
-        fi
-    done
 fi
 
 # 5. Ladder-doc drift: SERVING.md is where the degrade ladder is written
@@ -333,7 +334,9 @@ fi
 #     `clippy::` lints that some `#![…]` inner attribute under crates/ or
 #     examples/ enables, both ways. The costmodel, hierarchy, preprocess
 #     and storage configs must be symlinks to the algorithms one, so the
-#     determinism and metered-I/O scope has one source of truth.
+#     determinism and metered-I/O scope has one source of truth. The
+#     serve config's `atis_serve::` entries are checked against the code
+#     as well (below).
 configs=$(ls crates/*/clippy.toml 2>/dev/null) || true
 if [ -n "$configs" ]; then
     configured=$(cat $configs | grep -o 'path = "[^"]*"' | sed 's/path = "\(.*\)"/\1/' | sort -u)
@@ -370,6 +373,37 @@ if [ -n "$configs" ]; then
     for path in $tabled; do
         if ! echo "$configured" | grep -qx "$path"; then
             echo "CLIPPY CONFIG: ANALYSIS.md's Clippy table names $path, which no crate clippy.toml configures"
+            fail=1
+        fi
+    done
+    # The `atis_serve::…` entries are the serve crate's root-minting
+    #    methods: exactly the `pub fn`s under crates/serve/src/ (outside
+    #    test code) whose body calls `Level::root()`, named
+    #    module::Type::method. A public method that mints a root but is
+    #    not listed could be called under a held lock; a listed one that
+    #    no longer mints (or exists) is stale.
+    minting=$(for f in "$serve_src"/*.rs; do
+        awk -v mod="$(basename "$f" .rs)" '
+            /^#\[cfg\(test\)\]/ { exit }
+            /^impl/ { ty = $0; sub(/ *\{$/, "", ty); sub(/.* for /, "", ty); sub(/^impl(<[^>]*>)? /, "", ty); sub(/<.*/, "", ty) }
+            /^    pub fn / { name = $0; sub(/^    pub fn /, "", name); sub(/[(<].*/, "", name); body = 1; mints = 0; next }
+            body && /Level::root\(\)/ { mints = 1 }
+            body && /^    }$/ { if (mints) print "atis_serve::" mod "::" ty "::" name; body = 0 }' "$f"
+    done | sort -u)
+    listed=$(grep -o 'path = "atis_serve::[^"]*"' crates/serve/clippy.toml | sed 's/path = "\(.*\)"/\1/' | sort -u)
+    if [ -z "$minting" ]; then
+        echo "CLIPPY CONFIG: no public method under $serve_src mints Level::root()"
+        fail=1
+    fi
+    for method in $minting; do
+        if ! echo "$listed" | grep -qx "$method"; then
+            echo "CLIPPY CONFIG: $method mints Level::root(), but crates/serve/clippy.toml does not disallow it"
+            fail=1
+        fi
+    done
+    for method in $listed; do
+        if ! echo "$minting" | grep -qx "$method"; then
+            echo "CLIPPY CONFIG: crates/serve/clippy.toml disallows $method, which is no public serve method that mints Level::root()"
             fail=1
         fi
     done

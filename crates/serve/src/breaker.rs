@@ -3,9 +3,9 @@
 //! A breaker watches one failure-prone resource — in `RouteService`,
 //! the storage engine — and cuts traffic to it once typed errors pile
 //! up, so a browning-out disk degrades service *once* instead of making
-//! every request rediscover the outage at full I/O cost. The classic three-state machine, driven entirely by the
-//! service's deterministic virtual clock (no wall time, consistent with
-//! the analyze determinism rules):
+//! every request rediscover the outage at full I/O cost. The classic
+//! three-state machine, driven entirely by the service's deterministic
+//! virtual clock (no wall time):
 //!
 //! ```text
 //!        failure (count < threshold)
@@ -30,7 +30,7 @@
 //! inside the lock) so the service can mirror them into trace events and
 //! metrics.
 
-use crate::sync::{self, Mutex, MutexGuard};
+use crate::sync::{self, Breaker, Level, LockBefore, Locked, Mutex, Unlocked};
 
 /// Tuning for one [`CircuitBreaker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,10 +131,12 @@ impl CircuitBreaker {
         }
     }
 
-    /// Designated acquirer for the breaker state (rank 6, innermost in
-    /// the declared lock order — see `sync.rs`).
-    fn lock_breaker(&self) -> MutexGuard<'_, Inner> {
-        sync::lock(&self.state)
+    /// Designated acquirer for the breaker state (rank 6, `sync::Breaker`).
+    fn lock_breaker<'a, L: LockBefore<Breaker>>(
+        &'a self,
+        level: &'a mut Level<L>,
+    ) -> Locked<'a, Inner, Breaker> {
+        sync::lock(level, &self.state)
     }
 
     /// The tuning in force.
@@ -145,14 +147,26 @@ impl CircuitBreaker {
     /// A snapshot of the current state (no time-based transition is
     /// applied; use [`CircuitBreaker::admit`] to drive the machine).
     pub fn state(&self) -> BreakerState {
-        self.lock_breaker().state
+        self.state_at(&mut Level::root())
+    }
+
+    pub(crate) fn state_at(&self, level: &mut Level<Unlocked>) -> BreakerState {
+        self.lock_breaker(level).0.state
     }
 
     /// Gates one request at virtual time `now`. An open breaker whose
     /// window has elapsed transitions to half-open here and admits the
     /// caller as the probe.
     pub fn admit(&self, now: u64) -> (Admission, Option<BreakerTransition>) {
-        let mut inner = self.lock_breaker();
+        self.admit_at(&mut Level::root(), now)
+    }
+
+    pub(crate) fn admit_at(
+        &self,
+        level: &mut Level<Unlocked>,
+        now: u64,
+    ) -> (Admission, Option<BreakerTransition>) {
+        let (mut inner, _) = self.lock_breaker(level);
         match inner.state {
             BreakerState::Closed => (Admission::Allow, None),
             BreakerState::Open { until } if now >= until => {
@@ -187,7 +201,11 @@ impl CircuitBreaker {
     /// Records a success against the resource. Re-closes a half-open
     /// breaker; resets the failure count of a closed one.
     pub fn on_success(&self) -> Option<BreakerTransition> {
-        let mut inner = self.lock_breaker();
+        self.on_success_at(&mut Level::root())
+    }
+
+    fn on_success_at(&self, level: &mut Level<Unlocked>) -> Option<BreakerTransition> {
+        let (mut inner, _) = self.lock_breaker(level);
         inner.consecutive_failures = 0;
         match inner.state {
             BreakerState::HalfOpen => {
@@ -208,8 +226,8 @@ impl CircuitBreaker {
     /// caller-side error), so its outcome says nothing about health. A
     /// no-op in any other state — a concurrent success/failure already
     /// resolved the machine, and the slot accounting went with it.
-    pub fn release_probe(&self) {
-        let mut inner = self.lock_breaker();
+    fn release_probe(&self, level: &mut Level<Unlocked>) {
+        let (mut inner, _) = self.lock_breaker(level);
         if inner.state == BreakerState::HalfOpen {
             inner.probes_in_flight = inner.probes_in_flight.saturating_sub(1);
         }
@@ -219,7 +237,11 @@ impl CircuitBreaker {
     /// `now`. Trips a closed breaker at the threshold; re-opens a
     /// half-open one immediately.
     pub fn on_failure(&self, now: u64) -> Option<BreakerTransition> {
-        let mut inner = self.lock_breaker();
+        self.on_failure_at(&mut Level::root(), now)
+    }
+
+    fn on_failure_at(&self, level: &mut Level<Unlocked>, now: u64) -> Option<BreakerTransition> {
+        let (mut inner, _) = self.lock_breaker(level);
         match inner.state {
             BreakerState::Closed => {
                 inner.consecutive_failures += 1;
@@ -258,25 +280,29 @@ impl CircuitBreaker {
 /// request: [`ProbeGuard::success`] / [`ProbeGuard::failure`] report the
 /// verdict, and dropping a guard that never reached a verdict (the run
 /// was shed on its deadline, or failed for a reason unrelated to the
-/// resource) releases the probe slot via
-/// [`CircuitBreaker::release_probe`]. Without the release, an aborted
+/// resource) releases the probe slot. Without the release, an aborted
 /// probe would leave `probes_in_flight` saturated and wedge the breaker
 /// half-open, denying every future admit — the resource would stay
 /// bypassed forever even after it recovered.
 #[derive(Debug)]
 pub struct ProbeGuard<'a> {
     breaker: &'a CircuitBreaker,
+    level: &'a mut Level<Unlocked>,
     pending: bool,
 }
 
 impl<'a> ProbeGuard<'a> {
-    /// Guards `breaker` for the request that `admit` answered with
-    /// `admission`. Only [`Admission::Probe`] holds a slot to release;
-    /// the other admissions make the guard a plain success/failure
-    /// forwarder.
-    pub fn new(breaker: &'a CircuitBreaker, admission: Admission) -> Self {
+    /// Guards `breaker`, holding `level`, for the request that `admit`
+    /// answered with `admission`. Only [`Admission::Probe`] holds a slot
+    /// to release; with the others the guard just forwards verdicts.
+    pub fn new(
+        breaker: &'a CircuitBreaker,
+        admission: Admission,
+        level: &'a mut Level<Unlocked>,
+    ) -> Self {
         ProbeGuard {
             breaker,
+            level,
             pending: matches!(admission, Admission::Probe),
         }
     }
@@ -284,26 +310,35 @@ impl<'a> ProbeGuard<'a> {
     /// Reports the run as a success and defuses the guard.
     pub fn success(&mut self) -> Option<BreakerTransition> {
         self.pending = false;
-        self.breaker.on_success()
+        self.breaker.on_success_at(self.level)
     }
 
     /// Reports the run as a typed failure at virtual time `now` and
     /// defuses the guard.
     pub fn failure(&mut self, now: u64) -> Option<BreakerTransition> {
         self.pending = false;
-        self.breaker.on_failure(now)
+        self.breaker.on_failure_at(self.level, now)
+    }
+
+    /// The guarded breaker's state (see [`CircuitBreaker::state`]).
+    pub(crate) fn state(&mut self) -> BreakerState {
+        self.breaker.state_at(self.level)
     }
 }
 
 impl Drop for ProbeGuard<'_> {
     fn drop(&mut self) {
         if self.pending {
-            self.breaker.release_probe();
+            self.breaker.release_probe(self.level);
         }
     }
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests drive the public API, which mints the root lock level"
+)]
 mod tests {
     use super::*;
 
@@ -384,7 +419,7 @@ mod tests {
         // The probe run is aborted (deadline shed) with no verdict: the
         // guard's drop must hand the slot back so the next admit probes
         // again instead of being denied forever.
-        drop(ProbeGuard::new(&b, admission));
+        drop(ProbeGuard::new(&b, admission, &mut Level::root()));
         let (next, _) = b.admit(51);
         assert_eq!(next, Admission::Probe);
     }
@@ -394,7 +429,8 @@ mod tests {
         let b = breaker(1, 50);
         b.on_failure(0);
         let (admission, _) = b.admit(50);
-        let mut guard = ProbeGuard::new(&b, admission);
+        let mut root = Level::root();
+        let mut guard = ProbeGuard::new(&b, admission, &mut root);
         let t = guard.success().expect("half-open -> closed");
         assert_eq!(t.to, BreakerState::Closed);
         drop(guard);
@@ -405,15 +441,16 @@ mod tests {
     #[test]
     fn release_probe_is_a_no_op_outside_half_open() {
         let b = breaker(1, 50);
-        b.release_probe();
+        b.release_probe(&mut Level::root());
         assert_eq!(b.state(), BreakerState::Closed);
         b.on_failure(0);
-        b.release_probe();
+        b.release_probe(&mut Level::root());
         assert_eq!(b.state(), BreakerState::Open { until: 50 });
         // A probe whose failure already re-opened the breaker: the late
         // release must not disturb the open state.
         let (admission, _) = b.admit(50);
-        let mut guard = ProbeGuard::new(&b, admission);
+        let mut root = Level::root();
+        let mut guard = ProbeGuard::new(&b, admission, &mut root);
         guard.failure(50);
         drop(guard);
         assert_eq!(b.state(), BreakerState::Open { until: 100 });

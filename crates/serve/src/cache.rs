@@ -70,7 +70,7 @@
 //! still carrying the epoch they were computed at. The live cache never
 //! serves them — [`RouteCache::lookup_vec`] is exact — but when
 //! the degrade ladder has nothing better (storage breaker open, every
-//! rung failed), [`RouteCache::lookup_stale`] can serve one as an
+//! rung failed), `RouteCache::lookup_stale` can serve one as an
 //! explicitly tagged `STALE k` answer: a road that existed `k` epochs
 //! ago beats no road at all for a traveller already driving. The stale
 //! tier is invisible to [`RouteCache::len`] / [`RouteCache::is_empty`]
@@ -78,7 +78,7 @@
 //! `retirements` statistics.
 
 use crate::shard::EpochVector;
-use crate::sync::{self, Mutex, MutexGuard};
+use crate::sync::{self, Entries, Level, LockBefore, Locked, Mutex, Unlocked};
 use atis_graph::{NodeId, Path};
 use atis_obs::SharedRegistry;
 use std::collections::HashMap;
@@ -184,10 +184,12 @@ impl RouteCache {
         self
     }
 
-    /// Designated acquirer for the cache table (rank 4 in the declared
-    /// lock order — see `sync.rs` and `atis-analyze rules`).
-    fn lock_entries(&self) -> MutexGuard<'_, Inner> {
-        sync::lock(&self.inner)
+    /// Designated acquirer for the cache table (rank 4, `sync::Entries`).
+    fn lock_entries<'a, L: LockBefore<Entries>>(
+        &'a self,
+        level: &'a mut Level<L>,
+    ) -> Locked<'a, Inner, Entries> {
+        sync::lock(level, &self.inner)
     }
 
     fn bump(&self, name: &str, n: u64) {
@@ -205,17 +207,17 @@ impl RouteCache {
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.lock_entries().map.len()
+        self.lock_entries(&mut Level::root()).0.map.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lock_entries(&mut Level::root()).0.map.is_empty()
     }
 
     /// A copy of the monotonic statistics.
     pub fn stats(&self) -> CacheStats {
-        self.lock_entries().stats
+        self.lock_entries(&mut Level::root()).0.stats
     }
 
     /// Looks up `(from, to)` against a snapshot's epoch vector: a hit
@@ -233,10 +235,20 @@ impl RouteCache {
         to: NodeId,
         epochs: &EpochVector,
     ) -> Option<CachedRoute> {
+        self.lookup_vec_at(&mut Level::root(), from, to, epochs)
+    }
+
+    pub(crate) fn lookup_vec_at(
+        &self,
+        level: &mut Level<Unlocked>,
+        from: NodeId,
+        to: NodeId,
+        epochs: &EpochVector,
+    ) -> Option<CachedRoute> {
         if self.capacity == 0 {
             return None;
         }
-        let mut inner = self.lock_entries();
+        let (mut inner, _) = self.lock_entries(level);
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(&(from.0, to.0)) {
@@ -276,10 +288,21 @@ impl RouteCache {
         route: CachedRoute,
         stamps: Vec<(u32, u64)>,
     ) {
+        self.insert_stamped_at(&mut Level::root(), from, to, route, stamps);
+    }
+
+    pub(crate) fn insert_stamped_at(
+        &self,
+        level: &mut Level<Unlocked>,
+        from: NodeId,
+        to: NodeId,
+        route: CachedRoute,
+        stamps: Vec<(u32, u64)>,
+    ) {
         if self.capacity == 0 || stamps.is_empty() {
             return;
         }
-        let mut inner = self.lock_entries();
+        let (mut inner, _) = self.lock_entries(level);
         if stamps
             .iter()
             .any(|&(shard, version)| version < inner.latest_version(shard))
@@ -337,12 +360,25 @@ impl RouteCache {
         shards: &[u32],
         epochs: &EpochVector,
     ) -> (u64, u64) {
+        let level = &mut Level::root();
+        self.apply_shard_update_at(level, (u, v), old_cost, new_cost, shards, epochs)
+    }
+
+    pub(crate) fn apply_shard_update_at(
+        &self,
+        level: &mut Level<Unlocked>,
+        (u, v): (NodeId, NodeId),
+        old_cost: f64,
+        new_cost: f64,
+        shards: &[u32],
+        epochs: &EpochVector,
+    ) -> (u64, u64) {
         if self.capacity == 0 {
             return (0, 0);
         }
         let decrease = new_cost < old_cost;
         let install = epochs.install();
-        let mut inner = self.lock_entries();
+        let (mut inner, _) = self.lock_entries(level);
         let mut invalidated = 0u64;
         let mut promoted = 0u64;
         let swept = std::mem::take(&mut inner.map);
@@ -435,13 +471,15 @@ impl RouteCache {
     /// Degraded lookup against the stale tier: returns a retired route
     /// for `(from, to)` together with its age in epochs, provided the
     /// age does not exceed `max_age`. The live hit/miss counters are
-    /// untouched; a returned route is counted as a `stale_hit`.
+    /// untouched; a returned route is counted as a `stale_hit`. Only the
+    /// degrade ladder's tail reads the tier.
     ///
     /// The caller must surface the age to the client (the `STALE k` wire
     /// tag) — a stale answer is explicitly degraded service, never
     /// passed off as current.
-    pub fn lookup_stale(
+    pub(crate) fn lookup_stale(
         &self,
+        level: &mut Level<Unlocked>,
         from: NodeId,
         to: NodeId,
         current_epoch: u64,
@@ -450,7 +488,7 @@ impl RouteCache {
         if self.capacity == 0 {
             return None;
         }
-        let mut inner = self.lock_entries();
+        let (mut inner, _) = self.lock_entries(level);
         let route = inner.stale.get(&(from.0, to.0))?.clone();
         let age = current_epoch.saturating_sub(route.epoch).max(1);
         if age > max_age {
@@ -464,6 +502,10 @@ impl RouteCache {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests drive the public API, which mints the root lock level"
+)]
 mod tests {
     use super::*;
 
@@ -563,7 +605,9 @@ mod tests {
         insert(&cache, 0, 1, route(&[0, 1], 1.0, 0));
         assert!(cache.lookup_vec(NodeId(0), NodeId(1), &single(0)).is_none());
         assert_eq!(update(&cache, 0, 1, 1.0, 2.0, 1), (0, 0));
-        assert!(cache.lookup_stale(NodeId(0), NodeId(1), 1, 8).is_none());
+        assert!(cache
+            .lookup_stale(&mut Level::root(), NodeId(0), NodeId(1), 1, 8)
+            .is_none());
         assert_eq!(cache.stats(), CacheStats::default());
     }
 
@@ -576,7 +620,7 @@ mod tests {
         assert!(cache.is_empty(), "the stale tier is not the live cache");
         assert!(cache.lookup_vec(NodeId(0), NodeId(3), &single(1)).is_none());
         let (stale, age) = cache
-            .lookup_stale(NodeId(0), NodeId(3), 1, 8)
+            .lookup_stale(&mut Level::root(), NodeId(0), NodeId(3), 1, 8)
             .expect("the retired route is servable");
         assert_eq!(stale.epoch, 0);
         assert_eq!(age, 1);
@@ -590,9 +634,15 @@ mod tests {
         let cache = RouteCache::new(8);
         insert(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
         update(&cache, 0, 1, 1.0, 9.0, 1);
-        assert!(cache.lookup_stale(NodeId(0), NodeId(3), 10, 8).is_none());
-        assert!(cache.lookup_stale(NodeId(0), NodeId(3), 8, 8).is_some());
-        assert!(cache.lookup_stale(NodeId(9), NodeId(9), 1, 8).is_none());
+        assert!(cache
+            .lookup_stale(&mut Level::root(), NodeId(0), NodeId(3), 10, 8)
+            .is_none());
+        assert!(cache
+            .lookup_stale(&mut Level::root(), NodeId(0), NodeId(3), 8, 8)
+            .is_some());
+        assert!(cache
+            .lookup_stale(&mut Level::root(), NodeId(9), NodeId(9), 1, 8)
+            .is_none());
     }
 
     #[test]
@@ -603,18 +653,26 @@ mod tests {
         update(&cache, 0, 1, 1.0, 9.0, 1);
         insert(&cache, 0, 3, route(&[0, 2, 3], 3.0, 1));
         update(&cache, 0, 2, 1.0, 9.0, 2);
-        let (stale, age) = cache.lookup_stale(NodeId(0), NodeId(3), 2, 8).unwrap();
+        let (stale, age) = cache
+            .lookup_stale(&mut Level::root(), NodeId(0), NodeId(3), 2, 8)
+            .unwrap();
         assert_eq!((stale.epoch, age), (1, 1), "newest retiree wins");
         // Fill the tier past capacity: the oldest epoch is evicted.
         insert(&cache, 4, 5, route(&[4, 5], 7.0, 2));
         insert(&cache, 6, 7, route(&[6, 7], 8.0, 2));
         update(&cache, 0, 1, 9.0, 0.5, 3); // undercuts both
         assert!(
-            cache.lookup_stale(NodeId(0), NodeId(3), 3, 8).is_none(),
+            cache
+                .lookup_stale(&mut Level::root(), NodeId(0), NodeId(3), 3, 8)
+                .is_none(),
             "the epoch-1 retiree was the eviction victim"
         );
-        assert!(cache.lookup_stale(NodeId(4), NodeId(5), 3, 8).is_some());
-        assert!(cache.lookup_stale(NodeId(6), NodeId(7), 3, 8).is_some());
+        assert!(cache
+            .lookup_stale(&mut Level::root(), NodeId(4), NodeId(5), 3, 8)
+            .is_some());
+        assert!(cache
+            .lookup_stale(&mut Level::root(), NodeId(6), NodeId(7), 3, 8)
+            .is_some());
     }
 
     #[test]
@@ -647,7 +705,7 @@ mod tests {
             keys.into_iter()
                 .filter(|&(from, to)| {
                     cache
-                        .lookup_stale(NodeId(from), NodeId(to), 5, u64::MAX)
+                        .lookup_stale(&mut Level::root(), NodeId(from), NodeId(to), 5, u64::MAX)
                         .is_some()
                 })
                 .collect::<Vec<_>>()
@@ -709,7 +767,9 @@ mod tests {
         assert_eq!((invalidated, promoted), (1, 0));
         assert!(cache.lookup_vec(NodeId(4), NodeId(5), &v1).is_none());
         // …and it retired into the stale tier like any invalidation.
-        assert!(cache.lookup_stale(NodeId(4), NodeId(5), 1, 8).is_some());
+        assert!(cache
+            .lookup_stale(&mut Level::root(), NodeId(4), NodeId(5), 1, 8)
+            .is_some());
     }
 
     #[test]

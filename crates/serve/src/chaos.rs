@@ -353,6 +353,7 @@ pub fn standard_scenarios() -> Vec<ChaosScenario> {
 /// Setup failures (grid/database/artifact construction, thread
 /// spawning) as strings; the storm itself never errors — client failures land in
 /// the report.
+#[expect(clippy::disallowed_methods, reason = "a client of the public API")]
 pub fn run_scenario(scenario: &ChaosScenario) -> Result<ChaosReport, String> {
     let grid = scenario_grid(scenario)?;
     let mut db = Database::open(grid.graph()).map_err(|e| format!("database: {e}"))?;

@@ -152,6 +152,10 @@ pub(crate) fn maintain_artifacts(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests drive the public API, which mints the root lock level"
+)]
 mod tests {
     use super::*;
     use crate::shard::{ShardMap, ShardedEpochDb};
@@ -381,7 +385,7 @@ mod tests {
             assert_eq!((upd.epoch, upd.updated), (i, 1));
             assert_eq!(upd.old_cost, (i as f64 - 1.0).max(1.0));
         }
-        assert_eq!(epochs.install(), 5);
+        assert_eq!(epochs.snapshot().install(), 5);
         assert_eq!(
             epochs.snapshot().db.graph().edge_cost(NodeId(0), NodeId(1)),
             Some(5.0)

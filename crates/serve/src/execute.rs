@@ -10,6 +10,7 @@ use crate::breaker::{Admission, BreakerState, ProbeGuard};
 use crate::cache::CachedRoute;
 use crate::error::{ServeError, ShedReason};
 use crate::shard::ShardSnapshot;
+use crate::sync::{Level, Unlocked};
 use atis_algorithms::ladder::{self, Fall, Needs, Policy, Rung, Step, Walked};
 use atis_algorithms::{AlgorithmError, BudgetKind, Budgets, RunTrace};
 use atis_graph::{NodeId, Path};
@@ -37,9 +38,9 @@ impl Group {
 /// virtual clock for the work consumed.
 fn finish(
     shared: &Shared,
+    level: &mut Level<Unlocked>,
     worker: usize,
-    job: Job,
-    queue_wait: Duration,
+    (job, queue_wait): (Job, Duration),
     service_time: Duration,
     outcome: Result<Exec, ServeError>,
 ) {
@@ -90,13 +91,13 @@ fn finish(
             // renewal) and its consumed cost was metered above:
             // resolve it as-is instead of recomputing the hint from
             // queue depth.
-            shared.resolve_shed(&job, reason, retry_after, queue_depth);
+            shared.resolve_shed(level, &job, reason, retry_after, queue_depth);
         }
         other => {
             if other.is_err() {
                 shared.inc("serve_failed_total");
             }
-            job.ticket.resolve(other);
+            job.ticket.resolve(level, other);
         }
     }
 }
@@ -105,13 +106,21 @@ fn finish(
 /// group's one result.
 fn resolve_group(
     shared: &Shared,
+    level: &mut Level<Unlocked>,
     worker: usize,
     group: Group,
     result: Result<Exec, ServeError>,
     service_time: Duration,
 ) {
     for (job, wait) in group.members {
-        finish(shared, worker, job, wait, service_time, result.clone());
+        finish(
+            shared,
+            level,
+            worker,
+            (job, wait),
+            service_time,
+            result.clone(),
+        );
     }
 }
 
@@ -144,15 +153,16 @@ fn ticks(cost_units: f64) -> u64 {
 /// freezing while every run fails.
 pub(super) fn execute(
     shared: &Shared,
+    level: &mut Level<Unlocked>,
     worker: usize,
     snapshot: &ShardSnapshot,
     group: Group,
     now: u64,
 ) {
     let started = Instant::now();
-    if let Some(hit) = cache_hit(shared, snapshot, &group) {
+    if let Some(hit) = cache_hit(shared, level, snapshot, &group) {
         shared.advance(ticks(hit.cost_units));
-        resolve_group(shared, worker, group, Ok(hit), started.elapsed());
+        resolve_group(shared, level, worker, group, Ok(hit), started.elapsed());
         return;
     }
 
@@ -166,7 +176,8 @@ pub(super) fn execute(
         .map(|(job, _)| job.deadline)
         .max()
         .unwrap_or(Deadline { expires_at: 0 });
-    let (result, consumed) = match Breakered::begin(shared, snapshot, group.lead(), deadline, now) {
+    let lead = group.lead();
+    let (result, consumed) = match Breakered::begin(shared, level, snapshot, lead, deadline, now) {
         Ok(mut policy) => {
             let budgets = policy.budgets;
             let walked = ladder::walk(&snapshot.db, &shared.rungs, &mut policy, |step| {
@@ -194,15 +205,15 @@ pub(super) fn execute(
             let cost_units = trace.cost_units(snapshot.db.params());
             shared.advance(consumed + ticks(cost_units));
             let service_time = started.elapsed();
-            let exec = computed(shared, snapshot, &group, trace, cost_units, outcome);
-            resolve_group(shared, worker, group, Ok(exec), service_time);
+            let exec = computed(shared, level, snapshot, &group, trace, cost_units, outcome);
+            resolve_group(shared, level, worker, group, Ok(exec), service_time);
         }
         Err(refusal) => {
             shared.advance(consumed);
             let service_time = started.elapsed();
-            let (result, stale_ticks) = tail(shared, snapshot, &group, &refusal);
+            let (result, stale_ticks) = tail(shared, level, snapshot, &group, &refusal);
             shared.advance(stale_ticks);
-            resolve_group(shared, worker, group, result, service_time);
+            resolve_group(shared, level, worker, group, result, service_time);
         }
     }
 }
@@ -244,12 +255,13 @@ impl<'a> Breakered<'a> {
     /// (`Err(retry_after)`) means nothing runs.
     fn begin(
         shared: &'a Shared,
+        level: &'a mut Level<Unlocked>,
         snapshot: &'a ShardSnapshot,
         request: u64,
         deadline: Deadline,
         now: u64,
     ) -> Result<Self, u64> {
-        let (admission, t) = shared.breakers.storage.admit(now);
+        let (admission, t) = shared.breakers.storage.admit_at(level, now);
         shared.emit_transition(t);
         if let Admission::Deny { retry_after } = admission {
             return Err(retry_after);
@@ -268,7 +280,7 @@ impl<'a> Breakered<'a> {
             now,
             budgets,
             deadline_binding: budgets.max_cost_units == Some(allowance),
-            storage: Some(ProbeGuard::new(&shared.breakers.storage, admission)),
+            storage: Some(ProbeGuard::new(&shared.breakers.storage, admission, level)),
             consumed: 0,
         })
     }
@@ -345,10 +357,10 @@ impl Policy for Breakered<'_> {
             Fall::Storage => {
                 if let Some(guard) = &mut self.storage {
                     shared.emit_transition(guard.failure(self.now));
-                }
-                // A failure that trips the breaker denies the retry too.
-                if let BreakerState::Open { .. } = shared.breakers.storage.state() {
-                    self.storage = None;
+                    // A failure that trips the breaker denies the retry too.
+                    if let BreakerState::Open { .. } = guard.state() {
+                        self.storage = None;
+                    }
                 }
             }
             Fall::Artifact | Fall::Budget(_) | Fall::Stop => {}
@@ -381,14 +393,14 @@ struct Refusal {
 /// age, and the ticks it is charged; failing that, the typed refusal.
 fn tail(
     shared: &Shared,
+    level: &mut Level<Unlocked>,
     snapshot: &ShardSnapshot,
     group: &Group,
     refusal: &Refusal,
 ) -> (Result<Exec, ServeError>, u64) {
     let stale = refusal.try_stale.then(|| {
-        shared
-            .cache
-            .lookup_stale(group.from, group.to, snapshot.install(), STALE_MAX_AGE)
+        let install = snapshot.install();
+        (shared.cache).lookup_stale(level, group.from, group.to, install, STALE_MAX_AGE)
     });
     match stale.flatten() {
         Some((route, age)) => {
@@ -423,10 +435,15 @@ fn storage_fault_metric(fault: &StorageError) -> &'static str {
 
 /// The group's key in the route cache at the pinned epoch vector, as a
 /// `CacheHit` answer.
-fn cache_hit(shared: &Shared, snapshot: &ShardSnapshot, group: &Group) -> Option<Exec> {
+fn cache_hit(
+    shared: &Shared,
+    level: &mut Level<Unlocked>,
+    snapshot: &ShardSnapshot,
+    group: &Group,
+) -> Option<Exec> {
     let hit = shared
         .cache
-        .lookup_vec(group.from, group.to, &snapshot.epochs)?;
+        .lookup_vec_at(level, group.from, group.to, &snapshot.epochs)?;
     shared.emit(ServeEvent::CacheHit {
         request: group.lead(),
         epoch: snapshot.install(),
@@ -444,6 +461,7 @@ fn cache_hit(shared: &Shared, snapshot: &ShardSnapshot, group: &Group) -> Option
 /// the version (from the pinned vector) of every shard the path crosses.
 fn computed(
     shared: &Shared,
+    level: &mut Level<Unlocked>,
     snapshot: &ShardSnapshot,
     group: &Group,
     trace: RunTrace,
@@ -466,7 +484,7 @@ fn computed(
         };
         shared
             .cache
-            .insert_stamped(group.from, group.to, route, stamps);
+            .insert_stamped_at(level, group.from, group.to, route, stamps);
     }
     Exec {
         path: trace.path,
@@ -478,6 +496,10 @@ fn computed(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests drive the public API, which mints the root lock level"
+)]
 mod tests {
     use super::super::tests::grid_service;
     use super::super::*;
@@ -502,7 +524,11 @@ mod tests {
         let (u, v) = path.hops().next().unwrap();
         let mut updated = oracle.clone();
         updated.update_edge_cost(u, v, path.cost + 100.0).unwrap();
-        let warm_reads = crate::sync::lock(oracle.faults().unwrap()).reads();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a storage lock, outside the serve crate's ranks"
+        )]
+        let warm_reads = oracle.faults().unwrap().lock().unwrap().reads();
 
         // The brownout: every read after the warm-up fails, for a
         // 40-operation window, then storage recovers.

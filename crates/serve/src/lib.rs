@@ -104,7 +104,7 @@ pub mod epoch;
 pub mod error;
 pub mod service;
 pub mod shard;
-pub(crate) mod sync;
+pub mod sync;
 
 pub use breaker::{
     Admission, BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, ProbeGuard,

@@ -31,13 +31,12 @@
 //! **Deadlines** are measured on a deterministic virtual clock
 //! ([`RouteService::now_ticks`]): one tick per dequeue plus one tick per
 //! Table 4A cost unit of completed work, so virtual time advances with
-//! admitted load, never with wall time (consistent with the analyze
-//! determinism rules). An admitted request whose deadline passes while
-//! queued is shed at dequeue without running; one that is still running
-//! when its deadline-derived cost budget (80% of the remaining ticks by
-//! default) runs out is aborted mid-expansion by the planner's budget
-//! meter — it stops consuming block reads instead of completing
-//! uselessly.
+//! admitted load, never with wall time. An admitted request whose
+//! deadline passes while queued is shed at dequeue without running; one
+//! that is still running when its deadline-derived cost budget (80% of
+//! the remaining ticks by default) runs out is aborted mid-expansion by
+//! the planner's budget meter — it stops consuming block reads instead
+//! of completing uselessly.
 //!
 //! **One circuit breaker** guards the storage engine (see `breaker.rs`):
 //! an open breaker sends a request straight to the stale tier, and one
@@ -74,7 +73,7 @@ use crate::cache::RouteCache;
 use crate::epoch::{EpochUpdate, HierarchyRefresh, LandmarkRefresh};
 use crate::error::{ServeError, ShedReason};
 use crate::shard::{ShardMap, ShardSnapshot, ShardedEpochDb, ShardedUpdate};
-use crate::sync::{self, Arc, Condvar, Mutex, MutexGuard};
+use crate::sync::{self, Arc, Condvar, Level, LockBefore, Locked, Mutex, Queue, Slot, Unlocked};
 use atis_algorithms::ladder::{self, Rung};
 use atis_algorithms::{AStarVersion, Algorithm, AlgorithmError, Database};
 use atis_graph::{NodeId, Path};
@@ -296,17 +295,17 @@ struct TicketInner {
 }
 
 impl TicketInner {
-    /// Designated acquirer for the answer slot (rank 5 in the declared
-    /// order — see `sync.rs`).
-    fn lock_slot(&self) -> MutexGuard<'_, Option<Result<RouteAnswer, ServeError>>> {
-        sync::lock(&self.slot)
+    /// Designated acquirer for the answer slot (rank 5, `sync::Slot`).
+    fn lock_slot<'a, L: LockBefore<Slot>>(
+        &'a self,
+        level: &'a mut Level<L>,
+    ) -> Locked<'a, Option<Result<RouteAnswer, ServeError>>, Slot> {
+        sync::lock(level, &self.slot)
     }
 
     /// Fills the slot and wakes the waiter.
-    fn resolve(&self, answer: Result<RouteAnswer, ServeError>) {
-        let mut slot = self.lock_slot();
-        *slot = Some(answer);
-        drop(slot);
+    fn resolve(&self, level: &mut Level<Unlocked>, answer: Result<RouteAnswer, ServeError>) {
+        *self.lock_slot(level).0 = Some(answer);
         self.ready.notify_all();
     }
 }
@@ -326,7 +325,11 @@ impl Ticket {
 
     /// Blocks until the worker pool answers this request.
     pub fn wait(self) -> Result<RouteAnswer, ServeError> {
-        let mut slot = self.inner.lock_slot();
+        self.wait_at(&mut Level::root())
+    }
+
+    fn wait_at(self, level: &mut Level<Unlocked>) -> Result<RouteAnswer, ServeError> {
+        let (mut slot, _) = self.inner.lock_slot(level);
         loop {
             if let Some(answer) = slot.take() {
                 return answer;
@@ -428,10 +431,12 @@ const DEFAULT_DEADLINE_TICKS: u64 = 100_000;
 const RETRY_UNIT_TICKS: u64 = 16;
 
 impl Shared {
-    /// Designated acquirer for the admission queue (rank 1, the
-    /// outermost lock in the declared order — see `sync.rs`).
-    fn lock_queue(&self) -> MutexGuard<'_, QueueState> {
-        sync::lock(&self.queue)
+    /// Designated acquirer for the admission queue (rank 1, `sync::Queue`).
+    fn lock_queue<'a, L: LockBefore<Queue>>(
+        &'a self,
+        level: &'a mut Level<L>,
+    ) -> Locked<'a, QueueState, Queue> {
+        sync::lock(level, &self.queue)
     }
 
     fn now(&self) -> u64 {
@@ -478,21 +483,28 @@ impl Shared {
     }
 
     /// Sheds `job` with a typed reason: resolves its ticket, counts it,
-    /// and emits the trace span. Never called with a lock held.
-    fn shed_job(&self, job: &Job, reason: ShedReason, queue_depth: usize) {
+    /// and emits the trace span.
+    fn shed_job(&self, level: &mut Level<Unlocked>, job: &Job, reason: ShedReason, depth: usize) {
         let retry_after = match reason {
             ShedReason::DeadlineExpired => DEFAULT_DEADLINE_TICKS,
             ShedReason::QueueFull | ShedReason::Displaced | ShedReason::BreakerOpen => {
-                (queue_depth as u64).max(1) * RETRY_UNIT_TICKS
+                (depth as u64).max(1) * RETRY_UNIT_TICKS
             }
         };
-        self.resolve_shed(job, reason, retry_after, queue_depth);
+        self.resolve_shed(level, job, reason, retry_after, depth);
     }
 
     /// Sheds `job` with a back-off hint that is already known — a
     /// breaker's actual countdown, a deadline renewal — instead of the
-    /// queue-depth formula. Never called with a lock held.
-    fn resolve_shed(&self, job: &Job, reason: ShedReason, retry_after: u64, queue_depth: usize) {
+    /// queue-depth formula.
+    fn resolve_shed(
+        &self,
+        level: &mut Level<Unlocked>,
+        job: &Job,
+        reason: ShedReason,
+        retry_after: u64,
+        queue_depth: usize,
+    ) {
         self.inc("serve_shed_total");
         if reason == ShedReason::DeadlineExpired {
             self.inc("serve_deadline_expired_total");
@@ -503,11 +515,14 @@ impl Shared {
             retry_after,
             queue_depth: queue_depth as u64,
         });
-        job.ticket.resolve(Err(ServeError::Shed {
-            reason,
-            retry_after,
-            queue_depth,
-        }));
+        job.ticket.resolve(
+            level,
+            Err(ServeError::Shed {
+                reason,
+                retry_after,
+                queue_depth,
+            }),
+        );
     }
 }
 
@@ -619,7 +634,8 @@ impl RouteService {
     /// The current epoch — the global install counter (every update
     /// advances it, whichever shards it touches).
     pub fn epoch(&self) -> u64 {
-        self.shared.epoch_db.install()
+        let level = &mut Level::root();
+        self.shared.epoch_db.snapshot_at(level).install()
     }
 
     /// The number of epoch shards (`1` = single global epoch).
@@ -644,7 +660,7 @@ impl RouteService {
     /// queries (`EVAL`) that must see one consistent epoch
     /// ([`ShardSnapshot::install`] is the epoch answers report).
     pub fn shard_snapshot(&self) -> ShardSnapshot {
-        self.shared.epoch_db.snapshot()
+        self.shared.epoch_db.snapshot_at(&mut Level::root())
     }
 
     /// The route cache (counters, capacity).
@@ -656,7 +672,7 @@ impl RouteService {
     /// `None` for any other name.
     pub fn breaker_state(&self, resource: &str) -> Option<BreakerState> {
         match resource {
-            "storage" => Some(self.shared.breakers.storage.state()),
+            "storage" => Some(self.shared.breakers.storage.state_at(&mut Level::root())),
             _ => None,
         }
     }
@@ -667,7 +683,8 @@ impl RouteService {
     /// [`ServeError::Shed`] when admission sheds the request;
     /// [`ServeError::ShuttingDown`] after the service started closing.
     pub fn submit(&self, from: NodeId, to: NodeId) -> Result<Ticket, ServeError> {
-        self.submit_with(from, to, RequestClass::Interactive, None)
+        let level = &mut Level::root();
+        self.submit_at(level, from, to, RequestClass::Interactive, None)
     }
 
     /// Submits a request with an explicit class and (optionally) an
@@ -688,13 +705,24 @@ impl RouteService {
         class: RequestClass,
         deadline_ticks: Option<u64>,
     ) -> Result<Ticket, ServeError> {
+        self.submit_at(&mut Level::root(), from, to, class, deadline_ticks)
+    }
+
+    fn submit_at(
+        &self,
+        level: &mut Level<Unlocked>,
+        from: NodeId,
+        to: NodeId,
+        class: RequestClass,
+        deadline_ticks: Option<u64>,
+    ) -> Result<Ticket, ServeError> {
         let id = self.shared.next_request.fetch_add(1, Ordering::Relaxed);
         let now = self.shared.now();
         let deadline = Deadline {
             expires_at: now + deadline_ticks.unwrap_or(DEFAULT_DEADLINE_TICKS).max(1),
         };
         let mut victims: Vec<(Job, ShedReason)> = Vec::new();
-        let mut queue = self.shared.lock_queue();
+        let (mut queue, _) = self.shared.lock_queue(level);
         if queue.closed {
             return Err(ServeError::ShuttingDown);
         }
@@ -712,7 +740,7 @@ impl RouteService {
             let depth = queue.len();
             drop(queue);
             for (job, reason) in victims {
-                self.shared.shed_job(&job, reason, depth);
+                self.shared.shed_job(level, &job, reason, depth);
             }
             let retry_after = (depth as u64).max(1) * RETRY_UNIT_TICKS;
             self.shared.inc("serve_shed_total");
@@ -748,7 +776,7 @@ impl RouteService {
         let depth = queue.len();
         drop(queue);
         for (job, reason) in victims {
-            self.shared.shed_job(&job, reason, depth);
+            self.shared.shed_job(level, &job, reason, depth);
         }
         self.shared.available.notify_one();
         self.shared.observe("serve_queue_depth", depth as f64);
@@ -766,7 +794,9 @@ impl RouteService {
     /// a deadline shed while queued or mid-run, or the run's own
     /// [`ServeError::Algorithm`] failure.
     pub fn route(&self, from: NodeId, to: NodeId) -> Result<RouteAnswer, ServeError> {
-        self.submit(from, to)?.wait()
+        let level = &mut Level::root();
+        self.submit_at(level, from, to, RequestClass::Interactive, None)?
+            .wait_at(level)
     }
 
     /// Submits with an explicit class/deadline and blocks for the
@@ -781,7 +811,9 @@ impl RouteService {
         class: RequestClass,
         deadline_ticks: Option<u64>,
     ) -> Result<RouteAnswer, ServeError> {
-        self.submit_with(from, to, class, deadline_ticks)?.wait()
+        let level = &mut Level::root();
+        self.submit_at(level, from, to, class, deadline_ticks)?
+            .wait_at(level)
     }
 
     /// Applies a traffic update: installs a new epoch copy-on-write and
@@ -809,11 +841,12 @@ impl RouteService {
         cost: f64,
     ) -> Result<EpochUpdate, AlgorithmError> {
         let started = Instant::now();
+        let (level, db) = (&mut Level::root(), &self.shared.epoch_db);
         let ShardedUpdate {
             update,
             shards,
             epochs,
-        } = self.shared.epoch_db.update_edge_cost(u, v, cost)?;
+        } = db.update_edge_cost_at(level, u, v, cost)?;
         if update.updated == 0 {
             return Ok(update);
         }
@@ -827,9 +860,9 @@ impl RouteService {
         if update.landmarks == LandmarkRefresh::RebuildFailed {
             self.shared.inc("serve_landmark_rebuild_failed_total");
         }
-        let (invalidated, promoted) = self.shared.cache.apply_shard_update(
-            u,
-            v,
+        let (invalidated, promoted) = self.shared.cache.apply_shard_update_at(
+            level,
+            (u, v),
             update.old_cost,
             update.new_cost,
             &shards,
@@ -850,10 +883,7 @@ impl RouteService {
 
 impl Drop for RouteService {
     fn drop(&mut self) {
-        {
-            let mut queue = self.shared.lock_queue();
-            queue.closed = true;
-        }
+        self.shared.lock_queue(&mut Level::root()).0.closed = true;
         self.shared.available.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -862,13 +892,14 @@ impl Drop for RouteService {
 }
 
 fn worker_loop(shared: &Shared, worker: usize) {
+    let level = &mut Level::root();
     loop {
         // Drain-only batching: take one job (waiting if necessary), then
         // fold in whatever is *already* queued up to `batch_max`. A
         // worker never waits for a batch to fill, so batching can only
         // remove queueing latency, never add it (fairness bound 1).
         let mut batch = {
-            let mut queue = shared.lock_queue();
+            let (mut queue, _) = shared.lock_queue(level);
             loop {
                 if let Some(job) = queue.pop() {
                     let mut batch = vec![job];
@@ -894,7 +925,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         let mut live: Vec<(Job, Duration)> = Vec::with_capacity(batch.len());
         for job in batch.drain(..) {
             if job.deadline.expired(now) {
-                shared.shed_job(&job, ShedReason::DeadlineExpired, 0);
+                shared.shed_job(level, &job, ShedReason::DeadlineExpired, 0);
             } else {
                 let queue_wait = job.submitted.elapsed();
                 shared.observe("serve_queue_wait_seconds", queue_wait.as_secs_f64());
@@ -907,7 +938,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
 
         // One pinned snapshot per batch: every member sees the same
         // database and the same (whole) epoch vector.
-        let snapshot = shared.epoch_db.snapshot();
+        let snapshot = shared.epoch_db.snapshot_at(level);
         for (job, _) in &live {
             shared.emit(ServeEvent::Started {
                 request: job.id,
@@ -945,12 +976,16 @@ fn worker_loop(shared: &Shared, worker: usize) {
         }
 
         for group in groups {
-            execute(shared, worker, &snapshot, group, now);
+            execute(shared, level, worker, &snapshot, group, now);
         }
     }
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests drive the public API, which mints the root lock level"
+)]
 mod tests {
     use super::*;
     use atis_graph::{CostModel, Grid, QueryKind};

@@ -55,7 +55,7 @@
 //! publishes.
 
 use crate::epoch::{maintain_artifacts, EpochUpdate, HierarchyRefresh, LandmarkRefresh};
-use crate::sync::{self, Arc, Mutex, MutexGuard};
+use crate::sync::{self, Arc, Current, Level, LockBefore, Locked, Mutex, Unlocked, Writer};
 use atis_algorithms::{AlgorithmError, Database};
 use atis_graph::{Graph, NodeId, PartitionMap};
 
@@ -143,12 +143,6 @@ impl EpochVector {
         }
     }
 
-    /// Direct constructor for in-crate tests of the stamped cache.
-    #[cfg(test)]
-    pub(crate) fn with_versions(install: u64, versions: Vec<u64>) -> Self {
-        EpochVector { install, versions }
-    }
-
     /// The global install counter: a total order on installs, and the
     /// number every answer reports as its epoch.
     pub fn install(&self) -> u64 {
@@ -230,17 +224,20 @@ impl ShardedEpochDb {
         }
     }
 
-    /// Designated acquirer for the install lock (rank 2 in the declared
-    /// lock order — see `sync.rs` and `atis-analyze rules`): taken
-    /// before `lock_current`, never while holding it.
-    fn lock_writer(&self) -> MutexGuard<'_, ()> {
-        sync::lock(&self.writer)
+    /// Designated acquirer for the install lock (rank 2, `sync::Writer`).
+    fn lock_writer<'a, L: LockBefore<Writer>>(
+        &'a self,
+        level: &'a mut Level<L>,
+    ) -> Locked<'a, (), Writer> {
+        sync::lock(level, &self.writer)
     }
 
-    /// Designated acquirer for the epoch slot (rank 3 in the declared
-    /// lock order).
-    fn lock_current(&self) -> MutexGuard<'_, ShardSnapshot> {
-        sync::lock(&self.current)
+    /// Designated acquirer for the epoch slot (rank 3, `sync::Current`).
+    fn lock_current<'a, L: LockBefore<Current>>(
+        &'a self,
+        level: &'a mut Level<L>,
+    ) -> Locked<'a, ShardSnapshot, Current> {
+        sync::lock(level, &self.current)
     }
 
     /// The node-to-shard map this store versions by.
@@ -253,12 +250,11 @@ impl ShardedEpochDb {
     /// mid-query is exactly the torn-answer bug snapshots prevent, and
     /// mixing two snapshots' vectors breaks the consistency rule.
     pub fn snapshot(&self) -> ShardSnapshot {
-        self.lock_current().clone()
+        self.snapshot_at(&mut Level::root())
     }
 
-    /// The current global install counter.
-    pub fn install(&self) -> u64 {
-        self.lock_current().epochs.install()
+    pub(crate) fn snapshot_at(&self, level: &mut Level<impl LockBefore<Current>>) -> ShardSnapshot {
+        self.lock_current(level).0.clone()
     }
 
     /// Applies a traffic update copy-on-write: clones the current
@@ -297,8 +293,18 @@ impl ShardedEpochDb {
         v: NodeId,
         cost: f64,
     ) -> Result<ShardedUpdate, AlgorithmError> {
-        let _writer = self.lock_writer();
-        let base = self.snapshot();
+        self.update_edge_cost_at(&mut Level::root(), u, v, cost)
+    }
+
+    pub(crate) fn update_edge_cost_at(
+        &self,
+        level: &mut Level<Unlocked>,
+        u: NodeId,
+        v: NodeId,
+        cost: f64,
+    ) -> Result<ShardedUpdate, AlgorithmError> {
+        let (_writer, level) = self.lock_writer(level);
+        let base = self.snapshot_at(level);
         if !base.db.graph().contains(u) {
             return Err(AlgorithmError::UnknownSource(u));
         }
@@ -352,7 +358,7 @@ impl ShardedEpochDb {
         // Only the writer-lock holder replaces `current`, so `base` is
         // still what is published: this swap loses no install. (`base`
         // also keeps the old snapshot alive, so nothing is freed here.)
-        *self.lock_current() = next;
+        *self.lock_current(level).0 = next;
         Ok(ShardedUpdate {
             update,
             shards,
@@ -362,8 +368,19 @@ impl ShardedEpochDb {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests drive the public API, which mints the root lock level"
+)]
 mod tests {
     use super::*;
+
+    impl EpochVector {
+        /// Direct constructor for in-crate tests of the stamped cache.
+        pub(crate) fn with_versions(install: u64, versions: Vec<u64>) -> Self {
+            EpochVector { install, versions }
+        }
+    }
     use atis_algorithms::Algorithm;
     use atis_graph::{CostModel, Grid, QueryKind};
 
@@ -511,6 +528,6 @@ mod tests {
         assert!(store
             .update_edge_cost(NodeId(60000), NodeId(1), 1.0)
             .is_err());
-        assert_eq!(store.install(), 0);
+        assert_eq!(store.snapshot().install(), 0);
     }
 }

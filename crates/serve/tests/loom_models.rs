@@ -11,6 +11,7 @@
 
 use atis_algorithms::Database;
 use atis_graph::{CostModel, Grid, NodeId, Path, QueryKind};
+use atis_serve::sync::Level;
 use atis_serve::{
     Admission, BreakerConfig, BreakerState, CachedRoute, CircuitBreaker, ProbeGuard, RouteCache,
     RouteService, ServeConfig, ServeError, ShardMap, ShardedEpochDb,
@@ -117,7 +118,11 @@ fn breaker_trip_probe_reclose_vs_epoch_install() {
         closer.join().expect("closer");
         installer.join().expect("installer");
         assert!(trips <= 1, "the trip transition fired {trips} times");
-        assert_eq!(epochs.install(), 1, "the update must land regardless");
+        assert_eq!(
+            epochs.snapshot().install(),
+            1,
+            "the update must land regardless"
+        );
 
         // Deterministic tail: whatever the race left behind, the machine
         // must still trip, probe, and re-close cleanly.
@@ -172,7 +177,11 @@ fn aborted_probe_release_vs_concurrent_failure() {
             let breaker = breaker.clone();
             loom::thread::spawn(move || {
                 // The probe run is shed on its deadline: no verdict.
-                drop(ProbeGuard::new(&*breaker, Admission::Probe));
+                drop(ProbeGuard::new(
+                    &*breaker,
+                    Admission::Probe,
+                    &mut Level::root(),
+                ));
             })
         };
         let failer = {
@@ -292,7 +301,7 @@ fn shard_install_vs_batched_read_race() {
         };
         writer.join().expect("writer");
         reader.join().expect("reader");
-        assert_eq!(db.install(), 1);
+        assert_eq!(db.snapshot().install(), 1);
     });
 }
 
