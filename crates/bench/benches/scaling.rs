@@ -315,14 +315,17 @@ fn run_scale(target: usize, network: &'static str) -> Vec<Record> {
         let report = layout.hierarchy.build_report();
         println!(
             "    {:<8} hierarchy_ms={:.1} (order {:.1}, fill {:.1}, customize {:.1}) \
-             arcs={} triangles={}",
+             arcs={} triangles={} (split {}, deferred {}, separator {})",
             layout.label,
             layout.hierarchy_ms,
             report.order_ms,
             report.fill_ms,
             report.customize_ms,
             layout.hierarchy.arc_count(),
-            report.triangles
+            report.triangles,
+            report.split_triangles,
+            report.deferred_triangles,
+            report.separator_triangles
         );
         let mut rows = run_workload(
             network,

@@ -128,8 +128,18 @@ pub struct BuildReport {
     pub fill_ms: f64,
     /// Wall time of the customization (triangle) pass, ms.
     pub customize_ms: f64,
-    /// Triangles the customization pass relaxed.
+    /// Triangles the customization pass relaxed: the sum of the next
+    /// three counts.
     pub triangles: u64,
+    /// Triangles over middles in either half of the order's top split,
+    /// which the pass runs side by side on two threads when the machine
+    /// has them.
+    pub split_triangles: u64,
+    /// Triangles the high half deferred, because they write rows of the
+    /// top separator, and replayed alone after the two halves joined.
+    pub deferred_triangles: u64,
+    /// Triangles over middles in the top separator, run alone last.
+    pub separator_triangles: u64,
 }
 
 /// A contraction hierarchy: contraction order, shortcut overlay, and
@@ -189,12 +199,15 @@ impl Hierarchy {
                 * 1e3
         };
         let partition = PartitionMap::build(graph, config.region_target.max(1));
-        let order = nested_dissection_order(graph, &partition);
+        let (order, top) = nested_dissection_order(graph, &partition);
         report.order_ms = lap();
-        let core = Core::fill(graph, order);
+        let core = Core::fill(graph, order, top);
         report.fill_ms = lap();
         let (pricing, triangles) = Pricing::customize(&core, graph, &mut io);
-        report.triangles = triangles;
+        report.triangles = triangles.total();
+        report.split_triangles = triangles.halves;
+        report.deferred_triangles = triangles.deferred;
+        report.separator_triangles = triangles.separator;
         report.customize_ms = lap();
 
         // Materialize the overlay relation.
@@ -410,7 +423,9 @@ mod tests {
     use super::*;
     use atis_graph::graph::graph_from_arcs;
     use atis_graph::grouped::GroupedColumn;
-    use atis_graph::{Metro, MetroSpec, SplitMix64};
+    use atis_graph::{CostModel, Grid, Metro, MetroSpec, SplitMix64};
+    use order::TopSplit;
+    use proptest::test_runner::TestCaseError;
 
     /// Exhaustive bidirectional upward search —
     /// the reference implementation of the v5 query, kept here so the
@@ -697,18 +712,78 @@ mod tests {
         }
     }
 
+    /// A graph of `nodes` nodes and up to `arcs` random two-way segments.
+    pub(crate) fn random_graph(nodes: u32, arcs: usize, seed: u64) -> Graph {
+        let mut rng = SplitMix64::new(seed);
+        let mut list = Vec::with_capacity(arcs);
+        for _ in 0..arcs {
+            let u = rng.next_below(nodes as u64) as u32;
+            let v = rng.next_below(nodes as u64) as u32;
+            if u != v {
+                let cost = 1.0 + rng.next_f64() * 9.0;
+                list.push((u, v, cost));
+                list.push((v, u, cost));
+            }
+        }
+        graph_from_arcs(nodes as usize, &list).unwrap()
+    }
+
+    /// Groups of 256 tails that hold tails of the high half of the top
+    /// split and tails of the rest: the ones the split pass copies.
+    fn straddling_groups(core: &Core) -> usize {
+        let TopSplit { high, separator } = core.top;
+        let tails: Vec<u32> = (0..core.rank.len() as u32).collect();
+        let in_high = |&tail: &u32| (high..separator).contains(&core.rank[tail as usize]);
+        (tails.chunks(atis_graph::grouped::GROUP_NODES))
+            .filter(|group| group.iter().any(in_high) && !group.iter().all(in_high))
+            .count()
+    }
+
+    /// The split triangle pass, on two threads and on one, and the
+    /// build's, against the kernel it replaced, kept as a test-only
+    /// oracle: both price columns (by bit pattern), both `via` columns,
+    /// the improvement count and the triangle count all equal the
+    /// binary-search pass's. Returns the core.
+    fn assert_kernels_agree(graph: &Graph, region_target: usize) -> Result<Core, TestCaseError> {
+        let partition = PartitionMap::build(graph, region_target);
+        let (order, top) = nested_dissection_order(graph, &partition);
+        let core = Core::fill(graph, order, top);
+        let (searched, improvements, triangles) = Pricing::customize_by_search(&core, graph);
+        let bits = |v: &GroupedColumn<f64>| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let built = Hierarchy::build(graph, HierarchyConfig { region_target }).unwrap();
+        proptest::prop_assert_eq!(built.build_report().triangles, triangles);
+        let mut passes = vec![(
+            Pricing::clone(&built.pricing),
+            built.build_io().tuple_updates,
+        )];
+        for parallel in [true, false] {
+            let mut io = IoStats::new();
+            let (split, counts) = Pricing::customize_on(&core, graph, &mut io, parallel);
+            proptest::prop_assert_eq!(counts.total(), triangles);
+            passes.push((split, io.tuple_updates));
+        }
+        for (split, updates) in &passes {
+            proptest::prop_assert_eq!(bits(&split.fwd), bits(&searched.fwd));
+            proptest::prop_assert_eq!(bits(&split.bwd), bits(&searched.bwd));
+            proptest::prop_assert_eq!(&split.fwd_via, &searched.fwd_via);
+            proptest::prop_assert_eq!(&split.bwd_via, &searched.bwd_via);
+            proptest::prop_assert_eq!(*updates, improvements);
+        }
+        Ok(core)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
             cases: 4,
             ..proptest::prelude::ProptestConfig::default()
         })]
 
-        /// The build kernel against the one it replaced, kept as a
-        /// test-only oracle: the merge triangle pass equals the
-        /// binary-search pass on both price columns (by bit pattern),
-        /// both `via` columns and the improvement count. The graphs carry
+        /// The build kernel against the one it replaced. The metros carry
         /// parallel twins, one-way carriageways and a zero-cost edge (ties
-        /// between a node and its neighbour).
+        /// between a node and its neighbour); the grid and the random
+        /// graph have groups of 256 tails that straddle the top split;
+        /// one region splits only at the node level, and eight nodes do
+        /// not split at all.
         #[test]
         fn build_kernels_are_bit_identical_to_the_reference_kernels(
             cx in 2usize..=3,
@@ -724,19 +799,31 @@ mod tests {
             );
             let free = edges[rng.next_below(edges.len() as u64) as usize];
             graph.set_edge_cost(free.from, free.to, 0.0).unwrap();
+            assert_kernels_agree(&graph, 256)?;
 
-            let partition = PartitionMap::build(&graph, 256);
-            let core = Core::fill(&graph, nested_dissection_order(&graph, &partition));
-            let mut io = IoStats::new();
-            let (merged, _) = Pricing::customize(&core, &graph, &mut io);
-            let (searched, improvements) = Pricing::customize_by_search(&core, &graph);
-            let bits = |v: &GroupedColumn<f64>| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-            proptest::prop_assert_eq!(bits(&merged.fwd), bits(&searched.fwd));
-            proptest::prop_assert_eq!(bits(&merged.bwd), bits(&searched.bwd));
-            proptest::prop_assert_eq!(&merged.fwd_via, &searched.fwd_via);
-            proptest::prop_assert_eq!(&merged.bwd_via, &searched.bwd_via);
-            proptest::prop_assert_eq!(io.tuple_updates, improvements);
+            let grid = Grid::new(24, CostModel::TWENTY_PERCENT, seed).unwrap();
+            let core = assert_kernels_agree(grid.graph(), 256)?;
+            proptest::prop_assert!(straddling_groups(&core) > 0, "grid");
+            let core = assert_kernels_agree(&random_graph(700, 500, seed), 128)?;
+            proptest::prop_assert!(straddling_groups(&core) > 0, "random graph");
+
+            let one_region = Grid::new(12, CostModel::TWENTY_PERCENT, seed).unwrap();
+            let core = assert_kernels_agree(one_region.graph(), 256)?;
+            proptest::prop_assert!(core.top.high < core.top.separator, "a node-level split");
+            let core = assert_kernels_agree(&random_graph(8, 12, seed), 256)?;
+            proptest::prop_assert_eq!(core.top, TopSplit { high: 8, separator: 8 });
         }
+    }
+
+    /// The same at metro-100k, region-major as the benchmark lays it out.
+    #[test]
+    #[ignore = "metro-100k: release job only"]
+    fn build_kernels_are_bit_identical_to_the_reference_kernels_at_metro_100k() {
+        let metro = Metro::new(MetroSpec::with_nodes(100_000, 1993)).unwrap();
+        let map = PartitionMap::build(metro.graph(), 256);
+        let (graph, _) = map.apply(metro.graph()).unwrap();
+        let core = assert_kernels_agree(&graph, 256).unwrap();
+        assert!(core.top.high < core.top.separator);
     }
 
     #[test]

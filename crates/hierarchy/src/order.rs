@@ -33,10 +33,36 @@ use atis_graph::{Graph, NodeId, PartitionMap, Point};
 /// Recursion cutoff: node sets this small are ordered by id directly.
 const LEAF_SIZE: usize = 8;
 
-/// Computes the contraction order: `order[rank] = node id`, lowest rank
-/// (contracted first) at index 0.
-pub(crate) fn nested_dissection_order(graph: &Graph, partition: &PartitionMap) -> Vec<u32> {
-    dissect(graph, partition, |_, _, _| {})
+/// The top split of the order, in ranks: ranks below `high` are the low
+/// half, ranks from `high` to `separator` the high half, and ranks from
+/// `separator` up the top separator. No edge, and so no arc of the
+/// elimination fill, joins the two halves. An order that never split
+/// has `high == separator == n`: one low half holding every node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TopSplit {
+    pub(crate) high: u32,
+    pub(crate) separator: u32,
+}
+
+/// Computes the contraction order — `order[rank] = node id`, lowest rank
+/// (contracted first) at index 0 — and where its top split lies.
+pub(crate) fn nested_dissection_order(
+    graph: &Graph,
+    partition: &PartitionMap,
+) -> (Vec<u32>, TopSplit) {
+    // The first split `dissect` makes is the top one, over every node,
+    // and it lays them out as the low half less the separator, the high
+    // half, then the separator.
+    let mut top = None;
+    let order = dissect(graph, partition, |low, high, separator| {
+        top.get_or_insert((
+            low.len() - separator.len(),
+            low.len() + high.len() - separator.len(),
+        ));
+    });
+    let n = order.len() as u32;
+    let (high, separator) = top.map_or((n, n), |(high, separator)| (high as u32, separator as u32));
+    (order, TopSplit { high, separator })
 }
 
 /// The recursion behind [`nested_dissection_order`]. `on_split(low,
@@ -291,7 +317,9 @@ mod tests {
             splits > 0 || graph.node_count() <= LEAF_SIZE,
             "{name}: never split"
         );
-        assert_eq!(order, nested_dissection_order(graph, &partition), "{name}");
+        let (expected, top) = nested_dissection_order(graph, &partition);
+        assert_eq!(order, expected, "{name}");
+        assert!(top.high <= top.separator && top.separator as usize <= order.len());
         let mut seen = vec![false; graph.node_count()];
         for &id in &order {
             assert!(!seen[id as usize], "{name}: node {id} ranked twice");
@@ -310,8 +338,8 @@ mod tests {
     fn order_is_deterministic() {
         let g = metro(2, 2, 7);
         let p = PartitionMap::build(&g, 256);
-        let a = nested_dissection_order(&g, &p);
-        let b = nested_dissection_order(&g, &p);
+        let a = nested_dissection_order(&g, &p).0;
+        let b = nested_dissection_order(&g, &p).0;
         assert_eq!(a, b);
     }
 
@@ -486,8 +514,8 @@ mod tests {
             );
             let partition = PartitionMap::build(graph, 256);
             assert_eq!(
-                nested_dissection_order(graph, &partition),
-                nested_dissection_order(&symmetrised(graph), &partition),
+                nested_dissection_order(graph, &partition).0,
+                nested_dissection_order(&symmetrised(graph), &partition).0,
                 "{name}: the order reads edge direction"
             );
         }

@@ -28,11 +28,15 @@
 //! metro-100k, obviously right, and the crate's property tests hold the
 //! fast one to it bit for bit.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use atis_graph::grouped::{GroupedColumn, Sharing, GROUP_NODES};
 use atis_graph::{Graph, NodeId};
 use atis_storage::IoStats;
+
+use crate::order::TopSplit;
 
 /// Sentinel for "no middle node": the arc direction is an original edge.
 pub(crate) const NO_VIA: u32 = u32::MAX;
@@ -53,6 +57,9 @@ pub(crate) struct Core {
     pub(crate) first: Vec<u32>,
     /// Up-arc heads (always higher-ranked than the tail), sorted by id.
     pub(crate) heads: Vec<u32>,
+    /// Where the order's top split lies, which lets the triangle pass
+    /// run the two halves side by side.
+    pub(crate) top: TopSplit,
 }
 
 /// Down-arc index — the transpose of [`Core`]'s up-arc CSR: for every
@@ -98,7 +105,7 @@ impl Core {
     /// eliminated before the rest, and its own elimination completes the
     /// clique transitively — the resulting fill is identical (a unit
     /// test checks this against the textbook full-clique rule).
-    pub(crate) fn fill(graph: &Graph, order: Vec<u32>) -> Core {
+    pub(crate) fn fill(graph: &Graph, order: Vec<u32>, top: TopSplit) -> Core {
         let n = order.len();
         let mut rank = vec![0u32; n];
         for (r, &node) in order.iter().enumerate() {
@@ -147,6 +154,7 @@ impl Core {
             order,
             first,
             heads,
+            top,
         }
     }
 
@@ -224,8 +232,8 @@ pub(crate) struct Pricing {
 
 impl Pricing {
     /// Prices every arc direction against `graph`'s current costs via a
-    /// bottom-up triangle pass, and returns the pricing with the number
-    /// of triangles the pass relaxed.
+    /// bottom-up triangle pass, and returns the pricing with the
+    /// triangles the pass relaxed.
     ///
     /// Arcs are initialised from the cheapest parallel original edge in
     /// each direction (`∞` when absent — one-way streets stay one-way in
@@ -234,16 +242,33 @@ impl Pricing {
     /// triangle, which the chordal fill guarantees exists. Processing
     /// middles bottom-up makes each arc final before it is used as a
     /// side, so one pass suffices. Successful relaxations are charged to
-    /// `io` as tuple updates.
-    pub(crate) fn customize(core: &Core, graph: &Graph, io: &mut IoStats) -> (Pricing, u64) {
+    /// `io` as tuple updates. The two halves of the top split run on two
+    /// threads when [`std::thread::available_parallelism`] offers them;
+    /// the result is the same either way.
+    pub(crate) fn customize(core: &Core, graph: &Graph, io: &mut IoStats) -> (Pricing, Triangles) {
+        let parallel = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+        Pricing::customize_on(core, graph, io, parallel)
+    }
+
+    /// [`Pricing::customize`], with the halves on two threads or not.
+    pub(crate) fn customize_on(
+        core: &Core,
+        graph: &Graph,
+        io: &mut IoStats,
+        parallel: bool,
+    ) -> (Pricing, Triangles) {
         let mut pricing = Pricing::from_edges(core, graph);
-        let (improvements, triangles) = pricing.relax_triangles(core);
+        let (improvements, triangles) = pricing.relax_triangles(core, parallel);
         io.update_tuples(improvements);
         (pricing, triangles)
     }
 
     /// Every arc direction at the cost of its cheapest original edge,
-    /// `∞` where there is none.
+    /// `∞` where there is none. One pass over the edges: each finds its
+    /// arc by the tail's fan and keeps the least cost by `total_cmp`,
+    /// the comparison [`Graph::edge_cost`] picks the cheapest parallel
+    /// edge with, so the per-update pass, which asks `edge_cost`, reads
+    /// the same bits. A self-loop has no arc; no route uses one.
     fn from_edges(core: &Core, graph: &Graph) -> Pricing {
         let mut pricing = Pricing {
             fwd: GroupedColumn::filled(&core.first, f64::INFINITY),
@@ -252,19 +277,21 @@ impl Pricing {
             bwd_via: GroupedColumn::filled(&core.first, NO_VIA),
         };
         let (mut fwd, mut bwd) = (pricing.fwd.groups_mut(), pricing.bwd.groups_mut());
-        for tail in 0..core.rank.len() as u32 {
-            let range = core.range(tail);
-            let heads = &core.heads[range.clone()];
-            let (group, lo) = core.slot(tail, range.start);
-            let fwd = &mut fwd[group][lo..][..heads.len()];
-            let bwd = &mut bwd[group][lo..][..heads.len()];
-            for ((&head, fwd), bwd) in heads.iter().zip(fwd).zip(bwd) {
-                if let Some(c) = graph.edge_cost(NodeId(tail), NodeId(head)) {
-                    *fwd = c;
-                }
-                if let Some(c) = graph.edge_cost(NodeId(head), NodeId(tail)) {
-                    *bwd = c;
-                }
+        for e in graph.edges() {
+            let (a, b) = (e.from.0, e.to.0);
+            let (tail, head, column) = match core.rank[a as usize].cmp(&core.rank[b as usize]) {
+                Ordering::Less => (a, b, &mut fwd),
+                Ordering::Greater => (b, a, &mut bwd),
+                Ordering::Equal => continue,
+            };
+            let Some(idx) = core.arc_index(tail, head) else {
+                debug_assert!(false, "the fill holds every edge: {tail} -> {head}");
+                continue;
+            };
+            let (group, at) = core.slot(tail, idx);
+            let price = &mut column[group][at];
+            if e.cost.total_cmp(price).is_lt() {
+                *price = e.cost;
             }
         }
         pricing
@@ -281,41 +308,30 @@ impl Pricing {
     }
 
     /// The triangle pass: returns the number of successful relaxations
-    /// and the number of triangles relaxed.
+    /// and the triangles relaxed.
     ///
     /// Middles are taken in rank order — that order is the contract:
     /// [`Pricing::relax`]'s strict `<` lets the first middle offered win
-    /// a tie. Within one middle `m` every pair of up-arcs prices a
-    /// different third side and reads only `m`'s own arcs, which are
-    /// final, so that order is free, and the pass takes it in memory
-    /// order. In a chordal fill the up-neighbours of `m` ranked above
-    /// `x` are exactly the up-neighbours of `m` that `x` has too, so the
-    /// triangles over an up-arc `lo = m → x` are found by walking `x`'s
-    /// arcs once, in place, and asking of each head whether `m` reaches
-    /// it — a table from node to position in `m`'s fan, set for the fan
-    /// and unset after it, answers without a search. `m`'s own prices
-    /// are read from a copy, which keeps them contiguous and lets `x`'s
-    /// columns be borrowed as plain slices — out of the groups, which
-    /// are all borrowed once before the loop. This is the
-    /// neighbour-intersection enumeration of customizable CH (Strasser &
-    /// Zeitz, PAPERS.md). An up-arc with no finite direction can relax
-    /// nothing (`∞ + c < d` never holds) and is skipped. The arithmetic
-    /// is [`Pricing::relax`]'s, with `lo`'s two prices held in locals.
-    fn relax_triangles(&mut self, core: &Core) -> (u64, u64) {
-        /// One group's rows in each column, and the CSR index they start at.
-        struct Rows<'a> {
-            base: usize,
-            fwd: &'a mut [f64],
-            bwd: &'a mut [f64],
-            fwd_via: &'a mut [u32],
-            bwd_via: &'a mut [u32],
-        }
-        let (mut improvements, mut triangles) = (0u64, 0u64);
-        let mut fan_slot = vec![u32::MAX; core.rank.len()];
-        let (mut fan_fwd, mut fan_bwd): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+    /// a tie. The kernel is [`relax_middles`]. The order is nested
+    /// dissection's, whose top split lays the ranks out as low half,
+    /// high half, top separator ([`TopSplit`]), and no arc joins the
+    /// halves, so a high-half middle writes only high-half and separator
+    /// rows and reads only its own, and a low-half middle never touches
+    /// a high-half row. The high half therefore runs beside the low half
+    /// on rows of its own: every group of high-half tails only, handed
+    /// over whole, and a private copy of each group it shares with the
+    /// rest, whose high-half rows are written back after the join. Its
+    /// writes into separator rows are deferred: after the join they are
+    /// replayed in rank order — after every low-half write, as serial
+    /// rank order has them — and then the separator's middles run. Each
+    /// arc thus meets its middles in ascending rank on any number of
+    /// threads, and the pass is bit-identical to a serial one.
+    fn relax_triangles(&mut self, core: &Core, parallel: bool) -> (u64, Triangles) {
+        let n = core.rank.len() as u32;
+        let TopSplit { high, separator } = core.top;
         let prices = self.fwd.groups_mut().into_iter().zip(self.bwd.groups_mut());
         let vias = (self.fwd_via.groups_mut().into_iter()).zip(self.bwd_via.groups_mut());
-        let mut groups: Vec<Rows> = (prices.zip(vias).enumerate())
+        let mut rows: Vec<Rows> = (prices.zip(vias).enumerate())
             .map(|(g, ((fwd, bwd), (fwd_via, bwd_via)))| Rows {
                 base: core.first[g * GROUP_NODES] as usize,
                 fwd,
@@ -324,71 +340,83 @@ impl Pricing {
                 bwd_via,
             })
             .collect();
-        for &m in &core.order {
-            let fan = core.range(m);
-            if fan.len() < 2 {
-                continue;
-            }
-            let fan_heads = &core.heads[fan.clone()];
-            // Rows are sliced to the length of the heads they belong to,
-            // here and below, so the loops index them unchecked.
-            let own = &groups[m as usize / GROUP_NODES];
-            fan_fwd.clear();
-            fan_fwd.extend_from_slice(&own.fwd[fan.start - own.base..][..fan_heads.len()]);
-            fan_bwd.clear();
-            fan_bwd.extend_from_slice(&own.bwd[fan.start - own.base..][..fan_heads.len()]);
-            for (slot, &y) in fan_heads.iter().enumerate() {
-                fan_slot[y as usize] = slot as u32;
-            }
-            for (lo, &x) in fan_heads.iter().enumerate() {
-                let (lo_fwd, lo_bwd) = (fan_fwd[lo], fan_bwd[lo]);
-                if lo_fwd.is_infinite() && lo_bwd.is_infinite() {
-                    continue;
+        let tails =
+            |g: usize| (g * GROUP_NODES) as u32..((g + 1) * GROUP_NODES).min(n as usize) as u32;
+        let in_high = |tail: &u32| (high..separator).contains(&core.rank[*tail as usize]);
+        let mut high_rows: Vec<Rows> = Vec::with_capacity(rows.len());
+        let mut copies: Vec<OwnedRows> = Vec::new();
+        for (g, group) in rows.iter_mut().enumerate() {
+            let highs = tails(g).filter(in_high).count();
+            if highs == tails(g).len() {
+                high_rows.push(std::mem::take(group));
+            } else {
+                high_rows.push(Rows::default());
+                if highs > 0 {
+                    copies.push(OwnedRows::of(g, group));
                 }
-                let upper = core.range(x);
-                let upper_heads = &core.heads[upper.clone()];
-                let rows = &mut groups[x as usize / GROUP_NODES];
-                let (lo, len) = (upper.start - rows.base, upper_heads.len());
-                let fwd = &mut rows.fwd[lo..][..len];
-                let bwd = &mut rows.bwd[lo..][..len];
-                let fwd_via = &mut rows.fwd_via[lo..][..len];
-                let bwd_via = &mut rows.bwd_via[lo..][..len];
-                for (idx, &y) in upper_heads.iter().enumerate() {
-                    // `u32::MAX` (not in the fan) fails this test too.
-                    let hi = fan_slot[y as usize] as usize;
-                    if hi >= fan_heads.len() {
-                        continue;
-                    }
-                    triangles += 1;
-                    let via_fwd = lo_bwd + fan_fwd[hi];
-                    if via_fwd < fwd[idx] {
-                        fwd[idx] = via_fwd;
-                        fwd_via[idx] = m;
-                        improvements += 1;
-                    }
-                    let via_bwd = fan_bwd[hi] + lo_fwd;
-                    if via_bwd < bwd[idx] {
-                        bwd[idx] = via_bwd;
-                        bwd_via[idx] = m;
-                        improvements += 1;
-                    }
-                }
-            }
-            for &y in fan_heads {
-                fan_slot[y as usize] = u32::MAX;
             }
         }
+        for copy in &mut copies {
+            let group = copy.group;
+            high_rows[group] = copy.rows();
+        }
+
+        let order = |ranks: Range<u32>| &core.order[ranks.start as usize..ranks.end as usize];
+        let mut low_half = || relax_middles(core, None, &mut rows, order(0..high), 0..n);
+        let mut high_half = || {
+            relax_middles(
+                core,
+                None,
+                &mut high_rows,
+                order(high..separator),
+                0..separator,
+            )
+        };
+        let (low, upper) = if parallel {
+            std::thread::scope(|scope| {
+                let upper = scope.spawn(high_half);
+                let low = low_half();
+                match upper.join() {
+                    Ok(upper) => (low, upper),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            })
+        } else {
+            (low_half(), high_half())
+        };
+        let replay = relax_middles(
+            core,
+            Some(&high_rows),
+            &mut rows,
+            &upper.skipped,
+            separator..n,
+        );
+        drop(high_rows);
+        for copy in &copies {
+            let group = &mut rows[copy.group];
+            copy.write_back(core, group, tails(copy.group).filter(in_high));
+        }
+        let top = relax_middles(core, None, &mut rows, order(separator..n), 0..n);
+
+        let improvements =
+            low.improvements + upper.improvements + replay.improvements + top.improvements;
+        let triangles = Triangles {
+            halves: low.triangles + upper.triangles,
+            deferred: replay.triangles,
+            separator: top.triangles,
+        };
         (improvements, triangles)
     }
 
     /// The triangle pass as it was before the fan table: each third side
     /// found by binary search ([`Core::arc_index`]), each relaxation
     /// through [`Pricing::relax`]. The oracle [`Pricing::customize`] is
-    /// compared against; returns the pricing and its `improvements`.
+    /// compared against; returns the pricing, its `improvements` and the
+    /// triangles it relaxed.
     #[cfg(test)]
-    pub(crate) fn customize_by_search(core: &Core, graph: &Graph) -> (Pricing, u64) {
+    pub(crate) fn customize_by_search(core: &Core, graph: &Graph) -> (Pricing, u64, u64) {
         let mut pricing = Pricing::from_edges(core, graph);
-        let mut improvements = 0u64;
+        let (mut improvements, mut triangles) = (0u64, 0u64);
         let mut fan: Vec<usize> = Vec::new();
         for &m in &core.order {
             let range = core.range(m);
@@ -406,10 +434,15 @@ impl Pricing {
                     let mut arc = pricing.record(at);
                     improvements += pricing.relax(&mut arc, core.slot(m, lo), core.slot(m, hi), m);
                     pricing.store(at, arc);
+                    // The fast pass skips a lower side with no finite
+                    // direction, which can relax nothing.
+                    let lo = core.slot(m, lo);
+                    triangles +=
+                        u64::from(pricing.fwd[lo].is_finite() || pricing.bwd[lo].is_finite());
                 }
             }
         }
-        (pricing, improvements)
+        (pricing, improvements, triangles)
     }
 
     /// Relaxes both directions of `arc` (`x`–`y`, `x` the lower rank)
@@ -592,6 +625,190 @@ impl Pricing {
     }
 }
 
+/// The triangles one full pass relaxed, by where they ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Triangles {
+    /// Over middles in either half of the top split, the two halves side
+    /// by side when two threads are available.
+    pub(crate) halves: u64,
+    /// Over high-half middles whose lower side ends in the top
+    /// separator, deferred by the high half and replayed after the join.
+    pub(crate) deferred: u64,
+    /// Over middles in the top separator, run last.
+    pub(crate) separator: u64,
+}
+
+impl Triangles {
+    /// Every triangle the pass relaxed.
+    pub(crate) fn total(&self) -> u64 {
+        self.halves + self.deferred + self.separator
+    }
+}
+
+/// One group's rows in each column, and the CSR index they start at. The
+/// default holds no rows: the place of a group some other worker owns.
+#[derive(Default)]
+struct Rows<'a> {
+    base: usize,
+    fwd: &'a mut [f64],
+    bwd: &'a mut [f64],
+    fwd_via: &'a mut [u32],
+    bwd_via: &'a mut [u32],
+}
+
+/// A private copy of one group's rows, for the high half of the top
+/// split when the group also holds tails of the rest.
+struct OwnedRows {
+    group: usize,
+    base: usize,
+    fwd: Vec<f64>,
+    bwd: Vec<f64>,
+    fwd_via: Vec<u32>,
+    bwd_via: Vec<u32>,
+}
+
+impl OwnedRows {
+    fn of(group: usize, rows: &Rows) -> OwnedRows {
+        OwnedRows {
+            group,
+            base: rows.base,
+            fwd: rows.fwd.to_vec(),
+            bwd: rows.bwd.to_vec(),
+            fwd_via: rows.fwd_via.to_vec(),
+            bwd_via: rows.bwd_via.to_vec(),
+        }
+    }
+
+    fn rows(&mut self) -> Rows<'_> {
+        Rows {
+            base: self.base,
+            fwd: &mut self.fwd,
+            bwd: &mut self.bwd,
+            fwd_via: &mut self.fwd_via,
+            bwd_via: &mut self.bwd_via,
+        }
+    }
+
+    /// Copies the rows of `tails` back into `rows`, the group's own.
+    fn write_back(&self, core: &Core, rows: &mut Rows, tails: impl Iterator<Item = u32>) {
+        for tail in tails {
+            let range = core.range(tail);
+            let at = range.start - self.base..range.end - self.base;
+            rows.fwd[at.clone()].copy_from_slice(&self.fwd[at.clone()]);
+            rows.bwd[at.clone()].copy_from_slice(&self.bwd[at.clone()]);
+            rows.fwd_via[at.clone()].copy_from_slice(&self.fwd_via[at.clone()]);
+            rows.bwd_via[at.clone()].copy_from_slice(&self.bwd_via[at]);
+        }
+    }
+}
+
+/// What one run of [`relax_middles`] did.
+#[derive(Default)]
+struct Pass {
+    improvements: u64,
+    triangles: u64,
+    /// The middles that had a lower side outside the run's `sides`.
+    skipped: Vec<u32>,
+}
+
+/// The triangle kernel: for each middle `m` of `middles`, in order, the
+/// triangles over every up-arc `m → x` whose tail `x` ranks in `sides`,
+/// written into `x`'s rows in `rows`; `m`'s own prices are read from
+/// `own`, or from `rows` when `own` is `None`.
+///
+/// Within one middle every pair of up-arcs prices a different third side
+/// and reads only `m`'s own arcs, which are final, so that order is
+/// free, and the pass takes it in memory order. In a chordal fill the
+/// up-neighbours of `m` ranked above `x` are exactly the up-neighbours
+/// of `m` that `x` has too, so the triangles over an up-arc `lo = m → x`
+/// are found by walking `x`'s arcs once, in place, and asking of each
+/// head whether `m` reaches it — a table from node to position in `m`'s
+/// fan, set for the fan and unset after it, answers without a search.
+/// `m`'s own prices are read from a copy, which keeps them contiguous
+/// and lets `x`'s columns be borrowed as plain slices. This is the
+/// neighbour-intersection enumeration of customizable CH (Strasser &
+/// Zeitz, PAPERS.md). An up-arc with no finite direction can relax
+/// nothing (`∞ + c < d` never holds) and is skipped. The arithmetic is
+/// [`Pricing::relax`]'s, with `lo`'s two prices held in locals.
+fn relax_middles(
+    core: &Core,
+    own: Option<&[Rows]>,
+    rows: &mut [Rows],
+    middles: &[u32],
+    sides: Range<u32>,
+) -> Pass {
+    let mut pass = Pass::default();
+    let mut fan_slot = vec![u32::MAX; core.rank.len()];
+    let (mut fan_fwd, mut fan_bwd): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+    for &m in middles {
+        let fan = core.range(m);
+        if fan.len() < 2 {
+            continue;
+        }
+        let fan_heads = &core.heads[fan.clone()];
+        // Rows are sliced to the length of the heads they belong to,
+        // here and below, so the loops index them unchecked.
+        let group = m as usize / GROUP_NODES;
+        let own = match own {
+            Some(own) => &own[group],
+            None => &rows[group],
+        };
+        fan_fwd.clear();
+        fan_fwd.extend_from_slice(&own.fwd[fan.start - own.base..][..fan_heads.len()]);
+        fan_bwd.clear();
+        fan_bwd.extend_from_slice(&own.bwd[fan.start - own.base..][..fan_heads.len()]);
+        for (slot, &y) in fan_heads.iter().enumerate() {
+            fan_slot[y as usize] = slot as u32;
+        }
+        let mut skipped = false;
+        for (lo, &x) in fan_heads.iter().enumerate() {
+            let (lo_fwd, lo_bwd) = (fan_fwd[lo], fan_bwd[lo]);
+            if lo_fwd.is_infinite() && lo_bwd.is_infinite() {
+                continue;
+            }
+            if !sides.contains(&core.rank[x as usize]) {
+                skipped = true;
+                continue;
+            }
+            let upper = core.range(x);
+            let upper_heads = &core.heads[upper.clone()];
+            let rows = &mut rows[x as usize / GROUP_NODES];
+            let (lo, len) = (upper.start - rows.base, upper_heads.len());
+            let fwd = &mut rows.fwd[lo..][..len];
+            let bwd = &mut rows.bwd[lo..][..len];
+            let fwd_via = &mut rows.fwd_via[lo..][..len];
+            let bwd_via = &mut rows.bwd_via[lo..][..len];
+            for (idx, &y) in upper_heads.iter().enumerate() {
+                // `u32::MAX` (not in the fan) fails this test too.
+                let hi = fan_slot[y as usize] as usize;
+                if hi >= fan_heads.len() {
+                    continue;
+                }
+                pass.triangles += 1;
+                let via_fwd = lo_bwd + fan_fwd[hi];
+                if via_fwd < fwd[idx] {
+                    fwd[idx] = via_fwd;
+                    fwd_via[idx] = m;
+                    pass.improvements += 1;
+                }
+                let via_bwd = fan_bwd[hi] + lo_fwd;
+                if via_bwd < bwd[idx] {
+                    bwd[idx] = via_bwd;
+                    bwd_via[idx] = m;
+                    pass.improvements += 1;
+                }
+            }
+        }
+        if skipped {
+            pass.skipped.push(m);
+        }
+        for &y in fan_heads {
+            fan_slot[y as usize] = u32::MAX;
+        }
+    }
+    pass
+}
+
 /// One arc's row across the four price columns.
 #[derive(Debug, Clone, Copy)]
 struct Record {
@@ -617,16 +834,13 @@ impl Record {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atis_graph::graph::graph_from_arcs;
-    use atis_graph::{PartitionMap, SplitMix64};
+    use atis_graph::PartitionMap;
 
     impl Core {
         /// Order and fill, as `Hierarchy::build` composes them.
         pub(crate) fn build(graph: &Graph, partition: &PartitionMap) -> Core {
-            Core::fill(
-                graph,
-                crate::order::nested_dissection_order(graph, partition),
-            )
+            let (order, top) = crate::order::nested_dissection_order(graph, partition);
+            Core::fill(graph, order, top)
         }
     }
 
@@ -671,25 +885,10 @@ mod tests {
         arcs
     }
 
-    fn random_graph(nodes: u32, arcs: usize, seed: u64) -> Graph {
-        let mut rng = SplitMix64::new(seed);
-        let mut list = Vec::with_capacity(arcs);
-        for _ in 0..arcs {
-            let u = rng.next_below(nodes as u64) as u32;
-            let v = rng.next_below(nodes as u64) as u32;
-            if u != v {
-                let cost = 1.0 + rng.next_f64() * 9.0;
-                list.push((u, v, cost));
-                list.push((v, u, cost));
-            }
-        }
-        graph_from_arcs(nodes as usize, &list).unwrap()
-    }
-
     #[test]
     fn quotient_fill_matches_full_clique_fill() {
         for seed in 0..8 {
-            let graph = random_graph(24, 40, seed);
+            let graph = crate::tests::random_graph(24, 40, seed);
             let partition = PartitionMap::build(&graph, 256);
             let core = Core::build(&graph, &partition);
             let expected = full_clique_fill(&graph, &core.order);
@@ -708,7 +907,7 @@ mod tests {
         // Customized cost can exceed the true distance (the up-down
         // restriction), but must never undercut it — undercutting would
         // produce impossible routes.
-        let graph = random_graph(16, 30, 9);
+        let graph = crate::tests::random_graph(16, 30, 9);
         let partition = PartitionMap::build(&graph, 256);
         let core = Core::build(&graph, &partition);
         let mut io = IoStats::new();

@@ -16,9 +16,6 @@ pub enum PreprocessError {
         /// Nodes available in the graph.
         nodes: usize,
     },
-    /// Transposing the graph for the backward tables produced a graph
-    /// the builder rejects (its message is carried).
-    InvalidGraph(String),
 }
 
 impl fmt::Display for PreprocessError {
@@ -31,9 +28,6 @@ impl fmt::Display for PreprocessError {
                     f,
                     "requested {requested} landmarks but the graph has only {nodes} nodes"
                 )
-            }
-            PreprocessError::InvalidGraph(why) => {
-                write!(f, "the transposed graph is invalid: {why}")
             }
         }
     }

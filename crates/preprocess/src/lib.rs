@@ -29,8 +29,10 @@
 //! variance grid the Manhattan estimator loses ≈9% tightness to variance,
 //! the ALT bound none.
 //!
-//! Preprocessing is a one-time cost per traffic epoch: `2·k` single-source
-//! Dijkstra runs for `k` landmarks, entirely in memory. `atis-serve`
+//! Preprocessing is a one-time cost per traffic epoch: `2·k` independent
+//! Dijkstra sweeps for `k` landmarks — fewer when selection already ran
+//! some — entirely in memory, over a compact CSR of the graph and of its
+//! transpose, spread across the machine's cores ([`sssp`]). `atis-serve`
 //! amortizes it across every query answered at that epoch, and its
 //! copy-on-write `UPDATE` path decides between patching (a new cost that
 //! [`LandmarkTables::admits_cost`] passes — every increase, and a

@@ -21,7 +21,7 @@
 //!   wastes landmarks on lakes and river banks.
 
 use crate::error::PreprocessError;
-use crate::sssp;
+use crate::sssp::{self, Adjacency, Job};
 use atis_graph::{Graph, NodeId, PartitionMap, SplitMix64};
 
 /// How landmarks are chosen from the loaded graph.
@@ -80,6 +80,38 @@ pub fn select(
     count: usize,
     selection: LandmarkSelection,
 ) -> Result<Vec<NodeId>, PreprocessError> {
+    let (forward, backward) = (Adjacency::forward(graph), Adjacency::backward(graph));
+    let chosen = select_swept(
+        graph,
+        &forward,
+        &backward,
+        count,
+        selection,
+        sssp::workers(),
+    )?;
+    Ok(chosen.into_iter().map(|landmark| landmark.node).collect())
+}
+
+/// A chosen landmark and the sweeps selection already ran from it, forward
+/// over `forward` and backward over `backward`, so the table build need
+/// not run them again.
+#[derive(Debug)]
+pub(crate) struct Swept {
+    pub(crate) node: NodeId,
+    pub(crate) forward: Option<Vec<f64>>,
+    pub(crate) backward: Option<Vec<f64>>,
+}
+
+/// [`select`], handing back every sweep it ran for a chosen landmark.
+/// `forward` and `backward` are `graph`'s adjacency and its transpose.
+pub(crate) fn select_swept(
+    graph: &Graph,
+    forward: &Adjacency,
+    backward: &Adjacency,
+    count: usize,
+    selection: LandmarkSelection,
+    workers: usize,
+) -> Result<Vec<Swept>, PreprocessError> {
     let n = graph.node_count();
     if n == 0 {
         return Err(PreprocessError::EmptyGraph);
@@ -93,13 +125,33 @@ pub fn select(
             nodes: n,
         });
     }
-    match selection {
-        LandmarkSelection::FarthestPoint => Ok(farthest_point(graph, count)),
-        LandmarkSelection::Coverage { sample_pairs } => coverage(graph, count, sample_pairs.max(1)),
-        LandmarkSelection::PartitionSpread { region_target } => {
-            Ok(partition_spread(graph, count, region_target.max(1)))
+    Ok(match selection {
+        LandmarkSelection::FarthestPoint => {
+            let (nodes, sweeps) = farthest_point(forward, n, count);
+            let swept = nodes.into_iter().zip(sweeps);
+            swept
+                .map(|(node, sweep)| Swept {
+                    node,
+                    forward: Some(sweep),
+                    backward: None,
+                })
+                .collect()
         }
-    }
+        LandmarkSelection::Coverage { sample_pairs } => {
+            coverage(forward, backward, n, count, sample_pairs.max(1), workers)
+        }
+        LandmarkSelection::PartitionSpread { region_target } => {
+            let nodes = partition_spread(graph, count, region_target.max(1));
+            nodes
+                .into_iter()
+                .map(|node| Swept {
+                    node,
+                    forward: None,
+                    backward: None,
+                })
+                .collect()
+        }
+    })
 }
 
 /// Argmax over finite entries, ties broken by the lowest node id; `None`
@@ -117,23 +169,25 @@ fn argmax_finite(values: &[f64]) -> Option<NodeId> {
     best.map(|(_, i)| NodeId(i as u32))
 }
 
-fn farthest_point(graph: &Graph, count: usize) -> Vec<NodeId> {
-    let n = graph.node_count();
+/// The spread's landmarks and, beside each, its forward sweep.
+fn farthest_point(forward: &Adjacency, n: usize, count: usize) -> (Vec<NodeId>, Vec<Vec<f64>>) {
     // Seed: the node farthest from node 0 (node 0 itself on a singleton
     // or fully disconnected graph).
-    let from_origin = sssp::distances_from(graph, NodeId(0));
+    let from_origin = forward.sweep(NodeId(0));
     let first = argmax_finite(&from_origin).unwrap_or(NodeId(0));
     let mut chosen = vec![first];
     // min / sum over chosen landmarks of d(L, u). The sum breaks the
     // massive min-distance ties a uniform grid produces, steering the
     // spread to the periphery (corners) instead of the lowest tied id.
-    let mut min_dist = sssp::distances_from(graph, first);
-    let mut sum_dist = min_dist.clone();
+    let mut sweeps = vec![forward.sweep(first)];
+    let mut min_dist = sweeps[0].clone();
+    let mut sum_dist = sweeps[0].clone();
     while chosen.len() < count {
+        // A chosen node's `min_dist` is 0, so `m > 0.0` skips it.
         let mut best: Option<(f64, f64, usize)> = None;
         for i in 0..n {
             let (m, s) = (min_dist[i], sum_dist[i]);
-            if m.is_finite() && m > 0.0 && !chosen.contains(&NodeId(i as u32)) {
+            if m.is_finite() && m > 0.0 {
                 match best {
                     Some((bm, bs, _)) if bm > m || (bm == m && bs >= s) => {}
                     _ => best = Some((m, s, i)),
@@ -150,7 +204,7 @@ fn farthest_point(graph: &Graph, count: usize) -> Vec<NodeId> {
                 None => break,
             },
         };
-        let dist = sssp::distances_from(graph, next);
+        let dist = forward.sweep(next);
         for i in 0..n {
             min_dist[i] = min_dist[i].min(dist[i]);
             if dist[i].is_finite() {
@@ -158,8 +212,9 @@ fn farthest_point(graph: &Graph, count: usize) -> Vec<NodeId> {
             }
         }
         chosen.push(next);
+        sweeps.push(dist);
     }
-    chosen
+    (chosen, sweeps)
 }
 
 /// The ALT lower bound a single candidate's tables give one `(s, t)` pair.
@@ -175,18 +230,52 @@ fn pair_bound(fwd: &[f64], bwd: &[f64], s: usize, t: usize) -> f64 {
 }
 
 fn coverage(
-    graph: &Graph,
+    forward: &Adjacency,
+    backward: &Adjacency,
+    n: usize,
     count: usize,
     sample_pairs: usize,
-) -> Result<Vec<NodeId>, PreprocessError> {
-    let n = graph.node_count();
+    workers: usize,
+) -> Vec<Swept> {
     // Candidate pool: a farthest-point spread four times the target size
     // (bounded by the graph), so the greedy step chooses among
-    // well-separated nodes instead of scoring all n.
-    let pool = farthest_point(graph, (count * 4).min(n));
-    if pool.len() <= count {
-        return Ok(pool);
-    }
+    // well-separated nodes instead of scoring all n. The spread ran every
+    // candidate's forward sweep; the backward ones are independent.
+    let (pool, forwards) = farthest_point(forward, n, (count * 4).min(n));
+    let mut backwards = vec![Vec::new(); pool.len()];
+    let jobs = (backwards.iter_mut().zip(&pool))
+        .map(|(slot, &c)| Box::new(move || *slot = backward.sweep(c)) as Job)
+        .collect();
+    sssp::pooled(workers, jobs);
+    let tables: Vec<(Vec<f64>, Vec<f64>)> = forwards.into_iter().zip(backwards).collect();
+    let picks = if pool.len() <= count {
+        (0..pool.len()).collect()
+    } else {
+        greedy_cover(&tables, n, count, sample_pairs)
+    };
+    let mut tables: Vec<_> = tables.into_iter().map(Some).collect();
+    picks
+        .into_iter()
+        .filter_map(|ci| {
+            let (forward, backward) = tables[ci].take()?;
+            Some(Swept {
+                node: pool[ci],
+                forward: Some(forward),
+                backward: Some(backward),
+            })
+        })
+        .collect()
+}
+
+/// The greedy step of coverage selection: `count` candidate indexes into
+/// `tables`, each the one that most improves the summed lower bound over
+/// a deterministic sample of query pairs.
+fn greedy_cover(
+    tables: &[(Vec<f64>, Vec<f64>)],
+    n: usize,
+    count: usize,
+    sample_pairs: usize,
+) -> Vec<usize> {
     // Deterministic query-pair sample. The seed is fixed: selection must
     // be a pure function of the graph so rebuilds across epochs agree.
     let mut rng = SplitMix64::new(0xA17_5EED);
@@ -198,20 +287,10 @@ fn coverage(
             pairs.push((s, t));
         }
     }
-    let rev = sssp::reversed(graph)?;
-    let tables: Vec<(Vec<f64>, Vec<f64>)> = pool
-        .iter()
-        .map(|&c| {
-            (
-                sssp::distances_from(graph, c),
-                sssp::distances_from(&rev, c),
-            )
-        })
-        .collect();
 
     let mut best_bound = vec![0.0f64; pairs.len()];
-    let mut chosen: Vec<NodeId> = Vec::with_capacity(count);
-    let mut used = vec![false; pool.len()];
+    let mut chosen: Vec<usize> = Vec::with_capacity(count);
+    let mut used = vec![false; tables.len()];
     for _ in 0..count {
         let mut best: Option<(f64, usize)> = None;
         for (ci, (fwd, bwd)) in tables.iter().enumerate() {
@@ -234,19 +313,13 @@ fn coverage(
         for (bb, &(s, t)) in best_bound.iter_mut().zip(pairs.iter()) {
             *bb = bb.max(pair_bound(fwd, bwd, s, t));
         }
-        chosen.push(pool[ci]);
+        chosen.push(ci);
     }
     // Degenerate sample (e.g. every pair disconnected): fall back to the
     // spread so the requested count is still honoured.
-    for &c in &pool {
-        if chosen.len() >= count {
-            break;
-        }
-        if !chosen.contains(&c) {
-            chosen.push(c);
-        }
-    }
-    Ok(chosen)
+    let missing = count.saturating_sub(chosen.len());
+    chosen.extend((0..tables.len()).filter(|&ci| !used[ci]).take(missing));
+    chosen
 }
 
 fn partition_spread(graph: &Graph, count: usize, region_target: usize) -> Vec<NodeId> {

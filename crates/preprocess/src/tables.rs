@@ -25,7 +25,7 @@
 
 use crate::error::PreprocessError;
 use crate::select::{self, LandmarkSelection};
-use crate::sssp;
+use crate::sssp::{self, Adjacency, Job};
 use atis_graph::grouped::Sharing;
 use atis_graph::{Graph, NodeId};
 use std::sync::Arc;
@@ -100,26 +100,70 @@ impl LandmarkTables {
     /// for `graph`, stamping the result with the graph's cost
     /// fingerprint.
     ///
+    /// The fingerprint, the graph's adjacency and its transpose, and then
+    /// the sweeps selection did not already run, are independent, so
+    /// they run on as many threads as
+    /// [`std::thread::available_parallelism`] reports; the tables are
+    /// the same on any number.
+    ///
     /// # Errors
     /// Propagates selection errors (empty graph, bad landmark count).
     pub fn build(graph: &Graph, config: PreprocessConfig) -> Result<Self, PreprocessError> {
-        let landmarks = select::select(graph, config.count, config.strategy)?;
-        let rev = sssp::reversed(graph)?;
-        let forward = landmarks
-            .iter()
-            .map(|&l| sssp::distances_from(graph, l))
-            .collect();
-        let backward = landmarks
-            .iter()
-            .map(|&l| sssp::distances_from(&rev, l))
-            .collect();
+        LandmarkTables::build_on(graph, config, sssp::workers())
+    }
+
+    /// [`LandmarkTables::build`] on `workers` threads.
+    fn build_on(
+        graph: &Graph,
+        config: PreprocessConfig,
+        workers: usize,
+    ) -> Result<Self, PreprocessError> {
+        // The stamp and the two adjacencies first: the fingerprint takes
+        // about as long as both, so two workers finish the three together.
+        let (mut fingerprint, mut forward, mut backward) =
+            (0, Adjacency::default(), Adjacency::default());
+        let jobs: Vec<Job> = vec![
+            Box::new(|| fingerprint = graph.cost_fingerprint()),
+            Box::new(|| forward = Adjacency::forward(graph)),
+            Box::new(|| backward = Adjacency::backward(graph)),
+        ];
+        sssp::pooled(workers, jobs);
+        let chosen = select::select_swept(
+            graph,
+            &forward,
+            &backward,
+            config.count,
+            config.strategy,
+            workers,
+        )?;
+        let landmarks: Vec<NodeId> = chosen.iter().map(|landmark| landmark.node).collect();
+        // A sweep has an entry per node and the graph has nodes, so an
+        // empty column is one selection did not sweep.
+        let (mut fwd, mut bwd): (Vec<Vec<f64>>, Vec<Vec<f64>>) = chosen
+            .into_iter()
+            .map(|swept| {
+                (
+                    swept.forward.unwrap_or_default(),
+                    swept.backward.unwrap_or_default(),
+                )
+            })
+            .unzip();
+        let mut jobs: Vec<Job> = Vec::with_capacity(2 * landmarks.len());
+        for (columns, adjacency) in [(&mut fwd, &forward), (&mut bwd, &backward)] {
+            for (column, &node) in columns.iter_mut().zip(&landmarks) {
+                if column.is_empty() {
+                    jobs.push(Box::new(move || *column = adjacency.sweep(node)));
+                }
+            }
+        }
+        sssp::pooled(workers, jobs);
         Ok(LandmarkTables {
             tables: Arc::new(Tables {
                 landmarks,
-                forward,
-                backward,
+                forward: fwd,
+                backward: bwd,
             }),
-            fingerprint: graph.cost_fingerprint(),
+            fingerprint,
             config,
         })
     }
@@ -294,6 +338,88 @@ mod tests {
     use super::*;
     use atis_graph::graph::graph_from_arcs;
     use atis_graph::{CostModel, Grid, SplitMix64};
+
+    /// `graph` with every arc reversed, through the graph builder: the
+    /// reference the backward kernel is held to.
+    fn transposed(graph: &Graph) -> Graph {
+        let mut b = atis_graph::GraphBuilder::with_capacity(graph.node_count(), graph.edge_count());
+        for u in graph.node_ids() {
+            b.add_node(graph.point(u));
+        }
+        for e in graph.edges() {
+            b.add_arc(e.to, e.from, e.cost);
+        }
+        b.build().unwrap()
+    }
+
+    /// Builds on one worker, two, and what the machine offers agree with
+    /// each other and with the reference sweeps over the graph and its
+    /// transpose, bit for bit, and carry the graph's fingerprint.
+    fn assert_pooled_builds_match_the_reference(graph: &Graph, configs: &[PreprocessConfig]) {
+        let reverse = transposed(graph);
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        for &config in configs {
+            let label = config.strategy.label();
+            let serial = LandmarkTables::build_on(graph, config, 1).unwrap();
+            assert_eq!(serial.landmark_count(), config.count, "{label}");
+            assert_eq!(serial.fingerprint(), graph.cost_fingerprint(), "{label}");
+            let (fwd, bwd) = (&serial.tables.forward, &serial.tables.backward);
+            for (i, &l) in serial.landmarks().iter().enumerate() {
+                let forward = sssp::distances_from(graph, l);
+                assert_eq!(bits(&fwd[i]), bits(&forward), "{label}: forward {l:?}");
+                let backward = sssp::distances_from(&reverse, l);
+                assert_eq!(bits(&bwd[i]), bits(&backward), "{label}: backward {l:?}");
+            }
+            for workers in [2, sssp::workers()] {
+                let pooled = LandmarkTables::build_on(graph, config, workers).unwrap();
+                assert_eq!(
+                    pooled.landmarks(),
+                    serial.landmarks(),
+                    "{label} on {workers}"
+                );
+                assert_eq!(pooled.fingerprint(), serial.fingerprint());
+                for (a, b) in [
+                    (&pooled.tables.forward, fwd),
+                    (&pooled.tables.backward, bwd),
+                ] {
+                    let (a, b): (Vec<_>, Vec<_>) = (
+                        a.iter().map(|c| bits(c)).collect(),
+                        b.iter().map(|c| bits(c)).collect(),
+                    );
+                    assert_eq!(a, b, "{label} on {workers} workers");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_builds_equal_the_reference_sweeps() {
+        let grid = Grid::new(9, CostModel::TWENTY_PERCENT, 4).unwrap();
+        let configs = [
+            PreprocessConfig::grid_default(),
+            PreprocessConfig::network_default(),
+            PreprocessConfig::new(LandmarkSelection::COVERAGE, 6),
+            PreprocessConfig::new(LandmarkSelection::PARTITION_SPREAD, 5),
+        ];
+        assert_pooled_builds_match_the_reference(grid.graph(), &configs);
+        let city = atis_graph::Minneapolis::paper();
+        assert_pooled_builds_match_the_reference(city.graph(), &configs[1..2]);
+        let metro = atis_graph::Metro::new(atis_graph::MetroSpec::new(3, 2, 1993)).unwrap();
+        assert_pooled_builds_match_the_reference(metro.graph(), &configs);
+    }
+
+    /// The benchmark's configuration at its largest scale: eight
+    /// partition-spread landmarks over metro-100k, region-major.
+    #[test]
+    #[ignore = "metro-100k: release job only"]
+    fn pooled_builds_equal_the_reference_sweeps_at_metro_100k() {
+        let metro =
+            atis_graph::Metro::new(atis_graph::MetroSpec::with_nodes(100_000, 1993)).unwrap();
+        let map = atis_graph::PartitionMap::build(metro.graph(), 256);
+        let (graph, _) = map.apply(metro.graph()).unwrap();
+        let config = PreprocessConfig::new(LandmarkSelection::PARTITION_SPREAD, 8);
+        assert_pooled_builds_match_the_reference(&graph, &[config]);
+    }
 
     fn all_pairs(graph: &Graph) -> Vec<Vec<f64>> {
         graph

@@ -318,12 +318,12 @@ fn the_build_keeps_its_live_directions_and_its_read_budget() {
 /// the same overlay as the flat boundary phase it replaced; what it
 /// exists for shows at metro-100k, which only the release job can afford
 /// (`cargo test --release --test hierarchy_identity -- --ignored`, the
-/// build ≈ 0.4 s there). Under the region layout the overlay holds
-/// 1 509 057 arcs — 3.90 per edge, where the flat phase held 5.89 — and
-/// no node climbs more than 299 up-arcs (475). Gated with room for a
-/// different order, none for giving the size back; and the long-haul
-/// trip — the one that got *longer*, HIERARCHY.md says why — is still
-/// the oracle's.
+/// build ≈ 0.3 s there on two cores). Under the region layout the
+/// overlay holds 1 509 057 arcs — 3.90 per edge, where the flat phase
+/// held 5.89 — and no node climbs more than 299 up-arcs (475). Gated
+/// with room for a different order, none for giving the size back; and
+/// the long-haul trip — the one that got *longer*, HIERARCHY.md says
+/// why — is still the oracle's.
 #[test]
 #[ignore = "metro-100k: release job only"]
 fn metro_100k_overlay_stays_small() {
