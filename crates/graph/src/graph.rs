@@ -37,9 +37,24 @@ pub struct Graph {
     points: Arc<[Point]>,
     offsets: Arc<[u32]>,
     edges: GroupedColumn<Edge>,
+    /// The wrapping sum of every edge's [`edge_hash`], kept current by
+    /// every write to a cost: what [`Graph::cost_stamp`] finishes.
+    edge_hash_sum: u64,
 }
 
 impl Graph {
+    /// Assembles a graph from finished parts, summing the edge hashes
+    /// once.
+    fn from_parts(points: Arc<[Point]>, offsets: Arc<[u32]>, edges: GroupedColumn<Edge>) -> Graph {
+        let edge_hash_sum = edge_hash_sum(&edges);
+        Graph {
+            points,
+            offsets,
+            edges,
+            edge_hash_sum,
+        }
+    }
+
     /// Number of nodes `|N|` (`|R|` in the cost-model notation).
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -148,15 +163,20 @@ impl Graph {
     /// information" re-costing of Section 1.1 used by the rush-hour example.
     pub fn with_travel_time_costs(&self) -> Graph {
         let mut g = self.clone();
+        let mut sum = 0u64;
         for e in g.edges.groups_mut().into_iter().flatten() {
             e.cost = e.travel_time();
+            sum = sum.wrapping_add(edge_hash(e));
         }
+        g.edge_hash_sum = sum;
         g
     }
 
     /// Updates the cost of every parallel edge `(u, v)` in place — the
     /// real-time traffic update of the ATIS scenario. Returns the number
-    /// of edges updated (0 if the edge does not exist).
+    /// of edges updated (0 if the edge does not exist). Each changed
+    /// edge's hash is swapped in the [`Graph::cost_stamp`] sum, so the
+    /// stamp stays current without a pass over the other edges.
     ///
     /// # Errors
     /// Rejects negative or non-finite costs.
@@ -181,41 +201,48 @@ impl Graph {
         let mut updated = 0;
         for e in self.edges.row_mut(&self.offsets, u.index()) {
             if e.to == v {
+                self.edge_hash_sum = self.edge_hash_sum.wrapping_sub(edge_hash(e));
                 e.cost = cost;
+                self.edge_hash_sum = self.edge_hash_sum.wrapping_add(edge_hash(e));
                 updated += 1;
             }
         }
         Ok(updated)
     }
 
-    /// A fingerprint of the graph's topology and edge costs (FNV-1a over
-    /// node count, edge endpoints, and cost bit patterns).
+    /// A fingerprint of the graph's topology and edge costs, derived
+    /// from the edges: the wrapping sum of one FNV-1a hash per edge (over
+    /// its endpoints and its cost's bit pattern), mixed with the node and
+    /// edge counts. A pass over every edge.
     ///
     /// Derived artifacts built from a snapshot of the costs — landmark
-    /// distance tables in particular — stamp themselves with this value
-    /// and compare it at query time to detect that a traffic update has
-    /// made them stale. Equal fingerprints mean equal costs for all
-    /// practical purposes; a collision would need adversarial inputs,
-    /// which traffic updates are not.
+    /// distance tables and the contraction hierarchy — stamp themselves
+    /// with [`Graph::cost_stamp`], which always equals this value, and
+    /// re-derive this one at query time to detect that a traffic update
+    /// has made them stale; so a stamp the update path got wrong shows
+    /// as a stale artifact, never as a wrong answer. Equal fingerprints
+    /// mean equal costs for all practical purposes; a collision would
+    /// need adversarial inputs, which traffic updates are not. The
+    /// combiner is a sum, not XOR: under XOR two identical parallel
+    /// edges cancel, and changing both together would leave the print
+    /// unchanged.
     pub fn cost_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.points.len() as u64);
-        mix(self.edges.len() as u64);
-        for group in self.edges.groups() {
-            for e in group {
-                mix(u64::from(e.from.0) << 32 | u64::from(e.to.0));
-                mix(e.cost.to_bits());
-            }
-        }
-        h
+        self.finish_stamp(edge_hash_sum(&self.edges))
+    }
+
+    /// [`Graph::cost_fingerprint`] in O(1): the same value, finished
+    /// from the per-edge hash sum the builders compute once and
+    /// [`Graph::set_edge_cost`] patches edge by edge. What an artifact
+    /// is stamped with when it is built or maintained.
+    #[inline]
+    pub fn cost_stamp(&self) -> u64 {
+        self.finish_stamp(self.edge_hash_sum)
+    }
+
+    /// Mixes the node and edge counts with an edge hash sum.
+    fn finish_stamp(&self, sum: u64) -> u64 {
+        let h = fnv1a(FNV_OFFSET, self.points.len() as u64);
+        fnv1a(fnv1a(h, self.edges.len() as u64), sum)
     }
 
     /// Applies `f` to every edge, producing a re-costed copy of the graph.
@@ -224,6 +251,7 @@ impl Graph {
     /// Returns an error if `f` produces a negative or non-finite cost.
     pub fn map_costs(&self, mut f: impl FnMut(&Edge) -> f64) -> Result<Graph, GraphError> {
         let mut g = self.clone();
+        let mut sum = 0u64;
         for e in g.edges.groups_mut().into_iter().flatten() {
             let c = f(e);
             if !c.is_finite() {
@@ -240,7 +268,9 @@ impl Graph {
                 });
             }
             e.cost = c;
+            sum = sum.wrapping_add(edge_hash(e));
         }
+        g.edge_hash_sum = sum;
         Ok(g)
     }
 
@@ -255,6 +285,35 @@ impl Graph {
         sharing.part(&self.offsets, &other.offsets, bytes);
         sharing
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Continues the FNV-1a hash `h` over the little-endian bytes of `word`.
+#[inline]
+fn fnv1a(mut h: u64, word: u64) -> u64 {
+    for byte in word.to_le_bytes() {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// One edge's share of the cost fingerprint: FNV-1a over its endpoints
+/// and its cost's bit pattern.
+#[inline]
+fn edge_hash(e: &Edge) -> u64 {
+    let h = fnv1a(FNV_OFFSET, u64::from(e.from.0) << 32 | u64::from(e.to.0));
+    fnv1a(h, e.cost.to_bits())
+}
+
+/// The wrapping sum of every edge's [`edge_hash`].
+fn edge_hash_sum(edges: &GroupedColumn<Edge>) -> u64 {
+    edges
+        .groups()
+        .flatten()
+        .fold(0, |sum, e| sum.wrapping_add(edge_hash(e)))
 }
 
 /// Incremental builder for [`Graph`].
@@ -374,11 +433,7 @@ impl GraphBuilder {
             cursor[e.from.index()] += 1;
         }
 
-        Ok(Graph {
-            points: self.points.into(),
-            offsets,
-            edges: sorted,
-        })
+        Ok(Graph::from_parts(self.points.into(), offsets, sorted))
     }
 }
 
@@ -495,11 +550,11 @@ impl StreamingGraphBuilder {
                 self.points.len()
             )));
         }
-        Ok(Graph {
-            points: self.points.into(),
-            offsets: self.offsets.into(),
-            edges: self.edges,
-        })
+        Ok(Graph::from_parts(
+            self.points.into(),
+            self.offsets.into(),
+            self.edges,
+        ))
     }
 }
 
@@ -644,6 +699,36 @@ mod tests {
         assert_eq!(g.nearest_node(Point::new(0.0, 0.0)), None);
     }
 
+    /// Runs `steps` seeded cost writes on `g`, checking after each that
+    /// the patched stamp equals the full pass: jams, decreases, the same
+    /// cost written again, restores to the base cost, and pairs with no
+    /// edge between them (which write nothing and leave the stamp be).
+    fn assert_stamp_tracks_script(g: &mut Graph, seed: u64, steps: usize) {
+        let base: Vec<Edge> = g.edges().copied().collect();
+        let mut rng = crate::SplitMix64::new(seed);
+        for step in 0..steps {
+            let e = base[rng.next_below(base.len() as u64) as usize];
+            let now = g.edge_cost(e.from, e.to).unwrap();
+            let cost = match rng.next_below(5) {
+                0 => now * (1.0 + 3.0 * rng.next_f64()),
+                1 => now * rng.next_f64(),
+                2 => now,
+                3 => e.cost,
+                _ => {
+                    let v = NodeId(rng.next_below(g.node_count() as u64) as u32);
+                    if g.neighbors(e.from).iter().all(|out| out.to != v) {
+                        let before = g.cost_stamp();
+                        assert_eq!(g.set_edge_cost(e.from, v, 9.0), Ok(0), "step {step}");
+                        assert_eq!(g.cost_stamp(), before, "step {step}: no edge, no change");
+                    }
+                    continue;
+                }
+            };
+            g.set_edge_cost(e.from, e.to, cost).unwrap();
+            assert_eq!(g.cost_stamp(), g.cost_fingerprint(), "step {step}");
+        }
+    }
+
     #[test]
     fn cost_fingerprint_tracks_cost_changes() {
         let g = diamond();
@@ -653,15 +738,75 @@ mod tests {
             diamond().cost_fingerprint(),
             "fingerprint is deterministic"
         );
+        assert_eq!(g.cost_stamp(), before);
         let mut changed = g.clone();
         changed.set_edge_cost(NodeId(0), NodeId(1), 7.0).unwrap();
         assert_ne!(before, changed.cost_fingerprint());
+        assert_eq!(changed.cost_stamp(), changed.cost_fingerprint());
         changed.set_edge_cost(NodeId(0), NodeId(1), 1.0).unwrap();
         assert_eq!(
             before,
             changed.cost_fingerprint(),
             "restoring the cost restores the print"
         );
+        assert_eq!(changed.cost_stamp(), before);
+
+        // Two identical parallel edges changed together: under an XOR
+        // combiner their hashes cancel before and after, and the print
+        // would not move.
+        let mut parallel = graph_from_arcs(3, &[(0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0)]).unwrap();
+        let before = parallel.cost_stamp();
+        assert_eq!(parallel.set_edge_cost(NodeId(0), NodeId(1), 5.0), Ok(2));
+        assert_ne!(
+            parallel.cost_stamp(),
+            before,
+            "a parallel pair moves the print"
+        );
+        assert_eq!(parallel.cost_stamp(), parallel.cost_fingerprint());
+
+        // Seeded scripts over both builders and both re-costing passes.
+        let grid = crate::Grid::new(8, crate::CostModel::TWENTY_PERCENT, 7).unwrap();
+        let metro = crate::Metro::new(crate::MetroSpec::with_nodes(1_000, 7)).unwrap();
+        let doubled = grid.graph().map_costs(|e| e.cost * 2.0).unwrap();
+        let timed = metro.graph().with_travel_time_costs();
+        for (label, graph) in [
+            ("builder", grid.graph()),
+            ("streaming builder", metro.graph()),
+            ("map_costs", &doubled),
+            ("with_travel_time_costs", &timed),
+            ("parallel edges", &parallel),
+        ] {
+            assert_eq!(graph.cost_stamp(), graph.cost_fingerprint(), "{label}");
+            for seed in 0..8 {
+                assert_stamp_tracks_script(&mut graph.clone(), seed, 200);
+            }
+        }
+    }
+
+    /// The stamp through 64 updates at metro-100k, scripted the way the
+    /// benchmark's write probes are: three jams, then the oldest jam
+    /// clears back to its base cost, repeated.
+    #[test]
+    #[ignore = "metro-100k: release-mode CI step"]
+    fn cost_stamp_tracks_a_metro_100k_update_script() {
+        let metro = crate::Metro::new(crate::MetroSpec::with_nodes(100_000, 1993)).unwrap();
+        let mut graph = metro.graph().clone();
+        assert_eq!(graph.cost_stamp(), graph.cost_fingerprint());
+        let edges: Vec<Edge> = graph.edges().copied().collect();
+        let mut rng = crate::SplitMix64::new(1993);
+        let mut jammed = Vec::new();
+        for step in 0..64 {
+            let (edge, cost) = if step % 4 == 3 {
+                let edge: Edge = jammed.remove(0);
+                (edge, edge.cost)
+            } else {
+                let edge = edges[rng.next_below(edges.len() as u64) as usize];
+                jammed.push(edge);
+                (edge, edge.cost * (2.0 + rng.next_f64() * 6.0))
+            };
+            graph.set_edge_cost(edge.from, edge.to, cost).unwrap();
+            assert_eq!(graph.cost_stamp(), graph.cost_fingerprint(), "step {step}");
+        }
     }
 
     #[test]

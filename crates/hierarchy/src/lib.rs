@@ -218,7 +218,7 @@ impl Hierarchy {
             core: Arc::new(core),
             down: Arc::default(),
             pricing: Arc::new(pricing),
-            fingerprint: graph.cost_fingerprint(),
+            fingerprint: graph.cost_stamp(),
             config,
             build_io: io,
             report,
@@ -245,7 +245,7 @@ impl Hierarchy {
             core: Arc::clone(&self.core),
             down: Arc::clone(&self.down),
             pricing: Arc::new(pricing),
-            fingerprint: graph.cost_fingerprint(),
+            fingerprint: graph.cost_stamp(),
             config: self.config,
             build_io: io,
             report: self.report,
@@ -260,24 +260,20 @@ impl Hierarchy {
     ///
     /// `self` must be current for `graph` as it was before that one
     /// cost changed (the caller compares [`Hierarchy::fingerprint`]
-    /// with the pre-update graph's; an overlay that fails that check
+    /// with the pre-update graph's stamp; an overlay that fails that check
     /// goes through [`Hierarchy::customized_for`] instead). Under that
     /// precondition the result equals `customized_for(graph)` field
     /// for field, bit for bit. The price columns are copied on write, a
     /// group of 256 tails at a time, so holders of `self` keep reading
     /// the old prices and the result shares every group the change
-    /// could not reach. `fingerprint` is
-    /// `graph.cost_fingerprint()`, passed in because a caller
-    /// maintaining several artifacts for one update already has it and
-    /// the pass over every edge costs as much as the re-pricing does.
+    /// could not reach. The result is stamped with
+    /// [`Graph::cost_stamp`], so nothing here passes over the edges.
     pub fn customized_for_edge(
         &self,
         graph: &Graph,
         from: NodeId,
         to: NodeId,
-        fingerprint: u64,
     ) -> (Hierarchy, usize) {
-        debug_assert_eq!(fingerprint, graph.cost_fingerprint());
         let mut io = self.build_io;
         let mut pricing = Pricing::clone(&self.pricing);
         let down = self.down.get_or_init(|| DownArcs::build(&self.core));
@@ -286,7 +282,7 @@ impl Hierarchy {
             core: Arc::clone(&self.core),
             down: Arc::clone(&self.down),
             pricing: Arc::new(pricing),
-            fingerprint,
+            fingerprint: graph.cost_stamp(),
             config: self.config,
             build_io: io,
             report: self.report,
@@ -302,7 +298,10 @@ impl Hierarchy {
 
     /// Whether this hierarchy was priced against exactly the costs
     /// `graph` currently has. A stale hierarchy must not answer queries
-    /// — its shortcuts embed old prices.
+    /// — its shortcuts embed old prices. Re-derives
+    /// [`Graph::cost_fingerprint`] from the edges rather than reading
+    /// the stamp, so every run also checks the stamp an install
+    /// maintained.
     pub fn is_current_for(&self, graph: &Graph) -> bool {
         self.fingerprint == graph.cost_fingerprint()
     }
@@ -612,8 +611,7 @@ mod tests {
         // Each arm — the full pass, the per-update phase, a rebuild —
         // leaves the overlay current and exact.
         let customized = h.customized_for(&graph);
-        let (partial, _) =
-            h.customized_for_edge(&graph, edge.from, edge.to, graph.cost_fingerprint());
+        let (partial, _) = h.customized_for_edge(&graph, edge.from, edge.to);
         let rebuilt = customized.rebuild_for(&graph).unwrap();
         for arm in [&customized, &partial, &rebuilt] {
             assert!(arm.is_current_for(&graph));
@@ -698,9 +696,7 @@ mod tests {
                     graph
                         .set_edge_cost(edge.from, edge.to, edge.cost * factor)
                         .unwrap();
-                    let fingerprint = graph.cost_fingerprint();
-                    let (next, examined) =
-                        partial.customized_for_edge(&graph, edge.from, edge.to, fingerprint);
+                    let (next, examined) = partial.customized_for_edge(&graph, edge.from, edge.to);
                     proptest::prop_assert!(examined >= 1 && examined <= next.arc_count());
                     assert_same_pricing(&next, &built.customized_for(&graph), step);
                     partial = next;
@@ -836,8 +832,7 @@ mod tests {
         graph
             .set_edge_cost(edge.from, edge.to, edge.cost * 3.0)
             .unwrap();
-        let (next, examined) =
-            h.customized_for_edge(&graph, edge.from, edge.to, graph.cost_fingerprint());
+        let (next, examined) = h.customized_for_edge(&graph, edge.from, edge.to);
         assert!(Arc::ptr_eq(&h.core, &next.core), "the topology is shared");
         assert!(Arc::ptr_eq(&h.down, &next.down), "and so is its transpose");
         assert_eq!(h.pricing.fwd, before, "holders of the old overlay keep it");
@@ -855,7 +850,7 @@ mod tests {
         assert!(spent.tuple_updates >= 1, "the seed arc's record changed");
         assert_eq!(spent.block_writes, 0, "no column is rewritten wholesale");
         // A self-loop has no overlay arc: nothing to examine.
-        let (_, none) = next.customized_for_edge(&graph, edge.from, edge.from, next.fingerprint());
+        let (_, none) = next.customized_for_edge(&graph, edge.from, edge.from);
         assert_eq!(none, 0);
     }
 

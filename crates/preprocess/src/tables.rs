@@ -4,9 +4,10 @@
 //! sweeps (forward from each landmark, and from each landmark on the
 //! transposed graph, which gives distances *to* the landmark) frozen
 //! behind an `Arc` so cloning a table set is free. The tables carry the
-//! [`Graph::cost_fingerprint`] of the graph they were built from;
-//! consumers compare fingerprints at query time to detect that a traffic
-//! update has made the tables stale.
+//! [`Graph::cost_fingerprint`] of the graph they were built from, read
+//! in O(1) as [`Graph::cost_stamp`]; consumers re-derive the fingerprint
+//! at query time to detect that a traffic update has made the tables
+//! stale.
 //!
 //! Staleness does not always force a rebuild. The table values are
 //! *feasible potentials* for the costs they were built from — every edge
@@ -97,14 +98,13 @@ pub struct LandmarkTables {
 
 impl LandmarkTables {
     /// Selects landmarks and computes forward/backward distance tables
-    /// for `graph`, stamping the result with the graph's cost
-    /// fingerprint.
+    /// for `graph`, stamping the result with the graph's
+    /// [`Graph::cost_stamp`].
     ///
-    /// The fingerprint, the graph's adjacency and its transpose, and then
-    /// the sweeps selection did not already run, are independent, so
-    /// they run on as many threads as
-    /// [`std::thread::available_parallelism`] reports; the tables are
-    /// the same on any number.
+    /// The graph's adjacency and its transpose, and then the sweeps
+    /// selection did not already run, are independent, so they run on
+    /// as many threads as [`std::thread::available_parallelism`]
+    /// reports; the tables are the same on any number.
     ///
     /// # Errors
     /// Propagates selection errors (empty graph, bad landmark count).
@@ -118,12 +118,8 @@ impl LandmarkTables {
         config: PreprocessConfig,
         workers: usize,
     ) -> Result<Self, PreprocessError> {
-        // The stamp and the two adjacencies first: the fingerprint takes
-        // about as long as both, so two workers finish the three together.
-        let (mut fingerprint, mut forward, mut backward) =
-            (0, Adjacency::default(), Adjacency::default());
+        let (mut forward, mut backward) = (Adjacency::default(), Adjacency::default());
         let jobs: Vec<Job> = vec![
-            Box::new(|| fingerprint = graph.cost_fingerprint()),
             Box::new(|| forward = Adjacency::forward(graph)),
             Box::new(|| backward = Adjacency::backward(graph)),
         ];
@@ -163,7 +159,7 @@ impl LandmarkTables {
                 forward: fwd,
                 backward: bwd,
             }),
-            fingerprint,
+            fingerprint: graph.cost_stamp(),
             config,
         })
     }
@@ -188,7 +184,10 @@ impl LandmarkTables {
         self.fingerprint
     }
 
-    /// Whether the tables match `graph`'s current costs.
+    /// Whether the tables match `graph`'s current costs. Re-derives
+    /// [`Graph::cost_fingerprint`] from the edges rather than reading
+    /// the stamp, so every run also checks the stamp an install
+    /// maintained.
     pub fn is_current_for(&self, graph: &Graph) -> bool {
         self.fingerprint == graph.cost_fingerprint()
     }
@@ -232,7 +231,7 @@ impl LandmarkTables {
     pub fn patched_for(&self, graph: &Graph) -> LandmarkTables {
         LandmarkTables {
             tables: Arc::clone(&self.tables),
-            fingerprint: graph.cost_fingerprint(),
+            fingerprint: graph.cost_stamp(),
             config: self.config,
         }
     }

@@ -96,10 +96,11 @@ pub struct EpochUpdate {
 /// rebuild leaves the stale tables in place, marked not-current, so the
 /// degrade ladder serves a lower rung.
 ///
-/// An install costs two passes over the edges for fingerprints however
-/// many artifacts it maintains: one over `before`, and one over the new
-/// costs that the landmark arm takes to stamp its tables and the
-/// hierarchy arm reuses.
+/// Neither arm passes over the edges for its stamps: both compare and
+/// stamp with [`Graph::cost_stamp`], which [`Graph::set_edge_cost`]
+/// keeps current, so what an install costs is what its arms re-price.
+/// The full pass stays on the read side, where every v4 and v5 run
+/// re-derives the fingerprint and so checks this arithmetic.
 ///
 /// Artifacts are whole-graph, so this is independent of how many shards
 /// [`crate::shard::ShardedEpochDb`] versions the install by.
@@ -113,8 +114,7 @@ pub(crate) fn maintain_artifacts(
     if next.landmarks().is_none() && next.hierarchy().is_none() {
         return (next, landmarks, HierarchyRefresh::None, 0);
     }
-    let before = before.cost_fingerprint();
-    let mut after = None;
+    let before = before.cost_stamp();
     if let Some(tables) = next.landmarks().cloned() {
         let cheap = tables.fingerprint() == before && tables.admits_cost(u, v, new_cost);
         let fresh = if cheap {
@@ -124,7 +124,6 @@ pub(crate) fn maintain_artifacts(
         };
         landmarks = match fresh {
             Ok(fresh) => {
-                after = Some(fresh.fingerprint());
                 next = next.with_landmarks(fresh);
                 if cheap {
                     LandmarkRefresh::Patched
@@ -142,8 +141,7 @@ pub(crate) fn maintain_artifacts(
         return (next, landmarks, HierarchyRefresh::None, 0);
     };
     let (customized, examined) = if overlay.fingerprint() == before {
-        let after = after.unwrap_or_else(|| next.graph().cost_fingerprint());
-        overlay.customized_for_edge(next.graph(), u, v, after)
+        overlay.customized_for_edge(next.graph(), u, v)
     } else {
         (overlay.customized_for(next.graph()), overlay.arc_count())
     };

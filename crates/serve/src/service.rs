@@ -1446,6 +1446,91 @@ mod tests {
         }
     }
 
+    /// Installs compare and stamp artifacts with the graph's O(1)
+    /// `cost_stamp`, which the update patches edge by edge. Through a
+    /// seeded script of 64 updates on metro-10k — three jams, then the
+    /// oldest clears to its base cost or, every other time, below it
+    /// (a rebuild) — every published snapshot's tables and overlay pass
+    /// the full-pass currency check, the overlay took the per-update
+    /// phase, and v5 answers at the oracle's cost.
+    #[test]
+    fn every_install_of_an_update_script_leaves_its_artifacts_current() {
+        use atis_graph::{Metro, MetroQuery, MetroSpec, PartitionMap, SplitMix64};
+        use atis_hierarchy::{Hierarchy, HierarchyConfig};
+        use atis_preprocess::{LandmarkSelection, LandmarkTables, PreprocessConfig};
+        let metro = Metro::new(MetroSpec::with_nodes(10_000, 1993)).unwrap();
+        let (graph, new_of) = PartitionMap::build(metro.graph(), 256)
+            .apply(metro.graph())
+            .unwrap();
+        let spread = LandmarkSelection::PartitionSpread { region_target: 256 };
+        let tables = LandmarkTables::build(&graph, PreprocessConfig::new(spread, 8)).unwrap();
+        let overlay = Hierarchy::build(&graph, HierarchyConfig::paper()).unwrap();
+        let arcs = overlay.arc_count();
+        let db = Database::open(&graph)
+            .unwrap()
+            .with_landmarks(tables)
+            .with_hierarchy(overlay);
+        let service = RouteService::new(
+            db,
+            ServeConfig::default()
+                .with_workers(1)
+                .with_cache_capacity(0)
+                .with_algorithm(Algorithm::AStar(AStarVersion::V5)),
+        );
+        let trips: Vec<(NodeId, NodeId)> = [MetroQuery::IntraCity, MetroQuery::Diagonal]
+            .into_iter()
+            .map(|trip| {
+                let (s, d) = metro.query_pair(trip);
+                (NodeId(new_of[s.index()]), NodeId(new_of[d.index()]))
+            })
+            .collect();
+        let edges: Vec<_> = graph.edges().copied().collect();
+        let mut rng = SplitMix64::new(1993);
+        let mut jammed = Vec::new();
+        let mut rebuilt = 0;
+        for step in 0..64 {
+            let (edge, cost) = if step % 4 == 3 {
+                let edge: atis_graph::Edge = jammed.remove(0);
+                (edge, edge.cost * if step % 8 == 7 { 0.5 } else { 1.0 })
+            } else {
+                let edge = edges[rng.next_below(edges.len() as u64) as usize];
+                jammed.push(edge);
+                (edge, edge.cost * (2.0 + rng.next_f64() * 6.0))
+            };
+            let up = service.update_edge_cost(edge.from, edge.to, cost).unwrap();
+            assert!(up.updated >= 1, "step {step}");
+            assert!(
+                matches!(
+                    up.landmarks,
+                    LandmarkRefresh::Patched | LandmarkRefresh::Rebuilt
+                ),
+                "step {step}: {:?}",
+                up.landmarks
+            );
+            rebuilt += usize::from(up.landmarks == LandmarkRefresh::Rebuilt);
+            assert!(up.arcs_examined < arcs, "step {step}: the full pass ran");
+            let snap = service.shard_snapshot();
+            assert_eq!(snap.install(), up.epoch, "step {step}");
+            let live = snap.db.graph();
+            assert!(
+                snap.db.landmarks().unwrap().is_current_for(live),
+                "step {step}"
+            );
+            assert!(
+                snap.db.hierarchy().unwrap().is_current_for(live),
+                "step {step}"
+            );
+            for &(s, d) in &trips {
+                let answer = service.route(s, d).unwrap();
+                assert_eq!(answer.outcome, RouteOutcome::Computed, "step {step}");
+                assert_eq!(answer.epoch, up.epoch, "step {step}");
+                let oracle = atis_algorithms::memory::dijkstra_pair(live, s, d).unwrap();
+                assert!((answer.path.unwrap().cost - oracle.cost).abs() < 1e-9);
+            }
+        }
+        assert!(rebuilt >= 1, "the script must undercut a table value");
+    }
+
     /// A grid big enough for the partition map to yield several regions
     /// (and so several shards) — the 6×6 test grid collapses to one.
     fn sharded_service(config: ServeConfig) -> (RouteService, Grid) {

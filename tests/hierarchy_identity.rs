@@ -167,8 +167,7 @@ proptest! {
             (edge, edge.cost),
         ] {
             live.set_edge_cost(e.from, e.to, cost).unwrap();
-            let (next, examined) =
-                chained.customized_for_edge(&live, e.from, e.to, live.cost_fingerprint());
+            let (next, examined) = chained.customized_for_edge(&live, e.from, e.to);
             prop_assert!(examined >= 1 && examined < next.arc_count());
             prop_assert!(next.is_current_for(&live));
             let db = Database::open(&live).unwrap().with_hierarchy(next.clone());
@@ -201,9 +200,7 @@ proptest! {
         let mut chained = built_at_base.clone();
         for (e, factor) in [(first, 2.5), (adjacent, 0.5), (far, 1.75)] {
             graph.set_edge_cost(e.from, e.to, e.cost * factor).unwrap();
-            chained = chained
-                .customized_for_edge(&graph, e.from, e.to, graph.cost_fingerprint())
-                .0;
+            chained = chained.customized_for_edge(&graph, e.from, e.to).0;
         }
         let built = Hierarchy::build(&graph, HierarchyConfig::paper()).unwrap();
         let customized = built_at_base.customized_for(&graph);
@@ -274,8 +271,7 @@ fn an_update_examines_a_sliver_of_the_overlay() {
             (edge, edge.cost * (2.0 + rng.next_f64() * 6.0))
         };
         graph.set_edge_cost(edge.from, edge.to, cost).unwrap();
-        let (next, examined) =
-            hierarchy.customized_for_edge(&graph, edge.from, edge.to, graph.cost_fingerprint());
+        let (next, examined) = hierarchy.customized_for_edge(&graph, edge.from, edge.to);
         hierarchy = next;
         total += examined;
         worst = worst.max(examined);
