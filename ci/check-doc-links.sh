@@ -141,8 +141,8 @@ if [ -f "$service" ]; then
 fi
 
 # 6. Refresh-doc drift: the update path's vocabulary lives in
-#    crates/serve/src/ — the `HierarchyRefresh` / `LandmarkRefresh`
-#    variants an install reports and the `serve_hierarchy_*` /
+#    crates/serve/src/ — the `Refresh` variants an install reports for
+#    each artifact and the `serve_hierarchy_*` /
 #    `serve_landmark*` metric names it feeds. Every variant and every
 #    such metric name that HIERARCHY.md, OBSERVABILITY.md or SERVING.md
 #    mention must exist there: a deleted arm or a renamed counter fails
@@ -152,7 +152,7 @@ serve_src=crates/serve/src
 if [ -d "$serve_src" ]; then
     for doc in HIERARCHY.md OBSERVABILITY.md SERVING.md; do
         [ -f "$doc" ] || continue
-        for enum in HierarchyRefresh LandmarkRefresh; do
+        for enum in Refresh; do
             declared=$(sed -n "/^pub enum $enum {/,/^}/p" "$serve_src/epoch.rs" \
                 | grep -o '^    [A-Z][A-Za-z]*' | tr -d ' ')
             mentioned=$(grep -o "$enum::\({[^}]*}\|[A-Z][A-Za-z]*\)" "$doc" 2>/dev/null \
@@ -438,6 +438,49 @@ if [ -d "$serve_src" ] && [ -f OBSERVABILITY.md ]; then
         fi
     done
 fi
+
+# 13. Target drift: every `--bench <name>`, `--example <name>` and
+#     `--bin <name>` that a tracked doc mentions (ROADMAP.md and
+#     CHANGES.md aside, as in checks 1-2) must name a target that exists:
+#     a `[[bench]]`, `[[example]]` or `[[bin]]` some tracked Cargo.toml
+#     declares, or one cargo discovers (a file under `benches/`,
+#     `examples/` or `src/bin/`; a package with a `src/main.rs` is a bin
+#     of its own name). A deleted or renamed target then fails here
+#     instead of lingering in the docs. Finding no mention at all fails
+#     too: a changed flag spelling must not pass vacuously.
+manifests=$(git ls-files '*Cargo.toml')
+known=$(
+    for kind in bench example bin; do
+        awk -v kind="$kind" '$0 == "[[" kind "]]" { t = 1; next } /^\[/ { t = 0 }
+            t && /^name *=/ { gsub(/^name *= *"|".*$/, ""); print kind, $0; t = 0 }' $manifests
+    done
+    git ls-files '*benches/*.rs' | sed 's|.*/||; s|\.rs$||; s|^|bench |'
+    git ls-files '*examples/*.rs' | sed 's|.*/||; s|\.rs$||; s|^|example |'
+    git ls-files '*src/bin/*.rs' | sed 's|.*/||; s|\.rs$||; s|^|bin |'
+    for manifest in $manifests; do
+        if [ -f "$(dirname "$manifest")/src/main.rs" ]; then
+            awk '/^\[package\]/ { p = 1; next } /^\[/ { p = 0 }
+                p && /^name *=/ { gsub(/^name *= *"|".*$/, ""); print "bin", $0; exit }' "$manifest"
+        fi
+    done
+)
+mentioned=$(for doc in $(echo "$docs" | grep -vx 'ROADMAP.md\|CHANGES.md'); do
+    grep -o -- '--\(bench\|example\|bin\) [A-Za-z0-9_-][A-Za-z0-9_-]*' "$doc" 2>/dev/null \
+        | sed "s|^--|$doc |"
+done | sort -u)
+if [ -z "$mentioned" ]; then
+    echo "TARGETS: no doc mentions a --bench, --example or --bin target"
+    fail=1
+fi
+while read -r doc kind name; do
+    [ -n "$name" ] || continue
+    if ! echo "$known" | grep -qx "$kind $name"; then
+        echo "UNKNOWN TARGET: $doc mentions --$kind $name, which no Cargo.toml declares and cargo does not discover"
+        fail=1
+    fi
+done <<EOF
+$mentioned
+EOF
 
 if [ "$fail" -ne 0 ]; then
     echo "doc-link check FAILED"

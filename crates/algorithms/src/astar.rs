@@ -289,18 +289,18 @@ mod tests {
 
     #[test]
     fn v4_without_tables_fails_with_a_typed_error() {
-        use crate::error::LandmarkIssue;
+        use crate::error::ArtifactIssue;
         let (grid, db) = grid_db(5, CostModel::Uniform, 0);
         let (s, d) = grid.query_pair(QueryKind::Diagonal);
         assert!(matches!(
             db.run(Algorithm::AStar(AStarVersion::V4), s, d),
-            Err(AlgorithmError::LandmarksUnavailable(LandmarkIssue::Missing))
+            Err(AlgorithmError::LandmarksUnavailable(ArtifactIssue::Missing))
         ));
     }
 
     #[test]
     fn cost_update_makes_v4_tables_stale() {
-        use crate::error::LandmarkIssue;
+        use crate::error::ArtifactIssue;
         use atis_preprocess::{LandmarkTables, PreprocessConfig};
         let (grid, db) = grid_db(6, CostModel::TWENTY_PERCENT, 2);
         let tables = LandmarkTables::build(grid.graph(), PreprocessConfig::grid_default()).unwrap();
@@ -313,7 +313,7 @@ mod tests {
             .unwrap();
         assert!(matches!(
             db.run(Algorithm::AStar(AStarVersion::V4), s, d),
-            Err(AlgorithmError::LandmarksUnavailable(LandmarkIssue::Stale))
+            Err(AlgorithmError::LandmarksUnavailable(ArtifactIssue::Stale))
         ));
         assert!(db.run(Algorithm::AStar(AStarVersion::V3), s, d).is_ok());
         // Rebuilding for the new costs restores v4.
@@ -378,20 +378,18 @@ mod tests {
 
     #[test]
     fn v5_without_hierarchy_fails_with_a_typed_error() {
-        use crate::error::HierarchyIssue;
+        use crate::error::ArtifactIssue;
         let (grid, db) = grid_db(5, CostModel::Uniform, 0);
         let (s, d) = grid.query_pair(QueryKind::Diagonal);
         assert!(matches!(
             db.run(Algorithm::AStar(AStarVersion::V5), s, d),
-            Err(AlgorithmError::HierarchyUnavailable(
-                HierarchyIssue::Missing
-            ))
+            Err(AlgorithmError::HierarchyUnavailable(ArtifactIssue::Missing))
         ));
     }
 
     #[test]
     fn cost_update_makes_v5_hierarchy_stale() {
-        use crate::error::HierarchyIssue;
+        use crate::error::ArtifactIssue;
         use atis_hierarchy::{Hierarchy, HierarchyConfig};
         let (grid, db) = grid_db(6, CostModel::TWENTY_PERCENT, 2);
         let hierarchy = Hierarchy::build(grid.graph(), HierarchyConfig::paper()).unwrap();
@@ -404,7 +402,7 @@ mod tests {
             .unwrap();
         assert!(matches!(
             db.run(Algorithm::AStar(AStarVersion::V5), s, d),
-            Err(AlgorithmError::HierarchyUnavailable(HierarchyIssue::Stale))
+            Err(AlgorithmError::HierarchyUnavailable(ArtifactIssue::Stale))
         ));
         assert!(db.run(Algorithm::AStar(AStarVersion::V3), s, d).is_ok());
         // Customizing for the new costs restores v5, exactly.

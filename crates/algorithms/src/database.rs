@@ -2,7 +2,7 @@
 //! an experiment can turn (join policy, cost parameters).
 
 use crate::astar::AStarVersion;
-use crate::error::{AlgorithmError, BudgetKind, HierarchyIssue, LandmarkIssue};
+use crate::error::{AlgorithmError, ArtifactIssue, BudgetKind};
 use crate::estimator::Estimator;
 use crate::ladder::Needs;
 use crate::search::{self, Spec};
@@ -53,11 +53,6 @@ impl Budgets {
     pub fn with_max_cost_units(mut self, units: f64) -> Self {
         self.max_cost_units = Some(units);
         self
-    }
-
-    /// Whether any limit is set.
-    pub fn is_limited(&self) -> bool {
-        self.max_iterations.is_some() || self.max_cost_units.is_some()
     }
 
     /// Combines two budget sets by taking the tighter limit for each
@@ -448,12 +443,8 @@ impl Database {
     /// [`AlgorithmError::LandmarksUnavailable`] when tables are missing
     /// or their fingerprint does not match the current edge costs.
     pub(crate) fn alt_bounds_for(&self, d: NodeId) -> Result<DestBounds, AlgorithmError> {
-        let Some(tables) = &self.landmarks else {
-            return Err(AlgorithmError::LandmarksUnavailable(LandmarkIssue::Missing));
-        };
-        if !tables.is_current_for(&self.graph) {
-            return Err(AlgorithmError::LandmarksUnavailable(LandmarkIssue::Stale));
-        }
+        let tables = current(self.landmarks.as_ref(), |t| t.is_current_for(&self.graph))
+            .map_err(AlgorithmError::LandmarksUnavailable)?;
         Ok(tables.bounds_to(d))
     }
 
@@ -483,15 +474,8 @@ impl Database {
     /// missing or its fingerprint does not match the current edge costs
     /// — a stale overlay would answer with stale-priced shortcuts.
     pub(crate) fn hierarchy_for(&self) -> Result<&Hierarchy, AlgorithmError> {
-        let Some(hierarchy) = &self.hierarchy else {
-            return Err(AlgorithmError::HierarchyUnavailable(
-                HierarchyIssue::Missing,
-            ));
-        };
-        if !hierarchy.is_current_for(&self.graph) {
-            return Err(AlgorithmError::HierarchyUnavailable(HierarchyIssue::Stale));
-        }
-        Ok(hierarchy)
+        current(self.hierarchy.as_ref(), |h| h.is_current_for(&self.graph))
+            .map_err(AlgorithmError::HierarchyUnavailable)
     }
 
     /// Attaches a trace sink: every subsequent run emits `RunStarted`,
@@ -713,16 +697,8 @@ impl Database {
                     to: v,
                 }))?;
             distance += tuple.cost;
-            // Effective speed degrades with occupancy exactly as the
-            // graph-side model does (Edge::travel_time).
-            let class = match tuple.class {
-                1 => atis_graph::RoadClass::Highway,
-                2 => atis_graph::RoadClass::Freeway,
-                _ => atis_graph::RoadClass::Street,
-            };
-            let speed =
-                class.free_flow_speed() * (1.0 - 0.8 * f64::from(tuple.occupancy).clamp(0.0, 1.0));
-            travel_time += tuple.cost / speed;
+            let class = atis_storage::road_class_from_code(tuple.class);
+            travel_time += tuple.cost / class.congested_speed(f64::from(tuple.occupancy));
         }
         Ok((distance, travel_time, io))
     }
@@ -877,6 +853,20 @@ impl Database {
                 m.observe("buffer_hit_rate", dh as f64 / (dh + dm) as f64);
             }
         }
+    }
+}
+
+/// The currency check every epoch artifact passes before a run uses it:
+/// present, and built for the graph's current costs.
+fn current<A>(
+    artifact: Option<&A>,
+    is_current: impl FnOnce(&A) -> bool,
+) -> Result<&A, ArtifactIssue> {
+    let artifact = artifact.ok_or(ArtifactIssue::Missing)?;
+    if is_current(artifact) {
+        Ok(artifact)
+    } else {
+        Err(ArtifactIssue::Stale)
     }
 }
 

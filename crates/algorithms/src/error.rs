@@ -22,44 +22,27 @@ impl fmt::Display for BudgetKind {
     }
 }
 
-/// Why the landmark (ALT) tables cannot serve a run (see
-/// `Database::with_landmarks`).
+/// Why an epoch artifact — the landmark (ALT) tables of
+/// `Database::with_landmarks` or the contraction hierarchy of
+/// `Database::with_hierarchy` — cannot serve a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LandmarkIssue {
-    /// No landmark tables are attached to the database.
+pub enum ArtifactIssue {
+    /// No such artifact is attached to the database.
     Missing,
-    /// The attached tables were built for different edge costs (their
-    /// fingerprint no longer matches the graph), so their bounds may
-    /// overestimate and break admissibility.
-    Stale,
-}
-
-impl fmt::Display for LandmarkIssue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LandmarkIssue::Missing => write!(f, "no landmark tables attached"),
-            LandmarkIssue::Stale => write!(f, "landmark tables are stale for the current costs"),
-        }
-    }
-}
-
-/// Why the contraction hierarchy cannot serve a run (see
-/// `Database::with_hierarchy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HierarchyIssue {
-    /// No hierarchy is attached to the database.
-    Missing,
-    /// The attached hierarchy was priced for different edge costs (its
-    /// fingerprint no longer matches the graph), so its shortcuts would
+    /// The attached artifact was built for different edge costs (its
+    /// fingerprint no longer matches the graph): stale landmark bounds
+    /// may overestimate and break admissibility, stale shortcuts would
     /// answer with stale prices.
     Stale,
 }
 
-impl fmt::Display for HierarchyIssue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl ArtifactIssue {
+    /// The issue as a phrase about `artifact`, whose verb `is` agrees
+    /// with it.
+    fn phrase(self, artifact: &str, is: &str) -> String {
         match self {
-            HierarchyIssue::Missing => write!(f, "no hierarchy attached"),
-            HierarchyIssue::Stale => write!(f, "hierarchy is stale for the current costs"),
+            ArtifactIssue::Missing => format!("no {artifact} attached"),
+            ArtifactIssue::Stale => format!("{artifact} {is} stale for the current costs"),
         }
     }
 }
@@ -80,12 +63,12 @@ pub enum AlgorithmError {
     /// A\* version 4 was requested but the landmark tables are missing or
     /// stale. The tables must be (re)built; the serving layer's degrade
     /// ladder reacts by falling to version 3.
-    LandmarksUnavailable(LandmarkIssue),
+    LandmarksUnavailable(ArtifactIssue),
     /// A\* version 5 was requested but the contraction hierarchy is
     /// missing or stale. The overlay must be customized or re-contracted;
     /// the serving layer's degrade ladder reacts by falling to version 4
     /// (then 3).
-    HierarchyUnavailable(HierarchyIssue),
+    HierarchyUnavailable(ArtifactIssue),
 }
 
 impl fmt::Display for AlgorithmError {
@@ -97,9 +80,11 @@ impl fmt::Display for AlgorithmError {
             AlgorithmError::UnknownDestination(n) => write!(f, "unknown destination node {n}"),
             AlgorithmError::BudgetExceeded(k) => write!(f, "{k} budget exceeded"),
             AlgorithmError::LandmarksUnavailable(issue) => {
+                let issue = issue.phrase("landmark tables", "are");
                 write!(f, "landmark estimator unavailable: {issue}")
             }
             AlgorithmError::HierarchyUnavailable(issue) => {
+                let issue = issue.phrase("hierarchy", "is");
                 write!(f, "hierarchy unavailable: {issue}")
             }
         }
@@ -125,5 +110,35 @@ impl From<StorageError> for AlgorithmError {
 impl From<GraphError> for AlgorithmError {
     fn from(e: GraphError) -> Self {
         AlgorithmError::Graph(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn artifact_issues_read_as_their_artifact() {
+        let cases = [
+            (
+                AlgorithmError::LandmarksUnavailable(ArtifactIssue::Missing),
+                "landmark estimator unavailable: no landmark tables attached",
+            ),
+            (
+                AlgorithmError::LandmarksUnavailable(ArtifactIssue::Stale),
+                "landmark estimator unavailable: landmark tables are stale for the current costs",
+            ),
+            (
+                AlgorithmError::HierarchyUnavailable(ArtifactIssue::Missing),
+                "hierarchy unavailable: no hierarchy attached",
+            ),
+            (
+                AlgorithmError::HierarchyUnavailable(ArtifactIssue::Stale),
+                "hierarchy unavailable: hierarchy is stale for the current costs",
+            ),
+        ];
+        for (error, text) in cases {
+            assert_eq!(error.to_string(), text);
+        }
     }
 }

@@ -21,10 +21,10 @@
 use crate::database::{Budgets, Database};
 use crate::error::AlgorithmError;
 use crate::observe::RunObserver;
-use crate::trace::{RunTrace, StepBreakdown};
+use crate::trace::RunTrace;
 use atis_graph::{GraphError, NodeId, Path};
 use atis_hierarchy::{Hierarchy, ARC_TUPLE_SIZE};
-use atis_obs::IterationPhase;
+use atis_obs::{IterationPhase, StepIo};
 use atis_storage::block::BLOCK_SIZE;
 use atis_storage::IoStats;
 use std::collections::BinaryHeap;
@@ -208,7 +208,7 @@ pub(crate) fn run(
         // Coarse attribution: the overlay search has no select / join /
         // update steps of Table 3's kind, so the whole metered run lands
         // in one bucket.
-        steps: StepBreakdown {
+        steps: StepIo {
             bookkeeping: io,
             ..Default::default()
         },

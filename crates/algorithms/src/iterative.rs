@@ -18,9 +18,9 @@
 use crate::database::{Budgets, Database};
 use crate::error::AlgorithmError;
 use crate::observe::RunObserver;
-use crate::trace::{RunTrace, StepBreakdown};
+use crate::trace::RunTrace;
 use atis_graph::{NodeId, Path};
-use atis_obs::IterationPhase;
+use atis_obs::{IterationPhase, StepIo};
 use atis_storage::{join_adjacency, IoStats, JoinStrategy, NodeStatus, NO_PRED};
 use std::collections::HashMap;
 #[expect(
@@ -42,7 +42,7 @@ pub fn run(
     )]
     let wall_start = Instant::now();
     let mut io = IoStats::new();
-    let mut steps = StepBreakdown::default();
+    let mut steps = StepIo::default();
     let mut observer = RunObserver::new(db, "Iterative");
     observer.run_started(s, d);
     let s_id = s.0;

@@ -220,7 +220,7 @@ pub fn walk<P: Policy, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::{HierarchyIssue, LandmarkIssue};
+    use crate::error::ArtifactIssue;
     use atis_graph::{CostModel, Grid, NodeId};
     use atis_preprocess::{LandmarkTables, PreprocessConfig};
     use atis_storage::StorageError;
@@ -334,8 +334,8 @@ mod tests {
 
     #[test]
     fn an_unavailable_artifact_falls_past_every_rung_that_needs_it() {
-        let stale_h = AlgorithmError::HierarchyUnavailable(HierarchyIssue::Stale);
-        let stale_l = AlgorithmError::LandmarksUnavailable(LandmarkIssue::Stale);
+        let stale_h = AlgorithmError::HierarchyUnavailable(ArtifactIssue::Stale);
+        let stale_l = AlgorithmError::LandmarksUnavailable(ArtifactIssue::Stale);
         let mut script = Script::new(&[]);
         let (walked, ran) = walk_v5(
             &mut script,
@@ -354,7 +354,7 @@ mod tests {
 
     #[test]
     fn a_lower_rung_whose_artifact_is_not_attached_is_skipped_unasked() {
-        let stale_h = AlgorithmError::HierarchyUnavailable(HierarchyIssue::Stale);
+        let stale_h = AlgorithmError::HierarchyUnavailable(ArtifactIssue::Stale);
         let grid = Grid::new(4, CostModel::TWENTY_PERCENT, 1).unwrap();
         let bare = Database::open(grid.graph()).unwrap();
         let rungs = sequence(Algorithm::AStar(AStarVersion::V5));

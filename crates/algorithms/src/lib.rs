@@ -69,7 +69,7 @@ pub use astar::AStarVersion;
 pub use bidirectional::{bidirectional_dijkstra, BidirectionalResult};
 pub use database::{Algorithm, Budgets, Database, Description, FrontierKind, Kernel, Label};
 pub use duplicates::DuplicatePolicy;
-pub use error::{AlgorithmError, BudgetKind, HierarchyIssue, LandmarkIssue};
+pub use error::{AlgorithmError, ArtifactIssue, BudgetKind};
 pub use estimator::Estimator;
 pub use trace::RunTrace;
 

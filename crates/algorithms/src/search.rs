@@ -22,9 +22,9 @@ use crate::database::{Budgets, Database, FrontierKind};
 use crate::error::AlgorithmError;
 use crate::estimator::Estimator;
 use crate::observe::RunObserver;
-use crate::trace::{RunTrace, StepBreakdown};
+use crate::trace::RunTrace;
 use atis_graph::{NodeId, Path, Point};
-use atis_obs::IterationPhase;
+use atis_obs::{IterationPhase, StepIo};
 use atis_preprocess::DestBounds;
 use atis_storage::{
     join_adjacency, IoStats, MultiRelation, NodeRelation, NodeStatus, NodeTuple, StorageError,
@@ -466,7 +466,7 @@ pub(crate) fn best_first<F: Frontier>(
     )]
     let wall_start = Instant::now();
     let mut io = IoStats::new();
-    let mut steps = StepBreakdown::default();
+    let mut steps = StepIo::default();
     let mut observer = RunObserver::new(db, &spec.label);
     observer.run_started(s, d);
 

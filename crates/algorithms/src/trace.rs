@@ -1,37 +1,9 @@
 //! Run traces: what a database-resident run measured.
 
 use atis_graph::{NodeId, Path};
+use atis_obs::StepIo;
 use atis_storage::{CostParams, IoStats, JoinStrategy};
 use std::time::Duration;
-
-/// Per-step I/O attribution, mirroring the step structure of the paper's
-/// cost models (Tables 2–3). Summing the five parts reproduces
-/// [`RunTrace::io`]; the `breakdown` experiment compares each part with
-/// its algebraic counterpart.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StepBreakdown {
-    /// `C1..C4`: relation creation, bulk load, index build, start-node
-    /// marking.
-    pub init: IoStats,
-    /// Frontier selection: the scans behind "select u with minimum ..."
-    /// (Table 3) or "fetch all current nodes" (Table 2, step 5).
-    pub select: IoStats,
-    /// The adjacency join (`C6` / the `F(B1,B2,B3)` step).
-    pub join: IoStats,
-    /// State updates: marking the selected node and relaxing neighbours
-    /// (Table 3) or the two REPLACE passes (Table 2, step 7).
-    pub update: IoStats,
-    /// Remaining bookkeeping: current-count scans (Table 2, step 8),
-    /// destination-coordinate fetch, path extraction.
-    pub bookkeeping: IoStats,
-}
-
-impl StepBreakdown {
-    /// The sum of all parts (must equal the trace's total `io`).
-    pub fn total(&self) -> IoStats {
-        self.init + self.select + self.join + self.update + self.bookkeeping
-    }
-}
 
 /// The record of one algorithm run. `iterations` is the quantity the
 /// paper's Tables 5–8 report; `cost_units(…)` is the "execution time" of
@@ -60,8 +32,9 @@ pub struct RunTrace {
     /// round-by-round current sets are flattened for the iterative
     /// algorithm.
     pub expansion_order: Vec<NodeId>,
-    /// Per-step I/O attribution (sums to `io`).
-    pub steps: StepBreakdown,
+    /// Per-step I/O attribution, mirroring the step structure of the
+    /// paper's cost models (Tables 2–3); its parts sum to `io`.
+    pub steps: StepIo,
     /// Largest frontierSet cardinality observed during the run. The
     /// select step scans the frontier every iteration, so this is the
     /// quantity a tighter estimator shrinks first (the estimator-quality
@@ -85,26 +58,6 @@ impl RunTrace {
     pub fn found(&self) -> bool {
         self.path.is_some()
     }
-
-    /// One-line human summary, for logs and examples.
-    pub fn summary(&self, params: &CostParams) -> String {
-        match &self.path {
-            Some(p) => format!(
-                "{}: {} iterations, {:.1} cost units, path cost {:.3} ({} segments)",
-                self.algorithm,
-                self.iterations,
-                self.cost_units(params),
-                p.cost,
-                p.len()
-            ),
-            None => format!(
-                "{}: {} iterations, {:.1} cost units, no route",
-                self.algorithm,
-                self.iterations,
-                self.cost_units(params)
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +80,7 @@ mod tests {
             }),
             wall: Duration::ZERO,
             expansion_order: vec![NodeId(0)],
-            steps: StepBreakdown::default(),
+            steps: StepIo::default(),
             frontier_peak: 1,
         }
     }
@@ -136,18 +89,6 @@ mod tests {
     fn cost_units_price_the_io() {
         let t = trace();
         assert!((t.cost_units(&CostParams::default()) - 0.35).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_mentions_the_essentials() {
-        let t = trace();
-        let s = t.summary(&CostParams::default());
-        assert!(s.contains("test:"));
-        assert!(s.contains("5 iterations"));
-        assert!(s.contains("path cost 2.000"));
-        let mut t = t;
-        t.path = None;
-        assert!(t.summary(&CostParams::default()).contains("no route"));
     }
 
     #[test]

@@ -7,6 +7,9 @@
 
 use std::fmt;
 
+/// Width of the longest bar, in characters.
+const WIDTH: usize = 46;
+
 /// A grouped-bar chart: one group per x-value, one bar per series.
 #[derive(Debug, Clone)]
 pub struct BarChart {
@@ -14,7 +17,6 @@ pub struct BarChart {
     unit: String,
     series: Vec<String>,
     groups: Vec<(String, Vec<f64>)>,
-    width: usize,
 }
 
 impl BarChart {
@@ -26,7 +28,6 @@ impl BarChart {
             unit: unit.into(),
             series,
             groups: Vec::new(),
-            width: 46,
         }
     }
 
@@ -37,12 +38,6 @@ impl BarChart {
     pub fn push_group(&mut self, label: impl Into<String>, values: Vec<f64>) {
         assert_eq!(values.len(), self.series.len(), "one value per series");
         self.groups.push((label.into(), values));
-    }
-
-    /// Overrides the bar width in characters (default 46).
-    pub fn with_width(mut self, width: usize) -> Self {
-        self.width = width.max(10);
-        self
     }
 
     fn max_value(&self) -> f64 {
@@ -68,12 +63,12 @@ impl fmt::Display for BarChart {
         for (group, values) in &self.groups {
             writeln!(f, "  {group}")?;
             for (name, &v) in self.series.iter().zip(values.iter()) {
-                let filled = ((v / max) * self.width as f64).round() as usize;
-                let filled = filled.min(self.width);
+                let filled = ((v / max) * WIDTH as f64).round() as usize;
+                let filled = filled.min(WIDTH);
                 // Always show at least one mark for a positive value.
                 let filled = if v > 0.0 { filled.max(1) } else { 0 };
                 let bar: String = std::iter::repeat_n('#', filled)
-                    .chain(std::iter::repeat_n(' ', self.width - filled))
+                    .chain(std::iter::repeat_n(' ', WIDTH - filled))
                     .collect();
                 writeln!(f, "    {name:<label_w$} |{bar}| {v:.1}")?;
             }
@@ -104,9 +99,8 @@ mod tests {
 
     #[test]
     fn longest_bar_is_full_width() {
-        let c = chart().with_width(20);
-        let s = c.to_string();
-        let full: String = std::iter::repeat_n('#', 20).collect();
+        let s = chart().to_string();
+        let full: String = std::iter::repeat_n('#', WIDTH).collect();
         assert!(s.contains(&full), "{s}");
     }
 

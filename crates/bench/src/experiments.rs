@@ -875,19 +875,12 @@ pub fn step_breakdown() -> ExperimentOutput {
 /// paper's claim is the TOTAL row).
 pub fn model_vs_measured() -> ExperimentOutput {
     use atis_costmodel::ModelParams;
-    use atis_obs::{best_first_report, iterative_report, StepIo};
+    use atis_obs::{best_first_report, iterative_report};
     let (grid, db) = grid_db(30, CostModel::TWENTY_PERCENT);
     let (s, d) = grid.query_pair(QueryKind::Diagonal);
     let mp = ModelParams::for_grid(30);
     let tolerance = 0.10;
 
-    let steps_of = |t: &atis_algorithms::RunTrace| StepIo {
-        init: t.steps.init,
-        select: t.steps.select,
-        join: t.steps.join,
-        update: t.steps.update,
-        bookkeeping: t.steps.bookkeeping,
-    };
     let mut sections = Vec::new();
     for alg in [
         Algorithm::Dijkstra,
@@ -895,14 +888,14 @@ pub fn model_vs_measured() -> ExperimentOutput {
         Algorithm::AStar(AStarVersion::V3),
     ] {
         let t = db.run(alg, s, d).expect("valid endpoints");
-        let report = best_first_report(&t.algorithm, t.iterations, &steps_of(&t), mp, tolerance);
+        let report = best_first_report(&t.algorithm, t.iterations, &t.steps, mp, tolerance);
         sections.push((
             t.algorithm.clone(),
             format!("```text\n{}```", report.render()),
         ));
     }
     let t = db.run(Algorithm::Iterative, s, d).expect("valid endpoints");
-    let report = iterative_report(&t.algorithm, t.iterations, &steps_of(&t), mp, tolerance);
+    let report = iterative_report(&t.algorithm, t.iterations, &t.steps, mp, tolerance);
     sections.push((
         t.algorithm.clone(),
         format!("```text\n{}```", report.render()),

@@ -24,8 +24,8 @@
 //!   [`experiments::ablation_memory_vs_db`]).
 //!
 //! The binary `experiments` drives all of this from the command line; the
-//! Criterion benches under `benches/` wrap the same drivers for wall-clock
-//! measurement.
+//! benches under `benches/` are the CI-gated estimator-quality and scaling
+//! studies.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

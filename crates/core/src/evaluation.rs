@@ -23,17 +23,6 @@ pub struct RouteAttributes {
     pub class_distance: (f64, f64, f64),
 }
 
-impl RouteAttributes {
-    /// Fraction of the route's distance on freeways.
-    pub fn freeway_fraction(&self) -> f64 {
-        if self.distance <= 0.0 {
-            0.0
-        } else {
-            self.class_distance.2 / self.distance
-        }
-    }
-}
-
 /// Evaluates a route against the network it was planned on.
 ///
 /// # Errors
@@ -111,7 +100,6 @@ mod tests {
         assert_eq!(a.worst_occupancy, 0.5);
         assert!((a.class_distance.0 - 1.0).abs() < 1e-12);
         assert!((a.class_distance.2 - 3.0).abs() < 1e-12);
-        assert!((a.freeway_fraction() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 
 use atis_algorithms::{AStarVersion, Algorithm, AlgorithmError, Database, RunTrace};
 use atis_graph::{Graph, NodeId, Path};
-use atis_hierarchy::{Hierarchy, HierarchyConfig, HierarchyError};
+use atis_hierarchy::Hierarchy;
 use atis_obs::{SharedRegistry, SharedSink};
-use atis_preprocess::{LandmarkTables, PreprocessConfig, PreprocessError};
+use atis_preprocess::LandmarkTables;
 use atis_storage::{CostParams, JoinPolicy};
 use std::time::Duration;
 
@@ -89,43 +89,11 @@ impl RoutePlanner {
         self
     }
 
-    /// Builds landmark (ALT) tables for the resident network and makes
-    /// A\* version 4 the default algorithm. If the tables go stale (a
-    /// cost update without re-preprocessing), v4 fails with
-    /// `LandmarksUnavailable`.
-    ///
-    /// # Errors
-    /// Propagates preprocessing errors (empty graph, landmark count
-    /// exceeding the node count).
-    pub fn with_alt_estimator(mut self, config: PreprocessConfig) -> Result<Self, PreprocessError> {
-        let tables = LandmarkTables::build(self.db.graph(), config)?;
-        self.db = self.db.with_landmarks(tables);
-        self.default_algorithm = Algorithm::AStar(AStarVersion::V4);
-        Ok(self)
-    }
-
     /// Attaches already-built landmark tables (e.g. an epoch artifact
     /// shared by a serving fleet) without changing the default algorithm.
     pub fn with_landmarks(mut self, tables: LandmarkTables) -> Self {
         self.db = self.db.with_landmarks(tables);
         self
-    }
-
-    /// Builds a contraction hierarchy for the resident network and makes
-    /// A\* version 5 the default algorithm. If the hierarchy goes stale (a
-    /// cost update without customization), v5 fails with
-    /// `HierarchyUnavailable`.
-    ///
-    /// # Errors
-    /// Propagates hierarchy build errors (empty graph).
-    pub fn with_hierarchy_overlay(
-        mut self,
-        config: HierarchyConfig,
-    ) -> Result<Self, HierarchyError> {
-        let hierarchy = Hierarchy::build(self.db.graph(), config)?;
-        self.db = self.db.with_hierarchy(hierarchy);
-        self.default_algorithm = Algorithm::AStar(AStarVersion::V5);
-        Ok(self)
     }
 
     /// Attaches an already-built contraction hierarchy (e.g. an epoch
@@ -225,6 +193,7 @@ impl RoutePlanner {
 mod tests {
     use super::*;
     use atis_graph::{CostModel, Grid, QueryKind};
+    use atis_hierarchy::HierarchyConfig;
 
     fn planner() -> (Grid, RoutePlanner) {
         let grid = Grid::new(8, CostModel::TWENTY_PERCENT, 3).unwrap();
@@ -285,12 +254,13 @@ mod tests {
     }
 
     #[test]
-    fn alt_estimator_makes_v4_the_default_and_plans_optimally() {
+    fn attached_landmarks_plan_v4_optimally() {
         let (grid, p) = planner();
+        let config = atis_preprocess::PreprocessConfig::grid_default();
+        let tables = LandmarkTables::build(grid.graph(), config).unwrap();
         let p = p
-            .with_alt_estimator(atis_preprocess::PreprocessConfig::grid_default())
-            .unwrap();
-        assert_eq!(p.default_algorithm(), Algorithm::AStar(AStarVersion::V4));
+            .with_landmarks(tables)
+            .with_algorithm(Algorithm::AStar(AStarVersion::V4));
         let (s, d) = grid.query_pair(QueryKind::Diagonal);
         let report = p.plan(s, d).unwrap();
         assert_eq!(report.algorithm, "A* (version 4)");
@@ -299,10 +269,12 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_overlay_makes_v5_the_default_and_plans_optimally() {
+    fn attached_hierarchy_plans_v5_optimally() {
         let (grid, p) = planner();
-        let p = p.with_hierarchy_overlay(HierarchyConfig::paper()).unwrap();
-        assert_eq!(p.default_algorithm(), Algorithm::AStar(AStarVersion::V5));
+        let hierarchy = Hierarchy::build(grid.graph(), HierarchyConfig::paper()).unwrap();
+        let p = p
+            .with_hierarchy(hierarchy)
+            .with_algorithm(Algorithm::AStar(AStarVersion::V5));
         let (s, d) = grid.query_pair(QueryKind::Diagonal);
         let report = p.plan(s, d).unwrap();
         assert_eq!(report.algorithm, "A* (version 5)");

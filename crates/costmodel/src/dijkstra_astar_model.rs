@@ -151,21 +151,6 @@ impl BestFirstModel {
         ]
     }
 
-    /// Totals [`BestFirstModel::steps`] over an iteration count (equal to
-    /// [`BestFirstModel::total`] by construction; tested).
-    pub fn total_from_steps(&self, iterations: u64) -> f64 {
-        self.steps()
-            .iter()
-            .map(|s| {
-                if s.per_iteration {
-                    s.cost * iterations as f64
-                } else {
-                    s.cost
-                }
-            })
-            .sum()
-    }
-
     /// Total predicted cost for an iteration count taken from an execution
     /// trace.
     pub fn total(&self, iterations: u64) -> f64 {
@@ -231,7 +216,11 @@ mod tests {
         let m = BestFirstModel::new(ModelParams::table_4a());
         for iters in [0u64, 1, 29, 899] {
             let a = m.total(iters);
-            let b = m.total_from_steps(iters);
+            let b: f64 = m
+                .steps()
+                .iter()
+                .map(|s| s.cost * if s.per_iteration { iters as f64 } else { 1.0 })
+                .sum();
             assert!((a - b).abs() < 1e-9, "{iters}: {a} vs {b}");
         }
         // The decomposition has 4 init steps and 4 per-iteration steps.

@@ -9,11 +9,13 @@
 //! here implements the full optimizer.
 
 use crate::params::ModelParams;
+use atis_storage::join::{choose_strategy, estimate_cost};
 use atis_storage::JoinStrategy;
 
 /// Algebraic cost of one strategy for a join of `b1` outer blocks
 /// (holding `outer_tuples` tuples) against `b2` inner blocks producing
-/// `b3` result blocks.
+/// `b3` result blocks: the engine's own [`estimate_cost`] at Table 4A
+/// unit costs.
 pub fn algebraic_join_cost(
     strategy: JoinStrategy,
     b1: usize,
@@ -22,26 +24,11 @@ pub fn algebraic_join_cost(
     outer_tuples: f64,
     p: &ModelParams,
 ) -> f64 {
-    let (b1, b2, b3) = (b1.max(1) as f64, b2.max(1) as f64, b3 as f64);
-    let log2 = |b: f64| b.log2().ceil().max(0.0);
-    match strategy {
-        JoinStrategy::NestedLoop => (b1 + b1 * b2) * p.io.t_read + b3 * p.io.t_write,
-        JoinStrategy::Hash => (b1 + b2) * p.io.t_read + b3 * p.io.t_write,
-        JoinStrategy::SortMerge => {
-            (b1 * log2(b1) + b2 * log2(b2)) * p.io.t_update
-                + (b1 + b2) * p.io.t_read
-                + b3 * p.io.t_write
-        }
-        JoinStrategy::PrimaryKey => outer_tuples.max(1.0) * p.io.t_read + b3 * p.io.t_write,
-    }
+    estimate_cost(strategy, b1, outer_tuples, b2, b3, &p.io)
 }
 
 /// `F(B1, B2, B3)` with the optimizer enabled: the cheapest of the four
-/// strategies and its cost.
-#[expect(
-    clippy::expect_used,
-    reason = "JoinStrategy::ALL is a non-empty constant"
-)]
+/// strategies and its cost, by the engine's own chooser.
 pub fn cheapest_join(
     b1: usize,
     b2: usize,
@@ -49,16 +36,7 @@ pub fn cheapest_join(
     outer_tuples: f64,
     p: &ModelParams,
 ) -> (JoinStrategy, f64) {
-    JoinStrategy::ALL
-        .into_iter()
-        .map(|s| (s, algebraic_join_cost(s, b1, b2, b3, outer_tuples, p)))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("four strategies")
-}
-
-/// The paper's Section 4.3 worked form: nested-loop `F`.
-pub fn nested_loop_join_cost(b1: usize, b2: usize, b3: usize, p: &ModelParams) -> f64 {
-    algebraic_join_cost(JoinStrategy::NestedLoop, b1, b2, b3, 0.0, p)
+    choose_strategy(b1, outer_tuples, b2, b3, &p.io)
 }
 
 #[cfg(test)]
@@ -69,7 +47,7 @@ mod tests {
     fn nested_loop_matches_section_4_3_form() {
         let p = ModelParams::table_4a();
         // F(1, 28, 1) = 1*0.035 + 28*0.035 + 1*0.05 = 1.065.
-        let f = nested_loop_join_cost(1, 28, 1, &p);
+        let f = algebraic_join_cost(JoinStrategy::NestedLoop, 1, 28, 1, 0.0, &p);
         assert!((f - 1.065).abs() < 1e-9);
     }
 

@@ -93,15 +93,6 @@ impl RelationFrontierModel {
                 .map(|i| self.iteration_cost(i))
                 .sum::<f64>()
     }
-
-    /// The iteration count at which version 1's cumulative cost overtakes
-    /// a given status-frontier total-cost function — the crossover the
-    /// paper's Figure 12 narrative implies ("version 1 starts out much
-    /// better ... for longer paths it falls behind"). Returns `None` if v1
-    /// never overtakes within `limit`.
-    pub fn crossover_vs(&self, status_total: impl Fn(u64) -> f64, limit: u64) -> Option<u64> {
-        (1..=limit).find(|&t| self.total(t) > status_total(t))
-    }
 }
 
 #[cfg(test)]
@@ -141,8 +132,8 @@ mod tests {
         let p = ModelParams::table_4a();
         let v1 = RelationFrontierModel::new(p);
         let v2 = BestFirstModel::new(p);
-        let crossover = v1
-            .crossover_vs(|t| v2.total(t), 1000)
+        let crossover = (1..=1000u64)
+            .find(|&t| v1.total(t) > v2.total(t))
             .expect("v1 must fall behind");
         assert!(crossover <= 10, "crossover at iteration {crossover}");
     }

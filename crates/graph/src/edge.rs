@@ -29,6 +29,12 @@ impl RoadClass {
             RoadClass::Freeway => 2.5,
         }
     }
+
+    /// Effective speed at average occupancy `occupancy`: free flow,
+    /// degrading linearly down to 20% of it when fully occupied.
+    pub fn congested_speed(self, occupancy: f64) -> f64 {
+        self.free_flow_speed() * (1.0 - 0.8 * occupancy.clamp(0.0, 1.0))
+    }
 }
 
 /// A directed edge `(from, to)` with traversal cost `cost` (Section 2:
@@ -73,12 +79,10 @@ impl Edge {
         self
     }
 
-    /// Estimated travel time for this edge: distance divided by effective
-    /// speed, where effective speed degrades linearly with occupancy down to
-    /// 20% of free flow when fully occupied.
+    /// Estimated travel time for this edge: distance divided by the
+    /// class's [`RoadClass::congested_speed`] at this edge's occupancy.
     pub fn travel_time(&self) -> f64 {
-        let speed = self.class.free_flow_speed() * (1.0 - 0.8 * self.occupancy.clamp(0.0, 1.0));
-        self.cost / speed
+        self.cost / self.class.congested_speed(self.occupancy)
     }
 }
 

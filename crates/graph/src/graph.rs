@@ -381,59 +381,32 @@ impl GraphBuilder {
         self.edges.push(back);
     }
 
-    /// Validates and freezes the graph.
+    /// Validates and freezes the graph: groups the edges by origin
+    /// (keeping each node's edges in insertion order) and seals them node
+    /// by node through [`StreamingGraphBuilder::seal_node`], which holds
+    /// the edge checks.
     ///
     /// # Errors
     /// Fails on unknown endpoints, negative or non-finite costs, or more
     /// than [`MAX_NODES`] nodes.
     pub fn build(self) -> Result<Graph, GraphError> {
-        let n = self.points.len();
-        if n > MAX_NODES {
-            return Err(GraphError::TooManyNodes(n));
+        let mut builder = StreamingGraphBuilder::new(self.points)?;
+        let mut edges = self.edges;
+        edges.sort_by_key(|e| e.from);
+        if let Some(e) = edges
+            .last()
+            .filter(|e| e.from.index() >= builder.node_count())
+        {
+            return Err(GraphError::UnknownNode(e.from));
         }
-        for e in &self.edges {
-            if e.from.index() >= n {
-                return Err(GraphError::UnknownNode(e.from));
-            }
-            if e.to.index() >= n {
-                return Err(GraphError::UnknownNode(e.to));
-            }
-            if !e.cost.is_finite() {
-                return Err(GraphError::NonFiniteCost {
-                    from: e.from,
-                    to: e.to,
-                });
-            }
-            if e.cost < 0.0 {
-                return Err(GraphError::NegativeCost {
-                    from: e.from,
-                    to: e.to,
-                    cost: e.cost,
-                });
-            }
+        let mut rest = &edges[..];
+        for _ in 0..builder.node_count() {
+            let u = builder.next_node();
+            let (out, tail) = rest.split_at(rest.partition_point(|e| e.from == u));
+            builder.seal_node(out)?;
+            rest = tail;
         }
-
-        // Counting sort of edges by origin into CSR, preserving insertion
-        // order within each origin (stable), straight into the groups.
-        let mut counts = vec![0u32; n + 1];
-        for e in &self.edges {
-            counts[e.from.index() + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets: Arc<[u32]> = Arc::from(&counts[..]);
-        let mut cursor = counts;
-        let mut sorted = GroupedColumn::filled(&offsets, Edge::new(NodeId(0), NodeId(0), 0.0));
-        let mut groups = sorted.groups_mut();
-        for e in &self.edges {
-            let g = e.from.index() / GROUP_NODES;
-            let slot = cursor[e.from.index()] - offsets[g * GROUP_NODES];
-            groups[g][slot as usize] = *e;
-            cursor[e.from.index()] += 1;
-        }
-
-        Ok(Graph::from_parts(self.points.into(), offsets, sorted))
+        builder.finish()
     }
 }
 

@@ -33,10 +33,11 @@
 //! changed edge can reach — the same code for an increase and a
 //! decrease, bit-identical to the full pass — and
 //! [`Hierarchy::customized_for`], the full pass, is what the build
-//! itself runs, what the tests compare against, and the fallback that
-//! heals an overlay of unknown provenance. An overlay is a fill and the
-//! prices of one metric, however it got them: a built one and a
-//! re-priced one are the same thing.
+//! itself runs and what the tests compare against. An overlay is a fill
+//! and the prices of one metric, however it got them: a built one and a
+//! re-priced one are the same thing. A fill is valid only for the
+//! topology it was built from, so an overlay of unknown provenance is
+//! healed by [`Hierarchy::rebuild_for`], not re-priced.
 //!
 //! All preprocessing is metered in block I/O ([`IoStats`]) so the
 //! paper's cost-model lens extends to the build: HIERARCHY.md tabulates
@@ -64,7 +65,7 @@ use std::sync::{Arc, OnceLock};
 
 use atis_graph::grouped::Sharing;
 use atis_graph::{Graph, NodeId, PartitionMap};
-use atis_storage::block::BLOCK_SIZE;
+use atis_storage::block::{blocks_for, BLOCK_SIZE};
 use atis_storage::{EdgeTuple, FixedTuple, IoStats, NodeTuple};
 
 pub use error::HierarchyError;
@@ -232,9 +233,9 @@ impl Hierarchy {
     /// under the same order would price.
     ///
     /// This is the reference pass of the UPDATE contract: what
-    /// [`Hierarchy::customized_for_edge`] must equal bit for bit, and
-    /// the fallback for an overlay that is not known to be current for
-    /// the costs before the change.
+    /// [`Hierarchy::customized_for_edge`] must equal bit for bit. It is
+    /// exact only for a `graph` with the topology the fill was built
+    /// from.
     pub fn customized_for(&self, graph: &Graph) -> Hierarchy {
         let mut io = self.build_io;
         // Re-read current costs, rewrite the overlay's price columns.
@@ -261,7 +262,7 @@ impl Hierarchy {
     /// `self` must be current for `graph` as it was before that one
     /// cost changed (the caller compares [`Hierarchy::fingerprint`]
     /// with the pre-update graph's stamp; an overlay that fails that check
-    /// goes through [`Hierarchy::customized_for`] instead). Under that
+    /// goes through [`Hierarchy::rebuild_for`] instead). Under that
     /// precondition the result equals `customized_for(graph)` field
     /// for field, bit for bit. The price columns are copied on write, a
     /// group of 256 tails at a time, so holders of `self` keep reading
@@ -291,7 +292,9 @@ impl Hierarchy {
     }
 
     /// Rebuilds from scratch at `graph`'s current costs — a fresh order
-    /// and fill, for a changed *structure*. No UPDATE takes it.
+    /// and fill, for a changed *structure* or an overlay of unknown
+    /// provenance. An UPDATE takes it only to heal an overlay that was
+    /// not current for the costs before the change.
     pub fn rebuild_for(&self, graph: &Graph) -> Result<Hierarchy, HierarchyError> {
         Hierarchy::build(graph, self.config)
     }
@@ -401,20 +404,14 @@ impl Hierarchy {
 /// Blocks one sequential scan of the node (R) and edge (S) relations
 /// costs, at the storage layer's tuple sizes.
 fn relation_blocks(graph: &Graph) -> u64 {
-    let edge_blocks = graph
-        .edge_count()
-        .div_ceil(BLOCK_SIZE / EdgeTuple::SIZE)
-        .max(1);
-    let node_blocks = graph
-        .node_count()
-        .div_ceil(BLOCK_SIZE / NodeTuple::SIZE)
-        .max(1);
+    let edge_blocks = blocks_for(graph.edge_count(), BLOCK_SIZE / EdgeTuple::SIZE).max(1);
+    let node_blocks = blocks_for(graph.node_count(), BLOCK_SIZE / NodeTuple::SIZE).max(1);
     (edge_blocks + node_blocks) as u64
 }
 
 /// Blocks occupied by the overlay relation.
 fn overlay_blocks(arcs: usize) -> u64 {
-    arcs.div_ceil(ARCS_PER_BLOCK).max(1) as u64
+    blocks_for(arcs, ARCS_PER_BLOCK).max(1) as u64
 }
 
 #[cfg(test)]

@@ -9,8 +9,7 @@
 //! run can produce automatically.
 //!
 //! The measured side arrives as a [`StepIo`] (the five-way attribution
-//! every `RunTrace` carries, re-declared here so the storage→costmodel→
-//! obs→algorithms layering stays acyclic); the predicted side comes from
+//! every `RunTrace` carries as its `steps`); the predicted side comes from
 //! [`atis_costmodel`]'s [`BestFirstModel`] (Table 3) or
 //! [`IterativeModel`] (Table 2). Each row is flagged when it diverges
 //! beyond the caller's tolerance.
@@ -19,8 +18,9 @@ use atis_costmodel::{BestFirstModel, EstimatorModel, IterativeModel, ModelParams
 use atis_storage::IoStats;
 use std::fmt::Write;
 
-/// Per-step observed I/O: the same five-way attribution the algorithm
-/// layer's `StepBreakdown` records (its parts sum to the run total).
+/// Per-step observed I/O, mirroring the step structure of the paper's
+/// cost models (Tables 2–3). Every `RunTrace` carries one as its `steps`;
+/// its parts sum to the run total.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepIo {
     /// Relation creation, bulk load, index build, start-node marking
@@ -216,14 +216,6 @@ impl ModelReport {
         } else {
             0.0
         }
-    }
-
-    /// The largest per-step relative error.
-    pub fn max_relative_error(&self) -> f64 {
-        self.rows
-            .iter()
-            .map(|r| r.relative_error)
-            .fold(0.0, f64::max)
     }
 
     /// Renders the report as an aligned text table with a verdict column.
@@ -470,7 +462,7 @@ mod tests {
         let report = best_first_report("Dijkstra", 100, &steps, mp, 0.02);
         assert!(report.within_tolerance(), "{}", report.render());
         assert!(report.divergent().is_empty());
-        assert!(report.max_relative_error() < 0.01);
+        assert!(report.rows.iter().all(|r| r.relative_error < 0.01));
     }
 
     #[test]

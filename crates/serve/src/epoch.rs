@@ -21,44 +21,34 @@
 use atis_algorithms::Database;
 use atis_graph::{Graph, NodeId};
 
-/// How an update maintained the snapshot's landmark (ALT) tables.
+/// How an update maintained one of the snapshot's artifacts: the
+/// landmark (ALT) tables or the contraction hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LandmarkRefresh {
-    /// The database carries no landmark tables (or the update touched no
+pub enum Refresh {
+    /// The database carries no such artifact (or the update touched no
     /// edge), so there was nothing to maintain.
     None,
-    /// The old tables stay admissible at the new cost — any increase
+    /// The cheap arm, for an artifact current for the costs before the
+    /// update. Tables stay admissible at the new cost — any increase
     /// (old bounds under-estimate distances that only grew), and a
     /// decrease that undercuts no table value, such as a jam clearing
     /// back to the cost the tables were built at — so they were
-    /// re-stamped for the new epoch without recomputation: degraded but
-    /// sound.
+    /// re-stamped without recomputation: degraded but sound. The
+    /// overlay's topology is metric-independent, so it re-priced the
+    /// shortcuts the changed edge can reach, increase or decrease alike:
+    /// exact, the overlay a build at the new costs would price.
     Patched,
-    /// The new cost undercuts a table value, so stale bounds could
-    /// overestimate — or the tables were not current for the costs
-    /// before the update, so nothing is known about them: rebuilt from
-    /// scratch (2·k SSSP sweeps) before the epoch installed.
+    /// Rebuilt from scratch before the epoch installed: the artifact was
+    /// not current for the costs before the update, so nothing is known
+    /// about it (not even that it covers this topology), or the new cost
+    /// undercuts a table value, so stale bounds could overestimate.
     Rebuilt,
-    /// A required rebuild failed: the stale tables were left in place
-    /// (not current, so v4 fails typed and the degrade ladder serves v3
-    /// instead of wrong answers). The serving layer counts it
+    /// A required rebuild failed: the stale artifact was left in place
+    /// (not current, so its rung fails typed and the degrade ladder
+    /// serves a lower one instead of wrong answers). The serving layer
+    /// counts a failed table rebuild
     /// (`serve_landmark_rebuild_failed_total`).
     RebuildFailed,
-}
-
-/// How an update maintained the snapshot's contraction hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HierarchyRefresh {
-    /// The database carries no hierarchy (or the update touched no
-    /// edge), so there was nothing to maintain.
-    None,
-    /// The overlay topology is metric-independent, so the update —
-    /// increase or decrease alike — re-priced the shortcuts the changed
-    /// edge can reach (or, for an overlay that was not current for the
-    /// costs before the update, all of them): exact, and the overlay a
-    /// build at the new costs would price. Nothing on the update path
-    /// re-contracts, so nothing on it can fail.
-    Customized,
 }
 
 /// The result of installing one traffic update.
@@ -73,12 +63,12 @@ pub struct EpochUpdate {
     /// The edge's cost after the update.
     pub new_cost: f64,
     /// How the epoch's landmark tables were kept current.
-    pub landmarks: LandmarkRefresh,
+    pub landmarks: Refresh,
     /// How the epoch's contraction hierarchy was kept current.
-    pub hierarchy: HierarchyRefresh,
+    pub hierarchy: Refresh,
     /// Overlay arcs the hierarchy refresh examined: what the changed
-    /// edge can reach, or every arc when the full pass had to run (0
-    /// without a hierarchy).
+    /// edge can reach, or every arc of a rebuilt overlay (0 without a
+    /// hierarchy).
     pub arcs_examined: usize,
 }
 
@@ -90,11 +80,13 @@ pub struct EpochUpdate {
 /// Each artifact's cheap arm — re-stamp the tables, re-price only what
 /// the edge can reach — is exact only for an artifact that is current
 /// for `before`, and that is checked here, not assumed: a service may
-/// have been started on a stale artifact, and a failed rebuild leaves
-/// one behind. Whatever fails the check is healed by the full arm
-/// (rebuild the tables, re-price the whole overlay). A failed table
-/// rebuild leaves the stale tables in place, marked not-current, so the
-/// degrade ladder serves a lower rung.
+/// have been started on a stale artifact, or on one built for another
+/// graph, and a failed rebuild leaves one behind. Whatever fails the
+/// check is healed by a rebuild at the new costs. Re-pricing would not
+/// do: it keeps the elimination fill, which is only valid for the
+/// topology the overlay was built for. A failed rebuild leaves the stale
+/// artifact in place, marked not-current, so the degrade ladder serves a
+/// lower rung.
 ///
 /// Neither arm passes over the edges for its stamps: both compare and
 /// stamp with [`Graph::cost_stamp`], which [`Graph::set_edge_cost`]
@@ -109,44 +101,36 @@ pub(crate) fn maintain_artifacts(
     before: &Graph,
     (u, v): (NodeId, NodeId),
     new_cost: f64,
-) -> (Database, LandmarkRefresh, HierarchyRefresh, usize) {
-    let mut landmarks = LandmarkRefresh::None;
-    if next.landmarks().is_none() && next.hierarchy().is_none() {
-        return (next, landmarks, HierarchyRefresh::None, 0);
-    }
+) -> (Database, Refresh, Refresh, usize) {
+    let (mut landmarks, mut hierarchy, mut examined) = (Refresh::None, Refresh::None, 0);
     let before = before.cost_stamp();
     if let Some(tables) = next.landmarks().cloned() {
-        let cheap = tables.fingerprint() == before && tables.admits_cost(u, v, new_cost);
-        let fresh = if cheap {
-            Ok(tables.patched_for(next.graph()))
+        if tables.fingerprint() == before && tables.admits_cost(u, v, new_cost) {
+            let patched = tables.patched_for(next.graph());
+            next = next.with_landmarks(patched);
+            landmarks = Refresh::Patched;
+        } else if let Ok(fresh) = tables.rebuild_for(next.graph()) {
+            next = next.with_landmarks(fresh);
+            landmarks = Refresh::Rebuilt;
         } else {
-            tables.rebuild_for(next.graph())
-        };
-        landmarks = match fresh {
-            Ok(fresh) => {
-                next = next.with_landmarks(fresh);
-                if cheap {
-                    LandmarkRefresh::Patched
-                } else {
-                    LandmarkRefresh::Rebuilt
-                }
-            }
-            // Leave the stale tables in place — v4 then fails typed and
-            // the degrade ladder serves v3: degraded service, not wrong
-            // answers. Reported so the serving layer can count it.
-            Err(_) => LandmarkRefresh::RebuildFailed,
-        };
+            landmarks = Refresh::RebuildFailed;
+        }
     }
-    let Some(overlay) = next.hierarchy().cloned() else {
-        return (next, landmarks, HierarchyRefresh::None, 0);
-    };
-    let (customized, examined) = if overlay.fingerprint() == before {
-        overlay.customized_for_edge(next.graph(), u, v)
-    } else {
-        (overlay.customized_for(next.graph()), overlay.arc_count())
-    };
-    next = next.with_hierarchy(customized);
-    (next, landmarks, HierarchyRefresh::Customized, examined)
+    if let Some(overlay) = next.hierarchy().cloned() {
+        if overlay.fingerprint() == before {
+            let (fresh, arcs) = overlay.customized_for_edge(next.graph(), u, v);
+            next = next.with_hierarchy(fresh);
+            hierarchy = Refresh::Patched;
+            examined = arcs;
+        } else if let Ok(fresh) = overlay.rebuild_for(next.graph()) {
+            examined = fresh.arc_count();
+            next = next.with_hierarchy(fresh);
+            hierarchy = Refresh::Rebuilt;
+        } else {
+            hierarchy = Refresh::RebuildFailed;
+        }
+    }
+    (next, landmarks, hierarchy, examined)
 }
 
 #[cfg(test)]
@@ -188,7 +172,7 @@ mod tests {
         // re-stamped — and v4 still answers optimally at the new epoch.
         let built = epochs.snapshot().db.landmarks().unwrap().clone();
         let up = epochs.update_edge_cost(a, b, 9.0).unwrap().update;
-        assert_eq!(up.landmarks, LandmarkRefresh::Patched);
+        assert_eq!(up.landmarks, Refresh::Patched);
         let snap = epochs.snapshot();
         let lm = snap.db.landmarks().unwrap();
         assert!(lm.is_current_for(snap.db.graph()));
@@ -203,7 +187,7 @@ mod tests {
         // The jam clears: a cost decrease forces a rebuild — fresh tables
         // that share no memory with the patched ones.
         let down = epochs.update_edge_cost(a, b, 1.0).unwrap().update;
-        assert_eq!(down.landmarks, LandmarkRefresh::Rebuilt);
+        assert_eq!(down.landmarks, Refresh::Rebuilt);
         let snap = epochs.snapshot();
         let lm = snap.db.landmarks().unwrap();
         assert!(lm.is_current_for(snap.db.graph()));
@@ -238,10 +222,10 @@ mod tests {
             for step in 0..24 {
                 let e = edges[rng.next_below(edges.len() as u64) as usize];
                 let script = [
-                    (e.cost * 4.0, LandmarkRefresh::Patched),
-                    (e.cost * 2.0, LandmarkRefresh::Patched),
-                    (e.cost, LandmarkRefresh::Patched),
-                    (e.cost * 0.25, LandmarkRefresh::Rebuilt),
+                    (e.cost * 4.0, Refresh::Patched),
+                    (e.cost * 2.0, Refresh::Patched),
+                    (e.cost, Refresh::Patched),
+                    (e.cost * 0.25, Refresh::Rebuilt),
                 ];
                 // Every sixth edge goes all the way below its base cost.
                 let len = if step % 6 == 5 { 4 } else { 3 };
@@ -250,7 +234,7 @@ mod tests {
                     assert_eq!(up.landmarks, expect, "step {step}: {e:?} to {cost}");
                     if cost < up.old_cost {
                         match expect {
-                            LandmarkRefresh::Patched => patched_decreases += 1,
+                            Refresh::Patched => patched_decreases += 1,
                             _ => rebuilds += 1,
                         }
                     }
@@ -298,7 +282,7 @@ mod tests {
         // Congestion: a customization pass re-prices the overlay — v5
         // answers exactly at the new epoch, never from stale shortcuts.
         let up = epochs.update_edge_cost(a, b, 9.0).unwrap().update;
-        assert_eq!(up.hierarchy, HierarchyRefresh::Customized);
+        assert_eq!(up.hierarchy, Refresh::Patched);
         let snap = epochs.snapshot();
         let h = snap.db.hierarchy().unwrap();
         assert!(h.is_current_for(snap.db.graph()));
@@ -312,7 +296,7 @@ mod tests {
         // The jam clears: a decrease takes the same arm — re-priced,
         // not re-contracted.
         let down = epochs.update_edge_cost(a, b, 1.0).unwrap().update;
-        assert_eq!(down.hierarchy, HierarchyRefresh::Customized);
+        assert_eq!(down.hierarchy, Refresh::Patched);
         assert!(down.arcs_examined >= 1);
         let snap = epochs.snapshot();
         let h = snap.db.hierarchy().unwrap();
@@ -332,8 +316,8 @@ mod tests {
             .update_edge_cost(NodeId(0), NodeId(1), 3.0)
             .unwrap()
             .update;
-        assert_eq!(up.hierarchy, HierarchyRefresh::None);
-        assert_eq!(up.landmarks, LandmarkRefresh::None);
+        assert_eq!(up.hierarchy, Refresh::None);
+        assert_eq!(up.landmarks, Refresh::None);
     }
 
     #[test]

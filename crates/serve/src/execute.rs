@@ -886,7 +886,7 @@ mod tests {
         let (u, v) = (grid.node_at(2, 2), grid.node_at(2, 3));
         let base = grid.graph().edge_cost(u, v).unwrap();
         let update = service.update_edge_cost(u, v, base).unwrap();
-        assert_eq!(update.hierarchy, HierarchyRefresh::Customized);
+        assert_eq!(update.hierarchy, Refresh::Rebuilt);
         let snap = service.shard_snapshot();
         assert!(snap.db.hierarchy().unwrap().is_current_for(snap.db.graph()));
         let answer = service.route(s, d).unwrap();

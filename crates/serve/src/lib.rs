@@ -112,7 +112,7 @@ pub use breaker::{
 pub use cache::{CacheStats, CachedRoute, RouteCache};
 #[cfg(not(loom))]
 pub use chaos::{ChaosReport, ChaosScenario, OutcomeCounts};
-pub use epoch::{EpochUpdate, HierarchyRefresh, LandmarkRefresh};
+pub use epoch::{EpochUpdate, Refresh};
 pub use error::{ServeError, ShedReason};
 pub use service::{
     Deadline, RequestClass, RouteAnswer, RouteOutcome, RouteService, ServeConfig, Ticket,

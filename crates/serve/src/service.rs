@@ -70,7 +70,7 @@
 
 use crate::breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
 use crate::cache::RouteCache;
-use crate::epoch::{EpochUpdate, HierarchyRefresh, LandmarkRefresh};
+use crate::epoch::{EpochUpdate, Refresh};
 use crate::error::{ServeError, ShedReason};
 use crate::shard::{ShardMap, ShardSnapshot, ShardedEpochDb, ShardedUpdate};
 use crate::sync::{self, Arc, Condvar, Level, LockBefore, Locked, Mutex, Queue, Slot, Unlocked};
@@ -821,7 +821,8 @@ impl RouteService {
     /// invalidated entries retire into the stale tier). Queries already
     /// running keep their snapshots; queries admitted after this call
     /// see the new costs. The hierarchy is re-priced where the edge can
-    /// reach and the arcs examined are recorded
+    /// reach (or rebuilt, when it was not current) and the arcs examined
+    /// are recorded
     /// (`serve_hierarchy_arcs_examined`); a failed landmark rebuild is
     /// counted (`serve_landmark_rebuild_failed_total`) and leaves v4
     /// failing typed until a later rebuild succeeds. How long the store
@@ -852,12 +853,12 @@ impl RouteService {
         }
         self.shared
             .observe("serve_install_seconds", started.elapsed().as_secs_f64());
-        if update.hierarchy == HierarchyRefresh::Customized {
+        if matches!(update.hierarchy, Refresh::Patched | Refresh::Rebuilt) {
             self.shared.inc("serve_hierarchy_customized_total");
             self.shared
                 .observe("serve_hierarchy_arcs_examined", update.arcs_examined as f64);
         }
-        if update.landmarks == LandmarkRefresh::RebuildFailed {
+        if update.landmarks == Refresh::RebuildFailed {
             self.shared.inc("serve_landmark_rebuild_failed_total");
         }
         let (invalidated, promoted) = self.shared.cache.apply_shard_update_at(
@@ -1318,7 +1319,7 @@ mod tests {
         // Congestion: customize. The very next request runs v5 at full
         // fidelity against the re-priced overlay.
         let up = service.update_edge_cost(a, b, 9.0).unwrap();
-        assert_eq!(up.hierarchy, HierarchyRefresh::Customized);
+        assert_eq!(up.hierarchy, Refresh::Patched);
         assert_eq!(registry.counter("serve_hierarchy_customized_total"), 1);
         let answer = service.route(s, d).unwrap();
         assert_eq!(answer.outcome, RouteOutcome::Computed);
@@ -1328,7 +1329,7 @@ mod tests {
 
         // The jam clears: the same arm, and v5 answers exactly again.
         let down = service.update_edge_cost(a, b, 1.0).unwrap();
-        assert_eq!(down.hierarchy, HierarchyRefresh::Customized);
+        assert_eq!(down.hierarchy, Refresh::Patched);
         assert_eq!(registry.counter("serve_hierarchy_customized_total"), 2);
         let answer = service.route(s, d).unwrap();
         assert_eq!(answer.outcome, RouteOutcome::Computed);
@@ -1373,7 +1374,7 @@ mod tests {
             None,
         );
         let update = service.update_edge_cost(NodeId(0), NodeId(1), 3.0).unwrap();
-        assert_eq!(update.landmarks, LandmarkRefresh::RebuildFailed);
+        assert_eq!(update.landmarks, Refresh::RebuildFailed);
         let snap = service.shard_snapshot();
         let kept = snap.db.landmarks().unwrap();
         assert_eq!(
@@ -1392,6 +1393,53 @@ mod tests {
         assert_eq!(answer.outcome, RouteOutcome::Degraded { rung: "astar-v3" });
         let oracle = atis_algorithms::memory::dijkstra_pair(snap.db.graph(), s, d).unwrap();
         assert!((answer.path.unwrap().cost - oracle.cost).abs() < 1e-9);
+    }
+
+    /// An overlay built for another graph with as many nodes — here the
+    /// grid, attached to the grid plus one cheap corner-to-corner arc —
+    /// is not current, so the first update rebuilds it. Re-pricing its
+    /// elimination fill instead would drop the arc the fill lacks and
+    /// stamp the result current, so v5 would miss the shortcut.
+    #[test]
+    fn a_service_started_on_a_foreign_hierarchy_rebuilds_it_on_its_first_update() {
+        use atis_graph::GraphBuilder;
+        use atis_hierarchy::{Hierarchy, HierarchyConfig};
+        let grid = Grid::new(6, CostModel::TWENTY_PERCENT, 7).unwrap();
+        let overlay = Hierarchy::build(grid.graph(), HierarchyConfig::paper()).unwrap();
+        let mut b = GraphBuilder::new();
+        for u in grid.graph().node_ids() {
+            b.add_node(grid.graph().point(u));
+        }
+        for e in grid.graph().edges() {
+            b.add_edge(*e);
+        }
+        b.add_arc(grid.node_at(0, 0), grid.node_at(5, 5), 0.5);
+        let graph = b.build().unwrap();
+        let db = Database::open(&graph).unwrap().with_hierarchy(overlay);
+        let service = RouteService::new(
+            db,
+            ServeConfig::default()
+                .with_workers(1)
+                .with_cache_capacity(0)
+                .with_algorithm(Algorithm::AStar(AStarVersion::V5)),
+        );
+        let (a, b) = (grid.node_at(2, 2), grid.node_at(2, 3));
+        let up = service.update_edge_cost(a, b, 9.0).unwrap();
+        assert_eq!(up.hierarchy, Refresh::Rebuilt);
+        let snap = service.shard_snapshot();
+        let live = snap.db.graph();
+        for s in live.node_ids() {
+            for d in live.node_ids() {
+                let answer = service.route(s, d).unwrap();
+                assert_eq!(answer.outcome, RouteOutcome::Computed, "{s} -> {d}");
+                assert_eq!(answer.epoch, up.epoch);
+                let oracle = atis_algorithms::memory::dijkstra_pair(live, s, d).unwrap();
+                assert!(
+                    (answer.path.unwrap().cost - oracle.cost).abs() < 1e-9,
+                    "{s} -> {d}"
+                );
+            }
+        }
     }
 
     /// The per-update phase is exact only from an overlay that is
@@ -1431,7 +1479,7 @@ mod tests {
                 RouteOutcome::Degraded { .. }
             ));
             let up = service.update_edge_cost(a, b, cost).unwrap();
-            assert_eq!(up.hierarchy, HierarchyRefresh::Customized);
+            assert_eq!(up.hierarchy, Refresh::Rebuilt);
             let snap = service.shard_snapshot();
             let overlay = snap.db.hierarchy().unwrap();
             assert!(overlay.is_current_for(snap.db.graph()));
@@ -1500,14 +1548,11 @@ mod tests {
             let up = service.update_edge_cost(edge.from, edge.to, cost).unwrap();
             assert!(up.updated >= 1, "step {step}");
             assert!(
-                matches!(
-                    up.landmarks,
-                    LandmarkRefresh::Patched | LandmarkRefresh::Rebuilt
-                ),
+                matches!(up.landmarks, Refresh::Patched | Refresh::Rebuilt),
                 "step {step}: {:?}",
                 up.landmarks
             );
-            rebuilt += usize::from(up.landmarks == LandmarkRefresh::Rebuilt);
+            rebuilt += usize::from(up.landmarks == Refresh::Rebuilt);
             assert!(up.arcs_examined < arcs, "step {step}: the full pass ran");
             let snap = service.shard_snapshot();
             assert_eq!(snap.install(), up.epoch, "step {step}");

@@ -54,7 +54,7 @@
 //! snapshot an install was built from is still the current one when it
 //! publishes.
 
-use crate::epoch::{maintain_artifacts, EpochUpdate, HierarchyRefresh, LandmarkRefresh};
+use crate::epoch::{maintain_artifacts, EpochUpdate, Refresh};
 use crate::sync::{self, Arc, Current, Level, LockBefore, Locked, Mutex, Unlocked, Writer};
 use atis_algorithms::{AlgorithmError, Database};
 use atis_graph::{Graph, NodeId, PartitionMap};
@@ -317,8 +317,8 @@ impl ShardedEpochDb {
             updated: 0,
             old_cost,
             new_cost: cost,
-            landmarks: LandmarkRefresh::None,
-            hierarchy: HierarchyRefresh::None,
+            landmarks: Refresh::None,
+            hierarchy: Refresh::None,
             arcs_examined: 0,
         };
         let mut next: Database = (*base.db).clone();

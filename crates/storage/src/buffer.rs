@@ -157,11 +157,6 @@ impl BufferPool {
         self
     }
 
-    /// Whether region-aware eviction is enabled.
-    pub fn is_region_aware(&self) -> bool {
-        self.region_aware
-    }
-
     /// The pool capacity in blocks.
     pub fn capacity(&self) -> usize {
         self.capacity

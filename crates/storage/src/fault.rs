@@ -146,18 +146,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the transient write-failure probability.
-    pub fn with_write_failure_rate(mut self, p: f64) -> FaultPlan {
-        self.write_failure_rate = p;
-        self
-    }
-
-    /// Every read of `block` fails with probability `p`.
-    pub fn with_fail_block_reads(mut self, block: usize, p: f64) -> FaultPlan {
-        self.fail_block_reads = Some((block, p));
-        self
-    }
-
     /// Reads with 1-based op index in `first..=last` fail with
     /// probability `p` — a brownout with a deterministic end, after which
     /// the device behaves normally again.
@@ -471,7 +459,10 @@ mod tests {
 
     #[test]
     fn flaky_block_only_affects_that_block() {
-        let plan = FaultPlan::inert(3).with_fail_block_reads(7, 1.0);
+        let plan = FaultPlan {
+            fail_block_reads: Some((7, 1.0)),
+            ..FaultPlan::inert(3)
+        };
         let mut st = FaultState::new(plan);
         st.on_read(6).unwrap();
         assert!(st.on_read(7).is_err());

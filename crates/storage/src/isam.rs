@@ -99,15 +99,6 @@ impl IsamIndex {
             .map(|&s| s as usize)
             .ok_or(StorageError::KeyNotFound(key))
     }
-
-    /// Charges the index-adjustment cost of inserting or deleting a key in
-    /// a static ISAM structure (`I_l` index-block updates). The dense-key
-    /// mapping itself does not change; this models overflow-chain
-    /// maintenance, the penalty the paper attributes to APPEND/DELETE
-    /// frontier management.
-    pub fn charge_adjustment(&self, io: &mut IoStats) {
-        io.adjust_index(self.levels);
-    }
 }
 
 #[cfg(test)]
@@ -144,17 +135,6 @@ mod tests {
         let mut io = IoStats::new();
         assert_eq!(IsamIndex::build(100, 1, None, &mut io).levels(), 1);
         assert_eq!(IsamIndex::build(FANOUT + 1, 3, None, &mut io).levels(), 2);
-    }
-
-    #[test]
-    fn adjustment_charges_level_updates() {
-        let mut io = IoStats::new();
-        let idx = IsamIndex::build(10, 1, Some(3), &mut io);
-        let before = io;
-        idx.charge_adjustment(&mut io);
-        let d = io.since(&before);
-        assert_eq!(d.tuple_updates, 3);
-        assert_eq!(d.index_adjustments, 3);
     }
 
     #[test]

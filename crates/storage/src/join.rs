@@ -24,7 +24,7 @@
 //! Note the paper's Table 4B example *forces* nested-loop ("we assume that
 //! all the algorithms choose the nested-join approach"), which is why
 //! [`JoinPolicy::default`] is `Force(NestedLoop)`; the cost-based chooser
-//! is exercised by the `join_strategies` ablation bench.
+//! is exercised by the `experiments optimizer` ablation.
 
 use crate::io::{CostParams, IoStats};
 use crate::relations::EdgeRelation;
@@ -36,7 +36,7 @@ use crate::tuple::{EdgeTuple, FixedTuple, NodeTuple};
 pub const JOIN_BLOCKING: usize = crate::block::BLOCK_SIZE / (NodeTuple::SIZE + EdgeTuple::SIZE);
 
 /// Outer-side blocking: current nodes carry `R`'s 16-byte schema.
-const OUTER_BLOCKING: usize = crate::block::BLOCK_SIZE / NodeTuple::SIZE;
+pub const OUTER_BLOCKING: usize = crate::block::BLOCK_SIZE / NodeTuple::SIZE;
 
 /// One of the four join strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,16 +88,20 @@ impl Default for JoinPolicy {
     }
 }
 
-/// Estimated cost of a strategy for `outer_tuples` outer tuples over an
-/// inner relation of `b_inner` blocks producing `b_join` result blocks.
+/// Estimated cost of a strategy for a join of `b_outer` outer blocks
+/// holding `outer_tuples` tuples (a fractional expectation when the cost
+/// model prices a run) against `b_inner` inner blocks producing `b_join`
+/// result blocks. This is `F(B1, B2, B3)` for one strategy, the one
+/// definition both the chooser and `atis-costmodel` price with.
 pub fn estimate_cost(
     strategy: JoinStrategy,
-    outer_tuples: usize,
+    b_outer: usize,
+    outer_tuples: f64,
     b_inner: usize,
     b_join: usize,
     params: &CostParams,
 ) -> f64 {
-    let b_outer = outer_tuples.div_ceil(OUTER_BLOCKING).max(1) as f64;
+    let b_outer = b_outer.max(1) as f64;
     let b_inner = b_inner.max(1) as f64;
     let b_join = b_join as f64;
     let log2 = |b: f64| b.log2().ceil().max(0.0);
@@ -111,26 +115,25 @@ pub fn estimate_cost(
                 + (b_outer + b_inner) * params.t_read
                 + b_join * params.t_write
         }
-        JoinStrategy::PrimaryKey => outer_tuples as f64 * params.t_read + b_join * params.t_write,
+        JoinStrategy::PrimaryKey => outer_tuples.max(1.0) * params.t_read + b_join * params.t_write,
     }
 }
 
 /// The chooser behind `F(B1, B2, B3)`: the cheapest strategy for the given
-/// shape, by the estimates above. Ties resolve in [`JoinStrategy::ALL`]
-/// order.
+/// shape, by [`estimate_cost`], and its cost. Ties resolve in
+/// [`JoinStrategy::ALL`] order.
 pub fn choose_strategy(
-    outer_tuples: usize,
+    b_outer: usize,
+    outer_tuples: f64,
     b_inner: usize,
-    est_b_join: usize,
+    b_join: usize,
     params: &CostParams,
-) -> JoinStrategy {
-    let mut best = JoinStrategy::ALL[0];
-    let mut best_cost = f64::INFINITY;
+) -> (JoinStrategy, f64) {
+    let mut best = (JoinStrategy::ALL[0], f64::INFINITY);
     for s in JoinStrategy::ALL {
-        let c = estimate_cost(s, outer_tuples, b_inner, est_b_join, params);
-        if c < best_cost {
-            best = s;
-            best_cost = c;
+        let c = estimate_cost(s, b_outer, outer_tuples, b_inner, b_join, params);
+        if c < best.1 {
+            best = (s, c);
         }
     }
     best
@@ -159,10 +162,19 @@ pub fn join_adjacency(
     }
     let est_result = ((current.len() as f64 * edges.average_degree()).ceil() as usize).max(1);
     let est_b_join = est_result.div_ceil(JOIN_BLOCKING).max(1);
+    let b_outer = current.len().div_ceil(OUTER_BLOCKING).max(1);
     let strategy = match policy {
         JoinPolicy::Force(s) => s,
         JoinPolicy::CostBased => {
-            choose_strategy(current.len(), edges.block_count(), est_b_join, params)
+            let outer_tuples = current.len() as f64;
+            choose_strategy(
+                b_outer,
+                outer_tuples,
+                edges.block_count(),
+                est_b_join,
+                params,
+            )
+            .0
         }
     };
 
@@ -175,7 +187,7 @@ pub fn join_adjacency(
 
     // Charging. Reads of `S` go through the relation's (possibly
     // buffered) heap; the outer side is an unbuffered in-flight temporary.
-    let b_outer = current.len().div_ceil(OUTER_BLOCKING).max(1) as u64;
+    let b_outer = b_outer as u64;
     let b_inner = edges.block_count().max(1) as u64;
     let b_join = result.len().div_ceil(JOIN_BLOCKING).max(1) as u64;
     match strategy {
@@ -320,7 +332,7 @@ mod tests {
     fn chooser_picks_primary_key_for_single_current_node() {
         // The shape of Dijkstra/A* iterations: |C| = 1 against a large S.
         let p = CostParams::default();
-        let s = choose_strategy(1, 28, 1, &p);
+        let (s, _) = choose_strategy(1, 1.0, 28, 1, &p);
         assert_eq!(s, JoinStrategy::PrimaryKey);
     }
 
@@ -329,7 +341,7 @@ mod tests {
         let p = CostParams::default();
         // 1000 outer tuples (4 blocks) x 100 inner blocks: nested loop is
         // 4 + 400 reads; hash is 104.
-        let s = choose_strategy(1000, 100, 10, &p);
+        let (s, _) = choose_strategy(4, 1000.0, 100, 10, &p);
         assert_ne!(s, JoinStrategy::NestedLoop);
     }
 
@@ -337,11 +349,11 @@ mod tests {
     fn estimates_match_formulas() {
         let p = CostParams::default();
         // B1 = 1 (200 tuples fit 1 block at 256/block), B2 = 28, B3 = 1.
-        let nl = estimate_cost(JoinStrategy::NestedLoop, 200, 28, 1, &p);
+        let nl = estimate_cost(JoinStrategy::NestedLoop, 1, 200.0, 28, 1, &p);
         assert!((nl - ((1.0 + 28.0) * 0.035 + 0.05)).abs() < 1e-12);
-        let h = estimate_cost(JoinStrategy::Hash, 200, 28, 1, &p);
+        let h = estimate_cost(JoinStrategy::Hash, 1, 200.0, 28, 1, &p);
         assert!((h - (29.0 * 0.035 + 0.05)).abs() < 1e-12);
-        let pk = estimate_cost(JoinStrategy::PrimaryKey, 200, 28, 1, &p);
+        let pk = estimate_cost(JoinStrategy::PrimaryKey, 1, 200.0, 28, 1, &p);
         assert!((pk - (200.0 * 0.035 + 0.05)).abs() < 1e-12);
     }
 

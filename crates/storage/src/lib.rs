@@ -86,6 +86,6 @@ pub use io::{CostParams, IoStats};
 pub use isam::IsamIndex;
 pub use join::{choose_strategy, join_adjacency, JoinPolicy, JoinStrategy};
 pub use profile::StorageProfile;
-pub use relations::{EdgeRelation, NodeRelation, NodeStatus};
+pub use relations::{road_class_from_code, EdgeRelation, NodeRelation, NodeStatus};
 pub use temp::{MultiRelation, TempRelation};
 pub use tuple::{EdgeTuple, FixedTuple, NodeTuple, MAX_NODE_ID, NO_PRED};

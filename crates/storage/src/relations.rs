@@ -70,6 +70,16 @@ fn road_class_code(class: RoadClass) -> u8 {
     }
 }
 
+/// Decodes the road class an [`EdgeTuple`] stores; unknown codes read as
+/// `Street`.
+pub fn road_class_from_code(code: u8) -> RoadClass {
+    match code {
+        1 => RoadClass::Highway,
+        2 => RoadClass::Freeway,
+        _ => RoadClass::Street,
+    }
+}
+
 /// The read-only edge relation `S`, hash-clustered on `Begin-node`.
 ///
 /// Cloning is cheap — the bucket directory is shared outright and the
@@ -619,6 +629,13 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn road_class_codes_round_trip() {
+        for class in [RoadClass::Street, RoadClass::Highway, RoadClass::Freeway] {
+            assert_eq!(road_class_from_code(road_class_code(class)), class);
+        }
     }
 
     #[test]

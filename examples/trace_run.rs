@@ -11,7 +11,7 @@
 
 use atis::algorithms::{AStarVersion, Algorithm, Database};
 use atis::costmodel::ModelParams;
-use atis::obs::{best_first_report, JsonlSink, MetricsRegistry, StepIo};
+use atis::obs::{best_first_report, JsonlSink, MetricsRegistry};
 use atis::{CostModel, Grid, QueryKind};
 use std::sync::Arc;
 
@@ -28,17 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = db.run(Algorithm::AStar(AStarVersion::V2), start, dest)?;
     sink.flush()?;
 
-    let steps = StepIo {
-        init: trace.steps.init,
-        select: trace.steps.select,
-        join: trace.steps.join,
-        update: trace.steps.update,
-        bookkeeping: trace.steps.bookkeeping,
-    };
     let report = best_first_report(
         &trace.algorithm,
         trace.iterations,
-        &steps,
+        &trace.steps,
         ModelParams::for_grid(8),
         0.10,
     );

@@ -3,7 +3,7 @@
 //!
 //! The body dumps one text row per run — label, `iterations`, `expanded`,
 //! `reopened`, `frontier_peak`, `join_strategy`, all six `IoStats`
-//! counters, the `StepBreakdown`, an expansion-order digest, a path
+//! counters, the `StepIo`, an expansion-order digest, a path
 //! digest with `cost.to_bits()`, or the error text (which for an injected
 //! fault names the op number *and the block*, i.e. pins the physical op
 //! sequence) — plus one row per run for the whole
@@ -18,7 +18,7 @@
 //! exactly as the four did. Two groups are digested on their own because
 //! the merge changes them on purpose (and nothing else):
 //!
-//! * [`RELATION_STEPS`] — the `StepBreakdown` of relation-frontier and
+//! * [`RELATION_STEPS`] — the `StepIo` of relation-frontier and
 //!   duplicate-policy runs (the old loops reported everything as
 //!   `bookkeeping`; the driver attributes it, same sum);
 //! * [`BLIND_EVENTS`] — the event streams of the `Allow` / `Eliminate`

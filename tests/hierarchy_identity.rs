@@ -8,7 +8,7 @@
 //! edge, it is the same overlay and v5 runs the same run over it.
 
 use atis::algorithms::memory::dijkstra_pair;
-use atis::algorithms::{AStarVersion, Algorithm, AlgorithmError, Database, HierarchyIssue};
+use atis::algorithms::{AStarVersion, Algorithm, AlgorithmError, ArtifactIssue, Database};
 use atis::graph::{shuffle_layout, Graph, Metro, MetroQuery, MetroSpec, NodeId};
 use atis::hierarchy::{Hierarchy, HierarchyConfig};
 use proptest::prelude::*;
@@ -137,7 +137,7 @@ proptest! {
             .unwrap()
             .with_hierarchy(hierarchy.clone());
         match stale_db.run(Algorithm::AStar(AStarVersion::V5), s, d) {
-            Err(AlgorithmError::HierarchyUnavailable(HierarchyIssue::Stale)) => {}
+            Err(AlgorithmError::HierarchyUnavailable(ArtifactIssue::Stale)) => {}
             other => prop_assert!(false, "stale hierarchy must be refused, got {other:?}"),
         }
 

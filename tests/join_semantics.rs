@@ -4,7 +4,7 @@
 //! strategy.
 
 use atis::algorithms::{AStarVersion, Algorithm, Database};
-use atis::storage::join::estimate_cost as estimate;
+use atis::storage::join::{estimate_cost as estimate, OUTER_BLOCKING};
 use atis::storage::{choose_strategy, CostParams, IoStats, JoinPolicy, JoinStrategy};
 use atis::{CostModel, Grid, Minneapolis, QueryKind};
 
@@ -47,10 +47,12 @@ fn cost_based_chooser_never_loses() {
     for outer_tuples in [1usize, 4, 15, 100, 400] {
         for b_inner in [1usize, 4, 28, 100] {
             for b_join in [1usize, 2, 8] {
-                let picked = choose_strategy(outer_tuples, b_inner, b_join, &params);
-                let picked_cost = estimate(picked, outer_tuples, b_inner, b_join, &params);
+                let b_outer = outer_tuples.div_ceil(OUTER_BLOCKING);
+                let tuples = outer_tuples as f64;
+                let (picked, picked_cost) =
+                    choose_strategy(b_outer, tuples, b_inner, b_join, &params);
                 for s in JoinStrategy::ALL {
-                    let c = estimate(s, outer_tuples, b_inner, b_join, &params);
+                    let c = estimate(s, b_outer, tuples, b_inner, b_join, &params);
                     assert!(
                         picked_cost <= c + 1e-12,
                         "chooser picked {} ({picked_cost}) but {} costs {c} \
@@ -93,9 +95,20 @@ fn optimizer_policy_dominates_forced_policies_end_to_end() {
 #[test]
 fn nested_loop_cost_grows_with_both_sides() {
     let params = CostParams::default();
-    let base = estimate(JoinStrategy::NestedLoop, 300, 10, 1, &params);
-    assert!(estimate(JoinStrategy::NestedLoop, 600, 10, 1, &params) > base);
-    assert!(estimate(JoinStrategy::NestedLoop, 300, 20, 1, &params) > base);
+    let nested_loop = |outer_tuples: usize, b_inner| {
+        let b_outer = outer_tuples.div_ceil(OUTER_BLOCKING);
+        estimate(
+            JoinStrategy::NestedLoop,
+            b_outer,
+            outer_tuples as f64,
+            b_inner,
+            1,
+            &params,
+        )
+    };
+    let base = nested_loop(300, 10);
+    assert!(nested_loop(600, 10) > base);
+    assert!(nested_loop(300, 20) > base);
 }
 
 #[test]

@@ -11,7 +11,7 @@ use atis::algorithms::{
 use atis::costmodel::ModelParams;
 use atis::obs::{
     best_first_report, iterative_report, IterationPhase, JsonlSink, MetricsRegistry, RingSink,
-    StepIo, TraceEvent,
+    TraceEvent,
 };
 use atis::storage::{FaultPlan, IoStats, StorageProfile};
 use atis::{CostModel, Grid, NodeId, QueryKind};
@@ -71,7 +71,7 @@ fn every_preset() -> Vec<Preset> {
 /// The tentpole invariant: the emitted iteration events partition the
 /// run's I/O. Summing every event's `io_delta` reproduces the run's
 /// total `IoStats` exactly — to the counter — for every preset, and the
-/// per-step `StepBreakdown` totals agree.
+/// per-step `StepIo` totals agree.
 #[test]
 fn iteration_deltas_partition_the_run_io_for_all_five_algorithms() {
     let grid = grid8();
@@ -341,17 +341,10 @@ fn model_vs_measured_report_stays_within_ten_percent() {
     let (s, d) = grid.query_pair(QueryKind::Diagonal);
     let db = Database::open(grid.graph()).unwrap();
     let mp = ModelParams::for_grid(30);
-    let steps_of = |t: &atis::RunTrace| StepIo {
-        init: t.steps.init,
-        select: t.steps.select,
-        join: t.steps.join,
-        update: t.steps.update,
-        bookkeeping: t.steps.bookkeeping,
-    };
 
     for alg in [Algorithm::Dijkstra, Algorithm::AStar(AStarVersion::V3)] {
         let t = db.run(alg, s, d).unwrap();
-        let report = best_first_report(&t.algorithm, t.iterations, &steps_of(&t), mp, 0.10);
+        let report = best_first_report(&t.algorithm, t.iterations, &t.steps, mp, 0.10);
         assert!(
             report.within_tolerance(),
             "{} diverges:\n{}",
@@ -360,7 +353,7 @@ fn model_vs_measured_report_stays_within_ten_percent() {
         );
     }
     let t = db.run(Algorithm::Iterative, s, d).unwrap();
-    let report = iterative_report(&t.algorithm, t.iterations, &steps_of(&t), mp, 0.10);
+    let report = iterative_report(&t.algorithm, t.iterations, &t.steps, mp, 0.10);
     // Table 2 prices the relax/flip step with a simplification the
     // physical engine undercuts, so one *step* diverges; the paper's
     // "within ten percent" claim is about the run total, which holds.

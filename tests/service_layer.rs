@@ -1,7 +1,7 @@
 //! Integration of the ATIS service layer (route computation + evaluation
 //! + display) over the Minneapolis map — the paper's end-to-end scenario.
 
-use atis::algorithms::Algorithm;
+use atis::algorithms::{Algorithm, Database};
 use atis::core::{evaluate_route, render_map, turn_instructions, RoutePlanner};
 use atis::graph::minneapolis::{Minneapolis, NamedPair};
 use atis::storage::JoinPolicy;
@@ -158,4 +158,44 @@ fn unreachable_trip_reports_no_route() {
         assert!(report.route.is_none());
         assert!(!report.found());
     }
+}
+
+/// The database-side evaluator (segments fetched as `S` tuples) and the
+/// graph-side one price congestion with the same speed function, on a
+/// route that crosses all three road classes at non-zero occupancy. The
+/// tuple stores occupancy as an `f32`; a rounding of its relative size
+/// moves a segment's speed by at most four times as much (the speed
+/// falls to a fifth of free flow at full occupancy), which bounds the
+/// difference.
+#[test]
+fn database_and_graph_evaluators_agree_on_travel_time() {
+    let m = Minneapolis::paper();
+    // D to C: the one named trip whose route takes a freeway segment.
+    let (c, d) = m.query_pair(NamedPair::CtoD);
+    let route = RoutePlanner::new(m.graph())
+        .unwrap()
+        .plan(d, c)
+        .unwrap()
+        .route
+        .expect("D to C is connected");
+    let attrs = evaluate_route(m.graph(), &route).unwrap();
+    let (street, highway, freeway) = attrs.class_distance;
+    assert!(
+        street > 0.0 && highway > 0.0 && freeway > 0.0,
+        "{:?}",
+        attrs.class_distance
+    );
+    assert!(attrs.mean_occupancy > 0.0);
+
+    let (distance, travel_time, _) = Database::open(m.graph())
+        .unwrap()
+        .evaluate_route(&route)
+        .unwrap();
+    assert_eq!(distance, attrs.distance);
+    let tolerance = 4.0 * f64::from(f32::EPSILON) * attrs.travel_time;
+    assert!(
+        (travel_time - attrs.travel_time).abs() <= tolerance,
+        "database {travel_time} vs graph {}",
+        attrs.travel_time
+    );
 }
