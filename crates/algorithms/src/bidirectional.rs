@@ -8,36 +8,19 @@
 //! Termination: once `min_open(forward) + min_open(backward) ≥ best`,
 //! where `best` is the cheapest meeting point seen, no better path can
 //! exist (both frontiers expand in nondecreasing distance order).
+//!
+//! The two sides run one relax body indexed by side, as the hierarchy
+//! search (`hierarchy_search`) does: each reads its own direction of the
+//! graph, an [`Adjacency`] from `atis-graph`'s kernel (the backward one
+//! is the transpose), and pushes the kernel's [`HeapEntry`].
 
-use crate::memory::reverse_graph;
+use atis_graph::sssp::{Adjacency, HeapEntry};
 use atis_graph::{Graph, NodeId, Path};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-#[derive(Debug, PartialEq)]
-struct Entry {
-    score: f64,
-    node: NodeId,
-}
-
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // total_cmp: a total order even on NaN, so the heap can never
-        // panic or silently misorder.
-        other
-            .score
-            .total_cmp(&self.score)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
+/// Forward (from the source) and backward (from the destination) sides.
+const FWD: usize = 0;
+const BWD: usize = 1;
 
 /// The result of a bidirectional run: the path plus how many expansions
 /// each direction performed (for comparisons against unidirectional
@@ -73,127 +56,81 @@ pub fn bidirectional_dijkstra(graph: &Graph, s: NodeId, d: NodeId) -> Bidirectio
             backward_expansions: 0,
         };
     }
-    let reverse = reverse_graph(graph);
-
-    let mut dist_f = vec![f64::INFINITY; n];
-    let mut dist_b = vec![f64::INFINITY; n];
-    let mut pred_f: Vec<Option<NodeId>> = vec![None; n];
-    let mut succ_b: Vec<Option<NodeId>> = vec![None; n];
-    let mut closed_f = vec![false; n];
-    let mut closed_b = vec![false; n];
-    let mut heap_f = BinaryHeap::new();
-    let mut heap_b = BinaryHeap::new();
-    dist_f[s.index()] = 0.0;
-    dist_b[d.index()] = 0.0;
-    heap_f.push(Entry {
-        score: 0.0,
-        node: s,
-    });
-    heap_b.push(Entry {
-        score: 0.0,
-        node: d,
-    });
+    // Each side searches its own direction of the graph: the backward
+    // ball grows over the transpose, so its labels are costs *to* `d`
+    // and its predecessors are successors on the path.
+    let adjacency = [Adjacency::forward(graph), Adjacency::backward(graph)];
+    let mut dist = [vec![f64::INFINITY; n], vec![f64::INFINITY; n]];
+    let mut pred: [Vec<Option<NodeId>>; 2] = [vec![None; n], vec![None; n]];
+    let mut heaps = [BinaryHeap::new(), BinaryHeap::new()];
+    for (side, start) in [(FWD, s), (BWD, d)] {
+        dist[side][start.index()] = 0.0;
+        heaps[side].push(HeapEntry {
+            score: 0.0,
+            node: start,
+        });
+    }
 
     let mut best = f64::INFINITY;
     let mut meet: Option<NodeId> = None;
-    let mut exp_f = 0u64;
-    let mut exp_b = 0u64;
+    let mut expansions = [0u64; 2];
 
     loop {
-        let top_f = heap_f.peek().map(|e| e.score).unwrap_or(f64::INFINITY);
-        let top_b = heap_b.peek().map(|e| e.score).unwrap_or(f64::INFINITY);
-        if top_f + top_b >= best {
+        let top = heaps
+            .each_ref()
+            .map(|h| h.peek().map_or(f64::INFINITY, |e| e.score));
+        if top[FWD] + top[BWD] >= best {
             break; // proven optimal (or both exhausted)
         }
         // Expand the cheaper frontier (balanced growth).
-        if top_f <= top_b {
-            let Some(Entry { score, node }) = heap_f.pop() else {
-                break;
-            };
-            if closed_f[node.index()] || score > dist_f[node.index()] {
-                continue;
+        let side = if top[FWD] <= top[BWD] { FWD } else { BWD };
+        let Some(HeapEntry { score, node }) = heaps[side].pop() else {
+            break;
+        };
+        // Stale entries skip; a settled node's label never improves, so
+        // it is never popped twice.
+        if score > dist[side][node.index()] {
+            continue;
+        }
+        expansions[side] += 1;
+        for (to, cost) in adjacency[side].arcs(node) {
+            let nd = score + cost;
+            if nd < dist[side][to.index()] {
+                dist[side][to.index()] = nd;
+                pred[side][to.index()] = Some(node);
+                heaps[side].push(HeapEntry {
+                    score: nd,
+                    node: to,
+                });
             }
-            closed_f[node.index()] = true;
-            exp_f += 1;
-            for e in graph.neighbors(node) {
-                let nd = score + e.cost;
-                if nd < dist_f[e.to.index()] {
-                    dist_f[e.to.index()] = nd;
-                    pred_f[e.to.index()] = Some(node);
-                    heap_f.push(Entry {
-                        score: nd,
-                        node: e.to,
-                    });
-                }
-                let through = dist_f[node.index()] + e.cost + dist_b[e.to.index()];
-                if through < best {
-                    best = through;
-                    meet = Some(e.to);
-                    // Record the relaxation so the meeting node's forward
-                    // predecessor is consistent even if never expanded.
-                    if dist_f[e.to.index()] > nd {
-                        dist_f[e.to.index()] = nd;
-                        pred_f[e.to.index()] = Some(node);
-                    }
-                }
-            }
-        } else {
-            let Some(Entry { score, node }) = heap_b.pop() else {
-                break;
-            };
-            if closed_b[node.index()] || score > dist_b[node.index()] {
-                continue;
-            }
-            closed_b[node.index()] = true;
-            exp_b += 1;
-            for e in reverse.neighbors(node) {
-                let nd = score + e.cost;
-                if nd < dist_b[e.to.index()] {
-                    dist_b[e.to.index()] = nd;
-                    succ_b[e.to.index()] = Some(node);
-                    heap_b.push(Entry {
-                        score: nd,
-                        node: e.to,
-                    });
-                }
-                let through = dist_b[node.index()] + e.cost + dist_f[e.to.index()];
-                if through < best {
-                    best = through;
-                    meet = Some(e.to);
-                    if dist_b[e.to.index()] > nd {
-                        dist_b[e.to.index()] = nd;
-                        succ_b[e.to.index()] = Some(node);
-                    }
-                }
+            let through = nd + dist[1 - side][to.index()];
+            if through < best {
+                best = through;
+                meet = Some(to);
             }
         }
     }
 
     let path = meet.map(|m| {
-        // Forward half: s .. m.
-        let mut forward = vec![m];
-        let mut cur = m;
-        while cur != s {
-            cur = pred_f[cur.index()].expect("meeting point is forward-reachable");
-            forward.push(cur);
-        }
-        forward.reverse();
-        // Backward half: m .. d (follow successors).
-        let mut cur = m;
-        while cur != d {
-            cur = succ_b[cur.index()].expect("meeting point is backward-reachable");
-            forward.push(cur);
-        }
-        Path {
-            nodes: forward,
-            cost: best,
-        }
+        // s .. m along the forward predecessors, reversed, then m .. d
+        // along the backward ones (successors on the path).
+        let pred = &pred;
+        let walk = |side: usize, end: NodeId| {
+            std::iter::successors(Some(m), move |&u| {
+                (u != end)
+                    .then(|| pred[side][u.index()].expect("both balls reached the meeting point"))
+            })
+        };
+        let mut nodes: Vec<NodeId> = walk(FWD, s).collect();
+        nodes.reverse();
+        nodes.extend(walk(BWD, d).skip(1));
+        Path { nodes, cost: best }
     });
 
     BidirectionalResult {
         path,
-        forward_expansions: exp_f,
-        backward_expansions: exp_b,
+        forward_expansions: expansions[FWD],
+        backward_expansions: expansions[BWD],
     }
 }
 

@@ -22,6 +22,7 @@ use crate::database::{Budgets, Database};
 use crate::error::AlgorithmError;
 use crate::observe::RunObserver;
 use crate::trace::RunTrace;
+use atis_graph::sssp::HeapEntry;
 use atis_graph::{GraphError, NodeId, Path};
 use atis_hierarchy::{Hierarchy, ARC_TUPLE_SIZE};
 use atis_obs::{IterationPhase, StepIo};
@@ -41,31 +42,6 @@ const NO_PARENT: u32 = u32::MAX;
 /// search indexes.
 const FWD: usize = 0;
 const BWD: usize = 1;
-
-/// Min-heap entry ordered by distance with node-id tie-break, so equal
-/// distances settle in id order and runs are bit-deterministic.
-#[derive(PartialEq)]
-struct HeapEntry {
-    score: f64,
-    node: u32,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .score
-            .total_cmp(&self.score)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// Runs the version-5 query. Fails with
 /// [`AlgorithmError::HierarchyUnavailable`] when the database has no
@@ -98,12 +74,12 @@ pub(crate) fn run(
     dist[FWD][s.index()] = 0.0;
     heaps[FWD].push(HeapEntry {
         score: 0.0,
-        node: s.0,
+        node: s,
     });
     dist[BWD][d.index()] = 0.0;
     heaps[BWD].push(HeapEntry {
         score: 0.0,
-        node: d.0,
+        node: d,
     });
     let mut open = [1u64, 1u64];
     let mut frontier_peak = 2u64;
@@ -120,7 +96,7 @@ pub(crate) fn run(
         // both sides must drain to their bound before `best` is proven.
         for side in [FWD, BWD] {
             while let Some(top) = heaps[side].peek() {
-                if top.score > dist[side][top.node as usize] {
+                if top.score > dist[side][top.node.index()] {
                     heaps[side].pop();
                     open[side] = open[side].saturating_sub(1);
                 } else {
@@ -142,7 +118,11 @@ pub(crate) fn run(
             _ => break,
         };
 
-        let Some(HeapEntry { score, node: u }) = heaps[side].pop() else {
+        let Some(HeapEntry {
+            score,
+            node: NodeId(u),
+        }) = heaps[side].pop()
+        else {
             break;
         };
         open[side] = open[side].saturating_sub(1);
@@ -168,7 +148,7 @@ pub(crate) fn run(
                 parent[side][v] = u;
                 heaps[side].push(HeapEntry {
                     score: next,
-                    node: arc.head.0,
+                    node: arc.head,
                 });
                 open[side] += 1;
             }

@@ -1,109 +1,47 @@
 //! In-memory reference implementations — correctness oracles for the
 //! database-resident algorithms and baselines for the `memory_vs_db`
-//! ablation bench.
+//! ablation bench — operating directly on [`Graph`] with `f64` arithmetic.
 //!
-//! These are textbook implementations (binary-heap Dijkstra, A\*,
-//! level-synchronous Bellman–Ford) operating directly on [`Graph`] with
-//! `f64` arithmetic. Property tests across the workspace assert that every
-//! database-resident run returns a path of the same cost whenever its
-//! estimator is admissible.
+//! The Dijkstra oracles are calls into `atis-graph`'s label-setting kernel
+//! ([`atis_graph::sssp::dijkstra`], tested on its own); A\* keeps its own
+//! loop, because its reopening (Figure 3) is not label-setting. Property
+//! tests across the workspace assert that every database-resident run
+//! returns a path of the same cost whenever its estimator is admissible;
+//! database-resident Dijkstra, sharing no code with the kernel, checks
+//! the oracle end to end.
 
 use crate::estimator::Estimator;
-use atis_graph::{Graph, GraphBuilder, NodeId, Path};
-use std::cmp::Ordering;
+use atis_graph::sssp::{self, HeapEntry};
+use atis_graph::{Graph, NodeId, Path};
 use std::collections::BinaryHeap;
 
-/// Heap entry ordered by minimum score (reversed for `BinaryHeap`).
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    score: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smallest score first; ties by node id for determinism.
-        // total_cmp: a total order even on NaN, so the heap can never
-        // panic or silently misorder.
-        other
-            .score
-            .total_cmp(&self.score)
-            .then_with(|| other.node.cmp(&self.node))
-    }
+/// Dijkstra from `s` over `graph`, recording each node's predecessor;
+/// stops once `target` is settled, when there is one.
+fn dijkstra(graph: &Graph, s: NodeId, target: Option<NodeId>) -> (Vec<f64>, Vec<Option<NodeId>>) {
+    let mut pred = vec![None; graph.node_count()];
+    let dist = sssp::dijkstra(
+        graph.node_count(),
+        s,
+        target,
+        |u| graph.neighbors(u).iter().map(|e| (e.to, e.cost)),
+        |u, v| pred[v.index()] = Some(u),
+    );
+    (dist, pred)
 }
 
 /// Binary-heap Dijkstra from `s`; returns per-node distances
 /// (`f64::INFINITY` if unreached) and predecessors.
 pub fn dijkstra_all(graph: &Graph, s: NodeId) -> (Vec<f64>, Vec<Option<NodeId>>) {
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[s.index()] = 0.0;
-    heap.push(HeapEntry {
-        score: 0.0,
-        node: s,
-    });
-    while let Some(HeapEntry { score, node }) = heap.pop() {
-        if score > dist[node.index()] {
-            continue; // stale entry
-        }
-        for e in graph.neighbors(node) {
-            let nd = score + e.cost;
-            if nd < dist[e.to.index()] {
-                dist[e.to.index()] = nd;
-                pred[e.to.index()] = Some(node);
-                heap.push(HeapEntry {
-                    score: nd,
-                    node: e.to,
-                });
-            }
-        }
-    }
-    (dist, pred)
+    dijkstra(graph, s, None)
 }
 
 /// Single-pair Dijkstra: the exact shortest path from `s` to `d`, or
 /// `None` if unreachable. This is the oracle the DB-resident runs are
 /// validated against.
 pub fn dijkstra_pair(graph: &Graph, s: NodeId, d: NodeId) -> Option<Path> {
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[s.index()] = 0.0;
-    heap.push(HeapEntry {
-        score: 0.0,
-        node: s,
-    });
-    while let Some(HeapEntry { score, node }) = heap.pop() {
-        if node == d {
-            return Path::from_predecessors(s, d, score, &pred);
-        }
-        if score > dist[node.index()] {
-            continue;
-        }
-        for e in graph.neighbors(node) {
-            let nd = score + e.cost;
-            if nd < dist[e.to.index()] {
-                dist[e.to.index()] = nd;
-                pred[e.to.index()] = Some(node);
-                heap.push(HeapEntry {
-                    score: nd,
-                    node: e.to,
-                });
-            }
-        }
-    }
-    None
+    // An unreached `d` has no predecessor, so the walk back fails.
+    let (dist, pred) = dijkstra(graph, s, Some(d));
+    Path::from_predecessors(s, d, dist[d.index()], &pred)
 }
 
 /// In-memory A\* with the given estimator. Returns the path (not
@@ -186,30 +124,11 @@ pub fn bellman_ford_rounds(graph: &Graph, s: NodeId) -> (Vec<f64>, u64) {
     (dist, rounds)
 }
 
-/// The transposed graph (every edge reversed) — used to compute true
-/// costs-to-destination for admissibility checks.
-#[expect(
-    clippy::expect_used,
-    reason = "the reversed arcs join the same nodes at the same validated costs"
-)]
-pub fn reverse_graph(graph: &Graph) -> Graph {
-    let mut b = GraphBuilder::with_capacity(graph.node_count(), graph.edge_count());
-    for u in graph.node_ids() {
-        b.add_node(graph.point(u));
-    }
-    for e in graph.edges() {
-        b.add_arc(e.to, e.from, e.cost);
-    }
-    b.build()
-        .expect("reversing a valid graph preserves validity")
-}
-
 /// The largest amount by which `estimator` overestimates the true
 /// remaining cost to `d`, over all nodes that can reach `d`. Zero or
 /// negative means the estimator is admissible for this destination.
 pub fn max_overestimate(graph: &Graph, d: NodeId, estimator: Estimator) -> f64 {
-    let rev = reverse_graph(graph);
-    let (to_dest, _) = dijkstra_all(&rev, d);
+    let to_dest = sssp::distances_to(graph, d);
     let dest = graph.point(d);
     let mut worst = f64::NEG_INFINITY;
     for u in graph.node_ids() {
@@ -324,15 +243,6 @@ mod tests {
         let grid = Grid::new(10, CostModel::Uniform, 0).unwrap();
         let d = grid.node_at(9, 9);
         assert!(max_overestimate(grid.graph(), d, Estimator::Euclidean) <= 1e-9);
-    }
-
-    #[test]
-    fn reverse_graph_flips_edges() {
-        let g = graph_from_arcs(3, &[(0, 1, 2.0), (1, 2, 3.0)]).unwrap();
-        let r = reverse_graph(&g);
-        assert_eq!(r.edge_cost(NodeId(1), NodeId(0)), Some(2.0));
-        assert_eq!(r.edge_cost(NodeId(2), NodeId(1)), Some(3.0));
-        assert_eq!(r.edge_cost(NodeId(0), NodeId(1)), None);
     }
 
     #[test]

@@ -75,7 +75,8 @@ impl RoutePlanner {
     /// Loads a road network with default settings.
     ///
     /// # Errors
-    /// Fails if the graph exceeds the storage encodings (> 65 535 nodes).
+    /// Fails if the graph exceeds the storage encodings (more than
+    /// [`atis_graph::graph::MAX_NODES`] nodes).
     pub fn new(graph: &Graph) -> Result<Self, AlgorithmError> {
         Ok(RoutePlanner {
             db: Database::open(graph)?,

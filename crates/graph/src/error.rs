@@ -25,6 +25,13 @@ pub enum GraphError {
         /// Edge target.
         to: NodeId,
     },
+    /// An edge's average occupancy was NaN or infinite.
+    NonFiniteOccupancy {
+        /// Edge origin.
+        from: NodeId,
+        /// Edge target.
+        to: NodeId,
+    },
     /// A path visited an edge that is not present in the graph.
     MissingEdge {
         /// Edge origin.
@@ -53,6 +60,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::NonFiniteCost { from, to } => {
                 write!(f, "edge ({from} -> {to}) has a non-finite cost")
+            }
+            GraphError::NonFiniteOccupancy { from, to } => {
+                write!(f, "edge ({from} -> {to}) has a non-finite occupancy")
             }
             GraphError::MissingEdge { from, to } => {
                 write!(

@@ -231,7 +231,7 @@ pub fn read_graph(input: &str) -> Result<Graph, FormatError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostModel, Grid, Minneapolis};
+    use crate::{CostModel, GraphError, Grid, Minneapolis};
 
     #[test]
     fn roundtrip_grid() {
@@ -321,5 +321,16 @@ mod tests {
         // Negative cost.
         let text = "atis-road-network v1\nnodes 2\n0 0 0\n1 1 0\nedges 1\n0 1 -1.0 street 0\n";
         assert!(matches!(read_graph(text), Err(FormatError::Graph(_))));
+    }
+
+    #[test]
+    fn nan_occupancy_is_rejected() {
+        // Travel-time re-costing would turn this edge's cost into NaN.
+        let text = "atis-road-network v1\nnodes 2\n0 0 0\n1 1 0\nedges 1\n0 1 1.0 street NaN\n";
+        let expected = GraphError::NonFiniteOccupancy {
+            from: NodeId(0),
+            to: NodeId(1),
+        };
+        assert_eq!(read_graph(text).unwrap_err(), FormatError::Graph(expected));
     }
 }

@@ -161,15 +161,12 @@ impl Graph {
     /// Returns a copy of the graph with every edge cost replaced by the
     /// edge's congestion-aware travel time. This is the "real-time traffic
     /// information" re-costing of Section 1.1 used by the rush-hour example.
-    pub fn with_travel_time_costs(&self) -> Graph {
-        let mut g = self.clone();
-        let mut sum = 0u64;
-        for e in g.edges.groups_mut().into_iter().flatten() {
-            e.cost = e.travel_time();
-            sum = sum.wrapping_add(edge_hash(e));
-        }
-        g.edge_hash_sum = sum;
-        g
+    ///
+    /// # Errors
+    /// Fails, as [`Graph::map_costs`] does, if a travel time overflows to
+    /// infinity.
+    pub fn with_travel_time_costs(&self) -> Result<Graph, GraphError> {
+        self.map_costs(Edge::travel_time)
     }
 
     /// Updates the cost of every parallel edge `(u, v)` in place — the
@@ -387,8 +384,8 @@ impl GraphBuilder {
     /// the edge checks.
     ///
     /// # Errors
-    /// Fails on unknown endpoints, negative or non-finite costs, or more
-    /// than [`MAX_NODES`] nodes.
+    /// Fails on unknown endpoints, negative or non-finite costs,
+    /// non-finite occupancies, or more than [`MAX_NODES`] nodes.
     pub fn build(self) -> Result<Graph, GraphError> {
         let mut builder = StreamingGraphBuilder::new(self.points)?;
         let mut edges = self.edges;
@@ -465,7 +462,8 @@ impl StreamingGraphBuilder {
     ///
     /// # Errors
     /// Fails on origin mismatch, unknown targets, negative or non-finite
-    /// costs, or when every node is already sealed.
+    /// costs, non-finite occupancies, or when every node is already
+    /// sealed.
     pub fn seal_node(&mut self, edges: &[Edge]) -> Result<NodeId, GraphError> {
         let u = self.next_node();
         if u.index() >= self.points.len() {
@@ -495,6 +493,12 @@ impl StreamingGraphBuilder {
                     from: e.from,
                     to: e.to,
                     cost: e.cost,
+                });
+            }
+            if !e.occupancy.is_finite() {
+                return Err(GraphError::NonFiniteOccupancy {
+                    from: e.from,
+                    to: e.to,
                 });
             }
         }
@@ -634,7 +638,7 @@ mod tests {
         let c = b.add_node(Point::new(1.0, 0.0));
         b.add_edge(Edge::new(a, c, 5.0).with_class(RoadClass::Freeway));
         let g = b.build().unwrap();
-        let t = g.with_travel_time_costs();
+        let t = g.with_travel_time_costs().unwrap();
         assert!((t.edge_cost(a, c).unwrap() - 2.0).abs() < 1e-12);
     }
 
@@ -741,7 +745,7 @@ mod tests {
         let grid = crate::Grid::new(8, crate::CostModel::TWENTY_PERCENT, 7).unwrap();
         let metro = crate::Metro::new(crate::MetroSpec::with_nodes(1_000, 7)).unwrap();
         let doubled = grid.graph().map_costs(|e| e.cost * 2.0).unwrap();
-        let timed = metro.graph().with_travel_time_costs();
+        let timed = metro.graph().with_travel_time_costs().unwrap();
         for (label, graph) in [
             ("builder", grid.graph()),
             ("streaming builder", metro.graph()),

@@ -21,6 +21,8 @@
 //!   cores, arterial rings, a one-way freeway hierarchy; 1k–1M nodes)
 //!   built through the streaming CSR builder, for the scaling study of
 //!   `SCALING.md`.
+//! * [`sssp`] — the one in-memory Dijkstra kernel, with a compact CSR and
+//!   its transpose, that every in-memory search (the oracle too) runs.
 //! * [`partition`] — BFS region partitioning and node reordering so each
 //!   region occupies a contiguous id range (and hence a contiguous run of
 //!   storage blocks).
@@ -56,6 +58,7 @@ pub mod partition;
 pub mod path;
 pub mod radial;
 pub mod rng;
+pub mod sssp;
 
 pub use cost_model::CostModel;
 pub use edge::{Edge, RoadClass};

@@ -419,6 +419,7 @@ mod tests {
     use super::*;
     use atis_graph::graph::graph_from_arcs;
     use atis_graph::grouped::GroupedColumn;
+    use atis_graph::sssp;
     use atis_graph::{CostModel, Grid, Metro, MetroSpec, SplitMix64};
     use order::TopSplit;
     use proptest::test_runner::TestCaseError;
@@ -438,53 +439,17 @@ mod tests {
     }
 
     fn upward(h: &Hierarchy, s: NodeId, forward: bool, n: usize) -> Vec<f64> {
-        let mut dist = vec![f64::INFINITY; n];
-        let mut heap = std::collections::BinaryHeap::new();
-        dist[s.index()] = 0.0;
-        heap.push((std::cmp::Reverse(ordered(0.0)), s.0));
-        while let Some((std::cmp::Reverse(d), u)) = heap.pop() {
-            let d = f64::from_bits(d);
-            if d > dist[u as usize] {
-                continue;
-            }
-            for arc in h.up_arcs(NodeId(u)) {
-                let next = d + if forward { arc.fwd } else { arc.bwd };
-                if next < dist[arc.head.index()] {
-                    dist[arc.head.index()] = next;
-                    heap.push((std::cmp::Reverse(ordered(next)), arc.head.0));
-                }
-            }
-        }
-        dist
-    }
-
-    /// Order-preserving bit key for non-negative finite f64s.
-    fn ordered(x: f64) -> u64 {
-        x.to_bits()
+        let arcs = |u| {
+            h.up_arcs(u)
+                .map(move |arc| (arc.head, if forward { arc.fwd } else { arc.bwd }))
+        };
+        sssp::dijkstra(n, s, None, arcs, |_, _| {})
     }
 
     /// Plain in-memory Dijkstra distance, the oracle of this crate's
     /// tests (`overlay`'s included).
     pub(crate) fn reference_dist(graph: &Graph, s: NodeId, t: NodeId) -> f64 {
-        let n = graph.node_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut heap = std::collections::BinaryHeap::new();
-        dist[s.index()] = 0.0;
-        heap.push((std::cmp::Reverse(ordered(0.0)), s.0));
-        while let Some((std::cmp::Reverse(d), u)) = heap.pop() {
-            let d = f64::from_bits(d);
-            if d > dist[u as usize] {
-                continue;
-            }
-            for e in graph.neighbors(NodeId(u)) {
-                let next = d + e.cost;
-                if next < dist[e.to.index()] {
-                    dist[e.to.index()] = next;
-                    heap.push((std::cmp::Reverse(ordered(next)), e.to.0));
-                }
-            }
-        }
-        dist[t.index()]
+        sssp::distances_from(graph, s)[t.index()]
     }
 
     fn sample_pairs(n: usize, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {

@@ -31,10 +31,10 @@
 //!
 //! Preprocessing is a one-time cost per traffic epoch: `2·k` independent
 //! Dijkstra sweeps for `k` landmarks — fewer when selection already ran
-//! some — entirely in memory, over a compact CSR of the graph and of its
-//! transpose, spread across the machine's cores ([`sssp`]). `atis-serve`
-//! amortizes it across every query answered at that epoch, and its
-//! copy-on-write `UPDATE` path decides between patching (a new cost that
+//! some — entirely in memory, run by [`atis_graph::sssp`]'s kernel over a
+//! compact CSR of the graph and of its transpose, and spread across the
+//! machine's cores. `atis-serve` amortizes it across every query answered
+//! at that epoch, and its copy-on-write `UPDATE` path decides between patching (a new cost that
 //! [`LandmarkTables::admits_cost`] passes — every increase, and a
 //! decrease that undercuts no table value — keeps the tables admissible;
 //! see [`LandmarkTables::patched_for`]) and a full rebuild (an
@@ -59,8 +59,8 @@
 #![warn(clippy::iter_over_hash_type)]
 
 pub mod error;
+mod pool;
 pub mod select;
-pub mod sssp;
 pub mod tables;
 
 pub use error::PreprocessError;

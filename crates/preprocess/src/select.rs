@@ -21,7 +21,8 @@
 //!   wastes landmarks on lakes and river banks.
 
 use crate::error::PreprocessError;
-use crate::sssp::{self, Adjacency, Job};
+use crate::pool::{self, Job};
+use atis_graph::sssp::Adjacency;
 use atis_graph::{Graph, NodeId, PartitionMap, SplitMix64};
 
 /// How landmarks are chosen from the loaded graph.
@@ -87,7 +88,7 @@ pub fn select(
         &backward,
         count,
         selection,
-        sssp::workers(),
+        pool::workers(),
     )?;
     Ok(chosen.into_iter().map(|landmark| landmark.node).collect())
 }
@@ -246,7 +247,7 @@ fn coverage(
     let jobs = (backwards.iter_mut().zip(&pool))
         .map(|(slot, &c)| Box::new(move || *slot = backward.sweep(c)) as Job)
         .collect();
-    sssp::pooled(workers, jobs);
+    pool::pooled(workers, jobs);
     let tables: Vec<(Vec<f64>, Vec<f64>)> = forwards.into_iter().zip(backwards).collect();
     let picks = if pool.len() <= count {
         (0..pool.len()).collect()

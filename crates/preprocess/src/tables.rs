@@ -25,9 +25,10 @@
 //! the new distance — requires [`LandmarkTables::rebuild_for`].
 
 use crate::error::PreprocessError;
+use crate::pool::{self, Job};
 use crate::select::{self, LandmarkSelection};
-use crate::sssp::{self, Adjacency, Job};
 use atis_graph::grouped::Sharing;
+use atis_graph::sssp::Adjacency;
 use atis_graph::{Graph, NodeId};
 use std::sync::Arc;
 
@@ -109,7 +110,7 @@ impl LandmarkTables {
     /// # Errors
     /// Propagates selection errors (empty graph, bad landmark count).
     pub fn build(graph: &Graph, config: PreprocessConfig) -> Result<Self, PreprocessError> {
-        LandmarkTables::build_on(graph, config, sssp::workers())
+        LandmarkTables::build_on(graph, config, pool::workers())
     }
 
     /// [`LandmarkTables::build`] on `workers` threads.
@@ -123,7 +124,7 @@ impl LandmarkTables {
             Box::new(|| forward = Adjacency::forward(graph)),
             Box::new(|| backward = Adjacency::backward(graph)),
         ];
-        sssp::pooled(workers, jobs);
+        pool::pooled(workers, jobs);
         let chosen = select::select_swept(
             graph,
             &forward,
@@ -152,7 +153,7 @@ impl LandmarkTables {
                 }
             }
         }
-        sssp::pooled(workers, jobs);
+        pool::pooled(workers, jobs);
         Ok(LandmarkTables {
             tables: Arc::new(Tables {
                 landmarks,
@@ -336,6 +337,7 @@ impl DestBounds {
 mod tests {
     use super::*;
     use atis_graph::graph::graph_from_arcs;
+    use atis_graph::sssp::distances_from;
     use atis_graph::{CostModel, Grid, SplitMix64};
 
     /// `graph` with every arc reversed, through the graph builder: the
@@ -364,12 +366,12 @@ mod tests {
             assert_eq!(serial.fingerprint(), graph.cost_fingerprint(), "{label}");
             let (fwd, bwd) = (&serial.tables.forward, &serial.tables.backward);
             for (i, &l) in serial.landmarks().iter().enumerate() {
-                let forward = sssp::distances_from(graph, l);
+                let forward = distances_from(graph, l);
                 assert_eq!(bits(&fwd[i]), bits(&forward), "{label}: forward {l:?}");
-                let backward = sssp::distances_from(&reverse, l);
+                let backward = distances_from(&reverse, l);
                 assert_eq!(bits(&bwd[i]), bits(&backward), "{label}: backward {l:?}");
             }
-            for workers in [2, sssp::workers()] {
+            for workers in [2, pool::workers()] {
                 let pooled = LandmarkTables::build_on(graph, config, workers).unwrap();
                 assert_eq!(
                     pooled.landmarks(),
@@ -421,10 +423,7 @@ mod tests {
     }
 
     fn all_pairs(graph: &Graph) -> Vec<Vec<f64>> {
-        graph
-            .node_ids()
-            .map(|u| sssp::distances_from(graph, u))
-            .collect()
+        graph.node_ids().map(|u| distances_from(graph, u)).collect()
     }
 
     #[test]
@@ -538,7 +537,7 @@ mod tests {
         for _ in 0..50 {
             let u = NodeId((rng.next_u64() % n) as u32);
             let t = NodeId((rng.next_u64() % n) as u32);
-            let d = sssp::distances_from(grid.graph(), u)[t.index()];
+            let d = distances_from(grid.graph(), u)[t.index()];
             assert!(tables.lower_bound(u, t) <= d + 1e-9);
         }
     }

@@ -17,18 +17,19 @@ use crate::error::StorageError;
 use crate::heapfile::HeapFile;
 use crate::io::IoStats;
 use crate::isam::IsamIndex;
-use crate::tuple::{EdgeTuple, NodeTuple, MAX_NODE_ID};
+use crate::tuple::{EdgeTuple, NodeTuple};
+use atis_graph::graph::MAX_NODES;
 use atis_graph::grouped::Sharing;
 use atis_graph::{Graph, NodeId, RoadClass};
 use std::sync::Arc;
 
 /// Rejects graphs whose node ids exceed the 24-bit tuple encoding.
 fn check_node_capacity(n: usize) -> Result<(), StorageError> {
-    if n > MAX_NODE_ID as usize + 1 {
+    if n > MAX_NODES {
         return Err(StorageError::CapacityExceeded {
             what: "node id",
             value: n,
-            max: MAX_NODE_ID as usize + 1,
+            max: MAX_NODES,
         });
     }
     Ok(())

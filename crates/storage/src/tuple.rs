@@ -28,8 +28,9 @@
 use crate::relations::NodeStatus;
 
 /// Largest node id the 24-bit on-disk encoding can carry (the all-ones
-/// value is reserved for [`NO_PRED`]).
-pub const MAX_NODE_ID: u32 = 0x00FF_FFFE;
+/// value is reserved for [`NO_PRED`]): the last id of a graph of
+/// [`atis_graph::graph::MAX_NODES`] nodes.
+pub const MAX_NODE_ID: u32 = atis_graph::graph::MAX_NODES as u32 - 1;
 
 /// Sentinel for a null `path` pointer in a node tuple (all ones in the
 /// 24-bit id encoding).

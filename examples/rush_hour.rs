@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Rush hour: re-cost every segment by congestion-aware travel time
     // (downtown streets carry 40-90% occupancy in the synthetic map) and
     // plan on the re-costed network.
-    let rush_graph = mpls.graph().with_travel_time_costs();
+    let rush_graph = mpls.graph().with_travel_time_costs()?;
     let rush_planner = RoutePlanner::new(&rush_graph)?;
     let rush = rush_planner.plan(s, d)?.route.expect("still connected");
 

@@ -6,8 +6,8 @@
 //! never expand more nodes than v3 on the paper's 30×30 workload.
 
 use atis::algorithms::{memory, AStarVersion, Algorithm, Database};
+use atis::graph::sssp;
 use atis::graph::{CostModel, Graph, Grid, NodeId, QueryKind, RadialCity};
-use atis::preprocess::sssp;
 use atis::preprocess::{LandmarkSelection, LandmarkTables, PreprocessConfig};
 use proptest::prelude::*;
 

@@ -81,7 +81,7 @@ fn rush_hour_replanning_improves_travel_time() {
         .route
         .expect("connected");
 
-    let rush_graph = m.graph().with_travel_time_costs();
+    let rush_graph = m.graph().with_travel_time_costs().unwrap();
     let rush_route = RoutePlanner::new(&rush_graph)
         .unwrap()
         .with_algorithm(Algorithm::Dijkstra)
