@@ -482,6 +482,42 @@ done <<EOF
 $mentioned
 EOF
 
+# 14. Symbol drift: every backticked `Type::member` in the docs of checks
+#     1-2 whose `Type` is a `pub struct`, `enum` or `trait` under
+#     crates/*/src must name something that exists: its lowercase
+#     `member` must be a `fn` or a `pub` field in the crate (or crates)
+#     declaring `Type`. Methods a derive supplies (`clone`, `default`,
+#     `fmt`, ...) are accepted. A renamed or deleted method then fails
+#     here instead of lingering in the docs. Finding no such mention at
+#     all fails too: a changed spelling must not pass vacuously.
+derived='clone clone_from default fmt eq ne hash cmp partial_cmp'
+symbols=$(for doc in $(echo "$docs" | grep -vx 'ROADMAP.md\|CHANGES.md'); do
+    grep -o '`[^`]*`' "$doc" 2>/dev/null \
+        | grep -o '\(^\|[^A-Za-z0-9_]\)[A-Z][A-Za-z0-9_]*::[a-z_][a-z0-9_]*' \
+        | sed "s|^[^A-Z]*||; s|::| |; s|^|$doc |"
+done | sort -u)
+checked=0
+while read -r doc ty member; do
+    [ -n "$member" ] || continue
+    crates=$(grep -rlE "^ *pub (struct|enum|trait) $ty\b" crates/*/src --include='*.rs' \
+        | cut -d/ -f1-2 | sort -u)
+    [ -n "$crates" ] || continue
+    checked=$((checked + 1))
+    case " $derived " in *" $member "*) continue ;; esac
+    srcs=$(for c in $crates; do echo "$c/src"; done)
+    # shellcheck disable=SC2086 # one path per crate
+    if ! grep -rqE "\bfn $member\b|^ *pub $member *:" $srcs --include='*.rs'; then
+        echo "UNKNOWN SYMBOL: $doc names $ty::$member, but no fn or pub field $member is in $(echo $crates | tr ' ' ',')"
+        fail=1
+    fi
+done <<EOF
+$symbols
+EOF
+if [ "$checked" -eq 0 ]; then
+    echo "SYMBOLS: no doc names a Type::member of a crate type"
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "doc-link check FAILED"
     exit 1

@@ -14,6 +14,7 @@ use atis_hierarchy::Hierarchy;
 use atis_obs::{SharedRegistry, SharedSink, TraceEvent};
 use atis_preprocess::{DestBounds, LandmarkTables};
 use atis_storage::block::BLOCK_SIZE;
+use atis_storage::profile::{SEGMENT_BLOCKS_R, SEGMENT_BLOCKS_S};
 use atis_storage::{
     BufferPool, CostParams, EdgeRelation, FaultPlan, IoStats, JoinPolicy, NodeRelation,
     SharedBuffer, SharedFaults, StorageError, StorageProfile,
@@ -337,7 +338,8 @@ impl Database {
     /// Loads `graph` under an explicit [`StorageProfile`]: `S` (and every
     /// `R` the algorithms create per run) becomes a segmented heap file
     /// when the profile says so, and a buffer pool of the profile's
-    /// capacity — with region-aware eviction if requested — is attached.
+    /// capacity — region-aware when segmented, plain LRU otherwise — is
+    /// attached. This is the one way to give a database a pool.
     /// Charged I/O is identical to [`Database::open`] by construction;
     /// what changes is the physical-read pattern (pool misses), which is
     /// what the scaling study measures.
@@ -350,9 +352,10 @@ impl Database {
         profile: StorageProfile,
     ) -> Result<Self, AlgorithmError> {
         let mut io = IoStats::new();
-        let edges = match profile.segment_blocks_s {
-            Some(sb) => EdgeRelation::load_segmented(graph, sb, &mut io)?,
-            None => EdgeRelation::load(graph, &mut io)?,
+        let edges = if profile.segmented {
+            EdgeRelation::load_segmented(graph, SEGMENT_BLOCKS_S, &mut io)?
+        } else {
+            EdgeRelation::load(graph, &mut io)?
         };
         let mut db = Database {
             graph: graph.clone(),
@@ -370,11 +373,7 @@ impl Database {
             partition: None,
         };
         if let Some(capacity) = profile.buffer_blocks {
-            let mut pool = BufferPool::new(capacity)?;
-            if profile.region_aware {
-                pool = pool.with_region_aware();
-            }
-            let pool = std::sync::Arc::new(std::sync::Mutex::new(pool));
+            let pool = BufferPool::shared(capacity, profile.segmented)?;
             db.edges.attach_buffer(&pool);
             db.buffer = Some(pool);
         }
@@ -387,27 +386,27 @@ impl Database {
     }
 
     /// Creates the per-run node relation `R` the way the profile dictates
-    /// (segmented or not); algorithms call this instead of
-    /// [`NodeRelation::load`] directly.
+    /// (segmented or not), with the database's buffer pool and fault plan
+    /// attached; algorithms call this instead of [`NodeRelation::load`]
+    /// directly.
     pub(crate) fn create_node_relation(
         &self,
         io: &mut IoStats,
     ) -> Result<NodeRelation, StorageError> {
-        match self.profile.segment_blocks_r {
-            Some(sb) => NodeRelation::load_segmented(
-                &self.graph,
-                self.edges.block_count(),
-                self.params.isam_levels,
-                sb,
-                io,
-            ),
-            None => NodeRelation::load(
-                &self.graph,
-                self.edges.block_count(),
-                self.params.isam_levels,
-                io,
-            ),
+        let s_blocks = self.edges.block_count();
+        let levels = self.params.isam_levels;
+        let mut r = if self.profile.segmented {
+            NodeRelation::load_segmented(&self.graph, s_blocks, levels, SEGMENT_BLOCKS_R, io)?
+        } else {
+            NodeRelation::load(&self.graph, s_blocks, levels, io)?
+        };
+        if let Some(pool) = &self.buffer {
+            r.attach_buffer(pool);
         }
+        if let Some(faults) = &self.faults {
+            r.attach_faults(faults);
+        }
+        Ok(r)
     }
 
     /// Records the layout partition the graph was reordered with, so the
@@ -551,21 +550,6 @@ impl Database {
     pub fn with_params(mut self, params: CostParams) -> Self {
         self.params = params;
         self
-    }
-
-    /// Attaches an LRU buffer pool of `capacity` blocks — an extension of
-    /// the paper's cold-cache model (see `atis_storage::buffer`). The pool
-    /// is shared by `S` and every relation the algorithms create, so
-    /// repeated reads of hot blocks stop being charged. Capacity presets
-    /// per network scale live in [`atis_storage::CapacityPreset`].
-    ///
-    /// # Errors
-    /// Fails with [`AlgorithmError::Storage`] for a zero capacity.
-    pub fn with_buffer_pool(mut self, capacity: usize) -> Result<Self, AlgorithmError> {
-        let pool = BufferPool::shared(capacity)?;
-        self.edges.attach_buffer(&pool);
-        self.buffer = Some(pool);
-        Ok(self)
     }
 
     /// The attached buffer pool, if any.
@@ -881,6 +865,28 @@ mod tests {
         let db = Database::open(&g).unwrap();
         assert_eq!(db.edges().tuple_count(), 2);
         assert_eq!(db.graph().node_count(), 3);
+    }
+
+    #[test]
+    fn the_pool_evicts_region_aware_exactly_when_segmented() {
+        let g = graph_from_arcs(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
+        for segmented in [false, true] {
+            let profile = StorageProfile {
+                segmented,
+                buffer_blocks: Some(3),
+            };
+            let db = Database::open_with_profile(&g, profile).unwrap();
+            let mut pool = db.buffer().unwrap().lock().unwrap();
+            // On file ids no relation holds: file `a`'s oldest block
+            // survives a full pool only under region-aware eviction, as
+            // file `a` was touched more recently than file `b`.
+            let (a, b, c) = (u64::MAX, u64::MAX - 1, u64::MAX - 2);
+            pool.access(a, 0);
+            pool.access(b, 0);
+            pool.access(a, 1);
+            pool.access(c, 0);
+            assert_eq!(pool.access(a, 0), segmented);
+        }
     }
 
     #[test]

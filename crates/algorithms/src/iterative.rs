@@ -50,12 +50,6 @@ pub fn run(
 
     // C1 + C2 + C3.
     let mut r = db.create_node_relation(&mut io)?;
-    if let Some(pool) = db.buffer() {
-        r.attach_buffer(pool);
-    }
-    if let Some(faults) = db.faults() {
-        r.attach_faults(faults);
-    }
     let meter = db.budget_meter_with(budgets);
 
     // C4: mark the start node current and count current nodes.

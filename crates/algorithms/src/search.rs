@@ -131,14 +131,10 @@ pub(crate) struct StatusFrontier {
 
 impl Frontier for StatusFrontier {
     fn create(db: &Database, io: &mut IoStats) -> Result<Self, StorageError> {
-        let mut r = db.create_node_relation(io)?;
-        if let Some(pool) = db.buffer() {
-            r.attach_buffer(pool);
-        }
-        if let Some(faults) = db.faults() {
-            r.attach_faults(faults);
-        }
-        Ok(StatusFrontier { r, open: 0 })
+        Ok(StatusFrontier {
+            r: db.create_node_relation(io)?,
+            open: 0,
+        })
     }
 
     /// (b) A keyed read of `R`: the estimator sees the destination's
@@ -304,8 +300,7 @@ impl Frontier for RelationFrontier {
         io: &mut IoStats,
         score: impl FnMut(u32, &NodeTuple) -> f64,
     ) -> Result<Option<Selected>, StorageError> {
-        let best = self.frontier.select_min(io, score)?;
-        Ok(best.map(|(u, ut)| (0, u, ut)))
+        self.frontier.select_min(io, score)
     }
 
     /// DELETE from the frontier (index adjustment charged), close in the
@@ -362,9 +357,11 @@ pub(crate) struct BlindFrontier<const ELIMINATE: bool> {
 }
 
 impl<const ELIMINATE: bool> Frontier for BlindFrontier<ELIMINATE> {
-    /// (d) The fault plan is attached but no buffer pool:
-    /// `MultiRelation` has none, and the resultant relation beside it
-    /// stays cold with it.
+    /// (d) The fault plan is attached but, by choice, no buffer pool:
+    /// both relations stay cold, as they were measured when the
+    /// `duplicates` digests of the pooled driver-identity configuration
+    /// (`grid10-pool`) were pinned — a pool would absorb their reads and
+    /// move those digests.
     fn create(db: &Database, io: &mut IoStats) -> Result<Self, StorageError> {
         let levels = db.params().isam_levels;
         let mut result = TempRelation::create(levels, io);

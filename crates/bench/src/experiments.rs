@@ -15,7 +15,7 @@ use atis_algorithms::{memory, AStarVersion, Algorithm, Database, Estimator, Fron
 use atis_core::render_map;
 use atis_costmodel::predict;
 use atis_graph::{CostModel, Grid, Minneapolis, NamedPair, NodeId, QueryKind};
-use atis_storage::{CostParams, JoinPolicy, JoinStrategy};
+use atis_storage::{CostParams, JoinPolicy, JoinStrategy, StorageProfile};
 use std::fmt;
 use std::time::Instant;
 
@@ -635,19 +635,15 @@ pub fn ablation_buffer_pool() -> ExperimentOutput {
     ]);
     for alg in GRID_ALGOS {
         let cold = run(&Database::open(grid.graph()).expect("fits"), alg, s, d);
-        let warm8 = run(
-            &Database::open(grid.graph())
-                .expect("fits")
-                .with_buffer_pool(8)
-                .expect("nonzero pool"),
-            alg,
-            s,
-            d,
-        );
-        let db64 = Database::open(grid.graph())
-            .expect("fits")
-            .with_buffer_pool(64)
-            .expect("nonzero pool");
+        let pooled = |blocks| {
+            let profile = StorageProfile {
+                buffer_blocks: Some(blocks),
+                ..StorageProfile::paper()
+            };
+            Database::open_with_profile(grid.graph(), profile).expect("fits, nonzero pool")
+        };
+        let warm8 = run(&pooled(8), alg, s, d);
+        let db64 = pooled(64);
         let warm64 = run(&db64, alg, s, d);
         let hit_rate = db64
             .buffer()

@@ -328,7 +328,7 @@ mod tests {
         let metro = Metro::new(MetroSpec::new(2, 2, 7)).unwrap();
         let profile = StorageProfile::for_nodes(metro.graph().node_count());
         let scaled = store(Database::open_with_profile(metro.graph(), profile).unwrap());
-        assert!(scaled.snapshot().db.profile().is_segmented());
+        assert!(scaled.snapshot().db.profile().segmented);
         let paper = store(Database::open(metro.graph()).unwrap());
         let (s, d) = metro.query_pair(MetroQuery::AdjacentCity);
 

@@ -14,33 +14,24 @@
 //! repeated *reads* are absorbed). It is disabled by default everywhere —
 //! the paper-faithful configuration.
 //!
-//! # Capacity presets
-//!
-//! [`CapacityPreset`] names the pool sizes the experiments and the
-//! scaling study use, so benches and the serving layer agree on what
-//! "a pool sized for a 100k-node metro" means:
-//!
-//! | preset | blocks | bytes | intended scale |
-//! |---|---|---|---|
-//! | [`CapacityPreset::Paper`] | 16 | 64 KiB | the paper's 1k-node networks |
-//! | [`CapacityPreset::City`] | 128 | 512 KiB | ~10k nodes |
-//! | [`CapacityPreset::Metro`] | 1024 | 4 MiB | ~100k nodes |
-//! | [`CapacityPreset::Continental`] | 4096 | 16 MiB | ~1M nodes |
-//!
-//! Every preset is deliberately **smaller than the graph it serves** (a
-//! 100k-node metro occupies ≈ 3.5k blocks across `S` and `R`), so the
-//! pool models a cache, not an in-memory copy; see `SCALING.md`.
+//! Pools are sized per network scale by
+//! [`StorageProfile::for_nodes`](crate::profile::StorageProfile::for_nodes)
+//! (16 to 4096 blocks), every one deliberately **smaller than the graph
+//! it serves**, so the pool models a cache, not an in-memory copy; see
+//! `SCALING.md`.
 //!
 //! # Region-aware eviction
 //!
 //! With segmented heap files (see [`crate::heapfile`]) each segment owns
 //! its own file id, and with region-blocked node ordering (see
 //! `atis-graph`'s partition map) a segment holds spatially adjacent
-//! nodes. [`BufferPool::with_region_aware`] switches the victim choice
-//! from pure block LRU to *coldest-file-first*: the victim is taken from
-//! the file whose most recent access is oldest, i.e. the region the
-//! search frontier has moved away from. Plain LRU remains the default —
-//! and the two policies coincide while only one file uses the pool.
+//! nodes. A region-aware pool switches the victim choice from pure block
+//! LRU to *coldest-file-first*: the victim is taken from the file whose
+//! most recent access is oldest, i.e. the region the search frontier has
+//! moved away from. The two policies coincide while only one file uses
+//! the pool. A `Database` opened with a segmented
+//! [`crate::StorageProfile`] evicts region-aware, and with an unsegmented
+//! one plain LRU.
 
 use crate::error::StorageError;
 use std::collections::HashMap;
@@ -52,45 +43,6 @@ static NEXT_FILE_ID: AtomicU64 = AtomicU64::new(1);
 /// Allocates a process-unique file id for a heap file that joins a pool.
 pub fn next_file_id() -> u64 {
     NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Named buffer-pool sizes for the network scales the repository studies.
-/// See the [module docs](self) for the sizing table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CapacityPreset {
-    /// 16 blocks (64 KiB) — the paper's ~1k-node networks.
-    Paper,
-    /// 128 blocks (512 KiB) — ~10k-node city networks.
-    City,
-    /// 1024 blocks (4 MiB) — ~100k-node metro networks.
-    Metro,
-    /// 4096 blocks (16 MiB) — ~1M-node continental networks.
-    Continental,
-}
-
-impl CapacityPreset {
-    /// The preset's capacity in blocks.
-    pub const fn blocks(self) -> usize {
-        match self {
-            CapacityPreset::Paper => 16,
-            CapacityPreset::City => 128,
-            CapacityPreset::Metro => 1024,
-            CapacityPreset::Continental => 4096,
-        }
-    }
-
-    /// The smallest preset intended for a network of `nodes` nodes.
-    pub const fn for_nodes(nodes: usize) -> CapacityPreset {
-        if nodes <= 2_000 {
-            CapacityPreset::Paper
-        } else if nodes <= 20_000 {
-            CapacityPreset::City
-        } else if nodes <= 200_000 {
-            CapacityPreset::Metro
-        } else {
-            CapacityPreset::Continental
-        }
-    }
 }
 
 /// A block-granular LRU buffer pool with hit/miss accounting.
@@ -116,16 +68,15 @@ pub struct BufferPool {
 pub type SharedBuffer = Arc<Mutex<BufferPool>>;
 
 impl BufferPool {
-    /// A pool holding up to `capacity` blocks.
-    ///
-    /// Use a [`CapacityPreset`] to pick a capacity matched to the network
-    /// scale (`BufferPool::new(CapacityPreset::Metro.blocks())`).
+    /// A pool holding up to `capacity` blocks, evicting coldest file
+    /// first when `region_aware` and by plain LRU otherwise (see the
+    /// [module docs](self)).
     ///
     /// # Errors
     /// Returns [`StorageError::InvalidValue`] when `capacity` is zero —
     /// the no-pool configuration is expressed by *not attaching* a pool,
     /// not by an empty one.
-    pub fn new(capacity: usize) -> Result<BufferPool, StorageError> {
+    pub fn new(capacity: usize, region_aware: bool) -> Result<BufferPool, StorageError> {
         if capacity == 0 {
             return Err(StorageError::InvalidValue(
                 "buffer pool capacity must be at least one block (omit the pool instead)",
@@ -135,7 +86,7 @@ impl BufferPool {
             capacity,
             resident: HashMap::new(),
             file_last: HashMap::new(),
-            region_aware: false,
+            region_aware,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -146,15 +97,9 @@ impl BufferPool {
     ///
     /// # Errors
     /// Returns [`StorageError::InvalidValue`] when `capacity` is zero.
-    pub fn shared(capacity: usize) -> Result<SharedBuffer, StorageError> {
-        Ok(Arc::new(Mutex::new(BufferPool::new(capacity)?)))
-    }
-
-    /// Switches eviction to the region-aware coldest-file-first policy
-    /// (see the [module docs](self)).
-    pub fn with_region_aware(mut self) -> BufferPool {
-        self.region_aware = true;
-        self
+    pub fn shared(capacity: usize, region_aware: bool) -> Result<SharedBuffer, StorageError> {
+        let pool = BufferPool::new(capacity, region_aware)?;
+        Ok(Arc::new(Mutex::new(pool)))
     }
 
     /// The pool capacity in blocks.
@@ -259,7 +204,7 @@ mod tests {
 
     #[test]
     fn first_access_misses_second_hits() {
-        let mut p = BufferPool::new(4).unwrap();
+        let mut p = BufferPool::new(4, false).unwrap();
         assert!(!p.access(1, 0));
         assert!(p.access(1, 0));
         assert_eq!((p.hits, p.misses), (1, 1));
@@ -268,7 +213,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest_block() {
-        let mut p = BufferPool::new(2).unwrap();
+        let mut p = BufferPool::new(2, false).unwrap();
         p.access(1, 0);
         p.access(1, 1);
         p.access(1, 0); // refresh block 0
@@ -279,7 +224,7 @@ mod tests {
 
     #[test]
     fn files_are_disjoint() {
-        let mut p = BufferPool::new(4).unwrap();
+        let mut p = BufferPool::new(4, false).unwrap();
         p.access(1, 0);
         assert!(!p.access(2, 0), "same block number, different file");
         assert!(p.access(1, 0));
@@ -287,7 +232,7 @@ mod tests {
 
     #[test]
     fn invalidation_clears_a_file_only() {
-        let mut p = BufferPool::new(8).unwrap();
+        let mut p = BufferPool::new(8, false).unwrap();
         p.access(1, 0);
         p.access(2, 0);
         p.invalidate_file(1);
@@ -297,7 +242,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_residency() {
-        let mut p = BufferPool::new(3).unwrap();
+        let mut p = BufferPool::new(3, false).unwrap();
         for b in 0..10 {
             p.access(1, b);
         }
@@ -307,10 +252,10 @@ mod tests {
     #[test]
     fn zero_capacity_is_a_typed_error() {
         assert!(matches!(
-            BufferPool::new(0),
+            BufferPool::new(0, false),
             Err(StorageError::InvalidValue(_))
         ));
-        assert!(BufferPool::shared(0).is_err());
+        assert!(BufferPool::shared(0, false).is_err());
     }
 
     #[test]
@@ -318,7 +263,7 @@ mod tests {
         // File 2's block 0 has the oldest *block* tick, but file 2 itself
         // is warm (block 1 was just touched); file 1's most recent access
         // is older, so the region-aware policy sacrifices file 1's block.
-        let mut p = BufferPool::new(3).unwrap().with_region_aware();
+        let mut p = BufferPool::new(3, true).unwrap();
         p.access(2, 0);
         p.access(1, 0);
         p.access(2, 1);
@@ -331,24 +276,12 @@ mod tests {
     fn plain_lru_evicts_the_oldest_block_regardless_of_file() {
         // Control for the region-aware test: same access pattern, default
         // policy — the oldest *block* goes even though its file is warm.
-        let mut p = BufferPool::new(3).unwrap();
+        let mut p = BufferPool::new(3, false).unwrap();
         p.access(2, 0);
         p.access(1, 0);
         p.access(2, 1);
         p.access(3, 0); // evicts (2,0): oldest tick
         assert!(!p.access(2, 0));
-    }
-
-    #[test]
-    fn presets_scale_with_network_size() {
-        assert_eq!(CapacityPreset::for_nodes(1_089), CapacityPreset::Paper);
-        assert_eq!(CapacityPreset::for_nodes(10_000), CapacityPreset::City);
-        assert_eq!(CapacityPreset::for_nodes(100_000), CapacityPreset::Metro);
-        assert_eq!(
-            CapacityPreset::for_nodes(1_000_000),
-            CapacityPreset::Continental
-        );
-        assert!(CapacityPreset::Paper.blocks() < CapacityPreset::Continental.blocks());
     }
 
     #[test]

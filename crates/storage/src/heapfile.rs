@@ -842,7 +842,7 @@ mod tests {
         for i in 0..256 {
             f.append(&edge(i, i, 1.0)); // 2 blocks -> 2 segments
         }
-        let pool = BufferPool::shared(8).unwrap();
+        let pool = BufferPool::shared(8, false).unwrap();
         f.attach_buffer(&pool);
         f.flush(&mut io).unwrap();
         // Both blocks are local block 0 of their segment's file; if the

@@ -29,14 +29,17 @@
 //! * [`join`] — the four join strategies of Section 4 (nested-loop, hash,
 //!   sort-merge, primary-key/index join) and the cost-based chooser
 //!   `F(B1, B2, B3)`.
-//! * [`temp`] — temporary relations: [`TempRelation`], whose native
+//! * [`temp`] — the temporary relation of A\* version 1's frontier:
+//!   [`MultiRelation`] (slot-addressed, duplicates allowed, blind APPEND,
+//!   selection scan, duplicate elimination) and [`TempRelation`], the
+//!   same relation keyed through a directory, whose native
 //!   `append`/`delete`/`replace` are QUEL's APPEND/DELETE/REPLACE with
-//!   index-maintenance charging (the separate-relation frontier of A\*
-//!   version 1), and [`MultiRelation`], the allow-duplicates frontier.
+//!   index-maintenance charging.
 //! * [`buffer`] — the optional block-granular [`BufferPool`] (LRU or
-//!   region-aware eviction) and its [`CapacityPreset`] sizes.
-//! * [`profile`] — [`StorageProfile`]: named knob bundles (segmentation ×
-//!   buffer capacity × eviction policy) per network scale.
+//!   region-aware eviction).
+//! * [`profile`] — [`StorageProfile`]: two knobs, segmentation (which
+//!   also picks region-aware eviction) and buffer capacity, set per
+//!   network scale by [`StorageProfile::for_nodes`].
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]): seeded
 //!   transient read/write failures, flaky blocks, and torn writes detected
 //!   by per-block checksums, for exercising the serving layer's degrade
@@ -46,8 +49,8 @@
 //! pool** — the paper's cost model (Tables 2–3) charges every scan at full
 //! block cost, which models INGRES single-user mode with a cold cache.
 //! [`StorageProfile::for_nodes`] is the extension: it segments the heap
-//! files and attaches the [`CapacityPreset`] pool for the network's scale
-//! (128 blocks at ~10k nodes, 1024 at ~100k): a block read that hits the
+//! files and attaches a pool sized for the network's scale (128 blocks
+//! at ~10k nodes, 1024 at ~100k): a block read that hits the
 //! pool is not charged, and writes stay write-through. All cost accounting
 //! flows through an explicit [`IoStats`] borrowed by each operation, so a
 //! caller can meter any sequence of operations.
@@ -78,7 +81,7 @@ pub mod relations;
 pub mod temp;
 pub mod tuple;
 
-pub use buffer::{BufferPool, CapacityPreset, SharedBuffer};
+pub use buffer::{BufferPool, SharedBuffer};
 pub use error::StorageError;
 pub use fault::{FaultEvent, FaultPlan, FaultState, SharedFaults, STALL_QUANTUM};
 pub use heapfile::HeapFile;

@@ -530,21 +530,13 @@ impl NodeRelation {
         io: &mut IoStats,
         mut score: impl FnMut(u32, &NodeTuple) -> f64,
     ) -> Result<Option<(u32, NodeTuple)>, StorageError> {
-        let mut best: Option<(f64, u64, u32, NodeTuple)> = None;
+        let mut best = Cheapest(None);
         self.scan(io, |id, t| {
             if t.status == NodeStatus::Open {
-                let s = score(id, t);
-                let tie = tie_hash(id);
-                let better = match &best {
-                    None => true,
-                    Some((bs, bt, _, _)) => s < *bs || (s == *bs && tie < *bt),
-                };
-                if better {
-                    best = Some((s, tie, id, *t));
-                }
+                best.offer(id, score(id, t), (id, *t));
             }
         })?;
-        Ok(best.map(|(_, _, id, t)| (id, t)))
+        Ok(best.into_min())
     }
 
     /// Counts tuples with the given status (a scan: `B_r` reads) — the
@@ -607,9 +599,34 @@ impl NodeRelation {
     }
 }
 
+/// The selection scan's minimum rule, shared by every relation that
+/// selects "the best node by a scan": lowest score, ties broken by
+/// [`tie_hash`] of the id. Holds the best `(score, tie, value)` so far.
+pub(crate) struct Cheapest<V>(pub(crate) Option<(f64, u64, V)>);
+
+impl<V> Cheapest<V> {
+    /// Keeps `value` if its score, then its id's tie hash, beats the
+    /// best so far.
+    pub(crate) fn offer(&mut self, id: u32, score: f64, value: V) {
+        let tie = tie_hash(id);
+        let better = match &self.0 {
+            None => true,
+            Some((bs, bt, _)) => score < *bs || (score == *bs && tie < *bt),
+        };
+        if better {
+            self.0 = Some((score, tie, value));
+        }
+    }
+
+    /// The minimum offered, if any.
+    pub(crate) fn into_min(self) -> Option<V> {
+        self.0.map(|(_, _, value)| value)
+    }
+}
+
 /// Deterministic tie-break hash (splitmix64 finaliser).
 #[inline]
-pub(crate) fn tie_hash(id: u32) -> u64 {
+fn tie_hash(id: u32) -> u64 {
     atis_graph::rng::splitmix64(id as u64)
 }
 

@@ -1,4 +1,4 @@
-//! Keyed temporary relations with APPEND/DELETE and index maintenance.
+//! Temporary relations with APPEND/DELETE and index maintenance.
 //!
 //! A\* version 1 manages its frontierSet "as an independent relation.
 //! Addition of new reachable nodes can be implemented by insert operations,
@@ -9,242 +9,46 @@
 //! DELETE — is precisely what makes version 1 lose to the REPLACE-based
 //! status frontier as the explored region grows (Figure 10).
 //!
+//! Section 4 gives three ways to manage duplicates in that relation:
+//! avoid, remove or allow them. They share one relation,
+//! [`MultiRelation`]: slot-addressed tuples with tombstones, a blind
+//! APPEND, the selection scan and the duplicate-elimination pass.
+//! [`TempRelation`] is the same relation plus a key → slot directory
+//! probed through the index (`I_l` reads), which is what avoiding
+//! duplicates costs.
+//!
 //! Deletions tombstone their slot; the heap never shrinks mid-run (INGRES
 //! heaps did not reclaim space without restructuring), so a long run's
 //! frontier scans get progressively more expensive. This is faithful and
 //! load-bearing for reproducing version 1's scaling behaviour.
 
+use crate::buffer::SharedBuffer;
 use crate::error::StorageError;
 use crate::fault::{consult_index_probe, SharedFaults};
 use crate::heapfile::HeapFile;
 use crate::io::IoStats;
+use crate::relations::Cheapest;
 use crate::tuple::FixedTuple;
 use std::collections::HashMap;
+use std::ops::Deref;
 
-/// A keyed temporary relation of fixed-width tuples.
+/// A temporary relation of fixed-width tuples that **allows duplicate
+/// keys** — the third of the paper's duplicate-management options
+/// (Section 4: "Allowing duplicates leads to redundant iterations of the
+/// algorithm"). Without a uniqueness check there is no membership probe
+/// to pay on APPEND, but the frontier accumulates stale entries that
+/// must either be skipped when selected (redundant iterations) or swept
+/// by a duplicate-elimination pass.
 ///
-/// Keys live in a directory alongside the heap (the paper's temporaries
-/// carry the node-id inside the tuple; we keep the 16-byte payload codec
-/// and track keys in the directory, charging identical I/O).
-#[derive(Debug, Clone)]
-pub struct TempRelation<T: FixedTuple> {
-    heap: HeapFile<T>,
-    /// Slot → key, `None` for tombstones.
-    keys: Vec<Option<u32>>,
-    /// Key → slot.
-    directory: HashMap<u32, usize>,
-    /// Index levels charged for maintenance on APPEND/DELETE and probes.
-    index_levels: u64,
-    live: usize,
-    /// Optional fault injection (index probes consult pseudo-blocks).
-    faults: Option<SharedFaults>,
-}
-
-impl<T: FixedTuple> TempRelation<T> {
-    /// Creates an empty temporary relation (charges `I`).
-    pub fn create(index_levels: u64, io: &mut IoStats) -> Self {
-        TempRelation {
-            heap: HeapFile::create(io),
-            keys: Vec::new(),
-            directory: HashMap::new(),
-            index_levels,
-            live: 0,
-            faults: None,
-        }
-    }
-
-    /// Attaches a buffer pool (an extension; see [`crate::buffer`]).
-    pub fn attach_buffer(&mut self, pool: &crate::buffer::SharedBuffer) {
-        self.heap.attach_buffer(pool);
-    }
-
-    /// Attaches fault-injection state (see [`crate::fault`]).
-    pub fn attach_faults(&mut self, faults: &SharedFaults) {
-        self.heap.attach_faults(faults);
-        self.faults = Some(faults.clone());
-    }
-
-    /// Number of live tuples.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no live tuples remain.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Blocks occupied, tombstones included — what a scan pays for.
-    pub fn block_count(&self) -> usize {
-        self.heap.block_count()
-    }
-
-    /// QUEL `APPEND`: inserts `(key, tuple)`. Charges one block write (the
-    /// tuple's page) plus `I_l` index-adjustment updates.
-    ///
-    /// # Panics
-    /// Panics if the key is already present (the paper's duplicate
-    /// *avoidance* policy checks membership before appending; the engine
-    /// enforces it).
-    ///
-    /// # Errors
-    /// Surfaces injected write failures; the tuple stays staged (dirty)
-    /// and registered under its key, so the relation remains consistent.
-    pub fn append(&mut self, key: u32, tuple: &T, io: &mut IoStats) -> Result<(), StorageError> {
-        assert!(
-            !self.directory.contains_key(&key),
-            "append of duplicate key {key}; check membership first (duplicate avoidance)"
-        );
-        let slot = self.heap.append(tuple);
-        debug_assert_eq!(slot, self.keys.len());
-        self.keys.push(Some(key));
-        self.directory.insert(key, slot);
-        self.live += 1;
-        self.heap.flush(io)?;
-        io.adjust_index(self.index_levels);
-        Ok(())
-    }
-
-    /// QUEL `DELETE`: removes `key`'s tuple (tombstoning its slot).
-    /// Charges the index probe (`I_l` reads), one tuple update (the
-    /// tombstone write) and `I_l` index-adjustment updates.
-    ///
-    /// # Errors
-    /// Fails if the key is absent, or on an injected fault (the key stays
-    /// live in that case — the delete can be retried).
-    pub fn delete(&mut self, key: u32, io: &mut IoStats) -> Result<(), StorageError> {
-        io.read_blocks(self.index_levels);
-        consult_index_probe(&self.faults, self.index_levels)?;
-        let slot = *self
-            .directory
-            .get(&key)
-            .ok_or(StorageError::KeyNotFound(key))?;
-        self.heap.update_slot(slot, io, |_| {})?; // tombstone write
-        self.directory.remove(&key);
-        self.keys[slot] = None;
-        io.adjust_index(self.index_levels);
-        self.live -= 1;
-        Ok(())
-    }
-
-    /// QUEL `REPLACE` on a keyed tuple: index probe (`I_l` reads) plus one
-    /// tuple update.
-    ///
-    /// # Errors
-    /// Fails if the key is absent.
-    pub fn replace(
-        &mut self,
-        key: u32,
-        io: &mut IoStats,
-        f: impl FnOnce(&mut T),
-    ) -> Result<(), StorageError> {
-        io.read_blocks(self.index_levels);
-        consult_index_probe(&self.faults, self.index_levels)?;
-        let slot = *self
-            .directory
-            .get(&key)
-            .ok_or(StorageError::KeyNotFound(key))?;
-        self.heap.update_slot(slot, io, f)
-    }
-
-    /// Keyed read: index probe (`I_l` reads) plus one data block read.
-    ///
-    /// # Errors
-    /// Fails if the key is absent.
-    pub fn get(&self, key: u32, io: &mut IoStats) -> Result<T, StorageError> {
-        io.read_blocks(self.index_levels);
-        consult_index_probe(&self.faults, self.index_levels)?;
-        let slot = *self
-            .directory
-            .get(&key)
-            .ok_or(StorageError::KeyNotFound(key))?;
-        self.heap.read_slot(slot, io)
-    }
-
-    /// Membership probe through the index (`I_l` reads).
-    ///
-    /// # Errors
-    /// Surfaces injected index-probe failures.
-    pub fn contains(&self, key: u32, io: &mut IoStats) -> Result<bool, StorageError> {
-        io.read_blocks(self.index_levels);
-        consult_index_probe(&self.faults, self.index_levels)?;
-        Ok(self.directory.contains_key(&key))
-    }
-
-    /// Uncharged keyed read, for assertions and post-run inspection.
-    ///
-    /// # Errors
-    /// Surfaces checksum mismatches on corrupted blocks.
-    pub fn peek(&self, key: u32) -> Result<Option<T>, StorageError> {
-        match self.directory.get(&key) {
-            Some(&slot) => Ok(Some(self.heap.peek_slot(slot)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Full scan over live tuples, charging one read per occupied block
-    /// (tombstoned blocks included — dead space still costs).
-    ///
-    /// # Errors
-    /// Surfaces injected read failures and checksum mismatches.
-    pub fn scan(
-        &self,
-        io: &mut IoStats,
-        mut visit: impl FnMut(u32, T),
-    ) -> Result<(), StorageError> {
-        self.heap.scan(io, |slot, t| {
-            if let Some(key) = self.keys[slot] {
-                visit(key, t);
-            }
-        })
-    }
-
-    /// "Select the best node by a scan of the frontierSet": minimum by
-    /// `score`, ties broken by the deterministic id hash (same rule as
-    /// [`crate::relations::NodeRelation::select_min_open`]).
-    ///
-    /// # Errors
-    /// Surfaces injected read failures and checksum mismatches.
-    pub fn select_min(
-        &self,
-        io: &mut IoStats,
-        mut score: impl FnMut(u32, &T) -> f64,
-    ) -> Result<Option<(u32, T)>, StorageError> {
-        let mut best: Option<(f64, u64, u32, T)> = None;
-        self.scan(io, |key, t| {
-            let s = score(key, &t);
-            let tie = crate::relations::tie_hash(key);
-            let better = match &best {
-                None => true,
-                Some((bs, bt, _, _)) => s < *bs || (s == *bs && tie < *bt),
-            };
-            if better {
-                best = Some((s, tie, key, t));
-            }
-        })?;
-        Ok(best.map(|(_, _, k, t)| (k, t)))
-    }
-
-    /// Drops the relation's contents (charges `D_t`).
-    pub fn clear(&mut self, io: &mut IoStats) {
-        self.heap.clear(io);
-        self.keys.clear();
-        self.directory.clear();
-        self.live = 0;
-    }
-}
-
-/// A temporary relation that **allows duplicate keys** — the third of the
-/// paper's duplicate-management options (Section 4: "Allowing duplicates
-/// leads to redundant iterations of the algorithm"). Without a uniqueness
-/// check there is no membership probe to pay on APPEND, but the frontier
-/// accumulates stale entries that must either be skipped when selected
-/// (redundant iterations) or swept by a duplicate-elimination pass.
+/// Keys live beside the heap (the paper's temporaries carry the node-id
+/// inside the tuple; we keep the 16-byte payload codec and track keys
+/// here, charging identical I/O).
 #[derive(Debug, Clone)]
 pub struct MultiRelation<T: FixedTuple> {
     heap: HeapFile<T>,
     /// Slot → key, `None` for tombstones.
     keys: Vec<Option<u32>>,
+    /// Index levels charged for maintenance on APPEND/DELETE and probes.
     index_levels: u64,
     live: usize,
 }
@@ -258,6 +62,11 @@ impl<T: FixedTuple> MultiRelation<T> {
             index_levels,
             live: 0,
         }
+    }
+
+    /// Attaches a buffer pool (an extension; see [`crate::buffer`]).
+    pub fn attach_buffer(&mut self, pool: &SharedBuffer) {
+        self.heap.attach_buffer(pool);
     }
 
     /// Attaches fault-injection state (see [`crate::fault`]).
@@ -275,13 +84,14 @@ impl<T: FixedTuple> MultiRelation<T> {
         self.live == 0
     }
 
-    /// Blocks a scan pays for (tombstones included).
+    /// Blocks occupied, tombstones included — what a scan pays for.
     pub fn block_count(&self) -> usize {
         self.heap.block_count()
     }
 
-    /// Blind `APPEND`: one block write plus index adjustment, and *no*
-    /// membership probe — the saving that motivates allowing duplicates.
+    /// Blind `APPEND`: one block write (the tuple's page) plus `I_l`
+    /// index-adjustment updates, and *no* membership probe — the saving
+    /// that motivates allowing duplicates.
     ///
     /// # Errors
     /// Surfaces injected write failures; the tuple stays staged (dirty)
@@ -310,7 +120,9 @@ impl<T: FixedTuple> MultiRelation<T> {
         Ok(())
     }
 
-    /// Full scan over live entries.
+    /// Full scan over live entries `(slot, key, tuple)`, charging one
+    /// read per occupied block (tombstoned blocks included — dead space
+    /// still costs).
     ///
     /// # Errors
     /// Surfaces injected read failures and checksum mismatches.
@@ -326,8 +138,11 @@ impl<T: FixedTuple> MultiRelation<T> {
         })
     }
 
-    /// Selects the minimum-score live entry, returning its slot too (the
-    /// caller deletes by slot since keys are not unique).
+    /// "Select the best node by a scan of the frontierSet": the live
+    /// entry of minimum `score`, ties broken by the deterministic id hash
+    /// (the rule of [`crate::relations::NodeRelation::select_min_open`]).
+    /// Returns its slot too: with duplicates allowed, a caller deletes by
+    /// slot.
     ///
     /// # Errors
     /// Surfaces injected read failures and checksum mismatches.
@@ -336,31 +151,25 @@ impl<T: FixedTuple> MultiRelation<T> {
         io: &mut IoStats,
         mut score: impl FnMut(u32, &T) -> f64,
     ) -> Result<Option<(usize, u32, T)>, StorageError> {
-        let mut best: Option<(f64, u64, usize, u32, T)> = None;
+        let mut best = Cheapest(None);
         self.scan(io, |slot, key, t| {
-            let s = score(key, &t);
-            let tie = crate::relations::tie_hash(key);
-            let better = match &best {
-                None => true,
-                Some((bs, bt, _, _, _)) => s < *bs || (s == *bs && tie < *bt),
-            };
-            if better {
-                best = Some((s, tie, slot, key, t));
-            }
+            best.offer(key, score(key, &t), (slot, key, t));
         })?;
-        Ok(best.map(|(_, _, slot, key, t)| (slot, key, t)))
+        Ok(best.into_min())
     }
 
     /// Duplicate-elimination pass (the paper's "removing duplicates"
     /// option): keeps the best-scoring entry per key and tombstones the
     /// rest. Charges a scan plus one tuple update per eliminated entry
     /// plus index adjustments. Returns how many duplicates were removed.
+    ///
+    /// # Errors
+    /// Surfaces injected read/write failures and checksum mismatches.
     pub fn eliminate_duplicates(
         &mut self,
         io: &mut IoStats,
         mut score: impl FnMut(u32, &T) -> f64,
     ) -> Result<usize, StorageError> {
-        use std::collections::HashMap;
         let mut best: HashMap<u32, (usize, f64)> = HashMap::new();
         let mut victims = Vec::new();
         self.scan(io, |slot, key, t| {
@@ -383,6 +192,146 @@ impl<T: FixedTuple> MultiRelation<T> {
             self.delete_slot(*slot, io)?;
         }
         Ok(victims.len())
+    }
+
+    /// Drops the relation's contents (charges `D_t`).
+    pub fn clear(&mut self, io: &mut IoStats) {
+        self.heap.clear(io);
+        self.keys.clear();
+        self.live = 0;
+    }
+}
+
+/// A keyed temporary relation: a [`MultiRelation`] whose keys are
+/// unique, found through a key → slot directory and the `I_l`-level
+/// index probe. Reads that need no key — `len`, `block_count`, `scan`,
+/// `select_min` — are the underlying relation's (through `Deref`).
+#[derive(Debug, Clone)]
+pub struct TempRelation<T: FixedTuple> {
+    relation: MultiRelation<T>,
+    /// Key → slot.
+    directory: HashMap<u32, usize>,
+    /// Optional fault injection (index probes consult pseudo-blocks).
+    faults: Option<SharedFaults>,
+}
+
+impl<T: FixedTuple> Deref for TempRelation<T> {
+    type Target = MultiRelation<T>;
+
+    fn deref(&self) -> &MultiRelation<T> {
+        &self.relation
+    }
+}
+
+impl<T: FixedTuple> TempRelation<T> {
+    /// Creates an empty temporary relation (charges `I`).
+    pub fn create(index_levels: u64, io: &mut IoStats) -> Self {
+        TempRelation {
+            relation: MultiRelation::create(index_levels, io),
+            directory: HashMap::new(),
+            faults: None,
+        }
+    }
+
+    /// Attaches a buffer pool (an extension; see [`crate::buffer`]).
+    pub fn attach_buffer(&mut self, pool: &SharedBuffer) {
+        self.relation.attach_buffer(pool);
+    }
+
+    /// Attaches fault-injection state (see [`crate::fault`]).
+    pub fn attach_faults(&mut self, faults: &SharedFaults) {
+        self.relation.attach_faults(faults);
+        self.faults = Some(faults.clone());
+    }
+
+    /// The index probe for `key` (`I_l` reads): its slot, if present.
+    fn probe(&self, key: u32, io: &mut IoStats) -> Result<Option<usize>, StorageError> {
+        io.read_blocks(self.relation.index_levels);
+        consult_index_probe(&self.faults, self.relation.index_levels)?;
+        Ok(self.directory.get(&key).copied())
+    }
+
+    /// QUEL `APPEND`: inserts `(key, tuple)`. Charges one block write (the
+    /// tuple's page) plus `I_l` index-adjustment updates.
+    ///
+    /// # Panics
+    /// Panics if the key is already present (the paper's duplicate
+    /// *avoidance* policy checks membership before appending; the engine
+    /// enforces it).
+    ///
+    /// # Errors
+    /// Surfaces injected write failures; the tuple stays staged (dirty)
+    /// and registered under its key, so the relation remains consistent.
+    pub fn append(&mut self, key: u32, tuple: &T, io: &mut IoStats) -> Result<(), StorageError> {
+        assert!(
+            !self.directory.contains_key(&key),
+            "append of duplicate key {key}; check membership first (duplicate avoidance)"
+        );
+        self.directory.insert(key, self.relation.keys.len());
+        self.relation.append(key, tuple, io)
+    }
+
+    /// QUEL `DELETE`: removes `key`'s tuple (tombstoning its slot).
+    /// Charges the index probe (`I_l` reads), one tuple update (the
+    /// tombstone write) and `I_l` index-adjustment updates.
+    ///
+    /// # Errors
+    /// Fails if the key is absent, or on an injected fault (the key stays
+    /// live in that case — the delete can be retried).
+    pub fn delete(&mut self, key: u32, io: &mut IoStats) -> Result<(), StorageError> {
+        let slot = self.probe(key, io)?.ok_or(StorageError::KeyNotFound(key))?;
+        self.relation.delete_slot(slot, io)?;
+        self.directory.remove(&key);
+        Ok(())
+    }
+
+    /// QUEL `REPLACE` on a keyed tuple: index probe (`I_l` reads) plus one
+    /// tuple update.
+    ///
+    /// # Errors
+    /// Fails if the key is absent.
+    pub fn replace(
+        &mut self,
+        key: u32,
+        io: &mut IoStats,
+        f: impl FnOnce(&mut T),
+    ) -> Result<(), StorageError> {
+        let slot = self.probe(key, io)?.ok_or(StorageError::KeyNotFound(key))?;
+        self.relation.heap.update_slot(slot, io, f)
+    }
+
+    /// Keyed read: index probe (`I_l` reads) plus one data block read.
+    ///
+    /// # Errors
+    /// Fails if the key is absent.
+    pub fn get(&self, key: u32, io: &mut IoStats) -> Result<T, StorageError> {
+        let slot = self.probe(key, io)?.ok_or(StorageError::KeyNotFound(key))?;
+        self.relation.heap.read_slot(slot, io)
+    }
+
+    /// Membership probe through the index (`I_l` reads).
+    ///
+    /// # Errors
+    /// Surfaces injected index-probe failures.
+    pub fn contains(&self, key: u32, io: &mut IoStats) -> Result<bool, StorageError> {
+        Ok(self.probe(key, io)?.is_some())
+    }
+
+    /// Uncharged keyed read, for assertions and post-run inspection.
+    ///
+    /// # Errors
+    /// Surfaces checksum mismatches on corrupted blocks.
+    pub fn peek(&self, key: u32) -> Result<Option<T>, StorageError> {
+        match self.directory.get(&key) {
+            Some(&slot) => Ok(Some(self.relation.heap.peek_slot(slot)?)),
+            None => Ok(None),
+        }
+    }
+
+    /// Drops the relation's contents (charges `D_t`).
+    pub fn clear(&mut self, io: &mut IoStats) {
+        self.relation.clear(io);
+        self.directory.clear();
     }
 }
 
@@ -457,7 +406,7 @@ mod tests {
         }
         f.delete(2, &mut io).unwrap();
         let mut keys = vec![];
-        f.scan(&mut io, |k, _| keys.push(k)).unwrap();
+        f.scan(&mut io, |_, k, _| keys.push(k)).unwrap();
         assert_eq!(keys, vec![0, 1, 3, 4]);
     }
 
@@ -469,7 +418,7 @@ mod tests {
         f.append(11, &tup(1.0), &mut io).unwrap();
         f.append(12, &tup(3.0), &mut io).unwrap();
         f.delete(11, &mut io).unwrap();
-        let (k, t) = f
+        let (_, k, t) = f
             .select_min(&mut io, |_, t| t.path_cost as f64)
             .unwrap()
             .unwrap();
@@ -589,6 +538,31 @@ mod tests {
         f.delete_slot(0, &mut io).unwrap();
         f.delete_slot(0, &mut io).unwrap();
         assert!(f.is_empty());
+    }
+
+    #[test]
+    fn failed_writes_keep_the_directory_consistent() {
+        use crate::fault::FaultPlan;
+        let mut io = IoStats::new();
+        let mut f: TempRelation<NodeTuple> = TempRelation::create(3, &mut io);
+        f.append(1, &tup(5.0), &mut io).unwrap();
+        // A plan counts writes from its attach: the next flush fails.
+        f.attach_faults(&FaultPlan::inert(1).with_fail_nth_write(1).into_shared());
+        assert!(f.append(2, &tup(6.0), &mut io).is_err());
+        assert!(
+            f.contains(2, &mut io).unwrap(),
+            "a failed APPEND stays registered"
+        );
+        assert_eq!(f.len(), 2);
+        f.attach_faults(&FaultPlan::inert(2).with_fail_nth_write(1).into_shared());
+        assert!(f.delete(1, &mut io).is_err());
+        assert!(
+            f.contains(1, &mut io).unwrap(),
+            "a failed DELETE leaves the key live"
+        );
+        assert_eq!(f.len(), 2);
+        f.delete(1, &mut io).unwrap();
+        assert_eq!((f.len(), f.peek(1)), (1, Ok(None)));
     }
 
     #[test]

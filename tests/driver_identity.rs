@@ -361,9 +361,11 @@ fn configs() -> Vec<Config> {
             "grid10-pool",
             grid.graph(),
             |g| {
-                Database::open(g)
-                    .unwrap()
-                    .with_buffer_pool(24)
+                let pool_only = StorageProfile {
+                    buffer_blocks: Some(24),
+                    ..StorageProfile::paper()
+                };
+                Database::open_with_profile(g, pool_only)
                     .unwrap()
                     .with_join_policy(JoinPolicy::CostBased)
             },

@@ -311,25 +311,37 @@ fn metrics_aggregate_across_runs() {
         (overlay.arc_count() as u64, overlay.build_report().triangles)
     );
     // The layout gauges of `S`: segment count, blocks per segment, total
-    // blocks and bytes — for the paper's single heap file (224 arcs, two
-    // blocks) and for a segmented 30x30 grid (3480 arcs, 28 blocks in
-    // four 8-block segments).
+    // blocks and bytes, and the pool's capacity — for the paper's single
+    // heap file (224 arcs, two blocks, no pool), for a segmented 30x30
+    // grid (3480 arcs, 28 blocks in four 8-block segments, the 16-block
+    // pool of its scale) and for the paper's layout cached in a 24-block
+    // pool.
     let layout = |m: &MetricsRegistry| {
         [
             "storage_segment_count",
             "storage_segment_blocks",
             "storage_blocks",
             "storage_bytes",
+            "storage_buffer_capacity_blocks",
         ]
         .map(|g| m.gauge(g))
     };
-    assert_eq!(layout(&metrics), [1, 2, 2, 2 * 4096]);
+    assert_eq!(layout(&metrics), [1, 2, 2, 2 * 4096, 0]);
     let grid30 = Grid::new(30, CostModel::TWENTY_PERCENT, 1993).unwrap();
     let segmented = MetricsRegistry::shared();
     let _db = Database::open_with_profile(grid30.graph(), StorageProfile::for_nodes(900))
         .unwrap()
         .with_metrics(segmented.clone());
-    assert_eq!(layout(&segmented), [4, 8, 28, 28 * 4096]);
+    assert_eq!(layout(&segmented), [4, 8, 28, 28 * 4096, 16]);
+    let pooled = MetricsRegistry::shared();
+    let pool_only = StorageProfile {
+        buffer_blocks: Some(24),
+        ..StorageProfile::paper()
+    };
+    let _db = Database::open_with_profile(grid.graph(), pool_only)
+        .unwrap()
+        .with_metrics(pooled.clone());
+    assert_eq!(layout(&pooled), [1, 2, 2, 2 * 4096, 24]);
 }
 
 /// The report module reproduces the paper's validation claim on live

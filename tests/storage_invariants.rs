@@ -3,11 +3,21 @@
 //! operation sequences, and the I/O meter must account coherently.
 
 use atis::storage::{
-    EdgeRelation, HeapFile, IoStats, NodeRelation, NodeStatus, NodeTuple, TempRelation, NO_PRED,
+    EdgeRelation, HeapFile, IoStats, NodeRelation, NodeStatus, NodeTuple, StorageProfile,
+    TempRelation, NO_PRED,
 };
 use atis::{CostModel, Grid};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// The paper's single-file layout cached in a plain LRU pool of
+/// `capacity` blocks.
+fn pool_only(capacity: usize) -> StorageProfile {
+    StorageProfile {
+        buffer_blocks: Some(capacity),
+        ..StorageProfile::paper()
+    }
+}
 
 fn node_tuple(cost: f32) -> NodeTuple {
     NodeTuple {
@@ -72,7 +82,7 @@ proptest! {
         // Final state must match the model exactly.
         prop_assert_eq!(rel.len(), model.len());
         let mut seen = HashMap::new();
-        rel.scan(&mut io, |k, t| { seen.insert(k as u8, t.path_cost); }).unwrap();
+        rel.scan(&mut io, |_, k, t| { seen.insert(k as u8, t.path_cost); }).unwrap();
         prop_assert_eq!(seen, model);
     }
 
@@ -97,7 +107,7 @@ proptest! {
         let selected = rel.select_min(&mut io, |_, t| t.path_cost as f64).unwrap();
         match selected {
             None => prop_assert!(model.is_empty()),
-            Some((_, t)) => {
+            Some((_, _, t)) => {
                 let min = model.values().cloned().fold(f32::INFINITY, f32::min);
                 prop_assert_eq!(t.path_cost, min);
             }
@@ -149,10 +159,7 @@ fn buffer_pool_never_increases_cost_and_never_changes_answers() {
     let (s, d) = grid.query_pair(atis::QueryKind::Diagonal);
     let cold = Database::open(grid.graph()).unwrap();
     for capacity in [1usize, 4, 16, 256] {
-        let warm = Database::open(grid.graph())
-            .unwrap()
-            .with_buffer_pool(capacity)
-            .unwrap();
+        let warm = Database::open_with_profile(grid.graph(), pool_only(capacity)).unwrap();
         for alg in Algorithm::TABLE {
             let c = cold.run(alg, s, d).unwrap();
             let w = warm.run(alg, s, d).unwrap();
@@ -180,10 +187,7 @@ fn bigger_buffer_pools_absorb_more_reads() {
     let (s, d) = grid.query_pair(atis::QueryKind::Diagonal);
     let mut previous = u64::MAX;
     for capacity in [1usize, 8, 64] {
-        let db = Database::open(grid.graph())
-            .unwrap()
-            .with_buffer_pool(capacity)
-            .unwrap();
+        let db = Database::open_with_profile(grid.graph(), pool_only(capacity)).unwrap();
         let t = db.run(Algorithm::Dijkstra, s, d).unwrap();
         assert!(
             t.io.block_reads <= previous,
