@@ -179,8 +179,9 @@ fi
 #    crate's branch starts at `├── <dir>/  atis-<crate>`. Every `*.rs` a
 #    branch names must exist under that crate's src/ (a leading `src/`
 #    is the crate's own), and — because that is where modules come and go
-#    — every file under crates/algorithms/src/ and crates/storage/src/
-#    (recursively) other than lib.rs must be named in its crate's branch.
+#    — every file under crates/algorithms/src/, crates/costmodel/src/,
+#    crates/obs/src/ and crates/storage/src/ (recursively) other than
+#    lib.rs must be named in its crate's branch.
 if [ -f DESIGN.md ]; then
     named=$(awk '
         /^```/ { fenced = !fenced; next }
@@ -215,7 +216,7 @@ if [ -f DESIGN.md ]; then
             exit 1
         fi
     done || fail=1
-    for src in $(find crates/algorithms/src crates/storage/src -name '*.rs' | sort); do
+    for src in $(find crates/algorithms/src crates/costmodel/src crates/obs/src crates/storage/src -name '*.rs' | sort); do
         crate=$(echo "$src" | cut -d/ -f2)
         file=$(basename "$src")
         [ "$file" = lib.rs ] && continue

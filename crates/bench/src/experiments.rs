@@ -11,10 +11,13 @@
 //! [`PAPER_SEED`]).
 
 use crate::table::Table;
-use atis_algorithms::{memory, AStarVersion, Algorithm, Database, Estimator, FrontierKind};
+use atis_algorithms::{
+    memory, AStarVersion, Algorithm, Database, Estimator, FrontierKind, RunTrace,
+};
 use atis_core::render_map;
-use atis_costmodel::predict;
+use atis_costmodel::{Model, ModelParams, RelationFrontierModel};
 use atis_graph::{CostModel, Grid, Minneapolis, NamedPair, NodeId, QueryKind};
+use atis_obs::ModelReport;
 use atis_storage::{CostParams, JoinPolicy, JoinStrategy, StorageProfile};
 use std::fmt;
 use std::time::Instant;
@@ -86,7 +89,7 @@ fn fmt_cost(c: f64) -> String {
 /// workload.
 pub fn table_4b_comparison() -> ExperimentOutput {
     // Algebraic predictions from the paper's own iteration counts.
-    let ours = predict::table_4b();
+    let ours = atis_costmodel::table_4b();
     let mut model = Table::new(vec![
         "Algorithm / Path",
         "Horizontal",
@@ -96,9 +99,9 @@ pub fn table_4b_comparison() -> ExperimentOutput {
     for (label, cells) in &ours {
         model.push_row(vec![
             label.to_string(),
-            fmt_cost(cells[0].cost),
-            fmt_cost(cells[1].cost),
-            fmt_cost(cells[2].cost),
+            fmt_cost(cells[0]),
+            fmt_cost(cells[1]),
+            fmt_cost(cells[2]),
         ]);
     }
     let mut paper = Table::new(vec![
@@ -107,7 +110,7 @@ pub fn table_4b_comparison() -> ExperimentOutput {
         "Semi-Diagonal",
         "Diagonal",
     ]);
-    for (label, cells) in predict::PAPER_TABLE_4B {
+    for (label, cells) in atis_costmodel::PAPER_TABLE_4B {
         paper.push_row(vec![
             label.to_string(),
             fmt_cost(cells[0]),
@@ -776,83 +779,57 @@ pub fn ablation_allpairs() -> ExperimentOutput {
     }
 }
 
+/// A run's model-vs-measured report on the 30×30 grid: Table 2 for the
+/// iterative algorithm, Table 3 for the best-first ones, priced at the
+/// database's own join policy.
+fn grid30_report(db: &Database, alg: Algorithm, t: &RunTrace) -> ModelReport {
+    let mp = ModelParams::for_grid(30);
+    let model = match alg {
+        Algorithm::Iterative => Model::table_2(&mp, db.join_policy(), mp.avg_current(t.iterations)),
+        _ => Model::table_3(&mp, db.join_policy()),
+    };
+    ModelReport::new(&t.algorithm, t.iterations, &t.steps, &model, 0.10)
+}
+
 /// Step-by-step validation of the cost models: the metered engine's
-/// per-step I/O (init / select / join / update / bookkeeping) beside the
-/// algebraic Tables 2–3 predictions, per step.
+/// per-part I/O (init / select / join / update / bookkeeping) beside the
+/// algebraic Tables 2–3 predictions, per part — the rows of the two runs'
+/// [`model_vs_measured`] reports side by side.
 pub fn step_breakdown() -> ExperimentOutput {
-    use atis_costmodel::{BestFirstModel, IterativeModel, ModelParams};
     let (grid, db) = grid_db(30, CostModel::TWENTY_PERCENT);
     let (s, d) = grid.query_pair(QueryKind::Diagonal);
-    let params = CostParams::default();
-    let mp = ModelParams::for_grid(30);
+    let [dij, it] = [Algorithm::Dijkstra, Algorithm::Iterative].map(|alg| {
+        let t = db.run(alg, s, d).expect("valid endpoints");
+        grid30_report(&db, alg, &t)
+    });
 
     let mut t = Table::new(vec![
-        "Step",
+        "Step (Dijkstra / Iterative)",
         "Dijkstra measured",
         "Dijkstra algebraic",
         "Iterative measured",
         "Iterative algebraic",
     ]);
-    let dij = db.run(Algorithm::Dijkstra, s, d).expect("valid endpoints");
-    let it = db.run(Algorithm::Iterative, s, d).expect("valid endpoints");
-    let bf_model = BestFirstModel::new(mp);
-    let it_model = IterativeModel::new(mp);
-    let di = dij.iterations as f64;
-    let ii = it.iterations as f64;
-    let avg_current = mp.r_tuples as f64 / ii;
-
-    let rows: [(&str, f64, f64, f64, f64); 5] = [
-        (
-            "init (C1-C4)",
-            dij.steps.init.cost(&params),
-            bf_model.init_cost(),
-            it.steps.init.cost(&params),
-            it_model.init_cost(),
-        ),
-        (
-            "select / fetch (C5)",
-            dij.steps.select.cost(&params),
-            di * bf_model.select_cost(),
-            it.steps.select.cost(&params),
-            ii * it_model.select_cost(),
-        ),
-        (
-            "join (C6)",
-            dij.steps.join.cost(&params),
-            di * bf_model.join_step_cost(),
-            it.steps.join.cost(&params),
-            ii * it_model.join_step_cost(avg_current),
-        ),
-        (
-            "update (C7 / mark+relax)",
-            dij.steps.update.cost(&params),
-            di * bf_model.update_step_cost(),
-            it.steps.update.cost(&params),
-            ii * it_model.update_step_cost(),
-        ),
-        (
-            "bookkeeping (C8)",
-            dij.steps.bookkeeping.cost(&params),
-            0.0,
-            it.steps.bookkeeping.cost(&params),
-            ii * it_model.count_cost(),
-        ),
-    ];
-    for (label, dm, da, im, ia) in rows {
+    for (a, b) in dij.rows.iter().zip(&it.rows) {
+        let label = if a.step == b.step {
+            a.step.clone()
+        } else {
+            format!("{} / {}", a.step, b.step)
+        };
         t.push_row(vec![
-            label.to_string(),
-            fmt_cost(dm),
-            fmt_cost(da),
-            fmt_cost(im),
-            fmt_cost(ia),
+            label,
+            fmt_cost(a.measured),
+            fmt_cost(a.predicted),
+            fmt_cost(b.measured),
+            fmt_cost(b.predicted),
         ]);
     }
     t.push_row(vec![
         "TOTAL".to_string(),
-        fmt_cost(dij.cost_units(&params)),
-        fmt_cost(bf_model.total(dij.iterations)),
-        fmt_cost(it.cost_units(&params)),
-        fmt_cost(it_model.total(it.iterations)),
+        fmt_cost(dij.measured_total),
+        fmt_cost(dij.predicted_total),
+        fmt_cost(it.measured_total),
+        fmt_cost(it.predicted_total),
     ]);
     ExperimentOutput {
         id: "Validation: per-step cost breakdown".into(),
@@ -870,32 +847,21 @@ pub fn step_breakdown() -> ExperimentOutput {
 /// algebra prices with simplifications; the verdict that matters for the
 /// paper's claim is the TOTAL row).
 pub fn model_vs_measured() -> ExperimentOutput {
-    use atis_costmodel::ModelParams;
-    use atis_obs::{best_first_report, iterative_report};
     let (grid, db) = grid_db(30, CostModel::TWENTY_PERCENT);
     let (s, d) = grid.query_pair(QueryKind::Diagonal);
-    let mp = ModelParams::for_grid(30);
-    let tolerance = 0.10;
-
-    let mut sections = Vec::new();
-    for alg in [
+    let sections = [
         Algorithm::Dijkstra,
         Algorithm::AStar(AStarVersion::V2),
         Algorithm::AStar(AStarVersion::V3),
-    ] {
+        Algorithm::Iterative,
+    ]
+    .into_iter()
+    .map(|alg| {
         let t = db.run(alg, s, d).expect("valid endpoints");
-        let report = best_first_report(&t.algorithm, t.iterations, &t.steps, mp, tolerance);
-        sections.push((
-            t.algorithm.clone(),
-            format!("```text\n{}```", report.render()),
-        ));
-    }
-    let t = db.run(Algorithm::Iterative, s, d).expect("valid endpoints");
-    let report = iterative_report(&t.algorithm, t.iterations, &t.steps, mp, tolerance);
-    sections.push((
-        t.algorithm.clone(),
-        format!("```text\n{}```", report.render()),
-    ));
+        let report = grid30_report(&db, alg, &t);
+        (t.algorithm, format!("```text\n{}```", report.render()))
+    })
+    .collect();
 
     ExperimentOutput {
         id: "Validation: obs model-vs-measured reports".into(),
@@ -910,7 +876,6 @@ pub fn model_vs_measured() -> ExperimentOutput {
 /// this repository derives (the paper never modelled v1; see deviation
 /// D4 in EXPERIMENTS.md).
 pub fn validation_version_models() -> ExperimentOutput {
-    use atis_costmodel::{BestFirstModel, ModelParams, RelationFrontierModel};
     let mut t = Table::new(vec![
         "Version / Grid",
         "Iterations",
@@ -927,8 +892,10 @@ pub fn validation_version_models() -> ExperimentOutput {
             let trace = db.run(Algorithm::AStar(v), s, d).expect("valid endpoints");
             let measured = trace.cost_units(&params);
             let predicted = match v {
-                AStarVersion::V1 => RelationFrontierModel::new(mp).total(trace.iterations),
-                _ => BestFirstModel::new(mp).total(trace.iterations),
+                AStarVersion::V1 => {
+                    RelationFrontierModel::new(mp, db.join_policy()).total(trace.iterations)
+                }
+                _ => Model::table_3(&mp, db.join_policy()).total(trace.iterations),
             };
             t.push_row(vec![
                 format!("{} @ {k}x{k}", v.label()),

@@ -6,8 +6,8 @@
 //! and transfer parameters, and scales them into `CostParams`. A
 //! 1993-class drive reproduces the paper's read/write *ratio*; swapping in
 //! a modern SSD shows which conclusions were device-dependent (the
-//! `sensitivity` experiment re-prices the same metered runs under
-//! different devices — no re-execution needed, because [`crate::predict`]
+//! `experiments devices` run re-prices the same metered runs under
+//! different devices — no re-execution needed, because [`crate::model`]
 //! and `IoStats::cost` are parametric in the unit costs).
 
 use atis_storage::CostParams;

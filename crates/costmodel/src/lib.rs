@@ -12,17 +12,15 @@
 //!
 //! * [`params`] — [`params::ModelParams`]: Table 4A plus the derived
 //!   blocking factors and block counts of Table 1.
-//! * [`join_cost`] — the algebraic `F(B1, B2, B3)` over the four join
-//!   strategies.
-//! * [`iterative_model`] — Table 2's steps `C1..C8`.
-//! * [`dijkstra_astar_model`] — Table 3's per-iteration steps for Dijkstra
-//!   and A\* (version 3).
-//! * [`estimator_model`] — predicted expansion counts, frontier-size and
-//!   I/O curves as a function of estimator *tightness* (the v1–v4
-//!   comparison, including the landmark estimator of A\* version 4).
-//! * [`predict`] — end-to-end prediction from an iteration count, the
-//!   Table 4B reproduction, and validation helpers comparing predictions
-//!   against the physically metered runs of `atis-algorithms`.
+//! * [`model`] — Tables 2 and 3 as one step table: a [`Model`] is a list
+//!   of steps `C1..C8`, each tagged with the [`Part`] of a run's metered
+//!   I/O it is charged to and priced at the run's own
+//!   `atis_storage::JoinPolicy` (the join `F(B1, B2, B3)` is
+//!   `JoinPolicy::choose`, the engine's own chooser); plus the Table 4B
+//!   reproduction from Table 6's iteration counts.
+//! * [`relation_frontier_model`] — the A\* version-1 model the paper
+//!   never derives (its frontier scan grows with the iteration number).
+//! * [`device`] — where Table 4A's unit costs come from.
 //!
 //! The workspace's own validation inverts the paper's: our *physical*
 //! engine meters actual block I/O, and tests assert the algebraic model
@@ -49,22 +47,11 @@
 #![warn(clippy::iter_over_hash_type)]
 
 pub mod device;
-pub mod dijkstra_astar_model;
-pub mod estimator_model;
-pub mod iterative_model;
-pub mod join_cost;
+pub mod model;
 pub mod params;
-pub mod predict;
 pub mod relation_frontier_model;
 
 pub use device::DiskModel;
-pub use dijkstra_astar_model::{BestFirstModel, ModelStep};
-pub use estimator_model::{
-    alt_tightness, estimator_curve, CurvePoint, EstimatorModel, FRONTIER_SPREAD,
-    TIGHTNESS_EUCLIDEAN, TIGHTNESS_MANHATTAN, TIGHTNESS_ZERO,
-};
-pub use iterative_model::IterativeModel;
-pub use join_cost::{algebraic_join_cost, cheapest_join};
+pub use model::{table_4b, Model, Part, Step, PAPER_TABLE_4B};
 pub use params::ModelParams;
-pub use predict::{predict_cost, table_4b, AlgorithmKind, Prediction};
 pub use relation_frontier_model::RelationFrontierModel;

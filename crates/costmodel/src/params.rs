@@ -97,6 +97,13 @@ impl ModelParams {
     pub fn b_join(&self, join_tuples: f64) -> usize {
         (join_tuples.ceil() as usize).div_ceil(self.bf_rs()).max(1)
     }
+
+    /// The paper's no-backtracking estimate of the average current set of
+    /// an `iterations`-round iterative run: `|R| / L` ("if there is no
+    /// backtracking at all").
+    pub fn avg_current(&self, iterations: u64) -> f64 {
+        self.r_tuples as f64 / iterations.max(1) as f64
+    }
 }
 
 #[cfg(test)]

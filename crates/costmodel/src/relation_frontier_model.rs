@@ -20,34 +20,30 @@
 //! The frontier heap tombstones deletions, so its block count grows with
 //! *total appends*, not live size: `B_f(i) = ⌈(1 + new·i) / Bf_r⌉`.
 
-use crate::join_cost;
 use crate::params::ModelParams;
-use atis_storage::JoinStrategy;
+use atis_storage::JoinPolicy;
 
-/// Tunable workload shape for the version-1 model.
+/// Average nodes newly discovered per expansion. On a fresh grid interior
+/// this is ≈ 2 (of 4 neighbours, ~2 are unseen); it decays as the
+/// explored region closes, so ≈ 1 fits whole-run averages.
+const NEW_PER_EXPANSION: f64 = 1.0;
+
+/// Average already-known neighbours whose cost improves per expansion.
+const IMPROVED_PER_EXPANSION: f64 = 0.5;
+
+/// The version-1 model over a parameter set, pricing its adjacency join
+/// under a [`JoinPolicy`].
 #[derive(Debug, Clone, Copy)]
 pub struct RelationFrontierModel {
     p: ModelParams,
-    /// Average nodes newly discovered per expansion. On a fresh grid
-    /// interior this is ≈ 2 (of 4 neighbours, ~2 are unseen); it decays as
-    /// the explored region closes, so ≈ 1 fits whole-run averages.
-    pub new_per_expansion: f64,
-    /// Average already-known neighbours whose cost improves per expansion.
-    pub improved_per_expansion: f64,
-    /// Join strategy for the adjacency fetch (`None` = optimizer).
-    pub forced_join: Option<JoinStrategy>,
+    policy: JoinPolicy,
 }
 
 impl RelationFrontierModel {
-    /// Builds the model with grid-calibrated workload shape and the
-    /// paper's forced nested-loop join.
-    pub fn new(p: ModelParams) -> Self {
-        RelationFrontierModel {
-            p,
-            new_per_expansion: 1.0,
-            improved_per_expansion: 0.5,
-            forced_join: Some(JoinStrategy::NestedLoop),
-        }
+    /// Builds the model for runs under `policy` (the paper's Table 4B
+    /// forces nested-loop, [`JoinPolicy::default`]).
+    pub fn new(p: ModelParams, policy: JoinPolicy) -> Self {
+        RelationFrontierModel { p, policy }
     }
 
     /// Initialisation: two relation creations plus the two APPENDs of the
@@ -59,30 +55,22 @@ impl RelationFrontierModel {
         2.0 * p.io.t_create + 2.0 * append
     }
 
-    /// Frontier blocks at iteration `i` (tombstones included).
-    fn frontier_blocks(&self, i: f64) -> f64 {
-        ((1.0 + self.new_per_expansion * i) / self.p.bf_r() as f64)
-            .ceil()
-            .max(1.0)
-    }
-
     /// Cost of iteration `i` (1-based).
     pub fn iteration_cost(&self, i: u64) -> f64 {
         let p = &self.p;
         let il = p.io.isam_levels as f64;
         let b_join = p.b_join(p.avg_degree);
-        let select = self.frontier_blocks(i as f64) * p.io.t_read;
+        // `B_f(i)`: frontier blocks, tombstones included.
+        let b_f = ((1.0 + NEW_PER_EXPANSION * i as f64) / p.bf_r() as f64).ceil();
+        let select = b_f.max(1.0) * p.io.t_read;
         let delete = (1.0 + il) * p.io.t_update + il * p.io.t_read;
         let close = il * p.io.t_read + p.io.t_update;
-        let join = match self.forced_join {
-            Some(s) => join_cost::algebraic_join_cost(s, 1, p.b_s(), b_join, 1.0, p),
-            None => join_cost::cheapest_join(1, p.b_s(), b_join, 1.0, p).1,
-        };
+        let join = self.policy.choose(1, 1.0, p.b_s(), b_join, &p.io).1;
         let append = p.io.t_write + il * p.io.t_update;
         let probe = il * p.io.t_read;
         let relax = p.avg_degree * probe
-            + self.new_per_expansion * (2.0 * append + probe + p.io.t_read)
-            + self.improved_per_expansion * (2.0 * (il * p.io.t_read + p.io.t_update));
+            + NEW_PER_EXPANSION * (2.0 * append + probe + p.io.t_read)
+            + IMPROVED_PER_EXPANSION * (2.0 * (il * p.io.t_read + p.io.t_update));
         select + delete + close + join + relax
     }
 
@@ -98,29 +86,33 @@ impl RelationFrontierModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra_astar_model::BestFirstModel;
+    use crate::model::Model;
+
+    fn table_3(p: &ModelParams) -> Model {
+        Model::table_3(p, JoinPolicy::default())
+    }
 
     #[test]
     fn init_is_cheaper_than_the_bulk_load() {
         let p = ModelParams::table_4a();
-        let v1 = RelationFrontierModel::new(p);
-        let v2 = BestFirstModel::new(p);
+        let v1 = RelationFrontierModel::new(p, JoinPolicy::default());
+        let v2 = table_3(&p);
         assert!(
-            v1.init_cost() < v2.init_cost(),
+            v1.init_cost() < v2.total(0),
             "v1 init {} must undercut v2 init {}",
             v1.init_cost(),
-            v2.init_cost()
+            v2.total(0)
         );
     }
 
     #[test]
     fn per_iteration_is_more_expensive_than_status_frontier() {
         let p = ModelParams::table_4a();
-        let v1 = RelationFrontierModel::new(p);
-        let v2 = BestFirstModel::new(p);
+        let v1 = RelationFrontierModel::new(p, JoinPolicy::default());
+        let v2 = table_3(&p);
         // Even at iteration 1 (smallest frontier), APPEND/DELETE overhead
         // makes v1's step pricier.
-        assert!(v1.iteration_cost(1) > v2.iteration_cost());
+        assert!(v1.iteration_cost(1) > v2.total(1) - v2.total(0));
     }
 
     #[test]
@@ -130,8 +122,8 @@ mod tests {
         // measured v1 win at ~38 iterations cannot be reproduced from its
         // own cost model.
         let p = ModelParams::table_4a();
-        let v1 = RelationFrontierModel::new(p);
-        let v2 = BestFirstModel::new(p);
+        let v1 = RelationFrontierModel::new(p, JoinPolicy::default());
+        let v2 = table_3(&p);
         let crossover = (1..=1000u64)
             .find(|&t| v1.total(t) > v2.total(t))
             .expect("v1 must fall behind");
@@ -151,7 +143,7 @@ mod tests {
             let (s, d) = grid.query_pair(QueryKind::Diagonal);
             let t = db.run(Algorithm::AStar(AStarVersion::V1), s, d).unwrap();
             let measured = t.cost_units(&CostParams::default());
-            let model = RelationFrontierModel::new(ModelParams::for_grid(k));
+            let model = RelationFrontierModel::new(ModelParams::for_grid(k), db.join_policy());
             let predicted = model.total(t.iterations);
             let err = (predicted - measured).abs() / measured;
             assert!(
@@ -164,9 +156,8 @@ mod tests {
 
     #[test]
     fn frontier_growth_raises_late_iterations() {
-        let p = ModelParams::table_4a();
-        let mut m = RelationFrontierModel::new(p);
-        m.new_per_expansion = 2.0;
+        // The tombstoned frontier grows by one block every `Bf_r` appends.
+        let m = RelationFrontierModel::new(ModelParams::table_4a(), JoinPolicy::default());
         assert!(m.iteration_cost(800) > m.iteration_cost(1));
     }
 }

@@ -68,8 +68,5 @@ mod sink;
 
 pub use event::{IterationEvent, IterationPhase, ServeEvent, TraceEvent};
 pub use metrics::{Histogram, MetricsRegistry, SharedRegistry, DEFAULT_BUCKETS};
-pub use report::{
-    best_first_report, estimator_report, iterative_report, EstimatorObservation, EstimatorReport,
-    EstimatorRow, ModelReport, ReportRow, StepIo,
-};
+pub use report::{ModelReport, ReportRow, StepIo};
 pub use sink::{JsonlSink, RingSink, SharedSink, TraceSink};

@@ -92,7 +92,7 @@ impl Default for JoinPolicy {
 /// holding `outer_tuples` tuples (a fractional expectation when the cost
 /// model prices a run) against `b_inner` inner blocks producing `b_join`
 /// result blocks. This is `F(B1, B2, B3)` for one strategy, the one
-/// definition both the chooser and `atis-costmodel` price with.
+/// definition [`JoinPolicy::choose`] prices with.
 pub fn estimate_cost(
     strategy: JoinStrategy,
     b_outer: usize,
@@ -119,24 +119,37 @@ pub fn estimate_cost(
     }
 }
 
-/// The chooser behind `F(B1, B2, B3)`: the cheapest strategy for the given
-/// shape, by [`estimate_cost`], and its cost. Ties resolve in
-/// [`JoinStrategy::ALL`] order.
-pub fn choose_strategy(
-    b_outer: usize,
-    outer_tuples: f64,
-    b_inner: usize,
-    b_join: usize,
-    params: &CostParams,
-) -> (JoinStrategy, f64) {
-    let mut best = (JoinStrategy::ALL[0], f64::INFINITY);
-    for s in JoinStrategy::ALL {
-        let c = estimate_cost(s, b_outer, outer_tuples, b_inner, b_join, params);
-        if c < best.1 {
-            best = (s, c);
+impl JoinPolicy {
+    /// The strategy this policy runs for a join of `b_outer` outer blocks
+    /// holding `outer_tuples` tuples against `b_inner` inner blocks
+    /// producing `b_join` result blocks, and its [`estimate_cost`]: the
+    /// forced strategy, or the cheapest of the four (ties resolve in
+    /// [`JoinStrategy::ALL`] order). This is `F(B1, B2, B3)` and the one
+    /// place a policy becomes a strategy: [`join_adjacency`] runs its pick
+    /// and `atis-costmodel` prices with it.
+    pub fn choose(
+        self,
+        b_outer: usize,
+        outer_tuples: f64,
+        b_inner: usize,
+        b_join: usize,
+        params: &CostParams,
+    ) -> (JoinStrategy, f64) {
+        let cost = |s| estimate_cost(s, b_outer, outer_tuples, b_inner, b_join, params);
+        match self {
+            JoinPolicy::Force(s) => (s, cost(s)),
+            JoinPolicy::CostBased => {
+                let mut best = (JoinStrategy::ALL[0], f64::INFINITY);
+                for s in JoinStrategy::ALL {
+                    let c = cost(s);
+                    if c < best.1 {
+                        best = (s, c);
+                    }
+                }
+                best
+            }
         }
     }
-    best
 }
 
 /// Joins the current node set with `S` on begin-node, returning
@@ -163,20 +176,13 @@ pub fn join_adjacency(
     let est_result = ((current.len() as f64 * edges.average_degree()).ceil() as usize).max(1);
     let est_b_join = est_result.div_ceil(JOIN_BLOCKING).max(1);
     let b_outer = current.len().div_ceil(OUTER_BLOCKING).max(1);
-    let strategy = match policy {
-        JoinPolicy::Force(s) => s,
-        JoinPolicy::CostBased => {
-            let outer_tuples = current.len() as f64;
-            choose_strategy(
-                b_outer,
-                outer_tuples,
-                edges.block_count(),
-                est_b_join,
-                params,
-            )
-            .0
-        }
-    };
+    let (strategy, _) = policy.choose(
+        b_outer,
+        current.len() as f64,
+        edges.block_count(),
+        est_b_join,
+        params,
+    );
 
     // Canonical result: adjacency of each current node, input order. All
     // four strategies produce this same relation.
@@ -330,10 +336,31 @@ mod tests {
 
     #[test]
     fn chooser_picks_primary_key_for_single_current_node() {
-        // The shape of Dijkstra/A* iterations: |C| = 1 against a large S.
+        // The shape of Dijkstra/A* iterations: |C| = 1 against a large S:
+        // one bucket probe plus the result write.
         let p = CostParams::default();
-        let (s, _) = choose_strategy(1, 1.0, 28, 1, &p);
+        let (s, c) = JoinPolicy::CostBased.choose(1, 1.0, 28, 1, &p);
         assert_eq!(s, JoinStrategy::PrimaryKey);
+        assert!((c - (0.035 + 0.05)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_forced_policy_prices_its_own_strategy() {
+        // F(1, 28, 1) under the paper's forced nested loop (Section 4.3):
+        // 1*0.035 + 28*0.035 + 1*0.05 = 1.065.
+        let p = CostParams::default();
+        let (s, c) = JoinPolicy::Force(JoinStrategy::NestedLoop).choose(1, 0.0, 28, 1, &p);
+        assert_eq!(s, JoinStrategy::NestedLoop);
+        assert!((c - 1.065).abs() < 1e-9);
+    }
+
+    #[test]
+    fn chooser_prefers_hash_for_bulk_joins() {
+        // 1000 outer tuples in 4 blocks vs 28 inner blocks: primary key
+        // would cost 1000 reads; hash costs 32.
+        let p = CostParams::default();
+        let (s, _) = JoinPolicy::CostBased.choose(4, 1000.0, 28, 2, &p);
+        assert_eq!(s, JoinStrategy::Hash);
     }
 
     #[test]
@@ -341,7 +368,7 @@ mod tests {
         let p = CostParams::default();
         // 1000 outer tuples (4 blocks) x 100 inner blocks: nested loop is
         // 4 + 400 reads; hash is 104.
-        let (s, _) = choose_strategy(4, 1000.0, 100, 10, &p);
+        let (s, _) = JoinPolicy::CostBased.choose(4, 1000.0, 100, 10, &p);
         assert_ne!(s, JoinStrategy::NestedLoop);
     }
 
@@ -355,6 +382,24 @@ mod tests {
         assert!((h - (29.0 * 0.035 + 0.05)).abs() < 1e-12);
         let pk = estimate_cost(JoinStrategy::PrimaryKey, 1, 200.0, 28, 1, &p);
         assert!((pk - (200.0 * 0.035 + 0.05)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sort_merge_estimate_reduces_to_merge_for_single_blocks() {
+        // log2(1) = 0: just (1+1) reads + 1 write.
+        let p = CostParams::default();
+        let c = estimate_cost(JoinStrategy::SortMerge, 1, 5.0, 1, 1, &p);
+        assert!((c - (2.0 * 0.035 + 0.05)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn estimates_scale_monotonically_with_inner_size() {
+        let p = CostParams::default();
+        for s in JoinStrategy::ALL {
+            let small = estimate_cost(s, 2, 300.0, 4, 1, &p);
+            let large = estimate_cost(s, 2, 300.0, 64, 1, &p);
+            assert!(large >= small, "{} not monotone in B2", s.label());
+        }
     }
 
     #[test]

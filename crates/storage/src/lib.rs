@@ -87,7 +87,7 @@ pub use fault::{FaultEvent, FaultPlan, FaultState, SharedFaults, STALL_QUANTUM};
 pub use heapfile::HeapFile;
 pub use io::{CostParams, IoStats};
 pub use isam::IsamIndex;
-pub use join::{choose_strategy, join_adjacency, JoinPolicy, JoinStrategy};
+pub use join::{join_adjacency, JoinPolicy, JoinStrategy};
 pub use profile::StorageProfile;
 pub use relations::{road_class_from_code, EdgeRelation, NodeRelation, NodeStatus};
 pub use temp::{MultiRelation, TempRelation};

@@ -10,8 +10,8 @@
 //! ```
 
 use atis::algorithms::{AStarVersion, Algorithm, Database};
-use atis::costmodel::ModelParams;
-use atis::obs::{best_first_report, JsonlSink, MetricsRegistry};
+use atis::costmodel::{Model, ModelParams};
+use atis::obs::{JsonlSink, MetricsRegistry, ModelReport};
 use atis::{CostModel, Grid, QueryKind};
 use std::sync::Arc;
 
@@ -28,11 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = db.run(Algorithm::AStar(AStarVersion::V2), start, dest)?;
     sink.flush()?;
 
-    let report = best_first_report(
+    let model = Model::table_3(&ModelParams::for_grid(8), db.join_policy());
+    let report = ModelReport::new(
         &trace.algorithm,
         trace.iterations,
         &trace.steps,
-        ModelParams::for_grid(8),
+        &model,
         0.10,
     );
     eprintln!("{}", report.render());

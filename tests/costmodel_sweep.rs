@@ -4,9 +4,7 @@
 //! across grid sizes, query kinds and algorithms.
 
 use atis::algorithms::{AStarVersion, Algorithm, Database};
-use atis::costmodel::{
-    predict, BestFirstModel, IterativeModel, ModelParams, RelationFrontierModel,
-};
+use atis::costmodel::{Model, ModelParams, RelationFrontierModel};
 use atis::storage::CostParams;
 use atis::{CostModel, Grid, QueryKind};
 
@@ -29,9 +27,7 @@ fn best_first_sweep() {
                 if measured < 150.0 {
                     continue;
                 }
-                let predicted =
-                    predict::predict_cost(predict::AlgorithmKind::BestFirst, t.iterations, params)
-                        .cost;
+                let predicted = Model::table_3(&params, db.join_policy()).total(t.iterations);
                 let err = (predicted - measured).abs() / measured;
                 assert!(
                     err < 0.15,
@@ -54,7 +50,8 @@ fn iterative_sweep() {
         let (s, d) = grid.query_pair(QueryKind::Diagonal);
         let t = db.run(Algorithm::Iterative, s, d).unwrap();
         let measured = t.cost_units(&cost_params);
-        let model = IterativeModel::new(ModelParams::for_grid(k));
+        let params = ModelParams::for_grid(k);
+        let model = Model::table_2(&params, db.join_policy(), params.avg_current(t.iterations));
         let predicted = model.total(t.iterations);
         let err = (predicted - measured).abs() / measured;
         assert!(
@@ -76,7 +73,7 @@ fn relation_frontier_sweep() {
         let (s, d) = grid.query_pair(QueryKind::Diagonal);
         let t = db.run(Algorithm::AStar(AStarVersion::V1), s, d).unwrap();
         let measured = t.cost_units(&cost_params);
-        let model = RelationFrontierModel::new(ModelParams::for_grid(k));
+        let model = RelationFrontierModel::new(ModelParams::for_grid(k), db.join_policy());
         let predicted = model.total(t.iterations);
         let err = (predicted - measured).abs() / measured;
         assert!(
@@ -89,8 +86,8 @@ fn relation_frontier_sweep() {
 
 #[test]
 fn optimizer_policy_is_predicted_too() {
-    // With the cost-based join policy the model (optimizer variant) must
-    // still track the engine: both pick primary-key joins for the
+    // With the cost-based join policy the model (priced at that policy)
+    // must still track the engine: both pick primary-key joins for the
     // one-current-node shape.
     use atis::storage::JoinPolicy;
     let cost_params = CostParams::default();
@@ -101,7 +98,7 @@ fn optimizer_policy_is_predicted_too() {
     let (s, d) = grid.query_pair(QueryKind::Diagonal);
     let t = db.run(Algorithm::Dijkstra, s, d).unwrap();
     let measured = t.cost_units(&cost_params);
-    let model = BestFirstModel::new(ModelParams::for_grid(20)).with_optimizer();
+    let model = Model::table_3(&ModelParams::for_grid(20), db.join_policy());
     let predicted = model.total(t.iterations);
     let err = (predicted - measured).abs() / measured;
     assert!(

@@ -5,7 +5,7 @@
 
 use atis::algorithms::{AStarVersion, Algorithm, Database};
 use atis::storage::join::{estimate_cost as estimate, OUTER_BLOCKING};
-use atis::storage::{choose_strategy, CostParams, IoStats, JoinPolicy, JoinStrategy};
+use atis::storage::{CostParams, IoStats, JoinPolicy, JoinStrategy};
 use atis::{CostModel, Grid, Minneapolis, QueryKind};
 
 #[test]
@@ -50,7 +50,7 @@ fn cost_based_chooser_never_loses() {
                 let b_outer = outer_tuples.div_ceil(OUTER_BLOCKING);
                 let tuples = outer_tuples as f64;
                 let (picked, picked_cost) =
-                    choose_strategy(b_outer, tuples, b_inner, b_join, &params);
+                    JoinPolicy::CostBased.choose(b_outer, tuples, b_inner, b_join, &params);
                 for s in JoinStrategy::ALL {
                     let c = estimate(s, b_outer, tuples, b_inner, b_join, &params);
                     assert!(

@@ -4,7 +4,7 @@
 //! documents each band.
 
 use atis::algorithms::{AStarVersion, Algorithm, Database};
-use atis::costmodel::{predict, ModelParams};
+use atis::costmodel::{Model, ModelParams, Part};
 use atis::storage::CostParams;
 use atis::{CostModel, Grid, Minneapolis, QueryKind};
 
@@ -280,17 +280,20 @@ fn table_4b_algebra_matches_physical_engine_within_15_percent() {
     let cost_params = CostParams::default();
     for kind in QueryKind::TABLE {
         let (s, d) = grid.query_pair(kind);
-        for (alg, model_kind) in [
-            (Algorithm::Dijkstra, predict::AlgorithmKind::BestFirst),
-            (
-                Algorithm::AStar(AStarVersion::V3),
-                predict::AlgorithmKind::BestFirst,
-            ),
-            (Algorithm::Iterative, predict::AlgorithmKind::Iterative),
+        for alg in [
+            Algorithm::Dijkstra,
+            Algorithm::AStar(AStarVersion::V3),
+            Algorithm::Iterative,
         ] {
             let t = db.run(alg, s, d).unwrap();
             let measured = t.cost_units(&cost_params);
-            let predicted = predict::predict_cost(model_kind, t.iterations, params).cost;
+            let model = match alg {
+                Algorithm::Iterative => {
+                    Model::table_2(&params, db.join_policy(), params.avg_current(t.iterations))
+                }
+                _ => Model::table_3(&params, db.join_policy()),
+            };
+            let predicted = model.total(t.iterations);
             let err = (predicted - measured).abs() / measured;
             if measured < 150.0 {
                 continue; // short runs: fixed-cost modelling differences dominate
@@ -308,7 +311,6 @@ fn table_4b_algebra_matches_physical_engine_within_15_percent() {
 
 #[test]
 fn step_breakdown_sums_to_total_and_matches_algebra() {
-    use atis::costmodel::{BestFirstModel, IterativeModel};
     let (grid, db) = grid_db(30, CostModel::TWENTY_PERCENT);
     let (s, d) = grid.query_pair(QueryKind::Diagonal);
     let params = CostParams::default();
@@ -329,22 +331,22 @@ fn step_breakdown_sums_to_total_and_matches_algebra() {
 
     // Per-step agreement with Tables 2-3 (select and join are exact up to
     // boundary-degree effects; assert within 2%).
-    let bf = BestFirstModel::new(mp);
-    let di = dij.iterations as f64;
-    let sel_err =
-        (dij.steps.select.cost(&params) - di * bf.select_cost()).abs() / (di * bf.select_cost());
+    let err = |measured: f64, predicted: f64| (measured - predicted).abs() / predicted;
+    let bf = Model::table_3(&mp, db.join_policy());
+    let di = dij.iterations;
+    let sel_err = err(dij.steps.select.cost(&params), bf.part(Part::Select, di));
     assert!(sel_err < 0.02, "select step off by {:.1}%", sel_err * 100.0);
-    let join_err = (dij.steps.join.cost(&params) - di * bf.join_step_cost()).abs()
-        / (di * bf.join_step_cost());
+    let join_err = err(dij.steps.join.cost(&params), bf.part(Part::Join, di));
     assert!(join_err < 0.02, "join step off by {:.1}%", join_err * 100.0);
 
-    let im = IterativeModel::new(mp);
-    let ii = it.iterations as f64;
-    let c5_err =
-        (it.steps.select.cost(&params) - ii * im.select_cost()).abs() / (ii * im.select_cost());
+    let ii = it.iterations;
+    let im = Model::table_2(&mp, db.join_policy(), mp.avg_current(ii));
+    let c5_err = err(it.steps.select.cost(&params), im.part(Part::Select, ii));
     assert!(c5_err < 0.02, "C5 off by {:.1}%", c5_err * 100.0);
-    let c8_err =
-        (it.steps.bookkeeping.cost(&params) - ii * im.count_cost()).abs() / (ii * im.count_cost());
+    let c8_err = err(
+        it.steps.bookkeeping.cost(&params),
+        im.part(Part::Bookkeeping, ii),
+    );
     assert!(c8_err < 0.02, "C8 off by {:.1}%", c8_err * 100.0);
 }
 
@@ -352,12 +354,11 @@ fn step_breakdown_sums_to_total_and_matches_algebra() {
 fn cost_model_generalises_to_the_minneapolis_graph() {
     // ModelParams::for_graph must predict the physical engine on a
     // non-grid network too (long runs; short runs are init-dominated).
-    use atis::costmodel::BestFirstModel;
     let m = Minneapolis::paper();
     let db = Database::open(m.graph()).unwrap();
     let params = ModelParams::for_graph(m.graph());
     let cost_params = CostParams::default();
-    let model = BestFirstModel::new(params);
+    let model = Model::table_3(&params, db.join_policy());
     let (s, d) = m.query_pair(atis::graph::minneapolis::NamedPair::AtoB);
     let t = db.run(Algorithm::Dijkstra, s, d).unwrap();
     let measured = t.cost_units(&cost_params);
