@@ -53,6 +53,22 @@
 //! installed (a worker finishing late against an old snapshot) is
 //! refused.
 //!
+//! ## What a sweep costs
+//!
+//! The sweep walks the live table in place, under the `Entries` lock
+//! every lookup takes: one stamp check per entry, an O(path) on-path scan
+//! per examined entry, promoted entries restamped where they sit, and
+//! O(log capacity) per retirement (the dropped keys are removed and
+//! retired in key order, and the stale tier's eviction victim is the
+//! first element of an `(epoch, key)` index). An entry outside the
+//! touched shards costs its stamp check and nothing else, and nothing is
+//! allocated unless something drops. On hot-10k (1 024 entries, 8
+//! shards, cost increases; 2-CPU Linux container) the sweep's median
+//! fell from 245–298 µs, when every update moved every entry into a
+//! fresh table, to 64–79 µs. A sweep that examines every entry (a
+//! decrease, or a one-shard store) still pays the on-path scan: ≈ 40 µs
+//! per 1 024 entries of 60 hops, measured alone (140 µs as a rebuild).
+//!
 //! Unreachable results are not cached: cost updates cannot change
 //! reachability, but a `None` path has no edges for the rule to inspect,
 //! and misses on unreachable pairs are cheap to recompute.
@@ -81,7 +97,7 @@ use crate::shard::EpochVector;
 use crate::sync::{self, Entries, Level, LockBefore, Locked, Mutex, Unlocked};
 use atis_graph::{NodeId, Path};
 use atis_obs::SharedRegistry;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// A cached answer: the route plus the run statistics it was computed
 /// with (reported back to clients on a hit).
@@ -135,6 +151,9 @@ struct Inner {
     /// computed at — the stale-serve tier. Bounded by the same capacity
     /// as the live map; never counted by `len` / `is_empty`.
     stale: HashMap<(u32, u32), CachedRoute>,
+    /// `(epoch, key)` of every route in `stale`, so the tier's eviction
+    /// victim is the first element.
+    stale_order: BTreeSet<(u64, (u32, u32))>,
     tick: u64,
     /// Highest per-shard version an [`RouteCache::apply_shard_update`]
     /// sweep has installed, indexed by shard; stamped inserts below any
@@ -168,6 +187,7 @@ impl RouteCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 stale: HashMap::new(),
+                stale_order: BTreeSet::new(),
                 tick: 0,
                 latest_versions: Vec::new(),
                 stats: CacheStats::default(),
@@ -344,13 +364,15 @@ impl RouteCache {
     /// installing the post-update vector `epochs`. Returns
     /// `(invalidated, promoted)`.
     ///
-    /// Only entries whose stamp set intersects `shards` are examined —
-    /// after an increase the others cannot use the edge and are not
-    /// visited at all; a decrease bumps every shard, so every entry is.
-    /// An examined entry drops if it is on the edge, if a decrease
-    /// undercuts its total, or if it is stale (more than one version
-    /// behind on a touched shard); otherwise its touched stamps move to
-    /// the new versions.
+    /// Every entry costs one stamp check; only those whose stamp set
+    /// intersects `shards` are examined further — after an increase the
+    /// others cannot use the edge and are left where they are, untouched;
+    /// a decrease bumps every shard, so every entry is examined. An
+    /// examined entry (an O(path) on-path scan) drops if it is on the
+    /// edge, if a decrease undercuts its total, or if it is stale (more
+    /// than one version behind on a touched shard); otherwise its touched
+    /// stamps move to the new versions in place. Dropped entries retire
+    /// into the stale tier in key order, O(log capacity) each.
     pub fn apply_shard_update(
         &self,
         u: NodeId,
@@ -379,15 +401,13 @@ impl RouteCache {
         let decrease = new_cost < old_cost;
         let install = epochs.install();
         let (mut inner, _) = self.lock_entries(level);
-        let mut invalidated = 0u64;
         let mut promoted = 0u64;
-        let swept = std::mem::take(&mut inner.map);
-        let mut retired: Vec<((u32, u32), CachedRoute)> = Vec::new();
+        let mut dropped: Vec<(u32, u32)> = Vec::new();
         #[expect(
             clippy::iter_over_hash_type,
-            reason = "each entry's fate depends on that entry alone, and `retired` is sorted below"
+            reason = "each entry's fate depends on that entry alone, and `dropped` is sorted below"
         )]
-        for (key, mut entry) in swept {
+        for (key, entry) in inner.map.iter_mut() {
             // How far the entry's touched stamps trail this install.
             let behind = entry
                 .stamps
@@ -399,15 +419,13 @@ impl RouteCache {
             // computed against the new costs: the update cannot have
             // changed it. Neither dropped nor rewritten.
             let Some(behind @ 1..) = behind else {
-                inner.map.insert(key, entry);
                 continue;
             };
             let stale = behind > 1;
             let on_path = entry.route.path.hops().any(|(a, b)| a == u && b == v);
             let could_beat = decrease && new_cost < entry.route.path.cost;
             if stale || on_path || could_beat {
-                invalidated += 1;
-                retired.push((key, entry.route));
+                dropped.push(*key);
             } else {
                 for stamp in entry.stamps.iter_mut() {
                     if shards.contains(&stamp.0) {
@@ -416,15 +434,17 @@ impl RouteCache {
                 }
                 entry.route.epoch = entry.route.epoch.max(install);
                 promoted += 1;
-                inner.map.insert(key, entry);
             }
         }
         // `retire` evicts against the tier as it stands, so the tier's
         // content depends on the order: retire in key order, not in the
         // per-instance hash order the sweep visited.
-        retired.sort_unstable_by_key(|&(key, _)| key);
-        for (key, route) in retired {
-            self.retire(&mut inner, key, route);
+        dropped.sort_unstable();
+        let invalidated = dropped.len() as u64;
+        for key in dropped {
+            if let Some(entry) = inner.map.remove(&key) {
+                self.retire(&mut inner, key, entry.route);
+            }
         }
         for &shard in shards {
             let idx = shard as usize;
@@ -447,7 +467,8 @@ impl RouteCache {
 
     /// Moves an invalidated route into the stale tier, keeping the
     /// newest retiree per key and evicting the oldest-epoch entry (ties
-    /// broken by smaller key) when the tier is full.
+    /// broken by smaller key) when the tier is full: the first element
+    /// of `stale_order`, so a retirement costs O(log capacity).
     fn retire(&self, inner: &mut Inner, key: (u32, u32), route: CachedRoute) {
         if let Some(existing) = inner.stale.get(&key) {
             if existing.epoch > route.epoch {
@@ -455,16 +476,17 @@ impl RouteCache {
             }
         }
         if inner.stale.len() >= self.capacity && !inner.stale.contains_key(&key) {
-            let victim = inner
-                .stale
-                .iter()
-                .min_by_key(|(k, r)| (r.epoch, **k))
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
+            if let Some((_, victim)) = inner.stale_order.pop_first() {
                 inner.stale.remove(&victim);
             }
         }
-        inner.stale.insert(key, route);
+        let epoch = route.epoch;
+        // Unindex the replaced retiree before indexing the new one: at the
+        // same epoch both are the same `(epoch, key)`.
+        if let Some(replaced) = inner.stale.insert(key, route) {
+            inner.stale_order.remove(&(replaced.epoch, key));
+        }
+        inner.stale_order.insert((epoch, key));
         inner.stats.retirements += 1;
     }
 
@@ -829,5 +851,296 @@ mod tests {
         assert_eq!(registry.counter("cache_hits_total"), 1);
         assert_eq!(registry.counter("cache_misses_total"), 1);
         assert_eq!(registry.counter("cache_invalidations_total"), 1);
+    }
+
+    /// The sweep and the retirement as they were before the sweep went in
+    /// place and the tier got its eviction index: every update moves each
+    /// entry into a fresh table, and every retirement into a full tier
+    /// scans the tier for its `(epoch, key)` minimum. Slow and obviously
+    /// right; `the_in_place_sweep_matches_the_rebuild_sweep` holds the
+    /// fast pair to it, state for state.
+    impl RouteCache {
+        fn apply_shard_update_by_rebuild(
+            &self,
+            (u, v): (NodeId, NodeId),
+            old_cost: f64,
+            new_cost: f64,
+            shards: &[u32],
+            epochs: &EpochVector,
+        ) -> (u64, u64) {
+            if self.capacity == 0 {
+                return (0, 0);
+            }
+            let decrease = new_cost < old_cost;
+            let install = epochs.install();
+            let level = &mut Level::root();
+            let (mut inner, _) = self.lock_entries(level);
+            let mut invalidated = 0u64;
+            let mut promoted = 0u64;
+            let swept = std::mem::take(&mut inner.map);
+            let mut retired: Vec<((u32, u32), CachedRoute)> = Vec::new();
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "each entry's fate depends on that entry alone, and `retired` is sorted below"
+            )]
+            for (key, mut entry) in swept {
+                let behind = entry
+                    .stamps
+                    .iter()
+                    .filter(|(shard, _)| shards.contains(shard))
+                    .map(|&(shard, version)| epochs.version(shard).saturating_sub(version))
+                    .max();
+                let Some(behind @ 1..) = behind else {
+                    inner.map.insert(key, entry);
+                    continue;
+                };
+                let stale = behind > 1;
+                let on_path = entry.route.path.hops().any(|(a, b)| a == u && b == v);
+                let could_beat = decrease && new_cost < entry.route.path.cost;
+                if stale || on_path || could_beat {
+                    invalidated += 1;
+                    retired.push((key, entry.route));
+                } else {
+                    for stamp in entry.stamps.iter_mut() {
+                        if shards.contains(&stamp.0) {
+                            stamp.1 = epochs.version(stamp.0);
+                        }
+                    }
+                    entry.route.epoch = entry.route.epoch.max(install);
+                    promoted += 1;
+                    inner.map.insert(key, entry);
+                }
+            }
+            retired.sort_unstable_by_key(|&(key, _)| key);
+            for (key, route) in retired {
+                self.retire_by_scan(&mut inner, key, route);
+            }
+            for &shard in shards {
+                let idx = shard as usize;
+                if inner.latest_versions.len() <= idx {
+                    inner.latest_versions.resize(idx + 1, 0);
+                }
+                let version = epochs.version(shard);
+                if let Some(slot) = inner.latest_versions.get_mut(idx) {
+                    if *slot < version {
+                        *slot = version;
+                    }
+                }
+            }
+            inner.stats.invalidations += invalidated;
+            inner.stats.promotions += promoted;
+            drop(inner);
+            self.bump("cache_invalidations_total", invalidated);
+            (invalidated, promoted)
+        }
+
+        fn retire_by_scan(&self, inner: &mut Inner, key: (u32, u32), route: CachedRoute) {
+            if let Some(existing) = inner.stale.get(&key) {
+                if existing.epoch > route.epoch {
+                    return;
+                }
+            }
+            if inner.stale.len() >= self.capacity && !inner.stale.contains_key(&key) {
+                let victim = inner
+                    .stale
+                    .iter()
+                    .min_by_key(|(k, r)| (r.epoch, **k))
+                    .map(|(k, _)| *k);
+                if let Some(victim) = victim {
+                    inner.stale.remove(&victim);
+                }
+            }
+            inner.stale.insert(key, route);
+            inner.stats.retirements += 1;
+        }
+    }
+
+    type Live = Vec<((u32, u32), CachedRoute, Vec<(u32, u64)>, u64)>;
+    type Tier = Vec<((u32, u32), CachedRoute)>;
+
+    /// Everything a cache holds, in key order: the live entries (route,
+    /// stamps, `last_used`), the stale tier, the swept versions and the
+    /// statistics.
+    fn contents(cache: &RouteCache) -> (Live, Tier, Vec<u64>, CacheStats) {
+        let level = &mut Level::root();
+        let (inner, _) = cache.lock_entries(level);
+        let mut live: Live = inner
+            .map
+            .iter()
+            .map(|(&key, e)| (key, e.route.clone(), e.stamps.clone(), e.last_used))
+            .collect();
+        live.sort_unstable_by_key(|entry| entry.0);
+        let mut tier: Tier = inner.stale.iter().map(|(&k, r)| (k, r.clone())).collect();
+        tier.sort_unstable_by_key(|entry| entry.0);
+        (live, tier, inner.latest_versions.clone(), inner.stats)
+    }
+
+    /// The stale tier's eviction index holds one `(epoch, key)` per
+    /// retired route and nothing else.
+    fn assert_indexed(cache: &RouteCache) {
+        let level = &mut Level::root();
+        let (inner, _) = cache.lock_entries(level);
+        let mut tier: Vec<(u64, (u32, u32))> =
+            inner.stale.iter().map(|(&k, r)| (r.epoch, k)).collect();
+        tier.sort_unstable();
+        let indexed: Vec<(u64, (u32, u32))> = inner.stale_order.iter().copied().collect();
+        assert_eq!(indexed, tier, "the eviction index is the tier");
+    }
+
+    /// A cache-level traffic update: installed (the vector moved) but not
+    /// yet swept.
+    struct Pending {
+        edge: (NodeId, NodeId),
+        old_cost: f64,
+        new_cost: f64,
+        shards: Vec<u32>,
+        epochs: EpochVector,
+    }
+
+    /// One seeded script of inserts, hits, stale reads, installs and
+    /// sweeps, run against the in-place cache and the reference; returns
+    /// the in-place cache's final statistics. Up to three installs wait
+    /// for their sweeps, which run in any order, so an examined entry is
+    /// 0, 1 or 2 versions behind; inserts are stamped up to two versions
+    /// behind, so some are refused.
+    fn differential_script(seed: u64) -> CacheStats {
+        const NODES: u64 = 6;
+        let mut rng = atis_graph::SplitMix64::new(seed);
+        let capacity = 2 + rng.next_below(15) as usize;
+        let shard_count = 1 + rng.next_below(8) as usize;
+        let fast = RouteCache::new(capacity);
+        let reference = RouteCache::new(capacity);
+        let mut versions = vec![0u64; shard_count];
+        let mut install = 0u64;
+        let mut pending: Vec<Pending> = Vec::new();
+        for step in 0..300 {
+            let key = (rng.next_below(NODES) as u32, rng.next_below(NODES) as u32);
+            match rng.next_below(12) {
+                0..=3 => {
+                    let mut nodes = vec![key.0];
+                    for _ in 0..rng.next_below(3) {
+                        nodes.push(rng.next_below(NODES) as u32);
+                    }
+                    nodes.push(key.1);
+                    let cost = rng.next_range(1.0, 20.0);
+                    let epoch = install.saturating_sub(rng.next_below(3));
+                    let mut shards: Vec<u32> = (0..1 + rng.next_below(3))
+                        .map(|_| rng.next_below(shard_count as u64) as u32)
+                        .collect();
+                    shards.sort_unstable();
+                    shards.dedup();
+                    let stamps: Vec<(u32, u64)> = shards
+                        .into_iter()
+                        .map(|s| (s, versions[s as usize].saturating_sub(rng.next_below(3))))
+                        .collect();
+                    for cache in [&fast, &reference] {
+                        let route = route(&nodes, cost, epoch);
+                        cache.insert_stamped(NodeId(key.0), NodeId(key.1), route, stamps.clone());
+                    }
+                }
+                4..=5 => {
+                    // A snapshot at the newest install or at a pending one.
+                    let epochs = match rng.next_below(pending.len() as u64 + 1) as usize {
+                        0 => EpochVector::with_versions(install, versions.clone()),
+                        i => pending[i - 1].epochs.clone(),
+                    };
+                    let (from, to) = (NodeId(key.0), NodeId(key.1));
+                    assert_eq!(
+                        fast.lookup_vec(from, to, &epochs),
+                        reference.lookup_vec(from, to, &epochs),
+                        "seed {seed} step {step}: lookup"
+                    );
+                }
+                6 => {
+                    let max_age = rng.next_below(4);
+                    let stale = |cache: &RouteCache| {
+                        let (from, to) = (NodeId(key.0), NodeId(key.1));
+                        cache.lookup_stale(&mut Level::root(), from, to, install, max_age)
+                    };
+                    assert_eq!(stale(&fast), stale(&reference), "seed {seed} step {step}");
+                }
+                7..=8 if pending.len() < 3 => {
+                    // Half the edges are a hop of a cached path.
+                    let live = contents(&fast).0;
+                    let hop = match rng.next_below(2 * live.len() as u64 + 1) as usize {
+                        i if i < live.len() => live[i].1.path.hops().next(),
+                        _ => None,
+                    };
+                    let edge = hop.unwrap_or((
+                        NodeId(rng.next_below(NODES) as u32),
+                        NodeId(rng.next_below(NODES) as u32),
+                    ));
+                    let old_cost = rng.next_range(1.0, 20.0);
+                    let decrease = rng.next_below(3) == 0;
+                    let (new_cost, shards) = if decrease {
+                        let all: Vec<u32> = (0..shard_count as u32).collect();
+                        (rng.next_range(0.0, old_cost), all)
+                    } else {
+                        let mut touched = vec![
+                            rng.next_below(shard_count as u64) as u32,
+                            rng.next_below(shard_count as u64) as u32,
+                        ];
+                        touched.sort_unstable();
+                        touched.dedup();
+                        (old_cost + rng.next_range(0.5, 20.0), touched)
+                    };
+                    for &shard in &shards {
+                        versions[shard as usize] += 1;
+                    }
+                    install += 1;
+                    let epochs = EpochVector::with_versions(install, versions.clone());
+                    pending.push(Pending {
+                        edge,
+                        old_cost,
+                        new_cost,
+                        shards,
+                        epochs,
+                    });
+                }
+                _ if !pending.is_empty() => {
+                    let next = rng.next_below(pending.len() as u64) as usize;
+                    let p = pending.remove(next);
+                    let (edge, old, new) = (p.edge, p.old_cost, p.new_cost);
+                    assert_eq!(
+                        fast.apply_shard_update_at(
+                            &mut Level::root(),
+                            edge,
+                            old,
+                            new,
+                            &p.shards,
+                            &p.epochs
+                        ),
+                        reference
+                            .apply_shard_update_by_rebuild(edge, old, new, &p.shards, &p.epochs),
+                        "seed {seed} step {step}: sweep"
+                    );
+                }
+                _ => {}
+            }
+            assert_eq!(
+                contents(&fast),
+                contents(&reference),
+                "seed {seed} step {step}"
+            );
+            assert_indexed(&fast);
+        }
+        contents(&fast).3
+    }
+
+    #[test]
+    fn the_in_place_sweep_matches_the_rebuild_sweep() {
+        let mut total = CacheStats::default();
+        for seed in 0..200 {
+            let s = differential_script(seed);
+            total.hits += s.hits;
+            total.invalidations += s.invalidations;
+            total.evictions += s.evictions;
+            total.promotions += s.promotions;
+            total.retirements += s.retirements;
+            total.stale_hits += s.stale_hits;
+        }
+        // The scripts reach every path the two sweeps could differ on.
+        assert!(total.hits > 0 && total.invalidations > 0 && total.evictions > 0);
+        assert!(total.promotions > 0 && total.retirements > 0 && total.stale_hits > 0);
     }
 }

@@ -827,7 +827,8 @@ impl RouteService {
     /// counted (`serve_landmark_rebuild_failed_total`) and leaves v4
     /// failing typed until a later rebuild succeeds. How long the store
     /// took to build and publish the install is observed as
-    /// `serve_install_seconds`.
+    /// `serve_install_seconds`, and how long the cache sweep that
+    /// follows took as `serve_cache_sweep_seconds`.
     ///
     /// An update of a pair with no edge between it changes nothing and
     /// installs nothing: no epoch, no sweep, no event — the report
@@ -861,6 +862,7 @@ impl RouteService {
         if update.landmarks == Refresh::RebuildFailed {
             self.shared.inc("serve_landmark_rebuild_failed_total");
         }
+        let sweep_started = Instant::now();
         let (invalidated, promoted) = self.shared.cache.apply_shard_update_at(
             level,
             (u, v),
@@ -868,6 +870,10 @@ impl RouteService {
             update.new_cost,
             &shards,
             &epochs,
+        );
+        self.shared.observe(
+            "serve_cache_sweep_seconds",
+            sweep_started.elapsed().as_secs_f64(),
         );
         self.shared.inc("serve_epoch_installs_total");
         self.shared.emit(ServeEvent::EpochInstalled {
@@ -1226,6 +1232,13 @@ mod tests {
         assert!(registry.histogram("serve_service_seconds").unwrap().count >= 3);
         assert_eq!(
             registry.histogram("serve_install_seconds").unwrap().count,
+            1
+        );
+        assert_eq!(
+            registry
+                .histogram("serve_cache_sweep_seconds")
+                .unwrap()
+                .count,
             1
         );
 

@@ -300,6 +300,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(stats.contains(r#""serve_requests_total":3"#), "{stats}");
     assert!(stats.contains(r#""iterations_per_run""#), "{stats}");
     assert!(stats.contains(r#""serve_install_seconds""#), "{stats}");
+    assert!(stats.contains(r#""serve_cache_sweep_seconds""#), "{stats}");
     let again = ask("STATS")?;
     assert_eq!(stats, again, "STATS must be deterministic when idle");
 

@@ -1,0 +1,116 @@
+//! The route cache's update sweep allocates for what it drops, not for
+//! what it holds: an increase that promotes or skips every entry moves
+//! no entry, so it must not rebuild the table. A deterministic count of
+//! the bytes the sweep asks the allocator for, not a timing.
+
+use atis::algorithms::Database;
+use atis::serve::{CachedRoute, RouteCache, ShardMap, ShardedEpochDb};
+use atis::{CostModel, Grid, NodeId, Path};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, plus a byte count of what the current thread
+/// asks for while its `COUNTING` flag is up (other test threads allocate
+/// concurrently and must not show).
+struct Counting;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn record(bytes: usize) {
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            BYTES.with(|total| total.set(total.get() + bytes));
+        }
+    });
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns what it returned with the bytes this thread
+/// allocated meanwhile.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    BYTES.with(|total| total.set(0));
+    COUNTING.with(|on| on.set(true));
+    let out = f();
+    COUNTING.with(|on| on.set(false));
+    (out, BYTES.with(Cell::get))
+}
+
+const CAPACITY: u32 = 1024;
+
+#[test]
+fn an_increase_sweep_that_moves_no_entry_allocates_at_most_a_kib() {
+    let grid = Grid::new(12, CostModel::TWENTY_PERCENT, 1993).unwrap();
+    let graph = grid.graph();
+    let store = ShardedEpochDb::new(Database::open(graph).unwrap(), ShardMap::build(graph, 4));
+    let edge = graph.edges().next().unwrap();
+    let (u, v) = (edge.from, edge.to);
+    let map = store.map();
+    let touched = map.shard_of(u);
+    let other = (0..4)
+        .find(|&s| s != map.shard_of(u) && s != map.shard_of(v))
+        .unwrap();
+
+    // A full cache of routes that avoid the jammed edge: half cross a
+    // shard the jam bumps (promoted in place), half do not (skipped).
+    let cache = RouteCache::new(CAPACITY as usize);
+    for i in 0..CAPACITY {
+        let (from, to) = (NodeId(10_000 + i), NodeId(20_000 + i));
+        let route = CachedRoute {
+            path: Path {
+                nodes: vec![from, to],
+                cost: 1.0,
+            },
+            epoch: 0,
+            iterations: 1,
+            cost_units: 1.0,
+        };
+        let shard = if i % 2 == 0 { touched } else { other };
+        cache.insert_stamped(from, to, route, vec![(shard, 0)]);
+    }
+    assert_eq!(cache.len(), CAPACITY as usize);
+
+    let applied = store.update_edge_cost(u, v, 1000.0).unwrap();
+    assert!(applied.update.new_cost > applied.update.old_cost);
+    let (swept, bytes) = counted(|| {
+        cache.apply_shard_update(
+            u,
+            v,
+            applied.update.old_cost,
+            applied.update.new_cost,
+            &applied.shards,
+            &applied.epochs,
+        )
+    });
+    assert_eq!(swept, (0, u64::from(CAPACITY / 2)), "nothing dropped");
+    assert_eq!(cache.len(), CAPACITY as usize);
+    assert!(
+        bytes <= 1024,
+        "the sweep allocated {bytes} bytes for a {CAPACITY}-entry cache it did not shrink"
+    );
+}
