@@ -85,6 +85,13 @@ impl Graph {
         self.points[id.index()]
     }
 
+    /// Every node's coordinates, indexed by id: the very array the graph
+    /// holds (coordinates never change, so every epoch of a graph shares
+    /// it).
+    pub fn points(&self) -> Arc<[Point]> {
+        self.points.clone()
+    }
+
     /// The out-edges of `u` — the paper's `u.adjacencyList`.
     #[inline]
     pub fn neighbors(&self, u: NodeId) -> &[Edge] {
@@ -207,6 +214,41 @@ impl Graph {
         Ok(updated)
     }
 
+    /// The geometric cost floor `α`: the minimum of `cost / length` over
+    /// the edges of positive straight-line length, so no edge costs less
+    /// than `α` times its length (0 when no edge has positive length). A
+    /// pass over every edge: a caller that keeps the floor across
+    /// updates takes it once and lowers it to each updated edge's
+    /// [`Graph::cost_ratio`], which keeps it a lower bound (never above
+    /// what this pass would find) at O(1) an update.
+    ///
+    /// With the triangle inequality it bounds every route: a route from
+    /// `a` to `b` costs at least `α · ‖a − b‖`, which [`floor_bound`]
+    /// turns into a bound on the floating-point sum a search computes.
+    /// The paper's A\* estimators assume `α ≥ 1` (Section 5.3); metro
+    /// networks have exactly 1, since freeways cost their length.
+    pub fn cost_floor(&self) -> f64 {
+        let floor = self
+            .edges()
+            .filter_map(|e| self.cost_ratio(e.from, e.to, e.cost))
+            .fold(f64::INFINITY, f64::min);
+        if floor.is_finite() {
+            floor
+        } else {
+            0.0
+        }
+    }
+
+    /// What edge `(u, v)` would cost per unit of straight-line length at
+    /// `cost`; `None` where the endpoints coincide (the edge spans
+    /// nothing) or a node is unknown.
+    #[inline]
+    pub fn cost_ratio(&self, u: NodeId, v: NodeId, cost: f64) -> Option<f64> {
+        let (from, to) = (self.points.get(u.index())?, self.points.get(v.index())?);
+        let length = from.euclidean(to);
+        (length > 0.0).then(|| cost / length)
+    }
+
     /// A fingerprint of the graph's topology and edge costs, derived
     /// from the edges: the wrapping sum of one FNV-1a hash per edge (over
     /// its endpoints and its cost's bit pattern), mixed with the node and
@@ -311,6 +353,31 @@ fn edge_hash_sum(edges: &GroupedColumn<Edge>) -> u64 {
         .groups()
         .flatten()
         .fold(0, |sum, e| sum.wrapping_add(edge_hash(e)))
+}
+
+/// The relative slack [`floor_bound`] gives up to rounding. A search
+/// labels a route with a left-to-right sum of its edge costs, and each
+/// hop may round it down: the database-resident searches keep labels as
+/// `f32` (the node tuple's `path_cost`), rounding each cost and each sum
+/// to a relative 2⁻²⁴, so a route of `k` hops can be labelled up to about
+/// `k · 2⁻²³` below its exact cost; the in-memory searches' `f64` sums
+/// lose far less. 10⁻³ covers routes of up to 8 000 hops, and gives up
+/// 0.1 % of a bound.
+pub const FLOOR_MARGIN: f64 = 1e-3;
+
+/// A lower bound, at an epoch with cost floor `floor`, on the label any
+/// search computes for a route that pays `cost` for one edge and whose
+/// other legs span at least `distance` in a straight line (for a route
+/// `s ⇝ u → v ⇝ d` through edge `(u, v)`: `‖s − u‖ + ‖v − d‖`). By the
+/// triangle inequality each leg costs at least `floor` times its span,
+/// so the route costs at least `cost + floor · distance` exactly, and
+/// [`FLOOR_MARGIN`] covers the rounding of the label. A `floor` of 0, or
+/// a `distance` that is not a number, bounds the route by `cost` alone.
+#[inline]
+pub fn floor_bound(cost: f64, floor: f64, distance: f64) -> f64 {
+    let reach = floor * distance;
+    let reach = if reach >= 0.0 { reach } else { 0.0 };
+    (cost + reach) * (1.0 - FLOOR_MARGIN)
 }
 
 /// Incremental builder for [`Graph`].
@@ -784,6 +851,76 @@ mod tests {
             graph.set_edge_cost(edge.from, edge.to, cost).unwrap();
             assert_eq!(graph.cost_stamp(), graph.cost_fingerprint(), "step {step}");
         }
+    }
+
+    /// Metro freeways cost exactly their length and nothing is cheaper,
+    /// so every metro network's floor is exactly 1.
+    #[test]
+    fn metro_networks_have_a_cost_floor_of_exactly_one() {
+        for spec in [
+            crate::MetroSpec::new(2, 2, 1),
+            crate::MetroSpec::new(3, 3, 42),
+            crate::MetroSpec::with_nodes(10_000, 1993),
+        ] {
+            let metro = crate::Metro::new(spec).unwrap();
+            assert_eq!(metro.graph().cost_floor(), 1.0);
+        }
+        let empty = GraphBuilder::new().build().unwrap();
+        assert_eq!(empty.cost_floor(), 0.0, "no edge, no bound");
+    }
+
+    /// A straight street of edges that cost exactly their length, so the
+    /// floor is exactly 1 and every route along it meets the bound with
+    /// equality in exact arithmetic. The labels searches compute — `f64`
+    /// sums, and the storage engine's `f32` ones — round below the
+    /// unmargined bound on some routes, and never below [`floor_bound`].
+    #[test]
+    fn the_floor_margin_covers_the_rounding_of_a_straight_route() {
+        let mut rng = crate::SplitMix64::new(1993);
+        let mut b = GraphBuilder::new();
+        let mut x = 0.0;
+        let nodes: Vec<NodeId> = (0..200)
+            .map(|_| {
+                x += rng.next_range(0.1, 3.0);
+                b.add_node(Point::new(x, 0.5 * x))
+            })
+            .collect();
+        let mut costs = Vec::new();
+        for w in nodes.windows(2) {
+            let (p, q) = (b.points[w[0].index()], b.points[w[1].index()]);
+            costs.push(p.euclidean(&q));
+            b.add_arc(w[0], w[1], p.euclidean(&q));
+        }
+        let g = b.build().unwrap();
+        assert_eq!(g.cost_floor(), 1.0);
+        let (mut below_exact, mut checked) = (0, 0);
+        for i in (0..nodes.len()).step_by(7) {
+            for j in (i + 1..nodes.len()).step_by(5) {
+                // The route i → j, through its edge (k, k + 1).
+                let f64_label = costs[i..j].iter().fold(0.0f64, |sum, &c| sum + c);
+                let f32_label = costs[i..j].iter().fold(0.0f32, |sum, &c| sum + c as f32);
+                for k in i..j {
+                    let span = g.point(nodes[i]).euclidean(&g.point(nodes[k]))
+                        + g.point(nodes[k + 1]).euclidean(&g.point(nodes[j]));
+                    let exact = costs[k] + g.cost_floor() * span;
+                    below_exact += usize::from(f64_label < exact || f64::from(f32_label) < exact);
+                    let bound = floor_bound(costs[k], g.cost_floor(), span);
+                    assert!(
+                        f64_label >= bound,
+                        "{i}->{j} via {k}: {f64_label} < {bound}"
+                    );
+                    assert!(
+                        f64::from(f32_label) >= bound,
+                        "{i}->{j} via {k}: f32 {f32_label}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(
+            below_exact > 0,
+            "none of {checked} labels needed the margin"
+        );
     }
 
     #[test]

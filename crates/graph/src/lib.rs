@@ -64,7 +64,7 @@ pub use cost_model::CostModel;
 pub use edge::{Edge, RoadClass};
 pub use error::GraphError;
 pub use format::{read_graph, write_graph, FormatError};
-pub use graph::{Graph, GraphBuilder, StreamingGraphBuilder};
+pub use graph::{floor_bound, Graph, GraphBuilder, StreamingGraphBuilder};
 pub use grid::{Grid, QueryKind};
 pub use metro::{Metro, MetroQuery, MetroSpec};
 pub use minneapolis::{Minneapolis, NamedPair};

@@ -28,16 +28,25 @@
 //! [`RouteCache::apply_shard_update`] then examines every entry whose
 //! stamp set intersects `shards` (all of them after a decrease; after an
 //! increase the others cannot use the edge) and either **drops** or
-//! **promotes** it:
+//! **promotes** it. Every decision uses one bound, from the geometry the
+//! install publishes on `epochs`: the graph's coordinates and a cost
+//! floor `α` ([`EpochVector::floor`]) such that no edge costs less than
+//! `α` times its straight-line length. By the triangle inequality a
+//! route `s ⇝ u → v ⇝ d` then costs at least `c + α·(‖s − u‖ + ‖v − d‖)`
+//! while the edge costs `c`: [`floor_bound`], shrunk by a margin for the
+//! rounding of search labels. The entry's key names `s` and `d`.
 //!
+//! * dropped if the cost went *down* and the bound at `new_cost`
+//!   undercuts the cached total — only then could the update have
+//!   created a better route than the cached one (a pure increase can
+//!   only raise route costs, so an off-path entry stays optimal whatever
+//!   the new cost); or
 //! * dropped if its path uses the hop `(u, v)` — the answer's cost is
-//!   definitely stale; or
-//! * dropped if the cost went *down* and `new_cost < path.cost` — with
-//!   non-negative edge costs any route through `(u, v)` costs at least
-//!   `new_cost`, so only then could the update have created a better
-//!   route than the cached one (a pure increase can only raise route
-//!   costs, so an off-path entry stays optimal whatever the new cost);
-//!   or
+//!   definitely stale. A path priced at `old_cost` can only use the edge
+//!   where the bound at `old_cost` is within its total, so elsewhere the
+//!   O(path) scan is skipped; and since the bound grows with the cost,
+//!   an entry a decrease keeps is never scanned unless the two bounds
+//!   round to the same value; or
 //! * promoted otherwise: the update provably cannot change this answer,
 //!   and its touched stamps move to the new versions without
 //!   recomputation.
@@ -49,25 +58,27 @@
 //! install has not seen it yet (concurrent updaters sweep outside the
 //! install lock, in any order), and it is dropped as stale: promotion is
 //! only sound for entries that have seen every update so far. For the
-//! same reason an insert stamped below a version a sweep has already
-//! installed (a worker finishing late against an old snapshot) is
-//! refused.
+//! same reason a sweep bounds with its own install's floor, and an
+//! insert stamped below a version a sweep has already installed (a
+//! worker finishing late against an old snapshot) is refused.
 //!
 //! ## What a sweep costs
 //!
 //! The sweep walks the live table in place, under the `Entries` lock
-//! every lookup takes: one stamp check per entry, an O(path) on-path scan
-//! per examined entry, promoted entries restamped where they sit, and
-//! O(log capacity) per retirement (the dropped keys are removed and
-//! retired in key order, and the stale tier's eviction victim is the
-//! first element of an `(epoch, key)` index). An entry outside the
-//! touched shards costs its stamp check and nothing else, and nothing is
-//! allocated unless something drops. On hot-10k (1 024 entries, 8
-//! shards, cost increases; 2-CPU Linux container) the sweep's median
-//! fell from 245–298 µs, when every update moved every entry into a
-//! fresh table, to 64–79 µs. A sweep that examines every entry (a
-//! decrease, or a one-shard store) still pays the on-path scan: ≈ 40 µs
-//! per 1 024 entries of 60 hops, measured alone (140 µs as a rebuild).
+//! every lookup takes: one stamp check per entry, two distances per
+//! examined entry (from coordinates the entry keeps inline), an O(path)
+//! on-path scan only where the bound cannot rule the edge out, promoted
+//! entries restamped where they sit, and O(log capacity) per retirement
+//! (the dropped keys are removed and retired in key order, and the stale
+//! tier's eviction victim is the first element of an `(epoch, key)`
+//! index). An entry outside the touched shards costs its stamp check and
+//! nothing else, and nothing is allocated unless something drops. On
+//! hot-10k (1 024 entries, 8 shards, cost increases; 2-CPU Linux
+//! container) the sweep's median fell from 245–298 µs, when every update
+//! moved every entry into a fresh table, to 64–79 µs. A decrease
+//! examines every entry: measured alone on a full 1 024-entry metro-10k
+//! cache, a cleared jam's sweep promotes about 1 004 entries in 79–88 µs,
+//! where dropping nearly all of them took 729–758 µs before the floor.
 //!
 //! Unreachable results are not cached: cost updates cannot change
 //! reachability, but a `None` path has no edges for the rule to inspect,
@@ -95,7 +106,7 @@
 
 use crate::shard::EpochVector;
 use crate::sync::{self, Entries, Level, LockBefore, Locked, Mutex, Unlocked};
-use atis_graph::{NodeId, Path};
+use atis_graph::{floor_bound, NodeId, Path, Point};
 use atis_obs::SharedRegistry;
 use std::collections::{BTreeSet, HashMap};
 
@@ -115,7 +126,8 @@ pub struct CachedRoute {
 
 /// Monotonic cache statistics (also mirrored into the metrics registry
 /// as `cache_hits_total` / `cache_misses_total` /
-/// `cache_invalidations_total` when one is attached).
+/// `cache_invalidations_total` / `cache_promotions_total` when one is
+/// attached).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -141,8 +153,34 @@ struct Entry {
     route: CachedRoute,
     /// `(shard, version)` per shard the path crosses, sorted by shard.
     stamps: Vec<(u32, u64)>,
+    /// The coordinates of the key's nodes, once a sweep has read them
+    /// ([`UNREAD`] until then).
+    ends: (Point, Point),
     last_used: u64,
 }
+
+impl Entry {
+    /// The coordinates of the route's endpoints, the nodes of `key`: read
+    /// from the install's `points` the first time a sweep bounds the
+    /// entry, and kept inline after. Coordinates never change across
+    /// installs, and a sweep has the entry in hand where a read of the
+    /// graph's array is a cache miss per entry (a decrease's sweep over a
+    /// full cache took about half again as long without the copy).
+    /// [`UNREAD`] while the install cannot place a node.
+    fn ends(&mut self, (s, d): (u32, u32), points: &[Point]) -> (Point, Point) {
+        if self.ends.0.x.is_nan() {
+            if let (Some(&s), Some(&d)) = (points.get(s as usize), points.get(d as usize)) {
+                self.ends = (s, d);
+            }
+        }
+        self.ends
+    }
+}
+
+/// The coordinates of a node not read yet, or one the install cannot
+/// place: its distances are not numbers, which [`floor_bound`] reads as
+/// no reach, bounding a route by the edge's cost alone.
+const UNREAD: Point = Point::new(f64::NAN, f64::NAN);
 
 #[derive(Debug)]
 struct Inner {
@@ -196,9 +234,9 @@ impl RouteCache {
         }
     }
 
-    /// Mirrors the hit/miss/invalidation counters into `metrics`
-    /// (`cache_hits_total`, `cache_misses_total`,
-    /// `cache_invalidations_total`).
+    /// Mirrors the hit/miss/invalidation/promotion counters into
+    /// `metrics` (`cache_hits_total`, `cache_misses_total`,
+    /// `cache_invalidations_total`, `cache_promotions_total`).
     pub fn with_metrics(mut self, metrics: SharedRegistry) -> Self {
         self.metrics = Some(metrics);
         self
@@ -353,6 +391,7 @@ impl RouteCache {
             Entry {
                 route,
                 stamps,
+                ends: (UNREAD, UNREAD),
                 last_used: tick,
             },
         );
@@ -361,18 +400,20 @@ impl RouteCache {
 
     /// Sweeps the cache for a traffic update: directed edge `(u, v)`
     /// went from `old_cost` to `new_cost`, bumping `shards` and
-    /// installing the post-update vector `epochs`. Returns
-    /// `(invalidated, promoted)`.
+    /// installing the post-update vector `epochs`, whose floor bounds
+    /// the routes (see the module docs). Returns `(invalidated,
+    /// promoted)`.
     ///
     /// Every entry costs one stamp check; only those whose stamp set
     /// intersects `shards` are examined further — after an increase the
     /// others cannot use the edge and are left where they are, untouched;
     /// a decrease bumps every shard, so every entry is examined. An
-    /// examined entry (an O(path) on-path scan) drops if it is on the
-    /// edge, if a decrease undercuts its total, or if it is stale (more
-    /// than one version behind on a touched shard); otherwise its touched
-    /// stamps move to the new versions in place. Dropped entries retire
-    /// into the stale tier in key order, O(log capacity) each.
+    /// examined entry drops if it is stale (more than one version behind
+    /// on a touched shard), if a decrease could undercut its total, or if
+    /// its path uses the edge — an O(path) scan that runs only where the
+    /// bound cannot rule the edge out. Otherwise its touched stamps move
+    /// to the new versions in place. Dropped entries retire into the
+    /// stale tier in key order, O(log capacity) each.
     pub fn apply_shard_update(
         &self,
         u: NodeId,
@@ -398,8 +439,10 @@ impl RouteCache {
         if self.capacity == 0 {
             return (0, 0);
         }
-        let decrease = new_cost < old_cost;
         let install = epochs.install();
+        let points = epochs.points();
+        let at = |n: NodeId| points.get(n.index()).copied().unwrap_or(UNREAD);
+        let (from, to) = (at(u), at(v));
         let (mut inner, _) = self.lock_entries(level);
         let mut promoted = 0u64;
         let mut dropped: Vec<(u32, u32)> = Vec::new();
@@ -422,9 +465,19 @@ impl RouteCache {
                 continue;
             };
             let stale = behind > 1;
-            let on_path = entry.route.path.hops().any(|(a, b)| a == u && b == v);
-            let could_beat = decrease && new_cost < entry.route.path.cost;
-            if stale || on_path || could_beat {
+            if stale || {
+                // The straight-line span of a route `s ⇝ u → v ⇝ d`.
+                let (s, d) = entry.ends(*key, points);
+                let span = s.euclidean(&from) + to.euclidean(&d);
+                invalidates(
+                    &entry.route,
+                    (u, v),
+                    old_cost,
+                    new_cost,
+                    epochs.floor(),
+                    span,
+                )
+            } {
                 dropped.push(*key);
             } else {
                 for stamp in entry.stamps.iter_mut() {
@@ -462,6 +515,7 @@ impl RouteCache {
         inner.stats.promotions += promoted;
         drop(inner);
         self.bump("cache_invalidations_total", invalidated);
+        self.bump("cache_promotions_total", promoted);
         (invalidated, promoted)
     }
 
@@ -521,6 +575,33 @@ impl RouteCache {
         self.bump("cache_stale_hits_total", 1);
         Some((route, age))
     }
+}
+
+/// The sweep's rule for one entry that has seen every update before
+/// this one: whether the change of edge `(u, v)` from `old_cost` to
+/// `new_cost`, at an install with cost floor `floor`, may have changed
+/// the route from `s` to `d`, where `span` is `‖s − u‖ + ‖v − d‖` (not
+/// a number where the install cannot place a node: no reach).
+///
+/// Any route `s ⇝ u → v ⇝ d` is labelled at least [`floor_bound`] of
+/// the edge's cost over the span. So a decrease can undercut the cached
+/// total only where the bound at `new_cost` does, and the cached path,
+/// priced at `old_cost`, can use the edge only where the bound at
+/// `old_cost` is within its total: elsewhere the O(path) scan is
+/// skipped. The bound grows with the cost, so an entry a decrease keeps
+/// is scanned only when both bounds equal its total.
+fn invalidates(
+    route: &CachedRoute,
+    (u, v): (NodeId, NodeId),
+    old_cost: f64,
+    new_cost: f64,
+    floor: f64,
+    span: f64,
+) -> bool {
+    let total = route.path.cost;
+    (new_cost < old_cost && floor_bound(new_cost, floor, span) < total)
+        || (floor_bound(old_cost, floor, span) <= total
+            && route.path.hops().any(|(a, b)| a == u && b == v))
 }
 
 #[cfg(test)]
@@ -895,9 +976,15 @@ mod tests {
                     continue;
                 };
                 let stale = behind > 1;
+                // The bound, from the coordinates of the key's own nodes.
+                let at = |n: u32| epochs.points()[n as usize];
+                let span = at(key.0).euclidean(&at(u.0)) + at(v.0).euclidean(&at(key.1));
+                let floor = epochs.floor();
+                let total = entry.route.path.cost;
                 let on_path = entry.route.path.hops().any(|(a, b)| a == u && b == v);
-                let could_beat = decrease && new_cost < entry.route.path.cost;
-                if stale || on_path || could_beat {
+                let could_use = floor_bound(old_cost, floor, span) <= total;
+                let could_beat = decrease && floor_bound(new_cost, floor, span) < total;
+                if stale || (on_path && could_use) || could_beat {
                     invalidated += 1;
                     retired.push((key, entry.route));
                 } else {
@@ -931,6 +1018,7 @@ mod tests {
             inner.stats.promotions += promoted;
             drop(inner);
             self.bump("cache_invalidations_total", invalidated);
+            self.bump("cache_promotions_total", promoted);
             (invalidated, promoted)
         }
 
@@ -1008,8 +1096,10 @@ mod tests {
         let mut rng = atis_graph::SplitMix64::new(seed);
         let capacity = 2 + rng.next_below(15) as usize;
         let shard_count = 1 + rng.next_below(8) as usize;
-        let fast = RouteCache::new(capacity);
-        let reference = RouteCache::new(capacity);
+        let points: std::sync::Arc<[Point]> = (0..NODES)
+            .map(|_| Point::new(rng.next_range(0.0, 10.0), rng.next_range(0.0, 10.0)))
+            .collect();
+        let (fast, reference) = (RouteCache::new(capacity), RouteCache::new(capacity));
         let mut versions = vec![0u64; shard_count];
         let mut install = 0u64;
         let mut pending: Vec<Pending> = Vec::new();
@@ -1088,7 +1178,11 @@ mod tests {
                         versions[shard as usize] += 1;
                     }
                     install += 1;
-                    let epochs = EpochVector::with_versions(install, versions.clone());
+                    // Floors of 0 (the edge's cost alone bounds a route)
+                    // and up to twice a unit cost.
+                    let floor = rng.next_range(-1.0, 2.0).max(0.0);
+                    let epochs = EpochVector::with_versions(install, versions.clone())
+                        .with_geometry(floor, points.clone());
                     pending.push(Pending {
                         edge,
                         old_cost,

@@ -36,9 +36,11 @@
 //!   keyed by `(from, to)` and validated against the shard versions the
 //!   route was stamped with. An update drops exactly the entries it
 //!   could have changed (path uses the updated edge, or a cost decrease
-//!   undercuts the cached total) and promotes the rest to the new epoch
-//!   without recomputation; invalidated entries retire into the stale
-//!   tier that backs the degrade ladder's last rung.
+//!   plus the straight-line detour through the edge, priced at the
+//!   install's cost floor, falls below the cached total) and promotes
+//!   the rest to the new epoch without recomputation; invalidated
+//!   entries retire into the stale tier that backs the degrade ladder's
+//!   last rung.
 //! * **Deterministic chaos harness** ([`chaos`]) — seeded overload
 //!   waves (arrival bursts, `UPDATE` storms, injected I/O brownouts)
 //!   driven against a real service, asserting the resilience

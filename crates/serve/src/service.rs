@@ -1642,8 +1642,11 @@ mod tests {
         // The route hugs one corner, the updated edge the opposite one.
         // One shard or eight, the rule sees `old_cost`: a jam — even a
         // cheap one, below the cached total — cannot have made any route
-        // better, so the entry stays hot; a decrease below the cached
-        // total could have, so it drops.
+        // better, so the entry stays hot; a decrease whose floor bound
+        // undercuts the cached total could have, so it drops. (0.01 is
+        // far below the edge's length, so it also lowers the cost floor
+        // to 0.01: crossing the grid no longer costs enough to rule the
+        // edge out.)
         let (single, grid) = sharded_service(ServeConfig::default().with_workers(1));
         let (sharded, _) = sharded_service(ServeConfig::default().with_workers(1).with_shards(8));
         assert!(single.shards() == 1 && sharded.shards() > 1);

@@ -57,7 +57,7 @@
 use crate::epoch::{maintain_artifacts, EpochUpdate, Refresh};
 use crate::sync::{self, Arc, Current, Level, LockBefore, Locked, Mutex, Unlocked, Writer};
 use atis_algorithms::{AlgorithmError, Database};
-use atis_graph::{Graph, NodeId, PartitionMap};
+use atis_graph::{Graph, NodeId, PartitionMap, Point};
 
 /// Region size the partitioner targets when building shard maps — the
 /// workspace convention (storage blocks, hierarchy ordering, scaling
@@ -128,19 +128,45 @@ impl ShardMap {
 }
 
 /// Per-shard versions plus the global install counter, frozen at one
-/// install. Immutable once published (readers share it by `Arc`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// install, with the geometry of the graph installed with them: its
+/// node coordinates and a cost floor. Immutable once published (readers
+/// share it by `Arc`).
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochVector {
     install: u64,
     versions: Vec<u64>,
+    floor: f64,
+    /// The graph's own coordinate array (a std `Arc`, shared with the
+    /// graph): the same at every install, since updates change costs
+    /// only.
+    points: std::sync::Arc<[Point]>,
 }
 
 impl EpochVector {
-    fn new(shards: usize) -> Self {
+    /// Install 0 of `graph`, its floor taken by one pass over the edges.
+    fn new(shards: usize, graph: &Graph) -> Self {
         EpochVector {
             install: 0,
             versions: vec![0; shards.max(1)],
+            floor: graph.cost_floor(),
+            points: graph.points(),
         }
+    }
+
+    /// A cost floor of the installed graph: no edge of this install
+    /// costs less than `floor` times its straight-line length. Install 0
+    /// takes [`Graph::cost_floor`]; every install after it lowers its
+    /// predecessor's floor to the updated edge's [`Graph::cost_ratio`]
+    /// and never raises it, so it is a lower bound, O(1) an update. A
+    /// cache sweep bounds routes with its own install's floor, since
+    /// concurrent updaters may sweep out of install order.
+    pub fn floor(&self) -> f64 {
+        self.floor
+    }
+
+    /// Every node's coordinates, indexed by id.
+    pub fn points(&self) -> &[Point] {
+        &self.points
     }
 
     /// The global install counter: a total order on installs, and the
@@ -213,13 +239,13 @@ impl ShardedEpochDb {
     /// Wraps a freshly loaded database as install 0 with every shard at
     /// version 0.
     pub fn new(db: Database, map: ShardMap) -> Self {
-        let shards = map.shard_count();
+        let epochs = EpochVector::new(map.shard_count(), db.graph());
         ShardedEpochDb {
             map: Arc::new(map),
             writer: Mutex::new(()),
             current: Mutex::new(ShardSnapshot {
                 db: Arc::new(db),
-                epochs: Arc::new(EpochVector::new(shards)),
+                epochs: Arc::new(epochs),
             }),
         }
     }
@@ -344,6 +370,9 @@ impl ShardedEpochDb {
         };
         let mut epochs: EpochVector = (*base.epochs).clone();
         epochs.install += 1;
+        if let Some(ratio) = next.graph().cost_ratio(u, v, cost) {
+            epochs.floor = epochs.floor.min(ratio);
+        }
         for &s in &shards {
             if let Some(version) = epochs.versions.get_mut(s as usize) {
                 *version += 1;
@@ -376,9 +405,24 @@ mod tests {
     use super::*;
 
     impl EpochVector {
-        /// Direct constructor for in-crate tests of the stamped cache.
+        /// Direct constructor for in-crate tests of the stamped cache,
+        /// with no coordinates and a floor of 0: it bounds nothing.
         pub(crate) fn with_versions(install: u64, versions: Vec<u64>) -> Self {
-            EpochVector { install, versions }
+            EpochVector {
+                install,
+                versions,
+                floor: 0.0,
+                points: std::sync::Arc::from([]),
+            }
+        }
+
+        /// The same vector over other geometry.
+        pub(crate) fn with_geometry(self, floor: f64, points: std::sync::Arc<[Point]>) -> Self {
+            EpochVector {
+                floor,
+                points,
+                ..self
+            }
         }
     }
     use atis_algorithms::Algorithm;
@@ -441,6 +485,50 @@ mod tests {
         // At least one shard must be untouched on a 4-shard grid for a
         // corner-local update.
         assert!(upd.shards.len() < map.shard_count());
+    }
+
+    /// Seeded update scripts — jams, restores, decreases below an edge's
+    /// length (down to 0) — through the store: every install's floor is
+    /// at most what a fresh pass over its graph finds and at most the
+    /// updated edge's new ratio. Increases never move it, so on a script
+    /// of increases alone it stays install 0's floor, which is what a
+    /// fresh pass found then (a fresh pass rises once the cheapest
+    /// edge's ratio does).
+    #[test]
+    fn every_install_carries_a_cost_floor_below_a_fresh_pass() {
+        let (store, _) = grid_store(4);
+        let base = store.snapshot();
+        assert_eq!(base.epochs.floor(), base.db.graph().cost_floor());
+        let edges: Vec<atis_graph::Edge> = base.db.graph().edges().copied().collect();
+        let fresh = |snap: &ShardSnapshot| snap.db.graph().cost_floor();
+        for seed in 0..4 {
+            let mut rng = atis_graph::SplitMix64::new(seed);
+            let rising = ShardedEpochDb::new((*base.db).clone(), (**store.map()).clone());
+            let any = ShardedEpochDb::new((*base.db).clone(), (**store.map()).clone());
+            for step in 0..100 {
+                let e = edges[rng.next_below(edges.len() as u64) as usize];
+                let db = rising.snapshot().db;
+                let now = db.graph().edge_cost(e.from, e.to).unwrap();
+                let length = db.graph().point(e.from).euclidean(&db.graph().point(e.to));
+                rising
+                    .update_edge_cost(e.from, e.to, now * (1.0 + rng.next_f64()))
+                    .unwrap();
+                let snap = rising.snapshot();
+                assert_eq!(snap.epochs.floor(), base.epochs.floor(), "step {step}");
+                assert!(snap.epochs.floor() <= fresh(&snap), "step {step}");
+
+                let cost = match rng.next_below(4) {
+                    0 => e.cost,
+                    1 => now * 3.0,
+                    2 => length * rng.next_f64(),
+                    _ => 0.0,
+                };
+                any.update_edge_cost(e.from, e.to, cost).unwrap();
+                let snap = any.snapshot();
+                assert!(snap.epochs.floor() <= fresh(&snap), "step {step}");
+                assert!(snap.epochs.floor() <= cost / length, "step {step}");
+            }
+        }
     }
 
     /// A decrease can undercut a route anywhere, so an entry whose path

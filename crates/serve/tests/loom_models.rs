@@ -317,7 +317,9 @@ fn shard_install_vs_batched_read_race() {
 /// undercut a route anywhere — so was a hit on the far route: the
 /// install takes every entry out of service until the sweep has
 /// re-validated it. Either way the sweep drops exactly the on-edge
-/// route.
+/// route: a route through the cleared edge costs the edge plus the
+/// floor times its straight-line span, more than either other route's
+/// total, so the install's floor bound keeps both.
 fn install_and_sweep_vs_lookup_race(clear: bool) {
     let grid = Grid::new(24, CostModel::TWENTY_PERCENT, 7).expect("grid");
     let base = Database::open(grid.graph()).expect("open");
@@ -328,12 +330,14 @@ fn install_and_sweep_vs_lookup_race(clear: bool) {
     let shards = |(a, b): (NodeId, NodeId)| map.path_shards(&[a, b]);
     assert_eq!(shards(beside), shards(edge));
     assert!(shards(far).iter().all(|f| !shards(edge).contains(f)));
-    let jammed = base.graph().edge_cost(edge.0, edge.1).expect("edge") + 50.0;
+    let free_flow = base.graph().edge_cost(edge.0, edge.1).expect("edge");
+    let jammed = free_flow + 50.0;
 
     loom::model(move || {
         let db = Arc::new(ShardedEpochDb::new(base.clone(), map.clone()));
-        // Install 1 jams the edge, so install 2 can clear it part of the
-        // way and still stay above the cached routes' totals.
+        // Install 1 jams the edge; install 2 clears it back to free flow,
+        // below the other two routes' totals, but a route through the edge
+        // would cost its span on top: the floor bound keeps them both.
         db.update_edge_cost(edge.0, edge.1, jammed).expect("jam");
         let pinned = db.snapshot();
         let cache = Arc::new(RouteCache::new(8));
@@ -354,7 +358,7 @@ fn install_and_sweep_vs_lookup_race(clear: bool) {
 
         let writer = {
             let (db, cache) = (db.clone(), cache.clone());
-            let cost = if clear { jammed - 10.0 } else { jammed + 10.0 };
+            let cost = if clear { free_flow } else { jammed + 10.0 };
             loom::thread::spawn(move || {
                 let up = db.update_edge_cost(edge.0, edge.1, cost).expect("install");
                 let (old, new) = (up.update.old_cost, up.update.new_cost);

@@ -1,8 +1,10 @@
 //! The route cache's update sweep allocates for what it drops, not for
-//! what it holds: an increase that promotes or skips every entry moves
-//! no entry, so it must not rebuild the table. A deterministic count of
+//! what it holds: an increase that promotes or skips every entry, and a
+//! decrease whose geometric bound keeps the entries it examines, move
+//! no entry, so neither may rebuild the table. A deterministic count of
 //! the bytes the sweep asks the allocator for, not a timing.
 
+use atis::algorithms::memory::dijkstra_pair;
 use atis::algorithms::Database;
 use atis::serve::{CachedRoute, RouteCache, ShardMap, ShardedEpochDb};
 use atis::{CostModel, Grid, NodeId, Path};
@@ -112,5 +114,66 @@ fn an_increase_sweep_that_moves_no_entry_allocates_at_most_a_kib() {
     assert!(
         bytes <= 1024,
         "the sweep allocated {bytes} bytes for a {CAPACITY}-entry cache it did not shrink"
+    );
+}
+
+#[test]
+fn a_decrease_sweep_that_promotes_the_cache_allocates_at_most_a_kib() {
+    let grid = Grid::new(40, CostModel::TWENTY_PERCENT, 1993).unwrap();
+    let graph = grid.graph();
+    let store = ShardedEpochDb::new(Database::open(graph).unwrap(), ShardMap::build(graph, 4));
+    // A jam at the edge of the trips' area: its clear undercuts the few
+    // trips that run beside it, and the bound keeps the rest.
+    let (u, v) = (grid.node_at(28, 24), grid.node_at(28, 25));
+    let base = graph.edge_cost(u, v).unwrap();
+    store.update_edge_cost(u, v, base * 4.0).unwrap();
+
+    // A full cache of short trips all over the grid, computed at the jam.
+    let snapshot = store.snapshot();
+    let cache = RouteCache::new(CAPACITY as usize);
+    let mut at = 0;
+    while cache.len() < CAPACITY as usize {
+        let (row, col) = (at / 37, at % 37);
+        at += 1;
+        let (from, to) = (grid.node_at(row, col), grid.node_at(row + 1, col + 3));
+        let path = dijkstra_pair(snapshot.db.graph(), from, to).unwrap();
+        let stamps = store.map().path_shards(&path.nodes).into_iter();
+        let stamps = stamps
+            .map(|shard| (shard, snapshot.epochs.version(shard)))
+            .collect();
+        let route = CachedRoute {
+            path,
+            epoch: snapshot.install(),
+            iterations: 1,
+            cost_units: 1.0,
+        };
+        cache.insert_stamped(from, to, route, stamps);
+    }
+
+    let applied = store.update_edge_cost(u, v, base).unwrap();
+    assert!(applied.update.new_cost < applied.update.old_cost);
+    let (swept, bytes) = counted(|| {
+        cache.apply_shard_update(
+            u,
+            v,
+            applied.update.old_cost,
+            applied.update.new_cost,
+            &applied.shards,
+            &applied.epochs,
+        )
+    });
+    let (invalidated, promoted) = swept;
+    assert_eq!(
+        invalidated + promoted,
+        u64::from(CAPACITY),
+        "a decrease examines every entry"
+    );
+    assert!(
+        promoted * 10 >= u64::from(CAPACITY) * 9,
+        "the bound kept only {promoted} of {CAPACITY} entries"
+    );
+    assert!(
+        bytes <= 1024,
+        "the sweep allocated {bytes} bytes to drop {invalidated} of {CAPACITY} entries"
     );
 }

@@ -1,10 +1,15 @@
 //! The invalidation-aware route cache, observed end to end through the
 //! serving layer and the metrics registry (the counters the route
-//! server's `STATS` command exposes).
+//! server's `STATS` command exposes), and the soundness of its
+//! geometric bound under seeded update scripts.
 
-use atis::algorithms::Database;
+use atis::algorithms::memory::dijkstra_pair;
+use atis::algorithms::{AStarVersion, Algorithm, Database};
+use atis::graph::metro::CORE;
+use atis::graph::{Graph, Metro, MetroSpec, NodeId, PartitionMap, SplitMix64};
+use atis::hierarchy::{Hierarchy, HierarchyConfig};
 use atis::obs::MetricsRegistry;
-use atis::serve::{RouteService, ServeConfig};
+use atis::serve::{RouteAnswer, RouteOutcome, RouteService, ServeConfig};
 use atis::{CostModel, Grid, QueryKind};
 
 fn observed_service(cache_capacity: usize) -> (RouteService, Grid, atis::obs::SharedRegistry) {
@@ -149,4 +154,237 @@ fn stats_snapshot_orders_cache_counters_deterministically() {
 
     // Identical registry contents render identically, touch order aside.
     assert_eq!(snapshot, registry.snapshot_json());
+}
+
+#[test]
+fn a_cleared_jam_far_from_cached_routes_keeps_them_cached() {
+    let (service, grid, registry) = observed_service(64);
+    let far_a = (grid.node_at(7, 0), grid.node_at(7, 3));
+    let far_b = (grid.node_at(6, 0), grid.node_at(4, 2));
+    for (s, d) in [far_a, far_b] {
+        assert!(!service.route(s, d).unwrap().cached);
+    }
+    // Jam the opposite corner, then clear it back to its base cost: the
+    // clear is a decrease below both cached totals, but any route
+    // through the corner edge would first have to cross the grid.
+    let (u, v) = (grid.node_at(0, 6), grid.node_at(0, 7));
+    let base = grid.graph().edge_cost(u, v).unwrap();
+    service.update_edge_cost(u, v, 900.0).unwrap();
+    let cleared = service.update_edge_cost(u, v, base).unwrap();
+    assert!(cleared.new_cost < cleared.old_cost);
+    for (s, d) in [far_a, far_b] {
+        let answer = service.route(s, d).unwrap();
+        assert!(answer.cached, "the clear must not evict {s:?}->{d:?}");
+        assert_eq!(answer.epoch, cleared.epoch, "promoted by the clear's sweep");
+        assert!(base < answer.path.unwrap().cost);
+    }
+    assert_eq!(registry.counter("cache_invalidations_total"), 0);
+    // One shard: each of the two sweeps promoted both entries.
+    assert_eq!(registry.counter("cache_promotions_total"), 4);
+    assert_eq!(service.cache().stats().promotions, 4);
+}
+
+#[test]
+fn a_cleared_jam_between_a_cached_pairs_endpoints_still_drops_it() {
+    let (service, grid, registry) = observed_service(64);
+    let (s, d) = (grid.node_at(0, 0), grid.node_at(0, 7));
+    let direct = service.route(s, d).unwrap().path.unwrap();
+    // Jam a hop of the route: the pair is recomputed around the jam and
+    // cached again at the detour's cost.
+    let (u, v) = direct.hops().nth(3).unwrap();
+    let base = grid.graph().edge_cost(u, v).unwrap();
+    service.update_edge_cost(u, v, 900.0).unwrap();
+    let detour = service.route(s, d).unwrap();
+    assert!(!detour.cached);
+    let detour = detour.path.unwrap();
+    assert!(detour.cost > direct.cost && detour.hops().all(|hop| hop != (u, v)));
+    assert!(service.route(s, d).unwrap().cached);
+    // Clearing the jam reopens the direct route, which lies on the
+    // straight line between the pair's endpoints: the bound cannot rule
+    // it out, so the detour must drop.
+    let before = registry.counter("cache_invalidations_total");
+    service.update_edge_cost(u, v, base).unwrap();
+    assert_eq!(registry.counter("cache_invalidations_total"), before + 1);
+    let after = service.route(s, d).unwrap();
+    assert!(!after.cached);
+    let after = after.path.unwrap();
+    assert_eq!(after.nodes, direct.nodes);
+    assert_eq!(after.cost.to_bits(), direct.cost.to_bits());
+}
+
+/// The bit-identity rule of `tests/hierarchy_identity.rs`: `answer` has
+/// the oracle's cost on `graph`, follows edges of `graph`, and reports
+/// the bit-exact left-to-right sum of their costs.
+fn assert_identical(answer: &RouteAnswer, graph: &Graph, s: NodeId, d: NodeId, context: &str) {
+    let path = answer
+        .path
+        .as_ref()
+        .expect("metro networks are strongly connected");
+    let oracle = dijkstra_pair(graph, s, d).expect("oracle finds the route");
+    assert_eq!((path.source(), path.destination()), (s, d), "{context}");
+    assert!(
+        (path.cost - oracle.cost).abs() < 1e-9,
+        "{context}: cost {} != oracle {} for {s:?}->{d:?}",
+        path.cost,
+        oracle.cost
+    );
+    let repriced: f64 = path
+        .nodes
+        .windows(2)
+        .map(|w| {
+            graph
+                .edge_cost(w[0], w[1])
+                .unwrap_or_else(|| panic!("{context}: non-edge {:?}->{:?}", w[0], w[1]))
+        })
+        .sum();
+    assert_eq!(repriced.to_bits(), path.cost.to_bits(), "{context}");
+}
+
+/// The street row through `node`, both directions, from its city's
+/// west edge to its east edge: a lane that sub-geometric decreases turn
+/// into a fast road one edge at a time.
+fn fast_lane(metro: &Metro, node: NodeId) -> Vec<(NodeId, NodeId)> {
+    let ((cx, cy), (row, _)) = (metro.city_of(node), metro.cell_of(node));
+    let at = |col| metro.node_at(cx, cy, row, col);
+    (0..CORE - 1)
+        .flat_map(|col| [(at(col), at(col + 1)), (at(col + 1), at(col))])
+        .collect()
+}
+
+/// One seeded script on a 3 × 2-city metro: queries repeat a pool of
+/// local trips so the cache hits, and updates jam a hop of a pooled
+/// route, clear the oldest jam, or drop the next edge of a fast lane
+/// below its straight-line length, which lowers the cost floor the
+/// sweeps bound routes by. Along a lane, routes cost less than their
+/// straight-line span, so only a floor that has fallen keeps the bound
+/// sound.
+///
+/// With `algorithm` v5 (which re-prices its routes in `f64`) every
+/// answer must pass the bit-identity rule at the latest install, and
+/// every cache hit at the epoch it claims too. With Dijkstra, whose
+/// database-resident labels are `f32` sums, every cache hit must carry
+/// the cost bits a fresh run at the latest install computes. Returns
+/// (cache hits, hits served right after a decrease).
+fn floor_script(metro: &Metro, algorithm: Algorithm, shards: usize, seed: u64) -> (u64, u64) {
+    let graph = metro.graph();
+    let mut db = Database::open(graph).unwrap();
+    if algorithm == Algorithm::AStar(AStarVersion::V5) {
+        db = db.with_hierarchy(Hierarchy::build(graph, HierarchyConfig::paper()).unwrap());
+    }
+    let service = RouteService::new(
+        db,
+        ServeConfig::default()
+            .with_workers(1)
+            .with_algorithm(algorithm)
+            .with_shards(shards)
+            .with_cache_capacity(256),
+    );
+    let mut rng = SplitMix64::new(seed);
+    let map = PartitionMap::build(graph, 256);
+    let mut regions: Vec<Vec<NodeId>> = vec![Vec::new(); map.region_count()];
+    for id in graph.node_ids() {
+        regions[map.region_of(id) as usize].push(id);
+    }
+    let mut pool: Vec<(NodeId, NodeId)> = Vec::new();
+    while pool.len() < 16 {
+        let r = &regions[rng.next_below(regions.len() as u64) as usize];
+        let mut pick = || r[rng.next_below(r.len() as u64) as usize];
+        let (s, d) = (pick(), pick());
+        if s != d {
+            pool.push((s, d));
+        }
+    }
+    // Every install's graph, indexed by epoch, and a database at the
+    // latest one.
+    let mut epochs: Vec<Graph> = vec![graph.clone()];
+    let mut oracle = Database::open(graph).unwrap();
+    let mut jams: Vec<(NodeId, NodeId, f64)> = Vec::new();
+    let mut lane: Vec<(NodeId, NodeId)> = Vec::new();
+    let (mut hits, mut hits_after_decrease) = (0u64, 0u64);
+    for step in 0..30 {
+        let now = epochs.last().unwrap().clone();
+        let (u, v, cost) = match rng.next_below(4) {
+            0 if !jams.is_empty() => jams.remove(0),
+            0 | 1 => {
+                let (s, d) = pool[rng.next_below(pool.len() as u64) as usize];
+                let route = dijkstra_pair(&now, s, d).unwrap();
+                let hop = rng.next_below(route.nodes.len() as u64 - 1) as usize;
+                let (u, v) = route.hops().nth(hop).unwrap();
+                if jams.iter().any(|&(a, b, _)| (a, b) == (u, v)) {
+                    continue;
+                }
+                let cost = now.edge_cost(u, v).unwrap();
+                jams.push((u, v, cost));
+                (u, v, cost * (2.0 + 4.0 * rng.next_f64()))
+            }
+            _ => {
+                if lane.is_empty() {
+                    lane = fast_lane(metro, pool[rng.next_below(pool.len() as u64) as usize].0);
+                }
+                let (u, v) = lane.remove(0);
+                let length = now.point(u).euclidean(&now.point(v));
+                (u, v, length * (0.05 + 0.85 * rng.next_f64()))
+            }
+        };
+        let decrease = cost < now.edge_cost(u, v).unwrap();
+        let update = service.update_edge_cost(u, v, cost).unwrap();
+        assert_eq!(
+            update.epoch as usize,
+            epochs.len(),
+            "one install per update"
+        );
+        let mut next = now;
+        next.set_edge_cost(u, v, cost).unwrap();
+        epochs.push(next);
+        oracle.update_edge_cost(u, v, cost).unwrap();
+        let latest = epochs.last().unwrap();
+        for _ in 0..8 {
+            let (s, d) = pool[rng.next_below(pool.len() as u64) as usize];
+            let answer = service.route(s, d).unwrap();
+            let cached = answer.outcome == RouteOutcome::CacheHit;
+            let context = format!("{algorithm:?}, {shards} shard(s), seed {seed}, step {step}");
+            if algorithm == Algorithm::Dijkstra {
+                if cached {
+                    let fresh = oracle.run(algorithm, s, d).unwrap().path_cost();
+                    let served = answer.path.as_ref().unwrap().cost;
+                    assert_eq!(
+                        served.to_bits(),
+                        fresh.to_bits(),
+                        "{context}: {served} vs {fresh}"
+                    );
+                }
+            } else {
+                assert_identical(&answer, latest, s, d, &context);
+                if cached {
+                    let claimed = &epochs[answer.epoch as usize];
+                    assert_identical(&answer, claimed, s, d, &format!("{context}, claimed"));
+                }
+            }
+            hits += u64::from(cached);
+            hits_after_decrease += u64::from(cached && decrease);
+        }
+    }
+    (hits, hits_after_decrease)
+}
+
+#[test]
+fn cache_hits_stay_exact_under_clears_and_sub_geometric_decreases() {
+    let metro = Metro::new(MetroSpec::new(3, 2, 1993)).unwrap();
+    assert_eq!(metro.graph().cost_floor(), 1.0);
+    let v5 = Algorithm::AStar(AStarVersion::V5);
+    // The database-resident Dijkstra is slow in debug builds: one seed.
+    for (algorithm, shards, seeds) in [(v5, 1, 0..3), (v5, 8, 0..3), (Algorithm::Dijkstra, 1, 0..1)]
+    {
+        let (mut hits, mut after_decrease) = (0, 0);
+        for seed in seeds {
+            let (h, a) = floor_script(&metro, algorithm, shards, seed);
+            hits += h;
+            after_decrease += a;
+        }
+        // The scripts reach the bound: decreases leave routes cached.
+        assert!(
+            after_decrease > 0,
+            "{algorithm:?}, {shards} shard(s): {hits} hits, {after_decrease} after a decrease"
+        );
+    }
 }
