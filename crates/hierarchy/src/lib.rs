@@ -347,6 +347,16 @@ impl Hierarchy {
         self.core.rank[u.index()]
     }
 
+    /// Depth of `u` in the elimination tree (0 for a node with no
+    /// up-arcs). Every node an upward search from `r` reaches is an
+    /// ancestor of `r` there, one a depth, so a search can keep the
+    /// label of `v` at `depth(r) − depth(v)`: metric-independent, and
+    /// shared by every re-priced overlay.
+    #[inline]
+    pub fn depth(&self, u: NodeId) -> u32 {
+        self.core.depth[u.index()]
+    }
+
     /// Number of up-arcs out of `u` — the width of one upward
     /// relaxation step, which is what a settle at `u` is charged for.
     #[inline]

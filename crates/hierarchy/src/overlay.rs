@@ -57,6 +57,12 @@ pub(crate) struct Core {
     pub(crate) first: Vec<u32>,
     /// Up-arc heads (always higher-ranked than the tail), sorted by id.
     pub(crate) heads: Vec<u32>,
+    /// Depth in the elimination tree, where a node's parent is its
+    /// lowest-ranked up-neighbour: 0 for a node with no up-arcs. Every
+    /// up-neighbour of a node is one of its ancestors there, so an
+    /// upward search from `r` reaches at most one node at each depth
+    /// from 0 to `depth[r]`.
+    pub(crate) depth: Vec<u32>,
     /// Where the order's top split lies, which lets the triangle pass
     /// run the two halves side by side.
     pub(crate) top: TopSplit,
@@ -142,6 +148,15 @@ impl Core {
             up[m as usize] = heads;
         }
 
+        // A node's tree parent ranks above it, so one pass from the top
+        // rank down finds every parent's depth set before its children's.
+        let mut depth = vec![0u32; n];
+        for &m in order.iter().rev() {
+            if let Some(&parent) = up[m as usize].iter().min_by_key(|&&v| rank[v as usize]) {
+                depth[m as usize] = depth[parent as usize] + 1;
+            }
+        }
+
         let mut first = Vec::with_capacity(n + 1);
         let mut heads = Vec::new();
         first.push(0u32);
@@ -154,6 +169,7 @@ impl Core {
             order,
             first,
             heads,
+            depth,
             top,
         }
     }
@@ -189,7 +205,11 @@ impl Core {
 
     /// Bytes the topology holds.
     pub(crate) fn bytes(&self) -> usize {
-        4 * (self.rank.len() + self.order.len() + self.first.len() + self.heads.len())
+        4 * (self.rank.len()
+            + self.order.len()
+            + self.first.len()
+            + self.heads.len()
+            + self.depth.len())
     }
 
     /// The CSR range of up-arc indexes out of `tail`.
@@ -899,6 +919,67 @@ mod tests {
                 }
             }
             assert_eq!(actual, expected, "fill diverged for seed {seed}");
+        }
+    }
+
+    /// Every up-arc's head is an elimination-tree ancestor of its tail:
+    /// the chain of lowest-ranked up-neighbours out of the tail climbs
+    /// one depth a step and reaches the head, and a node with no up-arc
+    /// is a root at depth 0. v5 keeps its labels by depth on this fact.
+    fn assert_up_arcs_climb_the_tree(core: &Core) {
+        let parent = |v: u32| {
+            core.heads[core.range(v)]
+                .iter()
+                .copied()
+                .min_by_key(|&h| core.rank[h as usize])
+        };
+        for tail in 0..core.rank.len() as u32 {
+            if parent(tail).is_none() {
+                assert_eq!(core.depth[tail as usize], 0, "root {tail}");
+            }
+            for &head in &core.heads[core.range(tail)] {
+                let mut at = tail;
+                while at != head {
+                    let next = parent(at)
+                        .unwrap_or_else(|| panic!("{tail} -> {head}: the chain ends at {at}"));
+                    assert_eq!(
+                        core.depth[next as usize] + 1,
+                        core.depth[at as usize],
+                        "{at}'s parent {next} is not one depth up"
+                    );
+                    at = next;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn up_arcs_climb_the_elimination_tree_on_a_metro_and_a_grid() {
+        let metro = atis_graph::Metro::new(atis_graph::MetroSpec::with_nodes(1_000, 1993)).unwrap();
+        let grid = atis_graph::Grid::new(24, atis_graph::CostModel::TWENTY_PERCENT, 1993).unwrap();
+        for graph in [metro.graph(), grid.graph()] {
+            let core = Core::build(graph, &PartitionMap::build(graph, 256));
+            assert!(core.depth.iter().any(|&d| d > 1), "a tree with height");
+            assert_up_arcs_climb_the_tree(&core);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 32,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn up_arcs_climb_the_elimination_tree_on_random_graphs(
+            nodes in 2u32..300,
+            arcs in 1usize..600,
+            region_target in 1usize..300,
+            seed in 0u64..1_000_000,
+        ) {
+            let graph = crate::tests::random_graph(nodes, arcs, seed);
+            let core = Core::build(&graph, &PartitionMap::build(&graph, region_target));
+            assert_up_arcs_climb_the_tree(&core);
         }
     }
 

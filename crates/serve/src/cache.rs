@@ -88,7 +88,11 @@
 //!
 //! The cache is LRU-bounded: when full, an insert evicts the
 //! least-recently-used entry (ties broken by smaller key, so eviction is
-//! deterministic). Capacity 0 disables the cache entirely.
+//! deterministic). The victim is the first element of a
+//! `(last_used, key)` index kept beside the table, which a hit, an
+//! insert, an eviction and a sweep's drop each update in O(log
+//! capacity), so an insert into a full cache does not scan it. Capacity
+//! 0 disables the cache entirely.
 //!
 //! ## The stale tier
 //!
@@ -185,6 +189,9 @@ const UNREAD: Point = Point::new(f64::NAN, f64::NAN);
 #[derive(Debug)]
 struct Inner {
     map: HashMap<(u32, u32), Entry>,
+    /// `(last_used, key)` of every entry in `map`, so the LRU eviction
+    /// victim is the first element.
+    lru_order: BTreeSet<(u64, (u32, u32))>,
     /// Retired (invalidated) routes, still at the epoch they were
     /// computed at — the stale-serve tier. Bounded by the same capacity
     /// as the live map; never counted by `len` / `is_empty`.
@@ -224,6 +231,7 @@ impl RouteCache {
             capacity,
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                lru_order: BTreeSet::new(),
                 stale: HashMap::new(),
                 stale_order: BTreeSet::new(),
                 tick: 0,
@@ -306,10 +314,12 @@ impl RouteCache {
         if self.capacity == 0 {
             return None;
         }
-        let (mut inner, _) = self.lock_entries(level);
+        let (mut guard, _) = self.lock_entries(level);
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(&(from.0, to.0)) {
+        let key = (from.0, to.0);
+        match inner.map.get_mut(&key) {
             Some(entry)
                 if entry.route.epoch <= epochs.install()
                     && entry
@@ -317,16 +327,18 @@ impl RouteCache {
                         .iter()
                         .all(|&(shard, version)| epochs.version(shard) == version) =>
             {
+                inner.lru_order.remove(&(entry.last_used, key));
+                inner.lru_order.insert((tick, key));
                 entry.last_used = tick;
                 let route = entry.route.clone();
                 inner.stats.hits += 1;
-                drop(inner);
+                drop(guard);
                 self.bump("cache_hits_total", 1);
                 Some(route)
             }
             _ => {
                 inner.stats.misses += 1;
-                drop(inner);
+                drop(guard);
                 self.bump("cache_misses_total", 1);
                 None
             }
@@ -374,27 +386,24 @@ impl RouteCache {
         }
         inner.tick += 1;
         let tick = inner.tick;
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&(from.0, to.0)) {
+        let key = (from.0, to.0);
+        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
             // Deterministic LRU eviction: oldest tick, then smallest key.
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(key, entry)| (entry.last_used, **key))
-                .map(|(key, _)| *key);
-            if let Some(victim) = victim {
+            if let Some((_, victim)) = inner.lru_order.pop_first() {
                 inner.map.remove(&victim);
                 inner.stats.evictions += 1;
             }
         }
-        inner.map.insert(
-            (from.0, to.0),
-            Entry {
-                route,
-                stamps,
-                ends: (UNREAD, UNREAD),
-                last_used: tick,
-            },
-        );
+        let entry = Entry {
+            route,
+            stamps,
+            ends: (UNREAD, UNREAD),
+            last_used: tick,
+        };
+        if let Some(replaced) = inner.map.insert(key, entry) {
+            inner.lru_order.remove(&(replaced.last_used, key));
+        }
+        inner.lru_order.insert((tick, key));
         inner.stats.insertions += 1;
     }
 
@@ -496,6 +505,7 @@ impl RouteCache {
         let invalidated = dropped.len() as u64;
         for key in dropped {
             if let Some(entry) = inner.map.remove(&key) {
+                inner.lru_order.remove(&(entry.last_used, key));
                 self.retire(&mut inner, key, entry.route);
             }
         }
@@ -934,13 +944,64 @@ mod tests {
         assert_eq!(registry.counter("cache_invalidations_total"), 1);
     }
 
-    /// The sweep and the retirement as they were before the sweep went in
-    /// place and the tier got its eviction index: every update moves each
-    /// entry into a fresh table, and every retirement into a full tier
-    /// scans the tier for its `(epoch, key)` minimum. Slow and obviously
-    /// right; `the_in_place_sweep_matches_the_rebuild_sweep` holds the
-    /// fast pair to it, state for state.
+    /// The insert, the sweep and the retirement as they were before the
+    /// live table and the tier got their eviction indexes and the sweep
+    /// went in place: every insert into a full table scans it for its
+    /// `(last_used, key)` minimum, every update moves each entry into a
+    /// fresh table, and every retirement into a full tier scans the tier
+    /// for its `(epoch, key)` minimum. Slow and obviously right;
+    /// `the_in_place_sweep_matches_the_rebuild_sweep` holds the fast
+    /// three to it, state for state. The reference never reads its own
+    /// `lru_order`.
     impl RouteCache {
+        fn insert_stamped_by_scan(
+            &self,
+            from: NodeId,
+            to: NodeId,
+            route: CachedRoute,
+            stamps: Vec<(u32, u64)>,
+        ) {
+            if self.capacity == 0 || stamps.is_empty() {
+                return;
+            }
+            let level = &mut Level::root();
+            let (mut inner, _) = self.lock_entries(level);
+            if stamps
+                .iter()
+                .any(|&(shard, version)| version < inner.latest_version(shard))
+            {
+                return;
+            }
+            if let Some(existing) = inner.map.get(&(from.0, to.0)) {
+                if existing.route.epoch > route.epoch {
+                    return;
+                }
+            }
+            inner.tick += 1;
+            let tick = inner.tick;
+            if inner.map.len() >= self.capacity && !inner.map.contains_key(&(from.0, to.0)) {
+                let victim = inner
+                    .map
+                    .iter()
+                    .min_by_key(|(key, entry)| (entry.last_used, **key))
+                    .map(|(key, _)| *key);
+                if let Some(victim) = victim {
+                    inner.map.remove(&victim);
+                    inner.stats.evictions += 1;
+                }
+            }
+            inner.map.insert(
+                (from.0, to.0),
+                Entry {
+                    route,
+                    stamps,
+                    ends: (UNREAD, UNREAD),
+                    last_used: tick,
+                },
+            );
+            inner.stats.insertions += 1;
+        }
+
         fn apply_shard_update_by_rebuild(
             &self,
             (u, v): (NodeId, NodeId),
@@ -1063,11 +1124,17 @@ mod tests {
         (live, tier, inner.latest_versions.clone(), inner.stats)
     }
 
-    /// The stale tier's eviction index holds one `(epoch, key)` per
-    /// retired route and nothing else.
+    /// The live table's eviction index holds one `(last_used, key)` per
+    /// entry, and the stale tier's one `(epoch, key)` per retired route,
+    /// and nothing else.
     fn assert_indexed(cache: &RouteCache) {
         let level = &mut Level::root();
         let (inner, _) = cache.lock_entries(level);
+        let mut live: Vec<(u64, (u32, u32))> =
+            inner.map.iter().map(|(&k, e)| (e.last_used, k)).collect();
+        live.sort_unstable();
+        let indexed: Vec<(u64, (u32, u32))> = inner.lru_order.iter().copied().collect();
+        assert_eq!(indexed, live, "the LRU index is the table");
         let mut tier: Vec<(u64, (u32, u32))> =
             inner.stale.iter().map(|(&k, r)| (r.epoch, k)).collect();
         tier.sort_unstable();
@@ -1123,10 +1190,10 @@ mod tests {
                         .into_iter()
                         .map(|s| (s, versions[s as usize].saturating_sub(rng.next_below(3))))
                         .collect();
-                    for cache in [&fast, &reference] {
-                        let route = route(&nodes, cost, epoch);
-                        cache.insert_stamped(NodeId(key.0), NodeId(key.1), route, stamps.clone());
-                    }
+                    let (from, to) = (NodeId(key.0), NodeId(key.1));
+                    let route = route(&nodes, cost, epoch);
+                    fast.insert_stamped(from, to, route.clone(), stamps.clone());
+                    reference.insert_stamped_by_scan(from, to, route, stamps);
                 }
                 4..=5 => {
                     // A snapshot at the newest install or at a pending one.
