@@ -519,6 +519,36 @@ if [ "$checked" -eq 0 ]; then
     fail=1
 fi
 
+# 15. Frontier drift: the frontier-representation column of DESIGN.md's
+#     "One loop, …" table must name exactly the types search.rs implements
+#     `Frontier` for (`impl Frontier for X`, `impl<…> Frontier for X<…>`),
+#     both ways. A frontier added to the one loop but not to the table
+#     fails here, and so does a tabled one whose impl is gone. Finding
+#     none on either side fails too.
+search_rs=crates/algorithms/src/search.rs
+if [ -f "$search_rs" ] && [ -f DESIGN.md ]; then
+    implemented=$(grep -o '^impl\(<[^>]*>\)\? Frontier for [A-Za-z]*' "$search_rs" \
+        | sed 's/.* for //' | sort -u)
+    tabled=$(awk '/^#/{ on = ($0 ~ /^### One loop, /) } on && /^\| `/' DESIGN.md \
+        | awk -F'|' '{ print $3 }' | grep -o '`[A-Z][A-Za-z]*' | tr -d '`' | sort -u) || true
+    if [ -z "$implemented" ] || [ -z "$tabled" ]; then
+        echo "FRONTIERS: no impl Frontier in $search_rs or no frontier in DESIGN.md's one-loop table"
+        fail=1
+    fi
+    for frontier in $implemented; do
+        if ! echo "$tabled" | grep -qx "$frontier"; then
+            echo "UNTABLED FRONTIER: $search_rs implements Frontier for $frontier, which DESIGN.md's one-loop table does not name"
+            fail=1
+        fi
+    done
+    for frontier in $tabled; do
+        if ! echo "$implemented" | grep -qx "$frontier"; then
+            echo "UNKNOWN FRONTIER: DESIGN.md's one-loop table names $frontier, for which $search_rs implements no Frontier"
+            fail=1
+        fi
+    done
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "doc-link check FAILED"
     exit 1

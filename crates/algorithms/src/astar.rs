@@ -11,16 +11,16 @@
 //! | 5       | two heaps beside the overlay | the contraction hierarchy itself  |
 //!
 //! Versions 1–4 are rows of one table, not implementations: each is the
-//! crate's single best-first loop (the crate-private `search` module)
-//! run over the frontier representation and estimator that
-//! [`Algorithm::describe`] names for it, with Figure 3's reopening rule
-//! — an improved node re-enters the frontier even if it was explored
-//! (`if not_in(v, frontierSet)`, no explored-set check), which is what
-//! preserves optimality under an admissible-but-inconsistent estimator
-//! and lets the inadmissible Manhattan estimator on the Minneapolis map
-//! still find good paths. Version 5 is a different loop (the
-//! crate-private `hierarchy_search` module). This module keeps the
-//! version enum; every version runs through [`crate::Database::run`].
+//! crate's single loop (the crate-private `search` module), settling one
+//! minimum per iteration, run over the frontier representation and
+//! estimator that [`Algorithm::describe`] names for it, with Figure 3's
+//! reopening rule — an improved node re-enters the frontier even if it
+//! was explored (`if not_in(v, frontierSet)`, no explored-set check),
+//! which is what preserves optimality under an admissible-but-
+//! inconsistent estimator and lets the inadmissible Manhattan estimator
+//! on the Minneapolis map still find good paths. Version 5 is a different
+//! loop (the crate-private `hierarchy_search` module). This module keeps
+//! the version enum; every version runs through [`crate::Database::run`].
 
 use crate::database::{Algorithm, FrontierKind, Kernel};
 use crate::estimator::Estimator;
@@ -71,7 +71,7 @@ impl AStarVersion {
     pub fn estimator(&self) -> Estimator {
         match Algorithm::AStar(*self).describe().kernel {
             Kernel::BestFirst { estimator, .. } => estimator,
-            Kernel::LevelSynchronous | Kernel::Upward => Estimator::Zero,
+            Kernel::Upward => Estimator::Zero,
         }
     }
 
@@ -81,7 +81,7 @@ impl AStarVersion {
     pub fn frontier(&self) -> FrontierKind {
         match Algorithm::AStar(*self).describe().kernel {
             Kernel::BestFirst { frontier, .. } => frontier,
-            Kernel::LevelSynchronous | Kernel::Upward => FrontierKind::StatusAttribute,
+            Kernel::Upward => FrontierKind::StatusAttribute,
         }
     }
 

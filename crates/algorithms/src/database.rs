@@ -4,10 +4,10 @@
 use crate::astar::AStarVersion;
 use crate::error::{AlgorithmError, ArtifactIssue, BudgetKind};
 use crate::estimator::Estimator;
+use crate::hierarchy_search;
 use crate::ladder::Needs;
-use crate::search::{self, Spec};
+use crate::search::{best_first, LevelFrontier, RelationFrontier, Spec, StatusFrontier};
 use crate::trace::RunTrace;
-use crate::{hierarchy_search, iterative};
 use atis_graph::grouped::Sharing;
 use atis_graph::{Graph, NodeId};
 use atis_hierarchy::Hierarchy;
@@ -27,9 +27,15 @@ use atis_storage::{
 /// through a degenerate search (e.g. a fault-corrupted frontier or an
 /// oversized query). An exhausted budget ends a degrade-ladder walk
 /// ([`crate::ladder`]): a lower rung would only spend more.
+///
+/// The one rule: a run checks both limits at the top of every iteration
+/// and after its last selection, and fails once it has completed more
+/// than `max_iterations` iterations or charged more than `max_cost_units`
+/// — so an `Ok` run kept within both (A\* version 5 excepted: it unpacks
+/// its path after its last check).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Budgets {
-    /// Maximum main-loop iterations (frontier selections / BFS rounds).
+    /// Maximum main-loop iterations (frontier selections / rounds).
     pub max_iterations: Option<u64>,
     /// Maximum accumulated I/O cost, in Table 4A cost units.
     pub max_cost_units: Option<f64>,
@@ -160,13 +166,20 @@ impl Algorithm {
                 frontier,
                 estimator,
                 reopen_closed: true,
+                every_current: false,
             }
         }
         let (label, needs, kernel) = match *self {
+            // Figure 1: an improved closed node becomes current again.
             Algorithm::Iterative => (
                 Label::Row("Iterative"),
                 Needs::Nothing,
-                Kernel::LevelSynchronous,
+                Kernel::BestFirst {
+                    frontier: StatusAttribute,
+                    estimator: Zero,
+                    reopen_closed: true,
+                    every_current: true,
+                },
             ),
             // Figure 2 checks `not_in(v, frontierSet ∪ exploredSet)`:
             // closed nodes never re-enter the frontier.
@@ -177,6 +190,7 @@ impl Algorithm {
                     frontier: StatusAttribute,
                     estimator: Zero,
                     reopen_closed: false,
+                    every_current: false,
                 },
             ),
             Algorithm::AStar(v) => {
@@ -241,20 +255,19 @@ impl std::fmt::Display for Label {
 /// The loop that runs an [`Algorithm`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel {
-    /// Figure 1: every round selects *all* current nodes and relaxes
-    /// them with two rewrite passes over `R` (the `iterative` module).
-    LevelSynchronous,
-    /// Figures 2–3: one node per iteration, selected by minimum
-    /// `C(s,u) + f(u,d)` — one loop (the crate-private `search` module)
-    /// over the paper's axes.
+    /// Figures 1–3: select, close, join with `S`, relax — one loop (the
+    /// crate-private `search` module) over the paper's axes.
     BestFirst {
         /// FrontierSet representation (Section 5.3.1).
         frontier: FrontierKind,
         /// The `f(u,d)` added to the path cost (Section 5.3.2).
         estimator: Estimator,
         /// Whether an improved closed node re-enters the frontier
-        /// (Figure 3) or is final (Figure 2).
+        /// (Figures 1 and 3) or is final (Figure 2).
         reopen_closed: bool,
+        /// The settle rule: every current node per iteration, until none
+        /// is (Figure 1), or the one minimum, until it is `d` (Figs. 2–3).
+        every_current: bool,
     },
     /// A\* version 5: two upward searches over the contraction-hierarchy
     /// overlay that meet (the crate-private `hierarchy_search` module).
@@ -756,26 +769,31 @@ impl Database {
             needs,
             kernel,
         } = algorithm.describe();
-        match kernel {
-            Kernel::LevelSynchronous => iterative::run(self, s, d, budgets),
-            Kernel::Upward => hierarchy_search::run(self, s, d, budgets),
-            Kernel::BestFirst {
-                frontier,
-                estimator,
-                reopen_closed,
-            } => {
-                let alt = match needs {
-                    Needs::Landmarks => Some(self.alt_bounds_for(d)?),
-                    Needs::Hierarchy | Needs::Nothing => None,
-                };
-                let spec = Spec {
-                    label: label.to_string(),
-                    estimator,
-                    reopen_closed,
-                    alt,
-                };
-                search::best_first_on(frontier, self, s, d, spec, budgets)
-            }
+        let Kernel::BestFirst {
+            frontier,
+            estimator,
+            reopen_closed,
+            every_current,
+        } = kernel
+        else {
+            return hierarchy_search::run(self, s, d, budgets);
+        };
+        let alt = match needs {
+            Needs::Landmarks => Some(self.alt_bounds_for(d)?),
+            Needs::Hierarchy | Needs::Nothing => None,
+        };
+        let spec = Spec {
+            label: label.to_string(),
+            estimator,
+            reopen_closed,
+            alt,
+        };
+        use FrontierKind::*;
+        match (frontier, every_current) {
+            (StatusAttribute, false) => best_first::<StatusFrontier>(self, s, d, spec, budgets),
+            (SeparateRelation, false) => best_first::<RelationFrontier>(self, s, d, spec, budgets),
+            // Figure 1's current set is a status of `R`, whatever the kind.
+            (_, true) => best_first::<LevelFrontier>(self, s, d, spec, budgets),
         }
     }
 

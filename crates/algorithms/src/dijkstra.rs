@@ -8,11 +8,12 @@
 //! paths.
 //!
 //! Dijkstra is not a loop of its own: [`crate::Algorithm::describe`]
-//! says it is the crate's single best-first loop (the crate-private
-//! `search` module) with the status-attribute frontier, a zero estimator
-//! and no reopening (Figure 2 checks `not_in(v, frontierSet ∪
-//! exploredSet)`, so closed nodes never re-enter the frontier). It runs
-//! through [`crate::Database::run`] with [`crate::Algorithm::Dijkstra`].
+//! says it is the crate's single loop (the crate-private `search`
+//! module) with the status-attribute frontier settling one minimum per
+//! iteration, a zero estimator and no reopening (Figure 2 checks
+//! `not_in(v, frontierSet ∪ exploredSet)`, so closed nodes never
+//! re-enter the frontier). Figure 1 is that loop settling every current
+//! node. Both run through [`crate::Database::run`].
 
 #[cfg(test)]
 mod tests {

@@ -4,9 +4,9 @@
 //!
 //! Section 3 of the paper defines the candidates:
 //!
-//! * [`iterative`] — the transitive-closure representative (Figure 1):
-//!   breadth-first, set-oriented relaxation of *all* current nodes per
-//!   round; cannot stop early.
+//! * [`Algorithm::Iterative`] — the transitive-closure representative
+//!   (Figure 1): breadth-first, set-oriented relaxation of *all* current
+//!   nodes per round; cannot stop early.
 //! * [`dijkstra`] — the partial-transitive-closure representative
 //!   (Figure 2): expands one minimum-`C(s,u)` node per iteration and
 //!   terminates when the destination is selected.
@@ -16,10 +16,11 @@
 //!   frontier + Euclidean), v3 (status-attribute frontier + Manhattan),
 //!   plus the landmark-guided v4 and the hierarchy-backed v5.
 //!
-//! Figures 2 and 3 are one loop (Section 5.3): the crate has a single
-//! best-first driver, parameterised by frontier representation,
-//! estimator and reopening rule, and [`Algorithm::describe`] is the one
-//! `match` that says which parameters each algorithm is.
+//! Figures 1, 2 and 3 are one loop (Section 5.3): the crate has a single
+//! driver, parameterised by frontier representation and its settle rule
+//! (one minimum per iteration, or every current node), estimator and
+//! reopening rule, and [`Algorithm::describe`] is the one `match` that
+//! says which parameters each algorithm is.
 //!
 //! Every run produces a [`RunTrace`]: the iteration count the paper's
 //! tables report, the metered [`atis_storage::IoStats`], the cost in
@@ -58,7 +59,6 @@ pub mod duplicates;
 pub mod error;
 pub mod estimator;
 pub(crate) mod hierarchy_search;
-pub mod iterative;
 pub mod ladder;
 pub mod memory;
 pub(crate) mod observe;
