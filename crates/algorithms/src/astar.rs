@@ -8,7 +8,7 @@
 //! | 2       | status attribute in R  | Euclidean estimator                     |
 //! | 3       | status attribute in R  | Manhattan estimator                     |
 //! | 4       | status attribute in R  | max(landmark bound, Euclidean)          |
-//! | 5       | two heaps beside the overlay | the contraction hierarchy itself  |
+//! | 5       | a depth sweep of the overlay | the contraction hierarchy itself  |
 //!
 //! Versions 1–4 are rows of one table, not implementations: each is the
 //! crate's single loop (the crate-private `search` module), settling one

@@ -3,12 +3,22 @@
 //!
 //! Where versions 1–4 walk the base edge relation and rely on an
 //! estimator to stay goal-directed, version 5 queries the overlay the
-//! `atis-hierarchy` crate preprocessed: both endpoints run a Dijkstra
-//! that only relaxes *up-arcs* (toward higher contraction ranks), and
-//! the shortest path is the best up-down meeting point of the two
-//! cones. On metro networks the up-closure of any node is a few hundred
-//! nodes regardless of trip length — that is the ≥10x expansion win
-//! over v4 the scaling study measures.
+//! `atis-hierarchy` crate preprocessed: both endpoints search only
+//! *up-arcs* (toward higher contraction ranks), and the shortest path
+//! is the best up-down meeting point of the two cones. On metro
+//! networks the up-closure of any node is a few hundred nodes
+//! regardless of trip length — that is the ≥10x expansion win over v4
+//! the scaling study measures.
+//!
+//! The overlay is a customizable CH, so every up-neighbour of a node is
+//! its ancestor in the elimination tree, and each side's search is a
+//! walk up its root's ancestor chain, one node a depth. The query needs
+//! no priority queue: one sweep from the deeper root's depth up to 0
+//! visits each side's label at each depth, when every arc into it has
+//! been relaxed, so the label is final. A label is settled only while
+//! it is below the best meeting cost, and that cost falls as early as
+//! it can: every label write reads the other side's label at the same
+//! node.
 //!
 //! Metering stays honest to the paper's cost-model lens: settling a
 //! node charges the blocks its up-arc list occupies (at
@@ -22,13 +32,11 @@ use crate::database::{Budgets, Database};
 use crate::error::AlgorithmError;
 use crate::observe::RunObserver;
 use crate::trace::RunTrace;
-use atis_graph::sssp::HeapEntry;
 use atis_graph::{GraphError, NodeId, Path};
 use atis_hierarchy::{Hierarchy, ARC_TUPLE_SIZE};
 use atis_obs::{IterationPhase, StepIo};
 use atis_storage::block::BLOCK_SIZE;
 use atis_storage::IoStats;
-use std::collections::BinaryHeap;
 #[expect(
     clippy::disallowed_types,
     reason = "wall_ms is trace reporting metadata, never an algorithm input"
@@ -68,108 +76,65 @@ pub(crate) fn run(
     // Two upward searches. The backward label of u is the cost of
     // travelling u ⇝ d (the backward search climbs the reverse graph,
     // which on the overlay means relaxing the `bwd` side of each up-arc).
+    // The roots meet only if they are one node.
     let mut labels = [Labels::new(hierarchy, s), Labels::new(hierarchy, d)];
-    let mut heaps = [BinaryHeap::new(), BinaryHeap::new()];
     labels[FWD].improve(s.0, 0.0, NO_PARENT);
-    heaps[FWD].push(HeapEntry {
-        score: 0.0,
-        node: s,
-    });
     labels[BWD].improve(d.0, 0.0, NO_PARENT);
-    heaps[BWD].push(HeapEntry {
-        score: 0.0,
-        node: d,
-    });
-    let mut open = [1u64, 1u64];
-    let mut frontier_peak = 2u64;
-
-    let mut best = f64::INFINITY;
-    let mut meet: Option<u32> = None;
+    let (mut best, mut meet) = if s == d {
+        (0.0, Some(s.0))
+    } else {
+        (f64::INFINITY, None)
+    };
+    // Reached labels whose depth has not come up yet, both sides.
+    let mut open = 2u64;
+    let mut frontier_peak = open;
     let mut iterations = 0u64;
     let mut order = Vec::new();
 
-    loop {
-        meter.check(iterations, &io)?;
-        // Drop lazily deleted entries, then stop any side whose reachable
-        // minimum can no longer beat the best meeting found — in a CH
-        // both sides must drain to their bound before `best` is proven.
+    let top = hierarchy.depth(s).max(hierarchy.depth(d));
+    for depth in (0..=top).rev() {
         for side in [FWD, BWD] {
-            while let Some(top) = heaps[side].peek() {
-                if top.score > labels[side].dist(top.node.0) {
-                    heaps[side].pop();
-                    open[side] = open[side].saturating_sub(1);
-                } else {
-                    break;
+            let Some(Label { node: u, dist, .. }) = labels[side].at_depth(depth) else {
+                continue;
+            };
+            open -= 1;
+            // Every path on through u costs at least `dist`.
+            if dist >= best {
+                continue;
+            }
+            meter.check(iterations, &io)?;
+            iterations += 1;
+            order.push(NodeId(u));
+            // Settling u reads its up-arc sublist from the overlay relation.
+            let arc_bytes = hierarchy.up_degree(NodeId(u)) * ARC_TUPLE_SIZE;
+            io.read_blocks(arc_bytes.div_ceil(BLOCK_SIZE).max(1) as u64);
+
+            for arc in hierarchy.up_arcs(NodeId(u)) {
+                let next = dist + if side == FWD { arc.fwd } else { arc.bwd };
+                let v = arc.head.0;
+                if let Some(first) = labels[side].improve(v, next, u) {
+                    open += u64::from(first);
+                    // Meeting on write: a settle-time test would let
+                    // `best` lag until the node's depth came up.
+                    let through = next + labels[1 - side].meeting(v);
+                    if through < best {
+                        best = through;
+                        meet = Some(v);
+                    }
                 }
             }
+            frontier_peak = frontier_peak.max(open);
+            observer.span(IterationPhase::Search, iterations, Some(u), open, None, &io);
         }
-        let min_of = |h: &BinaryHeap<HeapEntry>| h.peek().map(|e| e.score);
-        let side = match (min_of(&heaps[FWD]), min_of(&heaps[BWD])) {
-            (Some(f), Some(b)) if f.min(b) < best => {
-                if f <= b {
-                    FWD
-                } else {
-                    BWD
-                }
-            }
-            (Some(f), None) if f < best => FWD,
-            (None, Some(b)) if b < best => BWD,
-            _ => break,
-        };
-
-        let Some(HeapEntry {
-            score,
-            node: NodeId(u),
-        }) = heaps[side].pop()
-        else {
-            break;
-        };
-        open[side] = open[side].saturating_sub(1);
-        iterations += 1;
-        order.push(NodeId(u));
-        // Settling u reads its up-arc sublist from the overlay relation.
-        let arc_bytes = hierarchy.up_degree(NodeId(u)) * ARC_TUPLE_SIZE;
-        io.read_blocks(arc_bytes.div_ceil(BLOCK_SIZE).max(1) as u64);
-
-        // A finite label on the other side makes u a meeting candidate.
-        let other = labels[1 - side].meeting(u);
-        if other.is_finite() && score + other < best {
-            best = score + other;
-            meet = Some(u);
-        }
-
-        for arc in hierarchy.up_arcs(NodeId(u)) {
-            let cost = if side == FWD { arc.fwd } else { arc.bwd };
-            let next = score + cost;
-            if labels[side].improve(arc.head.0, next, u) {
-                heaps[side].push(HeapEntry {
-                    score: next,
-                    node: arc.head,
-                });
-                open[side] += 1;
-            }
-        }
-        frontier_peak = frontier_peak.max(open[FWD] + open[BWD]);
-        observer.span(
-            IterationPhase::Search,
-            iterations,
-            Some(u),
-            open[FWD] + open[BWD],
-            None,
-            &io,
-        );
     }
+    meter.check(iterations, &io)?;
 
     let path = meet
         .map(|m| unpack_path(db, hierarchy, s, d, m, &labels, &mut io))
         .transpose()?;
-    observer.finished(
-        iterations,
-        path.is_some(),
-        open[FWD] + open[BWD],
-        &io,
-        io.cost(db.params()),
-    );
+    // Unpacking reads the overlay too, and is held to the same budget.
+    meter.check(iterations, &io)?;
+    observer.finished(iterations, path.is_some(), open, &io, io.cost(db.params()));
 
     Ok(RunTrace {
         algorithm: label,
@@ -198,9 +163,11 @@ pub(crate) fn run(
 /// the label of `v` lives at slot `depth(root) − depth(v)` of an array
 /// as long as the root's ancestor chain: 89 slots at most on metro-10k,
 /// 544 on metro-100k, where a node-count array is 10 752 and 102 400.
-/// The other side asks for `u` at the slot `u`'s depth names under its
-/// own root; that slot holds `u` only if `u` is an ancestor of that
-/// root too, so a slot holding another node, or none in range, reads ∞.
+/// The array is the chain itself: the sweep reads it slot by slot, and
+/// needs no parent array. The other side asks for `u` at the slot `u`'s
+/// depth names under its own root; that slot holds `u` only if `u` is
+/// an ancestor of that root too, so a slot holding another node, or
+/// none in range, reads ∞.
 struct Labels<'h> {
     hierarchy: &'h Hierarchy,
     root_depth: u32,
@@ -235,10 +202,14 @@ impl<'h> Labels<'h> {
         (self.root_depth - self.hierarchy.depth(NodeId(v))) as usize
     }
 
-    /// The tentative cost of `v`, an ancestor of this side's root: ∞
-    /// until the search reaches it.
-    fn dist(&self, v: u32) -> f64 {
-        self.slots[self.slot(v)].dist
+    /// The label of this side's ancestor at `depth`, if the search has
+    /// reached it.
+    fn at_depth(&self, depth: u32) -> Option<Label> {
+        let slot = self.root_depth.checked_sub(depth)?;
+        self.slots
+            .get(slot as usize)
+            .copied()
+            .filter(|label| label.node != NO_PARENT)
     }
 
     /// The predecessor of `v`, a node this side has reached:
@@ -250,18 +221,16 @@ impl<'h> Labels<'h> {
     /// The cost of any node `u` on this side: ∞ unless `u` is an
     /// ancestor of this side's root that the search has reached.
     fn meeting(&self, u: u32) -> f64 {
-        let Some(slot) = self.root_depth.checked_sub(self.hierarchy.depth(NodeId(u))) else {
-            return f64::INFINITY;
-        };
-        match self.slots.get(slot as usize) {
+        match self.at_depth(self.hierarchy.depth(NodeId(u))) {
             Some(label) if label.node == u => label.dist,
             _ => f64::INFINITY,
         }
     }
 
     /// Lowers the label of `v`, an ancestor of this side's root, to
-    /// `dist` via `parent` where that is cheaper; returns whether it was.
-    fn improve(&mut self, v: u32, dist: f64, parent: u32) -> bool {
+    /// `dist` via `parent` where that is cheaper. Returns `None` if it
+    /// was not, else whether this is the first label `v` gets.
+    fn improve(&mut self, v: u32, dist: f64, parent: u32) -> Option<bool> {
         let slot = self.slot(v);
         let label = &mut self.slots[slot];
         debug_assert!(
@@ -269,15 +238,16 @@ impl<'h> Labels<'h> {
             "depth slot {slot} holds {} and {v}: not an ancestor chain",
             label.node
         );
-        let cheaper = dist < label.dist;
-        if cheaper {
-            *label = Label {
-                node: v,
-                dist,
-                parent,
-            };
+        if dist >= label.dist {
+            return None;
         }
-        cheaper
+        let first = label.node == NO_PARENT;
+        *label = Label {
+            node: v,
+            dist,
+            parent,
+        };
+        Some(first)
     }
 }
 

@@ -18,11 +18,14 @@
 //! * **shuffled** — the same graph under a seeded random renumbering,
 //!   the locality-free control.
 //!
-//! Charged I/O (the paper's cost model) depends only on the algorithm;
-//! what the layout changes is the *physical* read count — buffer-pool
-//! misses — which is exactly what the region layout is supposed to
-//! shrink. Each (scale, layout, algorithm) runs against a freshly
-//! opened database so no measurement inherits another's warm pool.
+//! Charged I/O (the paper's cost model) is not the algorithm's alone: a
+//! heap-file block read is charged only when it misses the pool (see
+//! `Database::open_with_profile`), so the layout, and what a row's
+//! earlier queries left in the pool, move `block_reads` too. What the
+//! region layout is supposed to shrink is the *physical* read count —
+//! buffer-pool misses. Each (scale, layout, algorithm) runs against a
+//! freshly opened database so no measurement inherits another's warm
+//! pool.
 //!
 //! Two workloads run per scale. The **regional** workload (both
 //! layouts) compares Dijkstra and A\* v3/v4/v5 on the traveller-scale

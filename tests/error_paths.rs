@@ -125,7 +125,9 @@ fn generous_budgets_change_nothing() {
 }
 
 /// The one budget rule: the meter checks at the top of every iteration
-/// and once more after the last selection, so a run that returns `Ok`
+/// and once more after the last selection (A\* version 5, which reads
+/// the overlay again to unpack its path, checks once more after that),
+/// so a run that returns `Ok`
 /// has completed at most `max_iterations` iterations and charged at most
 /// `max_cost_units`. Swept over every iteration budget below the run's
 /// own count and over cost budgets in steps of 1/40 of its own cost.
@@ -204,10 +206,7 @@ fn an_ok_run_stays_within_its_budgets() {
                         t.iterations
                     );
                 }
-                // A* version 5 unpacks its path after its last check, so
-                // its unpacking reads are not held to the cost budget.
-                let unpacks = *algorithm == Algorithm::AStar(AStarVersion::V5);
-                if let (Some(max), false) = (budgets.max_cost_units, unpacks) {
+                if let Some(max) = budgets.max_cost_units {
                     let cost = t.cost_units(db.params());
                     assert!(cost <= max, "{what}: {cost} cost units under {budgets:?}");
                 }

@@ -9,6 +9,7 @@
 
 use atis::algorithms::memory::dijkstra_pair;
 use atis::algorithms::{AStarVersion, Algorithm, AlgorithmError, ArtifactIssue, Database};
+use atis::graph::graph::graph_from_arcs;
 use atis::graph::{shuffle_layout, Graph, Metro, MetroQuery, MetroSpec, NodeId};
 use atis::hierarchy::{Hierarchy, HierarchyConfig};
 use proptest::prelude::*;
@@ -30,7 +31,8 @@ const TRIPS: [MetroQuery; 3] = [
 ];
 
 /// Runs v5 on `(s, d)` and checks the returned route against the
-/// in-memory Dijkstra oracle on the same graph: equal cost, a valid
+/// in-memory Dijkstra oracle on the same graph: no route where the
+/// oracle has none, else equal cost, a valid
 /// edge sequence, and a reported total that bit-equals the left-to-right
 /// re-priced sum (v5 unpacks shortcuts and re-prices against the f64
 /// graph, so no storage rounding is in play).
@@ -38,7 +40,13 @@ fn assert_matches_oracle(db: &Database, graph: &Graph, s: NodeId, d: NodeId) {
     let trace = db
         .run(Algorithm::AStar(AStarVersion::V5), s, d)
         .expect("v5 runs on a current hierarchy");
-    let oracle = dijkstra_pair(graph, s, d).expect("metro networks are strongly connected");
+    let Some(oracle) = dijkstra_pair(graph, s, d) else {
+        assert!(
+            trace.path.is_none(),
+            "v5 routes {s:?}->{d:?}, the oracle cannot"
+        );
+        return;
+    };
     let path = trace.path.as_ref().expect("oracle found a path");
     assert_eq!(path.source(), s);
     assert_eq!(path.destination(), d);
@@ -56,7 +64,9 @@ fn assert_matches_oracle(db: &Database, graph: &Graph, s: NodeId, d: NodeId) {
                 .edge_cost(w[0], w[1])
                 .unwrap_or_else(|| panic!("v5 route uses a non-edge {:?}->{:?}", w[0], w[1]))
         })
-        .sum();
+        // From +0.0, as the route's own pricing starts: `Sum` for f64
+        // starts from -0.0, which a one-node route would keep.
+        .fold(0.0, |sum, cost| sum + cost);
     assert_eq!(
         repriced.to_bits(),
         trace.path_cost().to_bits(),
@@ -64,16 +74,63 @@ fn assert_matches_oracle(db: &Database, graph: &Graph, s: NodeId, d: NodeId) {
     );
 }
 
+/// `v`'s proper ancestors in the overlay's elimination tree, nearest
+/// first: a node's tree parent is its lowest-ranked up-neighbour.
+fn ancestors(hierarchy: &Hierarchy, mut v: NodeId) -> Vec<NodeId> {
+    let mut chain = Vec::new();
+    while let Some(up) = hierarchy
+        .up_arcs(v)
+        .map(|arc| arc.head)
+        .min_by_key(|&head| hierarchy.rank(head))
+    {
+        chain.push(up);
+        v = up;
+    }
+    chain
+}
+
+/// Two islands, 0..=8 and 9..=11, the second reaching the first by the
+/// one arc 9 -> 0 and unreachable from it.
+fn islands12() -> Graph {
+    let arcs = [
+        (0, 1, 1.0),
+        (1, 2, 1.0),
+        (0, 2, 3.5),
+        (2, 3, 1.0),
+        (0, 4, 1.5),
+        (4, 3, 0.25),
+        (3, 5, 2.0),
+        (4, 6, 0.5),
+        (6, 5, 0.25),
+        (5, 7, 1.0),
+        (6, 8, 4.0),
+        (7, 8, 1.0),
+        (8, 0, 1.0),
+        (3, 1, 0.25),
+        (9, 10, 1.0),
+        (10, 11, 1.0),
+        (11, 9, 1.0),
+        (9, 0, 1.0),
+    ];
+    graph_from_arcs(12, &arcs).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// v5 agrees with the Dijkstra oracle on every named trip, and two
     /// identical runs return the identical route (bit-deterministic).
+    /// The edge cases of the sweep's early `best` ride along: a trip
+    /// from a node to itself, and trips between a node and its nearest
+    /// and farthest elimination-tree ancestors, where one side's root
+    /// is a node the other side reaches; and on `islands12`, every
+    /// ordered pair, unreachable ones among them.
     #[test]
     fn v5_routes_match_the_dijkstra_oracle(metro in arb_metro()) {
         let graph = metro.graph();
         let hierarchy = Hierarchy::build(graph, HierarchyConfig::paper()).unwrap();
         let db = Database::open(graph).unwrap().with_hierarchy(hierarchy);
+        let hierarchy = db.hierarchy().unwrap();
         for &trip in &TRIPS {
             let (s, d) = metro.query_pair(trip);
             assert_matches_oracle(&db, graph, s, d);
@@ -83,6 +140,22 @@ proptest! {
             let once = db.run(Algorithm::AStar(AStarVersion::V5), s, d).unwrap();
             let twice = db.run(Algorithm::AStar(AStarVersion::V5), s, d).unwrap();
             prop_assert_eq!(&once.path, &twice.path, "v5 must be bit-deterministic");
+
+            assert_matches_oracle(&db, graph, s, s);
+            let chain = ancestors(hierarchy, s);
+            for &a in [chain.first(), chain.last()].into_iter().flatten() {
+                assert_matches_oracle(&db, graph, s, a);
+                assert_matches_oracle(&db, graph, a, s);
+            }
+        }
+
+        let islands = islands12();
+        let hierarchy = Hierarchy::build(&islands, HierarchyConfig::paper()).unwrap();
+        let db = Database::open(&islands).unwrap().with_hierarchy(hierarchy);
+        for s in 0..12 {
+            for d in 0..12 {
+                assert_matches_oracle(&db, &islands, NodeId(s), NodeId(d));
+            }
         }
     }
 

@@ -233,3 +233,36 @@ fn edge_relation_preserves_costs_exactly() {
         assert_eq!(expect, got);
     }
 }
+
+/// Charged I/O counts buffer-pool misses, so under a pool it depends on
+/// what earlier runs left there: an unpooled database charges a repeat
+/// run exactly what it charged the first, and a pooled one charges its
+/// repeat no more than its first run, which already differs from the
+/// unpooled charge. Dijkstra on this grid's diagonal: 11 760 reads
+/// unpooled, then 6 184 and 6 172 under the 400-node profile's pool.
+#[test]
+fn charged_reads_depend_on_the_pool_and_its_history() {
+    use atis::algorithms::{Algorithm, Database};
+    let grid = Grid::new(20, CostModel::TWENTY_PERCENT, 1993).unwrap();
+    let (s, d) = grid.query_pair(atis::QueryKind::Diagonal);
+    let reads = |db: &Database| db.run(Algorithm::Dijkstra, s, d).unwrap().io.block_reads;
+
+    let unpooled = Database::open(grid.graph()).unwrap();
+    let (first, repeat) = (reads(&unpooled), reads(&unpooled));
+    assert_eq!(
+        first, repeat,
+        "an unpooled repeat charges what the first run did"
+    );
+
+    let profile = StorageProfile::for_nodes(grid.graph().node_count());
+    let pooled = Database::open_with_profile(grid.graph(), profile).unwrap();
+    let (pooled_first, pooled_repeat) = (reads(&pooled), reads(&pooled));
+    assert!(
+        pooled_repeat <= pooled_first,
+        "{pooled_repeat} > {pooled_first}"
+    );
+    assert_ne!(
+        pooled_first, first,
+        "the pool changes what a run is charged"
+    );
+}

@@ -4,7 +4,9 @@
 //! A deterministic count of the bytes `Database::run` asks the
 //! allocator for, not a timing: no single allocation may reach
 //! `node_count × 4` bytes, and no run may allocate more than
-//! [`RUN_BYTES`] in all, at metro-10k and at metro-100k alike.
+//! [`RUN_BYTES`] in all, at metro-10k and at metro-100k alike. The same
+//! runs pin the sweep's closed form: each side settles at most one node
+//! a depth of its root's ancestor chain.
 
 use atis::algorithms::{AStarVersion, Algorithm, Database};
 use atis::graph::{Metro, MetroSpec, NodeId, SplitMix64};
@@ -71,21 +73,25 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
 /// Bytes one v5 run may allocate, whatever the network's size. The
 /// two depth-indexed label arrays take 16 B a slot, at most 544 slots a
 /// side at metro-100k; the rest grows with the search, not the network:
-/// heap entries, the expansion order, the unpacked route. Over these
-/// 512 trips a run allocated 9.7 KB on average (14.8 KB at most) at
-/// metro-10k and 119 KB (223 KB) at metro-100k. The node-count arrays
-/// the labels replaced were 24 B a node: 258 KB at 10k, 2.5 MB at 100k.
-const RUN_BYTES: usize = 256 * 1024;
+/// the expansion order and the unpacked route. Over these 512 trips a
+/// run allocated 4.6 KB on average (7.1 KB at most) at metro-10k and
+/// 26 KB (36 KB) at metro-100k. With the two lazy-deletion heaps the
+/// depth sweep replaced, a run took 9.7 KB and 119 KB on average; the
+/// node-count arrays before them were 24 B a node: 258 KB at 10k,
+/// 2.5 MB at 100k.
+const RUN_BYTES: usize = 64 * 1024;
 
 /// v5 over `pairs` seeded uniform trips on the seed-1993 metro of about
-/// `nodes` nodes: every run answers, and none allocates `node_count × 4`
-/// bytes at once or [`RUN_BYTES`] in all.
+/// `nodes` nodes: every run answers, settles at most
+/// `depth(s) + depth(d) + 2` nodes, and allocates neither
+/// `node_count × 4` bytes at once nor [`RUN_BYTES`] in all.
 fn assert_runs_allocate_no_node_count_state(nodes: usize, pairs: usize) {
     let metro = Metro::new(MetroSpec::with_nodes(nodes, 1993)).unwrap();
     let graph = metro.graph();
     let n = graph.node_count();
     let hierarchy = Hierarchy::build(graph, HierarchyConfig::paper()).unwrap();
     let db = Database::open(graph).unwrap().with_hierarchy(hierarchy);
+    let hierarchy = db.hierarchy().unwrap();
     let mut rng = SplitMix64::new(1993);
     let (mut total, mut most) = (0usize, 0usize);
     for _ in 0..pairs {
@@ -94,6 +100,12 @@ fn assert_runs_allocate_no_node_count_state(nodes: usize, pairs: usize) {
         let (trace, bytes, largest) = counted(|| db.run(Algorithm::AStar(AStarVersion::V5), s, d));
         let trace = trace.unwrap();
         assert!(trace.path.is_some(), "{s:?}->{d:?}: metros are connected");
+        let chains = u64::from(hierarchy.depth(s) + hierarchy.depth(d)) + 2;
+        assert!(
+            trace.iterations <= chains,
+            "{s:?}->{d:?}: {} settles on two ancestor chains of {chains} nodes",
+            trace.iterations
+        );
         assert!(
             largest < n * 4,
             "{s:?}->{d:?}: one allocation of {largest} bytes on a {n}-node network"
