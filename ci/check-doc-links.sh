@@ -39,10 +39,21 @@ for doc in $(echo "$docs" | grep -vx 'ROADMAP.md\|CHANGES.md'); do
     #    shorthand and are not checked). The extension list must cover
     #    everything the docs reference — when it lags the docs (as it
     #    once did for .yml and .json), stale references pass silently.
+    #    Bare top-level names — a capital letter first, `.md` or `.json`
+    #    last, such as `SCALING.md` or `BENCHMARK.json` — must resolve
+    #    from the repo root too: a deleted artifact's name has no `/`.
     mentions=$(grep -o '`[A-Za-z0-9_./-]*/[A-Za-z0-9_.-]*\.\(md\|rs\|sh\|toml\|yml\|yaml\|json\)`' "$doc" 2>/dev/null \
         | tr -d '`' | sort -u) || true
     for m in $mentions; do
         if [ ! -e "$m" ] && [ ! -e "$dir/$m" ]; then
+            echo "BROKEN MENTION: $doc -> $m"
+            fail=1
+        fi
+    done
+    tops=$(grep -o '`[A-Z][A-Za-z0-9_.-]*\.\(md\|json\)`' "$doc" 2>/dev/null \
+        | tr -d '`' | sort -u) || true
+    for m in $tops; do
+        if [ ! -e "$m" ]; then
             echo "BROKEN MENTION: $doc -> $m"
             fail=1
         fi
@@ -250,34 +261,11 @@ if [ -d "$hier_src" ]; then
     done
 fi
 
-# 9. Bench drift: every `[[bench]]` in crates/bench/Cargo.toml must be
-#    run by a workflow (`--bench <name>` in .github/workflows/) or
-#    regenerate a figure (bench `<name>` in a row of DESIGN.md's figure
-#    table, the `| F…` / `| T…` rows). A bench nothing runs and no doc
-#    cites still compiles on every build and rots unseen. The reverse
-#    holds too: every bench a workflow runs or the table names must be
-#    declared. The table's rows also cite the modules that implement each
-#    figure: every backticked `file.rs` must exist under some
-#    crates/*/src/, and every `crate::module` (`crate::{a,b}` lists are
-#    expanded) must be crates/<crate>/src/<module>.rs or <module>/mod.rs.
-bench_toml=crates/bench/Cargo.toml
-if [ -f "$bench_toml" ]; then
-    declared=$(awk '/^\[\[bench\]\]/ { b = 1; next } b && /^name *=/ { gsub(/^name *= *"|".*$/, ""); print; b = 0 }' "$bench_toml")
-    run=$(cat .github/workflows/*.yml 2>/dev/null | grep -o -- '--bench [A-Za-z0-9_]*' | sed 's/^--bench //' | sort -u) || true
-    cited=$(grep '^| [FT][0-9A-Z]* ' DESIGN.md 2>/dev/null | grep -o 'bench `[A-Za-z0-9_]*`' | sed 's/^bench `\(.*\)`$/\1/' | sort -u) || true
-    for bench in $declared; do
-        if ! echo "$run" | grep -qx "$bench" && ! echo "$cited" | grep -qx "$bench"; then
-            echo "UNUSED BENCH: $bench ($bench_toml) is run by no workflow and regenerates no figure in DESIGN.md's table"
-            fail=1
-        fi
-    done
-    for bench in $run $cited; do
-        if ! echo "$declared" | grep -qx "$bench"; then
-            echo "UNKNOWN BENCH: $bench is run by a workflow or named in DESIGN.md's figure table, but $bench_toml does not declare it"
-            fail=1
-        fi
-    done
-fi
+# 9. Figure-table drift: the rows of DESIGN.md's figure table (the
+#    `| F…` / `| T…` rows) cite the modules that implement each figure:
+#    every backticked `file.rs` must exist under some crates/*/src/, and
+#    every `crate::module` (`crate::{a,b}` lists are expanded) must be
+#    crates/<crate>/src/<module>.rs or <module>/mod.rs.
 refs=$(grep '^| [FT][0-9A-Z]* ' DESIGN.md 2>/dev/null | grep -o '`[^` ]*`' | tr -d '`' \
     | grep '\.rs$\|^[a-z_]*::' | sort -u) || true
 for ref in $refs; do

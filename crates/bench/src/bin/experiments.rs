@@ -9,126 +9,7 @@
 //! experiments --list          # artifact ids
 //! ```
 
-use atis_bench::experiments as exp;
-use atis_bench::ExperimentOutput;
-
-type Driver = (&'static str, &'static str, fn() -> ExperimentOutput);
-
-const DRIVERS: &[Driver] = &[
-    (
-        "table4b",
-        "Table 4B: algebraic cost estimates",
-        exp::table_4b_comparison,
-    ),
-    (
-        "breakdown",
-        "Validation: per-step cost breakdown",
-        exp::step_breakdown,
-    ),
-    (
-        "obsreport",
-        "Validation: obs model-vs-measured reports",
-        exp::model_vs_measured,
-    ),
-    (
-        "models",
-        "Validation: A* version models vs measured",
-        exp::validation_version_models,
-    ),
-    ("fig5", "Figure 5 / Table 5: graph size", exp::fig5_table5),
-    ("fig6", "Figure 6 / Table 6: path length", exp::fig6_table6),
-    (
-        "fig7",
-        "Figure 7 / Table 7: edge cost models",
-        exp::fig7_table7,
-    ),
-    ("fig8", "Figure 8: Minneapolis map", exp::fig8_map),
-    (
-        "fig9",
-        "Figure 9 / Table 8: Minneapolis queries",
-        exp::fig9_table8,
-    ),
-    (
-        "fig10",
-        "Figure 10: A* versions vs graph size",
-        exp::fig10_versions_size,
-    ),
-    (
-        "fig11",
-        "Figure 11: A* versions vs cost model",
-        exp::fig11_versions_cost,
-    ),
-    (
-        "fig12",
-        "Figure 12: A* versions vs path length",
-        exp::fig12_versions_path,
-    ),
-    (
-        "joins",
-        "Ablation: four join strategies",
-        exp::ablation_join_strategies,
-    ),
-    (
-        "optimizer",
-        "Ablation: forced vs cost-based joins",
-        exp::ablation_optimizer,
-    ),
-    (
-        "estimators",
-        "Ablation: estimator quality",
-        exp::ablation_estimators,
-    ),
-    (
-        "duplicates",
-        "Ablation: frontier duplicate policies",
-        exp::ablation_duplicates,
-    ),
-    (
-        "buffer",
-        "Ablation: buffer pool vs cold cache",
-        exp::ablation_buffer_pool,
-    ),
-    (
-        "isam",
-        "Ablation: ISAM index depth sensitivity",
-        exp::ablation_isam_depth,
-    ),
-    (
-        "allpairs",
-        "Ablation: all-pairs closure vs single-pair",
-        exp::ablation_allpairs,
-    ),
-    (
-        "memdb",
-        "Ablation: in-memory vs database-resident",
-        exp::ablation_memory_vs_db,
-    ),
-    (
-        "tradeoff",
-        "Extension: optimality/speed trade-off curve",
-        exp::tradeoff_curve,
-    ),
-    (
-        "scaling",
-        "Extension: grids beyond the paper (up to 50x50)",
-        exp::extension_scaling,
-    ),
-    (
-        "devices",
-        "Extension: device sensitivity (disk vs SSD re-pricing)",
-        exp::extension_devices,
-    ),
-    (
-        "radial",
-        "Extension: radial city (estimator ranking reverses)",
-        exp::extension_radial,
-    ),
-    (
-        "seeds",
-        "Extension: seed robustness of draw-dependent counts",
-        exp::extension_seeds,
-    ),
-];
+use atis_bench::{Driver, DRIVERS};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();

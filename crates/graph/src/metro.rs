@@ -127,7 +127,7 @@ pub enum MetroQuery {
 }
 
 impl MetroQuery {
-    /// Row label used by `BENCH_scaling.json` and `SCALING.md`.
+    /// Short name of the query kind.
     pub fn label(&self) -> &'static str {
         match self {
             MetroQuery::IntraCity => "intra-city",

@@ -62,8 +62,8 @@ impl PreprocessConfig {
     /// needs more landmarks than a grid before the triangle bounds beat
     /// a well-matched geometric estimator — 32 is where the ALT
     /// estimator pulls clearly ahead of Manhattan on the Minneapolis
-    /// workload (`BENCH_estimators.json`), at a preprocessing cost of 64
-    /// SSSP sweeps.
+    /// workload (the estimator table in `EXPERIMENTS.md`), at a
+    /// preprocessing cost of 64 SSSP sweeps.
     pub const fn network_default() -> Self {
         PreprocessConfig::new(LandmarkSelection::Coverage { sample_pairs: 96 }, 32)
     }

@@ -1,0 +1,171 @@
+//! The extension studies' counters, held exactly.
+//!
+//! `atis_bench::studies` renders the estimator study's table and, per
+//! metro scale, the scaling study's regional and long-haul tables. Each
+//! is committed once, in the doc that reports it, between
+//! `<!-- study: NAME -->` and `<!-- /study -->`, and each test here
+//! renders its tables afresh and requires them byte-equal to the
+//! committed blocks. Every cell is a deterministic counter, so one read
+//! more, a configuration dropped or an overlay of another size fails.
+//! On a mismatch the test prints the fresh table: re-pinning a moved
+//! counter is a paste that shows in the doc's diff (say why in
+//! CHANGES.md, as for `tests/driver_identity.rs`).
+//!
+//! The same rows carry the orderings the studies exist to show, asserted
+//! here once: v4 < v3 on the paper's networks and v4 < v3 < Dijkstra on
+//! the metros, v5 < v4 on every long haul and by at least 10× at
+//! metro-100k, an overlay of at most 4.0 arcs per edge, and fewer
+//! physical reads under the region layout than under the shuffled one.
+//!
+//! metro-100k is `#[ignore]`d (about 30 s in a release build, most of it
+//! v4's diagonal); CI's release job runs
+//! `cargo test --release --test study_counters -- --ignored`.
+
+use atis_algorithms::{AStarVersion, Algorithm};
+use atis_bench::studies::{self, Counters, SCALES};
+use atis_bench::Table;
+
+/// The block `<!-- study: NAME -->` … `<!-- /study -->` of `doc` must be
+/// a blank line, `table`, and nothing else.
+fn assert_committed(doc: &str, name: &str, table: &Table) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(doc);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {doc}: {e}"));
+    let open = format!("<!-- study: {name} -->\n");
+    assert_eq!(
+        text.matches(&open).count(),
+        1,
+        "{doc} must hold exactly one `{}` marker",
+        open.trim_end()
+    );
+    let start = text.find(&open).expect("counted above") + open.len();
+    let len = text[start..]
+        .find("<!-- /study -->")
+        .unwrap_or_else(|| panic!("{doc}: the `{name}` block is not closed"));
+    let fresh = format!("\n{table}\n");
+    assert!(
+        text[start..start + len] == fresh,
+        "{doc}'s `{name}` table differs from the counters measured now. \
+         If the change is meant, replace the block's table with this one \
+         and say why in CHANGES.md:\n{fresh}"
+    );
+}
+
+#[test]
+fn the_estimator_table_is_the_committed_one() {
+    let rows = studies::estimator_rows();
+    for network in ["grid30", "minneapolis"] {
+        let at = |version| {
+            rows.iter()
+                .find(|r| r.network == network && r.version == version)
+                .unwrap_or_else(|| panic!("{network}: no {} row", version.label()))
+                .counters
+        };
+        let (v3, v4) = (at(AStarVersion::V3), at(AStarVersion::V4));
+        assert!(
+            v4.nodes_expanded < v3.nodes_expanded && v4.block_reads < v3.block_reads,
+            "{network}: v4 {v4:?} must beat v3 {v3:?}"
+        );
+    }
+    assert_committed(
+        "EXPERIMENTS.md",
+        "estimators",
+        &studies::estimator_table(&rows),
+    );
+}
+
+/// Runs one scale, asserts the orderings on its rows, and compares its two
+/// tables with SCALING.md. v5 must expand at least `long_haul_floor` times
+/// fewer nodes than v4 on the diagonal.
+fn check_scale((target, network): (usize, &'static str), long_haul_floor: f64) {
+    let rows = studies::scaling_rows(target, network);
+    let at = |layout: &str, workload: &str, algorithm: Algorithm| -> Counters {
+        rows.iter()
+            .find(|r| r.layout == layout && r.workload == workload && r.algorithm == algorithm)
+            .unwrap_or_else(|| {
+                panic!(
+                    "{network}: no {layout} {workload} row for {}",
+                    algorithm.label()
+                )
+            })
+            .counters
+    };
+    let (v3, v4, v5) = (
+        Algorithm::AStar(AStarVersion::V3),
+        Algorithm::AStar(AStarVersion::V4),
+        Algorithm::AStar(AStarVersion::V5),
+    );
+
+    for layout in ["region", "shuffled"] {
+        let [dijkstra, v3, v4] = [Algorithm::Dijkstra, v3, v4].map(|a| at(layout, "regional", a));
+        assert!(
+            v4.nodes_expanded < v3.nodes_expanded
+                && v3.nodes_expanded < dijkstra.nodes_expanded
+                && v4.block_reads < v3.block_reads
+                && v3.block_reads < dijkstra.block_reads,
+            "{network} {layout}: want v4 {v4:?} < v3 {v3:?} < Dijkstra {dijkstra:?}"
+        );
+    }
+
+    let (lh4, lh5) = (at("region", "long-haul", v4), at("region", "long-haul", v5));
+    let speedup = lh4.nodes_expanded as f64 / lh5.nodes_expanded as f64;
+    assert!(
+        lh5.nodes_expanded < lh4.nodes_expanded
+            && lh5.block_reads < lh4.block_reads
+            && speedup >= long_haul_floor,
+        "{network} long-haul: v5 {lh5:?} must beat v4 {lh4:?} by at least \
+         {long_haul_floor}x expansions (got {speedup:.1}x)"
+    );
+
+    // The size the top-down order bought (5.9 arcs per edge before it,
+    // 3.9 with it at metro-100k): a later order may not give it back.
+    for r in &rows {
+        if let Some(arcs) = r.hierarchy_arcs {
+            assert!(
+                arcs <= 4 * r.edges,
+                "{network} {}: {arcs} overlay arcs over {} edges is more than 4.0 per edge",
+                r.layout,
+                r.edges
+            );
+        }
+    }
+
+    let physical = |layout: &str| -> u64 {
+        rows.iter()
+            .filter(|r| r.layout == layout && r.workload == "regional")
+            .map(|r| r.counters.physical_reads)
+            .sum()
+    };
+    assert!(
+        physical("region") < physical("shuffled"),
+        "{network}: the region layout must read fewer physical blocks ({} vs shuffled {})",
+        physical("region"),
+        physical("shuffled")
+    );
+
+    assert_committed(
+        "SCALING.md",
+        &format!("{network} regional"),
+        &studies::regional_table(&rows),
+    );
+    assert_committed(
+        "SCALING.md",
+        &format!("{network} long-haul"),
+        &studies::long_haul_table(&rows),
+    );
+}
+
+#[test]
+fn the_metro_1k_tables_are_the_committed_ones() {
+    check_scale(SCALES[0], 1.0);
+}
+
+#[test]
+fn the_metro_10k_tables_are_the_committed_ones() {
+    check_scale(SCALES[1], 1.0);
+}
+
+#[test]
+#[ignore = "metro-100k: about 30 s in a release build; CI's release job runs it"]
+fn the_metro_100k_tables_are_the_committed_ones() {
+    check_scale(SCALES[2], 10.0);
+}
