@@ -11,7 +11,7 @@
 //! repository benchmark under `benchmark/` measures it.
 //!
 //! The rendered tables are committed in `EXPERIMENTS.md` (estimators) and
-//! `SCALING.md` (scaling), and `tests/study_counters.rs` holds each
+//! `SCALING.md` (the scaling study's networks and counters), and `tests/study_counters.rs` holds each
 //! committed table byte-equal to a fresh render, so a counter that moves
 //! by one read fails there and is re-pinned in the doc's diff. The same
 //! test asserts the orderings the studies exist to show.
@@ -206,6 +206,110 @@ const LONG_HAUL: [Algorithm; 2] = [
     Algorithm::AStar(AStarVersion::V5),
 ];
 
+/// One scale's network, as the storage engine lays it out.
+#[derive(Debug, Clone)]
+pub struct NetworkRow {
+    /// One of the [`SCALES`] labels.
+    pub network: &'static str,
+    /// The city lattice, `x × y`.
+    pub cities: (usize, usize),
+    /// Nodes in the network.
+    pub nodes: usize,
+    /// Edges in the network.
+    pub edges: usize,
+    /// Partition regions of the region layout.
+    pub regions: usize,
+    /// Edges between regions.
+    pub cut_edges: usize,
+    /// Blocks of the edge relation `S`, of one run's node relation `R`
+    /// and of the landmark tables v4 runs against.
+    pub blocks: Footprint,
+    /// Buffer pool the scale is served with, in blocks.
+    pub pool_blocks: usize,
+}
+
+/// The storage footprint of a network, in blocks.
+#[derive(Debug, Clone, Copy)]
+pub struct Footprint {
+    /// The hash-clustered edge relation `S` (`Bf_s` tuples a block).
+    pub s: usize,
+    /// The ISAM node relation `R` (`Bf_r` tuples a block).
+    pub r: usize,
+    /// The forward and backward `f64` distance tables of the study's 8
+    /// landmarks.
+    pub landmarks: usize,
+}
+
+impl Footprint {
+    /// The footprint of a network of `nodes` nodes and `edges` edges.
+    fn of(nodes: usize, edges: usize) -> Footprint {
+        Footprint {
+            s: edges.div_ceil(BLOCK / EdgeTuple::SIZE),
+            r: nodes.div_ceil(BLOCK / NodeTuple::SIZE),
+            landmarks: (2 * LANDMARKS * nodes * 8).div_ceil(BLOCK),
+        }
+    }
+
+    /// Every block of the index: `S`, `R` and the landmark tables.
+    pub fn total(&self) -> usize {
+        self.s + self.r + self.landmarks
+    }
+}
+
+/// The network the scaling study runs at the scale of about `target`
+/// nodes: its size, its partition and its storage footprint. Generation
+/// and partitioning only; nothing is searched.
+pub fn network_row(target: usize, network: &'static str) -> NetworkRow {
+    let spec = MetroSpec::with_nodes(target, PAPER_SEED);
+    let metro = Metro::new(spec).expect("study metro specs are non-degenerate");
+    let graph = metro.graph();
+    let map = PartitionMap::build(graph, REGION_TARGET);
+    let (nodes, edges) = (graph.node_count(), graph.edge_count());
+    NetworkRow {
+        network,
+        cities: (spec.cities_x, spec.cities_y),
+        nodes,
+        edges,
+        regions: map.region_count(),
+        cut_edges: map.cut_edges(graph),
+        blocks: Footprint::of(nodes, edges),
+        pool_blocks: StorageProfile::for_nodes(nodes).buffer_blocks.unwrap_or(0),
+    }
+}
+
+/// The networks of the scaling study, one row a scale.
+pub fn networks_table(rows: &[NetworkRow]) -> Table {
+    let mut t = Table::new(vec![
+        "Network",
+        "Cities",
+        "Nodes",
+        "Edges",
+        "Regions",
+        "Cut edges",
+        "`S` blocks",
+        "`R` blocks",
+        "Landmark blocks",
+        "Index total",
+        "Pool blocks",
+    ]);
+    for r in rows {
+        t.push_row(vec![
+            r.network.to_string(),
+            format!("{}×{}", r.cities.0, r.cities.1),
+            r.nodes.to_string(),
+            r.edges.to_string(),
+            r.regions.to_string(),
+            r.cut_edges.to_string(),
+            r.blocks.s.to_string(),
+            r.blocks.r.to_string(),
+            r.blocks.landmarks.to_string(),
+            r.blocks.total().to_string(),
+            r.pool_blocks.to_string(),
+        ]);
+    }
+    t
+}
+
 /// One (layout, workload, algorithm) measurement at one scale.
 #[derive(Debug, Clone)]
 pub struct ScalingRow {
@@ -283,9 +387,7 @@ pub fn scaling_rows(target: usize, network: &'static str) -> Vec<ScalingRow> {
         let hierarchy =
             Hierarchy::build(&graph, HierarchyConfig::paper()).expect("metro graphs are non-empty");
         let (nodes, edges) = (graph.node_count(), graph.edge_count());
-        let footprint = edges.div_ceil(BLOCK / EdgeTuple::SIZE)
-            + nodes.div_ceil(BLOCK / NodeTuple::SIZE)
-            + (2 * LANDMARKS * nodes * 8).div_ceil(BLOCK);
+        let footprint = Footprint::of(nodes, edges).total();
 
         let mut workloads = vec![(
             "regional",
@@ -404,7 +506,11 @@ pub fn estimator_quality() -> ExperimentOutput {
 /// Extension — the metro scaling study at every scale (metro-100k takes
 /// about 30 s in a release build, most of it v4's diagonal).
 pub fn metro_scaling() -> ExperimentOutput {
-    let mut sections = Vec::new();
+    let networks = SCALES.map(|(target, network)| network_row(target, network));
+    let mut sections = vec![(
+        "The networks".to_string(),
+        networks_table(&networks).to_string(),
+    )];
     for (target, network) in SCALES {
         let rows = scaling_rows(target, network);
         sections.push((

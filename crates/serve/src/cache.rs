@@ -21,6 +21,14 @@
 //!   a decrease bumps every shard, so nothing validated before it hits
 //!   until the sweep below has looked at it.
 //!
+//! The stamps do not live with the route. Every live entry owns a slot,
+//! and what the rule reads of it sits in dense arrays indexed by slot:
+//! one column of versions per shard (`ABSENT` where the path does not
+//! cross it), and a `Stamp` — one cache line — holding the key, a
+//! mask of the shards crossed, the install the entry is valid at, its
+//! total and the coordinates of its endpoints. The route itself is only
+//! read on a hit and by the on-path scan.
+//!
 //! ## Invalidation rule
 //!
 //! A traffic update changes directed edge `(u, v)` from `old_cost` to
@@ -64,21 +72,26 @@
 //!
 //! ## What a sweep costs
 //!
-//! The sweep walks the live table in place, under the `Entries` lock
-//! every lookup takes: one stamp check per entry, two distances per
-//! examined entry (from coordinates the entry keeps inline), an O(path)
-//! on-path scan only where the bound cannot rule the edge out, promoted
-//! entries restamped where they sit, and O(log capacity) per retirement
-//! (the dropped keys are removed and retired in key order, and the stale
-//! tier's eviction victim is the first element of an `(epoch, key)`
-//! index). An entry outside the touched shards costs its stamp check and
-//! nothing else, and nothing is allocated unless something drops. On
-//! hot-10k (1 024 entries, 8 shards, cost increases; 2-CPU Linux
-//! container) the sweep's median fell from 245–298 µs, when every update
-//! moved every entry into a fresh table, to 64–79 µs. A decrease
-//! examines every entry: measured alone on a full 1 024-entry metro-10k
-//! cache, a cleared jam's sweep promotes about 1 004 entries in 79–88 µs,
-//! where dropping nearly all of them took 729–758 µs before the floor.
+//! The sweep walks the slots in order, 64 at a time, under the
+//! `Entries` lock every lookup takes. It first reads the touched shards'
+//! columns for those 64 slots — contiguous memory, no pointer followed —
+//! and only then the `Stamp`s of the entries it must examine: one
+//! cache line each, with the two distances of the bound computed from
+//! the coordinates the stamp keeps, and an O(path) on-path scan where
+//! the bound cannot rule the edge out. A promotion stores the new
+//! versions into the columns and the install into the stamp, where they
+//! sit; a retirement costs O(log capacity) (the dropped keys are removed
+//! and retired in key order, and the stale tier's eviction victim is the
+//! first element of an `(epoch, key)` index). Nothing is allocated
+//! unless something drops. On hot-10k (1 024 entries, 8 shards, cost
+//! increases, about 155 entries examined a sweep; 2-CPU Linux container)
+//! the sweep's median was 245–298 µs when every update moved every entry
+//! into a fresh table, 56–79 µs when the sweep walked a hash table and
+//! followed each entry's own stamp list, and 25–28 µs over the dense
+//! arrays. A decrease examines every entry: measured alone on a full
+//! 1 024-entry metro-10k cache, a cleared jam's sweep promotes about
+//! 1 004 entries in 79–88 µs (hash table and stamp lists), where
+//! dropping nearly all of them took 729–758 µs before the floor.
 //!
 //! Unreachable results are not cached: cost updates cannot change
 //! reachability, but a `None` path has no edges for the rule to inspect,
@@ -91,8 +104,9 @@
 //! deterministic). The victim is the first element of a
 //! `(last_used, key)` index kept beside the table, which a hit, an
 //! insert, an eviction and a sweep's drop each update in O(log
-//! capacity), so an insert into a full cache does not scan it. Capacity
-//! 0 disables the cache entirely.
+//! capacity), so an insert into a full cache does not scan it. A removed
+//! entry's slot is refilled by the last one, so the slots stay dense.
+//! Capacity 0 disables the cache entirely.
 //!
 //! ## The stale tier
 //!
@@ -152,26 +166,43 @@ pub struct CacheStats {
     pub stale_hits: u64,
 }
 
-#[derive(Debug)]
-struct Entry {
-    route: CachedRoute,
-    /// `(shard, version)` per shard the path crosses, sorted by shard.
-    stamps: Vec<(u32, u64)>,
-    /// The coordinates of the key's nodes, once a sweep has read them
-    /// ([`UNREAD`] until then).
+/// The version a shard's column holds for a slot whose path does not
+/// cross the shard. No shard reaches it: a version counts the installs
+/// that bumped it.
+const ABSENT: u64 = u64::MAX;
+
+/// What the rule reads of a live entry besides its shard versions, one
+/// per slot in a dense array: one cache line, which is all a sweep reads
+/// of an entry whose path it need not scan.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Stamp {
+    /// The entry's key, `(from, to)`.
+    key: (u32, u32),
+    /// Bit `s % 64` set for every shard `s` the path crosses: which
+    /// columns a lookup reads.
+    shards: u64,
+    /// The install the answer is valid at: the one it was computed at,
+    /// advanced by promotions.
+    epoch: u64,
+    /// The route's total cost, which the bound is compared against.
+    total: f64,
+    /// The coordinates of the key's nodes, once read ([`UNREAD`] until
+    /// then).
     ends: (Point, Point),
-    last_used: u64,
 }
 
-impl Entry {
+impl Stamp {
     /// The coordinates of the route's endpoints, the nodes of `key`: read
-    /// from the install's `points` the first time a sweep bounds the
-    /// entry, and kept inline after. Coordinates never change across
-    /// installs, and a sweep has the entry in hand where a read of the
+    /// from `points` the first time they are asked for — by the insert
+    /// when it has the snapshot's coordinates, or else by the first sweep
+    /// that bounds the entry — and kept after. Coordinates never change
+    /// across installs, and the stamp is in hand where a read of the
     /// graph's array is a cache miss per entry (a decrease's sweep over a
     /// full cache took about half again as long without the copy).
-    /// [`UNREAD`] while the install cannot place a node.
-    fn ends(&mut self, (s, d): (u32, u32), points: &[Point]) -> (Point, Point) {
+    /// [`UNREAD`] while `points` cannot place a node.
+    fn ends(&mut self, points: &[Point]) -> (Point, Point) {
+        let (s, d) = self.key;
         if self.ends.0.x.is_nan() {
             if let (Some(&s), Some(&d)) = (points.get(s as usize), points.get(d as usize)) {
                 self.ends = (s, d);
@@ -186,15 +217,37 @@ impl Entry {
 /// no reach, bounding a route by the edge's cost alone.
 const UNREAD: Point = Point::new(f64::NAN, f64::NAN);
 
+/// The rest of a live entry: what a hit hands back, and its last use.
+#[derive(Debug)]
+struct Entry {
+    path: Path,
+    iterations: u64,
+    cost_units: f64,
+    last_used: u64,
+}
+
 #[derive(Debug)]
 struct Inner {
-    map: HashMap<(u32, u32), Entry>,
-    /// `(last_used, key)` of every entry in `map`, so the LRU eviction
+    /// The slot of every live key. Slots `0..len` are all live: the
+    /// per-slot arrays below move in step.
+    slots: HashMap<(u32, u32), usize>,
+    entries: Vec<Entry>,
+    stamps: Vec<Stamp>,
+    /// One column per shard, `stride` slots long: slot `i`'s version of
+    /// shard `s` is `versions[s * stride + i]`, [`ABSENT`] where its path
+    /// does not cross `s` (and past the last slot). A sweep reads the
+    /// columns of the shards its update touched, front to back. The
+    /// array is laid out again, rarely, when a stamp names a shard past
+    /// the last column or the slots outgrow a column.
+    versions: Vec<u64>,
+    width: usize,
+    stride: usize,
+    /// `(last_used, key)` of every live entry, so the LRU eviction
     /// victim is the first element.
     lru_order: BTreeSet<(u64, (u32, u32))>,
     /// Retired (invalidated) routes, still at the epoch they were
     /// computed at — the stale-serve tier. Bounded by the same capacity
-    /// as the live map; never counted by `len` / `is_empty`.
+    /// as the live table; never counted by `len` / `is_empty`.
     stale: HashMap<(u32, u32), CachedRoute>,
     /// `(epoch, key)` of every route in `stale`, so the tier's eviction
     /// victim is the first element.
@@ -207,12 +260,214 @@ struct Inner {
     stats: CacheStats,
 }
 
+/// The bit of `shard` in a [`Stamp`]'s shard mask.
+fn bit(shard: usize) -> u64 {
+    1 << (shard % 64)
+}
+
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slots `0..len` index every per-slot array, and `versions` holds `width` columns of `stride` slots"
+)]
 impl Inner {
     fn latest_version(&self, shard: u32) -> u64 {
         self.latest_versions
             .get(shard as usize)
             .copied()
             .unwrap_or(0)
+    }
+
+    /// The shards the path in `slot` crosses, with its versions of them.
+    fn crossed(&self, slot: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let mask = self.stamps[slot].shards;
+        (0..self.width)
+            .filter(move |&shard| mask & bit(shard) != 0)
+            .map(move |shard| (shard as u32, self.versions[shard * self.stride + slot]))
+            .filter(|&(_, version)| version != ABSENT)
+    }
+
+    /// Whether the entry in `slot` is exact at `epochs`: it is from no
+    /// later install, and every shard its path crosses is still at the
+    /// version it was validated at.
+    fn valid_at(&self, slot: usize, epochs: &EpochVector) -> bool {
+        self.stamps[slot].epoch <= epochs.install()
+            && self
+                .crossed(slot)
+                .all(|(shard, version)| epochs.version(shard) == version)
+    }
+
+    /// The answer in `slot`, at the install it is valid at.
+    fn route(&self, slot: usize) -> CachedRoute {
+        let entry = &self.entries[slot];
+        CachedRoute {
+            path: entry.path.clone(),
+            epoch: self.stamps[slot].epoch,
+            iterations: entry.iterations,
+            cost_units: entry.cost_units,
+        }
+    }
+
+    /// The answer a removed entry held, at the install it was valid at.
+    fn into_route(entry: Entry, stamp: Stamp) -> CachedRoute {
+        CachedRoute {
+            path: entry.path,
+            epoch: stamp.epoch,
+            iterations: entry.iterations,
+            cost_units: entry.cost_units,
+        }
+    }
+
+    /// Lays the versions out again as `width` columns of `stride` slots.
+    fn relayout(&mut self, width: usize, stride: usize) {
+        let mut versions = vec![ABSENT; width * stride];
+        let live = self.entries.len();
+        for shard in 0..self.width {
+            let from = shard * self.stride;
+            versions[shard * stride..][..live].copy_from_slice(&self.versions[from..][..live]);
+        }
+        (self.versions, self.width, self.stride) = (versions, width, stride);
+    }
+
+    /// The install the entry in `slot` is valid at.
+    fn epoch(&self, slot: usize) -> u64 {
+        self.stamps[slot].epoch
+    }
+
+    /// Marks the entry in `slot` used at `tick`.
+    fn touch(&mut self, slot: usize, tick: u64) {
+        let (entry, key) = (&mut self.entries[slot], self.stamps[slot].key);
+        self.lru_order.remove(&(entry.last_used, key));
+        self.lru_order.insert((tick, key));
+        entry.last_used = tick;
+    }
+
+    /// Stores an entry stamped with `stamps`, over the one its key holds
+    /// or in a new last slot, and indexes it.
+    fn store(&mut self, entry: Entry, stamp: Stamp, stamps: &[(u32, u64)]) {
+        let (key, tick) = (stamp.key, entry.last_used);
+        let slot = match self.slots.get(&key) {
+            Some(&slot) => {
+                self.lru_order.remove(&(self.entries[slot].last_used, key));
+                slot
+            }
+            None => self.entries.len(),
+        };
+        let widest = stamps.iter().map(|&(shard, _)| shard as usize + 1).max();
+        let width = widest.map_or(self.width, |widest| widest.max(self.width));
+        let stride = if slot < self.stride {
+            self.stride
+        } else {
+            (2 * self.stride).max(8)
+        };
+        if (width, stride) != (self.width, self.stride) {
+            self.relayout(width, stride);
+        }
+        if slot == self.entries.len() {
+            self.entries.push(entry);
+            self.stamps.push(stamp);
+            self.slots.insert(key, slot);
+        } else {
+            self.entries[slot] = entry;
+            self.stamps[slot] = stamp;
+        }
+        for shard in 0..self.width {
+            self.versions[shard * self.stride + slot] = ABSENT;
+        }
+        for &(shard, version) in stamps {
+            self.versions[shard as usize * self.stride + slot] = version;
+        }
+        self.lru_order.insert((tick, key));
+    }
+
+    /// The walk of [`RouteCache::apply_shard_update`] over the slots:
+    /// promotes in place what the update cannot have changed, and
+    /// returns the keys to drop, with the number promoted.
+    fn sweep(
+        &mut self,
+        (u, v): (NodeId, NodeId),
+        (old_cost, new_cost): (f64, f64),
+        shards: &[u32],
+        epochs: &EpochVector,
+    ) -> (Vec<(u32, u32)>, u64) {
+        let (install, points) = (epochs.install(), epochs.points());
+        let at = |n: NodeId| points.get(n.index()).copied().unwrap_or(UNREAD);
+        let (from, to) = (at(u), at(v));
+        let mut promoted = 0u64;
+        let mut dropped: Vec<(u32, u32)> = Vec::new();
+        let stride = self.stride;
+        // How far an entry's touched versions trail this install: a read
+        // of each touched shard's column (none past the last).
+        let behind = |versions: &[u64], slot: usize| {
+            let trail = shards.iter().filter_map(|&shard| {
+                let version = *versions.get(shard as usize * stride + slot)?;
+                (version != ABSENT).then(|| epochs.version(shard).saturating_sub(version))
+            });
+            trail.max()
+        };
+        let len = self.entries.len();
+        for base in (0..len).step_by(64) {
+            // Which of the next 64 entries to examine, and which of those
+            // are stale, from the columns alone. An entry none of whose
+            // touched versions trails — the path never enters a touched
+            // shard, or the entry was computed against the new costs — is
+            // neither dropped nor rewritten: the update cannot have
+            // changed it.
+            let (mut examine, mut stale) = (0u64, 0u64);
+            for i in 0..(len - base).min(64) {
+                if let Some(trail @ 1..) = behind(&self.versions, base + i) {
+                    examine |= 1 << i;
+                    stale |= u64::from(trail > 1) << i;
+                }
+            }
+            // Then their stamps, one after another with no branch between
+            // them that the columns did not already decide.
+            while examine != 0 {
+                let i = examine.trailing_zeros();
+                examine &= examine - 1;
+                let slot = base + i as usize;
+                let stamp = &mut self.stamps[slot];
+                if stale >> i & 1 == 1 || {
+                    // The straight-line span of a route `s ⇝ u → v ⇝ d`.
+                    let (s, d) = stamp.ends(points);
+                    let span = s.euclidean(&from) + to.euclidean(&d);
+                    let path = &self.entries[slot].path;
+                    let floor = epochs.floor();
+                    invalidates(stamp.total, path, (u, v), old_cost, new_cost, floor, span)
+                } {
+                    dropped.push(stamp.key);
+                } else {
+                    stamp.epoch = stamp.epoch.max(install);
+                    for &shard in shards {
+                        let at = shard as usize * stride + slot;
+                        if let Some(version) = self.versions.get_mut(at) {
+                            if *version != ABSENT {
+                                *version = epochs.version(shard);
+                            }
+                        }
+                    }
+                    promoted += 1;
+                }
+            }
+        }
+        (dropped, promoted)
+    }
+
+    /// Removes `key`'s entry and unindexes it, moving the last slot into
+    /// its place.
+    fn remove(&mut self, key: (u32, u32)) -> Option<(Entry, Stamp)> {
+        let slot = self.slots.remove(&key)?;
+        let last = self.entries.len() - 1;
+        let entry = self.entries.swap_remove(slot);
+        let stamp = self.stamps.swap_remove(slot);
+        for column in self.versions.chunks_exact_mut(self.stride) {
+            column[slot] = column[last];
+            column[last] = ABSENT;
+        }
+        if let Some(moved) = self.stamps.get(slot) {
+            self.slots.insert(moved.key, slot);
+        }
+        self.lru_order.remove(&(entry.last_used, key));
+        Some((entry, stamp))
     }
 }
 
@@ -230,7 +485,12 @@ impl RouteCache {
         RouteCache {
             capacity,
             inner: Mutex::new(Inner {
-                map: HashMap::new(),
+                slots: HashMap::new(),
+                entries: Vec::new(),
+                stamps: Vec::new(),
+                versions: Vec::new(),
+                width: 0,
+                stride: 0,
                 lru_order: BTreeSet::new(),
                 stale: HashMap::new(),
                 stale_order: BTreeSet::new(),
@@ -273,17 +533,29 @@ impl RouteCache {
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.lock_entries(&mut Level::root()).0.map.len()
+        self.lock_entries(&mut Level::root()).0.entries.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.lock_entries(&mut Level::root()).0.map.is_empty()
+        self.lock_entries(&mut Level::root()).0.entries.is_empty()
     }
 
     /// A copy of the monotonic statistics.
     pub fn stats(&self) -> CacheStats {
         self.lock_entries(&mut Level::root()).0.stats
+    }
+
+    /// Where `(from, to)`'s stamps are held: its slot and the address of
+    /// the array of shard versions. The same before and after a sweep
+    /// iff the sweep restamped the entry where it sits; `None` when the
+    /// key is not cached.
+    #[doc(hidden)]
+    pub fn stamp_site(&self, from: NodeId, to: NodeId) -> Option<(usize, usize)> {
+        let level = &mut Level::root();
+        let (inner, _) = self.lock_entries(level);
+        let slot = *inner.slots.get(&(from.0, to.0))?;
+        Some((slot, inner.versions.as_ptr() as usize))
     }
 
     /// Looks up `(from, to)` against a snapshot's epoch vector: a hit
@@ -319,18 +591,10 @@ impl RouteCache {
         inner.tick += 1;
         let tick = inner.tick;
         let key = (from.0, to.0);
-        match inner.map.get_mut(&key) {
-            Some(entry)
-                if entry.route.epoch <= epochs.install()
-                    && entry
-                        .stamps
-                        .iter()
-                        .all(|&(shard, version)| epochs.version(shard) == version) =>
-            {
-                inner.lru_order.remove(&(entry.last_used, key));
-                inner.lru_order.insert((tick, key));
-                entry.last_used = tick;
-                let route = entry.route.clone();
+        match inner.slots.get(&key).copied() {
+            Some(slot) if inner.valid_at(slot, epochs) => {
+                inner.touch(slot, tick);
+                let route = inner.route(slot);
                 inner.stats.hits += 1;
                 drop(guard);
                 self.bump("cache_hits_total", 1);
@@ -347,10 +611,11 @@ impl RouteCache {
 
     /// Inserts a computed route stamped with the `(shard, version)` pairs
     /// of the snapshot it was computed against (`route.epoch` carries the
-    /// snapshot's install counter). Refused when the cache is disabled,
-    /// when any stamp predates a version an update sweep has already
-    /// installed for that shard (a racing worker finishing against an old
-    /// snapshot), or when a newer entry for the key is present.
+    /// snapshot's install counter), one pair per shard the path crosses.
+    /// Refused when the cache is disabled, when any stamp predates a
+    /// version an update sweep has already installed for that shard (a
+    /// racing worker finishing against an old snapshot), or when a newer
+    /// entry for the key is present.
     pub fn insert_stamped(
         &self,
         from: NodeId,
@@ -358,9 +623,14 @@ impl RouteCache {
         route: CachedRoute,
         stamps: Vec<(u32, u64)>,
     ) {
-        self.insert_stamped_at(&mut Level::root(), from, to, route, stamps);
+        self.insert_stamped_at(&mut Level::root(), from, to, route, stamps, &[]);
     }
 
+    /// [`RouteCache::insert_stamped`] at `level`. `points` are the
+    /// coordinates of the snapshot the route was computed against: the
+    /// entry keeps its endpoints' from them now, where they are likely
+    /// still in cache, and no sweep has to fetch them. Without them (an
+    /// empty slice) the first sweep that bounds the entry reads them.
     pub(crate) fn insert_stamped_at(
         &self,
         level: &mut Level<Unlocked>,
@@ -368,6 +638,7 @@ impl RouteCache {
         to: NodeId,
         route: CachedRoute,
         stamps: Vec<(u32, u64)>,
+        points: &[Point],
     ) {
         if self.capacity == 0 || stamps.is_empty() {
             return;
@@ -379,31 +650,37 @@ impl RouteCache {
         {
             return;
         }
-        if let Some(existing) = inner.map.get(&(from.0, to.0)) {
-            if existing.route.epoch > route.epoch {
-                return;
-            }
+        let key = (from.0, to.0);
+        let existing = inner.slots.get(&key).copied();
+        if existing.is_some_and(|slot| inner.epoch(slot) > route.epoch) {
+            return;
         }
         inner.tick += 1;
         let tick = inner.tick;
-        let key = (from.0, to.0);
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
+        if inner.entries.len() >= self.capacity && existing.is_none() {
             // Deterministic LRU eviction: oldest tick, then smallest key.
-            if let Some((_, victim)) = inner.lru_order.pop_first() {
-                inner.map.remove(&victim);
+            if let Some(&(_, victim)) = inner.lru_order.first() {
+                let _evicted = inner.remove(victim);
                 inner.stats.evictions += 1;
             }
         }
-        let entry = Entry {
-            route,
-            stamps,
+        let mut stamp = Stamp {
+            key,
+            shards: stamps
+                .iter()
+                .fold(0, |mask, &(shard, _)| mask | bit(shard as usize)),
+            epoch: route.epoch,
+            total: route.path.cost,
             ends: (UNREAD, UNREAD),
+        };
+        stamp.ends(points);
+        let entry = Entry {
+            path: route.path,
+            iterations: route.iterations,
+            cost_units: route.cost_units,
             last_used: tick,
         };
-        if let Some(replaced) = inner.map.insert(key, entry) {
-            inner.lru_order.remove(&(replaced.last_used, key));
-        }
-        inner.lru_order.insert((tick, key));
+        inner.store(entry, stamp, &stamps);
         inner.stats.insertions += 1;
     }
 
@@ -413,16 +690,17 @@ impl RouteCache {
     /// the routes (see the module docs). Returns `(invalidated,
     /// promoted)`.
     ///
-    /// Every entry costs one stamp check; only those whose stamp set
-    /// intersects `shards` are examined further — after an increase the
-    /// others cannot use the edge and are left where they are, untouched;
-    /// a decrease bumps every shard, so every entry is examined. An
-    /// examined entry drops if it is stale (more than one version behind
-    /// on a touched shard), if a decrease could undercut its total, or if
-    /// its path uses the edge — an O(path) scan that runs only where the
-    /// bound cannot rule the edge out. Otherwise its touched stamps move
-    /// to the new versions in place. Dropped entries retire into the
-    /// stale tier in key order, O(log capacity) each.
+    /// Every entry costs a read of its touched shards' versions; only
+    /// those whose path crosses one of `shards` are examined further —
+    /// after an increase the others cannot use the edge and are left
+    /// where they are, untouched; a decrease bumps every shard, so every
+    /// entry is examined. An examined entry drops if it is stale (more
+    /// than one version behind on a touched shard), if a decrease could
+    /// undercut its total, or if its path uses the edge — an O(path)
+    /// scan that runs only where the bound cannot rule the edge out.
+    /// Otherwise its touched versions and its install move on in place.
+    /// Dropped entries retire into the stale tier in key order, O(log
+    /// capacity) each.
     pub fn apply_shard_update(
         &self,
         u: NodeId,
@@ -448,65 +726,16 @@ impl RouteCache {
         if self.capacity == 0 {
             return (0, 0);
         }
-        let install = epochs.install();
-        let points = epochs.points();
-        let at = |n: NodeId| points.get(n.index()).copied().unwrap_or(UNREAD);
-        let (from, to) = (at(u), at(v));
-        let (mut inner, _) = self.lock_entries(level);
-        let mut promoted = 0u64;
-        let mut dropped: Vec<(u32, u32)> = Vec::new();
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "each entry's fate depends on that entry alone, and `dropped` is sorted below"
-        )]
-        for (key, entry) in inner.map.iter_mut() {
-            // How far the entry's touched stamps trail this install.
-            let behind = entry
-                .stamps
-                .iter()
-                .filter(|(shard, _)| shards.contains(shard))
-                .map(|&(shard, version)| epochs.version(shard).saturating_sub(version))
-                .max();
-            // The path never enters a touched shard, or the entry was
-            // computed against the new costs: the update cannot have
-            // changed it. Neither dropped nor rewritten.
-            let Some(behind @ 1..) = behind else {
-                continue;
-            };
-            let stale = behind > 1;
-            if stale || {
-                // The straight-line span of a route `s ⇝ u → v ⇝ d`.
-                let (s, d) = entry.ends(*key, points);
-                let span = s.euclidean(&from) + to.euclidean(&d);
-                invalidates(
-                    &entry.route,
-                    (u, v),
-                    old_cost,
-                    new_cost,
-                    epochs.floor(),
-                    span,
-                )
-            } {
-                dropped.push(*key);
-            } else {
-                for stamp in entry.stamps.iter_mut() {
-                    if shards.contains(&stamp.0) {
-                        stamp.1 = epochs.version(stamp.0);
-                    }
-                }
-                entry.route.epoch = entry.route.epoch.max(install);
-                promoted += 1;
-            }
-        }
+        let (mut guard, _) = self.lock_entries(level);
+        let inner = &mut *guard;
+        let (mut dropped, promoted) = inner.sweep((u, v), (old_cost, new_cost), shards, epochs);
         // `retire` evicts against the tier as it stands, so the tier's
-        // content depends on the order: retire in key order, not in the
-        // per-instance hash order the sweep visited.
+        // content depends on the order: retire in key order.
         dropped.sort_unstable();
         let invalidated = dropped.len() as u64;
         for key in dropped {
-            if let Some(entry) = inner.map.remove(&key) {
-                inner.lru_order.remove(&(entry.last_used, key));
-                self.retire(&mut inner, key, entry.route);
+            if let Some((entry, stamp)) = inner.remove(key) {
+                self.retire(inner, key, Inner::into_route(entry, stamp));
             }
         }
         for &shard in shards {
@@ -523,7 +752,7 @@ impl RouteCache {
         }
         inner.stats.invalidations += invalidated;
         inner.stats.promotions += promoted;
-        drop(inner);
+        drop(guard);
         self.bump("cache_invalidations_total", invalidated);
         self.bump("cache_promotions_total", promoted);
         (invalidated, promoted)
@@ -590,8 +819,9 @@ impl RouteCache {
 /// The sweep's rule for one entry that has seen every update before
 /// this one: whether the change of edge `(u, v)` from `old_cost` to
 /// `new_cost`, at an install with cost floor `floor`, may have changed
-/// the route from `s` to `d`, where `span` is `‖s − u‖ + ‖v − d‖` (not
-/// a number where the install cannot place a node: no reach).
+/// the route `path` from `s` to `d`, of cost `total`, where `span` is
+/// `‖s − u‖ + ‖v − d‖` (not a number where the install cannot place a
+/// node: no reach).
 ///
 /// Any route `s ⇝ u → v ⇝ d` is labelled at least [`floor_bound`] of
 /// the edge's cost over the span. So a decrease can undercut the cached
@@ -601,17 +831,17 @@ impl RouteCache {
 /// skipped. The bound grows with the cost, so an entry a decrease keeps
 /// is scanned only when both bounds equal its total.
 fn invalidates(
-    route: &CachedRoute,
+    total: f64,
+    path: &Path,
     (u, v): (NodeId, NodeId),
     old_cost: f64,
     new_cost: f64,
     floor: f64,
     span: f64,
 ) -> bool {
-    let total = route.path.cost;
     (new_cost < old_cost && floor_bound(new_cost, floor, span) < total)
         || (floor_bound(old_cost, floor, span) <= total
-            && route.path.hops().any(|(a, b)| a == u && b == v))
+            && path.hops().any(|(a, b)| a == u && b == v))
 }
 
 #[cfg(test)]
@@ -944,66 +1174,117 @@ mod tests {
         assert_eq!(registry.counter("cache_invalidations_total"), 1);
     }
 
-    /// The insert, the sweep and the retirement as they were before the
-    /// live table and the tier got their eviction indexes and the sweep
-    /// went in place: every insert into a full table scans it for its
-    /// `(last_used, key)` minimum, every update moves each entry into a
-    /// fresh table, and every retirement into a full tier scans the tier
-    /// for its `(epoch, key)` minimum. Slow and obviously right;
-    /// `the_in_place_sweep_matches_the_rebuild_sweep` holds the fast
-    /// three to it, state for state. The reference never reads its own
-    /// `lru_order`.
-    impl RouteCache {
-        fn insert_stamped_by_scan(
-            &self,
-            from: NodeId,
-            to: NodeId,
-            route: CachedRoute,
-            stamps: Vec<(u32, u64)>,
-        ) {
+    /// The cache as it was before the live table and the tier got their
+    /// eviction indexes, the sweep went in place and the stamps moved
+    /// into dense rows: one hash table of entries, each with its own
+    /// `(shard, version)` list. Every insert into a full table scans it
+    /// for its `(last_used, key)` minimum, every update moves each entry
+    /// into a fresh table, and every retirement into a full tier scans
+    /// the tier for its `(epoch, key)` minimum. Slow and obviously right;
+    /// `the_in_place_sweep_matches_the_rebuild_sweep` holds the cache to
+    /// it, state for state.
+    struct Reference {
+        capacity: usize,
+        map: HashMap<(u32, u32), Listed>,
+        stale: HashMap<(u32, u32), CachedRoute>,
+        tick: u64,
+        latest_versions: Vec<u64>,
+        stats: CacheStats,
+    }
+
+    impl Reference {
+        fn new(capacity: usize) -> Self {
+            Reference {
+                capacity,
+                map: HashMap::new(),
+                stale: HashMap::new(),
+                tick: 0,
+                latest_versions: Vec::new(),
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn latest_version(&self, shard: u32) -> u64 {
+            self.latest_versions
+                .get(shard as usize)
+                .copied()
+                .unwrap_or(0)
+        }
+
+        fn lookup(&mut self, key: (u32, u32), epochs: &EpochVector) -> Option<CachedRoute> {
+            if self.capacity == 0 {
+                return None;
+            }
+            self.tick += 1;
+            match self.map.get_mut(&key) {
+                Some((route, stamps, last_used))
+                    if route.epoch <= epochs.install()
+                        && stamps
+                            .iter()
+                            .all(|&(s, version)| epochs.version(s) == version) =>
+                {
+                    *last_used = self.tick;
+                    self.stats.hits += 1;
+                    Some(route.clone())
+                }
+                _ => {
+                    self.stats.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn lookup_stale(
+            &mut self,
+            key: (u32, u32),
+            current: u64,
+            max_age: u64,
+        ) -> Option<(CachedRoute, u64)> {
+            if self.capacity == 0 {
+                return None;
+            }
+            let route = self.stale.get(&key)?.clone();
+            let age = current.saturating_sub(route.epoch).max(1);
+            if age > max_age {
+                return None;
+            }
+            self.stats.stale_hits += 1;
+            Some((route, age))
+        }
+
+        fn insert(&mut self, key: (u32, u32), route: CachedRoute, stamps: Vec<(u32, u64)>) {
             if self.capacity == 0 || stamps.is_empty() {
                 return;
             }
-            let level = &mut Level::root();
-            let (mut inner, _) = self.lock_entries(level);
             if stamps
                 .iter()
-                .any(|&(shard, version)| version < inner.latest_version(shard))
+                .any(|&(shard, version)| version < self.latest_version(shard))
             {
                 return;
             }
-            if let Some(existing) = inner.map.get(&(from.0, to.0)) {
-                if existing.route.epoch > route.epoch {
+            if let Some((existing, _, _)) = self.map.get(&key) {
+                if existing.epoch > route.epoch {
                     return;
                 }
             }
-            inner.tick += 1;
-            let tick = inner.tick;
-            if inner.map.len() >= self.capacity && !inner.map.contains_key(&(from.0, to.0)) {
-                let victim = inner
+            self.tick += 1;
+            if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
+                let victim = self
                     .map
                     .iter()
-                    .min_by_key(|(key, entry)| (entry.last_used, **key))
+                    .min_by_key(|(key, entry)| (entry.2, **key))
                     .map(|(key, _)| *key);
                 if let Some(victim) = victim {
-                    inner.map.remove(&victim);
-                    inner.stats.evictions += 1;
+                    self.map.remove(&victim);
+                    self.stats.evictions += 1;
                 }
             }
-            inner.map.insert(
-                (from.0, to.0),
-                Entry {
-                    route,
-                    stamps,
-                    ends: (UNREAD, UNREAD),
-                    last_used: tick,
-                },
-            );
-            inner.stats.insertions += 1;
+            self.map.insert(key, (route, stamps, self.tick));
+            self.stats.insertions += 1;
         }
 
-        fn apply_shard_update_by_rebuild(
-            &self,
+        fn sweep(
+            &mut self,
             (u, v): (NodeId, NodeId),
             old_cost: f64,
             new_cost: f64,
@@ -1015,25 +1296,22 @@ mod tests {
             }
             let decrease = new_cost < old_cost;
             let install = epochs.install();
-            let level = &mut Level::root();
-            let (mut inner, _) = self.lock_entries(level);
             let mut invalidated = 0u64;
             let mut promoted = 0u64;
-            let swept = std::mem::take(&mut inner.map);
+            let swept = std::mem::take(&mut self.map);
             let mut retired: Vec<((u32, u32), CachedRoute)> = Vec::new();
             #[expect(
                 clippy::iter_over_hash_type,
                 reason = "each entry's fate depends on that entry alone, and `retired` is sorted below"
             )]
-            for (key, mut entry) in swept {
-                let behind = entry
-                    .stamps
+            for (key, (mut route, mut stamps, last_used)) in swept {
+                let behind = stamps
                     .iter()
                     .filter(|(shard, _)| shards.contains(shard))
                     .map(|&(shard, version)| epochs.version(shard).saturating_sub(version))
                     .max();
                 let Some(behind @ 1..) = behind else {
-                    inner.map.insert(key, entry);
+                    self.map.insert(key, (route, stamps, last_used));
                     continue;
                 };
                 let stale = behind > 1;
@@ -1041,69 +1319,79 @@ mod tests {
                 let at = |n: u32| epochs.points()[n as usize];
                 let span = at(key.0).euclidean(&at(u.0)) + at(v.0).euclidean(&at(key.1));
                 let floor = epochs.floor();
-                let total = entry.route.path.cost;
-                let on_path = entry.route.path.hops().any(|(a, b)| a == u && b == v);
+                let total = route.path.cost;
+                let on_path = route.path.hops().any(|(a, b)| a == u && b == v);
                 let could_use = floor_bound(old_cost, floor, span) <= total;
                 let could_beat = decrease && floor_bound(new_cost, floor, span) < total;
                 if stale || (on_path && could_use) || could_beat {
                     invalidated += 1;
-                    retired.push((key, entry.route));
+                    retired.push((key, route));
                 } else {
-                    for stamp in entry.stamps.iter_mut() {
+                    for stamp in stamps.iter_mut() {
                         if shards.contains(&stamp.0) {
                             stamp.1 = epochs.version(stamp.0);
                         }
                     }
-                    entry.route.epoch = entry.route.epoch.max(install);
+                    route.epoch = route.epoch.max(install);
                     promoted += 1;
-                    inner.map.insert(key, entry);
+                    self.map.insert(key, (route, stamps, last_used));
                 }
             }
             retired.sort_unstable_by_key(|&(key, _)| key);
             for (key, route) in retired {
-                self.retire_by_scan(&mut inner, key, route);
+                self.retire(key, route);
             }
             for &shard in shards {
                 let idx = shard as usize;
-                if inner.latest_versions.len() <= idx {
-                    inner.latest_versions.resize(idx + 1, 0);
+                if self.latest_versions.len() <= idx {
+                    self.latest_versions.resize(idx + 1, 0);
                 }
                 let version = epochs.version(shard);
-                if let Some(slot) = inner.latest_versions.get_mut(idx) {
-                    if *slot < version {
-                        *slot = version;
-                    }
-                }
+                self.latest_versions[idx] = self.latest_versions[idx].max(version);
             }
-            inner.stats.invalidations += invalidated;
-            inner.stats.promotions += promoted;
-            drop(inner);
-            self.bump("cache_invalidations_total", invalidated);
-            self.bump("cache_promotions_total", promoted);
+            self.stats.invalidations += invalidated;
+            self.stats.promotions += promoted;
             (invalidated, promoted)
         }
 
-        fn retire_by_scan(&self, inner: &mut Inner, key: (u32, u32), route: CachedRoute) {
-            if let Some(existing) = inner.stale.get(&key) {
+        fn retire(&mut self, key: (u32, u32), route: CachedRoute) {
+            if let Some(existing) = self.stale.get(&key) {
                 if existing.epoch > route.epoch {
                     return;
                 }
             }
-            if inner.stale.len() >= self.capacity && !inner.stale.contains_key(&key) {
-                let victim = inner
+            if self.stale.len() >= self.capacity && !self.stale.contains_key(&key) {
+                let victim = self
                     .stale
                     .iter()
                     .min_by_key(|(k, r)| (r.epoch, **k))
                     .map(|(k, _)| *k);
                 if let Some(victim) = victim {
-                    inner.stale.remove(&victim);
+                    self.stale.remove(&victim);
                 }
             }
-            inner.stale.insert(key, route);
-            inner.stats.retirements += 1;
+            self.stale.insert(key, route);
+            self.stats.retirements += 1;
+        }
+
+        /// Everything it holds, as [`contents`] reads a cache.
+        fn contents(&self) -> (Live, Tier, Vec<u64>, CacheStats) {
+            let mut live: Live = self
+                .map
+                .iter()
+                .map(|(&key, (route, stamps, last_used))| {
+                    (key, route.clone(), stamps.clone(), *last_used)
+                })
+                .collect();
+            live.sort_unstable_by_key(|entry| entry.0);
+            let mut tier: Tier = self.stale.iter().map(|(&k, r)| (k, r.clone())).collect();
+            tier.sort_unstable_by_key(|entry| entry.0);
+            (live, tier, self.latest_versions.clone(), self.stats)
         }
     }
 
+    /// A reference entry: the route, its stamps and its last use.
+    type Listed = (CachedRoute, Vec<(u32, u64)>, u64);
     type Live = Vec<((u32, u32), CachedRoute, Vec<(u32, u64)>, u64)>;
     type Tier = Vec<((u32, u32), CachedRoute)>;
 
@@ -1113,10 +1401,12 @@ mod tests {
     fn contents(cache: &RouteCache) -> (Live, Tier, Vec<u64>, CacheStats) {
         let level = &mut Level::root();
         let (inner, _) = cache.lock_entries(level);
-        let mut live: Live = inner
-            .map
-            .iter()
-            .map(|(&key, e)| (key, e.route.clone(), e.stamps.clone(), e.last_used))
+        let mut live: Live = (0..inner.entries.len())
+            .map(|slot| {
+                let (key, last_used) = (inner.stamps[slot].key, inner.entries[slot].last_used);
+                let stamps = inner.crossed(slot).collect();
+                (key, inner.route(slot), stamps, last_used)
+            })
             .collect();
         live.sort_unstable_by_key(|entry| entry.0);
         let mut tier: Tier = inner.stale.iter().map(|(&k, r)| (k, r.clone())).collect();
@@ -1124,14 +1414,36 @@ mod tests {
         (live, tier, inner.latest_versions.clone(), inner.stats)
     }
 
-    /// The live table's eviction index holds one `(last_used, key)` per
-    /// entry, and the stale tier's one `(epoch, key)` per retired route,
-    /// and nothing else.
+    /// The slots are dense and indexed by key, the live table's eviction
+    /// index holds one `(last_used, key)` per entry, and the stale tier's
+    /// one `(epoch, key)` per retired route, and nothing else.
     fn assert_indexed(cache: &RouteCache) {
         let level = &mut Level::root();
         let (inner, _) = cache.lock_entries(level);
-        let mut live: Vec<(u64, (u32, u32))> =
-            inner.map.iter().map(|(&k, e)| (e.last_used, k)).collect();
+        let len = inner.entries.len();
+        assert_eq!((inner.slots.len(), inner.stamps.len()), (len, len));
+        assert_eq!(inner.versions.len(), inner.width * inner.stride);
+        for (slot, stamp) in inner.stamps.iter().enumerate() {
+            assert_eq!(
+                inner.slots.get(&stamp.key),
+                Some(&slot),
+                "the index names the slot"
+            );
+            for shard in 0..inner.width {
+                let crossed = inner.versions[shard * inner.stride + slot] != ABSENT;
+                assert!(
+                    !crossed || stamp.shards & bit(shard) != 0,
+                    "the mask has every column"
+                );
+            }
+        }
+        let past = |column: &[u64]| column[len..].iter().all(|&version| version == ABSENT);
+        assert!(
+            inner.versions.chunks(inner.stride.max(1)).all(past),
+            "no slot past the last"
+        );
+        let pairs = inner.entries.iter().zip(&inner.stamps);
+        let mut live: Vec<(u64, (u32, u32))> = pairs.map(|(e, s)| (e.last_used, s.key)).collect();
         live.sort_unstable();
         let indexed: Vec<(u64, (u32, u32))> = inner.lru_order.iter().copied().collect();
         assert_eq!(indexed, live, "the LRU index is the table");
@@ -1166,7 +1478,7 @@ mod tests {
         let points: std::sync::Arc<[Point]> = (0..NODES)
             .map(|_| Point::new(rng.next_range(0.0, 10.0), rng.next_range(0.0, 10.0)))
             .collect();
-        let (fast, reference) = (RouteCache::new(capacity), RouteCache::new(capacity));
+        let (fast, mut reference) = (RouteCache::new(capacity), Reference::new(capacity));
         let mut versions = vec![0u64; shard_count];
         let mut install = 0u64;
         let mut pending: Vec<Pending> = Vec::new();
@@ -1193,7 +1505,7 @@ mod tests {
                     let (from, to) = (NodeId(key.0), NodeId(key.1));
                     let route = route(&nodes, cost, epoch);
                     fast.insert_stamped(from, to, route.clone(), stamps.clone());
-                    reference.insert_stamped_by_scan(from, to, route, stamps);
+                    reference.insert(key, route, stamps);
                 }
                 4..=5 => {
                     // A snapshot at the newest install or at a pending one.
@@ -1204,17 +1516,18 @@ mod tests {
                     let (from, to) = (NodeId(key.0), NodeId(key.1));
                     assert_eq!(
                         fast.lookup_vec(from, to, &epochs),
-                        reference.lookup_vec(from, to, &epochs),
+                        reference.lookup(key, &epochs),
                         "seed {seed} step {step}: lookup"
                     );
                 }
                 6 => {
                     let max_age = rng.next_below(4);
-                    let stale = |cache: &RouteCache| {
-                        let (from, to) = (NodeId(key.0), NodeId(key.1));
-                        cache.lookup_stale(&mut Level::root(), from, to, install, max_age)
-                    };
-                    assert_eq!(stale(&fast), stale(&reference), "seed {seed} step {step}");
+                    let (from, to) = (NodeId(key.0), NodeId(key.1));
+                    assert_eq!(
+                        fast.lookup_stale(&mut Level::root(), from, to, install, max_age),
+                        reference.lookup_stale(key, install, max_age),
+                        "seed {seed} step {step}"
+                    );
                 }
                 7..=8 if pending.len() < 3 => {
                     // Half the edges are a hop of a cached path.
@@ -1271,8 +1584,7 @@ mod tests {
                             &p.shards,
                             &p.epochs
                         ),
-                        reference
-                            .apply_shard_update_by_rebuild(edge, old, new, &p.shards, &p.epochs),
+                        reference.sweep(edge, old, new, &p.shards, &p.epochs),
                         "seed {seed} step {step}: sweep"
                     );
                 }
@@ -1280,7 +1592,7 @@ mod tests {
             }
             assert_eq!(
                 contents(&fast),
-                contents(&reference),
+                reference.contents(),
                 "seed {seed} step {step}"
             );
             assert_indexed(&fast);

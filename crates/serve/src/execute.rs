@@ -482,9 +482,14 @@ fn computed(
             iterations: trace.iterations,
             cost_units,
         };
-        shared
-            .cache
-            .insert_stamped_at(level, group.from, group.to, route, stamps);
+        shared.cache.insert_stamped_at(
+            level,
+            group.from,
+            group.to,
+            route,
+            stamps,
+            snapshot.epochs.points(),
+        );
     }
     Exec {
         path: trace.path,

@@ -1,10 +1,12 @@
 //! Fixed-size disk blocks.
 //!
-//! A page's bytes sit behind an `Arc`: cloning a [`Block`] — and so a
-//! heap file, and so the stored relation `S` of a database snapshot —
-//! shares the bytes, and the first write through [`Block::bytes_mut`]
-//! to a page somebody else still holds copies that one page. A traffic
-//! update therefore copies the page it rewrites and nothing else.
+//! A page's bytes sit behind an `Arc`: cloning a [`Block`] shares the
+//! bytes, and the first write through [`Block::bytes_mut`] to a page
+//! somebody else still holds copies that one page. A heap file keeps its
+//! blocks in a persistent chunk table (see [`crate::heapfile`]), so
+//! cloning the stored relation `S` of a database snapshot bumps one
+//! pointer, and a traffic update copies the page it rewrites plus one
+//! leaf and the root of that table's page pointers.
 
 use atis_graph::grouped::Sharing;
 use std::sync::Arc;

@@ -1,10 +1,13 @@
 //! Paged heap files of fixed-width tuples with block-level I/O charging.
 //!
-//! A [`HeapFile`] is the physical body of a relation: a vector of 4096-byte
-//! blocks, each holding `BLOCK_SIZE / T::SIZE` tuple slots. Cloning one
-//! is a pointer bump per page (see [`crate::block`]): the clone shares
-//! every page with its source until it writes one. Operations charge the
-//! borrowed [`IoStats`]:
+//! A [`HeapFile`] is the physical body of a relation: a table of 4096-byte
+//! blocks, each holding `BLOCK_SIZE / T::SIZE` tuple slots. The table is
+//! a persistent [`ChunkTable`] of pages (see [`crate::block`]): cloning a
+//! file bumps one pointer, and the clone shares every page — and every
+//! leaf of the table — with its source until it writes one. A write then
+//! copies the page, the leaf of page pointers it sits in and the table's
+//! root (about `√pages` pointers each), never a pointer per page of the
+//! file. Operations charge the borrowed [`IoStats`]:
 //!
 //! * `scan`-style visits charge one **block read** per block entered;
 //! * `read_slot` charges one block read;
@@ -42,14 +45,15 @@ use crate::error::StorageError;
 use crate::fault::{self, SharedFaults, WriteMode};
 use crate::io::IoStats;
 use crate::tuple::FixedTuple;
-use atis_graph::grouped::Sharing;
+use atis_graph::grouped::{ChunkTable, Sharing};
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// A paged heap file of fixed-width tuples.
 #[derive(Debug, Clone)]
 pub struct HeapFile<T: FixedTuple> {
-    blocks: Vec<Block>,
+    blocks: ChunkTable<Block>,
     len: usize,
     dirty: BTreeSet<usize>,
     /// Optional buffer pool (an extension; `None` is the paper-faithful
@@ -58,8 +62,9 @@ pub struct HeapFile<T: FixedTuple> {
     /// Blocks per segment (`usize::MAX` = unsegmented: one segment holds
     /// every block).
     segment_blocks: usize,
-    /// One buffer-pool file id per segment (at least one entry).
-    file_ids: Vec<u64>,
+    /// One buffer-pool file id per segment (at least one entry), shared
+    /// with clones like the page table.
+    file_ids: Arc<Vec<u64>>,
     /// Optional fault injection; `None` disables all checks. See
     /// [`crate::fault`].
     faults: Option<SharedFaults>,
@@ -82,12 +87,12 @@ impl<T: FixedTuple> HeapFile<T> {
     pub fn create(io: &mut IoStats) -> Self {
         io.create_relation();
         HeapFile {
-            blocks: Vec::new(),
+            blocks: ChunkTable::default(),
             len: 0,
             dirty: BTreeSet::new(),
             buffer: None,
             segment_blocks: usize::MAX,
-            file_ids: vec![next_file_id()],
+            file_ids: Arc::new(vec![next_file_id()]),
             faults: None,
             sums: Vec::new(),
             checksums: false,
@@ -139,7 +144,7 @@ impl<T: FixedTuple> HeapFile<T> {
     /// residency.
     pub fn attach_buffer(&mut self, pool: &SharedBuffer) {
         self.buffer = Some(pool.clone());
-        for id in &mut self.file_ids {
+        for id in Arc::make_mut(&mut self.file_ids) {
             *id = next_file_id();
         }
     }
@@ -215,7 +220,7 @@ impl<T: FixedTuple> HeapFile<T> {
             }
             self.sums[block] = fault::checksum(self.blocks[block].bytes(0, BLOCK_SIZE));
             if let WriteMode::Torn(offset) = mode {
-                self.blocks[block].bytes_mut(offset, 1)[0] ^= 0x5a;
+                self.blocks.get_mut(block).bytes_mut(offset, 1)[0] ^= 0x5a;
             }
         }
     }
@@ -285,10 +290,11 @@ impl<T: FixedTuple> HeapFile<T> {
     }
 
     /// How many of this file's pages are the very memory `other` holds,
-    /// page by page.
+    /// page by page, and whether the two share one page table.
     pub(crate) fn shared_with(&self, other: &HeapFile<T>) -> Sharing {
         let mut sharing = Sharing::default();
-        for (a, b) in self.blocks.iter().zip(&other.blocks) {
+        sharing.table(self.blocks.shares_root_with(&other.blocks));
+        for (a, b) in self.blocks.iter().zip(other.blocks.iter()) {
             a.count_shared(b, &mut sharing);
         }
         sharing
@@ -312,10 +318,10 @@ impl<T: FixedTuple> HeapFile<T> {
             self.blocks.push(Block::new());
             // A new block may open a new segment; give it a file id.
             if b / self.segment_blocks >= self.file_ids.len() {
-                self.file_ids.push(next_file_id());
+                Arc::make_mut(&mut self.file_ids).push(next_file_id());
             }
         }
-        tuple.encode(self.blocks[b].bytes_mut(off, T::SIZE));
+        tuple.encode(self.blocks.get_mut(b).bytes_mut(off, T::SIZE));
         self.dirty.insert(b);
         self.len += 1;
         slot
@@ -400,7 +406,7 @@ impl<T: FixedTuple> HeapFile<T> {
         f(&mut t);
         let mode = self.consult_write(b)?;
         self.install_block(b);
-        t.encode(self.blocks[b].bytes_mut(off, T::SIZE));
+        t.encode(self.blocks.get_mut(b).bytes_mut(off, T::SIZE));
         self.commit_block(b, mode);
         Ok(())
     }
@@ -481,7 +487,7 @@ impl<T: FixedTuple> HeapFile<T> {
                 let off = (slot % Self::TUPLES_PER_BLOCK) * T::SIZE;
                 let mut t = T::decode(self.blocks[b].bytes(off, T::SIZE));
                 if visit(slot, &mut t) {
-                    t.encode(self.blocks[b].bytes_mut(off, T::SIZE));
+                    t.encode(self.blocks.get_mut(b).bytes_mut(off, T::SIZE));
                     block_dirty = true;
                 }
             }
@@ -505,15 +511,15 @@ impl<T: FixedTuple> HeapFile<T> {
         io.delete_relation();
         if let Some(pool) = &self.buffer {
             let mut pool = fault::lock(pool);
-            for file in &self.file_ids {
+            for file in self.file_ids.iter() {
                 pool.invalidate_file(*file);
             }
         }
-        self.blocks.clear();
+        self.blocks = ChunkTable::default();
         self.dirty.clear();
         self.sums.clear();
         self.len = 0;
-        self.file_ids.truncate(1);
+        Arc::make_mut(&mut self.file_ids).truncate(1);
     }
 }
 

@@ -1,8 +1,9 @@
 //! The route cache's update sweep allocates for what it drops, not for
 //! what it holds: an increase that promotes or skips every entry, and a
 //! decrease whose geometric bound keeps the entries it examines, move
-//! no entry, so neither may rebuild the table. A deterministic count of
-//! the bytes the sweep asks the allocator for, not a timing.
+//! no entry, so neither may rebuild the table — and the increase
+//! restamps each entry it promotes in the slot it holds. A deterministic
+//! count of the bytes the sweep asks the allocator for, not a timing.
 
 use atis::algorithms::memory::dijkstra_pair;
 use atis::algorithms::Database;
@@ -99,6 +100,12 @@ fn an_increase_sweep_that_moves_no_entry_allocates_at_most_a_kib() {
 
     let applied = store.update_edge_cost(u, v, 1000.0).unwrap();
     assert!(applied.update.new_cost > applied.update.old_cost);
+    let key = |i: u32| (NodeId(10_000 + i), NodeId(20_000 + i));
+    let sites = |cache: &RouteCache| -> Vec<_> {
+        let site = |(from, to)| cache.stamp_site(from, to).unwrap();
+        (0..CAPACITY).map(key).map(site).collect()
+    };
+    let before = sites(&cache);
     let (swept, bytes) = counted(|| {
         cache.apply_shard_update(
             u,
@@ -115,6 +122,17 @@ fn an_increase_sweep_that_moves_no_entry_allocates_at_most_a_kib() {
         bytes <= 1024,
         "the sweep allocated {bytes} bytes for a {CAPACITY}-entry cache it did not shrink"
     );
+    // Every entry kept its slot in the same arrays: the promoted half was
+    // restamped where it sits, and now hits at the new install as valid
+    // there; the skipped half hits as the install-0 answer it was.
+    assert_eq!(sites(&cache), before, "the sweep moved an entry");
+    for i in 0..CAPACITY {
+        let (from, to) = key(i);
+        let hit = cache.lookup_vec(from, to, &applied.epochs).unwrap();
+        let promoted = i % 2 == 0;
+        let epoch = if promoted { applied.update.epoch } else { 0 };
+        assert_eq!(hit.epoch, epoch, "entry {i}");
+    }
 }
 
 #[test]

@@ -9,7 +9,8 @@
 //! graph as it was at that moment, its overlay priced from scratch.
 //! *Sharing* is counted in parts (edge groups, pages of `S`, price
 //! groups, whole shared arrays) with the `shared_with` counters each
-//! layer keeps for these tests.
+//! layer keeps for these tests, and in the chunk tables those parts sit
+//! in: a clone shares a table's root until it writes through it.
 
 use atis::algorithms::{AStarVersion, Algorithm, Database};
 use atis::graph::{Graph, GraphBuilder, Metro, MetroSpec, PartitionMap, SplitMix64};
@@ -206,6 +207,14 @@ fn an_install_at_10k_shares_all_but_what_it_wrote() {
     // The caller's graph is still the one the first snapshot holds.
     assert_eq!(before.db.graph().shared_with(&graph).copied(), 0);
     assert_eq!(after.db.as_ref().clone().shared_with(&after.db).copied(), 0);
+    // The install wrote through the edge table and `S`'s page table, so
+    // it holds copies of their roots; a bare clone holds every root —
+    // edges, pages, four price columns — that its source holds.
+    assert_eq!((edges.tables, edges.tables_shared), (1, 0));
+    assert_eq!((pages.tables, pages.tables_shared), (1, 0));
+    assert!(prices.tables_shared < prices.tables, "{prices:?}");
+    let bare = after.db.as_ref().clone().shared_with(&after.db);
+    assert_eq!((bare.tables, bare.tables_shared), (6, 6), "{bare:?}");
 }
 
 /// PR CI builds the 10k scale; the copy an install used to make grew
@@ -240,4 +249,6 @@ fn an_install_at_100k_copies_kilobytes() {
     }
     let db = store.snapshot().db;
     assert_eq!(db.as_ref().clone().shared_with(&db).copied(), 0);
+    let bare = db.as_ref().clone().shared_with(&db);
+    assert_eq!((bare.tables, bare.tables_shared), (6, 6), "{bare:?}");
 }

@@ -1,7 +1,8 @@
 //! The extension studies' counters, held exactly.
 //!
-//! `atis_bench::studies` renders the estimator study's table and, per
-//! metro scale, the scaling study's regional and long-haul tables. Each
+//! `atis_bench::studies` renders the estimator study's table, the
+//! scaling study's table of its networks and, per metro scale, its
+//! regional and long-haul tables. Each
 //! is committed once, in the doc that reports it, between
 //! `<!-- study: NAME -->` and `<!-- /study -->`, and each test here
 //! renders its tables afresh and requires them byte-equal to the
@@ -17,9 +18,11 @@
 //! metro-100k, an overlay of at most 4.0 arcs per edge, and fewer
 //! physical reads under the region layout than under the shuffled one.
 //!
-//! metro-100k is `#[ignore]`d (about 30 s in a release build, most of it
-//! v4's diagonal); CI's release job runs
-//! `cargo test --release --test study_counters -- --ignored`.
+//! metro-100k's search tables are `#[ignore]`d (about 30 s in a release
+//! build, most of it v4's diagonal); CI's release job runs
+//! `cargo test --release --test study_counters -- --ignored`. The
+//! networks table only generates and partitions, so all three scales of
+//! it run in every build.
 
 use atis_algorithms::{AStarVersion, Algorithm};
 use atis_bench::studies::{self, Counters, SCALES};
@@ -168,4 +171,23 @@ fn the_metro_10k_tables_are_the_committed_ones() {
 #[ignore = "metro-100k: about 30 s in a release build; CI's release job runs it"]
 fn the_metro_100k_tables_are_the_committed_ones() {
     check_scale(SCALES[2], 10.0);
+}
+
+#[test]
+fn the_network_table_is_the_committed_one() {
+    let rows = SCALES.map(|(target, network)| studies::network_row(target, network));
+    for r in &rows {
+        assert_eq!(
+            r.nodes,
+            r.cities.0 * r.cities.1 * 256,
+            "{}: one region a city",
+            r.network
+        );
+        assert!(
+            r.blocks.r <= r.regions,
+            "{}: a region fills one `R` block",
+            r.network
+        );
+    }
+    assert_committed("SCALING.md", "networks", &studies::networks_table(&rows));
 }
