@@ -537,6 +537,45 @@ if [ -f "$search_rs" ] && [ -f DESIGN.md ]; then
     done
 fi
 
+# 16. Study-block drift: a generated table in a doc is held by a test, or
+#     it is hand-edited text that only looks generated. Every marker line
+#     `<!-- study: NAME -->` in a tracked doc must be listed, with that
+#     doc, in the `BLOCKS` table of tests/study_counters.rs (the blocks its
+#     tests assert, and the only ones: its `assert_committed` refuses any
+#     other name), and every block listed there must have exactly one
+#     marker in its doc. A marker no test reads fails here, and so does a
+#     test whose marker is gone. Finding no table fails too: a moved
+#     declaration must not pass vacuously.
+study_test=tests/study_counters.rs
+listed=$(awk '/^const BLOCKS/ { on = 1; next } on && /^\];/ { on = 0 } on' "$study_test" 2>/dev/null \
+    | sed -n 's/^ *("\([^"]*\)", "\([^"]*\)"),$/\1|\2/p')
+if [ -z "$listed" ]; then
+    echo "STUDY BLOCKS: no BLOCKS table in $study_test"
+    fail=1
+fi
+markers=$(for doc in $docs; do
+    sed -n "s|^<!-- study: \(.*\) -->\$|$doc\|\1|p" "$doc"
+done)
+while IFS= read -r marker; do
+    [ -n "$marker" ] || continue
+    if ! echo "$listed" | grep -qxF "$marker"; then
+        echo "UNCHECKED STUDY BLOCK: ${marker%%|*} has a '${marker#*|}' block that $study_test does not assert"
+        fail=1
+    fi
+done <<EOF
+$markers
+EOF
+while IFS= read -r block; do
+    [ -n "$block" ] || continue
+    count=$(echo "$markers" | grep -cxF "$block") || true
+    if [ "$count" -ne 1 ]; then
+        echo "STUDY BLOCK MARKERS: $study_test asserts '${block#*|}' in ${block%%|*}, which has $count markers for it (want 1)"
+        fail=1
+    fi
+done <<EOF
+$listed
+EOF
+
 if [ "$fail" -ne 0 ]; then
     echo "doc-link check FAILED"
     exit 1

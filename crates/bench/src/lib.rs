@@ -3,18 +3,12 @@
 //! algorithms, and prints them side by side with the paper's published
 //! numbers where the paper printed any.
 //!
-//! * Figures 5–7 + Tables 5–7 — the synthetic-grid experiments
-//!   ([`experiments::fig5_table5`], [`experiments::fig6_table6`],
-//!   [`experiments::fig7_table7`]).
+//! * Table 4B, Figures 5–7 with Tables 5–7, Figure 9 with Table 8 and
+//!   Figures 10–12 — rows of exact counters ([`studies::paper_rows`]),
+//!   rendered one artifact at a time by [`studies::table_4b`] and
+//!   [`studies::paper_figure`] (the figures are [`studies::PAPER_FIGURES`])
+//!   and committed in EXPERIMENTS.md.
 //! * Figure 8 — the Minneapolis map render ([`experiments::fig8_map`]).
-//! * Figure 9 + Table 8 — the Minneapolis queries
-//!   ([`experiments::fig9_table8`]).
-//! * Figures 10–12 — the A\* version studies
-//!   ([`experiments::fig10_versions_size`],
-//!   [`experiments::fig11_versions_cost`],
-//!   [`experiments::fig12_versions_path`]).
-//! * Table 4B — the algebraic estimates
-//!   ([`experiments::table_4b_comparison`]).
 //! * Model validation — per-step breakdowns against Tables 2–3
 //!   ([`experiments::step_breakdown`]) and the `atis-obs` per-run
 //!   model-vs-measured reports ([`experiments::model_vs_measured`]).
@@ -23,7 +17,8 @@
 //!   [`experiments::ablation_estimators`],
 //!   [`experiments::ablation_memory_vs_db`]).
 //! * The estimator and metro scaling studies, exact counters whose tables
-//!   EXPERIMENTS.md and SCALING.md commit ([`studies`]).
+//!   EXPERIMENTS.md and SCALING.md commit ([`studies::estimator_quality`],
+//!   [`studies::metro_scaling`]).
 //!
 //! [`DRIVERS`] lists every experiment once; the binary `experiments`
 //! runs them from the command line.
@@ -51,7 +46,7 @@ pub const DRIVERS: &[Driver] = &[
     (
         "table4b",
         "Table 4B: algebraic cost estimates",
-        exp::table_4b_comparison,
+        studies::table_4b,
     ),
     (
         "breakdown",
@@ -68,34 +63,28 @@ pub const DRIVERS: &[Driver] = &[
         "Validation: A* version models vs measured",
         exp::validation_version_models,
     ),
-    ("fig5", "Figure 5 / Table 5: graph size", exp::fig5_table5),
-    ("fig6", "Figure 6 / Table 6: path length", exp::fig6_table6),
-    (
-        "fig7",
-        "Figure 7 / Table 7: edge cost models",
-        exp::fig7_table7,
-    ),
+    ("fig5", "Figure 5 / Table 5: graph size", || {
+        studies::paper_figure("fig5")
+    }),
+    ("fig6", "Figure 6 / Table 6: path length", || {
+        studies::paper_figure("fig6")
+    }),
+    ("fig7", "Figure 7 / Table 7: edge cost models", || {
+        studies::paper_figure("fig7")
+    }),
     ("fig8", "Figure 8: Minneapolis map", exp::fig8_map),
-    (
-        "fig9",
-        "Figure 9 / Table 8: Minneapolis queries",
-        exp::fig9_table8,
-    ),
-    (
-        "fig10",
-        "Figure 10: A* versions vs graph size",
-        exp::fig10_versions_size,
-    ),
-    (
-        "fig11",
-        "Figure 11: A* versions vs cost model",
-        exp::fig11_versions_cost,
-    ),
-    (
-        "fig12",
-        "Figure 12: A* versions vs path length",
-        exp::fig12_versions_path,
-    ),
+    ("fig9", "Figure 9 / Table 8: Minneapolis queries", || {
+        studies::paper_figure("fig9")
+    }),
+    ("fig10", "Figure 10: A* versions vs graph size", || {
+        studies::paper_figure("fig10")
+    }),
+    ("fig11", "Figure 11: A* versions vs cost model", || {
+        studies::paper_figure("fig11")
+    }),
+    ("fig12", "Figure 12: A* versions vs path length", || {
+        studies::paper_figure("fig12")
+    }),
     (
         "joins",
         "Ablation: four join strategies",

@@ -1,32 +1,401 @@
-//! The two extension studies, as exact counters: A\* versions 1–5 on the
-//! paper's networks (the estimator study), and Dijkstra and A\* v3–v5 on
-//! 1k / 10k / 100k-node metro networks through the partitioned storage
-//! engine (the scaling study).
+//! The paper's evaluation and the two extension studies, as rows of
+//! deterministic counters.
 //!
-//! Every cell these tables hold is a deterministic counter: node
-//! expansions, charged and physical block reads, frontier peaks, and the
-//! sizes of what preprocessing built. The generators are seeded and the
-//! buffer pool is deterministic, so a row reads the same on every machine
-//! and in debug and release builds. Wall time is not recorded here; the
-//! repository benchmark under `benchmark/` measures it.
+//! * The paper's evaluation ([`paper_rows`]): every run behind Table 4B,
+//!   Tables 5–8 and Figures 5–7 and 9–12, each once. A row holds the
+//!   workload, the algorithm, its iterations, its execution time in the
+//!   paper's units (charged I/O at Table 4A prices) and its route's cost
+//!   against the in-memory optimum. [`table_4b`] and [`paper_figure`]
+//!   render one artifact each, table and chart, beside the cells the paper
+//!   printed ([`atis_costmodel::PAPER_TABLE_4B`],
+//!   [`atis_costmodel::PAPER_ITERATIONS`]).
+//! * The estimator study: A\* versions 1–5 on the paper's networks.
+//! * The scaling study: Dijkstra and A\* v3–v5 on 1k / 10k / 100k-node
+//!   metro networks through the partitioned storage engine.
 //!
-//! The rendered tables are committed in `EXPERIMENTS.md` (estimators) and
-//! `SCALING.md` (the scaling study's networks and counters), and `tests/study_counters.rs` holds each
-//! committed table byte-equal to a fresh render, so a counter that moves
-//! by one read fails there and is re-pinned in the doc's diff. The same
-//! test asserts the orderings the studies exist to show.
+//! Every cell these tables hold is a deterministic counter: iterations
+//! and node expansions, charged and physical block reads (and the cost
+//! units they price to), frontier peaks, and the sizes of what
+//! preprocessing built. The generators are seeded and the buffer pool is
+//! deterministic, so a row reads the same on every machine and in debug
+//! and release builds. Wall time is not recorded here; the repository
+//! benchmark under `benchmark/` measures it.
+//!
+//! The rendered tables are committed in `EXPERIMENTS.md` (the paper's
+//! artifacts and the estimator study) and `SCALING.md` (the scaling
+//! study's networks and counters), and `tests/study_counters.rs` holds
+//! each committed table byte-equal to a fresh render, so a counter that
+//! moves by one read fails there and is re-pinned in the doc's diff. The
+//! orderings the studies exist to show are asserted there too, and the
+//! paper's claims in `tests/paper_tables.rs`, over the same rows.
 
-use crate::experiments::{ExperimentOutput, PAPER_SEED};
+use crate::chart::BarChart;
+use crate::experiments::{fmt_cost, ExperimentOutput, PAPER_SEED};
 use crate::table::Table;
 use atis_algorithms::ladder::Needs;
-use atis_algorithms::{AStarVersion, Algorithm, Database};
+use atis_algorithms::{memory, AStarVersion, Algorithm, Database};
+use atis_costmodel::{paper_iterations, PAPER_TABLE_4B};
 use atis_graph::{
     shuffle_layout, CostModel, Graph, Grid, Metro, MetroQuery, MetroSpec, Minneapolis, NamedPair,
     NodeId, PartitionMap, QueryKind, RadialCity, RadialQuery,
 };
 use atis_hierarchy::{Hierarchy, HierarchyConfig, ARC_TUPLE_SIZE};
 use atis_preprocess::{LandmarkSelection, LandmarkTables, PreprocessConfig};
-use atis_storage::{EdgeTuple, FixedTuple, JoinPolicy, NodeTuple, StorageProfile};
+use atis_storage::{CostParams, EdgeTuple, FixedTuple, JoinPolicy, NodeTuple, StorageProfile};
+
+/// A query of the paper's evaluation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Workload {
+    /// One of the canonical queries of a `k × k` grid under a cost model.
+    Grid {
+        /// Grid side.
+        k: usize,
+        /// Edge cost model.
+        costs: CostModel,
+        /// The query pair.
+        query: QueryKind,
+    },
+    /// A Table 8 pair on synthetic Minneapolis.
+    Minneapolis(NamedPair),
+}
+
+/// One run of the paper's evaluation.
+#[derive(Debug, Clone)]
+pub struct PaperRow {
+    /// Network and query.
+    pub workload: Workload,
+    /// The algorithm run.
+    pub algorithm: Algorithm,
+    /// Expansions for Dijkstra and A\*, rounds for the iterative
+    /// algorithm.
+    pub iterations: u64,
+    /// Execution time the paper's way: the run's charged I/O at Table 4A
+    /// prices.
+    pub cost_units: f64,
+    /// Cost of the route found.
+    pub path_cost: f64,
+    /// Cost of the optimal route (`memory::dijkstra_pair`).
+    pub optimal: f64,
+}
+
+/// The paper's three algorithm classes, in Table 4B's row order.
+const CLASSES: [Algorithm; 3] = [
+    Algorithm::Dijkstra,
+    Algorithm::AStar(AStarVersion::V3),
+    Algorithm::Iterative,
+];
+/// The paper's three A\* implementation versions (Figures 10–12).
+const VERSIONS: [Algorithm; 3] = [
+    Algorithm::AStar(AStarVersion::V1),
+    Algorithm::AStar(AStarVersion::V2),
+    Algorithm::AStar(AStarVersion::V3),
+];
+
+/// The dimension one of the paper's figures sweeps.
+#[derive(Debug, Clone, Copy)]
+pub enum Sweep {
+    /// 10×10, 20×20 and 30×30 grids, 20% variance, diagonal.
+    GridSize,
+    /// The three canonical queries of the 30×30 grid, 20% variance.
+    PathLength,
+    /// Uniform, 20% variance and skewed costs on the 20×20 diagonal.
+    CostModel,
+    /// The four Table 8 pairs on Minneapolis.
+    Minneapolis,
+}
+
+impl Sweep {
+    /// The swept dimension, as a column head.
+    pub fn head(self) -> &'static str {
+        match self {
+            Sweep::GridSize => "Graph size",
+            Sweep::PathLength | Sweep::Minneapolis => "Path",
+            Sweep::CostModel => "Cost model",
+        }
+    }
+
+    /// The swept values, labelled as the paper's columns are.
+    pub fn columns(self) -> Vec<(String, Workload)> {
+        let grid = |k, costs, query| Workload::Grid { k, costs, query };
+        match self {
+            Sweep::GridSize => [10, 20, 30]
+                .map(|k| {
+                    let w = grid(k, CostModel::TWENTY_PERCENT, QueryKind::Diagonal);
+                    (format!("{k} x {k}"), w)
+                })
+                .to_vec(),
+            Sweep::PathLength => QueryKind::TABLE
+                .map(|q| (q.label().into(), grid(30, CostModel::TWENTY_PERCENT, q)))
+                .to_vec(),
+            Sweep::CostModel => [
+                CostModel::Uniform,
+                CostModel::TWENTY_PERCENT,
+                CostModel::Skewed,
+            ]
+            .map(|c| (c.label().into(), grid(20, c, QueryKind::Diagonal)))
+            .to_vec(),
+            Sweep::Minneapolis => NamedPair::ALL
+                .map(|p| (p.label().into(), Workload::Minneapolis(p)))
+                .to_vec(),
+        }
+    }
+}
+
+/// One figure of the paper's evaluation, with the table that printed its
+/// iterations if there is one.
+#[derive(Debug, Clone, Copy)]
+pub struct PaperFigure {
+    /// The `experiments` id, which is also the name of the
+    /// `<!-- study: … -->` block EXPERIMENTS.md commits its table in.
+    pub name: &'static str,
+    /// The paper's figure, e.g. `Figure 5`.
+    pub figure: &'static str,
+    /// The paper's table of the figure's iterations (Tables 5–8); Figures
+    /// 10–12 printed none.
+    pub table: Option<u8>,
+    /// What the figure varies.
+    pub description: &'static str,
+    /// The swept dimension.
+    pub sweep: Sweep,
+    /// The algorithms compared.
+    pub algorithms: [Algorithm; 3],
+}
+
+/// The paper's figures in paper order.
+pub const PAPER_FIGURES: [PaperFigure; 7] = [
+    PaperFigure {
+        name: "fig5",
+        figure: "Figure 5",
+        table: Some(5),
+        description: "effect of graph size (diagonal path, 20% edge cost variance)",
+        sweep: Sweep::GridSize,
+        algorithms: CLASSES,
+    },
+    PaperFigure {
+        name: "fig6",
+        figure: "Figure 6",
+        table: Some(6),
+        description: "effect of path length (30x30 grid, 20% edge cost variance)",
+        sweep: Sweep::PathLength,
+        algorithms: CLASSES,
+    },
+    PaperFigure {
+        name: "fig7",
+        figure: "Figure 7",
+        table: Some(7),
+        description: "effect of edge cost models (20x20 grid, diagonal path)",
+        sweep: Sweep::CostModel,
+        algorithms: CLASSES,
+    },
+    PaperFigure {
+        name: "fig9",
+        figure: "Figure 9",
+        table: Some(8),
+        description: "Minneapolis road map queries (synthetic map, distance costs)",
+        sweep: Sweep::Minneapolis,
+        algorithms: CLASSES,
+    },
+    PaperFigure {
+        name: "fig10",
+        figure: "Figure 10",
+        table: None,
+        description: "effect of graph size on A* versions (diagonal, 20% variance)",
+        sweep: Sweep::GridSize,
+        algorithms: VERSIONS,
+    },
+    PaperFigure {
+        name: "fig11",
+        figure: "Figure 11",
+        table: None,
+        description: "effect of edge cost model on A* versions (20x20, diagonal)",
+        sweep: Sweep::CostModel,
+        algorithms: VERSIONS,
+    },
+    PaperFigure {
+        name: "fig12",
+        figure: "Figure 12",
+        table: None,
+        description: "effect of path length on A* versions (30x30, 20% variance)",
+        sweep: Sweep::PathLength,
+        algorithms: VERSIONS,
+    },
+];
+
+/// Every run the paper's figures report, each once, on a database opened
+/// afresh for it. Table 4B's physical view is Figure 6's runs.
+pub fn paper_rows() -> Vec<PaperRow> {
+    let mut cells: Vec<(Workload, Algorithm)> = Vec::new();
+    for figure in &PAPER_FIGURES {
+        for (_, workload) in figure.sweep.columns() {
+            for algorithm in figure.algorithms {
+                if !cells.contains(&(workload, algorithm)) {
+                    cells.push((workload, algorithm));
+                }
+            }
+        }
+    }
+    let minneapolis = Minneapolis::paper();
+    cells
+        .into_iter()
+        .map(|(workload, algorithm)| {
+            let grid;
+            let (graph, (s, d)) = match workload {
+                Workload::Grid { k, costs, query } => {
+                    grid = Grid::new(k, costs, PAPER_SEED).expect("paper grids have k >= 2");
+                    (grid.graph(), grid.query_pair(query))
+                }
+                Workload::Minneapolis(pair) => (minneapolis.graph(), minneapolis.query_pair(pair)),
+            };
+            let db = Database::open(graph).expect("the paper's networks fit the engine");
+            let trace = db
+                .run(algorithm, s, d)
+                .expect("the paper's endpoints are valid");
+            PaperRow {
+                workload,
+                algorithm,
+                iterations: trace.iterations,
+                cost_units: trace.cost_units(&CostParams::default()),
+                path_cost: trace.path_cost(),
+                optimal: memory::dijkstra_pair(graph, s, d)
+                    .expect("the paper's queries are connected")
+                    .cost,
+            }
+        })
+        .collect()
+}
+
+/// The row of `algorithm` on `workload`.
+///
+/// # Panics
+/// Panics if [`paper_rows`] runs no such cell.
+pub fn paper_row(rows: &[PaperRow], workload: Workload, algorithm: Algorithm) -> &PaperRow {
+    rows.iter()
+        .find(|r| r.workload == workload && r.algorithm == algorithm)
+        .unwrap_or_else(|| panic!("no {} row on {workload:?}", algorithm.label()))
+}
+
+/// A route's cost above the optimum, in per cent to one decimal; an
+/// optimal route reads `0.0%`, whatever the sign of its rounding error.
+fn vs_optimal(r: &PaperRow) -> String {
+    let excess = 100.0 * (r.path_cost - r.optimal) / r.optimal;
+    if format!("{:.1}", excess.abs()) == "0.0" {
+        "0.0%".into()
+    } else {
+        format!("{excess:+.1}%")
+    }
+}
+
+/// A figure's table: one row per algorithm and swept value, with the
+/// iterations the paper printed beside ours where it printed any.
+pub fn paper_table(figure: &PaperFigure, rows: &[PaperRow]) -> Table {
+    let mut head = vec![figure.sweep.head(), "Algorithm", "Iterations"];
+    if figure.table.is_some() {
+        head.push("Paper");
+    }
+    head.extend(["Cost units", "Path vs optimal"]);
+    let mut t = Table::new(head);
+    for algorithm in figure.algorithms {
+        let label = algorithm.label();
+        let paper = figure.table.map(|table| {
+            paper_iterations(table, &label).expect("the paper prints a row per algorithm")
+        });
+        for (column, (value, workload)) in figure.sweep.columns().into_iter().enumerate() {
+            let r = paper_row(rows, workload, algorithm);
+            let mut cells = vec![value, label.clone(), r.iterations.to_string()];
+            cells.extend(paper.map(|p| p[column].to_string()));
+            cells.extend([fmt_cost(r.cost_units), vs_optimal(r)]);
+            t.push_row(cells);
+        }
+    }
+    t
+}
+
+/// A figure's bar chart of execution time, from the same rows.
+fn paper_chart(figure: &PaperFigure, rows: &[PaperRow]) -> BarChart {
+    let title = format!(
+        "{}: execution time vs {}",
+        figure.figure,
+        figure.sweep.head().to_lowercase()
+    );
+    let series = figure.algorithms.map(|a| a.label()).to_vec();
+    let mut chart = BarChart::new(title, "cost units", series);
+    for (value, workload) in figure.sweep.columns() {
+        let costs = figure
+            .algorithms
+            .map(|a| paper_row(rows, workload, a).cost_units);
+        chart.push_group(value, costs.to_vec());
+    }
+    chart
+}
+
+/// The `experiments` output of the figure named `name`: its chart and its
+/// table.
+///
+/// # Panics
+/// Panics if no entry of [`PAPER_FIGURES`] has that name.
+pub fn paper_figure(name: &str) -> ExperimentOutput {
+    let figure = PAPER_FIGURES
+        .iter()
+        .find(|f| f.name == name)
+        .unwrap_or_else(|| panic!("no paper figure {name}"));
+    let id = match figure.table {
+        Some(table) => format!("{} / Table {table}", figure.figure),
+        None => figure.figure.to_string(),
+    };
+    let rows = paper_rows();
+    ExperimentOutput {
+        id: id.clone(),
+        description: figure.description.into(),
+        sections: vec![
+            (
+                format!("{} (regenerated)", figure.figure),
+                format!("```text\n{}```\n", paper_chart(figure, &rows)),
+            ),
+            (
+                format!("{id}: iterations and execution time (cost units)"),
+                paper_table(figure, &rows).to_string(),
+            ),
+        ],
+    }
+}
+
+/// Table 4B's three views of each cell: the algebraic model (Tables 2–3)
+/// priced at the paper's own iteration counts, the paper's printed
+/// estimate, and the physically metered engine on the same workload
+/// (Figure 6's runs).
+pub fn table_4b_table(rows: &[PaperRow]) -> Table {
+    let mut t = Table::new(vec!["Algorithm", "Path", "Algebraic", "Paper", "Physical"]);
+    let algebraic = atis_costmodel::table_4b();
+    for ((label, model), (_, printed)) in algebraic.iter().zip(PAPER_TABLE_4B) {
+        let algorithm = CLASSES
+            .into_iter()
+            .find(|a| a.label() == *label)
+            .expect("Table 4B's rows are the paper's three classes");
+        for (column, (path, workload)) in Sweep::PathLength.columns().into_iter().enumerate() {
+            t.push_row(vec![
+                label.to_string(),
+                path,
+                fmt_cost(model[column]),
+                fmt_cost(printed[column]),
+                fmt_cost(paper_row(rows, workload, algorithm).cost_units),
+            ]);
+        }
+    }
+    t
+}
+
+/// Table 4B — estimated costs on the 30×30 grid, 20% variance.
+pub fn table_4b() -> ExperimentOutput {
+    ExperimentOutput {
+        id: "Table 4B".into(),
+        description: "estimated costs, 30x30 grid, 20% variance on edge cost".into(),
+        sections: vec![(
+            "Algebraic model at the paper's iterations, the paper's print, and the metered engine"
+                .into(),
+            table_4b_table(&paper_rows()).to_string(),
+        )],
+    }
+}
 
 /// The counters one row sums over its queries.
 #[derive(Debug, Clone, Copy, Default)]

@@ -52,6 +52,6 @@ pub mod params;
 pub mod relation_frontier_model;
 
 pub use device::DiskModel;
-pub use model::{table_4b, Model, Part, Step, PAPER_TABLE_4B};
+pub use model::{paper_iterations, table_4b, Model, Part, Step, PAPER_ITERATIONS, PAPER_TABLE_4B};
 pub use params::ModelParams;
 pub use relation_frontier_model::RelationFrontierModel;

@@ -184,17 +184,21 @@ impl Model {
 
 /// Table 4B, regenerated: estimated costs on the 30×30 grid with 20% edge
 /// cost variance under the paper's forced nested-loop join, from Table 6's
-/// iteration counts. Rows are (algorithm, [horizontal, semi-diagonal,
-/// diagonal]).
+/// iteration counts ([`PAPER_ITERATIONS`]). Rows are (algorithm,
+/// [horizontal, semi-diagonal, diagonal]).
 pub fn table_4b() -> [(&'static str, [f64; 3]); 3] {
     let p = ModelParams::table_4a();
     let policy = JoinPolicy::default();
     let bf = |iters: u64| Model::table_3(&p, policy).total(iters);
     let it = |iters: u64| Model::table_2(&p, policy, p.avg_current(iters)).total(iters);
+    let priced = |algorithm: &'static str, price: &dyn Fn(u64) -> f64| {
+        let table_6 = paper_iterations(6, algorithm).unwrap_or_default();
+        (algorithm, [0, 1, 2].map(|column| price(table_6[column])))
+    };
     [
-        ("Dijkstra", [bf(488), bf(767), bf(899)]),
-        ("A* (version 3)", [bf(29), bf(407), bf(838)]),
-        ("Iterative", [it(59), it(59), it(59)]),
+        priced("Dijkstra", &bf),
+        priced("A* (version 3)", &bf),
+        priced("Iterative", &it),
     ]
 }
 
@@ -205,6 +209,35 @@ pub const PAPER_TABLE_4B: [(&str, [f64; 3]); 3] = [
     ("A* (version 3)", [66.7, 881.2, 1809.8]),
     ("Iterative", [176.9, 176.9, 176.9]),
 ];
+
+/// The iteration counts Tables 5–8 print, as (table, algorithm, cells in
+/// the table's column order): Table 5 by grid size (10×10, 20×20, 30×30),
+/// Table 6 by path (horizontal, semi-diagonal, diagonal), Table 7 by cost
+/// model (uniform, 20% variance, skewed), all on the diagonal where the
+/// path is fixed, and Table 8 by Minneapolis pair (A→B, C→D, G→D, E→F).
+pub const PAPER_ITERATIONS: [(u8, &str, &[u64]); 12] = [
+    (5, "Dijkstra", &[99, 399, 899]),
+    (5, "A* (version 3)", &[85, 360, 838]),
+    (5, "Iterative", &[19, 39, 59]),
+    (6, "Dijkstra", &[488, 767, 899]),
+    (6, "A* (version 3)", &[29, 407, 838]),
+    (6, "Iterative", &[59, 59, 59]),
+    (7, "Dijkstra", &[399, 399, 48]),
+    (7, "A* (version 3)", &[189, 360, 38]),
+    (7, "Iterative", &[39, 39, 56]),
+    (8, "Iterative", &[55, 51, 55, 41]),
+    (8, "A* (version 3)", &[453, 266, 17, 64]),
+    (8, "Dijkstra", &[1058, 1006, 105, 307]),
+];
+
+/// The row of [`PAPER_ITERATIONS`] for `table` and `algorithm`, if the
+/// paper printed one.
+pub fn paper_iterations(table: u8, algorithm: &str) -> Option<&'static [u64]> {
+    PAPER_ITERATIONS
+        .iter()
+        .find(|&&(t, a, _)| t == table && a == algorithm)
+        .map(|&(_, _, cells)| cells)
+}
 
 #[cfg(test)]
 mod tests {

@@ -218,9 +218,9 @@ impl Graph {
     /// the edges of positive straight-line length, so no edge costs less
     /// than `α` times its length (0 when no edge has positive length). A
     /// pass over every edge: a caller that keeps the floor across
-    /// updates takes it once and lowers it to each updated edge's
-    /// [`Graph::cost_ratio`], which keeps it a lower bound (never above
-    /// what this pass would find) at O(1) an update.
+    /// updates takes it once with [`Graph::cost_floor_with_count`] and
+    /// carries it through each update from the updated edge's
+    /// [`Graph::cost_ratio`].
     ///
     /// With the triangle inequality it bounds every route: a route from
     /// `a` to `b` costs at least `α · ‖a − b‖`, which [`floor_bound`]
@@ -228,14 +228,29 @@ impl Graph {
     /// The paper's A\* estimators assume `α ≥ 1` (Section 5.3); metro
     /// networks have exactly 1, since freeways cost their length.
     pub fn cost_floor(&self) -> f64 {
-        let floor = self
+        self.cost_floor_with_count().0
+    }
+
+    /// [`Graph::cost_floor`] and the number of directed edge tuples whose
+    /// ratio equals it, from the same pass. The count is what keeps a
+    /// floor carried across updates exact: an update that raises a tuple
+    /// at the floor takes one off it, and only when none is left can the
+    /// floor rise, which needs this pass again.
+    pub fn cost_floor_with_count(&self) -> (f64, usize) {
+        let (floor, count) = self
             .edges()
             .filter_map(|e| self.cost_ratio(e.from, e.to, e.cost))
-            .fold(f64::INFINITY, f64::min);
+            .fold((f64::INFINITY, 0), |(floor, count), ratio| {
+                if ratio < floor {
+                    (ratio, 1)
+                } else {
+                    (floor, count + usize::from(ratio == floor))
+                }
+            });
         if floor.is_finite() {
-            floor
+            (floor, count)
         } else {
-            0.0
+            (0.0, 0)
         }
     }
 

@@ -39,7 +39,9 @@
 //! **promotes** it. Every decision uses one bound, from the geometry the
 //! install publishes on `epochs`: the graph's coordinates and a cost
 //! floor `α` ([`EpochVector::floor`]) such that no edge costs less than
-//! `α` times its straight-line length. By the triangle inequality a
+//! `α` times its straight-line length. The floor is exact at every
+//! install: a decrease below it lowers it, and it rises again once the
+//! last edge at it is re-priced above it. By the triangle inequality a
 //! route `s ⇝ u → v ⇝ d` then costs at least `c + α·(‖s − u‖ + ‖v − d‖)`
 //! while the edge costs `c`: [`floor_bound`], shrunk by a margin for the
 //! rounding of search labels. The entry's key names `s` and `d`.

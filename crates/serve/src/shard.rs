@@ -136,6 +136,8 @@ pub struct EpochVector {
     install: u64,
     versions: Vec<u64>,
     floor: f64,
+    /// Directed edge tuples whose cost ratio is exactly `floor`.
+    at_floor: usize,
     /// The graph's own coordinate array (a std `Arc`, shared with the
     /// graph): the same at every install, since updates change costs
     /// only.
@@ -143,25 +145,54 @@ pub struct EpochVector {
 }
 
 impl EpochVector {
-    /// Install 0 of `graph`, its floor taken by one pass over the edges.
+    /// Install 0 of `graph`, its floor and the tuples at it counted by
+    /// one pass over the edges.
     fn new(shards: usize, graph: &Graph) -> Self {
+        let (floor, at_floor) = graph.cost_floor_with_count();
         EpochVector {
             install: 0,
             versions: vec![0; shards.max(1)],
-            floor: graph.cost_floor(),
+            floor,
+            at_floor,
             points: graph.points(),
         }
     }
 
-    /// A cost floor of the installed graph: no edge of this install
-    /// costs less than `floor` times its straight-line length. Install 0
-    /// takes [`Graph::cost_floor`]; every install after it lowers its
-    /// predecessor's floor to the updated edge's [`Graph::cost_ratio`]
-    /// and never raises it, so it is a lower bound, O(1) an update. A
-    /// cache sweep bounds routes with its own install's floor, since
-    /// concurrent updaters may sweep out of install order.
+    /// The cost floor of the installed graph, exactly
+    /// [`Graph::cost_floor`]: no edge of this install costs less than
+    /// `floor` times its straight-line length, and some edge costs
+    /// exactly that. Install 0 takes it by a pass over the edges, and
+    /// every install after it carries it in O(degree) by counting the
+    /// edge tuples at it: a decrease below it lowers it, and it rises
+    /// again once no tuple is left at it. A cache sweep bounds
+    /// routes with its own install's floor, since concurrent updaters may
+    /// sweep out of install order.
     pub fn floor(&self) -> f64 {
         self.floor
+    }
+
+    /// Carries the floor from `before` to `after`, which differ only in
+    /// the cost of the tuples of `(u, v)`, all re-priced to `cost`: the
+    /// count at the floor drops by the tuples of `(u, v)` that sat at it
+    /// and gains those that sit at it now, read from `neighbors(u)`. Only
+    /// when the count reaches 0 can the floor have risen, and then one
+    /// pass over `after` finds it.
+    fn reprice(&mut self, before: &Graph, after: &Graph, (u, v): (NodeId, NodeId), cost: f64) {
+        let at = |graph: &Graph, floor: f64| {
+            graph
+                .neighbors(u)
+                .iter()
+                .filter(|e| e.to == v && graph.cost_ratio(u, v, e.cost) == Some(floor))
+                .count()
+        };
+        self.at_floor -= at(before, self.floor);
+        if let Some(ratio) = after.cost_ratio(u, v, cost).filter(|&r| r < self.floor) {
+            (self.floor, self.at_floor) = (ratio, 0);
+        }
+        self.at_floor += at(after, self.floor);
+        if self.at_floor == 0 {
+            (self.floor, self.at_floor) = after.cost_floor_with_count();
+        }
     }
 
     /// Every node's coordinates, indexed by id.
@@ -370,9 +401,7 @@ impl ShardedEpochDb {
         };
         let mut epochs: EpochVector = (*base.epochs).clone();
         epochs.install += 1;
-        if let Some(ratio) = next.graph().cost_ratio(u, v, cost) {
-            epochs.floor = epochs.floor.min(ratio);
-        }
+        epochs.reprice(base.db.graph(), next.graph(), (u, v), cost);
         for &s in &shards {
             if let Some(version) = epochs.versions.get_mut(s as usize) {
                 *version += 1;
@@ -412,6 +441,7 @@ mod tests {
                 install,
                 versions,
                 floor: 0.0,
+                at_floor: 0,
                 points: std::sync::Arc::from([]),
             }
         }
@@ -489,18 +519,37 @@ mod tests {
 
     /// Seeded update scripts — jams, restores, decreases below an edge's
     /// length (down to 0) — through the store: every install's floor is
-    /// at most what a fresh pass over its graph finds and at most the
-    /// updated edge's new ratio. Increases never move it, so on a script
-    /// of increases alone it stays install 0's floor, which is what a
-    /// fresh pass found then (a fresh pass rises once the cheapest
-    /// edge's ratio does).
+    /// exactly what a fresh pass over its graph finds. A script of
+    /// increases rarely lands on the few tuples at the floor, so each
+    /// script ends by raising every tuple left at it, one install at a
+    /// time: the floor must rise after the last of them.
     #[test]
-    fn every_install_carries_a_cost_floor_below_a_fresh_pass() {
+    fn every_install_carries_the_cost_floor_of_a_fresh_pass() {
         let (store, _) = grid_store(4);
         let base = store.snapshot();
         assert_eq!(base.epochs.floor(), base.db.graph().cost_floor());
         let edges: Vec<atis_graph::Edge> = base.db.graph().edges().copied().collect();
-        let fresh = |snap: &ShardSnapshot| snap.db.graph().cost_floor();
+        let exact = |store: &ShardedEpochDb, step: &str| {
+            let snap = store.snapshot();
+            assert_eq!(snap.epochs.floor(), snap.db.graph().cost_floor(), "{step}");
+        };
+        let raise_the_floor = |store: &ShardedEpochDb| {
+            let snap = store.snapshot();
+            let (floor, graph) = (snap.epochs.floor(), snap.db.graph());
+            let at_floor: Vec<atis_graph::Edge> = graph
+                .edges()
+                .filter(|e| graph.cost_ratio(e.from, e.to, e.cost) == Some(floor))
+                .copied()
+                .collect();
+            assert!(!at_floor.is_empty());
+            for e in at_floor {
+                store
+                    .update_edge_cost(e.from, e.to, e.cost * 2.0 + 1.0)
+                    .unwrap();
+                exact(store, "raising the floor");
+            }
+            assert!(store.snapshot().epochs.floor() > floor, "the floor rises");
+        };
         for seed in 0..4 {
             let mut rng = atis_graph::SplitMix64::new(seed);
             let rising = ShardedEpochDb::new((*base.db).clone(), (**store.map()).clone());
@@ -513,9 +562,7 @@ mod tests {
                 rising
                     .update_edge_cost(e.from, e.to, now * (1.0 + rng.next_f64()))
                     .unwrap();
-                let snap = rising.snapshot();
-                assert_eq!(snap.epochs.floor(), base.epochs.floor(), "step {step}");
-                assert!(snap.epochs.floor() <= fresh(&snap), "step {step}");
+                exact(&rising, &format!("rising, step {step}"));
 
                 let cost = match rng.next_below(4) {
                     0 => e.cost,
@@ -524,10 +571,10 @@ mod tests {
                     _ => 0.0,
                 };
                 any.update_edge_cost(e.from, e.to, cost).unwrap();
-                let snap = any.snapshot();
-                assert!(snap.epochs.floor() <= fresh(&snap), "step {step}");
-                assert!(snap.epochs.floor() <= cost / length, "step {step}");
+                exact(&any, &format!("any, step {step}"));
             }
+            raise_the_floor(&rising);
+            raise_the_floor(&any);
         }
     }
 

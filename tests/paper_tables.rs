@@ -2,62 +2,89 @@
 //! the paper's tables — exactly where the quantity is structural, within a
 //! band where it depends on the (unpublished) random draws. EXPERIMENTS.md
 //! documents each band.
+//!
+//! The runs are `atis_bench::studies::paper_rows`, the rows whose tables
+//! EXPERIMENTS.md commits, taken once per test binary; the paper's printed
+//! cells are `atis::costmodel::PAPER_ITERATIONS`.
 
 use atis::algorithms::{AStarVersion, Algorithm, Database};
-use atis::costmodel::{Model, ModelParams, Part};
-use atis::storage::CostParams;
-use atis::{CostModel, Grid, Minneapolis, QueryKind};
+use atis::costmodel::{paper_iterations, Model, ModelParams, Part};
+use atis::graph::minneapolis::NamedPair;
+use atis::storage::{CostParams, JoinPolicy};
+use atis::{CostModel, Grid, QueryKind};
+use atis_bench::studies::{self, PaperRow, Workload};
+use std::sync::OnceLock;
 
 const SEED: u64 = 1993;
+const V1: Algorithm = Algorithm::AStar(AStarVersion::V1);
+const V2: Algorithm = Algorithm::AStar(AStarVersion::V2);
+const V3: Algorithm = Algorithm::AStar(AStarVersion::V3);
 
-fn grid_db(k: usize, model: CostModel) -> (Grid, Database) {
-    let grid = Grid::new(k, model, SEED).unwrap();
-    let db = Database::open(grid.graph()).unwrap();
-    (grid, db)
+fn run(workload: Workload, algorithm: Algorithm) -> &'static PaperRow {
+    static ROWS: OnceLock<Vec<PaperRow>> = OnceLock::new();
+    studies::paper_row(ROWS.get_or_init(studies::paper_rows), workload, algorithm)
 }
 
-fn iterations(db: &Database, alg: Algorithm, grid: &Grid, kind: QueryKind) -> u64 {
-    let (s, d) = grid.query_pair(kind);
-    db.run(alg, s, d).unwrap().iterations
+fn grid(k: usize, costs: CostModel, query: QueryKind) -> Workload {
+    Workload::Grid { k, costs, query }
+}
+
+fn iterations(algorithm: Algorithm, workload: Workload) -> u64 {
+    run(workload, algorithm).iterations
+}
+
+fn cost(algorithm: Algorithm, workload: Workload) -> f64 {
+    run(workload, algorithm).cost_units
+}
+
+/// The iterations the paper prints in `table` for `algorithm`.
+fn paper(table: u8, algorithm: Algorithm) -> &'static [u64] {
+    paper_iterations(table, &algorithm.label()).expect("the paper prints this row")
+}
+
+fn diagonal(k: usize) -> Workload {
+    grid(k, CostModel::TWENTY_PERCENT, QueryKind::Diagonal)
+}
+
+fn grid30(query: QueryKind) -> Workload {
+    grid(30, CostModel::TWENTY_PERCENT, query)
 }
 
 #[test]
 fn table5_dijkstra_column_is_exact() {
     // Diagonal queries: Dijkstra expands every other node first —
-    // n-1 iterations, structural, independent of the draws.
-    for (k, expect) in [(10usize, 99u64), (20, 399), (30, 899)] {
-        let (grid, db) = grid_db(k, CostModel::TWENTY_PERCENT);
-        assert_eq!(
-            iterations(&db, Algorithm::Dijkstra, &grid, QueryKind::Diagonal),
-            expect
-        );
+    // n-1 iterations, structural, independent of the draws — and so
+    // does the paper.
+    for (k, printed) in [10usize, 20, 30]
+        .into_iter()
+        .zip(paper(5, Algorithm::Dijkstra))
+    {
+        let expect = (k * k - 1) as u64;
+        assert_eq!(expect, *printed);
+        assert_eq!(iterations(Algorithm::Dijkstra, diagonal(k)), expect);
     }
 }
 
 #[test]
 fn table5_iterative_column_is_exact() {
-    // Rounds = hop eccentricity + 1 = 2(k-1)+1: 19 / 39 / 59.
-    for (k, expect) in [(10usize, 19u64), (20, 39), (30, 59)] {
-        let (grid, db) = grid_db(k, CostModel::TWENTY_PERCENT);
-        assert_eq!(
-            iterations(&db, Algorithm::Iterative, &grid, QueryKind::Diagonal),
-            expect
-        );
+    // Rounds = hop eccentricity + 1 = 2(k-1)+1, as the paper prints.
+    for (k, printed) in [10usize, 20, 30]
+        .into_iter()
+        .zip(paper(5, Algorithm::Iterative))
+    {
+        let expect = 2 * (k as u64 - 1) + 1;
+        assert_eq!(expect, *printed);
+        assert_eq!(iterations(Algorithm::Iterative, diagonal(k)), expect);
     }
 }
 
 #[test]
 fn table5_astar_column_is_in_band() {
-    // Paper: 85 / 360 / 838. The exact values depend on the variance
-    // draws; structurally A* v3 <= Dijkstra's n-1 on the diagonal.
-    for (k, dijkstra) in [(10usize, 99u64), (20, 399), (30, 899)] {
-        let (grid, db) = grid_db(k, CostModel::TWENTY_PERCENT);
-        let a = iterations(
-            &db,
-            Algorithm::AStar(AStarVersion::V3),
-            &grid,
-            QueryKind::Diagonal,
-        );
+    // The paper's A* values depend on the variance draws; structurally
+    // A* v3 <= Dijkstra's n-1 on the diagonal.
+    for k in [10usize, 20, 30] {
+        let dijkstra = (k * k - 1) as u64;
+        let a = iterations(V3, diagonal(k));
         assert!(a <= dijkstra, "k={k}: A* {a} > Dijkstra bound {dijkstra}");
         assert!(
             a >= (2 * (k as u64 - 1)),
@@ -68,43 +95,24 @@ fn table5_astar_column_is_in_band() {
 
 #[test]
 fn table6_path_length_orderings() {
-    let (grid, db) = grid_db(30, CostModel::TWENTY_PERCENT);
-    let d_h = iterations(&db, Algorithm::Dijkstra, &grid, QueryKind::Horizontal);
-    let d_s = iterations(&db, Algorithm::Dijkstra, &grid, QueryKind::SemiDiagonal);
-    let d_d = iterations(&db, Algorithm::Dijkstra, &grid, QueryKind::Diagonal);
+    let [d_h, d_s, d_d] = QueryKind::TABLE.map(|q| iterations(Algorithm::Dijkstra, grid30(q)));
     assert!(
         d_h < d_s && d_s < d_d,
         "Dijkstra ordering {d_h} {d_s} {d_d}"
     );
-    // Paper: 488 / 767 / 899; ours must land within 10%.
-    for (ours, paper) in [(d_h, 488.0), (d_s, 767.0), (d_d, 899.0)] {
+    // Ours must land within 10% of the paper's.
+    for (ours, &paper) in [d_h, d_s, d_d].iter().zip(paper(6, Algorithm::Dijkstra)) {
+        let paper = paper as f64;
         assert!(
-            (ours as f64 - paper).abs() / paper < 0.10,
+            (*ours as f64 - paper).abs() / paper < 0.10,
             "{ours} vs paper {paper}"
         );
     }
 
-    let a_h = iterations(
-        &db,
-        Algorithm::AStar(AStarVersion::V3),
-        &grid,
-        QueryKind::Horizontal,
-    );
-    let a_s = iterations(
-        &db,
-        Algorithm::AStar(AStarVersion::V3),
-        &grid,
-        QueryKind::SemiDiagonal,
-    );
-    let a_d = iterations(
-        &db,
-        Algorithm::AStar(AStarVersion::V3),
-        &grid,
-        QueryKind::Diagonal,
-    );
+    let [a_h, a_s, a_d] = QueryKind::TABLE.map(|q| iterations(V3, grid30(q)));
     assert!(a_h < a_s && a_s <= a_d, "A* ordering {a_h} {a_s} {a_d}");
-    // The headline: A* collapses on the horizontal path (paper 29; the
-    // 29-edge path plus bounded variance wandering).
+    // The headline: A* collapses on the horizontal path (the paper's
+    // Table 6; the 29-edge path plus bounded variance wandering).
     assert!(
         a_h <= 60,
         "horizontal A* should be near the path length, got {a_h}"
@@ -112,7 +120,7 @@ fn table6_path_length_orderings() {
 
     // Iterative is path-length-insensitive (59 everywhere).
     for kind in QueryKind::TABLE {
-        assert_eq!(iterations(&db, Algorithm::Iterative, &grid, kind), 59);
+        assert_eq!(iterations(Algorithm::Iterative, grid30(kind)), 59);
     }
 }
 
@@ -120,22 +128,18 @@ fn table6_path_length_orderings() {
 fn table6_crossover_in_cost_units() {
     // Figure 6's crossover: A* wins on horizontal, Iterative wins on
     // diagonal (both in the paper's execution-time units).
-    let (grid, db) = grid_db(30, CostModel::TWENTY_PERCENT);
-    let params = CostParams::default();
-    let cost = |alg, kind| {
-        let (s, d) = grid.query_pair(kind);
-        db.run(alg, s, d).unwrap().cost_units(&params)
-    };
-    let a_h = cost(Algorithm::AStar(AStarVersion::V3), QueryKind::Horizontal);
-    let i_h = cost(Algorithm::Iterative, QueryKind::Horizontal);
-    let d_h = cost(Algorithm::Dijkstra, QueryKind::Horizontal);
+    let horizontal = grid30(QueryKind::Horizontal);
+    let a_h = cost(V3, horizontal);
+    let i_h = cost(Algorithm::Iterative, horizontal);
+    let d_h = cost(Algorithm::Dijkstra, horizontal);
     assert!(
         a_h < i_h && i_h < d_h,
         "horizontal: A* {a_h} < Iterative {i_h} < Dijkstra {d_h}"
     );
-    let a_d = cost(Algorithm::AStar(AStarVersion::V3), QueryKind::Diagonal);
-    let i_d = cost(Algorithm::Iterative, QueryKind::Diagonal);
-    let d_d = cost(Algorithm::Dijkstra, QueryKind::Diagonal);
+    let diagonal = grid30(QueryKind::Diagonal);
+    let a_d = cost(V3, diagonal);
+    let i_d = cost(Algorithm::Iterative, diagonal);
+    let d_d = cost(Algorithm::Dijkstra, diagonal);
     assert!(
         i_d < a_d && i_d < d_d,
         "diagonal: Iterative {i_d} wins over A* {a_d}, Dijkstra {d_d}"
@@ -145,62 +149,50 @@ fn table6_crossover_in_cost_units() {
 #[test]
 fn table7_cost_model_effects() {
     // Uniform: Dijkstra 399 (exact), Iterative 39 (exact), A* well below
-    // Dijkstra (paper 189; the all-ties plateau with hash tie-breaking).
-    let (grid, db) = grid_db(20, CostModel::Uniform);
-    assert_eq!(
-        iterations(&db, Algorithm::Dijkstra, &grid, QueryKind::Diagonal),
-        399
-    );
-    assert_eq!(
-        iterations(&db, Algorithm::Iterative, &grid, QueryKind::Diagonal),
-        39
-    );
-    let a_u = iterations(
-        &db,
-        Algorithm::AStar(AStarVersion::V3),
-        &grid,
-        QueryKind::Diagonal,
-    );
+    // Dijkstra (the paper's Table 7 too; the all-ties plateau with hash
+    // tie-breaking).
+    let uniform = grid(20, CostModel::Uniform, QueryKind::Diagonal);
+    assert_eq!(iterations(Algorithm::Dijkstra, uniform), 399);
+    assert_eq!(iterations(Algorithm::Iterative, uniform), 39);
+    let a_u = iterations(V3, uniform);
     assert!(
         (100..350).contains(&a_u),
-        "uniform A* plateau: {a_u} (paper 189)"
+        "uniform A* plateau: {a_u} (paper {})",
+        paper(7, V3)[0]
     );
 
-    // Skewed: the corridor collapse. A* v3 = 2(k-1) exactly (paper 38);
-    // Dijkstra and Iterative land near the paper's 48 / 56.
-    let (grid, db) = grid_db(20, CostModel::Skewed);
-    let a_s = iterations(
-        &db,
-        Algorithm::AStar(AStarVersion::V3),
-        &grid,
-        QueryKind::Diagonal,
+    // Skewed: the corridor collapse. A* v3 = 2(k-1) exactly, as the paper
+    // prints; Dijkstra and Iterative land near the paper's counts.
+    let skewed = grid(20, CostModel::Skewed, QueryKind::Diagonal);
+    assert_eq!(iterations(V3, skewed), 38);
+    let d_s = iterations(Algorithm::Dijkstra, skewed);
+    let printed = |algorithm| paper(7, algorithm)[2];
+    assert_eq!(printed(V3), 38);
+    assert!(
+        (38..100).contains(&d_s),
+        "skewed Dijkstra {d_s} (paper {})",
+        printed(Algorithm::Dijkstra)
     );
-    assert_eq!(a_s, 38);
-    let d_s = iterations(&db, Algorithm::Dijkstra, &grid, QueryKind::Diagonal);
-    assert!((38..100).contains(&d_s), "skewed Dijkstra {d_s} (paper 48)");
-    let i_s = iterations(&db, Algorithm::Iterative, &grid, QueryKind::Diagonal);
-    assert!((40..70).contains(&i_s), "skewed Iterative {i_s} (paper 56)");
+    let i_s = iterations(Algorithm::Iterative, skewed);
+    assert!(
+        (40..70).contains(&i_s),
+        "skewed Iterative {i_s} (paper {})",
+        printed(Algorithm::Iterative)
+    );
     // And the skew makes the iterative algorithm *worse* than uniform.
     assert!(i_s > 39);
 }
 
 #[test]
 fn table8_minneapolis_shape() {
-    use atis::graph::minneapolis::NamedPair;
-    let m = Minneapolis::paper();
-    let db = Database::open(m.graph()).unwrap();
-    let run = |alg, pair: NamedPair| {
-        let (s, d) = m.query_pair(pair);
-        db.run(alg, s, d).unwrap()
-    };
-    let params = CostParams::default();
+    let run = |algorithm, pair| run(Workload::Minneapolis(pair), algorithm);
 
     // Long diagonals: Dijkstra expands nearly the whole map; Iterative is
-    // far cheaper; A* sits in between (paper: 1058/55/453 for A->B).
+    // far cheaper; A* sits in between (the order of the paper's Table 8).
     for pair in [NamedPair::AtoB, NamedPair::CtoD] {
         let dij = run(Algorithm::Dijkstra, pair);
         let it = run(Algorithm::Iterative, pair);
-        let astar = run(Algorithm::AStar(AStarVersion::V3), pair);
+        let astar = run(V3, pair);
         assert!(
             dij.iterations > 900,
             "{}: Dijkstra {}",
@@ -221,7 +213,7 @@ fn table8_minneapolis_shape() {
             it.iterations,
             dij.iterations
         );
-        let (ic, dc) = (it.cost_units(&params), dij.cost_units(&params));
+        let (ic, dc) = (it.cost_units, dij.cost_units);
         assert!(
             ic < dc / 5.0,
             "{}: Iterative {ic} ≪ Dijkstra {dc}",
@@ -230,8 +222,8 @@ fn table8_minneapolis_shape() {
     }
 
     // A->B backtracks more than C->D (against the downtown slope).
-    let ab = run(Algorithm::AStar(AStarVersion::V3), NamedPair::AtoB);
-    let cd = run(Algorithm::AStar(AStarVersion::V3), NamedPair::CtoD);
+    let ab = run(V3, NamedPair::AtoB);
+    let cd = run(V3, NamedPair::CtoD);
     assert!(
         ab.iterations > cd.iterations,
         "A->B ({}) should backtrack more than C->D ({})",
@@ -242,9 +234,7 @@ fn table8_minneapolis_shape() {
     // Short paths: A* wins outright, cutting most of the iterative cost
     // (paper: 95% for G->D).
     for pair in [NamedPair::GtoD, NamedPair::EtoF] {
-        let astar = run(Algorithm::AStar(AStarVersion::V3), pair);
-        let it = run(Algorithm::Iterative, pair);
-        let dij = run(Algorithm::Dijkstra, pair);
+        let astar = run(V3, pair);
         assert!(
             astar.iterations < 30,
             "{}: A* {}",
@@ -252,9 +242,9 @@ fn table8_minneapolis_shape() {
             astar.iterations
         );
         let (ac, ic, dc) = (
-            astar.cost_units(&params),
-            it.cost_units(&params),
-            dij.cost_units(&params),
+            astar.cost_units,
+            run(Algorithm::Iterative, pair).cost_units,
+            run(Algorithm::Dijkstra, pair).cost_units,
         );
         assert!(
             ac < ic * 0.5,
@@ -274,26 +264,21 @@ fn table_4b_algebra_matches_physical_engine_within_15_percent() {
     // The paper validated its model against EQUEL at 10%; our algebraic
     // model must predict our physical engine comparably. A* horizontal is
     // excluded: at 40 iterations the init-cost modelling differences
-    // dominate (documented in EXPERIMENTS.md).
-    let (grid, db) = grid_db(30, CostModel::TWENTY_PERCENT);
+    // dominate (documented in EXPERIMENTS.md). The rows run on
+    // `Database::open`'s default join policy.
     let params = ModelParams::for_grid(30);
-    let cost_params = CostParams::default();
+    let policy = JoinPolicy::default();
     for kind in QueryKind::TABLE {
-        let (s, d) = grid.query_pair(kind);
-        for alg in [
-            Algorithm::Dijkstra,
-            Algorithm::AStar(AStarVersion::V3),
-            Algorithm::Iterative,
-        ] {
-            let t = db.run(alg, s, d).unwrap();
-            let measured = t.cost_units(&cost_params);
+        for alg in [Algorithm::Dijkstra, V3, Algorithm::Iterative] {
+            let r = run(grid30(kind), alg);
+            let measured = r.cost_units;
             let model = match alg {
                 Algorithm::Iterative => {
-                    Model::table_2(&params, db.join_policy(), params.avg_current(t.iterations))
+                    Model::table_2(&params, policy, params.avg_current(r.iterations))
                 }
-                _ => Model::table_3(&params, db.join_policy()),
+                _ => Model::table_3(&params, policy),
             };
-            let predicted = model.total(t.iterations);
+            let predicted = model.total(r.iterations);
             let err = (predicted - measured).abs() / measured;
             if measured < 150.0 {
                 continue; // short runs: fixed-cost modelling differences dominate
@@ -311,7 +296,8 @@ fn table_4b_algebra_matches_physical_engine_within_15_percent() {
 
 #[test]
 fn step_breakdown_sums_to_total_and_matches_algebra() {
-    let (grid, db) = grid_db(30, CostModel::TWENTY_PERCENT);
+    let grid = Grid::new(30, CostModel::TWENTY_PERCENT, SEED).unwrap();
+    let db = Database::open(grid.graph()).unwrap();
     let (s, d) = grid.query_pair(QueryKind::Diagonal);
     let params = CostParams::default();
     let mp = ModelParams::for_grid(30);
@@ -354,14 +340,11 @@ fn step_breakdown_sums_to_total_and_matches_algebra() {
 fn cost_model_generalises_to_the_minneapolis_graph() {
     // ModelParams::for_graph must predict the physical engine on a
     // non-grid network too (long runs; short runs are init-dominated).
-    let m = Minneapolis::paper();
-    let db = Database::open(m.graph()).unwrap();
+    let m = atis::Minneapolis::paper();
     let params = ModelParams::for_graph(m.graph());
-    let cost_params = CostParams::default();
-    let model = Model::table_3(&params, db.join_policy());
-    let (s, d) = m.query_pair(atis::graph::minneapolis::NamedPair::AtoB);
-    let t = db.run(Algorithm::Dijkstra, s, d).unwrap();
-    let measured = t.cost_units(&cost_params);
+    let model = Model::table_3(&params, JoinPolicy::default());
+    let t = run(Workload::Minneapolis(NamedPair::AtoB), Algorithm::Dijkstra);
+    let measured = t.cost_units;
     let predicted = model.total(t.iterations);
     let err = (predicted - measured).abs() / measured;
     assert!(
@@ -375,21 +358,7 @@ fn cost_model_generalises_to_the_minneapolis_graph() {
 fn figure10_version1_degrades_with_graph_size() {
     // "As the graph size increases, the performance of A* version 1
     // becomes worse than version 2."
-    let params = CostParams::default();
-    let mut gaps = Vec::new();
-    for k in [10usize, 20, 30] {
-        let (grid, db) = grid_db(k, CostModel::TWENTY_PERCENT);
-        let (s, d) = grid.query_pair(QueryKind::Diagonal);
-        let v1 = db
-            .run(Algorithm::AStar(AStarVersion::V1), s, d)
-            .unwrap()
-            .cost_units(&params);
-        let v2 = db
-            .run(Algorithm::AStar(AStarVersion::V2), s, d)
-            .unwrap()
-            .cost_units(&params);
-        gaps.push(v1 - v2);
-    }
+    let gaps = [10usize, 20, 30].map(|k| cost(V1, diagonal(k)) - cost(V2, diagonal(k)));
     assert!(
         gaps[0] < gaps[1] && gaps[1] < gaps[2],
         "v1-v2 gap must grow: {gaps:?}"
@@ -403,18 +372,14 @@ fn figure10_version3_beats_version2_at_scale() {
     // version 2" — the estimator-quality headline. The effect is
     // sharpest where Manhattan is the perfect estimator: the uniform-cost
     // grid (we measure ~4.4x on the diagonal; EXPERIMENTS.md discusses
-    // the factor).
-    let (grid, db) = grid_db(30, CostModel::Uniform);
+    // the factor). No figure runs the uniform 30×30 grid, so this test
+    // runs it.
+    let grid = Grid::new(30, CostModel::Uniform, SEED).unwrap();
+    let db = Database::open(grid.graph()).unwrap();
     let params = CostParams::default();
     let (s, d) = grid.query_pair(QueryKind::Diagonal);
-    let v2 = db
-        .run(Algorithm::AStar(AStarVersion::V2), s, d)
-        .unwrap()
-        .cost_units(&params);
-    let v3 = db
-        .run(Algorithm::AStar(AStarVersion::V3), s, d)
-        .unwrap()
-        .cost_units(&params);
+    let v2 = db.run(V2, s, d).unwrap().cost_units(&params);
+    let v3 = db.run(V3, s, d).unwrap().cost_units(&params);
     assert!(
         v3 * 3.0 < v2,
         "v3 {v3} should be several times cheaper than v2 {v2}"
@@ -423,14 +388,8 @@ fn figure10_version3_beats_version2_at_scale() {
     // also outperforms euclidean distance for grid graphs").
     for kind in QueryKind::TABLE {
         let (s, d) = grid.query_pair(kind);
-        let v2 = db
-            .run(Algorithm::AStar(AStarVersion::V2), s, d)
-            .unwrap()
-            .iterations;
-        let v3 = db
-            .run(Algorithm::AStar(AStarVersion::V3), s, d)
-            .unwrap()
-            .iterations;
+        let v2 = db.run(V2, s, d).unwrap().iterations;
+        let v3 = db.run(V3, s, d).unwrap().iterations;
         assert!(v3 <= v2, "{kind:?}: v3 {v3} vs v2 {v2}");
     }
 }

@@ -1,22 +1,25 @@
-//! The extension studies' counters, held exactly.
+//! The study counters, held exactly.
 //!
-//! `atis_bench::studies` renders the estimator study's table, the
-//! scaling study's table of its networks and, per metro scale, its
-//! regional and long-haul tables. Each
-//! is committed once, in the doc that reports it, between
-//! `<!-- study: NAME -->` and `<!-- /study -->`, and each test here
-//! renders its tables afresh and requires them byte-equal to the
-//! committed blocks. Every cell is a deterministic counter, so one read
-//! more, a configuration dropped or an overlay of another size fails.
-//! On a mismatch the test prints the fresh table: re-pinning a moved
-//! counter is a paste that shows in the doc's diff (say why in
-//! CHANGES.md, as for `tests/driver_identity.rs`).
+//! `atis_bench::studies` renders the paper's own artifacts (Table 4B and
+//! the tables of Figures 5–7, 9 and 10–12), the estimator study's table,
+//! the scaling study's table of its networks and, per metro scale, its
+//! regional and long-haul tables. Each is committed once, in the doc that
+//! reports it, between `<!-- study: NAME -->` and `<!-- /study -->`, and
+//! each test here renders its tables afresh and requires them byte-equal
+//! to the committed blocks. Every cell is a deterministic counter, so one
+//! read more, a configuration dropped or an overlay of another size
+//! fails. On a mismatch the test prints the fresh table: re-pinning a
+//! moved counter is a paste that shows in the doc's diff (say why in
+//! CHANGES.md, as for `tests/driver_identity.rs`). [`BLOCKS`] names every
+//! block, and `ci/check-doc-links.sh` (check 16) holds it equal to the
+//! markers the tracked docs carry.
 //!
 //! The same rows carry the orderings the studies exist to show, asserted
 //! here once: v4 < v3 on the paper's networks and v4 < v3 < Dijkstra on
 //! the metros, v5 < v4 on every long haul and by at least 10× at
 //! metro-100k, an overlay of at most 4.0 arcs per edge, and fewer
 //! physical reads under the region layout than under the shuffled one.
+//! The paper's claims over its own rows are `tests/paper_tables.rs`.
 //!
 //! metro-100k's search tables are `#[ignore]`d (about 30 s in a release
 //! build, most of it v4's diagonal); CI's release job runs
@@ -28,9 +31,36 @@ use atis_algorithms::{AStarVersion, Algorithm};
 use atis_bench::studies::{self, Counters, SCALES};
 use atis_bench::Table;
 
-/// The block `<!-- study: NAME -->` … `<!-- /study -->` of `doc` must be
-/// a blank line, `table`, and nothing else.
-fn assert_committed(doc: &str, name: &str, table: &Table) {
+/// Every committed block, as (doc, marker name). A test asserts each of
+/// them, and no other.
+const BLOCKS: [(&str, &str); 16] = [
+    ("EXPERIMENTS.md", "table4b"),
+    ("EXPERIMENTS.md", "fig5"),
+    ("EXPERIMENTS.md", "fig6"),
+    ("EXPERIMENTS.md", "fig7"),
+    ("EXPERIMENTS.md", "fig9"),
+    ("EXPERIMENTS.md", "fig10"),
+    ("EXPERIMENTS.md", "fig11"),
+    ("EXPERIMENTS.md", "fig12"),
+    ("EXPERIMENTS.md", "estimators"),
+    ("SCALING.md", "networks"),
+    ("SCALING.md", "metro-1k regional"),
+    ("SCALING.md", "metro-1k long-haul"),
+    ("SCALING.md", "metro-10k regional"),
+    ("SCALING.md", "metro-10k long-haul"),
+    ("SCALING.md", "metro-100k regional"),
+    ("SCALING.md", "metro-100k long-haul"),
+];
+
+/// The block `<!-- study: NAME -->` … `<!-- /study -->` of the doc
+/// [`BLOCKS`] files `name` under must be a blank line, `table`, and
+/// nothing else.
+fn assert_committed(name: &str, table: &Table) {
+    let doc = BLOCKS
+        .iter()
+        .find(|&&(_, block)| block == name)
+        .unwrap_or_else(|| panic!("`{name}` is not in BLOCKS"))
+        .0;
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(doc);
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {doc}: {e}"));
     let open = format!("<!-- study: {name} -->\n");
@@ -54,6 +84,15 @@ fn assert_committed(doc: &str, name: &str, table: &Table) {
 }
 
 #[test]
+fn the_paper_tables_are_the_committed_ones() {
+    let rows = studies::paper_rows();
+    assert_committed("table4b", &studies::table_4b_table(&rows));
+    for figure in &studies::PAPER_FIGURES {
+        assert_committed(figure.name, &studies::paper_table(figure, &rows));
+    }
+}
+
+#[test]
 fn the_estimator_table_is_the_committed_one() {
     let rows = studies::estimator_rows();
     for network in ["grid30", "minneapolis"] {
@@ -69,11 +108,7 @@ fn the_estimator_table_is_the_committed_one() {
             "{network}: v4 {v4:?} must beat v3 {v3:?}"
         );
     }
-    assert_committed(
-        "EXPERIMENTS.md",
-        "estimators",
-        &studies::estimator_table(&rows),
-    );
+    assert_committed("estimators", &studies::estimator_table(&rows));
 }
 
 /// Runs one scale, asserts the orderings on its rows, and compares its two
@@ -146,12 +181,10 @@ fn check_scale((target, network): (usize, &'static str), long_haul_floor: f64) {
     );
 
     assert_committed(
-        "SCALING.md",
         &format!("{network} regional"),
         &studies::regional_table(&rows),
     );
     assert_committed(
-        "SCALING.md",
         &format!("{network} long-haul"),
         &studies::long_haul_table(&rows),
     );
@@ -189,5 +222,5 @@ fn the_network_table_is_the_committed_one() {
             r.network
         );
     }
-    assert_committed("SCALING.md", "networks", &studies::networks_table(&rows));
+    assert_committed("networks", &studies::networks_table(&rows));
 }
