@@ -1,6 +1,6 @@
 //! Algorithm-level errors.
 
-use atis_graph::{GraphError, NodeId};
+use atis_graph::{GraphError, NodeId, Norm};
 use atis_storage::StorageError;
 use std::fmt;
 
@@ -69,6 +69,20 @@ pub enum AlgorithmError {
     /// the serving layer's degrade ladder reacts by falling to version 4
     /// (then 3).
     HierarchyUnavailable(ArtifactIssue),
+    /// The serving snapshot refused the run's estimator, `weight ×` the
+    /// `norm` length: some edge of its epoch costs less than `weight`
+    /// times that length (the epoch's cost floor under `norm` is
+    /// `floor`), so the estimator could overestimate and the search
+    /// answer a costlier route than the optimum. The degrade ladder falls
+    /// to the next rung, as for a stale artifact (`ladder::admit`).
+    EstimatorRefused {
+        /// The length the estimator scales.
+        norm: Norm,
+        /// Its weight.
+        weight: f64,
+        /// The epoch's cost floor under `norm`, below `weight`.
+        floor: f64,
+    },
 }
 
 impl fmt::Display for AlgorithmError {
@@ -86,6 +100,18 @@ impl fmt::Display for AlgorithmError {
             AlgorithmError::HierarchyUnavailable(issue) => {
                 let issue = issue.phrase("hierarchy", "is");
                 write!(f, "hierarchy unavailable: {issue}")
+            }
+            AlgorithmError::EstimatorRefused {
+                norm,
+                weight,
+                floor,
+            } => {
+                let norm = norm.label();
+                write!(
+                    f,
+                    "estimator refused: {weight} x {norm} needs a {norm} cost floor of at least \
+                     {weight}, this epoch's is {floor}"
+                )
             }
         }
     }

@@ -12,7 +12,7 @@
 //! an underestimate" on the Minneapolis data, where A\* therefore loses its
 //! optimality guarantee — a trade-off the conclusions call out).
 
-use atis_graph::Point;
+use atis_graph::{Norm, Point};
 
 /// An estimator of the remaining cost from a node to the destination.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,6 +52,19 @@ impl Estimator {
     #[inline]
     pub fn evaluate_f32(&self, x: f32, y: f32, to: Point) -> f64 {
         self.evaluate(Point::new(x as f64, y as f64), to)
+    }
+
+    /// The length this estimator scales and by how much: `w × ‖·‖`
+    /// never overestimates while no edge costs less than `w` times its
+    /// `‖·‖` length (by the triangle inequality of the norm). `None` for
+    /// [`Estimator::Zero`], which is always admissible.
+    pub fn scales(&self) -> Option<(Norm, f64)> {
+        match *self {
+            Estimator::Zero => None,
+            Estimator::Euclidean => Some((Norm::Euclidean, 1.0)),
+            Estimator::Manhattan => Some((Norm::Manhattan, 1.0)),
+            Estimator::WeightedManhattan { weight } => Some((Norm::Manhattan, weight)),
+        }
     }
 
     /// Short label for experiment tables.

@@ -15,8 +15,9 @@
 #![warn(clippy::wildcard_enum_match_arm)]
 
 use crate::astar::AStarVersion;
-use crate::database::{Algorithm, Database};
+use crate::database::{Algorithm, Database, Kernel};
 use crate::error::{AlgorithmError, BudgetKind};
+use atis_graph::Norm;
 
 /// The preprocessed artifact a rung cannot run without.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,6 +77,33 @@ pub fn sequence(primary: Algorithm) -> Vec<Rung> {
         .collect()
 }
 
+/// The admission rule a serving snapshot applies to every rung before it
+/// runs it, the primary included: an estimator `w × ‖·‖` is admitted
+/// while `floor(‖·‖)` — the epoch's cost floor under that norm, the least
+/// cost per unit of `‖·‖` length of any edge — is at least `w`, which is
+/// what keeps it from overestimating. The zero estimator and A\* version
+/// 5, which has none, are always admitted; version 4 maxes its landmark
+/// bound with Euclidean, so it is admitted while the Euclidean floor is
+/// at least 1. A refusal is [`AlgorithmError::EstimatorRefused`], which
+/// falls as a stale artifact does ([`Fall::Artifact`]).
+///
+/// # Errors
+/// [`AlgorithmError::EstimatorRefused`] when the floor is below the
+/// weight.
+pub fn admit(algorithm: Algorithm, floor: impl Fn(Norm) -> f64) -> Result<(), AlgorithmError> {
+    let Kernel::BestFirst { estimator, .. } = algorithm.describe().kernel else {
+        return Ok(());
+    };
+    match estimator.scales() {
+        Some((norm, weight)) if floor(norm) < weight => Err(AlgorithmError::EstimatorRefused {
+            norm,
+            weight,
+            floor: floor(norm),
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// Where a failed rung sends the walk, by cause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fall {
@@ -99,9 +127,9 @@ impl Fall {
     /// The ladder's error → fall map: total over [`AlgorithmError`].
     pub fn of(error: &AlgorithmError) -> Fall {
         match error {
-            AlgorithmError::HierarchyUnavailable(_) | AlgorithmError::LandmarksUnavailable(_) => {
-                Fall::Artifact
-            }
+            AlgorithmError::HierarchyUnavailable(_)
+            | AlgorithmError::LandmarksUnavailable(_)
+            | AlgorithmError::EstimatorRefused { .. } => Fall::Artifact,
             AlgorithmError::Storage(_) => Fall::Storage,
             AlgorithmError::BudgetExceeded(kind) => Fall::Budget(*kind),
             AlgorithmError::Graph(_)

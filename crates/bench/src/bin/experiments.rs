@@ -50,31 +50,21 @@ fn main() {
         "Deterministic seed {}; execution time = simulated I/O in Table 4A units.\n\n",
         atis_bench::PAPER_SEED
     ));
-    for (_, _, driver) in selected {
-        document.push_str(&driver().to_string());
+    for (id, _, driver) in selected {
+        document.push_str(&driver(id).to_string());
     }
     print!("{document}");
     if let Some(dir) = out_dir {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-        let md = dir.join("experiments.md");
-        if let Err(e) = std::fs::write(&md, &document) {
-            eprintln!("cannot write {}: {e}", md.display());
-            std::process::exit(1);
-        }
-        // Figure 8 as a vector image.
+        // Figure 8 as a vector image, beside the document.
         let m = atis_graph::Minneapolis::paper();
-        let svg = atis_core::render_svg(
-            m.graph(),
-            None,
-            m.landmarks(),
-            &atis_core::SvgOptions::default(),
-        );
-        let svg_path = dir.join("figure8.svg");
-        if let Err(e) = std::fs::write(&svg_path, svg) {
-            eprintln!("cannot write {}: {e}", svg_path.display());
+        let options = atis_core::SvgOptions::default();
+        let svg = atis_core::render_svg(m.graph(), None, m.landmarks(), &options);
+        let (md, svg_path) = (dir.join("experiments.md"), dir.join("figure8.svg"));
+        let written = std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&md, &document))
+            .and_then(|()| std::fs::write(&svg_path, svg));
+        if let Err(e) = written {
+            eprintln!("cannot write to {}: {e}", dir.display());
             std::process::exit(1);
         }
         eprintln!("wrote {} and {}", md.display(), svg_path.display());

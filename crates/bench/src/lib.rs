@@ -6,26 +6,25 @@
 //! * Table 4B, Figures 5–7 with Tables 5–7, Figure 9 with Table 8 and
 //!   Figures 10–12 — rows of exact counters ([`studies::paper_rows`]),
 //!   rendered one artifact at a time by [`studies::table_4b`] and
-//!   [`studies::paper_figure`] (the figures are [`studies::PAPER_FIGURES`])
-//!   and committed in EXPERIMENTS.md.
-//! * Figure 8 — the Minneapolis map render ([`experiments::fig8_map`]).
-//! * Model validation — per-step breakdowns against Tables 2–3
-//!   ([`experiments::step_breakdown`]) and the `atis-obs` per-run
-//!   model-vs-measured reports ([`experiments::model_vs_measured`]).
-//! * Ablations beyond the paper ([`experiments::ablation_join_strategies`],
-//!   [`experiments::ablation_optimizer`],
-//!   [`experiments::ablation_estimators`],
-//!   [`experiments::ablation_memory_vs_db`]).
-//! * The estimator and metro scaling studies, exact counters whose tables
-//!   EXPERIMENTS.md and SCALING.md commit ([`studies::estimator_quality`],
+//!   [`studies::paper_figure`] (the figures are [`studies::PAPER_FIGURES`]).
+//! * The validations, ablations and extensions — [`ablations::STUDIES`],
+//!   each a render over rows of the same runner
+//!   ([`studies::run_cells`]) that vary one database configuration
+//!   ([`studies::Config`]) or sweep a workload.
+//! * The estimator and metro scaling studies ([`studies::estimator_quality`],
 //!   [`studies::metro_scaling`]).
+//! * Figure 8's map and the two wall-clock ablations, all-pairs closure and
+//!   in-memory baselines ([`experiments`]).
 //!
+//! Every table but the last three's is a deterministic counter committed
+//! between `<!-- study: … -->` markers in EXPERIMENTS.md or SCALING.md.
 //! [`DRIVERS`] lists every experiment once; the binary `experiments`
 //! runs them from the command line.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ablations;
 pub mod chart;
 pub mod experiments;
 pub mod studies;
@@ -37,127 +36,41 @@ pub use table::Table;
 
 use experiments as exp;
 
-/// An experiment: its command-line id, a one-line description, and the
-/// driver that runs it.
-pub type Driver = (&'static str, &'static str, fn() -> ExperimentOutput);
+/// An experiment: its command-line id, a one-line description (also
+/// the heading a study prints), and the driver, which is handed the id.
+pub type Driver = (&'static str, &'static str, fn(&str) -> ExperimentOutput);
 
-/// Every experiment, in paper order.
+/// Every experiment, in paper order: the paper's artifacts
+/// ([`studies::paper_figure`]), the validations, ablations and extensions
+/// of [`ablations::STUDIES`] (`reports`, `models`, `joins`, `optimizer`,
+/// `tradeoff`, `duplicates`, `buffer`, `isam`, `devices`, `scaling`,
+/// `radial`, `seeds`), the two wall-clock ablations (`allpairs`,
+/// `memdb`), and the estimator and metro studies.
+#[rustfmt::skip]
 pub const DRIVERS: &[Driver] = &[
-    (
-        "table4b",
-        "Table 4B: algebraic cost estimates",
-        studies::table_4b,
-    ),
-    (
-        "breakdown",
-        "Validation: per-step cost breakdown",
-        exp::step_breakdown,
-    ),
-    (
-        "obsreport",
-        "Validation: obs model-vs-measured reports",
-        exp::model_vs_measured,
-    ),
-    (
-        "models",
-        "Validation: A* version models vs measured",
-        exp::validation_version_models,
-    ),
-    ("fig5", "Figure 5 / Table 5: graph size", || {
-        studies::paper_figure("fig5")
-    }),
-    ("fig6", "Figure 6 / Table 6: path length", || {
-        studies::paper_figure("fig6")
-    }),
-    ("fig7", "Figure 7 / Table 7: edge cost models", || {
-        studies::paper_figure("fig7")
-    }),
-    ("fig8", "Figure 8: Minneapolis map", exp::fig8_map),
-    ("fig9", "Figure 9 / Table 8: Minneapolis queries", || {
-        studies::paper_figure("fig9")
-    }),
-    ("fig10", "Figure 10: A* versions vs graph size", || {
-        studies::paper_figure("fig10")
-    }),
-    ("fig11", "Figure 11: A* versions vs cost model", || {
-        studies::paper_figure("fig11")
-    }),
-    ("fig12", "Figure 12: A* versions vs path length", || {
-        studies::paper_figure("fig12")
-    }),
-    (
-        "joins",
-        "Ablation: four join strategies",
-        exp::ablation_join_strategies,
-    ),
-    (
-        "optimizer",
-        "Ablation: forced vs cost-based joins",
-        exp::ablation_optimizer,
-    ),
-    (
-        "estimators",
-        "Ablation: estimator quality",
-        exp::ablation_estimators,
-    ),
-    (
-        "duplicates",
-        "Ablation: frontier duplicate policies",
-        exp::ablation_duplicates,
-    ),
-    (
-        "buffer",
-        "Ablation: buffer pool vs cold cache",
-        exp::ablation_buffer_pool,
-    ),
-    (
-        "isam",
-        "Ablation: ISAM index depth sensitivity",
-        exp::ablation_isam_depth,
-    ),
-    (
-        "allpairs",
-        "Ablation: all-pairs closure vs single-pair",
-        exp::ablation_allpairs,
-    ),
-    (
-        "memdb",
-        "Ablation: in-memory vs database-resident",
-        exp::ablation_memory_vs_db,
-    ),
-    (
-        "tradeoff",
-        "Extension: optimality/speed trade-off curve",
-        exp::tradeoff_curve,
-    ),
-    (
-        "scaling",
-        "Extension: grids beyond the paper (up to 50x50)",
-        exp::extension_scaling,
-    ),
-    (
-        "devices",
-        "Extension: device sensitivity (disk vs SSD re-pricing)",
-        exp::extension_devices,
-    ),
-    (
-        "radial",
-        "Extension: radial city (estimator ranking reverses)",
-        exp::extension_radial,
-    ),
-    (
-        "seeds",
-        "Extension: seed robustness of draw-dependent counts",
-        exp::extension_seeds,
-    ),
-    (
-        "estimator-quality",
-        "Extension: A* versions 1-5 on the paper's networks (EXPERIMENTS.md)",
-        studies::estimator_quality,
-    ),
-    (
-        "metro-scaling",
-        "Extension: 1k/10k/100k metro networks on partitioned storage (SCALING.md)",
-        studies::metro_scaling,
-    ),
+    ("table4b", "Table 4B: algebraic cost estimates", |_| studies::table_4b()),
+    ("fig5", "Figure 5 / Table 5: graph size", studies::paper_figure),
+    ("fig6", "Figure 6 / Table 6: path length", studies::paper_figure),
+    ("fig7", "Figure 7 / Table 7: edge cost models", studies::paper_figure),
+    ("fig8", "Figure 8: Minneapolis map", |_| exp::fig8_map()),
+    ("fig9", "Figure 9 / Table 8: Minneapolis queries", studies::paper_figure),
+    ("fig10", "Figure 10: A* versions vs graph size", studies::paper_figure),
+    ("fig11", "Figure 11: A* versions vs cost model", studies::paper_figure),
+    ("fig12", "Figure 12: A* versions vs path length", studies::paper_figure),
+    ("reports", "Validation: model-vs-measured reports", ablations::study),
+    ("models", "Validation: A* version models vs measured", ablations::study),
+    ("joins", "Ablation: four join strategies", ablations::study),
+    ("optimizer", "Ablation: forced vs cost-based joins", ablations::study),
+    ("tradeoff", "Ablation: estimators and the optimality/speed trade-off", ablations::study),
+    ("duplicates", "Ablation: frontier duplicate policies", ablations::study),
+    ("buffer", "Ablation: buffer pool vs cold cache", ablations::study),
+    ("isam", "Ablation: ISAM index depth sensitivity", ablations::study),
+    ("allpairs", "Ablation: all-pairs closure vs single-pair (wall clock)", |_| exp::ablation_allpairs()),
+    ("memdb", "Ablation: in-memory vs database-resident (wall clock)", |_| exp::ablation_memory_vs_db()),
+    ("devices", "Extension: device sensitivity (disk vs SSD re-pricing)", ablations::study),
+    ("scaling", "Extension: grids beyond the paper (up to 50x50)", ablations::study),
+    ("radial", "Extension: radial city (estimator ranking reverses)", ablations::study),
+    ("seeds", "Extension: seed robustness of draw-dependent counts", ablations::study),
+    ("estimator-quality", "Extension: A* versions 1-5 on the paper's networks (EXPERIMENTS.md)", |_| studies::estimator_quality()),
+    ("metro-scaling", "Extension: 1k/10k/100k metro networks on partitioned storage (SCALING.md)", |_| studies::metro_scaling()),
 ];

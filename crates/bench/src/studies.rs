@@ -1,49 +1,54 @@
 //! The paper's evaluation and the two extension studies, as rows of
 //! deterministic counters.
 //!
-//! * The paper's evaluation ([`paper_rows`]): every run behind Table 4B,
-//!   Tables 5–8 and Figures 5–7 and 9–12, each once. A row holds the
-//!   workload, the algorithm, its iterations, its execution time in the
-//!   paper's units (charged I/O at Table 4A prices) and its route's cost
-//!   against the in-memory optimum. [`table_4b`] and [`paper_figure`]
-//!   render one artifact each, table and chart, beside the cells the paper
-//!   printed ([`atis_costmodel::PAPER_TABLE_4B`],
-//!   [`atis_costmodel::PAPER_ITERATIONS`]).
+//! * One runner ([`run_cells`]): a [`Cell`] is a query, an algorithm and
+//!   a database [`Config`] (join policy, pool, ISAM depth, duplicate
+//!   policy, seed), and its [`PaperRow`] holds what the run metered —
+//!   iterations, expansions, `IoStats`, `StepIo`, cost units, pool hits
+//!   — and the route's cost against the in-memory optimum.
+//! * The paper's evaluation ([`paper_rows`]): every cell behind Table 4B,
+//!   Tables 5–8 and Figures 5–7 and 9–12, each once, at
+//!   [`Config::PAPER`]. [`table_4b`] and [`paper_figure`] render one
+//!   artifact each beside the cells the paper printed
+//!   ([`atis_costmodel::PAPER_TABLE_4B`], [`atis_costmodel::PAPER_ITERATIONS`]);
+//!   the validations, ablations and extensions are renders over the same
+//!   rows ([`crate::ablations`]).
 //! * The estimator study: A\* versions 1–5 on the paper's networks.
 //! * The scaling study: Dijkstra and A\* v3–v5 on 1k / 10k / 100k-node
 //!   metro networks through the partitioned storage engine.
 //!
-//! Every cell these tables hold is a deterministic counter: iterations
-//! and node expansions, charged and physical block reads (and the cost
-//! units they price to), frontier peaks, and the sizes of what
-//! preprocessing built. The generators are seeded and the buffer pool is
-//! deterministic, so a row reads the same on every machine and in debug
-//! and release builds. Wall time is not recorded here; the repository
-//! benchmark under `benchmark/` measures it.
+//! Every cell is a deterministic counter: the generators are seeded and
+//! the buffer pool is deterministic, so a row reads the same on every
+//! machine and in debug and release builds. Wall time is not recorded
+//! here; the repository benchmark under `benchmark/` measures it.
 //!
-//! The rendered tables are committed in `EXPERIMENTS.md` (the paper's
-//! artifacts and the estimator study) and `SCALING.md` (the scaling
-//! study's networks and counters), and `tests/study_counters.rs` holds
-//! each committed table byte-equal to a fresh render, so a counter that
-//! moves by one read fails there and is re-pinned in the doc's diff. The
+//! The rendered tables are committed in `EXPERIMENTS.md` and `SCALING.md`
+//! between `<!-- study: … -->` markers, and `tests/study_counters.rs`
+//! holds each byte-equal to a fresh render, so a counter that moves by
+//! one read fails there and is re-pinned in the doc's diff. The
 //! orderings the studies exist to show are asserted there too, and the
 //! paper's claims in `tests/paper_tables.rs`, over the same rows.
 
 use crate::chart::BarChart;
 use crate::experiments::{fmt_cost, ExperimentOutput, PAPER_SEED};
 use crate::table::Table;
+use atis_algorithms::duplicates::{run_with_duplicate_policy, DuplicatePolicy};
 use atis_algorithms::ladder::Needs;
-use atis_algorithms::{memory, AStarVersion, Algorithm, Database};
+use atis_algorithms::{memory, AStarVersion, Algorithm, Database, Kernel};
 use atis_costmodel::{paper_iterations, PAPER_TABLE_4B};
 use atis_graph::{
     shuffle_layout, CostModel, Graph, Grid, Metro, MetroQuery, MetroSpec, Minneapolis, NamedPair,
     NodeId, PartitionMap, QueryKind, RadialCity, RadialQuery,
 };
 use atis_hierarchy::{Hierarchy, HierarchyConfig, ARC_TUPLE_SIZE};
+use atis_obs::StepIo;
 use atis_preprocess::{LandmarkSelection, LandmarkTables, PreprocessConfig};
-use atis_storage::{CostParams, EdgeTuple, FixedTuple, JoinPolicy, NodeTuple, StorageProfile};
+use atis_storage::{
+    CostParams, EdgeTuple, FixedTuple, IoStats, JoinPolicy, JoinStrategy, NodeTuple, StorageProfile,
+};
 
-/// A query of the paper's evaluation.
+/// A query of the evaluation. The network's random draw is the row's
+/// [`Config::seed`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Workload {
     /// One of the canonical queries of a `k × k` grid under a cost model.
@@ -57,21 +62,78 @@ pub enum Workload {
     },
     /// A Table 8 pair on synthetic Minneapolis.
     Minneapolis(NamedPair),
+    /// A query of the 8-ring × 24-spoke radial city (jitter 0.1).
+    Radial(RadialQuery),
 }
 
-/// One run of the paper's evaluation.
+/// The database a row runs against: the configuration axis the
+/// ablations vary one field of. An estimator and its weight are not a
+/// field: they are the row's algorithm (a status-frontier
+/// [`Algorithm::Custom`] for the weights no paper version runs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Config {
+    /// Join policy of the adjacency joins.
+    pub join: JoinPolicy,
+    /// Blocks of the LRU buffer pool; `None` is the paper's cold cache.
+    pub pool_blocks: Option<usize>,
+    /// ISAM index levels `I_l` every keyed access is priced at.
+    pub isam_levels: u64,
+    /// A frontier duplicate policy (Section 4), run through
+    /// `run_with_duplicate_policy` with the algorithm's estimator;
+    /// `None` runs the algorithm itself.
+    pub duplicates: Option<DuplicatePolicy>,
+    /// Seed of the network's random draw.
+    pub seed: u64,
+}
+
+impl Config {
+    /// The paper's configuration: forced nested-loop joins, no pool,
+    /// `I_l = 3`, the paper's seed.
+    pub const PAPER: Config = Config {
+        join: JoinPolicy::Force(JoinStrategy::NestedLoop),
+        pool_blocks: None,
+        isam_levels: 3,
+        duplicates: None,
+        seed: PAPER_SEED,
+    };
+
+    /// The cost parameters of this configuration: Table 4A at its ISAM
+    /// depth.
+    pub fn params(&self) -> CostParams {
+        CostParams {
+            isam_levels: self.isam_levels,
+            ..CostParams::default()
+        }
+    }
+}
+
+/// One run to make: a query, an algorithm and a database configuration.
+pub type Cell = (Workload, Algorithm, Config);
+
+/// One run of the evaluation and what it metered.
 #[derive(Debug, Clone)]
 pub struct PaperRow {
     /// Network and query.
     pub workload: Workload,
     /// The algorithm run.
     pub algorithm: Algorithm,
+    /// The database it ran against.
+    pub config: Config,
     /// Expansions for Dijkstra and A\*, rounds for the iterative
     /// algorithm.
     pub iterations: u64,
-    /// Execution time the paper's way: the run's charged I/O at Table 4A
-    /// prices.
+    /// Nodes expanded; below `iterations` only where a duplicate policy
+    /// selected a node twice.
+    pub expanded: u64,
+    /// The run's charged I/O.
+    pub io: IoStats,
+    /// The same I/O by step of the cost models (Tables 2–3).
+    pub steps: StepIo,
+    /// Execution time the paper's way: `io` at the configuration's
+    /// prices ([`Config::params`]).
     pub cost_units: f64,
+    /// Buffer-pool hits and misses (0 without a pool).
+    pub pool: (u64, u64),
     /// Cost of the route found.
     pub path_cost: f64,
     /// Cost of the optimal route (`memory::dijkstra_pair`).
@@ -79,7 +141,7 @@ pub struct PaperRow {
 }
 
 /// The paper's three algorithm classes, in Table 4B's row order.
-const CLASSES: [Algorithm; 3] = [
+pub(crate) const CLASSES: [Algorithm; 3] = [
     Algorithm::Dijkstra,
     Algorithm::AStar(AStarVersion::V3),
     Algorithm::Iterative,
@@ -221,62 +283,134 @@ pub const PAPER_FIGURES: [PaperFigure; 7] = [
     },
 ];
 
-/// Every run the paper's figures report, each once, on a database opened
-/// afresh for it. Table 4B's physical view is Figure 6's runs.
-pub fn paper_rows() -> Vec<PaperRow> {
-    let mut cells: Vec<(Workload, Algorithm)> = Vec::new();
+/// Runs every cell once, each on a database opened afresh for it, and
+/// returns the rows in the cells' order. The cells share nothing, so
+/// they are spread over the available cores, every `threads`-th cell on
+/// one.
+pub fn run_cells(cells: &[Cell]) -> Vec<PaperRow> {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let minneapolis = &Minneapolis::paper();
+    let mut rows: Vec<(usize, PaperRow)> = std::thread::scope(|scope| {
+        let run = |t| {
+            move || {
+                cells
+                    .iter()
+                    .enumerate()
+                    .skip(t)
+                    .step_by(threads)
+                    .map(|(i, &c)| (i, run_cell(c, minneapolis)))
+                    .collect::<Vec<_>>()
+            }
+        };
+        let workers: Vec<_> = (0..threads).map(|t| scope.spawn(run(t))).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a study run panicked"))
+            .collect()
+    });
+    rows.sort_by_key(|&(i, _)| i);
+    rows.into_iter().map(|(_, row)| row).collect()
+}
+
+fn run_cell((workload, algorithm, config): Cell, minneapolis: &Minneapolis) -> PaperRow {
+    let (grid, city);
+    let (graph, (s, d)) = match workload {
+        Workload::Grid { k, costs, query } => {
+            grid = Grid::new(k, costs, config.seed).expect("study grids have k >= 2");
+            (grid.graph(), grid.query_pair(query))
+        }
+        Workload::Minneapolis(pair) => (minneapolis.graph(), minneapolis.query_pair(pair)),
+        Workload::Radial(query) => {
+            city = RadialCity::new(8, 24, 0.1, config.seed).expect("a valid city");
+            (city.graph(), city.query_pair(query))
+        }
+    };
+    let profile = StorageProfile {
+        buffer_blocks: config.pool_blocks,
+        ..StorageProfile::paper()
+    };
+    let db = Database::open_with_profile(graph, profile)
+        .expect("the study networks fit the engine")
+        .with_join_policy(config.join)
+        .with_params(config.params());
+    let trace = match config.duplicates {
+        None => db.run(algorithm, s, d),
+        Some(policy) => {
+            let Kernel::BestFirst { estimator, .. } = algorithm.describe().kernel else {
+                panic!("a duplicate policy runs a best-first estimator")
+            };
+            run_with_duplicate_policy(&db, s, d, estimator, policy)
+        }
+    }
+    .expect("the study endpoints are valid");
+    let pool = db.buffer().map_or((0, 0), |p| {
+        let p = p.lock().expect("study pool lock");
+        (p.hits, p.misses)
+    });
+    PaperRow {
+        workload,
+        algorithm,
+        config,
+        iterations: trace.iterations,
+        expanded: trace.expanded,
+        io: trace.io,
+        steps: trace.steps,
+        cost_units: trace.cost_units(&config.params()),
+        pool,
+        path_cost: trace.path_cost(),
+        optimal: memory::dijkstra_pair(graph, s, d)
+            .expect("the study queries are connected")
+            .cost,
+    }
+}
+
+/// Every cell the paper's figures report, each once, at the paper's
+/// configuration. Table 4B's physical view is Figure 6's runs.
+pub fn paper_cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
     for figure in &PAPER_FIGURES {
         for (_, workload) in figure.sweep.columns() {
             for algorithm in figure.algorithms {
-                if !cells.contains(&(workload, algorithm)) {
-                    cells.push((workload, algorithm));
-                }
+                push_new(&mut cells, (workload, algorithm, Config::PAPER));
             }
         }
     }
-    let minneapolis = Minneapolis::paper();
     cells
-        .into_iter()
-        .map(|(workload, algorithm)| {
-            let grid;
-            let (graph, (s, d)) = match workload {
-                Workload::Grid { k, costs, query } => {
-                    grid = Grid::new(k, costs, PAPER_SEED).expect("paper grids have k >= 2");
-                    (grid.graph(), grid.query_pair(query))
-                }
-                Workload::Minneapolis(pair) => (minneapolis.graph(), minneapolis.query_pair(pair)),
-            };
-            let db = Database::open(graph).expect("the paper's networks fit the engine");
-            let trace = db
-                .run(algorithm, s, d)
-                .expect("the paper's endpoints are valid");
-            PaperRow {
-                workload,
-                algorithm,
-                iterations: trace.iterations,
-                cost_units: trace.cost_units(&CostParams::default()),
-                path_cost: trace.path_cost(),
-                optimal: memory::dijkstra_pair(graph, s, d)
-                    .expect("the paper's queries are connected")
-                    .cost,
-            }
-        })
-        .collect()
 }
 
-/// The row of `algorithm` on `workload`.
+/// Appends `cell` unless `cells` already holds it.
+pub(crate) fn push_new(cells: &mut Vec<Cell>, cell: Cell) {
+    if !cells.contains(&cell) {
+        cells.push(cell);
+    }
+}
+
+/// The rows of [`paper_cells`].
+pub fn paper_rows() -> Vec<PaperRow> {
+    run_cells(&paper_cells())
+}
+
+/// The row of `algorithm` on `workload` at `config`.
 ///
 /// # Panics
-/// Panics if [`paper_rows`] runs no such cell.
-pub fn paper_row(rows: &[PaperRow], workload: Workload, algorithm: Algorithm) -> &PaperRow {
+/// Panics if `rows` holds no such cell.
+pub fn row(rows: &[PaperRow], (workload, algorithm, config): Cell) -> &PaperRow {
     rows.iter()
-        .find(|r| r.workload == workload && r.algorithm == algorithm)
-        .unwrap_or_else(|| panic!("no {} row on {workload:?}", algorithm.label()))
+        .find(|r| r.workload == workload && r.algorithm == algorithm && r.config == config)
+        .unwrap_or_else(|| panic!("no {} row on {workload:?} at {config:?}", algorithm.label()))
+}
+
+/// The row of `algorithm` on `workload` at the paper's configuration.
+///
+/// # Panics
+/// Panics if `rows` holds no such cell.
+pub fn paper_row(rows: &[PaperRow], workload: Workload, algorithm: Algorithm) -> &PaperRow {
+    row(rows, (workload, algorithm, Config::PAPER))
 }
 
 /// A route's cost above the optimum, in per cent to one decimal; an
 /// optimal route reads `0.0%`, whatever the sign of its rounding error.
-fn vs_optimal(r: &PaperRow) -> String {
+pub(crate) fn vs_optimal(r: &PaperRow) -> String {
     let excess = 100.0 * (r.path_cost - r.optimal) / r.optimal;
     if format!("{:.1}", excess.abs()) == "0.0" {
         "0.0%".into()

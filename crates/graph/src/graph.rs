@@ -15,7 +15,7 @@ use std::sync::Arc;
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::grouped::{GroupedColumn, Sharing, GROUP_NODES};
-use crate::node::{NodeId, Point};
+use crate::node::{NodeId, Norm, Point};
 
 /// Maximum node count supported by the fixed-width storage tuples: ids are
 /// stored as 24-bit integers inside the 16/32-byte tuple layouts of
@@ -160,7 +160,10 @@ impl Graph {
     }
 
     /// The smallest edge cost in the graph (`∞` if there are no edges).
-    /// Useful for scaling estimators to keep them admissible.
+    /// It says nothing about admissibility on its own: the scale that
+    /// keeps `w ×` a straight-line estimator admissible is the cost floor
+    /// `α` of that length ([`Graph::cost_floors`]), a minimum of
+    /// cost per unit length, not of cost.
     pub fn min_edge_cost(&self) -> f64 {
         self.edges().map(|e| e.cost).fold(f64::INFINITY, f64::min)
     }
@@ -218,49 +221,57 @@ impl Graph {
     /// the edges of positive straight-line length, so no edge costs less
     /// than `α` times its length (0 when no edge has positive length). A
     /// pass over every edge: a caller that keeps the floor across
-    /// updates takes it once with [`Graph::cost_floor_with_count`] and
-    /// carries it through each update from the updated edge's
-    /// [`Graph::cost_ratio`].
+    /// updates takes it once with [`Graph::cost_floors`] and carries it
+    /// through each update from the updated edge's [`Graph::cost_ratio`].
     ///
     /// With the triangle inequality it bounds every route: a route from
     /// `a` to `b` costs at least `α · ‖a − b‖`, which [`floor_bound`]
     /// turns into a bound on the floating-point sum a search computes.
     /// The paper's A\* estimators assume `α ≥ 1` (Section 5.3); metro
-    /// networks have exactly 1, since freeways cost their length.
+    /// networks have exactly 1, since freeways cost their length. The
+    /// same floor under the Manhattan length, `α_M ≤ α`, is the second
+    /// entry of [`Graph::cost_floors`]: `w ×` Manhattan is admissible
+    /// while `w ≤ α_M`.
     pub fn cost_floor(&self) -> f64 {
-        self.cost_floor_with_count().0
+        Norm::Euclidean.select(self.cost_floors()).0
     }
 
-    /// [`Graph::cost_floor`] and the number of directed edge tuples whose
-    /// ratio equals it, from the same pass. The count is what keeps a
-    /// floor carried across updates exact: an update that raises a tuple
-    /// at the floor takes one off it, and only when none is left can the
-    /// floor rise, which needs this pass again.
-    pub fn cost_floor_with_count(&self) -> (f64, usize) {
-        let (floor, count) = self
-            .edges()
-            .filter_map(|e| self.cost_ratio(e.from, e.to, e.cost))
-            .fold((f64::INFINITY, 0), |(floor, count), ratio| {
-                if ratio < floor {
-                    (ratio, 1)
-                } else {
-                    (floor, count + usize::from(ratio == floor))
+    /// The cost floor under each of [`Norm::ALL`] (Euclidean, then
+    /// Manhattan), each with the number of directed edge tuples whose
+    /// ratio equals it, from one pass. The count is what keeps a floor
+    /// carried across updates exact: an update that raises a tuple at the
+    /// floor takes one off it, and only when none is left can the floor
+    /// rise, which needs this pass again.
+    pub fn cost_floors(&self) -> [(f64, usize); 2] {
+        let mut floors = [(f64::INFINITY, 0); 2];
+        for e in self.edges() {
+            for (norm, (floor, count)) in Norm::ALL.into_iter().zip(&mut floors) {
+                let Some(ratio) = self.cost_ratio(norm, e.from, e.to, e.cost) else {
+                    continue;
+                };
+                if ratio < *floor {
+                    (*floor, *count) = (ratio, 1);
+                } else if ratio == *floor {
+                    *count += 1;
                 }
-            });
-        if floor.is_finite() {
-            (floor, count)
-        } else {
-            (0.0, 0)
+            }
         }
+        floors.map(|(floor, count)| {
+            if floor.is_finite() {
+                (floor, count)
+            } else {
+                (0.0, 0)
+            }
+        })
     }
 
-    /// What edge `(u, v)` would cost per unit of straight-line length at
+    /// What edge `(u, v)` would cost per unit of its `norm` length at
     /// `cost`; `None` where the endpoints coincide (the edge spans
     /// nothing) or a node is unknown.
     #[inline]
-    pub fn cost_ratio(&self, u: NodeId, v: NodeId, cost: f64) -> Option<f64> {
+    pub fn cost_ratio(&self, norm: Norm, u: NodeId, v: NodeId, cost: f64) -> Option<f64> {
         let (from, to) = (self.points.get(u.index())?, self.points.get(v.index())?);
-        let length = from.euclidean(to);
+        let length = norm.length(from, to);
         (length > 0.0).then(|| cost / length)
     }
 

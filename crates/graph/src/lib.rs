@@ -68,7 +68,7 @@ pub use graph::{floor_bound, Graph, GraphBuilder, StreamingGraphBuilder};
 pub use grid::{Grid, QueryKind};
 pub use metro::{Metro, MetroQuery, MetroSpec};
 pub use minneapolis::{Minneapolis, NamedPair};
-pub use node::{NodeId, Point};
+pub use node::{NodeId, Norm, Point};
 pub use partition::{shuffle_layout, PartitionMap};
 pub use path::Path;
 pub use radial::{RadialCity, RadialQuery};

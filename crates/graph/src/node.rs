@@ -79,6 +79,48 @@ impl Point {
     }
 }
 
+/// A straight-line length between two points, the one a geometric
+/// estimator scales: Euclidean for A\* versions 1, 2 and 4 (and
+/// version 4's floor), Manhattan for version 3 and its weighted variants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Norm {
+    /// [`Point::euclidean`].
+    Euclidean,
+    /// [`Point::manhattan`].
+    Manhattan,
+}
+
+impl Norm {
+    /// Both norms, in the order [`crate::Graph::cost_floors`] reports them.
+    pub const ALL: [Norm; 2] = [Norm::Euclidean, Norm::Manhattan];
+
+    /// The length from `a` to `b` under this norm.
+    #[inline]
+    pub fn length(self, a: &Point, b: &Point) -> f64 {
+        match self {
+            Norm::Euclidean => a.euclidean(b),
+            Norm::Manhattan => a.manhattan(b),
+        }
+    }
+
+    /// This norm's entry of a pair ordered as [`Norm::ALL`].
+    #[inline]
+    pub fn select<T>(self, [euclidean, manhattan]: [T; 2]) -> T {
+        match self {
+            Norm::Euclidean => euclidean,
+            Norm::Manhattan => manhattan,
+        }
+    }
+
+    /// Lower-case name (`euclidean`, `manhattan`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Norm::Euclidean => "euclidean",
+            Norm::Manhattan => "manhattan",
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

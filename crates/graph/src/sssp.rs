@@ -298,6 +298,16 @@ mod tests {
         }
     }
 
+    /// The stop is what bounds a pair query's work: a search from 0
+    /// stopped at 1 on the path 0 → 1 → 2 → 3 never relaxes 2's arcs.
+    #[test]
+    fn a_search_stopped_at_its_target_leaves_the_far_side_unreached() {
+        let g = graph_from_arcs(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap();
+        let arcs = |u: NodeId| g.neighbors(u).iter().map(|e| (e.to, e.cost));
+        let dist = dijkstra(4, NodeId(0), Some(NodeId(1)), arcs, |_, _| {});
+        assert_eq!(dist, [0.0, 1.0, f64::INFINITY, f64::INFINITY]);
+    }
+
     #[test]
     fn backward_sweeps_equal_sweeps_over_the_reversed_arcs() {
         for seed in 0..40u64 {

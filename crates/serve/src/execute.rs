@@ -33,24 +33,41 @@ impl Group {
     }
 }
 
+/// A worker of the pool: its index and the name of its request counter,
+/// built once.
+pub(super) struct Worker {
+    index: usize,
+    requests_total: String,
+}
+
+impl Worker {
+    pub(super) fn new(index: usize) -> Self {
+        let requests_total = format!("serve_worker_{index}_requests_total");
+        Worker {
+            index,
+            requests_total,
+        }
+    }
+}
+
 /// Classifies one request's result, counts it, emits its life-cycle
 /// events, and resolves its ticket. The caller has already advanced the
 /// virtual clock for the work consumed.
 fn finish(
     shared: &Shared,
     level: &mut Level<Unlocked>,
-    worker: usize,
+    worker: &Worker,
     (job, queue_wait): (Job, Duration),
     service_time: Duration,
     outcome: Result<Exec, ServeError>,
 ) {
     shared.observe("serve_service_seconds", service_time.as_secs_f64());
     shared.inc("serve_requests_total");
-    shared.inc(&format!("serve_worker_{worker}_requests_total"));
+    shared.inc(&worker.requests_total);
     let answer = outcome.map(|exec| {
         if let RouteOutcome::Stale { age } = exec.outcome {
             shared.inc("serve_stale_served_total");
-            shared.emit(ServeEvent::StaleServed {
+            shared.emit(|| ServeEvent::StaleServed {
                 request: job.id,
                 epoch: exec.epoch,
                 age,
@@ -59,9 +76,9 @@ fn finish(
         if let RouteOutcome::Degraded { .. } = exec.outcome {
             shared.inc("serve_degraded_total");
         }
-        shared.emit(ServeEvent::Completed {
+        shared.emit(|| ServeEvent::Completed {
             request: job.id,
-            worker: worker as u64,
+            worker: worker.index as u64,
             epoch: exec.epoch,
             cached: exec.outcome == RouteOutcome::CacheHit,
             found: exec.path.is_some(),
@@ -77,7 +94,7 @@ fn finish(
             cost_units: exec.cost_units,
             queue_wait,
             service_time,
-            worker,
+            worker: worker.index,
         }
     });
     match answer {
@@ -107,7 +124,7 @@ fn finish(
 fn resolve_group(
     shared: &Shared,
     level: &mut Level<Unlocked>,
-    worker: usize,
+    worker: &Worker,
     group: Group,
     result: Result<Exec, ServeError>,
     service_time: Duration,
@@ -154,7 +171,7 @@ fn ticks(cost_units: f64) -> u64 {
 pub(super) fn execute(
     shared: &Shared,
     level: &mut Level<Unlocked>,
-    worker: usize,
+    worker: &Worker,
     snapshot: &ShardSnapshot,
     group: Group,
     now: u64,
@@ -181,6 +198,9 @@ pub(super) fn execute(
         Ok(mut policy) => {
             let budgets = policy.budgets;
             let walked = ladder::walk(&snapshot.db, &shared.rungs, &mut policy, |step| {
+                // The pinned install refuses an estimator its floors do
+                // not admit, as it would a stale artifact.
+                ladder::admit(step.rung.algorithm, |norm| snapshot.epochs.floor_of(norm))?;
                 snapshot
                     .db
                     .run_with_budgets(step.rung.algorithm, group.from, group.to, budgets)
@@ -372,7 +392,7 @@ impl Policy for Breakered<'_> {
         if from.needs == Needs::Hierarchy {
             self.shared.inc("serve_hierarchy_degraded_total");
         }
-        self.shared.emit(ServeEvent::AlgorithmDegraded {
+        self.shared.emit(|| ServeEvent::AlgorithmDegraded {
             request: self.request,
             from: from.name.to_string(),
             to: to.rung.name.to_string(),
@@ -444,7 +464,7 @@ fn cache_hit(
     let hit = shared
         .cache
         .lookup_vec_at(level, group.from, group.to, &snapshot.epochs)?;
-    shared.emit(ServeEvent::CacheHit {
+    shared.emit(|| ServeEvent::CacheHit {
         request: group.lead(),
         epoch: snapshot.install(),
     });

@@ -84,7 +84,7 @@ use std::time::{Duration, Instant};
 
 #[path = "execute.rs"]
 mod execute;
-use execute::{execute, Group};
+use execute::{execute, Group, Worker};
 
 type JoinHandle = sync::thread::JoinHandle<()>;
 
@@ -447,9 +447,11 @@ impl Shared {
         self.clock.fetch_add(ticks, Ordering::Relaxed) + ticks
     }
 
-    fn emit(&self, event: ServeEvent) {
+    /// Records the event `event` builds, building it (and its strings)
+    /// only when a sink is attached.
+    fn emit(&self, event: impl FnOnce() -> ServeEvent) {
         if let Some(sink) = &self.sink {
-            sink.record(&TraceEvent::Serve(event));
+            sink.record(&TraceEvent::Serve(event()));
         }
     }
 
@@ -474,7 +476,7 @@ impl Shared {
         if matches!(t.to, BreakerState::Closed) {
             self.inc("serve_breaker_close_total");
         }
-        self.emit(ServeEvent::BreakerTransition {
+        self.emit(|| ServeEvent::BreakerTransition {
             resource: "storage".to_string(),
             from: t.from.label().to_string(),
             to: t.to.label().to_string(),
@@ -509,7 +511,7 @@ impl Shared {
         if reason == ShedReason::DeadlineExpired {
             self.inc("serve_deadline_expired_total");
         }
-        self.emit(ServeEvent::Shed {
+        self.emit(|| ServeEvent::Shed {
             request: job.id,
             reason: reason.label().to_string(),
             retry_after,
@@ -744,7 +746,7 @@ impl RouteService {
             }
             let retry_after = (depth as u64).max(1) * RETRY_UNIT_TICKS;
             self.shared.inc("serve_shed_total");
-            self.shared.emit(ServeEvent::Shed {
+            self.shared.emit(|| ServeEvent::Shed {
                 request: id,
                 reason: ShedReason::QueueFull.label().to_string(),
                 retry_after,
@@ -780,7 +782,7 @@ impl RouteService {
         }
         self.shared.available.notify_one();
         self.shared.observe("serve_queue_depth", depth as f64);
-        self.shared.emit(ServeEvent::Submitted {
+        self.shared.emit(|| ServeEvent::Submitted {
             request: id,
             queue_depth: depth as u64,
         });
@@ -876,7 +878,7 @@ impl RouteService {
             sweep_started.elapsed().as_secs_f64(),
         );
         self.shared.inc("serve_epoch_installs_total");
-        self.shared.emit(ServeEvent::EpochInstalled {
+        self.shared.emit(|| ServeEvent::EpochInstalled {
             epoch: update.epoch,
             updated_edges: update.updated as u64,
             shards_touched: shards.len() as u64,
@@ -898,7 +900,8 @@ impl Drop for RouteService {
     }
 }
 
-fn worker_loop(shared: &Shared, worker: usize) {
+fn worker_loop(shared: &Shared, index: usize) {
+    let worker = &Worker::new(index);
     let level = &mut Level::root();
     loop {
         // Drain-only batching: take one job (waiting if necessary), then
@@ -947,9 +950,9 @@ fn worker_loop(shared: &Shared, worker: usize) {
         // database and the same (whole) epoch vector.
         let snapshot = shared.epoch_db.snapshot_at(level);
         for (job, _) in &live {
-            shared.emit(ServeEvent::Started {
+            shared.emit(|| ServeEvent::Started {
                 request: job.id,
-                worker: worker as u64,
+                worker: index as u64,
                 epoch: snapshot.install(),
             });
         }
@@ -974,8 +977,8 @@ fn worker_loop(shared: &Shared, worker: usize) {
         }
         if size > 1 {
             shared.observe("serve_batch_size", size as f64);
-            shared.emit(ServeEvent::BatchExecuted {
-                worker: worker as u64,
+            shared.emit(|| ServeEvent::BatchExecuted {
+                worker: index as u64,
                 size,
                 groups: groups.len() as u64,
                 epoch: snapshot.install(),
@@ -1646,7 +1649,8 @@ mod tests {
         // undercuts the cached total could have, so it drops. (0.01 is
         // far below the edge's length, so it also lowers the cost floor
         // to 0.01: crossing the grid no longer costs enough to rule the
-        // edge out.)
+        // edge out, and Manhattan is no longer admissible, so the v3
+        // primary is refused and Dijkstra answers.)
         let (single, grid) = sharded_service(ServeConfig::default().with_workers(1));
         let (sharded, _) = sharded_service(ServeConfig::default().with_workers(1).with_shards(8));
         assert!(single.shards() == 1 && sharded.shards() > 1);
@@ -1667,7 +1671,7 @@ mod tests {
             service.update_edge_cost(ju, jv, 0.01).unwrap();
             assert_eq!(
                 service.route(s, d).unwrap().outcome,
-                RouteOutcome::Computed,
+                RouteOutcome::Degraded { rung: "dijkstra" },
                 "{shards} shard(s): an undercutting decrease must evict it"
             );
         }

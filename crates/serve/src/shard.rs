@@ -57,7 +57,7 @@
 use crate::epoch::{maintain_artifacts, EpochUpdate, Refresh};
 use crate::sync::{self, Arc, Current, Level, LockBefore, Locked, Mutex, Unlocked, Writer};
 use atis_algorithms::{AlgorithmError, Database};
-use atis_graph::{Graph, NodeId, PartitionMap, Point};
+use atis_graph::{Graph, NodeId, Norm, PartitionMap, Point};
 
 /// Region size the partitioner targets when building shard maps — the
 /// workspace convention (storage blocks, hierarchy ordering, scaling
@@ -129,15 +129,15 @@ impl ShardMap {
 
 /// Per-shard versions plus the global install counter, frozen at one
 /// install, with the geometry of the graph installed with them: its
-/// node coordinates and a cost floor. Immutable once published (readers
-/// share it by `Arc`).
+/// node coordinates and its cost floors. Immutable once published
+/// (readers share it by `Arc`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochVector {
     install: u64,
     versions: Vec<u64>,
-    floor: f64,
-    /// Directed edge tuples whose cost ratio is exactly `floor`.
-    at_floor: usize,
+    /// The cost floor under each of [`Norm::ALL`], with the directed edge
+    /// tuples whose ratio is exactly it.
+    floors: [(f64, usize); 2],
     /// The graph's own coordinate array (a std `Arc`, shared with the
     /// graph): the same at every install, since updates change costs
     /// only.
@@ -145,20 +145,18 @@ pub struct EpochVector {
 }
 
 impl EpochVector {
-    /// Install 0 of `graph`, its floor and the tuples at it counted by
-    /// one pass over the edges.
+    /// Install 0 of `graph`, both floors and the tuples at each counted
+    /// by one pass over the edges.
     fn new(shards: usize, graph: &Graph) -> Self {
-        let (floor, at_floor) = graph.cost_floor_with_count();
         EpochVector {
             install: 0,
             versions: vec![0; shards.max(1)],
-            floor,
-            at_floor,
+            floors: graph.cost_floors(),
             points: graph.points(),
         }
     }
 
-    /// The cost floor of the installed graph, exactly
+    /// The cost floor `α` of the installed graph, exactly
     /// [`Graph::cost_floor`]: no edge of this install costs less than
     /// `floor` times its straight-line length, and some edge costs
     /// exactly that. Install 0 takes it by a pass over the edges, and
@@ -168,30 +166,38 @@ impl EpochVector {
     /// routes with its own install's floor, since concurrent updaters may
     /// sweep out of install order.
     pub fn floor(&self) -> f64 {
-        self.floor
+        self.floor_of(Norm::Euclidean)
     }
 
-    /// Carries the floor from `before` to `after`, which differ only in
-    /// the cost of the tuples of `(u, v)`, all re-priced to `cost`: the
-    /// count at the floor drops by the tuples of `(u, v)` that sat at it
-    /// and gains those that sit at it now, read from `neighbors(u)`. Only
-    /// when the count reaches 0 can the floor have risen, and then one
-    /// pass over `after` finds it.
+    /// The installed graph's cost floor under `norm`, kept exactly as
+    /// [`EpochVector::floor`] is (the Manhattan one is `α_M ≤ α`).
+    pub fn floor_of(&self, norm: Norm) -> f64 {
+        norm.select(self.floors).0
+    }
+
+    /// Carries both floors from `before` to `after`, which differ only in
+    /// the cost of the tuples of `(u, v)`, all re-priced to `cost`: under
+    /// each norm the count at the floor drops by the tuples of `(u, v)`
+    /// that sat at it and gains those that sit at it now, read from
+    /// `neighbors(u)`. Only when a count reaches 0 can its floor have
+    /// risen, and then one pass over `after` finds it.
     fn reprice(&mut self, before: &Graph, after: &Graph, (u, v): (NodeId, NodeId), cost: f64) {
-        let at = |graph: &Graph, floor: f64| {
-            graph
-                .neighbors(u)
-                .iter()
-                .filter(|e| e.to == v && graph.cost_ratio(u, v, e.cost) == Some(floor))
-                .count()
-        };
-        self.at_floor -= at(before, self.floor);
-        if let Some(ratio) = after.cost_ratio(u, v, cost).filter(|&r| r < self.floor) {
-            (self.floor, self.at_floor) = (ratio, 0);
-        }
-        self.at_floor += at(after, self.floor);
-        if self.at_floor == 0 {
-            (self.floor, self.at_floor) = after.cost_floor_with_count();
+        for (norm, (floor, count)) in Norm::ALL.into_iter().zip(&mut self.floors) {
+            let at = |graph: &Graph, floor: f64| {
+                graph
+                    .neighbors(u)
+                    .iter()
+                    .filter(|e| e.to == v && graph.cost_ratio(norm, u, v, e.cost) == Some(floor))
+                    .count()
+            };
+            *count -= at(before, *floor);
+            if let Some(ratio) = after.cost_ratio(norm, u, v, cost).filter(|&r| r < *floor) {
+                (*floor, *count) = (ratio, 0);
+            }
+            *count += at(after, *floor);
+            if *count == 0 {
+                (*floor, *count) = norm.select(after.cost_floors());
+            }
         }
     }
 
@@ -440,16 +446,16 @@ mod tests {
             EpochVector {
                 install,
                 versions,
-                floor: 0.0,
-                at_floor: 0,
+                floors: [(0.0, 0); 2],
                 points: std::sync::Arc::from([]),
             }
         }
 
-        /// The same vector over other geometry.
+        /// The same vector over other geometry, with Euclidean floor
+        /// `floor`.
         pub(crate) fn with_geometry(self, floor: f64, points: std::sync::Arc<[Point]>) -> Self {
             EpochVector {
-                floor,
+                floors: [(floor, 0), self.floors[1]],
                 points,
                 ..self
             }
@@ -527,18 +533,22 @@ mod tests {
     fn every_install_carries_the_cost_floor_of_a_fresh_pass() {
         let (store, _) = grid_store(4);
         let base = store.snapshot();
-        assert_eq!(base.epochs.floor(), base.db.graph().cost_floor());
         let edges: Vec<atis_graph::Edge> = base.db.graph().edges().copied().collect();
         let exact = |store: &ShardedEpochDb, step: &str| {
             let snap = store.snapshot();
+            let fresh = snap.db.graph().cost_floors();
             assert_eq!(snap.epochs.floor(), snap.db.graph().cost_floor(), "{step}");
+            for norm in Norm::ALL {
+                assert_eq!(snap.epochs.floor_of(norm), norm.select(fresh).0, "{step}");
+            }
         };
-        let raise_the_floor = |store: &ShardedEpochDb| {
+        exact(&store, "install 0");
+        let raise_the_floor = |store: &ShardedEpochDb, norm: Norm| {
             let snap = store.snapshot();
-            let (floor, graph) = (snap.epochs.floor(), snap.db.graph());
+            let (floor, graph) = (snap.epochs.floor_of(norm), snap.db.graph());
             let at_floor: Vec<atis_graph::Edge> = graph
                 .edges()
-                .filter(|e| graph.cost_ratio(e.from, e.to, e.cost) == Some(floor))
+                .filter(|e| graph.cost_ratio(norm, e.from, e.to, e.cost) == Some(floor))
                 .copied()
                 .collect();
             assert!(!at_floor.is_empty());
@@ -548,7 +558,8 @@ mod tests {
                     .unwrap();
                 exact(store, "raising the floor");
             }
-            assert!(store.snapshot().epochs.floor() > floor, "the floor rises");
+            let risen = store.snapshot().epochs.floor_of(norm);
+            assert!(risen > floor, "the {} floor rises", norm.label());
         };
         for seed in 0..4 {
             let mut rng = atis_graph::SplitMix64::new(seed);
@@ -573,8 +584,10 @@ mod tests {
                 any.update_edge_cost(e.from, e.to, cost).unwrap();
                 exact(&any, &format!("any, step {step}"));
             }
-            raise_the_floor(&rising);
-            raise_the_floor(&any);
+            for norm in Norm::ALL {
+                raise_the_floor(&rising, norm);
+                raise_the_floor(&any, norm);
+            }
         }
     }
 

@@ -24,7 +24,8 @@
 //! Note the paper's Table 4B example *forces* nested-loop ("we assume that
 //! all the algorithms choose the nested-join approach"), which is why
 //! [`JoinPolicy::default`] is `Force(NestedLoop)`; the cost-based chooser
-//! is exercised by the `experiments optimizer` ablation.
+//! is exercised by the `joins` and `optimizer` studies (`experiments
+//! joins`, `experiments optimizer`, blocks in EXPERIMENTS.md).
 
 use crate::io::{CostParams, IoStats};
 use crate::relations::EdgeRelation;

@@ -3,7 +3,9 @@
 //! `atis_bench::studies` renders the paper's own artifacts (Table 4B and
 //! the tables of Figures 5–7, 9 and 10–12), the estimator study's table,
 //! the scaling study's table of its networks and, per metro scale, its
-//! regional and long-haul tables. Each is committed once, in the doc that
+//! regional and long-haul tables; `atis_bench::ablations` renders the
+//! validations, ablations and extensions (`STUDIES`) from rows of the
+//! same runner, all of which one binary-wide run fills, each cell once. Each is committed once, in the doc that
 //! reports it, between `<!-- study: NAME -->` and `<!-- /study -->`, and
 //! each test here renders its tables afresh and requires them byte-equal
 //! to the committed blocks. Every cell is a deterministic counter, so one
@@ -15,7 +17,9 @@
 //! markers the tracked docs carry.
 //!
 //! The same rows carry the orderings the studies exist to show, asserted
-//! here once: v4 < v3 on the paper's networks and v4 < v3 < Dijkstra on
+//! here once: the cost-based join chooser speeds up the best-first runs,
+//! Manhattan loses optimality on the radial city while it flags as
+//! inadmissible, v4 < v3 on the paper's networks and v4 < v3 < Dijkstra on
 //! the metros, v5 < v4 on every long haul and by at least 10× at
 //! metro-100k, an overlay of at most 4.0 arcs per edge, and fewer
 //! physical reads under the region layout than under the shuffled one.
@@ -28,12 +32,16 @@
 //! it run in every build.
 
 use atis_algorithms::{AStarVersion, Algorithm};
-use atis_bench::studies::{self, Counters, SCALES};
-use atis_bench::Table;
+use atis_bench::ablations::{self, STUDIES};
+use atis_bench::studies::{self, Config, Counters, PaperRow, Workload, SCALES};
+use atis_graph::{CostModel, QueryKind, RadialQuery};
+use atis_storage::JoinPolicy;
+use std::fmt::Display;
+use std::sync::OnceLock;
 
 /// Every committed block, as (doc, marker name). A test asserts each of
 /// them, and no other.
-const BLOCKS: [(&str, &str); 16] = [
+const BLOCKS: [(&str, &str); 28] = [
     ("EXPERIMENTS.md", "table4b"),
     ("EXPERIMENTS.md", "fig5"),
     ("EXPERIMENTS.md", "fig6"),
@@ -42,6 +50,18 @@ const BLOCKS: [(&str, &str); 16] = [
     ("EXPERIMENTS.md", "fig10"),
     ("EXPERIMENTS.md", "fig11"),
     ("EXPERIMENTS.md", "fig12"),
+    ("EXPERIMENTS.md", "reports"),
+    ("EXPERIMENTS.md", "models"),
+    ("EXPERIMENTS.md", "joins"),
+    ("EXPERIMENTS.md", "optimizer"),
+    ("EXPERIMENTS.md", "tradeoff"),
+    ("EXPERIMENTS.md", "duplicates"),
+    ("EXPERIMENTS.md", "buffer"),
+    ("EXPERIMENTS.md", "isam"),
+    ("EXPERIMENTS.md", "devices"),
+    ("EXPERIMENTS.md", "scaling"),
+    ("EXPERIMENTS.md", "radial"),
+    ("EXPERIMENTS.md", "seeds"),
     ("EXPERIMENTS.md", "estimators"),
     ("SCALING.md", "networks"),
     ("SCALING.md", "metro-1k regional"),
@@ -55,7 +75,7 @@ const BLOCKS: [(&str, &str); 16] = [
 /// The block `<!-- study: NAME -->` … `<!-- /study -->` of the doc
 /// [`BLOCKS`] files `name` under must be a blank line, `table`, and
 /// nothing else.
-fn assert_committed(name: &str, table: &Table) {
+fn assert_committed(name: &str, table: &impl Display) {
     let doc = BLOCKS
         .iter()
         .find(|&&(_, block)| block == name)
@@ -83,13 +103,80 @@ fn assert_committed(name: &str, table: &Table) {
     );
 }
 
+/// The paper's rows and every study's, each cell run once per binary.
+fn rows() -> &'static [PaperRow] {
+    static ROWS: OnceLock<Vec<PaperRow>> = OnceLock::new();
+    ROWS.get_or_init(|| studies::run_cells(&ablations::all_cells()))
+}
+
 #[test]
 fn the_paper_tables_are_the_committed_ones() {
-    let rows = studies::paper_rows();
-    assert_committed("table4b", &studies::table_4b_table(&rows));
+    let rows = rows();
+    assert_committed("table4b", &studies::table_4b_table(rows));
     for figure in &studies::PAPER_FIGURES {
-        assert_committed(figure.name, &studies::paper_table(figure, &rows));
+        assert_committed(figure.name, &studies::paper_table(figure, rows));
     }
+}
+
+#[test]
+fn the_study_tables_are_the_committed_ones() {
+    for study in &STUDIES {
+        assert_committed(study.name, &(study.render)(rows()));
+    }
+}
+
+#[test]
+fn the_cost_based_chooser_speeds_up_the_best_first_runs() {
+    let diagonal = Workload::Grid {
+        k: 20,
+        costs: CostModel::TWENTY_PERCENT,
+        query: QueryKind::Diagonal,
+    };
+    let chosen = Config {
+        join: JoinPolicy::CostBased,
+        ..Config::PAPER
+    };
+    for algorithm in [Algorithm::Dijkstra, Algorithm::AStar(AStarVersion::V3)] {
+        let forced = studies::row(rows(), (diagonal, algorithm, Config::PAPER));
+        let chosen = studies::row(rows(), (diagonal, algorithm, chosen));
+        assert_eq!(
+            forced.iterations,
+            chosen.iterations,
+            "{}",
+            algorithm.label()
+        );
+        assert!(
+            chosen.cost_units < forced.cost_units,
+            "{}: cost-based {} must undercut forced nested-loop {}",
+            algorithm.label(),
+            chosen.cost_units,
+            forced.cost_units
+        );
+    }
+}
+
+#[test]
+fn manhattan_loses_optimality_on_the_radial_city() {
+    let city = Config {
+        seed: 7,
+        ..Config::PAPER
+    };
+    let offset = Workload::Radial(RadialQuery::Offset);
+    let v3 = studies::row(rows(), (offset, Algorithm::AStar(AStarVersion::V3), city));
+    let excess = 100.0 * (v3.path_cost - v3.optimal) / v3.optimal;
+    assert!(
+        excess >= 0.05,
+        "Offset: v3 must render a loss, got {excess:.3}%"
+    );
+    let radial = STUDIES
+        .iter()
+        .find(|s| s.name == "radial")
+        .expect("a study");
+    let render = (radial.render)(rows());
+    assert!(
+        render.contains("| manhattan | +"),
+        "the admissibility check must flag manhattan:\n{render}"
+    );
 }
 
 #[test]
