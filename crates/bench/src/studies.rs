@@ -221,7 +221,19 @@ pub struct PaperFigure {
     pub sweep: Sweep,
     /// The algorithms compared.
     pub algorithms: [Algorithm; 3],
+    /// Cells the figure's text cites beyond its sweep, as rows after the
+    /// sweep's (labelled in the sweep's column): not in its chart.
+    pub extra: &'static [(&'static str, Workload, Algorithm)],
 }
+
+/// The uniform-cost 30×30 diagonal, where Manhattan is the perfect
+/// estimator: Figure 10's "version 3 performs ten times better than
+/// version 2" is sharpest there.
+const UNIFORM_30: Workload = Workload::Grid {
+    k: 30,
+    costs: CostModel::Uniform,
+    query: QueryKind::Diagonal,
+};
 
 /// The paper's figures in paper order.
 pub const PAPER_FIGURES: [PaperFigure; 7] = [
@@ -232,6 +244,7 @@ pub const PAPER_FIGURES: [PaperFigure; 7] = [
         description: "effect of graph size (diagonal path, 20% edge cost variance)",
         sweep: Sweep::GridSize,
         algorithms: CLASSES,
+        extra: &[],
     },
     PaperFigure {
         name: "fig6",
@@ -240,6 +253,7 @@ pub const PAPER_FIGURES: [PaperFigure; 7] = [
         description: "effect of path length (30x30 grid, 20% edge cost variance)",
         sweep: Sweep::PathLength,
         algorithms: CLASSES,
+        extra: &[],
     },
     PaperFigure {
         name: "fig7",
@@ -248,6 +262,7 @@ pub const PAPER_FIGURES: [PaperFigure; 7] = [
         description: "effect of edge cost models (20x20 grid, diagonal path)",
         sweep: Sweep::CostModel,
         algorithms: CLASSES,
+        extra: &[],
     },
     PaperFigure {
         name: "fig9",
@@ -256,6 +271,7 @@ pub const PAPER_FIGURES: [PaperFigure; 7] = [
         description: "Minneapolis road map queries (synthetic map, distance costs)",
         sweep: Sweep::Minneapolis,
         algorithms: CLASSES,
+        extra: &[],
     },
     PaperFigure {
         name: "fig10",
@@ -264,6 +280,10 @@ pub const PAPER_FIGURES: [PaperFigure; 7] = [
         description: "effect of graph size on A* versions (diagonal, 20% variance)",
         sweep: Sweep::GridSize,
         algorithms: VERSIONS,
+        extra: &[
+            ("30 x 30 uniform", UNIFORM_30, VERSIONS[1]),
+            ("30 x 30 uniform", UNIFORM_30, VERSIONS[2]),
+        ],
     },
     PaperFigure {
         name: "fig11",
@@ -272,6 +292,7 @@ pub const PAPER_FIGURES: [PaperFigure; 7] = [
         description: "effect of edge cost model on A* versions (20x20, diagonal)",
         sweep: Sweep::CostModel,
         algorithms: VERSIONS,
+        extra: &[],
     },
     PaperFigure {
         name: "fig12",
@@ -280,6 +301,7 @@ pub const PAPER_FIGURES: [PaperFigure; 7] = [
         description: "effect of path length on A* versions (30x30, 20% variance)",
         sweep: Sweep::PathLength,
         algorithms: VERSIONS,
+        extra: &[],
     },
 ];
 
@@ -374,6 +396,9 @@ pub fn paper_cells() -> Vec<Cell> {
                 push_new(&mut cells, (workload, algorithm, Config::PAPER));
             }
         }
+        for &(_, workload, algorithm) in figure.extra {
+            push_new(&mut cells, (workload, algorithm, Config::PAPER));
+        }
     }
     cells
 }
@@ -420,7 +445,8 @@ pub(crate) fn vs_optimal(r: &PaperRow) -> String {
 }
 
 /// A figure's table: one row per algorithm and swept value, with the
-/// iterations the paper printed beside ours where it printed any.
+/// iterations the paper printed beside ours where it printed any, then
+/// the figure's extra cells.
 pub fn paper_table(figure: &PaperFigure, rows: &[PaperRow]) -> Table {
     let mut head = vec![figure.sweep.head(), "Algorithm", "Iterations"];
     if figure.table.is_some() {
@@ -440,6 +466,12 @@ pub fn paper_table(figure: &PaperFigure, rows: &[PaperRow]) -> Table {
             cells.extend([fmt_cost(r.cost_units), vs_optimal(r)]);
             t.push_row(cells);
         }
+    }
+    for &(value, workload, algorithm) in figure.extra {
+        let r = paper_row(rows, workload, algorithm);
+        let (iterations, cost) = (r.iterations.to_string(), fmt_cost(r.cost_units));
+        let label = algorithm.label();
+        t.push_row(vec![value.into(), label, iterations, cost, vs_optimal(r)]);
     }
     t
 }

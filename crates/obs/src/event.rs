@@ -172,10 +172,11 @@ pub enum ServeEvent {
         /// Virtual-time tick of the transition.
         at_tick: u64,
     },
-    /// An `UPDATE` installed a new database epoch and swept the cache:
-    /// the global install counter advanced, but only the touched shards'
-    /// versions moved — snapshots over other shards keep hitting the
-    /// cache unswept.
+    /// An `UPDATE` installed a new database epoch and logged it with the
+    /// route cache: the global install counter advanced, but only the
+    /// touched shards' versions moved — cached routes over other shards
+    /// keep hitting without a replay. The cache judges the entries the
+    /// install touched when they are looked up, not here.
     EpochInstalled {
         /// The new epoch number (the global install counter).
         epoch: u64,
@@ -186,11 +187,6 @@ pub enum ServeEvent {
         shards_touched: u64,
         /// Total shards in the serving state.
         shards_total: u64,
-        /// Cache entries dropped by the invalidation rule.
-        invalidated: u64,
-        /// Cache entries proven unaffected and re-stamped to the touched
-        /// shards' new versions.
-        promoted: u64,
     },
     /// A worker drained a batch of admitted requests in one dequeue and
     /// pinned one snapshot for all of them. Requests for the same
@@ -407,16 +403,12 @@ impl ServeEvent {
                 updated_edges,
                 shards_touched,
                 shards_total,
-                invalidated,
-                promoted,
             } => JsonObject::new()
                 .string("type", "serve_epoch_installed")
                 .u64("epoch", *epoch)
                 .u64("updated_edges", *updated_edges)
                 .u64("shards_touched", *shards_touched)
                 .u64("shards_total", *shards_total)
-                .u64("invalidated", *invalidated)
-                .u64("promoted", *promoted)
                 .finish(),
             ServeEvent::BatchExecuted {
                 worker,
@@ -590,12 +582,10 @@ mod tests {
             updated_edges: 2,
             shards_touched: 1,
             shards_total: 8,
-            invalidated: 3,
-            promoted: 9,
         });
         assert_eq!(
             installed.to_json(),
-            r#"{"type":"serve_epoch_installed","epoch":5,"updated_edges":2,"shards_touched":1,"shards_total":8,"invalidated":3,"promoted":9}"#
+            r#"{"type":"serve_epoch_installed","epoch":5,"updated_edges":2,"shards_touched":1,"shards_total":8}"#
         );
     }
 

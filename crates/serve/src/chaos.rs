@@ -379,7 +379,7 @@ pub fn run_scenario(scenario: &ChaosScenario) -> Result<ChaosReport, String> {
     let size = scenario.grid_size.max(2) as u64;
 
     // Warm-up: prime the cache so the stale tier has something to
-    // retire into when the storm's updates sweep it.
+    // retire into when lookups replay the storm's updates on it.
     {
         let mut rng = Rng::new(scenario.seed, 0xFEED);
         for _ in 0..scenario.warmup_requests {

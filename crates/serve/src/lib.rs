@@ -34,13 +34,14 @@
 //!   probing re-closes it once the fault clears.
 //! * **Invalidation-aware route cache** ([`RouteCache`]) — LRU-bounded,
 //!   keyed by `(from, to)` and validated against the shard versions the
-//!   route was stamped with. An update drops exactly the entries it
-//!   could have changed (path uses the updated edge, or a cost decrease
-//!   plus the straight-line detour through the edge, priced at the
-//!   install's cost floor, falls below the cached total) and promotes
-//!   the rest to the new epoch without recomputation; invalidated
-//!   entries retire into the stale tier that backs the degrade ladder's
-//!   last rung.
+//!   route was stamped with. An update only logs itself; a lookup
+//!   replays the logged installs its entry has not seen, drops it if one
+//!   could have changed it (path uses the updated edge, or a cost
+//!   decrease plus the straight-line detour through the edge, priced at
+//!   that install's cost floor, falls below the cached total) and
+//!   otherwise promotes it to the snapshot without recomputation;
+//!   invalidated entries retire into the stale tier that backs the
+//!   degrade ladder's last rung.
 //! * **Deterministic chaos harness** ([`chaos`]) — seeded overload
 //!   waves (arrival bursts, `UPDATE` storms, injected I/O brownouts)
 //!   driven against a real service, asserting the resilience

@@ -3,9 +3,9 @@
 //!
 //! Stamping every install with a single epoch number makes *every*
 //! update look like it touched the whole network: the route cache must
-//! sweep (and re-stamp) every entry, and a cached route between two
-//! untouched suburbs misses just because a street jammed on the other
-//! side of the city.
+//! re-validate every entry, and a cached route between two untouched
+//! suburbs misses just because a street jammed on the other side of the
+//! city.
 //!
 //! Sharding splits the serving state along the storage engine's own
 //! [`PartitionMap`] region groups ([`ShardMap`]): each shard carries its
@@ -162,9 +162,9 @@ impl EpochVector {
     /// exactly that. Install 0 takes it by a pass over the edges, and
     /// every install after it carries it in O(degree) by counting the
     /// edge tuples at it: a decrease below it lowers it, and it rises
-    /// again once no tuple is left at it. A cache sweep bounds
-    /// routes with its own install's floor, since concurrent updaters may
-    /// sweep out of install order.
+    /// again once no tuple is left at it. The route cache logs each
+    /// install with its own floor, and a replay bounds routes by the floor
+    /// of the install it judges them by.
     pub fn floor(&self) -> f64 {
         self.floor_of(Norm::Euclidean)
     }
@@ -331,15 +331,16 @@ impl ShardedEpochDb {
     /// A cost *increase* can only invalidate routes that use the edge,
     /// so it bumps the endpoints' shards; the others keep their
     /// versions, which is what lets the cache carry their routes across
-    /// the install without a sweep. A cost *decrease* can undercut a
+    /// the install without a replay. A cost *decrease* can undercut a
     /// route that never comes near the edge, so it bumps every shard:
-    /// nothing validated before it hits until the sweep has looked at
-    /// it, and a late pre-decrease worker cannot re-admit its route.
+    /// nothing validated before it hits until a lookup has replayed the
+    /// install on it, and a late pre-decrease worker cannot re-admit its
+    /// route.
     ///
     /// An update that touches no tuple — a valid pair with no edge
     /// between it — installs nothing: the report carries the current
     /// install, `updated: 0` and no shards, and there is nothing for a
-    /// cache to sweep.
+    /// cache to log.
     ///
     /// Landmark tables and the contraction hierarchy are whole-graph
     /// artifacts, so their refresh (`maintain_artifacts`: re-price what
@@ -629,16 +630,16 @@ mod tests {
         let after = store.snapshot().epochs;
         assert!(
             cache.lookup_vec(s, d, &after).is_none(),
-            "hit between the install and the sweep"
+            "hit between the install and its log"
         );
         let (old, new) = (upd.update.old_cost, upd.update.new_cost);
-        let swept = cache.apply_shard_update(u, v, old, new, &upd.shards, &upd.epochs);
-        assert_eq!(swept, (1, 0), "0.01 undercuts the cached total");
+        cache.apply_shard_update(u, v, old, new, &upd.shards, &upd.epochs);
         insert();
         assert!(
             cache.lookup_vec(s, d, &after).is_none(),
-            "a pre-decrease worker re-admitted its route after the sweep"
+            "a pre-decrease worker re-admitted its route after the log"
         );
+        assert_eq!(cache.stats().invalidations, 1, "0.01 undercuts the total");
     }
 
     #[test]

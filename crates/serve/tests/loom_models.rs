@@ -305,22 +305,22 @@ fn shard_install_vs_batched_read_race() {
     });
 }
 
-/// Race: an update installing and then sweeping the cache, while a
-/// reader pins snapshots and looks three one-hop routes up — one over
-/// the updated edge, one beside it (same shards), one far from it
-/// (other shards). `clear` picks a decrease; otherwise the edge jams.
-///
-/// Invariants under every interleaving, for a snapshot at or after the
-/// update's install: the on-edge route is never served; a hit on the
-/// neighbouring route was promoted by this sweep (it carries the
-/// update's install, same cost bits); and after a decrease — which can
-/// undercut a route anywhere — so was a hit on the far route: the
-/// install takes every entry out of service until the sweep has
-/// re-validated it. Either way the sweep drops exactly the on-edge
-/// route: a route through the cleared edge costs the edge plus the
-/// floor times its straight-line span, more than either other route's
-/// total, so the install's floor bound keeps both.
-fn install_and_sweep_vs_lookup_race(clear: bool) {
+/// Three one-hop routes cached at install 1 (a jam) of a 24×24 grid on
+/// four shards: one over the jammed edge, one beside it (same shards),
+/// one far from it (other shards).
+struct Routes {
+    db: Arc<ShardedEpochDb>,
+    cache: Arc<RouteCache>,
+    pinned: atis_serve::ShardSnapshot,
+    edge: (NodeId, NodeId),
+    beside: (NodeId, NodeId),
+    far: (NodeId, NodeId),
+}
+
+/// The grid, its shard map and the three routes' edges, checked once
+/// outside the model; `routes` builds a fresh store and cache from them
+/// for each explored schedule.
+fn route_setup() -> (Database, ShardMap, [(NodeId, NodeId); 3], f64) {
     let grid = Grid::new(24, CostModel::TWENTY_PERCENT, 7).expect("grid");
     let base = Database::open(grid.graph()).expect("open");
     let map = ShardMap::build(base.graph(), 4);
@@ -331,38 +331,80 @@ fn install_and_sweep_vs_lookup_race(clear: bool) {
     assert_eq!(shards(beside), shards(edge));
     assert!(shards(far).iter().all(|f| !shards(edge).contains(f)));
     let free_flow = base.graph().edge_cost(edge.0, edge.1).expect("edge");
+    (base, map, [edge, beside, far], free_flow)
+}
+
+fn routes(
+    base: &Database,
+    map: &ShardMap,
+    [edge, beside, far]: [(NodeId, NodeId); 3],
+    jammed: f64,
+) -> Routes {
+    let db = Arc::new(ShardedEpochDb::new(base.clone(), map.clone()));
+    // Install 1 jams the edge; the cache is filled after it (so the jam
+    // needs no log).
+    db.update_edge_cost(edge.0, edge.1, jammed).expect("jam");
+    let pinned = db.snapshot();
+    let cache = Arc::new(RouteCache::new(8));
+    for (a, b) in [edge, beside, far] {
+        let route = CachedRoute {
+            path: Path {
+                nodes: vec![a, b],
+                cost: pinned.db.graph().edge_cost(a, b).expect("edge"),
+            },
+            epoch: pinned.install(),
+            iterations: 3,
+            cost_units: 10.0,
+        };
+        let stamps = map.path_shards(&[a, b]).into_iter();
+        let stamps = stamps.map(|shard| (shard, pinned.epochs.version(shard)));
+        cache.insert_stamped(a, b, route, stamps.collect());
+    }
+    Routes {
+        db,
+        cache,
+        pinned,
+        edge,
+        beside,
+        far,
+    }
+}
+
+/// Race: an update installing and then logging itself with the cache,
+/// while a reader pins snapshots and looks the three routes up. `clear`
+/// picks a decrease (install 2 clears the jam back to free flow, below
+/// the other two routes' totals); otherwise the edge jams further.
+///
+/// Invariants under every interleaving, for a snapshot at or after the
+/// update's install: the on-edge route is never served; a hit on the
+/// neighbouring route was promoted by a replay of this install (it
+/// carries install 2, same cost bits); and after a decrease — which can
+/// undercut a route anywhere — so was a hit on the far route: the
+/// install takes every entry out of service until a lookup has replayed
+/// it. Either way the replays drop exactly the on-edge route, once: a
+/// route through the cleared edge costs the edge plus the floor times
+/// its straight-line span, more than either other route's total, so the
+/// install's floor bound keeps both, and each is promoted once.
+fn install_and_log_vs_lookup_race(clear: bool) {
+    let (base, map, edges, free_flow) = route_setup();
     let jammed = free_flow + 50.0;
 
     loom::model(move || {
-        let db = Arc::new(ShardedEpochDb::new(base.clone(), map.clone()));
-        // Install 1 jams the edge; install 2 clears it back to free flow,
-        // below the other two routes' totals, but a route through the edge
-        // would cost its span on top: the floor bound keeps them both.
-        db.update_edge_cost(edge.0, edge.1, jammed).expect("jam");
-        let pinned = db.snapshot();
-        let cache = Arc::new(RouteCache::new(8));
-        for (a, b) in [edge, beside, far] {
-            let route = CachedRoute {
-                path: Path {
-                    nodes: vec![a, b],
-                    cost: pinned.db.graph().edge_cost(a, b).expect("edge"),
-                },
-                epoch: pinned.install(),
-                iterations: 3,
-                cost_units: 10.0,
-            };
-            let stamps = map.path_shards(&[a, b]).into_iter();
-            let stamps = stamps.map(|shard| (shard, pinned.epochs.version(shard)));
-            cache.insert_stamped(a, b, route, stamps.collect());
-        }
-
+        let Routes {
+            db,
+            cache,
+            pinned,
+            edge,
+            beside,
+            far,
+        } = routes(&base, &map, edges, jammed);
         let writer = {
             let (db, cache) = (db.clone(), cache.clone());
             let cost = if clear { free_flow } else { jammed + 10.0 };
             loom::thread::spawn(move || {
                 let up = db.update_edge_cost(edge.0, edge.1, cost).expect("install");
                 let (old, new) = (up.update.old_cost, up.update.new_cost);
-                cache.apply_shard_update(edge.0, edge.1, old, new, &up.shards, &up.epochs)
+                cache.apply_shard_update(edge.0, edge.1, old, new, &up.shards, &up.epochs);
             })
         };
         let reader = {
@@ -386,24 +428,86 @@ fn install_and_sweep_vs_lookup_race(clear: bool) {
                 }
             })
         };
-        let promoted = if clear { 2 } else { 1 };
-        assert_eq!(writer.join().expect("writer"), (1, promoted));
+        writer.join().expect("writer");
         reader.join().expect("reader");
         let now = db.snapshot().epochs;
         assert!(cache.lookup_vec(edge.0, edge.1, &now).is_none());
         assert!(cache.lookup_vec(beside.0, beside.1, &now).is_some());
         assert!(cache.lookup_vec(far.0, far.1, &now).is_some());
+        let stats = cache.stats();
+        let promoted = if clear { 2 } else { 1 };
+        assert_eq!((stats.invalidations, stats.promotions), (1, promoted));
     });
 }
 
 #[test]
-fn cache_promote_or_drop_sweep() {
-    install_and_sweep_vs_lookup_race(false);
+fn cache_promote_or_drop_replay() {
+    install_and_log_vs_lookup_race(false);
 }
 
 #[test]
 fn decrease_install_vs_vector_lookup_race() {
-    install_and_sweep_vs_lookup_race(true);
+    install_and_log_vs_lookup_race(true);
+}
+
+/// Race: an install published but not yet logged with the cache, while
+/// a reader looks the three routes up at the snapshots it pins.
+///
+/// Invariants under every interleaving: at a snapshot of the install,
+/// no route whose shards it bumped is ever served — not even the one
+/// beside the edge, which the replay would keep — since the lookup
+/// cannot replay what the log does not hold, and nothing it missed is
+/// dropped for it; once the install is logged, the lookups judge the
+/// routes as a replay does. The far route, whose shards a jam does not
+/// bump, hits throughout.
+#[test]
+fn a_lookup_at_an_install_not_logged_yet_never_hits() {
+    let (base, map, edges, free_flow) = route_setup();
+    let jammed = free_flow + 50.0;
+
+    loom::model(move || {
+        let Routes {
+            db,
+            cache,
+            edge,
+            beside,
+            far,
+            ..
+        } = routes(&base, &map, edges, jammed);
+        let writer = {
+            let db = db.clone();
+            loom::thread::spawn(move || db.update_edge_cost(edge.0, edge.1, jammed + 10.0))
+        };
+        let reader = {
+            let (db, cache) = (db.clone(), cache.clone());
+            loom::thread::spawn(move || {
+                for _ in 0..4 {
+                    let snap = db.snapshot();
+                    let hit = |(a, b): (NodeId, NodeId)| cache.lookup_vec(a, b, &snap.epochs);
+                    if snap.install() == 2 {
+                        assert!(hit(edge).is_none() && hit(beside).is_none(), "hit unlogged");
+                    }
+                    assert!(hit(far).is_some());
+                    loom::thread::yield_now();
+                }
+            })
+        };
+        let up = writer.join().expect("writer").expect("install");
+        reader.join().expect("reader");
+        assert_eq!(cache.len(), 3, "a miss for want of the log drops nothing");
+        let (old, new) = (up.update.old_cost, up.update.new_cost);
+        cache.apply_shard_update(edge.0, edge.1, old, new, &up.shards, &up.epochs);
+        let now = db.snapshot().epochs;
+        assert!(cache.lookup_vec(edge.0, edge.1, &now).is_none());
+        assert_eq!(
+            cache.lookup_vec(beside.0, beside.1, &now).map(|r| r.epoch),
+            Some(2)
+        );
+        assert_eq!(
+            cache.lookup_vec(far.0, far.1, &now).map(|r| r.epoch),
+            Some(1)
+        );
+    });
 }
 
 /// Race: two writers and one reader, now that an install is built

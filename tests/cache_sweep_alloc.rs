@@ -1,13 +1,13 @@
-//! The route cache's update sweep allocates for what it drops, not for
-//! what it holds: an increase that promotes or skips every entry, and a
-//! decrease whose geometric bound keeps the entries it examines, move
-//! no entry, so neither may rebuild the table — and the increase
-//! restamps each entry it promotes in the slot it holds. A deterministic
-//! count of the bytes the sweep asks the allocator for, not a timing.
+//! An update costs the route cache its log append, whatever the cache
+//! holds: it reads no entry, moves no statistic and asks the allocator
+//! for the same bytes whether 64 or 1 024 entries are cached. A lookup
+//! that replays the update on its entry and promotes it where it sits
+//! allocates nothing beyond the answer it hands back. Deterministic
+//! counts of the bytes asked for, not timings.
 
 use atis::algorithms::memory::dijkstra_pair;
 use atis::algorithms::Database;
-use atis::serve::{CachedRoute, RouteCache, ShardMap, ShardedEpochDb};
+use atis::serve::{CachedRoute, RouteCache, ShardMap, ShardSnapshot, ShardedEpochDb};
 use atis::{CostModel, Grid, NodeId, Path};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,28 +66,23 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 const CAPACITY: u32 = 1024;
 
-#[test]
-fn an_increase_sweep_that_moves_no_entry_allocates_at_most_a_kib() {
-    let grid = Grid::new(12, CostModel::TWENTY_PERCENT, 1993).unwrap();
-    let graph = grid.graph();
-    let store = ShardedEpochDb::new(Database::open(graph).unwrap(), ShardMap::build(graph, 4));
-    let edge = graph.edges().next().unwrap();
-    let (u, v) = (edge.from, edge.to);
+/// A full cache of `capacity` one-hop routes that avoid `edge`: half
+/// cross a shard a jam on it bumps, half do not. Their nodes are not the
+/// graph's, so the bound is the edge's cost alone, which no clear brings
+/// below their totals.
+fn full_cache(store: &ShardedEpochDb, edge: (NodeId, NodeId), capacity: u32) -> RouteCache {
     let map = store.map();
-    let touched = map.shard_of(u);
+    let touched = map.shard_of(edge.0);
     let other = (0..4)
-        .find(|&s| s != map.shard_of(u) && s != map.shard_of(v))
+        .find(|&s| s != map.shard_of(edge.0) && s != map.shard_of(edge.1))
         .unwrap();
-
-    // A full cache of routes that avoid the jammed edge: half cross a
-    // shard the jam bumps (promoted in place), half do not (skipped).
-    let cache = RouteCache::new(CAPACITY as usize);
-    for i in 0..CAPACITY {
-        let (from, to) = (NodeId(10_000 + i), NodeId(20_000 + i));
+    let cache = RouteCache::new(capacity as usize);
+    for i in 0..capacity {
+        let (from, to) = key(i);
         let route = CachedRoute {
             path: Path {
                 nodes: vec![from, to],
-                cost: 1.0,
+                cost: 0.25,
             },
             epoch: 0,
             iterations: 1,
@@ -96,63 +91,76 @@ fn an_increase_sweep_that_moves_no_entry_allocates_at_most_a_kib() {
         let shard = if i % 2 == 0 { touched } else { other };
         cache.insert_stamped(from, to, route, vec![(shard, 0)]);
     }
-    assert_eq!(cache.len(), CAPACITY as usize);
+    assert_eq!(cache.len(), capacity as usize);
+    cache
+}
 
-    let applied = store.update_edge_cost(u, v, 1000.0).unwrap();
-    assert!(applied.update.new_cost > applied.update.old_cost);
-    let key = |i: u32| (NodeId(10_000 + i), NodeId(20_000 + i));
-    let sites = |cache: &RouteCache| -> Vec<_> {
-        let site = |(from, to)| cache.stamp_site(from, to).unwrap();
-        (0..CAPACITY).map(key).map(site).collect()
-    };
-    let before = sites(&cache);
-    let (swept, bytes) = counted(|| {
-        cache.apply_shard_update(
-            u,
-            v,
-            applied.update.old_cost,
-            applied.update.new_cost,
-            &applied.shards,
-            &applied.epochs,
-        )
-    });
-    assert_eq!(swept, (0, u64::from(CAPACITY / 2)), "nothing dropped");
-    assert_eq!(cache.len(), CAPACITY as usize);
-    assert!(
-        bytes <= 1024,
-        "the sweep allocated {bytes} bytes for a {CAPACITY}-entry cache it did not shrink"
-    );
-    // Every entry kept its slot in the same arrays: the promoted half was
-    // restamped where it sits, and now hits at the new install as valid
-    // there; the skipped half hits as the install-0 answer it was.
-    assert_eq!(sites(&cache), before, "the sweep moved an entry");
-    for i in 0..CAPACITY {
-        let (from, to) = key(i);
-        let hit = cache.lookup_vec(from, to, &applied.epochs).unwrap();
-        let promoted = i % 2 == 0;
-        let epoch = if promoted { applied.update.epoch } else { 0 };
-        assert_eq!(hit.epoch, epoch, "entry {i}");
-    }
+fn key(i: u32) -> (NodeId, NodeId) {
+    (NodeId(10_000 + i), NodeId(20_000 + i))
 }
 
 #[test]
-fn a_decrease_sweep_that_promotes_the_cache_allocates_at_most_a_kib() {
+fn an_update_reads_no_entry_and_allocates_alike_into_a_small_and_a_large_cache() {
     let grid = Grid::new(40, CostModel::TWENTY_PERCENT, 1993).unwrap();
     let graph = grid.graph();
     let store = ShardedEpochDb::new(Database::open(graph).unwrap(), ShardMap::build(graph, 4));
-    // A jam at the edge of the trips' area: its clear undercuts the few
-    // trips that run beside it, and the bound keeps the rest.
-    let (u, v) = (grid.node_at(28, 24), grid.node_at(28, 25));
-    let base = graph.edge_cost(u, v).unwrap();
-    store.update_edge_cost(u, v, base * 4.0).unwrap();
+    assert_eq!(store.map().shard_count(), 4);
+    let edge = graph.edges().next().unwrap();
+    let (u, v) = (edge.from, edge.to);
+    let caches = [64, 1024].map(|capacity| full_cache(&store, (u, v), capacity));
+    let sites = |cache: &RouteCache| -> Vec<_> {
+        let count = cache.capacity() as u32;
+        let site = |(from, to)| cache.stamp_site(from, to).unwrap();
+        (0..count).map(key).map(site).collect()
+    };
 
-    // A full cache of short trips all over the grid, computed at the jam.
-    let snapshot = store.snapshot();
+    // A jam and its clear, each logged with both caches.
+    let base = graph.edge_cost(u, v).unwrap();
+    for cost in [base * 4.0, base] {
+        let applied = store.update_edge_cost(u, v, cost).unwrap();
+        let bytes = caches.each_ref().map(|cache| {
+            let (before, stats) = (sites(cache), cache.stats());
+            let (_, bytes) = counted(|| {
+                cache.apply_shard_update(
+                    u,
+                    v,
+                    applied.update.old_cost,
+                    applied.update.new_cost,
+                    &applied.shards,
+                    &applied.epochs,
+                )
+            });
+            assert_eq!(cache.stats(), stats, "the update moved a statistic");
+            assert_eq!(sites(cache), before, "the update moved an entry");
+            bytes
+        });
+        assert_eq!(
+            bytes[0], bytes[1],
+            "the update allocated {} bytes into 64 entries, {} into 1 024",
+            bytes[0], bytes[1]
+        );
+    }
+    // The lookups judge the entries: the jam bumped one shard of the
+    // two, the clear every shard, and neither is on a cached path.
+    let now = store.snapshot();
+    for cache in &caches {
+        for i in 0..cache.capacity() as u32 {
+            let (from, to) = key(i);
+            let hit = cache.lookup_vec(from, to, &now.epochs).unwrap();
+            assert_eq!(hit.epoch, now.install(), "entry {i}");
+        }
+        let stats = cache.stats();
+        let count = cache.capacity() as u64;
+        assert_eq!((stats.invalidations, stats.promotions), (0, count / 2 * 3));
+    }
+}
+
+/// A full cache of short trips in the grid's upper rows, computed at
+/// `snapshot`.
+fn trips(grid: &Grid, store: &ShardedEpochDb, snapshot: &ShardSnapshot) -> RouteCache {
     let cache = RouteCache::new(CAPACITY as usize);
-    let mut at = 0;
-    while cache.len() < CAPACITY as usize {
+    for at in 0..CAPACITY as usize {
         let (row, col) = (at / 37, at % 37);
-        at += 1;
         let (from, to) = (grid.node_at(row, col), grid.node_at(row + 1, col + 3));
         let path = dijkstra_pair(snapshot.db.graph(), from, to).unwrap();
         let stamps = store.map().path_shards(&path.nodes).into_iter();
@@ -167,31 +175,53 @@ fn a_decrease_sweep_that_promotes_the_cache_allocates_at_most_a_kib() {
         };
         cache.insert_stamped(from, to, route, stamps);
     }
+    assert_eq!(cache.len(), CAPACITY as usize);
+    cache
+}
 
+#[test]
+fn a_replaying_hit_that_promotes_allocates_only_its_answer() {
+    let grid = Grid::new(40, CostModel::TWENTY_PERCENT, 1993).unwrap();
+    let graph = grid.graph();
+    let store = ShardedEpochDb::new(Database::open(graph).unwrap(), ShardMap::build(graph, 4));
+    // A jam in the far corner, below the trips' rows: its clear bumps
+    // every shard, and the bound keeps every trip.
+    let (u, v) = (grid.node_at(39, 38), grid.node_at(39, 39));
+    let base = graph.edge_cost(u, v).unwrap();
+    store.update_edge_cost(u, v, base * 4.0).unwrap();
+    let jammed = store.snapshot();
+
+    // Two caches alike; only the first logs the clear, and is looked up
+    // after it. The second is looked up at the jam, where every entry
+    // hits as it stands, so the two do the same LRU bookkeeping.
+    let (replaying, standing) = (trips(&grid, &store, &jammed), trips(&grid, &store, &jammed));
     let applied = store.update_edge_cost(u, v, base).unwrap();
     assert!(applied.update.new_cost < applied.update.old_cost);
-    let (swept, bytes) = counted(|| {
-        cache.apply_shard_update(
-            u,
-            v,
-            applied.update.old_cost,
-            applied.update.new_cost,
-            &applied.shards,
-            &applied.epochs,
-        )
-    });
-    let (invalidated, promoted) = swept;
-    assert_eq!(
-        invalidated + promoted,
-        u64::from(CAPACITY),
-        "a decrease examines every entry"
+    replaying.apply_shard_update(
+        u,
+        v,
+        applied.update.old_cost,
+        applied.update.new_cost,
+        &applied.shards,
+        &applied.epochs,
     );
-    assert!(
-        promoted * 10 >= u64::from(CAPACITY) * 9,
-        "the bound kept only {promoted} of {CAPACITY} entries"
-    );
-    assert!(
-        bytes <= 1024,
-        "the sweep allocated {bytes} bytes to drop {invalidated} of {CAPACITY} entries"
-    );
+    for at in 0..CAPACITY as usize {
+        let (row, col) = (at / 37, at % 37);
+        let (from, to) = (grid.node_at(row, col), grid.node_at(row + 1, col + 3));
+        let (promoted, bytes) = counted(|| replaying.lookup_vec(from, to, &applied.epochs));
+        let (hit, plain) = counted(|| standing.lookup_vec(from, to, &jammed.epochs));
+        let (promoted, hit) = (promoted.unwrap(), hit.unwrap());
+        assert_eq!(
+            (promoted.epoch, hit.epoch),
+            (applied.update.epoch, jammed.install())
+        );
+        assert_eq!(promoted.path, hit.path);
+        assert_eq!(
+            bytes, plain,
+            "trip {at}: the replaying hit allocated {bytes} bytes, a plain hit {plain}"
+        );
+    }
+    let stats = replaying.stats();
+    assert_eq!(stats.promotions, u64::from(CAPACITY));
+    assert_eq!(stats.invalidations, 0);
 }

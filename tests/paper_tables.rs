@@ -371,21 +371,18 @@ fn figure10_version3_beats_version2_at_scale() {
     // "For the 30x30 grid, version 3 performs ten times better than
     // version 2" — the estimator-quality headline. The effect is
     // sharpest where Manhattan is the perfect estimator: the uniform-cost
-    // grid (we measure ~4.4x on the diagonal; EXPERIMENTS.md discusses
-    // the factor). No figure runs the uniform 30×30 grid, so this test
-    // runs it.
-    let grid = Grid::new(30, CostModel::Uniform, SEED).unwrap();
-    let db = Database::open(grid.graph()).unwrap();
-    let params = CostParams::default();
-    let (s, d) = grid.query_pair(QueryKind::Diagonal);
-    let v2 = db.run(V2, s, d).unwrap().cost_units(&params);
-    let v3 = db.run(V3, s, d).unwrap().cost_units(&params);
+    // grid, whose diagonal Figure 10's rows carry (EXPERIMENTS.md's
+    // `fig10` block, which the text discusses the factor from).
+    let uniform = grid(30, CostModel::Uniform, QueryKind::Diagonal);
+    let (v2, v3) = (cost(V2, uniform), cost(V3, uniform));
     assert!(
         v3 * 3.0 < v2,
         "v3 {v3} should be several times cheaper than v2 {v2}"
     );
     // Manhattan never loses to Euclidean on grids ("Manhattan distance
     // also outperforms euclidean distance for grid graphs").
+    let grid = Grid::new(30, CostModel::Uniform, SEED).unwrap();
+    let db = Database::open(grid.graph()).unwrap();
     for kind in QueryKind::TABLE {
         let (s, d) = grid.query_pair(kind);
         let v2 = db.run(V2, s, d).unwrap().iterations;
