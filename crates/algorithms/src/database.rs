@@ -31,8 +31,8 @@ use atis_storage::{
 /// The one rule: a run checks both limits at the top of every iteration
 /// and after its last selection, and fails once it has completed more
 /// than `max_iterations` iterations or charged more than `max_cost_units`
-/// — so an `Ok` run kept within both (A\* version 5 excepted: it unpacks
-/// its path after its last check).
+/// — so an `Ok` run kept within both (A\* version 5 checks once more
+/// after unpacking its path, whose reads count too).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Budgets {
     /// Maximum main-loop iterations (frontier selections / rounds).

@@ -20,13 +20,19 @@
 //! it can: every label write reads the other side's label at the same
 //! node.
 //!
-//! Metering stays honest to the paper's cost-model lens: settling a
-//! node charges the blocks its up-arc list occupies (at
-//! [`ARC_TUPLE_SIZE`] bytes per arc), and every arc lookup during
-//! shortcut unpacking charges one block read. The search never touches
-//! `S` or builds an `R` — the overlay *is* its database — so the trace
-//! reports pure overlay I/O, comparable unit-for-unit with the flat
-//! versions' relation I/O.
+//! Metering stays honest to the paper's cost-model lens, and each list
+//! a step needs is fetched and charged once. Settling a node charges
+//! the blocks its up-arc list occupies (at [`ARC_TUPLE_SIZE`] bytes per
+//! arc); when both sides settle the same ancestor at a depth, the
+//! backward settle relaxes the list the forward one fetched. Each
+//! label carries the middle of the arc direction that last improved
+//! it, read from that fetched row, so the up-down chain needs no
+//! lookup. Unpacking a shortcut through `m` fetches `m`'s list once
+//! ([`Hierarchy::halves`]): the block, or two, holding both halves'
+//! records and their own middles, so a real edge is never looked up.
+//! The search never touches `S` or builds an `R` — the overlay *is*
+//! its database — so the trace reports pure overlay I/O, comparable
+//! unit-for-unit with the flat versions' relation I/O.
 
 use crate::database::{Budgets, Database};
 use crate::error::AlgorithmError;
@@ -78,8 +84,8 @@ pub(crate) fn run(
     // which on the overlay means relaxing the `bwd` side of each up-arc).
     // The roots meet only if they are one node.
     let mut labels = [Labels::new(hierarchy, s), Labels::new(hierarchy, d)];
-    labels[FWD].improve(s.0, 0.0, NO_PARENT);
-    labels[BWD].improve(d.0, 0.0, NO_PARENT);
+    labels[FWD].improve(s.0, 0.0, NO_PARENT, None);
+    labels[BWD].improve(d.0, 0.0, NO_PARENT, None);
     let (mut best, mut meet) = if s == d {
         (0.0, Some(s.0))
     } else {
@@ -93,6 +99,8 @@ pub(crate) fn run(
 
     let top = hierarchy.depth(s).max(hierarchy.depth(d));
     for depth in (0..=top).rev() {
+        // The list the forward side fetched at this depth, if it settled.
+        let mut fetched = None;
         for side in [FWD, BWD] {
             let Some(Label { node: u, dist, .. }) = labels[side].at_depth(depth) else {
                 continue;
@@ -105,14 +113,19 @@ pub(crate) fn run(
             meter.check(iterations, &io)?;
             iterations += 1;
             order.push(NodeId(u));
-            // Settling u reads its up-arc sublist from the overlay relation.
-            let arc_bytes = hierarchy.up_degree(NodeId(u)) * ARC_TUPLE_SIZE;
-            io.read_blocks(arc_bytes.div_ceil(BLOCK_SIZE).max(1) as u64);
+            // Settling u reads its up-arc sublist from the overlay
+            // relation, unless the forward side just read it: both
+            // searches hold u, a shared ancestor.
+            if fetched != Some(u) {
+                let arc_bytes = hierarchy.up_degree(NodeId(u)) * ARC_TUPLE_SIZE;
+                io.read_blocks(arc_bytes.div_ceil(BLOCK_SIZE).max(1) as u64);
+                fetched = Some(u);
+            }
 
-            for arc in hierarchy.up_arcs(NodeId(u)) {
-                let next = dist + if side == FWD { arc.fwd } else { arc.bwd };
-                let v = arc.head.0;
-                if let Some(first) = labels[side].improve(v, next, u) {
+            for step in hierarchy.up_steps(NodeId(u), side == FWD) {
+                let next = dist + step.cost;
+                let v = step.head.0;
+                if let Some(first) = labels[side].improve(v, next, u, step.middle) {
                     open += u64::from(first);
                     // Meeting on write: a settle-time test would let
                     // `best` lag until the node's depth came up.
@@ -174,12 +187,14 @@ struct Labels<'h> {
     slots: Vec<Label>,
 }
 
-/// A node's tentative cost from its side's root and its predecessor.
+/// A node's tentative cost from its side's root, its predecessor, and
+/// the unpack middle of the arc direction between the two.
 #[derive(Clone, Copy)]
 struct Label {
     node: u32,
     dist: f64,
     parent: u32,
+    middle: Option<NodeId>,
 }
 
 impl<'h> Labels<'h> {
@@ -189,6 +204,7 @@ impl<'h> Labels<'h> {
             node: NO_PARENT,
             dist: f64::INFINITY,
             parent: NO_PARENT,
+            middle: None,
         };
         Labels {
             hierarchy,
@@ -212,10 +228,10 @@ impl<'h> Labels<'h> {
             .filter(|label| label.node != NO_PARENT)
     }
 
-    /// The predecessor of `v`, a node this side has reached:
+    /// The label of `v`, a node this side has reached: its parent is
     /// [`NO_PARENT`] at the root.
-    fn parent(&self, v: u32) -> u32 {
-        self.slots[self.slot(v)].parent
+    fn label(&self, v: u32) -> Label {
+        self.slots[self.slot(v)]
     }
 
     /// The cost of any node `u` on this side: ∞ unless `u` is an
@@ -228,9 +244,10 @@ impl<'h> Labels<'h> {
     }
 
     /// Lowers the label of `v`, an ancestor of this side's root, to
-    /// `dist` via `parent` where that is cheaper. Returns `None` if it
-    /// was not, else whether this is the first label `v` gets.
-    fn improve(&mut self, v: u32, dist: f64, parent: u32) -> Option<bool> {
+    /// `dist` via `parent` (unpacking through `middle`) where that is
+    /// cheaper. Returns `None` if it was not, else whether this is the
+    /// first label `v` gets.
+    fn improve(&mut self, v: u32, dist: f64, parent: u32, middle: Option<NodeId>) -> Option<bool> {
         let slot = self.slot(v);
         let label = &mut self.slots[slot];
         debug_assert!(
@@ -246,12 +263,13 @@ impl<'h> Labels<'h> {
             node: v,
             dist,
             parent,
+            middle,
         };
         Some(first)
     }
 }
 
-/// Reconstructs the up-down node chain through `meet`, unpacks every
+/// Reconstructs the up-down chain through `meet`, unpacks every
 /// shortcut to real edges, and re-prices the final path left-to-right
 /// against the resident graph (so the reported cost is the sum the
 /// validator recomputes, not the float-reassociated overlay sum). An
@@ -266,40 +284,46 @@ fn unpack_path(
     labels: &[Labels; 2],
     io: &mut IoStats,
 ) -> Result<Path, GraphError> {
-    // Climb the parent links: s ⇝ meet (reversed) and meet ⇝ d.
-    let mut chain = Vec::new();
+    // The up-down chain as a stack of hops, each with the middle its
+    // label carries, the hop out of `s` on top: meet ⇝ d reversed, then
+    // s ⇝ meet climbed from `meet`.
+    let mut stack = Vec::new();
     let mut cur = meet;
-    while cur != NO_PARENT {
-        chain.push(NodeId(cur));
-        cur = labels[FWD].parent(cur);
-    }
-    chain.reverse();
-    let mut cur = labels[BWD].parent(meet);
-    while cur != NO_PARENT {
-        chain.push(NodeId(cur));
-        cur = labels[BWD].parent(cur);
-    }
-    debug_assert_eq!(chain.first(), Some(&s));
-    debug_assert_eq!(chain.last(), Some(&d));
-
-    // Expand each overlay hop depth-first; pushing the (middle, head)
-    // half second keeps the emission left-to-right. Every arc lookup is
-    // one probe into the overlay relation: one block read.
-    let mut nodes = vec![s];
-    let mut stack: Vec<(NodeId, NodeId)> = Vec::new();
-    for hop in chain.windows(2) {
-        stack.push((hop[0], hop[1]));
-        while let Some((a, b)) = stack.pop() {
-            io.read_blocks(1);
-            match hierarchy.arc_direction(a, b) {
-                Some((_, Some(m))) => {
-                    stack.push((m, b));
-                    stack.push((a, m));
-                }
-                _ => nodes.push(b),
-            }
+    loop {
+        let Label { parent, middle, .. } = labels[BWD].label(cur);
+        if parent == NO_PARENT {
+            break;
         }
+        stack.push((NodeId(cur), NodeId(parent), middle));
+        cur = parent;
     }
+    stack.reverse();
+    let mut cur = meet;
+    loop {
+        let Label { parent, middle, .. } = labels[FWD].label(cur);
+        if parent == NO_PARENT {
+            break;
+        }
+        stack.push((NodeId(parent), NodeId(cur), middle));
+        cur = parent;
+    }
+
+    // Expand the hops depth-first; pushing the (middle, head) half
+    // first keeps the emission left-to-right. A hop without a middle is
+    // a real edge; one through `m` fetches `m`'s up-arc list once, for
+    // both halves and their own middles.
+    let mut nodes = vec![s];
+    while let Some((a, b, middle)) = stack.pop() {
+        let Some(m) = middle else {
+            nodes.push(b);
+            continue;
+        };
+        let halves = hierarchy.halves(a, m, b);
+        io.read_blocks(halves.blocks);
+        stack.push((m, b, halves.second.and_then(|(_, via)| via)));
+        stack.push((a, m, halves.first.and_then(|(_, via)| via)));
+    }
+    debug_assert_eq!(nodes.last(), Some(&d));
 
     let mut cost = 0.0;
     for hop in nodes.windows(2) {

@@ -118,6 +118,36 @@ pub struct UpArc {
     pub bwd: f64,
 }
 
+/// One direction of an up-arc, as one side of the upward search relaxes
+/// it: the record a settle fetches from its node's up-arc list.
+#[derive(Debug, Clone, Copy)]
+pub struct UpStep {
+    /// The higher-ranked endpoint.
+    pub head: NodeId,
+    /// Customized cost of the direction ([`UpArc::fwd`] or
+    /// [`UpArc::bwd`]).
+    pub cost: f64,
+    /// The direction's unpack middle, as [`Hierarchy::arc_direction`]
+    /// gives it: `None` for an original edge.
+    pub middle: Option<NodeId>,
+}
+
+/// The two halves of an overlay step `from → to` that unpacks through
+/// `middle`, as [`Hierarchy::halves`] reads them. Both are arcs of
+/// `middle`'s up-arc list, since a middle ranks below the two ends it
+/// joins, so one fetch of that list serves both.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Halves {
+    /// `from → middle`, as [`Hierarchy::arc_direction`] gives it.
+    pub first: Option<(f64, Option<NodeId>)>,
+    /// `middle → to`, likewise.
+    pub second: Option<(f64, Option<NodeId>)>,
+    /// Blocks the two arc records occupy in `middle`'s list, which
+    /// starts on a block of its own as a settle charges it: 1, or 2
+    /// when they fall in different blocks (or either is missing).
+    pub blocks: u64,
+}
+
 /// Where one [`Hierarchy::build`] spent its time and work, pass by pass.
 /// The counts repeat exactly for a graph and configuration; the wall
 /// times are this machine's.
@@ -376,26 +406,76 @@ impl Hierarchy {
         })
     }
 
+    /// The up-arcs out of `u` in one direction (heads in node-id order):
+    /// tail → head when `forward`, head → tail otherwise, each with its
+    /// customized cost and unpack middle.
+    pub fn up_steps(&self, u: NodeId, forward: bool) -> impl Iterator<Item = UpStep> + '_ {
+        let heads = &self.core.heads[self.core.range(u.0)];
+        let (cost, via) = if forward {
+            (&self.pricing.fwd, &self.pricing.fwd_via)
+        } else {
+            (&self.pricing.bwd, &self.pricing.bwd_via)
+        };
+        let cost = cost.row(&self.core.first, u.index());
+        let via = via.row(&self.core.first, u.index());
+        (heads.iter().zip(cost).zip(via)).map(|((&head, &cost), &via)| UpStep {
+            head: NodeId(head),
+            cost,
+            middle: middle_of(via),
+        })
+    }
+
     /// Customized cost and unpack middle for travelling `from → to`
     /// along the overlay arc joining the two nodes, if that arc exists
     /// and the direction is reachable. A `None` middle means the step
     /// is an original edge; a `Some(m)` step expands to `from → m → to`,
     /// recursively, until only real edges remain.
     pub fn arc_direction(&self, from: NodeId, to: NodeId) -> Option<(f64, Option<NodeId>)> {
-        let (cost, via) = if self.rank(from) < self.rank(to) {
-            let idx = self.core.arc_index(from.0, to.0)?;
-            let at = self.core.slot(from.0, idx);
+        self.direction_at(self.locate(from, to)?)
+    }
+
+    /// Both halves of the step `from → to` through `middle`, each as
+    /// [`Hierarchy::arc_direction`] gives it, and the blocks of
+    /// `middle`'s up-arc list they occupy: what unpacking that step
+    /// reads.
+    pub fn halves(&self, from: NodeId, middle: NodeId, to: NodeId) -> Halves {
+        let (first, second) = (self.locate(from, middle), self.locate(middle, to));
+        let block = |arc: ArcAt| {
+            let start = self.core.range(arc.tail).start;
+            (arc.tail, (arc.idx - start) / ARCS_PER_BLOCK)
+        };
+        let blocks = match (first, second) {
+            (Some(a), Some(b)) if block(a) == block(b) => 1,
+            _ => 2,
+        };
+        Halves {
+            first: first.and_then(|arc| self.direction_at(arc)),
+            second: second.and_then(|arc| self.direction_at(arc)),
+            blocks,
+        }
+    }
+
+    /// The arc joining `from` and `to`, travelled `from → to`.
+    fn locate(&self, from: NodeId, to: NodeId) -> Option<ArcAt> {
+        let forward = self.rank(from) < self.rank(to);
+        let (tail, head) = if forward {
+            (from.0, to.0)
+        } else {
+            (to.0, from.0)
+        };
+        let idx = self.core.arc_index(tail, head)?;
+        Some(ArcAt { tail, idx, forward })
+    }
+
+    /// Cost and middle of one located arc direction, if it is reachable.
+    fn direction_at(&self, arc: ArcAt) -> Option<(f64, Option<NodeId>)> {
+        let at = self.core.slot(arc.tail, arc.idx);
+        let (cost, via) = if arc.forward {
             (self.pricing.fwd[at], self.pricing.fwd_via[at])
         } else {
-            let idx = self.core.arc_index(to.0, from.0)?;
-            let at = self.core.slot(to.0, idx);
             (self.pricing.bwd[at], self.pricing.bwd_via[at])
         };
-        if !cost.is_finite() {
-            return None;
-        }
-        let middle = (via != NO_VIA).then_some(NodeId(via));
-        Some((cost, middle))
+        cost.is_finite().then(|| (cost, middle_of(via)))
     }
 
     /// How much of this overlay is the very memory `other` holds: the
@@ -409,6 +489,20 @@ impl Hierarchy {
         sharing.part(&self.down, &other.down, down);
         sharing
     }
+}
+
+/// An up-arc's place in the CSR (its tail and index) and the direction
+/// a step travels it: `forward` is tail → head.
+#[derive(Clone, Copy)]
+struct ArcAt {
+    tail: u32,
+    idx: usize,
+    forward: bool,
+}
+
+/// A stored `via` as an unpack middle: `None` for an original edge.
+fn middle_of(via: u32) -> Option<NodeId> {
+    (via != NO_VIA).then_some(NodeId(via))
 }
 
 /// Blocks one sequential scan of the node (R) and edge (S) relations

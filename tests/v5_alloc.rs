@@ -71,14 +71,16 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
 }
 
 /// Bytes one v5 run may allocate, whatever the network's size. The
-/// two depth-indexed label arrays take 16 B a slot, at most 544 slots a
-/// side at metro-100k; the rest grows with the search, not the network:
-/// the expansion order and the unpacked route. Over these 512 trips a
-/// run allocated 4.6 KB on average (7.1 KB at most) at metro-10k and
-/// 26 KB (36 KB) at metro-100k. With the two lazy-deletion heaps the
-/// depth sweep replaced, a run took 9.7 KB and 119 KB on average; the
-/// node-count arrays before them were 24 B a node: 258 KB at 10k,
-/// 2.5 MB at 100k.
+/// two depth-indexed label arrays take 24 B a slot (node, predecessor,
+/// cost and unpack middle), at most 544 slots a side at metro-100k; the
+/// rest grows with the search, not the network: the expansion order,
+/// the stack of up-down hops and the unpacked route. Over these 512
+/// trips a run allocated 6.0 KB on average (8.8 KB at most) at
+/// metro-10k and 35 KB (45 KB) at metro-100k; before the labels
+/// carried a middle, 4.6 KB (7.1 KB) and 26 KB (36 KB). With the two
+/// lazy-deletion heaps the depth sweep replaced, a run took 9.7 KB and
+/// 119 KB on average; the node-count arrays before them were 24 B a
+/// node: 258 KB at 10k, 2.5 MB at 100k.
 const RUN_BYTES: usize = 64 * 1024;
 
 /// v5 over `pairs` seeded uniform trips on the seed-1993 metro of about
