@@ -7,16 +7,20 @@
 //! core complaint about this class: such algorithms "compute many more
 //! paths beyond the single pair path that is of interest to ATIS".
 //!
-//! This module implements the classical representatives so the complaint
-//! can be *measured* (see the `allpairs` ablation in `atis-bench`):
+//! This module implements three representatives so the complaint can be
+//! *counted* (the `allpairs` study in `atis-bench` renders what each
+//! answers and the loop steps it runs, beside the single-pair searches):
 //!
 //! * [`warren_closure`] — Warren's 1975 two-pass in-place boolean
 //!   transitive closure over bitset rows;
 //! * [`floyd_warshall`] — all-pairs shortest path *costs*, the
 //!   cost-aggregate closure the related work generalises to;
-//! * [`dfs_reachability`] — single-source DFS closure;
-//! * [`logarithmic_closure`] — the "logarithmic" repeated-squaring
-//!   closure over the boolean adjacency matrix.
+//! * [`IntervalClosure`] — the spanning-tree-based closure, compressed
+//!   to postorder intervals.
+//!
+//! Their reference is the shortest-path kernel: a pair is reachable
+//! exactly where `atis_graph::sssp::distances_from` is finite, which the
+//! tests here and `tests/property_based.rs` check both closures against.
 
 use atis_graph::{Graph, NodeId};
 
@@ -108,56 +112,6 @@ pub fn warren_closure(graph: &Graph) -> BitMatrix {
         }
     }
     m
-}
-
-/// The "logarithmic" closure: repeated squaring of `(A ∪ I)` until a fixed
-/// point, reaching the closure in `⌈log2 n⌉` multiplications.
-pub fn logarithmic_closure(graph: &Graph) -> BitMatrix {
-    let n = graph.node_count();
-    let mut m = BitMatrix::adjacency(graph);
-    for i in 0..n {
-        m.set(i, i); // reflexive seed so squaring accumulates paths
-    }
-    loop {
-        let squared = multiply(&m, &m);
-        if squared == m {
-            break;
-        }
-        m = squared;
-    }
-    // Remove the reflexive seed for nodes with no true self-path: keep the
-    // conventional "path of >= 1 edge" closure by recomputing diagonal
-    // entries from the off-diagonal structure.
-    let mut out = m.clone();
-    for i in 0..n {
-        let self_loop = graph
-            .neighbors(NodeId(i as u32))
-            .iter()
-            .any(|e| e.to.index() == i)
-            || (0..n).any(|k| k != i && m.get(i, k) && m.get(k, i));
-        if !self_loop {
-            out.bits[i * out.words_per_row + i / 64] &= !(1u64 << (i % 64));
-        }
-    }
-    out
-}
-
-/// Boolean matrix product: `out[i] = ⋃ { b[j] : a[i][j] }`.
-fn multiply(a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
-    let n = a.len();
-    let mut out = BitMatrix::new(n);
-    for i in 0..n {
-        let d0 = i * out.words_per_row;
-        for j in 0..n {
-            if a.get(i, j) {
-                let s0 = j * b.words_per_row;
-                for k in 0..out.words_per_row {
-                    out.bits[d0 + k] |= b.bits[s0 + k];
-                }
-            }
-        }
-    }
-    out
 }
 
 /// The spanning-tree-based closure of the related work (Dar & Jagadish
@@ -291,19 +245,6 @@ impl IntervalClosure {
     pub fn stored_intervals(&self) -> usize {
         self.intervals.iter().map(Vec::len).sum()
     }
-
-    /// Materialises the closure as a [`BitMatrix`] (for validation).
-    pub fn to_matrix(&self, n: usize) -> BitMatrix {
-        let mut m = BitMatrix::new(n);
-        for i in 0..n {
-            for j in 0..n {
-                if self.reaches(NodeId(i as u32), NodeId(j as u32)) {
-                    m.set(i, j);
-                }
-            }
-        }
-        m
-    }
 }
 
 /// Iterative Tarjan SCC: returns (component id per node, component
@@ -377,22 +318,6 @@ fn strongly_connected_components(graph: &Graph) -> (Vec<u32>, usize) {
     (comp, comp_count as usize)
 }
 
-/// Single-source reachability by depth-first search.
-pub fn dfs_reachability(graph: &Graph, s: NodeId) -> Vec<bool> {
-    let mut seen = vec![false; graph.node_count()];
-    let mut stack = vec![s];
-    seen[s.index()] = true;
-    while let Some(u) = stack.pop() {
-        for e in graph.neighbors(u) {
-            if !seen[e.to.index()] {
-                seen[e.to.index()] = true;
-                stack.push(e.to);
-            }
-        }
-    }
-    seen
-}
-
 /// Floyd–Warshall all-pairs shortest-path costs: the cost-aggregate
 /// closure ("aggregate closure" in the related work). Returns the
 /// row-major `n × n` distance matrix with `∞` for unreachable pairs and
@@ -429,6 +354,7 @@ mod tests {
     use super::*;
     use crate::memory;
     use atis_graph::graph::graph_from_arcs;
+    use atis_graph::sssp::distances_from;
     use atis_graph::{CostModel, Grid};
 
     fn chain() -> Graph {
@@ -468,21 +394,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn logarithmic_matches_warren() {
-        for seed in [1u64, 2, 3] {
-            let grid = Grid::new(5, CostModel::Uniform, seed).unwrap();
-            let w = warren_closure(grid.graph());
-            let l = logarithmic_closure(grid.graph());
-            assert_eq!(w, l);
+    /// Checks `reaches` against the shortest-path kernel: off the
+    /// diagonal a pair is reachable iff its distance is finite, and a
+    /// node reaches itself iff one of its out-neighbours reaches it.
+    fn assert_matches_sssp(g: &Graph, reaches: impl Fn(usize, usize) -> bool) {
+        let rows: Vec<Vec<f64>> = g.node_ids().map(|u| distances_from(g, u)).collect();
+        for u in g.node_ids() {
+            for v in g.node_ids() {
+                let (i, j) = (u.index(), v.index());
+                let reachable = if i == j {
+                    g.neighbors(u)
+                        .iter()
+                        .any(|e| rows[e.to.index()][i].is_finite())
+                } else {
+                    rows[i][j].is_finite()
+                };
+                assert_eq!(reaches(i, j), reachable, "({i},{j})");
+            }
         }
-        assert_eq!(warren_closure(&chain()), logarithmic_closure(&chain()));
-        assert_eq!(warren_closure(&cycle()), logarithmic_closure(&cycle()));
     }
 
     #[test]
-    fn warren_agrees_with_dfs_row_by_row() {
-        let g = graph_from_arcs(
+    fn closures_match_the_sssp_reference() {
+        let branched = graph_from_arcs(
             6,
             &[
                 (0, 1, 1.0),
@@ -493,25 +427,6 @@ mod tests {
             ],
         )
         .unwrap();
-        let c = warren_closure(&g);
-        for i in 0..6 {
-            let dfs = dfs_reachability(&g, NodeId(i as u32));
-            for (j, &reachable) in dfs.iter().enumerate() {
-                if i == j {
-                    continue; // DFS marks the start; closure needs a cycle
-                }
-                assert_eq!(c.get(i, j), reachable, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn interval_closure_matches_warren_on_named_graphs() {
-        for g in [chain(), cycle()] {
-            let w = warren_closure(&g);
-            let ic = IntervalClosure::build(&g).to_matrix(g.node_count());
-            assert_eq!(w, ic);
-        }
         // A DAG with cross edges between spanning subtrees.
         let dag = graph_from_arcs(
             6,
@@ -525,19 +440,15 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(
-            warren_closure(&dag),
-            IntervalClosure::build(&dag).to_matrix(6)
-        );
-    }
-
-    #[test]
-    fn interval_closure_matches_warren_on_grids_and_minneapolis_sample() {
-        for seed in [1u64, 5, 9] {
-            let grid = Grid::new(5, CostModel::Uniform, seed).unwrap();
-            let w = warren_closure(grid.graph());
-            let ic = IntervalClosure::build(grid.graph()).to_matrix(grid.graph().node_count());
-            assert_eq!(w, ic, "seed {seed}");
+        let grids = [1u64, 2, 3, 5, 9].map(|seed| Grid::new(5, CostModel::Uniform, seed).unwrap());
+        let named = [chain(), cycle(), branched, dag];
+        for g in named.iter().chain(grids.iter().map(Grid::graph)) {
+            let warren = warren_closure(g);
+            assert_matches_sssp(g, |i, j| warren.get(i, j));
+            let interval = IntervalClosure::build(g);
+            assert_matches_sssp(g, |i, j| {
+                interval.reaches(NodeId(i as u32), NodeId(j as u32))
+            });
         }
     }
 
@@ -566,7 +477,7 @@ mod tests {
             n,
             "chain compresses to one interval per node"
         );
-        assert_eq!(warren_closure(&g), ic.to_matrix(n));
+        assert_matches_sssp(&g, |i, j| ic.reaches(NodeId(i as u32), NodeId(j as u32)));
     }
 
     #[test]
@@ -602,12 +513,5 @@ mod tests {
         let g = graph_from_arcs(2, &[(0, 1, 5.0), (0, 1, 2.0)]).unwrap();
         let fw = floyd_warshall(&g);
         assert_eq!(fw[1], 2.0);
-    }
-
-    #[test]
-    fn dfs_reaches_the_component() {
-        let g = graph_from_arcs(4, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let r = dfs_reachability(&g, NodeId(0));
-        assert_eq!(r, vec![true, true, true, false]);
     }
 }

@@ -51,7 +51,6 @@
 #![warn(clippy::iter_over_hash_type)]
 
 pub mod astar;
-pub mod bidirectional;
 pub mod closure;
 pub mod database;
 pub mod dijkstra;
@@ -66,7 +65,6 @@ pub(crate) mod search;
 pub mod trace;
 
 pub use astar::AStarVersion;
-pub use bidirectional::{bidirectional_dijkstra, BidirectionalResult};
 pub use database::{Algorithm, Budgets, Database, Description, FrontierKind, Kernel, Label};
 pub use duplicates::DuplicatePolicy;
 pub use error::{AlgorithmError, ArtifactIssue, BudgetKind};

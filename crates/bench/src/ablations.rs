@@ -1,5 +1,5 @@
-//! The validations, ablations and extensions around the paper's
-//! evaluation, as renders over study rows.
+//! Figure 8's map and the validations, ablations and extensions around
+//! the paper's evaluation, as renders over study rows.
 //!
 //! Each [`Study`] names the cells it reads — a query, an algorithm and a
 //! database [`Config`] — and renders its table from the rows
@@ -8,22 +8,25 @@
 //! workload once, and every study that varies one configuration field on
 //! the 20×20 diagonal reads Figure 7's row as its default column.
 //!
-//! Every cell is a deterministic counter. EXPERIMENTS.md commits each
-//! render between `<!-- study: NAME -->` and `<!-- /study -->`, and
+//! Every cell is a deterministic counter, and so is what a render adds
+//! beside its rows: the map, the closures' sizes and loop counts, the
+//! in-memory baselines' settles. EXPERIMENTS.md commits each render
+//! between `<!-- study: NAME -->` and `<!-- /study -->`, and
 //! `tests/study_counters.rs` holds it byte-equal to a fresh one.
 //!
 //! [`studies::run_cells`]: crate::studies::run_cells
 
-use crate::experiments::{fmt_cost, ExperimentOutput};
 use crate::studies::{
     paper_cells, paper_row, push_new, row, run_cells, vs_optimal, Cell, Config, PaperRow, Workload,
     CLASSES,
 };
 use crate::table::Table;
+use crate::{fmt_cost, ExperimentOutput, PAPER_SEED};
 use atis_algorithms::duplicates::DuplicatePolicy;
-use atis_algorithms::{memory, AStarVersion, Algorithm, Estimator, FrontierKind};
+use atis_algorithms::{closure, memory, AStarVersion, Algorithm, Estimator, FrontierKind};
+use atis_core::render_map;
 use atis_costmodel::{paper_iterations, DiskModel, Model, ModelParams, RelationFrontierModel};
-use atis_graph::{CostModel, QueryKind, RadialCity, RadialQuery};
+use atis_graph::{CostModel, Grid, Minneapolis, QueryKind, RadialCity, RadialQuery};
 use atis_obs::ModelReport;
 use atis_storage::{CostParams, JoinPolicy, JoinStrategy};
 
@@ -477,6 +480,112 @@ fn seeds(rows: &[PaperRow]) -> String {
     t.to_string()
 }
 
+/// Figure 8: the synthetic Minneapolis map, landmarks A–G marking the
+/// Table 8 endpoints.
+fn fig8(_: &[PaperRow]) -> String {
+    let m = Minneapolis::paper();
+    let map = render_map(m.graph(), None, m.landmarks(), 78, 36);
+    let landmarks: String = m.landmarks().iter().map(|(c, _)| *c).collect();
+    format!(
+        "nodes: {}   directed edges: {}   landmarks: {landmarks}\n\n```text\n{map}```\n",
+        m.graph().node_count(),
+        m.graph().edge_count(),
+    )
+}
+
+/// Section 1.2's complaint, counted: the closures answer every pair of
+/// the 15×15 grid, the single-pair runs one.
+const CLOSURE_GRID: usize = 15;
+
+fn allpairs_cells() -> Vec<Cell> {
+    let semi = grid(CLOSURE_GRID, QueryKind::SemiDiagonal);
+    cells(&[semi], &[DIJKSTRA, V3], &[Config::PAPER])
+}
+
+fn allpairs(rows: &[PaperRow]) -> String {
+    let network = Grid::new(CLOSURE_GRID, CostModel::TWENTY_PERCENT, PAPER_SEED).expect("k >= 2");
+    let (graph, n) = (network.graph(), network.graph().node_count());
+    let finite = closure::floyd_warshall(graph)
+        .iter()
+        .filter(|c| c.is_finite())
+        .count();
+    let reachable = closure::warren_closure(graph).count_ones();
+    let intervals = closure::IntervalClosure::build(graph).stored_intervals();
+    let mut t = Table::new(vec!["Method", "Computes", "Work", "Cost units"]);
+    t.push_row(vec![
+        "Floyd-Warshall (cost closure)".into(),
+        format!("{finite} finite pair costs"),
+        format!("{} loop steps (n^3)", n.pow(3)),
+        "-".into(),
+    ]);
+    t.push_row(vec![
+        "Warren's (boolean closure)".into(),
+        format!("{reachable} reachable pairs"),
+        format!("{} pivot tests (n^2 - n)", n * n - n),
+        "-".into(),
+    ]);
+    t.push_row(vec![
+        "spanning-tree/interval closure".into(),
+        format!("stored intervals: {intervals}"),
+        "-".into(),
+        "-".into(),
+    ]);
+    for cell in allpairs_cells() {
+        let r = row(rows, cell);
+        t.push_row(vec![
+            format!("DB-resident {}", r.algorithm.label()),
+            format!("1 pair, cost {:.2}", r.path_cost),
+            format!("{} settles", r.iterations),
+            fmt_cost(r.cost_units),
+        ]);
+    }
+    t.to_string()
+}
+
+/// Figure 6's diagonal runs of Dijkstra and A\* v3, beside the in-memory
+/// baselines on the same query.
+fn memdb_cells() -> Vec<Cell> {
+    cells(
+        &[grid(30, QueryKind::Diagonal)],
+        &[DIJKSTRA, V3],
+        &[Config::PAPER],
+    )
+}
+
+fn memdb(rows: &[PaperRow]) -> String {
+    let network = Grid::new(30, CostModel::TWENTY_PERCENT, PAPER_SEED).expect("k >= 2");
+    let (s, d) = network.query_pair(QueryKind::Diagonal);
+    let mut t = Table::new(vec![
+        "Implementation",
+        "Settles",
+        "Cost units (simulated I/O)",
+        "Route cost",
+    ]);
+    let baselines = [
+        ("in-memory Dijkstra (binary heap)", Estimator::Zero),
+        ("in-memory A* (Manhattan)", Estimator::Manhattan),
+    ];
+    for (label, estimator) in baselines {
+        let (path, settles) = memory::astar_pair(network.graph(), s, d, estimator);
+        t.push_row(vec![
+            label.into(),
+            settles.to_string(),
+            "-".into(),
+            format!("{:.2}", path.expect("the diagonal is connected").cost),
+        ]);
+    }
+    for cell in memdb_cells() {
+        let r = row(rows, cell);
+        t.push_row(vec![
+            format!("DB-resident {}", r.algorithm.label()),
+            r.iterations.to_string(),
+            fmt_cost(r.cost_units),
+            format!("{:.2}", r.path_cost),
+        ]);
+    }
+    t.to_string()
+}
+
 /// A workload's query, as a table cell.
 fn workload_label(workload: Workload) -> String {
     match workload {
@@ -488,7 +597,13 @@ fn workload_label(workload: Workload) -> String {
 
 /// Every study, in EXPERIMENTS.md's order; `crate::DRIVERS` gives each
 /// its heading.
-pub const STUDIES: [Study; 12] = [
+pub const STUDIES: [Study; 15] = [
+    Study {
+        name: "fig8",
+        description: "synthetic Minneapolis road map (see DESIGN.md for the substitution)",
+        cells: Vec::new,
+        render: fig8,
+    },
     Study {
         name: "reports",
         description:
@@ -541,6 +656,19 @@ pub const STUDIES: [Study; 12] = [
         description: "index levels I_l from 1 to 5 (20x20, diagonal, 20% variance)",
         cells: || cells(&[diagonal20()], &CLASSES, &isam_configs()),
         render: isam,
+    },
+    Study {
+        name: "allpairs",
+        description:
+            "transitive closure computes every path; ATIS needs one (15x15, semi-diagonal, 20% variance)",
+        cells: allpairs_cells,
+        render: allpairs,
+    },
+    Study {
+        name: "memdb",
+        description: "in-memory baselines vs the metered engine (30x30, diagonal, 20% variance)",
+        cells: memdb_cells,
+        render: memdb,
     },
     Study {
         name: "devices",

@@ -7,34 +7,63 @@
 //!   Figures 10–12 — rows of exact counters ([`studies::paper_rows`]),
 //!   rendered one artifact at a time by [`studies::table_4b`] and
 //!   [`studies::paper_figure`] (the figures are [`studies::PAPER_FIGURES`]).
-//! * The validations, ablations and extensions — [`ablations::STUDIES`],
-//!   each a render over rows of the same runner
+//! * Figure 8's map, and the validations, ablations and extensions —
+//!   [`ablations::STUDIES`], each a render over rows of the same runner
 //!   ([`studies::run_cells`]) that vary one database configuration
 //!   ([`studies::Config`]) or sweep a workload.
 //! * The estimator and metro scaling studies ([`studies::estimator_quality`],
 //!   [`studies::metro_scaling`]).
-//! * Figure 8's map and the two wall-clock ablations, all-pairs closure and
-//!   in-memory baselines ([`experiments`]).
 //!
-//! Every table but the last three's is a deterministic counter committed
-//! between `<!-- study: … -->` markers in EXPERIMENTS.md or SCALING.md.
-//! [`DRIVERS`] lists every experiment once; the binary `experiments`
-//! runs them from the command line.
+//! Every table is a deterministic counter committed between
+//! `<!-- study: … -->` markers in EXPERIMENTS.md or SCALING.md: counts
+//! and simulated I/O, never wall time (the crate's `clippy.toml`
+//! disallows the wall clock). [`DRIVERS`] lists every experiment once;
+//! the binary `experiments` runs them from the command line.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod ablations;
 pub mod chart;
-pub mod experiments;
 pub mod studies;
 pub mod table;
 
 pub use chart::BarChart;
-pub use experiments::{ExperimentOutput, PAPER_SEED};
 pub use table::Table;
 
-use experiments as exp;
+use std::fmt;
+
+/// Seed used for every canonical experiment (the paper's publication
+/// year). Results are deterministic given this seed; see EXPERIMENTS.md
+/// for sensitivity notes.
+pub const PAPER_SEED: u64 = 1993;
+
+/// A rendered experiment: an id (paper table/figure), a description, and
+/// one or more titled sections of markdown.
+#[derive(Debug, Clone)]
+pub struct ExperimentOutput {
+    /// Paper artifact id, e.g. `"Figure 5 / Table 5"`.
+    pub id: String,
+    /// One-line description of the workload.
+    pub description: String,
+    /// Titled markdown sections.
+    pub sections: Vec<(String, String)>,
+}
+
+impl fmt::Display for ExperimentOutput {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "## {} — {}\n", self.id, self.description)?;
+        for (title, body) in &self.sections {
+            writeln!(f, "### {title}\n\n{body}")?;
+        }
+        Ok(())
+    }
+}
+
+/// A cost in Table 4A units, to one decimal.
+pub(crate) fn fmt_cost(c: f64) -> String {
+    format!("{c:.1}")
+}
 
 /// An experiment: its command-line id, a one-line description (also
 /// the heading a study prints), and the driver, which is handed the id.
@@ -42,17 +71,17 @@ pub type Driver = (&'static str, &'static str, fn(&str) -> ExperimentOutput);
 
 /// Every experiment, in paper order: the paper's artifacts
 /// ([`studies::paper_figure`]), the validations, ablations and extensions
-/// of [`ablations::STUDIES`] (`reports`, `models`, `joins`, `optimizer`,
-/// `tradeoff`, `duplicates`, `buffer`, `isam`, `devices`, `scaling`,
-/// `radial`, `seeds`), the two wall-clock ablations (`allpairs`,
-/// `memdb`), and the estimator and metro studies.
+/// of [`ablations::STUDIES`] (`fig8`, `reports`, `models`, `joins`,
+/// `optimizer`, `tradeoff`, `duplicates`, `buffer`, `isam`, `allpairs`,
+/// `memdb`, `devices`, `scaling`, `radial`, `seeds`), and the estimator
+/// and metro studies.
 #[rustfmt::skip]
 pub const DRIVERS: &[Driver] = &[
     ("table4b", "Table 4B: algebraic cost estimates", |_| studies::table_4b()),
     ("fig5", "Figure 5 / Table 5: graph size", studies::paper_figure),
     ("fig6", "Figure 6 / Table 6: path length", studies::paper_figure),
     ("fig7", "Figure 7 / Table 7: edge cost models", studies::paper_figure),
-    ("fig8", "Figure 8: Minneapolis map", |_| exp::fig8_map()),
+    ("fig8", "Figure 8: Minneapolis map", ablations::study),
     ("fig9", "Figure 9 / Table 8: Minneapolis queries", studies::paper_figure),
     ("fig10", "Figure 10: A* versions vs graph size", studies::paper_figure),
     ("fig11", "Figure 11: A* versions vs cost model", studies::paper_figure),
@@ -65,8 +94,8 @@ pub const DRIVERS: &[Driver] = &[
     ("duplicates", "Ablation: frontier duplicate policies", ablations::study),
     ("buffer", "Ablation: buffer pool vs cold cache", ablations::study),
     ("isam", "Ablation: ISAM index depth sensitivity", ablations::study),
-    ("allpairs", "Ablation: all-pairs closure vs single-pair (wall clock)", |_| exp::ablation_allpairs()),
-    ("memdb", "Ablation: in-memory vs database-resident (wall clock)", |_| exp::ablation_memory_vs_db()),
+    ("allpairs", "Ablation: all-pairs closure vs single-pair", ablations::study),
+    ("memdb", "Ablation: in-memory vs database-resident", ablations::study),
     ("devices", "Extension: device sensitivity (disk vs SSD re-pricing)", ablations::study),
     ("scaling", "Extension: grids beyond the paper (up to 50x50)", ablations::study),
     ("radial", "Extension: radial city (estimator ranking reverses)", ablations::study),

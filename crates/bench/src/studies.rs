@@ -30,8 +30,8 @@
 //! paper's claims in `tests/paper_tables.rs`, over the same rows.
 
 use crate::chart::BarChart;
-use crate::experiments::{fmt_cost, ExperimentOutput, PAPER_SEED};
 use crate::table::Table;
+use crate::{fmt_cost, ExperimentOutput, PAPER_SEED};
 use atis_algorithms::duplicates::{run_with_duplicate_policy, DuplicatePolicy};
 use atis_algorithms::ladder::Needs;
 use atis_algorithms::{memory, AStarVersion, Algorithm, Database, Kernel};

@@ -55,6 +55,28 @@ fn arb_grid() -> impl Strategy<Value = (Grid, NodeId, NodeId)> {
     })
 }
 
+/// Five nodes where Manhattan distance to `d` never overestimates but is
+/// not consistent: `b` is estimated 5 from `d` yet one unit from `c`,
+/// which is estimated 0.5. A\* closes `c` first through `a` (cost `4 +
+/// detour`), then reaches it through `b` for 3, and only reopening `c`
+/// gives the optimum `s → b → c → d` of 8. Everything is multiplied by
+/// `scale`.
+fn inconsistent_detour(scale: f64, detour: f64) -> (Graph, NodeId, NodeId) {
+    let mut b = GraphBuilder::with_capacity(5, 5);
+    let [s, a, b_, c, d] = [(3.0, 0.0), (0.0, 0.5), (5.0, 0.0), (0.5, 0.0), (0.0, 0.0)]
+        .map(|(x, y)| b.add_node(Point::new(scale * x, scale * y)));
+    for (u, v, cost) in [
+        (s, a, 1.0),
+        (a, c, 3.0 + detour),
+        (s, b_, 2.0),
+        (b_, c, 1.0),
+        (c, d, 5.0),
+    ] {
+        b.add_arc(u, v, scale * cost);
+    }
+    (b.build().expect("a valid graph"), s, d)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -180,18 +202,22 @@ proptest! {
     #[test]
     fn closure_algorithms_agree_on_random_graphs((g, _, _) in arb_graph()) {
         use atis::algorithms::closure;
+        use atis::graph::sssp::distances_from;
+        // The reference is the shortest-path kernel: off the diagonal a
+        // pair is reachable iff its distance is finite, and a node reaches
+        // itself iff one of its out-neighbours reaches it back.
+        let rows: Vec<Vec<f64>> = g.node_ids().map(|u| distances_from(&g, u)).collect();
         let warren = closure::warren_closure(&g);
-        let log = closure::logarithmic_closure(&g);
-        prop_assert_eq!(&warren, &log, "warren vs logarithmic");
-        let interval = closure::IntervalClosure::build(&g).to_matrix(g.node_count());
-        prop_assert_eq!(&warren, &interval, "warren vs interval");
-        // Row-by-row against DFS (off-diagonal semantics match).
+        let interval = closure::IntervalClosure::build(&g);
         for u in g.node_ids() {
-            let dfs = closure::dfs_reachability(&g, u);
             for v in g.node_ids() {
-                if u != v {
-                    prop_assert_eq!(warren.get(u.index(), v.index()), dfs[v.index()]);
-                }
+                let reachable = if u == v {
+                    g.neighbors(u).iter().any(|e| rows[e.to.index()][u.index()].is_finite())
+                } else {
+                    rows[u.index()][v.index()].is_finite()
+                };
+                prop_assert_eq!(warren.get(u.index(), v.index()), reachable, "warren {:?} -> {:?}", u, v);
+                prop_assert_eq!(interval.reaches(u, v), reachable, "interval {:?} -> {:?}", u, v);
             }
         }
     }
@@ -217,6 +243,29 @@ proptest! {
         let t = db.run(Algorithm::AStar(AStarVersion::V2), s, d).unwrap();
         let got = t.path.expect("connected").validate(city.graph()).unwrap();
         prop_assert!((got - oracle.cost).abs() < 1e-6);
+    }
+
+    #[test]
+    fn astar_reopens_to_the_optimum_under_an_inconsistent_estimate(
+        scale in 0.1f64..100.0,
+        detour in 0.0f64..2.0,
+    ) {
+        let (g, s, d) = inconsistent_detour(scale, detour);
+        let h = |u: NodeId| Estimator::Manhattan.evaluate(g.point(u), g.point(d));
+        prop_assert!(memory::max_overestimate(&g, d, Estimator::Manhattan) <= 1e-9);
+        prop_assert!(
+            g.edges().any(|e| h(e.from) > e.cost + h(e.to)),
+            "the estimate must be inconsistent on some edge"
+        );
+        let oracle = memory::dijkstra_pair(&g, s, d).expect("connected");
+        let db = Database::open(&g).unwrap();
+        let t = db.run(Algorithm::AStar(AStarVersion::V3), s, d).unwrap();
+        prop_assert!(t.reopened > 0, "A* v3 must reopen the node it closed too early");
+        // `R` stores costs as f32; a run that keeps `c`'s first label
+        // reads 9 + detour times `scale`, an eighth above the optimum.
+        prop_assert!((t.path_cost() - oracle.cost).abs() <= 1e-5 * oracle.cost, "{} vs {}", t.path_cost(), oracle.cost);
+        let got = t.path.expect("connected").validate(&g).unwrap();
+        prop_assert!((got - oracle.cost).abs() <= 1e-5 * oracle.cost, "route {} vs {}", got, oracle.cost);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! `atis_bench::studies` renders the paper's own artifacts (Table 4B and
 //! the tables of Figures 5–7, 9 and 10–12), the estimator study's table,
 //! the scaling study's table of its networks and, per metro scale, its
-//! regional and long-haul tables; `atis_bench::ablations` renders the
-//! validations, ablations and extensions (`STUDIES`) from rows of the
-//! same runner, all of which one binary-wide run fills, each cell once. Each is committed once, in the doc that
+//! regional and long-haul tables; `atis_bench::ablations` renders
+//! Figure 8's map and the validations, ablations and extensions
+//! (`STUDIES`) from rows of the same runner, all of which one binary-wide
+//! run fills, each cell once. Each is committed once, in the doc that
 //! reports it, between `<!-- study: NAME -->` and `<!-- /study -->`, and
 //! each test here renders its tables afresh and requires them byte-equal
 //! to the committed blocks. Every cell is a deterministic counter, so one
@@ -41,11 +42,12 @@ use std::sync::OnceLock;
 
 /// Every committed block, as (doc, marker name). A test asserts each of
 /// them, and no other.
-const BLOCKS: [(&str, &str); 28] = [
+const BLOCKS: [(&str, &str); 31] = [
     ("EXPERIMENTS.md", "table4b"),
     ("EXPERIMENTS.md", "fig5"),
     ("EXPERIMENTS.md", "fig6"),
     ("EXPERIMENTS.md", "fig7"),
+    ("EXPERIMENTS.md", "fig8"),
     ("EXPERIMENTS.md", "fig9"),
     ("EXPERIMENTS.md", "fig10"),
     ("EXPERIMENTS.md", "fig11"),
@@ -58,6 +60,8 @@ const BLOCKS: [(&str, &str); 28] = [
     ("EXPERIMENTS.md", "duplicates"),
     ("EXPERIMENTS.md", "buffer"),
     ("EXPERIMENTS.md", "isam"),
+    ("EXPERIMENTS.md", "allpairs"),
+    ("EXPERIMENTS.md", "memdb"),
     ("EXPERIMENTS.md", "devices"),
     ("EXPERIMENTS.md", "scaling"),
     ("EXPERIMENTS.md", "radial"),
